@@ -15,21 +15,15 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .completions import (Caps, build_erp, build_gr, build_qp, build_tp,
-                          transitive_extension)
-from .compare import (eed_checks, verify_axc, verify_cthn, verify_converse_axc,
+from .completions import Caps, transitive_extension
+from .compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
                       verify_fulc, verify_universal)
-from .doctrine import DoctrineData, sub_doctrine, validate_doctrine
-from .errors import (DesNotClosed, DoctrinesError, FormulaMismatch,
-                     MalformedPresentation, NoWeakPullback, ParseError,
-                     ResourceCap, WindowClosure)
+from .doctrine import DoctrineData, sub_doctrine
+from .errors import (DesNotClosed, FormulaMismatch, MalformedPresentation,
+                     NoWeakPullback, ParseError, ResourceCap, WindowClosure)
 from .fileformat import emit_doctrine, parse_doctrine
-from .fincat import WindowScope, check_exact, iso_classes, validate_category, validate_products
-from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
-from .structure import (check_beck_chevalley, check_delta_product_law,
-                        check_frobenius, check_rule_of_choice,
-                        comprehension_table, discover_elementary,
-                        discover_existential)
+from .fincat import ValidationReport, WindowScope, check_exact, iso_classes
+from .report import FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -43,12 +37,11 @@ def load_doctrine(path: str) -> DoctrineData:
     p = Path(path)
     if p.is_file():
         P = parse_doctrine(p.read_text())
-        v = validate_category(P.cat)
-        if not v.ok:
-            raise MalformedPresentation(f"{v.message} at {v.witness}")
-        vp = validate_products(P.cat, P.products)
-        if not vp.ok:
-            raise MalformedPresentation(f"{vp.message} at {vp.witness}")
+        an = analysis(P)
+        for verdict in (an.category, an.products):
+            v = verdict()
+            if not v.ok:
+                raise MalformedPresentation(f"{v.message} at {v.witness}")
         return P
     name = p.name
     if name.endswith(".dtn"):
@@ -58,30 +51,25 @@ def load_doctrine(path: str) -> DoctrineData:
     raise ParseError(0, 0, f"no such file or fixture: {path}")
 
 
-def check_report(P: DoctrineData, condition_v: str = "strict") -> tuple[Report, bool]:
+def _law(rep: Report, name: str, v: ValidationReport) -> bool:
+    rep.add(Check(name, PASS if v.ok else FAIL,
+                  (v.witness + (v.message,)) if not v.ok else None))
+    return v.ok
+
+
+def check_report(P: DoctrineData) -> tuple[Report, bool]:
     """The full verification pipeline; the boolean is the gate for exit 0."""
     rep = Report("check")
-    v = validate_category(P.cat)
-    rep.add(Check("category-laws", PASS if v.ok else FAIL,
-                  (v.witness + (v.message,)) if not v.ok else None))
-    if not v.ok:
-        return rep, False
-    vp = validate_products(P.cat, P.products)
-    rep.add(Check("chosen-products", PASS if vp.ok else FAIL,
-                  (vp.witness + (vp.message,)) if not vp.ok else None))
-    if not vp.ok:
+    an = analysis(P)
+    if not (_law(rep, "category-laws", an.category())
+            and _law(rep, "chosen-products", an.products())):
         return rep, False
     missing = P.window.check_closure()
     rep.add(Check("window-closure", PASS if not missing else FAIL,
                   missing or None))
-    if missing:
+    if missing or not _law(rep, "doctrine-laws", an.doctrine_laws()):
         return rep, False
-    vd = validate_doctrine(P)
-    rep.add(Check("doctrine-laws", PASS if vd.ok else FAIL,
-                  (vd.witness + (vd.message,)) if not vd.ok else None))
-    if not vd.ok:
-        return rep, False
-    eed, E, X = eed_checks(P)
+    eed, E, X = an.eed()
     rep.add(eed)
     is_eed = eed.status == PASS
     rep.summary["EED"] = "yes" if is_eed else "no"
@@ -89,7 +77,7 @@ def check_report(P: DoctrineData, condition_v: str = "strict") -> tuple[Report, 
         rep.summary["equality"] = {
             P.cat.objects[a]: P.fibers[P.window.prod(a, a)[0]].elements[d]
             for a, d in E.delta.items()}
-    ct = comprehension_table(P)
+    ct = an.comprehensions()
     if ct.strict_complete and ct.full:
         rep.summary["comprehensions"] = "full"
     elif ct.complete and ct.full:
@@ -104,7 +92,7 @@ def check_report(P: DoctrineData, condition_v: str = "strict") -> tuple[Report, 
                                   for e in ct.entries],
                         "full": ct.full}))
     if X is not None:
-        roc = check_rule_of_choice(P, X)
+        roc = an.rule_of_choice()
         rep.summary["rule of choice"] = "holds" if roc.ok else \
             f"fails (witness {', '.join(map(str, roc.witness))})"
         rep.add(Check("rule-of-choice", INFO,
@@ -115,35 +103,32 @@ def check_report(P: DoctrineData, condition_v: str = "strict") -> tuple[Report, 
 
 def cmd_check(args) -> int:
     P = load_doctrine(args.path)
-    rep, ok = check_report(P, args.condition_v)
+    rep, ok = check_report(P)
     _print_report(rep, args)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def cmd_complete(args) -> int:
     P = load_doctrine(args.path)
-    caps = Caps(args.cap_fibers, args.cap_enum)
-    rep, ok = check_report(P, args.condition_v)
+    _, ok = check_report(P)
+    an = analysis(P, Caps(args.cap_fibers, args.cap_enum), args.condition_v)
     out = Report(f"complete --kind {args.kind}")
-    E = discover_elementary(P)
-    X = discover_existential(P)
-    from .structure import StructureFailure
-    if isinstance(E, StructureFailure) or isinstance(X, StructureFailure):
+    _, E, X = an.eed()
+    if E is None or X is None:
         _print_report(out, args)
         print("cannot complete: structure discovery failed", file=sys.stderr)
         return EXIT_VIOLATION
     emitted: DoctrineData | None = None
     if args.kind == "gr":
-        gr = build_gr(P, caps)
-        hct = comprehension_table(gr.doctrine)
+        gr = an.gr()
+        hct = analysis(gr.doctrine).comprehensions()
         out.summary["objects"] = gr.cat.n_objects
         out.summary["arrows"] = gr.cat.n_arrows
         out.summary["full comprehensions"] = \
             "yes" if hct.strict_complete and hct.full else "no"
         emitted = gr.doctrine
     elif args.kind in ("tp", "er"):
-        tp = build_tp(P, E, X, condition_v=args.condition_v, caps=caps)
-        comp = tp if args.kind == "tp" else build_erp(P, E, tp, caps)
+        comp = an.tp() if args.kind == "tp" else an.er()
         cat = comp.cat
         out.summary["objects"] = cat.n_objects
         out.summary["arrows"] = cat.n_arrows
@@ -152,7 +137,7 @@ def cmd_complete(args) -> int:
                     for a in range(cat.n_objects) for b in range(cat.n_objects))
         out.summary["poset"] = "yes" if poset else "no"
         if args.kind == "tp":
-            ex = check_exact(cat, WindowScope(comp.scope.core), caps.enum)
+            ex = check_exact(cat, WindowScope(comp.scope.core), an.caps.enum)
             out.summary["exact"] = "yes" if ex.exact else "no"
             out.summary["exactness core"] = len(ex.core)
         if comp.pc is None:
@@ -160,7 +145,7 @@ def cmd_complete(args) -> int:
             return EXIT_VIOLATION
         emitted = sub_doctrine(cat, comp.pc, WindowScope(comp.scope.core))
     elif args.kind == "qp":
-        q = build_qp(P, E, X, caps)
+        q = an.qp()
         out.summary["objects"] = q.cat.n_objects
         out.summary["arrow classes"] = q.cat.n_arrows
         emitted = q.doctrine
@@ -190,12 +175,12 @@ def _harness_exit(reports: list[Report], cap_is_exit: bool = False) -> int:
 
 def cmd_compare(args) -> int:
     P = load_doctrine(args.path)
-    vd = validate_doctrine(P)
+    caps = Caps(args.cap_fibers, args.cap_enum)
+    vd = analysis(P, caps).doctrine_laws()
     if not vd.ok:
         print(f"violation: doctrine laws fail at {vd.witness}: {vd.message}",
               file=sys.stderr)
         return EXIT_VIOLATION
-    caps = Caps(args.cap_fibers, args.cap_enum)
     reports = [verify_cthn(P, caps), verify_fulc(P, caps),
                verify_axc(P, condition_v=args.condition_v, caps=caps),
                verify_converse_axc(P, caps)]
@@ -258,15 +243,13 @@ def _compare_summary(reports) -> str:
 
 def cmd_universal(args) -> int:
     P = load_doctrine(args.path)
-    caps = Caps(args.cap_fibers, args.cap_enum)
-    E = discover_elementary(P)
-    X = discover_existential(P)
-    from .structure import StructureFailure
-    if isinstance(E, StructureFailure) or isinstance(X, StructureFailure):
+    an = analysis(P, Caps(args.cap_fibers, args.cap_enum))
+    _, E, X = an.eed()
+    if E is None or X is None:
         print("violation: structure discovery failed", file=sys.stderr)
         return EXIT_VIOLATION
-    tp = build_tp(P, E, X, caps=caps)
-    rep = verify_universal(P, tp.cat, tp.pc, tp.scope, caps)
+    tp = an.tp()
+    rep = verify_universal(P, tp.cat, tp.pc, tp.scope, an.caps)
     _print_report(rep, args)
     return _harness_exit([rep], cap_is_exit=True)
 
@@ -274,23 +257,20 @@ def cmd_universal(args) -> int:
 def cmd_demo(args) -> int:
     out = []
     caps = Caps()
+    shown: dict[str, DoctrineData] = {}
     for name in ("triv", "chain", "fs2", "nochoice"):
-        P = fixtures.BUILTIN_FIXTURES[name]()
+        P = shown[name] = fixtures.BUILTIN_FIXTURES[name]()
+        an = analysis(P, caps)
         out.append(f"== {name} ==")
         rep, ok = check_report(P)
         for k, v in rep.summary.items():
-            from .report import _fmt
             out.append(f"  {k}: {_fmt(v)}")
         out.append(f"  check exit: {0 if ok else 1}")
-        E = discover_elementary(P)
-        X = discover_existential(P)
-        from .structure import StructureFailure
-        if isinstance(E, StructureFailure) or isinstance(X, StructureFailure):
+        _, E, X = an.eed()
+        if E is None or X is None:
             continue
         if ok:
-            tp = build_tp(P, E, X, caps=caps)
-            er = build_erp(P, E, tp, caps)
-            q = build_qp(P, E, X, caps)
+            tp, er, q = an.tp(), an.er(), an.qp()
             ex = check_exact(tp.cat, WindowScope(tp.scope.core), caps.enum)
             out.append(f"  relation completion: objects={tp.cat.n_objects}"
                        f" arrows={tp.cat.n_arrows}"
@@ -304,28 +284,23 @@ def cmd_demo(args) -> int:
                    verify_axc(P, caps=caps), verify_converse_axc(P, caps)]
         out.append("  " + _compare_summary(reports).replace("\n", "\n  "))
     # headline: the universal property confirmed small, capped large
-    P = fixtures.triv()
-    E = discover_elementary(P)
-    X = discover_existential(P)
-    tp = build_tp(P, E, X)
+    P = shown["triv"]
+    tp = analysis(P, caps).tp()
     u = verify_universal(P, tp.cat, tp.pc, tp.scope)
     out.append("== universal property ==")
     out.append(f"  triv against its completion: "
                f"{'confirmed' if not u.any_failed() and not u.any_capped() else 'FAIL'}"
                f" (morphisms {u.summary.get('morphisms-from-base')}"
                f" = {u.summary.get('morphisms-from-completion')})")
-    P2 = fixtures.fs2()
-    E2 = discover_elementary(P2)
-    X2 = discover_existential(P2)
-    tp2 = build_tp(P2, E2, X2)
+    P2 = shown["fs2"]
+    tp2 = analysis(P2, caps).tp()
     u2 = verify_universal(P2, tp2.cat, tp2.pc, tp2.scope)
     out.append(f"  fs2 against its completion: "
                f"{'capped (resource cap, reported not failed)' if u2.any_capped() else 'unexpected'}")
     # transitive extension headline on the 2-carrier
-    names = fixtures.fs2_names()
     o2 = P2.cat.obj_index["2"]
     fib = P2.fibers[P2.window.prod(o2, o2)[0]]
-    tr = transitive_extension(P2, o2, fib.index["s15"], E2.delta[o2])
+    tr = transitive_extension(P2, o2, fib.index["s15"], analysis(P2, caps).eed()[1].delta[o2])
     out.append(f"  smallest transitive extension of the full relation on the"
                f" 2-carrier: {fib.elements[tr]}")
     text = "\n".join(out) + "\n"

@@ -8,28 +8,38 @@ still reported, labeled unclaimed.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .completions import (Caps, ERCompletion, GrCompletion, NoExtension,
-                          QCompletion, TCompletion, build_erp, build_gr, build_qp,
-                          build_tp, choose_products, core_subcategory, functor_D,
-                          functor_L, per_objects, transitive_extension)
+from .allegory import RelArrow, rel_compose
+from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
+                          NoExtension, QCompletion, TCompletion, _l_value,
+                          build_erp, build_gr, build_qp, build_tp, choose_products,
+                          core_subcategory, functor_D, functor_L, iota_iso,
+                          tp_sub_restriction, transitive_extension)
 from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
-from .errors import ResourceCap, WindowClosure
-from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope,
-                     check_equivalence, check_exact, is_iso, is_mono,
-                     validate_category, validate_functor)
+from .errors import (DesNotClosed, DoctrinesError, FormulaMismatch,
+                     MalformedPresentation, ResourceCap, WindowClosure)
+from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
+                     WindowScope, check_equivalence, check_exact, inverse_of,
+                     is_iso, iso_classes, validate_category, validate_functor,
+                     validate_products)
 from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
-from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, left_adjoint
-from .structure import (ComprehensionTable, ElementaryWitness, ExistentialWitness,
-                        StructureFailure, check_beck_chevalley,
+from .semilattice import FinInfSL, MonotoneMap, NoAdjoint
+from .structure import (CheckVerdict, ComprehensionTable, ElementaryWitness,
+                        ExistentialWitness, StructureFailure, check_beck_chevalley,
                         check_delta_product_law, check_frobenius,
-                        check_rule_of_choice, comprehension_table,
+                        check_rule_of_choice, comprehension_of, comprehension_table,
                         discover_elementary, discover_existential,
                         verify_comprehension_arrow)
+
+# the completion chain cannot be built on this input: the harness reports
+# why instead of claiming anything about it
+_NOT_COMPUTABLE = (MalformedPresentation, DesNotClosed, FormulaMismatch, WindowClosure)
 
 
 def _status(ok: bool) -> str:
@@ -69,6 +79,102 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
     if not (bc.ok and fr.ok):
         root.status = FAIL
     return root, E, X
+
+
+# ---------------------------------------------------------------------------
+# one memoized analysis per doctrine
+# ---------------------------------------------------------------------------
+
+
+class Analysis:
+    """Law verdicts, structure, comprehensions and completions of one
+    doctrine, each computed on its first read and kept in the doctrine's
+    `_analyses`, one memo per (caps.fibers, caps.enum, condition_v).
+
+    An error raised while computing a part is kept as that part's outcome
+    and raised again, as a copy, on every later read, so a reader sees what
+    a fresh computation would show.  Nothing kept refers back to the
+    doctrine, so it is freed with it.  A doctrine must not be mutated once
+    its analysis exists: fault-injection code builds a fresh doctrine."""
+
+    def __init__(self, P: DoctrineData, caps: Caps, condition_v: str):
+        self.P = P
+        self.caps = caps
+        self.condition_v = condition_v
+        self._memo = P._analyses.setdefault((caps.fibers, caps.enum, condition_v), {})
+
+    def _once(self, part: str, compute):
+        if part not in self._memo:
+            try:
+                self._memo[part] = (compute(), None)
+            except DoctrinesError as exc:
+                self._memo[part] = (None, _copy_error(exc))
+                raise
+        value, exc = self._memo[part]
+        if exc is not None:
+            raise _copy_error(exc)
+        return value
+
+    def category(self) -> ValidationReport:
+        return self._once("category", lambda: validate_category(self.P.cat))
+
+    def products(self) -> ValidationReport:
+        return self._once("products",
+                          lambda: validate_products(self.P.cat, self.P.products))
+
+    def doctrine_laws(self) -> ValidationReport:
+        return self._once("doctrine", lambda: validate_doctrine(self.P))
+
+    def _eed(self) -> tuple[Check, ElementaryWitness | None, ExistentialWitness | None]:
+        return self._once("eed", lambda: eed_checks(self.P))
+
+    def eed(self) -> tuple[Check, ElementaryWitness | None, ExistentialWitness | None]:
+        """The `eed_checks` verdict; the tree is a copy a report may change."""
+        root, E, X = self._eed()
+        return copy.deepcopy(root), E, X
+
+    def comprehensions(self) -> ComprehensionTable:
+        return self._once("comprehensions", lambda: comprehension_table(self.P))
+
+    # the parts below need the discovered structure: E, and X for all but er
+
+    def rule_of_choice(self) -> CheckVerdict:
+        return self._once("choice", lambda: check_rule_of_choice(self.P, self._eed()[2]))
+
+    def gr(self) -> GrCompletion:
+        return self._once("gr", lambda: build_gr(self.P, self.caps))
+
+    def tp(self) -> TCompletion:
+        return self._once("tp", lambda: build_tp(self.P, *self._eed()[1:],
+                                                 self.condition_v, self.caps))
+
+    def er(self) -> ERCompletion:
+        return self._once("er", lambda: build_erp(self.P, self._eed()[1], self.tp(),
+                                                  self.caps))
+
+    def qp(self) -> QCompletion:
+        return self._once("qp", lambda: build_qp(self.P, *self._eed()[1:], self.caps))
+
+    def L(self) -> LFunctorResult:
+        """The comparison functor; a failure to build er comes before one of qp."""
+        def compute():
+            er = self.er()
+            return functor_L(self.P, *self._eed()[1:], self.qp(), er)
+        return self._once("L", compute)
+
+
+def analysis(P: DoctrineData, caps: Caps = Caps(),
+             condition_v: str = "strict") -> Analysis:
+    """The analysis of P under these caps and totality side."""
+    return Analysis(P, caps, condition_v)
+
+
+def _copy_error(exc: DoctrinesError) -> DoctrinesError:
+    """The error without its traceback, whose frames hold the doctrine.
+    `copy.copy` would call the error's own __init__ with its message."""
+    out = type(exc).__new__(type(exc), *exc.args)
+    out.__dict__.update(exc.__dict__)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +245,6 @@ def morphism_preserves_comprehensions(P: DoctrineData, R: DoctrineData,
                                       mor: DoctrineMorphism) -> bool:
     """Strict reading: the functor image of a comprehension arrow is a
     comprehension of the component image of the element."""
-    from .structure import comprehension_of
     for a in P.core_idx():
         for el in range(P.fibers[a].n):
             ent = comprehension_of(P, a, el)
@@ -274,48 +379,64 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
 # ---------------------------------------------------------------------------
 
 
-def _mark_unclaimed(rep: Report) -> None:
-    """Hypotheses failed: measured results stay visible but are not claims."""
-    for c in rep.walk():
-        if c.data.get("context") == "hypothesis" or c.name.startswith("hypothesis-"):
-            continue
-        c.data.setdefault("claimed", False)
+def _claims_only_on_hypotheses(harness):
+    """A report whose hypothesis failed keeps its measured results visible,
+    but none of them is a claim."""
+    @functools.wraps(harness)
+    def run(*args, **kwargs) -> Report:
+        rep = harness(*args, **kwargs)
+        if any(c.status == FAIL and c.data.get("context") == "hypothesis"
+               for c in rep.walk()):
+            for c in rep.walk():
+                if not (c.data.get("context") == "hypothesis"
+                        or c.name.startswith("hypothesis-")):
+                    c.data.setdefault("claimed", False)
+        return rep
+    return run
 
 
+def _comparison(an: Analysis, rep: Report, check: str, data: dict | None = None
+                ) -> tuple[ERCompletion, QCompletion, LFunctorResult] | None:
+    """The reflexive and quotient completions with the comparison functor,
+    or None after adding the check that says why they cannot be had."""
+    try:
+        return an.er(), an.qp(), an.L()
+    except _NOT_COMPUTABLE as exc:
+        rep.add(Check(check, NOT_APPLICABLE, str(exc), data or {}))
+    except ResourceCap as exc:
+        rep.add(Check(check, CAPPED, str(exc)))
+    return None
+
+
+@_claims_only_on_hypotheses
 def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
-    rep = _verify_cthn_inner(P, caps)
-    if any(c.status == FAIL and c.data.get("context") == "hypothesis"
-           for c in rep.walk()):
-        _mark_unclaimed(rep)
-    return rep
-
-
-def _verify_cthn_inner(P: DoctrineData, caps: Caps = Caps()) -> Report:
     """The category of points carries a full-comprehension existential
     doctrine and the top-element embedding preserves all the structure."""
     rep = Report("comprehension-completion")
-    base_eed, E_P, X_P = eed_checks(P)
+    an = analysis(P, caps)
+    base_eed, E_P, X_P = an.eed()
     rep.add(Check("base-is-eed", base_eed.status, data={"context": "hypothesis"}))
     try:
-        gr = build_gr(P, caps)
+        gr = an.gr()
     except ResourceCap as exc:
         rep.add(Check("build", CAPPED, str(exc)))
         return rep
     hat = gr.doctrine
+    an_hat = analysis(hat, caps)
     rep.summary["objects"] = gr.cat.n_objects
     rep.summary["arrows"] = gr.cat.n_arrows
-    v = validate_category(gr.cat)
+    v = an_hat.category()
     rep.add(Check("category-laws", _status(v.ok), v.witness or None))
-    v2 = validate_doctrine(hat)
+    v2 = an_hat.doctrine_laws()
     rep.add(Check("doctrine-laws", _status(v2.ok),
                   (v2.witness + (v2.message,)) if not v2.ok else None))
     if not (v.ok and v2.ok):
         return rep
-    eed, E_hat, X_hat = eed_checks(hat)
+    eed, E_hat, X_hat = an_hat.eed()
     rep.add(eed)
     if E_hat is None or X_hat is None:
         return rep
-    ct = comprehension_table(hat)
+    ct = an_hat.comprehensions()
     rep.add(Check("comprehensions-full", _status(ct.strict_complete and ct.full),
                   ct.full_witness or (ct.missing() or None),
                   {"entries": len(ct.entries)}))
@@ -341,7 +462,7 @@ def _verify_cthn_inner(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("comprehension-carried-by-identity", _status(carried_ok),
                   carried_witness))
     # comprehensions the base lacked
-    base_ct = comprehension_table(P)
+    base_ct = an.comprehensions()
     gained = [f"{o}:{e}" for (o, e) in base_ct.missing()]
     rep.add(Check("comprehensions-gained", INFO, data={"previously-missing": gained}))
     # the embedding is a product-preserving functor whose fiber components
@@ -391,41 +512,32 @@ def _verify_cthn_inner(P: DoctrineData, caps: Caps = Caps()) -> Report:
 # ---------------------------------------------------------------------------
 
 
+@_claims_only_on_hypotheses
 def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
-    rep = _verify_fulc_inner(P, caps)
-    if any(c.status == FAIL and c.data.get("context") == "hypothesis"
-           for c in rep.walk()):
-        _mark_unclaimed(rep)
-    return rep
-
-
-def _verify_fulc_inner(P: DoctrineData, caps: Caps = Caps()) -> Report:
     """With full comprehensions, every relation object is isomorphic to a
     reflexive one, so the inclusion is an equivalence; the proof identity
     (every element is the existential image of top along its comprehension)
     is verified elementwise."""
     rep = Report("reflexive-inclusion-equivalence")
-    ct = comprehension_table(P)
+    an = analysis(P, caps)
+    ct = an.comprehensions()
     if not (ct.strict_complete and ct.full):
         rep.add(Check("full-comprehensions", NOT_APPLICABLE,
                       ct.missing() or ct.full_witness,
                       {"reason": "base lacks full comprehensions"}))
         return rep
     rep.add(Check("full-comprehensions", PASS, data={"entries": len(ct.entries)}))
-    eed, E, X = eed_checks(P)
+    eed, E, X = an.eed()
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         return rep
-    from .errors import DesNotClosed, FormulaMismatch, MalformedPresentation
     try:
-        tp = build_tp(P, E, X, caps=caps)
-        er = build_erp(P, E, tp, caps)
-    except (MalformedPresentation, DesNotClosed, FormulaMismatch, WindowClosure) as exc:
+        tp, er = an.tp(), an.er()
+    except _NOT_COMPUTABLE as exc:
         rep.add(Check("inclusion-faithful", NOT_APPLICABLE, str(exc)))
         return rep
     rep.summary["relation-objects"] = len(tp.objects)
     rep.summary["reflexive-objects"] = len(er.objects)
-    from .fincat import iso_classes
     rep.summary["iso-classes"] = len(iso_classes(tp.cat))
     eq = check_equivalence(er.inclusion)
     rep.add(Check("inclusion-faithful", _status(eq.faithful),
@@ -466,7 +578,8 @@ def verify_axc(P: DoctrineData, condition_v: str = "strict",
     reported; the conclusion (the comparison functor is full and faithful) is
     measured regardless but claimed only when every hypothesis holds."""
     rep = Report("quotient-comparison-equivalence")
-    eed, E, X = eed_checks(P)
+    an = analysis(P, caps, condition_v)
+    eed, E, X = an.eed()
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         rep.add(Check("hypothesis-weak-full-comprehensions", NOT_APPLICABLE,
@@ -474,27 +587,19 @@ def verify_axc(P: DoctrineData, condition_v: str = "strict",
         rep.add(Check("hypothesis-rule-of-choice", NOT_APPLICABLE,
                       "structure discovery failed"))
         return rep
-    ct = comprehension_table(P)
+    ct = an.comprehensions()
     hyp1 = ct.complete and ct.full
     rep.add(Check("hypothesis-weak-full-comprehensions", _status(hyp1),
                   None if hyp1 else (ct.missing() or ct.full_witness)))
-    roc = check_rule_of_choice(P, X)
+    roc = an.rule_of_choice()
     rep.add(Check("hypothesis-rule-of-choice", _status(roc.ok),
                   roc.witness or None, {"totals-checked": roc.checked}))
     claimed = hyp1 and roc.ok and eed.status == PASS
-    from .errors import DesNotClosed, FormulaMismatch, MalformedPresentation
-    try:
-        tp = build_tp(P, E, X, condition_v=condition_v, caps=caps)
-        er = build_erp(P, E, tp, caps)
-        q = build_qp(P, E, X, caps)
-        lres = functor_L(P, E, X, q, er)
-    except (MalformedPresentation, DesNotClosed, FormulaMismatch, WindowClosure) as exc:
-        rep.add(Check("conclusion-comparison-equivalence", NOT_APPLICABLE, str(exc),
-                      {"claimed": False, "measured": "not-computable"}))
+    got = _comparison(an, rep, "conclusion-comparison-equivalence",
+                      {"claimed": False, "measured": "not-computable"})
+    if got is None:
         return rep
-    except ResourceCap as exc:
-        rep.add(Check("conclusion-comparison-equivalence", CAPPED, str(exc)))
-        return rep
+    er, q, lres = got
     vf = validate_functor(lres.functor)
     eq = check_equivalence(lres.functor)
     hom_table = {}
@@ -531,12 +636,13 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     the comparison functor is an equivalence, a choice arrow is derived for
     every total relation and cross-checked against the direct verdict."""
     rep = Report("choice-from-equivalence")
-    eed, E, X = eed_checks(P)
+    an = analysis(P, caps)
+    eed, E, X = an.eed()
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         rep.add(Check("extensions-exist", NOT_APPLICABLE, "structure discovery failed"))
         return rep
-    ct = comprehension_table(P)
+    ct = an.comprehensions()
     hyp_comp = ct.strict_complete and ct.full
     rep.add(Check("hypothesis-full-comprehensions", _status(hyp_comp),
                   None if hyp_comp else (ct.missing() or ct.full_witness)))
@@ -555,18 +661,10 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
                                tr.witness_antichain)))
                 return rep
     rep.add(Check("extensions-exist", PASS))
-    from .errors import DesNotClosed, FormulaMismatch, MalformedPresentation
-    try:
-        tp = build_tp(P, E, X, caps=caps)
-        er = build_erp(P, E, tp, caps)
-        q = build_qp(P, E, X, caps)
-        lres = functor_L(P, E, X, q, er)
-    except (MalformedPresentation, DesNotClosed, FormulaMismatch, WindowClosure) as exc:
-        rep.add(Check("comparison-is-equivalence", NOT_APPLICABLE, str(exc)))
+    got = _comparison(an, rep, "comparison-is-equivalence")
+    if got is None:
         return rep
-    except ResourceCap as exc:
-        rep.add(Check("comparison-is-equivalence", CAPPED, str(exc)))
-        return rep
+    er, q, lres = got
     eq = check_equivalence(lres.functor)
     l_equiv = eq.faithful and eq.full and eq.essentially_surjective
     rep.add(Check("comparison-is-equivalence", _status(l_equiv)))
@@ -596,7 +694,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("derived-choice", _status(derived_all), witness,
                   {"totals": instances, "skipped": skipped,
                    "claimed": hyp_comp and l_equiv}))
-    roc = check_rule_of_choice(P, X)
+    roc = an.rule_of_choice()
     agree = (derived_all and not skipped) == roc.ok if instances else True
     rep.add(Check("agreement-with-direct-verdict", _status(agree),
                   None if agree else roc.witness,
@@ -629,7 +727,6 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
     else:
         # restrict the target along the comprehension of the image
         img = int(e2.table[al])
-        from .structure import comprehension_of
         ent = comprehension_of(P, b, img)
         if ent.kind == "none":
             skipped.append(f"{label}: image has no comprehension")
@@ -692,7 +789,6 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
         return None
     # saturate against the closure: this, not the raw element, is the arrow
     # out of equality into the closure
-    from .allegory import RelArrow, rel_compose
     phi = rel_compose(P, RelArrow(a, w_obj, alp), RelArrow(w_obj, w_obj, tr)).el
     src_pair = (a, E.delta[a])
     tgt_pair = (w_obj, tr)
@@ -705,7 +801,6 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
     # fullness of the comparison yields a class whose value is the saturation
     xi = q.obj_of[src_pair]
     yi = q.obj_of[tgt_pair]
-    from .completions import _l_value
     members = None
     for ci, (cx, cy, mem) in enumerate(q.classes):
         if (cx, cy) != (xi, yi):
@@ -740,7 +835,6 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
 def _iso_2cell_exists(P: DoctrineData, R: DoctrineData,
                       m1: DoctrineMorphism, m2: DoctrineMorphism) -> bool:
     """An invertible 2-cell m1 -> m2: componentwise isos, lax both ways."""
-    from .fincat import inverse_of
     for cell in valid_2cells(P, R, m1, m2):
         comps = {o: R.cat.arr_index[n] for o, n in cell.theta.items()}
         if not all(is_iso(R.cat, c) for c in comps.values()):
@@ -762,7 +856,6 @@ def verify_universal(P: DoctrineData, X: FinCat,
     essential equivalence (surjective up to invertible 2-cell, bijective on
     2-cells).  Both readings of the morphism notion are checked: plain
     existential morphisms, and those preserving comprehensions strictly."""
-    from .completions import iota_iso, tp_sub_restriction
     rep = Report("universal-property")
     try:
         ex = check_exact(X, Xscope, caps.enum)
@@ -783,7 +876,8 @@ def verify_universal(P: DoctrineData, X: FinCat,
         if isinstance(E_SX, StructureFailure):
             rep.add(Check("target-equality", FAIL, E_SX.where))
             return rep
-        eed_p, E_P, X_P = eed_checks(P)
+        an = analysis(P, caps)
+        eed_p, E_P, X_P = an.eed()
         rep.add(Check("base-is-eed", eed_p.status, data={"context": "hypothesis"}))
         if E_P is None or X_P is None:
             return rep
@@ -793,8 +887,7 @@ def verify_universal(P: DoctrineData, X: FinCat,
             rep.add(Check("base-window", CAPPED,
                           "base has non-core objects; enumeration restricted"))
             return rep
-        tp = build_tp(P, E_P, X_P, caps=caps)
-        er = build_erp(P, E_P, tp, caps)
+        tp, er = an.tp(), an.er()
         sub_er = tp_sub_restriction(tp, er, caps)
         v_er = validate_doctrine(sub_er)
         rep.add(Check("completion-subobjects", _status(v_er.ok), v_er.witness or None))

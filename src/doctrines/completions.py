@@ -19,17 +19,16 @@ computed on demand and reported separately, never silently quotiented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .allegory import RelArrow, rel_compose, rel_opposite
-from .doctrine import DoctrineData, exists_along, validate_doctrine
-from .errors import (DesNotClosed, FormulaMismatch, MalformedPresentation,
-                     ResourceCap, WindowClosure)
-from .fincat import (Cone, FinCat, FunctorData, ProductChoice, WindowScope,
-                     greedy_product_core, is_mono, product_cone, validate_category,
-                     validate_products)
+from .allegory import RelArrow, rel_compose
+from .doctrine import DoctrineData, exists_along
+from .errors import DesNotClosed, FormulaMismatch, MalformedPresentation, ResourceCap
+from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope,
+                     full_subcategory, greedy_product_core, is_mono, product_cone,
+                     terminal_object, validate_category, validate_products)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
 
@@ -162,7 +161,6 @@ class TCompletion:
     cat: FinCat
     pc: ProductChoice | None
     scope: WindowScope              # greedy product-closed core
-    P: DoctrineData
     objects: list[tuple[int, int]]  # (carrier object, relation element)
     obj_of: dict[tuple[int, int], int]
     arrows: list[tuple[int, int, int]]   # (src obj idx, tgt obj idx, element)
@@ -308,17 +306,13 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
             f"relation completion is not a category: {rep.message} at {rep.witness}")
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    return TCompletion(cat, pc, scope, P, objs, obj_of, arrows, arr_of, condition_v)
+    return TCompletion(cat, pc, scope, objs, obj_of, arrows, arr_of, condition_v)
 
 
 def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
     """Search a terminal and one product per object pair (where they exist);
     None when the category has no terminal."""
-    terminal = None
-    for t in range(cat.n_objects):
-        if all(len(cat.hom(z, t)) == 1 for z in range(cat.n_objects)):
-            terminal = t
-            break
+    terminal = terminal_object(cat)
     if terminal is None:
         return None
     pc = ProductChoice(cat.objects[terminal], {})
@@ -376,58 +370,18 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
         if by_delta:
             keep.append(oi)
     objects = [tp.objects[oi] for oi in keep]
-    obj_names = [tp.cat.objects[oi] for oi in keep]
-    keep_set = set(keep)
-    old_to_new = {oi: i for i, oi in enumerate(keep)}
-    arr_keep = [i for i, (xi, yi, _) in enumerate(tp.arrows)
-                if xi in keep_set and yi in keep_set]
-    arr_old_to_new = {i: j for j, i in enumerate(arr_keep)}
-    names = [tp.cat.arrows[i] for i in arr_keep]
-    srcs = [old_to_new[tp.arrows[i][0]] for i in arr_keep]
-    tgts = [old_to_new[tp.arrows[i][1]] for i in arr_keep]
-    n = len(arr_keep)
-    comp = np.full((n, n), -1, dtype=np.int32)
-    for jj, j in enumerate(arr_keep):
-        for ii, i in enumerate(arr_keep):
-            c = int(tp.cat.comp[j, i])
-            if c >= 0:
-                comp[jj, ii] = arr_old_to_new[c]
-    id_arr = np.array([arr_old_to_new[int(tp.cat.id_arr[oi])] for oi in keep],
-                      dtype=np.int32)
-    cat = FinCat(tuple(obj_names), tuple(names),
-                 np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
-                 id_arr, comp)
+    cat = full_subcategory(tp.cat, keep)
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    inclusion = FunctorData(cat, tp.cat,
-                            {obj_names[i]: obj_names[i] for i in range(len(obj_names))},
-                            {nm: nm for nm in names})
+    inclusion = FunctorData(cat, tp.cat, {nm: nm for nm in cat.objects},
+                            {nm: nm for nm in cat.arrows})
     obj_of = {pair: i for i, pair in enumerate(objects)}
     return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion)
 
 
 def core_subcategory(P: DoctrineData) -> FinCat:
     """Full subcategory of the base on the core objects."""
-    C = P.cat
-    core = P.core_idx()
-    core_set = set(core)
-    keep = [f for f in range(C.n_arrows)
-            if int(C.src[f]) in core_set and int(C.tgt[f]) in core_set]
-    old_to_new = {f: i for i, f in enumerate(keep)}
-    n = len(keep)
-    comp = np.full((n, n), -1, dtype=np.int32)
-    for j in keep:
-        for i in keep:
-            c = int(C.comp[j, i])
-            if c >= 0:
-                comp[old_to_new[j], old_to_new[i]] = old_to_new[c]
-    obj_old_to_new = {o: i for i, o in enumerate(core)}
-    return FinCat(tuple(C.objects[o] for o in core),
-                  tuple(C.arrows[f] for f in keep),
-                  np.array([obj_old_to_new[int(C.src[f])] for f in keep], dtype=np.int32),
-                  np.array([obj_old_to_new[int(C.tgt[f])] for f in keep], dtype=np.int32),
-                  np.array([old_to_new[int(C.id_arr[o])] for o in core], dtype=np.int32),
-                  comp)
+    return full_subcategory(P.cat, P.core_idx())
 
 
 def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:
@@ -475,7 +429,6 @@ class QCompletion:
     cat: FinCat
     pc: ProductChoice | None
     scope: WindowScope
-    P: DoctrineData
     objects: list[tuple[int, int]]
     obj_of: dict[tuple[int, int], int]
     classes: list[tuple[int, int, tuple[int, ...]]]   # (src obj, tgt obj, members)
@@ -607,7 +560,7 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     scope = WindowScope(greedy_product_core(cat, caps.enum))
     doct = DoctrineData(cat, pc if pc is not None else ProductChoice(cat.objects[0], {}),
                         scope, fibers, reindex)
-    return QCompletion(cat, pc, scope, P, objs, obj_of, classes, doct, des_elements)
+    return QCompletion(cat, pc, scope, objs, obj_of, classes, doct, des_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +723,7 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     """For each core A, the canonical map P(A) -> Sub(A, delta): an element
     goes to the class of the mono carried by its restriction of equality.
     Verified to be an order isomorphism; a failure is a broken witness."""
-    from .doctrine import _factor_set, subobject_poset
+    from .doctrine import _class_of, subobject_poset
     C = P.cat
     win = P.window
     out: dict[int, MonotoneMap] = {}
@@ -797,12 +750,7 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
             if not is_mono(tp.cat, m):
                 raise MalformedPresentation(
                     f"restricted equality of {fib_a.elements[al]} is not monic")
-            m_fset = _factor_set(tp.cat, m)
-            cls = None
-            for i, r in enumerate(reps):
-                if m in rep_fsets[r] and r in m_fset:
-                    cls = i
-                    break
+            cls = _class_of(tp.cat, rep_fsets, reps, m)
             if cls is None:
                 raise MalformedPresentation("mono class lookup failed")
             table[al] = cls

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
 from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope,
                      is_mono)
-from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, identity_map,
-                          lattice_from_leq, left_adjoint)
+from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint
 
 
 @dataclass
@@ -32,6 +31,8 @@ class DoctrineData:
     reindex: list[MonotoneMap]
     _window: Window | None = field(default=None, repr=False)
     _adjoints: dict[int, MonotoneMap | NoAdjoint] = field(default_factory=dict, repr=False)
+    # the memos of compare.Analysis, one per (caps.fibers, caps.enum, condition_v)
+    _analyses: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def window(self) -> Window:
@@ -205,31 +206,41 @@ def _factor_set(C: FinCat, g: int) -> set[int]:
     return out
 
 
+def _factor_classes(C: FinCat, arrows: list[int]) -> tuple[dict[int, set[int]], list[int]]:
+    """Factor sets of the arrows, and one representative (the least arrow
+    id) per class under mutual factorization."""
+    fsets = {g: _factor_set(C, g) for g in arrows}
+    reps: list[int] = []
+    for g in fsets:
+        if _class_of(C, fsets, reps, g) is None:
+            reps.append(g)
+    return fsets, sorted(reps)
+
+
+def _class_of(C: FinCat, fsets: dict[int, set[int]], reps: list[int], g: int) -> int | None:
+    """Position in `reps` of the representative that g factors through and
+    that factors through g; `fsets` holds the factor sets of the reps."""
+    g_set = fsets[g] if g in fsets else _factor_set(C, g)
+    return next((i for i, r in enumerate(reps) if g in fsets[r] and r in g_set), None)
+
+
+def _class_lattice(C: FinCat, fsets: dict[int, set[int]], reps: list[int]) -> FinInfSL:
+    """The classes ordered by factorization, named by their representatives."""
+    n = len(reps)
+    leq = np.zeros((n, n), dtype=bool)
+    for i, g in enumerate(reps):
+        for j, r in enumerate(reps):
+            leq[i, j] = g in fsets[r]
+    return lattice_from_leq(tuple(f"[{C.arrows[r]}]" for r in reps), leq)
+
+
 def subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], dict[int, set[int]]]:
     """Subobjects of `a` in the window: mono classes under mutual factorization.
 
     Returns (fiber, class representatives by least arrow id, factor sets of
     the representatives).  Raises when the classes are not meet-closed."""
-    monos = [int(f) for f in C.into(a) if is_mono(C, int(f))]
-    fsets = {m: _factor_set(C, m) for m in monos}
-    reps: list[int] = []
-    for m in monos:
-        placed = False
-        for r in reps:
-            if m in fsets[r] and r in fsets[m]:
-                placed = True
-                break
-        if not placed:
-            reps.append(m)
-    reps.sort()
-    n = len(reps)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, m in enumerate(reps):
-        for j, r in enumerate(reps):
-            leq[i, j] = m in fsets[r]
-    names = tuple(f"[{C.arrows[r]}]" for r in reps)
-    fib = lattice_from_leq(names, leq)
-    return fib, reps, {r: fsets[r] for r in reps}
+    fsets, reps = _factor_classes(C, [int(f) for f in C.into(a) if is_mono(C, int(f))])
+    return _class_lattice(C, fsets, reps), reps, {r: fsets[r] for r in reps}
 
 
 def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineData:
@@ -292,28 +303,23 @@ def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineDa
 # ---------------------------------------------------------------------------
 
 
-def _weak_classes(C: FinCat, a: int):
-    arrows = [int(f) for f in C.into(a)]
-    fsets = {g: _factor_set(C, g) for g in arrows}
-    reps: list[int] = []
-    for g in arrows:
-        if not any(g in fsets[r] and r in fsets[g] for r in reps):
-            reps.append(g)
-    reps.sort()
-    return fsets, reps
-
-
 def weak_subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int]]:
     """Poset reflection of the slice over `a`: classes of all arrows into `a`
     under mutual factorization."""
-    fsets, reps = _weak_classes(C, a)
-    n = len(reps)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, g in enumerate(reps):
-        for j, r in enumerate(reps):
-            leq[i, j] = g in fsets[r]
-    names = tuple(f"[{C.arrows[r]}]" for r in reps)
-    return lattice_from_leq(names, leq), reps
+    fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
+    return _class_lattice(C, fsets, reps), reps
+
+
+def _is_weak_pullback(C: FinCat, f: int, g: int, z: int, p: int, q: int) -> bool:
+    """Every cone over the cospan (f, g) factors through (z, p, q)."""
+    for z2 in range(C.n_objects):
+        reach = {(int(C.comp[p, int(m)]), int(C.comp[q, int(m)])) for m in C.hom(z2, z)}
+        for p2 in C.hom(z2, int(C.src[f])):
+            for q2 in C.hom(z2, int(C.src[g])):
+                if int(C.comp[f, int(p2)]) == int(C.comp[g, int(q2)]):
+                    if (int(p2), int(q2)) not in reach:
+                        return False
+    return True
 
 
 def weak_pullback(C: FinCat, f: int, g: int, cap: int = 1 << 20):
@@ -328,19 +334,7 @@ def weak_pullback(C: FinCat, f: int, g: int, cap: int = 1 << 20):
                     cones.append((z, int(p), int(q)))
     if len(cones) > cap:
         raise ResourceCap("weak pullback cone enumeration", len(cones), cap)
-    for z, p, q in cones:
-        good = True
-        for z2 in range(C.n_objects):
-            reach = {(int(C.comp[p, int(m)]), int(C.comp[q, int(m)])) for m in C.hom(z2, z)}
-            for (z3, p2, q2) in cones:
-                if z3 == z2 and (p2, q2) not in reach:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return (z, p, q)
-    return None
+    return next((cone for cone in cones if _is_weak_pullback(C, f, g, *cone)), None)
 
 
 def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope,
@@ -353,31 +347,21 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope,
     against the adjoint characterization by the structure checks)."""
     fibers: list[FinInfSL] = []
     reps_by_obj: list[list[int]] = []
+    class_of: list[dict[int, int]] = []
     for a in range(C.n_objects):
+        fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
         try:
-            fib, reps = weak_subobject_poset(C, a)
+            fibers.append(_class_lattice(C, fsets, reps))
         except MalformedPresentation:
             # a missing meet in the reflection is a missing weak pullback of
             # two representatives; report the first offending cospan
-            _, reps = _weak_classes(C, a)
             for r1 in reps:
                 for r2 in reps:
                     if weak_pullback(C, r1, r2) is None:
                         raise NoWeakPullback((C.arrows[r1], C.arrows[r2]))
             raise
-        fibers.append(fib)
         reps_by_obj.append(reps)
-    class_of: list[dict[int, int]] = []
-    for a in range(C.n_objects):
-        rep_sets = {r: _factor_set(C, r) for r in reps_by_obj[a]}
-        lookup: dict[int, int] = {}
-        for g in (int(x) for x in C.into(a)):
-            g_set = _factor_set(C, g)
-            for i, r in enumerate(reps_by_obj[a]):
-                if g in rep_sets[r] and r in g_set:
-                    lookup[g] = i
-                    break
-        class_of.append(lookup)
+        class_of.append({g: _class_of(C, fsets, reps, g) for g in fsets})
     reindex_maps: list[MonotoneMap] = []
     for f in range(C.n_arrows):
         a, b = int(C.src[f]), int(C.tgt[f])
@@ -404,32 +388,13 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope,
     return DoctrineData(C, pc, scope, fibers, reindex_maps)
 
 
-def _is_weak_pullback(C: FinCat, f: int, g: int, z: int, p: int, q: int) -> bool:
-    for z2 in range(C.n_objects):
-        reach = {(int(C.comp[p, int(m)]), int(C.comp[q, int(m)])) for m in C.hom(z2, z)}
-        for p2 in C.hom(z2, int(C.src[f])):
-            for q2 in C.hom(z2, int(C.src[g])):
-                if int(C.comp[f, int(p2)]) == int(C.comp[g, int(q2)]):
-                    if (int(p2), int(q2)) not in reach:
-                        return False
-    return True
-
-
 def psi_postcompose_exists(P: DoctrineData, reps_by_obj: list[list[int]],
                            pr: int) -> MonotoneMap:
     """The post-composition map on weak-subobject fibers along a projection."""
     C = P.cat
     a, b = int(C.src[pr]), int(C.tgt[pr])
-    fib_a, fib_b = P.fibers[a], P.fibers[b]
-    reps_a = reps_by_obj[a]
-    table = np.empty(fib_a.n, dtype=np.int32)
-    fsets_b = {r: _factor_set(C, r) for r in reps_by_obj[b]}
-    for i, r in enumerate(reps_a):
-        comp = int(C.comp[pr, r])
-        cls = None
-        for j, rb in enumerate(reps_by_obj[b]):
-            if comp in fsets_b[rb] and rb in _factor_set(C, comp):
-                cls = j
-                break
-        table[i] = cls
-    return MonotoneMap(fib_a, fib_b, table)
+    reps_b = reps_by_obj[b]
+    fsets_b = {r: _factor_set(C, r) for r in reps_b}
+    table = np.array([_class_of(C, fsets_b, reps_b, int(C.comp[pr, r]))
+                      for r in reps_by_obj[a]], dtype=np.int32)
+    return MonotoneMap(P.fibers[a], P.fibers[b], table)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .doctrine import DoctrineData
 from .errors import MalformedPresentation, ParseError
-from .fincat import FinCat, ProductChoice, WindowScope, validate_products
+from .fincat import FinCat, ProductChoice, WindowScope
 from .semilattice import FinInfSL, MonotoneMap, lattice_from_leq
 
 _RESERVED = {"{", "}", "=", "->", ";"}

@@ -441,6 +441,31 @@ def iso_classes(C: FinCat) -> list[list[str]]:
     return [[C.objects[i] for i in cl] for cl in classes]
 
 
+def full_subcategory(C: FinCat, objs: list[int]) -> FinCat:
+    """The full subcategory on `objs`, in that order; arrows keep theirs."""
+    obj_new = {o: i for i, o in enumerate(objs)}
+    keep = [f for f in range(C.n_arrows)
+            if int(C.src[f]) in obj_new and int(C.tgt[f]) in obj_new]
+    arr_new = {f: i for i, f in enumerate(keep)}
+    comp = np.full((len(keep), len(keep)), -1, dtype=np.int32)
+    for j in keep:
+        for i in keep:
+            c = int(C.comp[j, i])
+            if c >= 0:
+                comp[arr_new[j], arr_new[i]] = arr_new[c]
+    return FinCat(tuple(C.objects[o] for o in objs), tuple(C.arrows[f] for f in keep),
+                  np.array([obj_new[int(C.src[f])] for f in keep], dtype=np.int32),
+                  np.array([obj_new[int(C.tgt[f])] for f in keep], dtype=np.int32),
+                  np.array([arr_new[int(C.id_arr[o])] for o in objs], dtype=np.int32),
+                  comp)
+
+
+def terminal_object(C: FinCat) -> int | None:
+    """The first object with exactly one arrow from every object, if any."""
+    return next((t for t in range(C.n_objects)
+                 if all(len(C.hom(z, t)) == 1 for z in range(C.n_objects))), None)
+
+
 @dataclass
 class Cone:
     apex: int
@@ -682,13 +707,8 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
     core = [C.obj_index[o] for o in core_names]
     witness: dict = {"core": tuple(core_names)}
 
-    terminal = None
-    for t in range(C.n_objects):
-        if all(len(C.hom(z, t)) == 1 for z in range(C.n_objects)):
-            terminal = t
-            break
     fc = True
-    if terminal is None:
+    if terminal_object(C) is None:
         fc = False
         witness["finitely_complete"] = "no terminal object"
     if fc:

@@ -23,7 +23,7 @@ import itertools
 import numpy as np
 
 from .doctrine import DoctrineData
-from .fincat import FinCat, ProductChoice, ValidationReport, WindowScope, validate_products
+from .fincat import FinCat, ProductChoice, WindowScope, validate_products
 from .semilattice import FinInfSL, MonotoneMap, chain, diamond, identity_map, lattice_from_leq
 
 

@@ -11,11 +11,11 @@ over the core.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .doctrine import DoctrineData, exists_along
+from .doctrine import DoctrineData
 from .errors import WindowClosure
 from .semilattice import MonotoneMap, NoAdjoint, left_adjoint
 
@@ -248,22 +248,11 @@ def comprehension_of(P: DoctrineData, a: int, el: int) -> ComprehensionEntry:
     strict when every factorization is unique, weak when mere existence."""
     C = P.cat
     fib = P.fibers[a]
-    restrictors = [int(c) for c in C.into(a)
-                   if int(P.r(int(c)).table[el]) == P.fibers[int(C.src[int(c)])].top]
     best_weak = None
-    for c in restrictors:
-        strict, weak = True, True
-        for f in restrictors:
-            g = [int(x) for x in C.hom(int(C.src[f]), int(C.src[c]))
-                 if int(C.comp[c, int(x)]) == f]
-            if len(g) == 0:
-                weak = False
-                break
-            if len(g) > 1:
-                strict = False
-        if weak and strict:
+    for c in (int(c) for c in C.into(a)):
+        if verify_comprehension_arrow(P, a, el, c, strict=True):
             return ComprehensionEntry(C.objects[a], fib.elements[el], "strict", C.arrows[c])
-        if weak and best_weak is None:
+        if best_weak is None and verify_comprehension_arrow(P, a, el, c, strict=False):
             best_weak = c
     if best_weak is not None:
         return ComprehensionEntry(C.objects[a], fib.elements[el], "weak", C.arrows[best_weak])
@@ -399,6 +388,6 @@ def check_delta_product_law(P: DoctrineData, E: ElementaryWitness) -> DeltaLawVe
             if lhs != rhs:
                 ok = False
                 if not witness:
-                    witness = names + (P.fibers[abab].elements[lhs],
-                                       P.fibers[abab].elements[rhs])
+                    fib = P.fibers[win.prod(ab, ab)[0]]
+                    witness = names + (fib.elements[lhs], fib.elements[rhs])
     return DeltaLawVerdict(ok, checked, skipped, True, witness)

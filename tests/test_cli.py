@@ -3,8 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from doctrines.cli import main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 ROOT = Path(__file__).parent.parent
 
 
@@ -128,8 +132,20 @@ def test_json_reports_are_valid():
 
 
 def test_demo_byte_identical():
-    a = run("demo")
-    b = run("demo")
-    assert a.returncode == 0 and b.returncode == 0
-    assert a.stdout == b.stdout
-    assert "== fs2 ==" in a.stdout
+    r = run("demo")
+    assert r.returncode == 0
+    assert r.stdout == (GOLDEN / "demo.txt").read_text()
+
+
+@pytest.mark.parametrize("command, path, code", [
+    ("check", "triv", 0), ("check", "chain", 0), ("check", "fs2", 0),
+    ("check", "nochoice", 1),
+    ("compare", "triv", 0), ("compare", "chain", 0), ("compare", "fs2", 0),
+    ("compare", "nochoice", 0),
+    ("universal", "triv", 0),
+])
+def test_json_reports_match_golden(capsys, command, path, code):
+    """In-process, so a doctrine's analysis may already be filled by other
+    tests; the bytes must still be those of the golden file."""
+    assert main(["--json", command, path]) == code
+    assert capsys.readouterr().out == (GOLDEN / f"{command}_{path}.json").read_text()

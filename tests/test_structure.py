@@ -209,6 +209,20 @@ def test_delta_product_law(witnesses):
     assert any(s[:2] == ("2", "2") for s in v.skipped)
 
 
+def test_delta_product_law_fails_with_witness(witnesses):
+    """Moving fs2's equality at 1 to the other element of P(1×1) breaks the
+    tensor law; the verdict names the first pair and both fiber elements."""
+    from doctrines.structure import ElementaryWitness
+    P, E, X = witnesses["fs2"]
+    one = P.cat.obj_index["1"]
+    assert P.fibers[P.window.prod(one, one)[0]].n == 2
+    delta = dict(E.delta)
+    delta[one] = 1 - delta[one]
+    v = check_delta_product_law(P, ElementaryWitness(delta))
+    assert not v.ok and not bool(v)
+    assert v.witness == ("1", "2", "s9", "s0")
+
+
 def test_weak_comprehension_classification():
     """A restriction along which every factorization exists but is never
     unique (a nontrivial automorphism over it) is weak, not strict."""
