@@ -48,7 +48,8 @@ def _status(ok: bool) -> str:
 
 def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
                                          ExistentialWitness | None]:
-    """Discovery plus stability and reciprocity, bundled as one verdict."""
+    """Discovery plus stability, reciprocity and the equality-tensor law,
+    bundled as one verdict that fails when any of them fails."""
     root = Check("eed", PASS)
     E = discover_elementary(P)
     if isinstance(E, StructureFailure):
@@ -76,7 +77,7 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
                                dl.witness or None,
                                {"checked": dl.checked, "skipped": dl.skipped,
                                 "skips_acknowledged": dl.skips_acknowledged}))
-    if not (bc.ok and fr.ok):
+    if not (bc.ok and fr.ok and dl):
         root.status = FAIL
     return root, E, X
 

@@ -1,9 +1,13 @@
 """Finite category kernel.
 
 Categories are finite presentations: object and arrow identifier lists, an
-identity table and a total composition table over composable pairs.  All laws
-are checked exhaustively; the composition table is kept as a dense matrix with
-a -1 sentinel so that law checks vectorize on large fixtures.
+identity table and a total composition table over composable pairs.  The laws
+are decided exhaustively in effect: typing, totality and the identity laws
+over every arrow and pair, associativity by Light's test over a greedy
+composition-generating set, which is exact, and on a failure the full scan
+over every composable triple names the canonical witness.  The composition
+table is a dense read-only matrix with a -1 sentinel so that law checks
+vectorize on large fixtures.
 
 Rich fixtures are windows of an ambient category: chosen product structure is
 recorded in a ProductChoice and quantified checks state their scope as a core
@@ -26,7 +30,11 @@ from .errors import MalformedPresentation, ResourceCap, WindowClosure
 
 @dataclass
 class FinCat:
-    """A finite category presentation with index-based internal tables."""
+    """A finite category presentation with index-based internal tables.
+
+    The tables are read-only once built, which keeps the data derived from
+    them and kept here (hom sets, generators, law and exactness verdicts)
+    sound; a changed table needs a new FinCat built from a copy."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -46,9 +54,23 @@ class FinCat:
             raise MalformedPresentation("duplicate object identifiers")
         if len(self.arr_index) != len(self.arrows):
             raise MalformedPresentation("duplicate arrow identifiers")
+        self._derive()
+
+    def _derive(self) -> None:
+        """Freeze the tables and start with empty derived data."""
+        for table in (self.src, self.tgt, self.id_arr, self.comp):
+            table.flags.writeable = False
         self._hom: dict[tuple[int, int], np.ndarray] = {}
         self._into: list[np.ndarray] | None = None
         self._outof: list[np.ndarray] | None = None
+        self._generators: np.ndarray | None = None
+        self._is_category: bool | None = None
+        self._exactness: dict[tuple, ExactnessVerdict] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # a copy's tables come back writeable: freeze them, derive afresh
+        self.__dict__.update(state)
+        self._derive()
 
     # -- basic access -------------------------------------------------------
 
@@ -129,6 +151,43 @@ class FinCat:
     def arrow_triple(self, i: int) -> tuple[str, str, str]:
         return (self.arrows[i], self.objects[int(self.src[i])], self.objects[int(self.tgt[i])])
 
+    def generators(self) -> np.ndarray:
+        """A composition-generating set, chosen greedily in id order: an
+        arrow is a generator when the composites of the identities and the
+        earlier generators do not reach it.  Meaningful on a typed, total
+        table, which validate_category checks before it asks."""
+        if self._generators is None:
+            n = self.n_arrows
+            reached = np.zeros(n, dtype=bool)
+            reached[self.id_arr] = True
+            gens = []
+            for a in range(n):
+                if reached[a]:
+                    continue
+                gens.append(a)
+                reached[a] = True
+                # close under composition: each new arrow meets every
+                # reached one on both sides once, when it is popped
+                todo = [a]
+                while todo:
+                    x = todo.pop()
+                    row, col = self.comp[x], self.comp[:, x]
+                    hits = np.concatenate([row[reached & (row >= 0)],
+                                           col[reached & (col >= 0)]])
+                    new = np.unique(hits[~reached[hits]])
+                    reached[new] = True
+                    todo.extend(new.tolist())
+            self._generators = np.array(gens, dtype=np.intp)
+        return self._generators
+
+    def is_category(self) -> bool:
+        """Typed, total, unital and associative, associativity by Light's
+        test; decided once and kept, without naming a witness."""
+        if self._is_category is None:
+            self._is_category = (_typing_or_identity_violation(self) is None
+                                 and _associative_at_generators(self))
+        return self._is_category
+
 
 @dataclass
 class ProductChoice:
@@ -167,7 +226,17 @@ class ValidationReport:
 
 
 def validate_category(C: FinCat) -> ValidationReport:
-    """Exhaustive check of typing, totality, identity and associativity laws."""
+    """Typing, totality, identity and associativity laws.  C.is_category()
+    decides them; on a failure the exhaustive checks name the canonical
+    first witness."""
+    if C.is_category():
+        return ValidationReport(True)
+    bad = _typing_or_identity_violation(C)
+    return bad if bad is not None else _associativity_scan(C)
+
+
+def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
+    """Typing, totality and the identity laws over every arrow and pair."""
     n = C.n_arrows
     composable = C.src[:, None] == C.tgt[None, :]
     defined = C.comp >= 0
@@ -201,8 +270,30 @@ def validate_category(C: FinCat) -> ValidationReport:
     if (right != np.arange(n)).any():
         f = int(np.flatnonzero(right != np.arange(n))[0])
         return ValidationReport(False, "Identity", (C.arrows[f],), "f∘id != f")
-    # associativity, blockwise over (src g, tgt g); int16 values and hoisted
-    # index conversions keep the big fixture fast
+    return None
+
+
+def _associative_at_generators(C: FinCat) -> bool:
+    """Light's test: every triple with a generator in the middle associates.
+
+    It decides associativity of a typed, unital table exactly.  The arrows m
+    with (h∘m)∘f = h∘(m∘f) for all h, f contain the identities and are
+    closed under composition: for such m1, m2,
+    (h∘(m1∘m2))∘f = ((h∘m1)∘m2)∘f = (h∘m1)∘(m2∘f) = h∘(m1∘(m2∘f))
+    = h∘((m1∘m2)∘f).  So they are every arrow once they hold the generators."""
+    for g in C.generators():
+        H, F = C.outof(int(C.tgt[g])), C.into(int(C.src[g]))
+        lhs = C.comp[C.comp[H, g][:, None], F[None, :]]      # (h∘g)∘f
+        rhs = C.comp[H[:, None], C.comp[g, F][None, :]]      # h∘(g∘f)
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def _associativity_scan(C: FinCat) -> ValidationReport:
+    """Every composable triple, blockwise over (src g, tgt g), in canonical
+    order; int16 values and hoisted index conversions keep the big fixture
+    fast."""
     comp16 = C.comp.astype(np.int16) if C.n_arrows < (1 << 15) else C.comp
     for b in range(C.n_objects):
         F = C.into(b)
@@ -702,10 +793,18 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
     parallel pairs between core objects; regular: kernel pairs, image
     factorizations and pullback-stable regular epis for arrows between core
     objects; exact: every internal equivalence relation on a core object is
-    effective."""
-    core_names = scope.core if scope is not None else C.objects
+    effective.  The verdict is kept on C, one per (core, cap)."""
+    core_names = tuple(scope.core if scope is not None else C.objects)
+    key = (core_names, cap)
+    if key not in C._exactness:
+        C._exactness[key] = _exactness_verdict(C, core_names, cap)
+    return C._exactness[key]
+
+
+def _exactness_verdict(C: FinCat, core_names: tuple[str, ...],
+                       cap: int | None) -> ExactnessVerdict:
     core = [C.obj_index[o] for o in core_names]
-    witness: dict = {"core": tuple(core_names)}
+    witness: dict = {"core": core_names}
 
     fc = True
     if terminal_object(C) is None:
@@ -793,7 +892,7 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
             if not ex:
                 break
 
-    return ExactnessVerdict(fc, reg, ex, tuple(core_names), witness)
+    return ExactnessVerdict(fc, reg, ex, core_names, witness)
 
 
 def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]:

@@ -17,7 +17,8 @@ from .errors import MalformedPresentation
 
 @dataclass
 class FinInfSL:
-    """A finite inf-semilattice: elements, order, top and meet tables."""
+    """A finite inf-semilattice: elements, order, top and meet tables;
+    the tables are read-only once built."""
 
     elements: tuple[str, ...]
     leq: np.ndarray          # bool, shape (n, n); leq[i, j] iff i <= j
@@ -30,6 +31,8 @@ class FinInfSL:
             self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise MalformedPresentation("duplicate element names in fiber")
+        self.leq.flags.writeable = False
+        self.meet.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -202,7 +205,10 @@ class MonotoneMap:
 
     dom: FinInfSL
     cod: FinInfSL
-    table: np.ndarray  # int, len == dom.n; values are cod indices
+    table: np.ndarray  # int, len == dom.n; values are cod indices; read-only
+
+    def __post_init__(self):
+        self.table.flags.writeable = False
 
     def __call__(self, i: int) -> int:
         return int(self.table[i])

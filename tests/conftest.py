@@ -1,8 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from doctrines import fixtures
-from doctrines.completions import build_erp, build_qp, build_tp
-from doctrines.structure import discover_elementary, discover_existential
+from doctrines.compare import analysis
+
+# the same examples on every run: no example database, no wall-clock deadline
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
@@ -27,20 +31,21 @@ def nochoice():
 
 @pytest.fixture(scope="session")
 def witnesses(triv, chain, fs2, nochoice):
+    """The equality and existential witnesses of each fixture's analysis."""
     out = {}
     for name, P in (("triv", triv), ("chain", chain), ("fs2", fs2),
                     ("nochoice", nochoice)):
-        out[name] = (P, discover_elementary(P), discover_existential(P))
+        _, E, X = analysis(P).eed()
+        out[name] = (P, E, X)
     return out
 
 
 @pytest.fixture(scope="session")
 def completions(witnesses):
+    """The relation, reflexive and quotient completions of each analysis."""
     out = {}
     for name in ("triv", "chain", "fs2"):
         P, E, X = witnesses[name]
-        tp = build_tp(P, E, X)
-        er = build_erp(P, E, tp)
-        q = build_qp(P, E, X)
-        out[name] = (P, E, X, tp, er, q)
+        an = analysis(P)
+        out[name] = (P, E, X, an.tp(), an.er(), an.qp())
     return out

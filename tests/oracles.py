@@ -169,3 +169,151 @@ def poset_reflection(arrows, factor):
 
 def downset(leq_pairs, elements, top_of):
     return [x for x in elements if (x, top_of) in leq_pairs or x == top_of]
+
+
+# ---------------------------------------------------------------------------
+# the category and doctrine laws, by plain loops in canonical order
+# ---------------------------------------------------------------------------
+#
+# Each oracle returns (ok, law, witness, message) for the first violation in
+# the order the package documents: the checks in sequence, each over its
+# arrows, pairs and triples in index order.  A category is given as plain
+# lists (objects, arrows, src, tgt, ident, comp) with comp[g][f] = g∘f or -1;
+# a fiber as (elements, leq, top, meet); a reindex map as (dom elements,
+# cod elements, table).
+
+PASSED = (True, "", (), "")
+
+
+def category_laws(objects, arrows, src, tgt, ident, comp):
+    n = len(arrows)
+    pairs = [(g, f) for g in range(n) for f in range(n)]
+    for g, f in pairs:
+        if comp[g][f] >= 0 and src[g] != tgt[f]:
+            return (False, "AssociativityOrTyping", (arrows[g], arrows[f]),
+                    "composition defined on a non-composable pair")
+    for g, f in pairs:
+        if comp[g][f] < 0 and src[g] == tgt[f]:
+            return (False, "MissingEntry", (arrows[g], arrows[f]),
+                    "composable pair has no composite")
+    for g, f in pairs:
+        if src[g] == tgt[f]:
+            h = comp[g][f]
+            if src[h] != src[f] or tgt[h] != tgt[g]:
+                return (False, "AssociativityOrTyping", (arrows[g], arrows[f]),
+                        "composite has wrong source or target")
+    for o in range(len(objects)):
+        if src[ident[o]] != o or tgt[ident[o]] != o:
+            return (False, "Identity", (objects[o],), "identity arrow has wrong endpoints")
+    for f in range(n):
+        if comp[ident[tgt[f]]][f] != f:
+            return (False, "Identity", (arrows[f],), "id∘f != f")
+    for f in range(n):
+        if comp[f][ident[src[f]]] != f:
+            return (False, "Identity", (arrows[f],), "f∘id != f")
+    # triples (h, g, f) ordered by (tgt f, tgt g, h, g, f)
+    for b in range(len(objects)):
+        for c in range(len(objects)):
+            for h in range(n):
+                if src[h] != c:
+                    continue
+                for g in range(n):
+                    if src[g] != b or tgt[g] != c:
+                        continue
+                    for f in range(n):
+                        if tgt[f] == b and comp[comp[h][g]][f] != comp[h][comp[g][f]]:
+                            return (False, "AssociativityOrTyping",
+                                    (arrows[h], arrows[g], arrows[f]),
+                                    "(h∘g)∘f != h∘(g∘f)")
+    return PASSED
+
+
+def fiber_laws(elements, leq, top, meet):
+    """None for an inf-semilattice, else the first violation's message."""
+    n = len(elements)
+    el = elements
+    if len(leq) != n or any(len(row) != n for row in leq):
+        return "leq table has wrong shape"
+    for i in range(n):
+        if not leq[i][i]:
+            return f"order not reflexive at {el[i]}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return f"order not antisymmetric at ({el[i]}, {el[j]})"
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j] and any(leq[i][k] and leq[k][j] for k in range(n)):
+                return f"order not transitive: missing {el[i]} <= {el[j]}"
+    for i in range(n):
+        if not leq[i][top]:
+            return f"top is not above {el[i]}"
+    for i in range(n):
+        for j in range(n):
+            m = meet[i][j]
+            if not (leq[m][i] and leq[m][j]):
+                return f"meet({el[i]}, {el[j]}) is not a lower bound"
+        for j in range(n):
+            for k in range(n):
+                if leq[k][i] and leq[k][j] and not leq[k][meet[i][j]]:
+                    return f"meet({el[i]}, {el[j]}) is not above lower bound {el[k]}"
+    return None
+
+
+def doctrine_laws(cat, fibers, reindex):
+    objects, arrows, src, tgt, ident, comp = cat
+    n = len(arrows)
+    if len(fibers) != len(objects):
+        return (False, "MalformedPresentation", (), "fiber table incomplete")
+    if len(reindex) != n:
+        return (False, "MalformedPresentation", (), "reindex table incomplete")
+    for o, fib in enumerate(fibers):
+        msg = fiber_laws(*fib)
+        if msg:
+            return (False, "Fiber", (objects[o],), msg)
+    for f, (dom, cod, table) in enumerate(reindex):
+        if dom != fibers[tgt[f]][0] or cod != fibers[src[f]][0]:
+            return (False, "Reindex", (arrows[f],), "reindex map badly typed")
+        if len(table) != len(fibers[tgt[f]][0]):
+            return (False, "Reindex", (arrows[f],), "reindex table has wrong length")
+    for o in range(len(objects)):
+        table = reindex[ident[o]][2]
+        for x, y in enumerate(table):
+            if x != y:
+                return (False, "Functoriality", (objects[o],),
+                        f"identity reindex moves {fibers[o][0][x]}")
+    # per (src, tgt) block: top for every arrow, then meets for every arrow
+    for a, b in sorted({(src[f], tgt[f]) for f in range(n)}):
+        block = [f for f in range(n) if src[f] == a and tgt[f] == b]
+        el_b, _, top_b, meet_b = fibers[b]
+        _, _, top_a, meet_a = fibers[a]
+        for f in block:
+            if reindex[f][2][top_b] != top_a:
+                return (False, "Homomorphism", (arrows[f],), "top not preserved")
+        for f in block:
+            t = reindex[f][2]
+            for i in range(len(el_b)):
+                for j in range(len(el_b)):
+                    if t[meet_b[i][j]] != meet_a[t[i]][t[j]]:
+                        return (False, "Homomorphism", (arrows[f], el_b[i], el_b[j]),
+                                "meet not preserved")
+    # pairs (g, f) ordered by (tgt f, tgt g, src f, g, f), then the element
+    objs = sorted(set(src) | set(tgt))
+    for b in objs:
+        for c in objs:
+            for a in objs:
+                if not any(src[h] == a and tgt[h] == c for h in range(n)):
+                    continue
+                for g in range(n):
+                    if src[g] != b or tgt[g] != c:
+                        continue
+                    for f in range(n):
+                        if src[f] != a or tgt[f] != b:
+                            continue
+                        whole, tf, tg = reindex[comp[g][f]][2], reindex[f][2], reindex[g][2]
+                        for x in range(len(fibers[c][0])):
+                            if whole[x] != tf[tg[x]]:
+                                return (False, "Functoriality",
+                                        (arrows[g], arrows[f], fibers[c][0][x]),
+                                        "reindex(g∘f) != reindex(f)∘reindex(g)")
+    return PASSED

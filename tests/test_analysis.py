@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from doctrines import cli, compare, fixtures
+from doctrines import cli, compare, fincat, fixtures
 from doctrines.cli import check_report, main
 from doctrines.compare import (analysis, verify_axc, verify_converse_axc,
                                verify_cthn, verify_fulc)
@@ -55,6 +55,26 @@ def test_demo_builds_each_relation_completion_once(monkeypatch, capsys):
     assert main(["demo"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "demo.txt").read_text()
     assert builds and max(builds.values()) == 1
+
+
+def test_demo_decides_exactness_once_per_completion(monkeypatch, capsys):
+    """`demo` prints the exactness of each relation completion and checks it
+    again as the universal property's hypothesis; the verdict kept on the
+    category serves the second read."""
+    decided = Counter()
+    kept = []
+    original = fincat._exactness_verdict
+
+    def counted(C, core, cap):
+        kept.append(C)
+        decided[(id(C), core, cap)] += 1
+        return original(C, core, cap)
+    monkeypatch.setattr(fincat, "_exactness_verdict", counted)
+    asked = _count_calls(monkeypatch, "check_exact")
+    assert main(["demo"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "demo.txt").read_text()
+    assert decided and max(decided.values()) == 1
+    assert sum(asked.values()) > sum(decided.values())
 
 
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])

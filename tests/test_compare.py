@@ -1,12 +1,13 @@
 import numpy as np
 
-from doctrines import fixtures
+from doctrines import compare, fixtures
 from doctrines.compare import (verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
 from doctrines.completions import build_tp
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import MonotoneMap
-from doctrines.structure import discover_elementary, discover_existential
+from doctrines.structure import (ElementaryWitness, discover_elementary,
+                                 discover_existential)
 
 
 def _check(rep, name):
@@ -58,6 +59,21 @@ def test_cthn_detects_injected_meet_fault(triv):
     assert rep.law in ("Homomorphism", "Functoriality")
     if rep.law == "Homomorphism":
         assert "meet not preserved" in rep.message
+
+
+def test_eed_fails_on_broken_equality_tensor_law(fs2, monkeypatch):
+    """A discovered equality that breaks the equality-tensor law (fs2's at 1
+    moved to the other element of P(1×1)) fails the eed verdict, though
+    stability and reciprocity, which read only the existentials, pass."""
+    one = fs2.cat.obj_index["1"]
+    delta = dict(discover_elementary(fs2).delta)
+    delta[one] = 1 - delta[one]
+    monkeypatch.setattr(compare, "discover_elementary", lambda P: ElementaryWitness(delta))
+    root, _, _ = compare.eed_checks(fs2)
+    law = next(c for c in root.children if c.name == "equality-tensor-law")
+    assert law.status == FAIL and law.witness == ("1", "2", "s9", "s0")
+    assert all(c.status == PASS for c in root.children if c is not law)
+    assert root.status == FAIL
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,297 @@
+"""The category and doctrine law checks against plain-loop oracles.
+
+`validate_category` decides associativity by Light's test over a generating
+set, and `validate_doctrine` decides the homomorphism clause and
+functoriality over the same set; both fall back to the exhaustive scan for
+the witness.  Random small categories of finite maps, some with corrupted
+table entries, and their powerset doctrines must get the same report as the
+oracles in `oracles.py`; faults injected into fs2 must be caught by the
+reduced checks and named by the exhaustive scan."""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as strat
+
+import oracles
+from doctrines import fixtures
+from doctrines.doctrine import (DoctrineData, _homomorphism_and_functoriality_scan,
+                                _laws_at_generators, validate_doctrine)
+from doctrines.fincat import (FinCat, ProductChoice, WindowScope, _associativity_scan,
+                              validate_category)
+from doctrines.semilattice import FinInfSL, MonotoneMap, powerset
+
+MAX_ARROWS = 40
+
+
+def _report(rep):
+    return (rep.ok, rep.law, rep.witness, rep.message)
+
+
+def _plain_category(C: FinCat):
+    return (list(C.objects), list(C.arrows), C.src.tolist(), C.tgt.tolist(),
+            C.id_arr.tolist(), C.comp.tolist())
+
+
+def _plain_doctrine(P: DoctrineData):
+    fibers = [(fib.elements, fib.leq.tolist(), fib.top, fib.meet.tolist())
+              for fib in P.fibers]
+    reindex = [(m.dom.elements, m.cod.elements, m.table.tolist()) for m in P.reindex]
+    return _plain_category(P.cat), fibers, reindex
+
+
+def _compose(g, f):
+    """g after f, for maps given as value tuples."""
+    return tuple(g[x] for x in f)
+
+
+def _closure(maps: set) -> set:
+    """Close a set of (src, tgt, map) triples under composition."""
+    maps = set(maps)
+    while True:
+        new = {(f[0], g[1], _compose(g[2], f[2]))
+               for g in maps for f in maps if f[1] == g[0]} - maps
+        if not new:
+            return maps
+        maps |= new
+
+
+def _concrete(sizes, arrows) -> FinCat:
+    """The category of the listed maps (closed under composition), in that
+    id order, between sets of the given sizes."""
+    index = {m: i for i, m in enumerate(arrows)}
+    n = len(arrows)
+    comp = np.full((n, n), -1, dtype=np.int32)
+    for g in arrows:
+        for f in arrows:
+            if f[1] == g[0]:
+                comp[index[g], index[f]] = index[(f[0], g[1], _compose(g[2], f[2]))]
+    return FinCat(tuple(f"o{o}" for o in range(len(sizes))),
+                  tuple(f"m{i}" for i in range(n)),
+                  np.array([m[0] for m in arrows], dtype=np.int32),
+                  np.array([m[1] for m in arrows], dtype=np.int32),
+                  np.array([index[(o, o, tuple(range(s)))] for o, s in enumerate(sizes)],
+                           dtype=np.int32),
+                  comp)
+
+
+@strat.composite
+def concrete_categories(draw):
+    """A category of maps between small finite sets: the composition closure
+    of random maps, with the arrows in a random id order.  Returns the
+    FinCat, each arrow's (src, tgt, map) and the set sizes."""
+    sizes = draw(strat.lists(strat.sampled_from([2, 3, 1]), min_size=1, max_size=3))
+    maps = {(o, o, tuple(range(s))) for o, s in enumerate(sizes)}
+    for _ in range(draw(strat.integers(2, 8))):
+        a = draw(strat.integers(0, len(sizes) - 1))
+        b = draw(strat.integers(0, len(sizes) - 1))
+        fn = tuple(draw(strat.integers(0, sizes[b] - 1)) for _ in range(sizes[a]))
+        closed = _closure(maps | {(a, b, fn)})
+        if len(closed) <= MAX_ARROWS:
+            maps = closed
+    arrows = draw(strat.permutations(sorted(maps)))
+    return _concrete(sizes, arrows), arrows, sizes
+
+
+@settings(max_examples=100)
+@given(concrete_categories())
+def test_generators_generate_greedily(sample):
+    """Identities and generators compose to every arrow, and no generator is
+    a composite of the identities and the generators before it."""
+    C = sample[0]
+    plain = C.comp.tolist()
+
+    def closure(arrows):
+        reached = set(arrows)
+        while True:
+            new = {plain[g][f] for g in reached for f in reached if plain[g][f] >= 0} - reached
+            if not new:
+                return reached
+            reached |= new
+
+    gens = C.generators().tolist()
+    ids = set(C.id_arr.tolist())
+    assert gens == sorted(gens)
+    assert closure(ids | set(gens)) == set(range(C.n_arrows))
+    for k, g in enumerate(gens):
+        assert g not in closure(ids | set(gens[:k]))
+
+
+def _with_comp(C: FinCat, comp, id_arr=None) -> FinCat:
+    return FinCat(C.objects, C.arrows, C.src, C.tgt,
+                  C.id_arr if id_arr is None else id_arr, comp)
+
+
+def _non_identity(C: FinCat) -> list[int]:
+    ids = set(C.id_arr.tolist())
+    return [f for f in range(C.n_arrows) if f not in ids]
+
+
+def _repoint(draw, C: FinCat, comp) -> None:
+    """Re-point one composite of two non-identity arrows at another arrow of
+    its type, where there is one: the fault only associativity can catch."""
+    pairs = [(g, f, k) for g in _non_identity(C) for f in _non_identity(C) if comp[g, f] >= 0
+             for k in C.hom(int(C.src[comp[g, f]]), int(C.tgt[comp[g, f]]))
+             if k != comp[g, f]]
+    if pairs:
+        g, f, k = draw(strat.sampled_from(pairs))
+        comp[g, f] = k
+
+
+@strat.composite
+def corrupted_categories(draw):
+    """A concrete category with up to two corrupted entries: a composite
+    re-pointed at an arrow of the same type (the case only associativity
+    catches) or at any arrow, a composite removed, one defined on a
+    non-composable pair, or an identity re-pointed."""
+    C = draw(concrete_categories())[0]
+    comp, id_arr = C.comp.copy(), C.id_arr.copy()
+    n = C.n_arrows
+    for _ in range(draw(strat.sampled_from([1, 1, 2, 0]))):
+        kind = draw(strat.sampled_from(["same-type", "same-type", "same-type", "any",
+                                        "remove", "extra", "identity"]))
+        g, f = draw(strat.integers(0, n - 1)), draw(strat.integers(0, n - 1))
+        if kind == "same-type":
+            _repoint(draw, C, comp)
+        elif kind == "identity":
+            id_arr[draw(strat.integers(0, C.n_objects - 1))] = g
+        elif kind == "extra":
+            comp[g, f] = draw(strat.integers(0, n - 1))
+        elif comp[g, f] < 0:
+            continue
+        elif kind == "remove":
+            comp[g, f] = -1
+        else:
+            comp[g, f] = draw(strat.integers(0, n - 1))
+    return _with_comp(C, comp, id_arr)
+
+
+@settings(max_examples=150)
+@given(corrupted_categories())
+def test_validate_category_matches_oracle(C):
+    assert _report(validate_category(C)) == oracles.category_laws(*_plain_category(C))
+
+
+def _powerset_doctrine(C: FinCat, arrows, sizes) -> DoctrineData:
+    """Subsets with preimage reindexing, over a concrete category."""
+    fibers = [powerset(s) for s in sizes]
+    reindex = []
+    for a, b, fn in arrows:
+        table = np.array([sum(1 << x for x in range(sizes[a]) if (mask >> fn[x]) & 1)
+                          for mask in range(1 << sizes[b])], dtype=np.int32)
+        reindex.append(MonotoneMap(fibers[b], fibers[a], table))
+    return DoctrineData(C, ProductChoice("o0", {}), WindowScope(()), fibers, reindex)
+
+
+@strat.composite
+def corrupted_doctrines(draw):
+    """A powerset doctrine with up to two corrupted entries: a reindex value
+    of a non-identity arrow, a meet of a fiber, or (for the fallback over a
+    non-category) a composite of the base re-pointed within its type."""
+    C, arrows, sizes = draw(concrete_categories())
+    P = _powerset_doctrine(C, arrows, sizes)
+    for _ in range(draw(strat.sampled_from([1, 1, 2, 0]))):
+        kind = draw(strat.sampled_from(["reindex", "reindex", "reindex", "meet", "base"]))
+        if kind == "reindex":
+            f = draw(strat.sampled_from(_non_identity(C) or [0]))
+            m = P.reindex[f]
+            table = m.table.copy()
+            table[draw(strat.integers(0, m.dom.n - 1))] = draw(strat.integers(0, m.cod.n - 1))
+            P.reindex[f] = MonotoneMap(m.dom, m.cod, table)
+        elif kind == "meet":
+            o = draw(strat.integers(0, C.n_objects - 1))
+            fib = P.fibers[o]
+            meet = fib.meet.copy()
+            i, j = draw(strat.integers(0, fib.n - 1)), draw(strat.integers(0, fib.n - 1))
+            meet[i, j] = draw(strat.integers(0, fib.n - 1))
+            P.fibers[o] = FinInfSL(fib.elements, fib.leq, fib.top, meet)
+        else:
+            comp = C.comp.copy()
+            _repoint(draw, C, comp)
+            C = P.cat = _with_comp(C, comp)
+    return P
+
+
+@settings(max_examples=150)
+@given(corrupted_doctrines())
+def test_validate_doctrine_matches_oracle(P):
+    assert _report(validate_doctrine(P)) == oracles.doctrine_laws(*_plain_doctrine(P))
+
+
+def test_oracles_pass_a_concrete_doctrine():
+    sizes = [1, 2, 3]
+    seeds = {(1, 2, (0, 2)), (2, 1, (1, 0, 1)), (2, 2, (1, 2, 2)), (0, 1, (1,))}
+    arrows = sorted(_closure({(o, o, tuple(range(s))) for o, s in enumerate(sizes)} | seeds))
+    C = _concrete(sizes, arrows)
+    assert C.n_arrows > 2 * len(C.generators())
+    assert oracles.category_laws(*_plain_category(C)) == oracles.PASSED
+    P = _powerset_doctrine(C, arrows, sizes)
+    assert oracles.doctrine_laws(*_plain_doctrine(P)) == oracles.PASSED
+    assert validate_doctrine(P).ok
+
+
+# ---------------------------------------------------------------------------
+# faults injected into copies of fs2
+# ---------------------------------------------------------------------------
+
+POSITIONS = (0.0, 0.37, 0.71, 0.98)
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+def test_fs2_comp_fault_caught_with_scan_witness(position):
+    """A composite of two non-identity arrows re-pointed at another arrow of
+    its type, at several places in the table."""
+    C = fixtures.fs2().cat
+    ids = set(C.id_arr.tolist())
+    gi, fi = np.nonzero(C.comp >= 0)
+    pairs = [(g, f) for g, f in zip(gi.tolist(), fi.tolist())
+             if g not in ids and f not in ids
+             and len(C.hom(int(C.src[f]), int(C.tgt[g]))) > 1]
+    g, f = pairs[int(position * (len(pairs) - 1))]
+    h = int(C.comp[g, f])
+    comp = C.comp.copy()
+    comp[g, f] = next(int(k) for k in C.hom(int(C.src[h]), int(C.tgt[h])) if k != h)
+    bad = _with_comp(C, comp)
+    assert not bad.is_category()
+    rep = validate_category(bad)
+    assert _report(rep) == _report(_associativity_scan(bad))
+    x, y, z = (bad.arr_index[a] for a in rep.witness)
+    assert comp[comp[x, y], z] != comp[x, comp[y, z]]
+    assert validate_category(C).ok
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+def test_fs2_reindex_fault_caught_with_scan_witness(position):
+    """One value of the reindexing along a non-identity arrow changed, at
+    several arrows and elements."""
+    P = fixtures.fs2()
+    C = P.cat
+    ids = set(C.id_arr.tolist())
+    arrows = [f for f in range(C.n_arrows) if f not in ids and P.reindex[f].cod.n > 1]
+    f = arrows[int(position * (len(arrows) - 1))]
+    m = P.reindex[f]
+    table = m.table.copy()
+    x = int(position * (m.dom.n - 1))
+    table[x] = (table[x] + 1) % m.cod.n
+    reindex = list(P.reindex)
+    reindex[f] = MonotoneMap(m.dom, m.cod, table)
+    bad = DoctrineData(C, P.products, P.scope, P.fibers, reindex)
+    assert not _laws_at_generators(bad)
+    rep = validate_doctrine(bad)
+    assert not rep.ok
+    assert _report(rep) == _report(_homomorphism_and_functoriality_scan(bad))
+    assert validate_doctrine(P).ok
+
+
+def test_fs2_tables_are_read_only():
+    P = fixtures.fs2()
+    C = P.cat
+    for table in (C.src, C.tgt, C.id_arr, C.comp, P.fibers[0].leq, P.fibers[0].meet,
+                  P.reindex[0].table):
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+    copied = copy.deepcopy(C)
+    assert not copied.comp.flags.writeable
+    assert copied.generators() is not C.generators()
