@@ -93,8 +93,8 @@ def validate_doctrine(P: DoctrineData) -> ValidationReport:
 
 
 def _fiber_and_identity_violation(P: DoctrineData) -> ValidationReport | None:
-    """Table sizes, fiber laws, reindex typing and identity reindexing, over
-    every object and arrow."""
+    """Table sizes, fiber laws, reindex typing, identity reindexing and the
+    range of every reindex value, over every object and arrow."""
     C = P.cat
     if len(P.fibers) != C.n_objects:
         return ValidationReport(False, "MalformedPresentation", (), "fiber table incomplete")
@@ -120,6 +120,15 @@ def _fiber_and_identity_violation(P: DoctrineData) -> ValidationReport | None:
             bad = int(np.flatnonzero(t != np.arange(len(t)))[0])
             return ValidationReport(False, "Functoriality", (C.objects[o],),
                                     f"identity reindex moves {P.fibers[o].elements[bad]}")
+    # every value lies in the source fiber, so that both law checks can index by it
+    for f, m in enumerate(P.reindex):
+        cod = P.fibers[int(C.src[f])]
+        outside = (m.table < 0) | (m.table >= cod.n)
+        if outside.any():
+            x = int(np.flatnonzero(outside)[0])
+            return ValidationReport(False, "Reindex", (C.arrows[f], m.dom.elements[x]),
+                                    f"value {int(m.table[x])} is outside the fiber of "
+                                    f"{C.objects[int(C.src[f])]}")
     return None
 
 

@@ -17,12 +17,15 @@ Sections, in canonical order:
 `leq` lines are cover pairs; the parser takes the reflexive-transitive
 closure and derives the meet table (rejecting posets that are not
 inf-semilattices).  Reindex blocks must be total: partially specified maps
-are parse errors, never defaulted.  Unknown identifiers are errors with line
-and column.  Emission produces the canonical form, so parse-emit-parse is
-the identity on it.
+are parse errors, never defaulted.  A repeated `compose g f` line keeps its
+last entry.  Unknown identifiers are errors with line and column.  Emission
+produces the canonical form, so parse-emit-parse is the identity on it.
 """
 
 from __future__ import annotations
+
+from sys import intern
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,230 +42,304 @@ def _err(ln: int, raw: str, tok: str, msg: str) -> ParseError:
     return ParseError(ln, col, msg)
 
 
-def parse_doctrine(text: str) -> DoctrineData:
-    """Line-oriented parse: section headers end with '{', '}' closes a
-    section, one declaration per line, variadic lists end with ';'."""
+def _ident(ln: int, raw: str, tok: str, what: str) -> str:
+    if tok in _RESERVED or "{" in tok or "}" in tok:
+        raise _err(ln, raw, tok, f"expected {what}, got {tok!r}")
+    return tok
+
+
+class _FiberBlock:
+    __slots__ = ("elements", "top", "pairs", "line")
+
+    def __init__(self, line: int):
+        self.elements: list[str] = []
+        self.top: str | None = None
+        self.pairs: list[tuple[str, str]] = []
+        self.line = line
+
+
+class _ReindexBlock:
+    __slots__ = ("targets", "sources", "lines", "line")
+
+    def __init__(self, line: int):
+        self.targets: list[str] = []     # entry k reads targets[k] -> sources[k]
+        self.sources: list[str] = []
+        self.lines: list[int] = []
+        self.line = line
+
+
+class _Read(NamedTuple):
+    """What the line pass gathers: names resolved to indices, fiber and
+    reindex blocks keyed by the index of their object or arrow."""
+
+    objects: list[str]
+    arrows: list[str]
+    src: list[int]
+    tgt: list[int]
+    identity: dict[int, int]
+    compose: list[int]     # g, f, h of each compose line in turn: comp[g, f] = h
+    terminal: str | None
+    binary: dict[tuple[str, str], tuple[str, str, str]]
+    fibers: dict[int, _FiberBlock]
+    reindex: dict[int, _ReindexBlock]
+    core: list[str] | None
+
+
+def _lines(text: str, chunk: int = 1 << 20):
+    """The lines of text.splitlines(), split a megabyte at a time so that
+    the list of a large file's lines never exists whole; cutting just after
+    a newline leaves every line break where splitlines finds it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
+def _read_lines(text: str) -> _Read:
+    """One pass over the lines, dispatching on the open section; names of
+    objects and arrows are resolved as they are read, so every line-level
+    error is raised in line order."""
     objects: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
-    identity: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
+    obj_index: dict[str, int] = {}
+    arrows: list[str] = []
+    arr_index: dict[str, int] = {}
+    src: list[int] = []
+    tgt: list[int] = []
+    identity: dict[int, int] = {}
+    compose: list[int] = []
+    put = compose.append
     terminal: str | None = None
     binary: dict[tuple[str, str], tuple[str, str, str]] = {}
-    fibers_raw: dict[str, tuple[list[str], str, list[tuple[str, str]], int]] = {}
-    reindex_raw: dict[str, tuple[list[tuple[str, str, int]], int]] = {}
+    fibers: dict[int, _FiberBlock] = {}
+    reindex: dict[int, _ReindexBlock] = {}
     core: list[str] | None = None
-    obj_set: set[str] = set()
-    arr_set: set[str] = set()
 
-    section: tuple | None = None
-    felements: list[str] = []
-    ftop: str | None = None
-    fpairs: list[tuple[str, str]] = []
-    rentries: list[tuple[str, str, int]] = []
+    section: str | None = None   # "base", "fiber", "reindex", "core" or None
+    owner = -1                   # the open block's object or arrow
 
-    def ident(ln, raw, tok, what):
-        if tok in _RESERVED or "{" in tok or "}" in tok:
-            raise _err(ln, raw, tok, f"expected {what}, got {tok!r}")
-        return tok
+    def known_object(ln, raw, o):
+        if o not in obj_index:
+            raise _err(ln, raw, o, f"unknown object {o!r}")
+        return obj_index[o]
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0] if "#" in raw else raw
-        parts = body.split()
+    def known_arrow(ln, raw, f):
+        if f not in arr_index:
+            raise _err(ln, raw, f, f"unknown arrow {f!r}")
+        return arr_index[f]
+
+    ln = 0
+    for ln, raw in enumerate(_lines(text), start=1):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not parts:
             continue
-        kind0 = section[0] if section is not None else None
-        if kind0 == "reindex" and len(parts) == 3 and parts[1] == "->":
-            rentries.append((parts[0], parts[2], ln))
-            continue
-        if kind0 == "base" and parts[0] == "compose":
-            if len(parts) == 5 and parts[3] == "=":
-                g, f, h = parts[1], parts[2], parts[4]
-                if g not in arr_set:
-                    raise _err(ln, raw, g, f"unknown arrow {g!r}")
-                if f not in arr_set:
-                    raise _err(ln, raw, f, f"unknown arrow {f!r}")
-                if h not in arr_set:
-                    raise _err(ln, raw, h, f"unknown arrow {h!r}")
-                compose[(g, f)] = h
-                continue
-            raise _err(ln, raw, parts[0], "malformed compose entry")
-        if section is None:
+        if section == "base":
             head = parts[0]
-            if head == "base" and parts[1:] == ["{"]:
-                section = ("base",)
-            elif head == "fiber" and len(parts) == 3 and parts[2] == "{":
-                o = ident(ln, raw, parts[1], "object")
-                if o not in obj_set:
-                    raise _err(ln, raw, o, f"unknown object {o!r}")
-                section = ("fiber", o, ln)
-                felements, ftop, fpairs = [], None, []
-            elif head == "reindex" and len(parts) == 3 and parts[2] == "{":
-                f = ident(ln, raw, parts[1], "arrow")
-                if f not in arr_set:
-                    raise _err(ln, raw, f, f"unknown arrow {f!r}")
-                section = ("reindex", f, ln)
-                rentries = []
-            elif head == "core" and parts[1] == "{":
-                core = []
-                rest = parts[2:]
-                closed = False
-                for tok in rest:
-                    if tok == "}":
-                        closed = True
-                        break
-                    if tok not in obj_set:
-                        raise _err(ln, raw, tok, f"unknown object {tok!r}")
-                    core.append(tok)
-                if not closed:
-                    section = ("core",)
-            else:
-                raise _err(ln, raw, head, f"unknown section {head!r}")
-            continue
-        if parts == ["}"]:
-            if section[0] == "fiber":
-                if ftop is None:
-                    raise ParseError(section[2], 1, f"fiber {section[1]!r} has no top")
-                fibers_raw[section[1]] = (felements, ftop, fpairs, section[2])
-            elif section[0] == "reindex":
-                reindex_raw[section[1]] = (rentries, section[2])
-            section = None
-            continue
-        kind = section[0]
-        head = parts[0]
-        if kind == "base":
-            if head == "objects":
+            if head == "compose":
+                if len(parts) != 5 or parts[3] != "=":
+                    raise _err(ln, raw, head, "malformed compose entry")
+                try:
+                    put(arr_index[parts[1]])
+                    put(arr_index[parts[2]])
+                    put(arr_index[parts[4]])
+                except KeyError:
+                    for tok in (parts[1], parts[2], parts[4]):
+                        known_arrow(ln, raw, tok)
+            elif parts == ["}"]:
+                section = None
+            elif head == "objects":
                 if parts[-1] != ";":
                     raise _err(ln, raw, head, "objects list must end with ';'")
                 for o in parts[1:-1]:
-                    ident(ln, raw, o, "object")
-                    if o in obj_set:
+                    _ident(ln, raw, o, "object")
+                    if o in obj_index:
                         raise _err(ln, raw, o, f"duplicate object {o!r}")
+                    obj_index[o] = len(objects)
                     objects.append(o)
-                    obj_set.add(o)
             elif head == "arrow" and len(parts) == 4:
-                f, a, b = parts[1], parts[2], parts[3]
-                ident(ln, raw, f, "arrow name")
-                for o in (a, b):
-                    if o not in obj_set:
-                        raise _err(ln, raw, o, f"unknown object {o!r}")
-                if f in arr_set:
+                f = _ident(ln, raw, parts[1], "arrow name")
+                a = known_object(ln, raw, parts[2])
+                b = known_object(ln, raw, parts[3])
+                if f in arr_index:
                     raise _err(ln, raw, f, f"duplicate arrow {f!r}")
-                arrows.append((f, a, b))
-                arr_set.add(f)
+                arr_index[f] = len(arrows)
+                arrows.append(f)
+                src.append(a)
+                tgt.append(b)
             elif head == "identity" and len(parts) == 4 and parts[2] == "=":
-                o, f = parts[1], parts[3]
-                if o not in obj_set:
-                    raise _err(ln, raw, o, f"unknown object {o!r}")
-                if f not in arr_set:
-                    raise _err(ln, raw, f, f"unknown arrow {f!r}")
-                identity[o] = f
+                o = known_object(ln, raw, parts[1])
+                identity[o] = known_arrow(ln, raw, parts[3])
             elif head == "terminal" and len(parts) == 2:
-                if parts[1] not in obj_set:
-                    raise _err(ln, raw, parts[1], f"unknown object {parts[1]!r}")
+                known_object(ln, raw, parts[1])
                 terminal = parts[1]
             elif head == "product" and len(parts) == 7 and parts[3] == "=":
                 a, b, p, p1, p2 = parts[1], parts[2], parts[4], parts[5], parts[6]
                 for o in (a, b, p):
-                    if o not in obj_set:
-                        raise _err(ln, raw, o, f"unknown object {o!r}")
+                    known_object(ln, raw, o)
                 for x in (p1, p2):
-                    if x not in arr_set:
-                        raise _err(ln, raw, x, f"unknown arrow {x!r}")
+                    known_arrow(ln, raw, x)
                 binary[(a, b)] = (p, p1, p2)
             else:
                 raise _err(ln, raw, head, f"malformed base entry {head!r}")
-        elif kind == "fiber":
-            if head == "elements":
+        elif section == "reindex":
+            if len(parts) == 3 and parts[1] == "->":
+                put_target(intern(parts[0]))       # one copy of each element name
+                put_source(intern(parts[2]))
+                put_line(ln)
+            elif parts == ["}"]:
+                reindex[owner] = rblock
+                section = None
+            else:
+                raise _err(ln, raw, parts[0], "malformed reindex entry")
+        elif section == "fiber":
+            head = parts[0]
+            if parts == ["}"]:
+                if fblock.top is None:
+                    raise ParseError(fblock.line, 1,
+                                     f"fiber {objects[owner]!r} has no top")
+                fibers[owner] = fblock
+                section = None
+            elif head == "elements":
                 if parts[-1] != ";":
                     raise _err(ln, raw, head, "elements list must end with ';'")
                 for e in parts[1:-1]:
-                    felements.append(ident(ln, raw, e, "element"))
+                    fblock.elements.append(_ident(ln, raw, e, "element"))
             elif head == "top" and len(parts) == 2:
-                ftop = ident(ln, raw, parts[1], "element")
+                fblock.top = _ident(ln, raw, parts[1], "element")
             elif head == "leq" and len(parts) == 3:
-                fpairs.append((parts[1], parts[2]))
+                fblock.pairs.append((parts[1], parts[2]))
             else:
                 raise _err(ln, raw, head, f"malformed fiber entry {head!r}")
-        elif kind == "reindex":
-            if len(parts) == 3 and parts[1] == "->":
-                rentries.append((parts[0], parts[2], ln))
-            else:
-                raise _err(ln, raw, head, "malformed reindex entry")
-        elif kind == "core":
+        elif section == "core":
             for tok in parts:
                 if tok == "}":
                     section = None
                     break
-                if tok not in obj_set:
-                    raise _err(ln, raw, tok, f"unknown object {tok!r}")
+                known_object(ln, raw, tok)
                 core.append(tok)
+        else:
+            head = parts[0]
+            if head == "base" and parts[1:] == ["{"]:
+                section = "base"
+            elif head == "fiber" and len(parts) == 3 and parts[2] == "{":
+                owner = known_object(ln, raw, _ident(ln, raw, parts[1], "object"))
+                section = "fiber"
+                fblock = _FiberBlock(ln)
+            elif head == "reindex" and len(parts) == 3 and parts[2] == "{":
+                owner = known_arrow(ln, raw, _ident(ln, raw, parts[1], "arrow"))
+                section = "reindex"
+                rblock = _ReindexBlock(ln)
+                put_target, put_source = rblock.targets.append, rblock.sources.append
+                put_line = rblock.lines.append
+            elif head == "core" and parts[1:2] == ["{"]:
+                core = []
+                section = "core"
+                for tok in parts[2:]:
+                    if tok == "}":
+                        section = None
+                        break
+                    known_object(ln, raw, tok)
+                    core.append(tok)
+            else:
+                raise _err(ln, raw, head, f"unknown section {head!r}")
     if section is not None:
-        raise ParseError(len(text.splitlines()), 1, "unterminated section")
-    if not objects:
-        raise ParseError(1, 1, "no objects declared")
-    if terminal is None:
-        raise ParseError(1, 1, "no terminal declared")
+        raise ParseError(ln, 1, "unterminated section")
+    return _Read(objects, arrows, src, tgt, identity, compose, terminal, binary,
+                 fibers, reindex, core)
+
+
+def _transitive_closure(leq: np.ndarray) -> np.ndarray:
+    """Warshall's algorithm, one row-and-column step per element."""
+    for k in range(len(leq)):
+        leq |= leq[:, k, None] & leq[None, k, :]
+    return leq
+
+
+def _fiber(name: str, block: _FiberBlock | None) -> FinInfSL:
+    """The inf-semilattice of a fiber block: the reflexive-transitive
+    closure of its cover pairs, with the meets derived from it."""
+    if block is None:
+        raise ParseError(1, 1, f"object {name!r} has no fiber block")
+    elements, lno = block.elements, block.line
+    if len(set(elements)) != len(elements) or not elements:
+        raise ParseError(lno, 1, f"fiber of {name!r} has duplicate or no elements")
+    idx = {e: i for i, e in enumerate(elements)}
+    leq = np.eye(len(elements), dtype=bool)
+    for x, y in block.pairs:
+        if x not in idx or y not in idx:
+            raise ParseError(lno, 1, f"fiber of {name!r} mentions unknown element")
+        leq[idx[x], idx[y]] = True
     try:
-        cat = FinCat.build(objects, arrows, identity, compose)
+        fib = lattice_from_leq(elements, _transitive_closure(leq))
+    except MalformedPresentation as exc:
+        raise ParseError(lno, 1, f"fiber of {name!r}: {exc}")
+    if idx.get(block.top) != fib.top:
+        raise ParseError(lno, 1, f"fiber of {name!r}: declared top is not the top")
+    return fib
+
+
+def _reindex_table(name: str, block: _ReindexBlock | None, fb: FinInfSL, fa: FinInfSL,
+                   b: str, a: str) -> np.ndarray:
+    """The table of a reindex block from the fiber of b to the fiber of a,
+    one dict lookup per token; the first bad entry in block order is named."""
+    if block is None:
+        raise ParseError(1, 1, f"arrow {name!r} has no reindex block")
+    xs = np.array([fb.index.get(x, -1) for x in block.targets], dtype=np.intp)
+    ys = np.array([fa.index.get(y, -1) for y in block.sources], dtype=np.int32)
+    repeated = np.ones(len(xs), dtype=bool)
+    repeated[np.unique(xs, return_index=True)[1]] = False
+    bad = (xs < 0) | (ys < 0) | repeated
+    if bad.any():
+        k = int(np.argmax(bad))
+        if xs[k] < 0:
+            msg = f"element {block.targets[k]!r} not in the fiber of {b!r}"
+        elif ys[k] < 0:
+            msg = f"element {block.sources[k]!r} not in the fiber of {a!r}"
+        else:
+            msg = f"duplicate entry for {block.targets[k]!r}"
+        raise ParseError(block.lines[k], 1, msg)
+    table = np.full(fb.n, -1, dtype=np.int32)
+    table[xs] = ys
+    if (table < 0).any():
+        missing = fb.elements[int(np.flatnonzero(table < 0)[0])]
+        raise ParseError(block.line, 1,
+                         f"reindex of {name!r} is partial: no entry for {missing!r}")
+    return table
+
+
+def parse_doctrine(text: str) -> DoctrineData:
+    """Line-oriented parse: section headers end with '{', '}' closes a
+    section, one declaration per line, variadic lists end with ';'.
+
+    Errors come in this order: line-level errors in line order, then the
+    missing objects or terminal, the category tables, the fibers in object
+    order and the reindex blocks in arrow order."""
+    r = _read_lines(text)
+    if not r.objects:
+        raise ParseError(1, 1, "no objects declared")
+    if r.terminal is None:
+        raise ParseError(1, 1, "no terminal declared")
+    id_arr = [r.identity.get(o, -1) for o in range(len(r.objects))]
+    try:
+        cat = FinCat.from_indices(r.objects, r.arrows, r.src, r.tgt, id_arr,
+                                  np.array(r.compose, dtype=np.intp).reshape(-1, 3))
     except MalformedPresentation as exc:
         raise ParseError(1, 1, str(exc))
-    # fibers: reflexive-transitive closure of the cover pairs
-    fibers: list[FinInfSL] = []
-    for o in objects:
-        if o not in fibers_raw:
-            raise ParseError(1, 1, f"object {o!r} has no fiber block")
-        elements, top, pairs, lno = fibers_raw[o]
-        if len(set(elements)) != len(elements) or not elements:
-            raise ParseError(lno, 1, f"fiber of {o!r} has duplicate or no elements")
-        idx = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        leq = np.eye(n, dtype=bool)
-        for x, y in pairs:
-            if x not in idx or y not in idx:
-                raise ParseError(lno, 1, f"fiber of {o!r} mentions unknown element")
-            leq[idx[x], idx[y]] = True
-        while True:
-            closure = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
-            if np.array_equal(closure, leq):
-                break
-            leq = closure
-        try:
-            fib = lattice_from_leq(elements, leq)
-        except MalformedPresentation as exc:
-            raise ParseError(lno, 1, f"fiber of {o!r}: {exc}")
-        if top not in idx or idx[top] != fib.top:
-            raise ParseError(lno, 1, f"fiber of {o!r}: declared top is not the top")
-        fibers.append(fib)
-    # reindexing: total, target-to-source
+    fibers = [_fiber(o, r.fibers.get(i)) for i, o in enumerate(r.objects)]
     reindex: list[MonotoneMap] = []
-    for f, a, b in arrows:
-        fa = fibers[cat.obj_index[a]]
-        fb = fibers[cat.obj_index[b]]
-        if f not in reindex_raw:
-            raise ParseError(1, 1, f"arrow {f!r} has no reindex block")
-        entries, lnf = reindex_raw[f]
-        table = np.full(fb.n, -1, dtype=np.int32)
-        for x, y, ln2 in entries:
-            if x not in fb.index:
-                raise ParseError(ln2, 1, f"element {x!r} not in the fiber of {b!r}")
-            if y not in fa.index:
-                raise ParseError(ln2, 1, f"element {y!r} not in the fiber of {a!r}")
-            if table[fb.index[x]] >= 0:
-                raise ParseError(ln2, 1, f"duplicate entry for {x!r}")
-            table[fb.index[x]] = fa.index[y]
-        if (table < 0).any():
-            missing = fb.elements[int(np.flatnonzero(table < 0)[0])]
-            raise ParseError(lnf, 1,
-                             f"reindex of {f!r} is partial: no entry for {missing!r}")
-        reindex.append(MonotoneMap(fb, fa, table))
-    pc = ProductChoice(terminal, binary)
-    scope = WindowScope(tuple(core) if core is not None else tuple(objects))
+    for f, name in enumerate(r.arrows):
+        a, b = r.src[f], r.tgt[f]
+        table = _reindex_table(name, r.reindex.get(f), fibers[b], fibers[a],
+                               r.objects[b], r.objects[a])
+        reindex.append(MonotoneMap(fibers[b], fibers[a], table))
+    pc = ProductChoice(r.terminal, r.binary)
+    scope = WindowScope(tuple(r.core) if r.core is not None else tuple(r.objects))
     return DoctrineData(cat, pc, scope, fibers, reindex)
 
 
 def _cover_pairs(fib: FinInfSL) -> list[tuple[int, int]]:
     lt = fib.leq & ~np.eye(fib.n, dtype=bool)
-    via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
+    via = lt @ lt                    # bool matmul: no count to wrap
     cov = lt & ~via
     return [(int(i), int(j)) for i, j in np.argwhere(cov)]
 

@@ -129,24 +129,38 @@ class FinCat:
             srcs.append(obj_index[s])
             tgts.append(obj_index[t])
         arr_index = {a: i for i, a in enumerate(names)}
-        n = len(names)
-        src = np.array(srcs, dtype=np.int32)
-        tgt = np.array(tgts, dtype=np.int32)
-        id_arr = np.full(len(objects), -1, dtype=np.int32)
+        id_arr = [-1] * len(objects)
         for o, a in identity.items():
             if o not in obj_index or a not in arr_index:
                 raise MalformedPresentation(f"identity entry {o} -> {a} has unknown id")
             id_arr[obj_index[o]] = arr_index[a]
-        if (id_arr < 0).any():
-            o = objects[int(np.flatnonzero(id_arr < 0)[0])]
-            raise MalformedPresentation(f"object {o} has no identity arrow")
-        comp = np.full((n, n), -1, dtype=np.int32)
+        entries = []
         for (g, f), h in compose.items():
             for nm in (g, f, h):
                 if nm not in arr_index:
                     raise MalformedPresentation(f"compose entry mentions unknown arrow {nm}")
-            comp[arr_index[g], arr_index[f]] = arr_index[h]
-        return FinCat(objects, tuple(names), src, tgt, id_arr, comp)
+            entries.append((arr_index[g], arr_index[f], arr_index[h]))
+        return FinCat.from_indices(objects, names, srcs, tgts, id_arr,
+                                   np.array(entries, dtype=np.intp).reshape(-1, 3))
+
+    @staticmethod
+    def from_indices(objects, arrows, src, tgt, id_arr, compose: np.ndarray) -> "FinCat":
+        """Build from index tables: src, tgt and id_arr by position (-1 for
+        an object without identity) and the composition entries, one row
+        (g, f, h) per comp[g, f] = h; a repeated (g, f) keeps its last row."""
+        id_arr = np.asarray(id_arr, dtype=np.int32)
+        if (id_arr < 0).any():
+            o = objects[int(np.flatnonzero(id_arr < 0)[0])]
+            raise MalformedPresentation(f"object {o} has no identity arrow")
+        n = len(arrows)
+        cell = compose[:, 0] * n + compose[:, 1]
+        last = np.full(n * n, -1, dtype=np.intp)        # last entry per cell
+        np.maximum.at(last, cell, np.arange(len(cell)))
+        comp = np.full(n * n, -1, dtype=np.int32)
+        filled = last >= 0
+        comp[filled] = compose[last[filled], 2]
+        return FinCat(tuple(objects), tuple(arrows), np.asarray(src, dtype=np.int32),
+                      np.asarray(tgt, dtype=np.int32), id_arr, comp.reshape(n, n))
 
     def arrow_triple(self, i: int) -> tuple[str, str, str]:
         return (self.arrows[i], self.objects[int(self.src[i])], self.objects[int(self.tgt[i])])

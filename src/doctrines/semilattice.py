@@ -68,7 +68,7 @@ class FinInfSL:
         if (sym & ~np.eye(n, dtype=bool)).any():
             i, j = map(int, np.argwhere(sym & ~np.eye(n, dtype=bool))[0])
             return f"order not antisymmetric at ({self.elements[i]}, {self.elements[j]})"
-        closure = (self.leq.astype(np.uint8) @ self.leq.astype(np.uint8)) > 0
+        closure = self.leq @ self.leq      # bool matmul: no count to wrap
         if (closure & ~self.leq).any():
             i, j = map(int, np.argwhere(closure & ~self.leq)[0])
             return f"order not transitive: missing {self.elements[i]} <= {self.elements[j]}"
@@ -100,40 +100,37 @@ class FinInfSL:
 
 
 def meets_from_leq(elements: tuple[str, ...], leq: np.ndarray) -> tuple[int, np.ndarray]:
-    """Compute (top, meet table) from an order table; raise if either is missing."""
+    """Compute (top, meet table) from a transitive order table; raise if
+    either is missing.
+
+    With ↓x = {k : k <= x}, m is the greatest common lower bound of a and b
+    exactly when m <= m and ↓m = ↓a ∩ ↓b.  The down-sets are packed into
+    byte strings, intersected for every pair at once and looked up among
+    the down-sets of the reflexive elements, sorted stably, so that ties
+    go to the smallest index.  The first pair in row-major order without a
+    meet is named."""
     n = len(elements)
     tops = np.flatnonzero(leq.all(axis=0))
     if len(tops) == 0:
         raise MalformedPresentation("poset has no top element")
     top = int(tops[0])
-    if n > 64:
-        # candidate = the common lower bound with the most elements below it,
-        # verified to dominate every common lower bound
-        rank = leq.sum(axis=0).astype(np.int32)
-        lower3 = leq[:, :, None] & leq[:, None, :]            # (m, i, j): m <= i, m <= j
-        scores = np.where(lower3, rank[:, None, None], -1)
-        cand = scores.argmax(axis=0).astype(np.int32)
-        ok = (~lower3 | leq[:, cand]).all(axis=0)
-        in_lower = np.take_along_axis(lower3, cand[None, :, :], axis=0)[0]
-        bad = ~(ok & in_lower)
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            raise MalformedPresentation(
-                f"elements {elements[i]}, {elements[j]} have no meet")
-        return top, cand
-    meet = np.empty((n, n), dtype=np.int32)
-    below = leq.T
-    for i in range(n):
-        for j in range(n):
-            lower = np.flatnonzero(below[i] & below[j])
-            if len(lower) == 0:
-                raise MalformedPresentation(
-                    f"elements {elements[i]}, {elements[j]} have no lower bound")
-            greatest = [k for k in lower if leq[lower, k].all()]
-            if not greatest:
-                raise MalformedPresentation(
-                    f"elements {elements[i]}, {elements[j]} have no meet")
-            meet[i, j] = greatest[0]
+    down = np.ascontiguousarray(np.packbits(leq.T, axis=1))   # row x packs ↓x
+    key = np.dtype((np.void, down.shape[1]))
+    downsets = down.view(key).ravel()
+    wanted = (down[:, None, :] & down[None, :, :]).view(key).reshape(n, n)
+    cand = np.flatnonzero(leq.diagonal())
+    order = cand[np.argsort(downsets[cand], kind="stable")]
+    pos = np.searchsorted(downsets[order], wanted)
+    meet = order[np.minimum(pos, len(order) - 1)].astype(np.int32)
+    found = downsets[meet] == wanted
+    if not found.all():
+        i, j = map(int, np.argwhere(~found)[0])
+        # only up to 64 elements is a pair without any lower bound named as
+        # such: parse errors on larger fibers have always said "no meet"
+        what = ("no lower bound" if n <= 64 and not (leq[:, i] & leq[:, j]).any()
+                else "no meet")
+        raise MalformedPresentation(
+            f"elements {elements[i]}, {elements[j]} have {what}")
     return top, meet
 
 

@@ -4,12 +4,18 @@ Everything here is deliberately written from scratch against plain sets of
 pairs, never through the package's fiber/reindex tables, so the two routes
 stay independent.  Relations over range(n) are frozensets of pairs; the mask
 encoding matches the fixture convention (pair (x, y) over carriers of sizes
-(p, q) is the bit at x*q + y).
+(p, q) is the bit at x*q + y).  One reference is not from scratch:
+`meets_from_leq` is the package's former per-pair meet search, kept to
+check the down-set lookup that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
+
+from doctrines.errors import MalformedPresentation
 
 
 def rel_from_mask(mask: int, p: int, q: int) -> frozenset:
@@ -282,6 +288,11 @@ def doctrine_laws(cat, fibers, reindex):
             if x != y:
                 return (False, "Functoriality", (objects[o],),
                         f"identity reindex moves {fibers[o][0][x]}")
+    for f, (dom, _, table) in enumerate(reindex):
+        for x, y in enumerate(table):
+            if not 0 <= y < len(fibers[src[f]][0]):
+                return (False, "Reindex", (arrows[f], dom[x]),
+                        f"value {y} is outside the fiber of {objects[src[f]]}")
     # per (src, tgt) block: top for every arrow, then meets for every arrow
     for a, b in sorted({(src[f], tgt[f]) for f in range(n)}):
         block = [f for f in range(n) if src[f] == a and tgt[f] == b]
@@ -317,3 +328,43 @@ def doctrine_laws(cat, fibers, reindex):
                                         (arrows[g], arrows[f], fibers[c][0][x]),
                                         "reindex(g∘f) != reindex(f)∘reindex(g)")
     return PASSED
+
+
+def meets_from_leq(elements, leq):
+    """(top, meet table) of a transitive order table by a search per pair,
+    as the package computed it before its down-set lookup: up to 64
+    elements each pair's greatest common lower bound is searched directly,
+    above that the common lower bound with the largest down-set is taken
+    and verified.  Raises MalformedPresentation like the package does."""
+    n = len(elements)
+    tops = np.flatnonzero(leq.all(axis=0))
+    if len(tops) == 0:
+        raise MalformedPresentation("poset has no top element")
+    top = int(tops[0])
+    if n > 64:
+        rank = leq.sum(axis=0).astype(np.int32)
+        lower3 = leq[:, :, None] & leq[:, None, :]            # (m, i, j): m <= i, m <= j
+        scores = np.where(lower3, rank[:, None, None], -1)
+        cand = scores.argmax(axis=0).astype(np.int32)
+        ok = (~lower3 | leq[:, cand]).all(axis=0)
+        in_lower = np.take_along_axis(lower3, cand[None, :, :], axis=0)[0]
+        bad = ~(ok & in_lower)
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            raise MalformedPresentation(
+                f"elements {elements[i]}, {elements[j]} have no meet")
+        return top, cand
+    meet = np.empty((n, n), dtype=np.int32)
+    below = leq.T
+    for i in range(n):
+        for j in range(n):
+            lower = np.flatnonzero(below[i] & below[j])
+            if len(lower) == 0:
+                raise MalformedPresentation(
+                    f"elements {elements[i]}, {elements[j]} have no lower bound")
+            greatest = [k for k in lower if leq[lower, k].all()]
+            if not greatest:
+                raise MalformedPresentation(
+                    f"elements {elements[i]}, {elements[j]} have no meet")
+            meet[i, j] = greatest[0]
+    return top, meet

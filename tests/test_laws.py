@@ -285,6 +285,33 @@ def test_fs2_reindex_fault_caught_with_scan_witness(position):
     assert validate_doctrine(P).ok
 
 
+@pytest.mark.parametrize("value", ["past the end", "negative"])
+@pytest.mark.parametrize("base", ["category", "not a category"])
+def test_out_of_range_reindex_value_named(chain, value, base):
+    """A reindex value outside its codomain fiber is a Reindex witness, on
+    a base that is a category (the generator check follows) and on one that
+    is not (the exhaustive scan follows), not an IndexError or a silent
+    wrap-around."""
+    C = chain.cat
+    f = _non_identity(C)[0]
+    m = chain.reindex[f]
+    table = m.table.copy()
+    table[0] = m.cod.n + 3 if value == "past the end" else -1
+    reindex = list(chain.reindex)
+    reindex[f] = MonotoneMap(m.dom, m.cod, table)
+    comp = C.comp.copy()
+    if base == "not a category":
+        comp[f, C.id_arr[C.src[f]]] = -1
+    bad = DoctrineData(_with_comp(C, comp), chain.products, chain.scope, chain.fibers, reindex)
+    assert bad.cat.is_category() == (base == "category")
+    rep = validate_doctrine(bad)
+    want = (False, "Reindex", (C.arrows[f], m.dom.elements[0]),
+            f"value {int(table[0])} is outside the fiber of {C.objects[int(C.src[f])]}")
+    assert _report(rep) == want
+    assert oracles.doctrine_laws(*_plain_doctrine(bad)) == want
+    assert validate_doctrine(chain).ok
+
+
 def test_fs2_tables_are_read_only():
     P = fixtures.fs2()
     C = P.cat

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 from doctrines.errors import MalformedPresentation
+from doctrines.fileformat import _transitive_closure
 from doctrines.semilattice import (FinInfSL, MonotoneMap, NoAdjoint, chain,
                                    check_adjunction, diamond, identity_map,
                                    lattice_from_leq, left_adjoint,
                                    meets_from_leq, powerset, sub_semilattice)
 
+import oracles
 from oracles import min_of_upper_set
 
 
@@ -153,3 +155,67 @@ def test_sub_semilattice_requires_meet_closure():
     d = diamond()
     with pytest.raises(MalformedPresentation):
         sub_semilattice(d, [d.index["a"], d.index["b"], d.index["top"]])
+
+
+@strat.composite
+def transitive_relations(draw):
+    """A transitive relation on 48 to 80 elements, either side of the former
+    meet builder's 64-element branch point: the inclusion preorder of
+    subsets of a 6-element set with the whole set among them (meet-closed
+    or not, with repeated subsets as ties, in shuffled order, some
+    singletons made irreflexive), or the
+    transitive closure of random edges, with or without a top."""
+    n = draw(strat.integers(48, 80))
+    kind = draw(strat.sampled_from(["meet-closed", "subsets", "edges"]))
+    if kind == "edges":
+        leq = np.zeros((n, n), dtype=bool)
+        for _ in range(draw(strat.integers(0, 4 * n))):
+            leq[draw(strat.integers(0, n - 1)), draw(strat.integers(0, n - 1))] = True
+        if draw(strat.booleans()):
+            leq[:, draw(strat.integers(0, n - 1))] = True
+        return _transitive_closure(leq)
+    family = set(draw(strat.lists(strat.integers(0, 63), min_size=1, max_size=n))) | {63}
+    if kind == "meet-closed":
+        while len(closed := family | {a & b for a in family for b in family}) > len(family):
+            family = closed
+    family = sorted(family)[:n]
+    masks = family + [family[draw(strat.integers(0, len(family) - 1))]
+                      for _ in range(n - len(family))]
+    masks = np.array(draw(strat.permutations(masks)))
+    leq = (masks[:, None] & ~masks[None, :]) == 0
+    for i in draw(strat.sets(strat.integers(0, n - 1), max_size=3)):
+        if (masks == masks[i]).sum() == 1:       # no twin forces i <= i
+            leq[i, i] = False
+    return leq
+
+
+def _meets_or_message(build, elements, leq):
+    try:
+        top, meet = build(elements, leq)
+    except MalformedPresentation as exc:
+        return str(exc)
+    return top, meet.dtype, meet.tolist()
+
+
+@settings(max_examples=60)
+@given(transitive_relations())
+def test_meets_match_former_builder(leq):
+    """The down-set lookup gives the (top, meet) table, or the message, of
+    the former per-pair search on both sides of its branch point."""
+    elements = tuple(f"e{i}" for i in range(len(leq)))
+    assert (_meets_or_message(meets_from_leq, elements, leq)
+            == _meets_or_message(oracles.meets_from_leq, elements, leq))
+
+
+def test_validate_names_transitivity_gap_over_256_elements():
+    """Bottom, 256 atoms, top, with bottom <= top dropped: exactly 256
+    elements lie between them, and the gap is named."""
+    names = ("b",) + tuple(f"a{i}" for i in range(256)) + ("t",)
+    leq = np.eye(258, dtype=bool)
+    leq[0, :] = leq[:, 257] = True
+    full = lattice_from_leq(names, leq)
+    assert full.validate() is None
+    leq = full.leq.copy()
+    leq[0, 257] = False
+    broken = FinInfSL(names, leq, full.top, full.meet.copy())
+    assert broken.validate() == "order not transitive: missing b <= t"
