@@ -75,8 +75,7 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
     dl = check_delta_product_law(P, E)
     root.children.append(Check("equality-tensor-law", _status(bool(dl)),
                                dl.witness or None,
-                               {"checked": dl.checked, "skipped": dl.skipped,
-                                "skips_acknowledged": dl.skips_acknowledged}))
+                               {"checked": dl.checked, "skipped": dl.skipped}))
     if not (bc.ok and fr.ok and dl):
         root.status = FAIL
     return root, E, X
@@ -137,30 +136,41 @@ class Analysis:
     def comprehensions(self) -> ComprehensionTable:
         return self._once("comprehensions", lambda: comprehension_table(self.P))
 
-    # the parts below need the discovered structure: E, and X for all but er
+    # the parts below need the discovered structure
+
+    def _structure(self, part: str) -> tuple[ElementaryWitness, ExistentialWitness]:
+        """E and X, or an error naming the discovery that failed."""
+        _, E, X = self._eed()
+        if E is None or X is None:
+            failed = "elementary" if E is None else "existential"
+            raise MalformedPresentation(f"{part} needs the {failed} structure, "
+                                        "whose discovery failed")
+        return E, X
 
     def rule_of_choice(self) -> CheckVerdict:
-        return self._once("choice", lambda: check_rule_of_choice(self.P, self._eed()[2]))
+        return self._once("choice", lambda: check_rule_of_choice(
+            self.P, self._structure("the rule of choice")[1]))
 
     def gr(self) -> GrCompletion:
         return self._once("gr", lambda: build_gr(self.P, self.caps))
 
     def tp(self) -> TCompletion:
-        return self._once("tp", lambda: build_tp(self.P, *self._eed()[1:],
+        return self._once("tp", lambda: build_tp(self.P, *self._structure("tp"),
                                                  self.condition_v, self.caps))
 
     def er(self) -> ERCompletion:
-        return self._once("er", lambda: build_erp(self.P, self._eed()[1], self.tp(),
+        return self._once("er", lambda: build_erp(self.P, self._structure("er")[0], self.tp(),
                                                   self.caps))
 
     def qp(self) -> QCompletion:
-        return self._once("qp", lambda: build_qp(self.P, *self._eed()[1:], self.caps))
+        return self._once("qp", lambda: build_qp(self.P, *self._structure("qp"), self.caps))
 
     def L(self) -> LFunctorResult:
         """The comparison functor; a failure to build er comes before one of qp."""
         def compute():
+            E, X = self._structure("L")
             er = self.er()
-            return functor_L(self.P, *self._eed()[1:], self.qp(), er)
+            return functor_L(self.P, E, X, self.qp(), er)
         return self._once("L", compute)
 
 
@@ -609,7 +619,7 @@ def verify_axc(P: DoctrineData, condition_v: str = "strict",
             hom_table[f"{q.cat.objects[xi]}->{q.cat.objects[yi]}"] = (
                 len(q.cat.hom(xi, yi)),
                 len(er.cat.hom(er.obj_of[q.objects[xi]], er.obj_of[q.objects[yi]])))
-    concl_ok = vf.ok and eq.faithful and eq.full and eq.essentially_surjective
+    concl_ok = vf.ok and eq.is_equivalence
     rep.add(Check("conclusion-comparison-equivalence",
                   _status(concl_ok) if claimed else INFO,
                   None if concl_ok else (eq.witness.get("full")
@@ -667,7 +677,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
         return rep
     er, q, lres = got
     eq = check_equivalence(lres.functor)
-    l_equiv = eq.faithful and eq.full and eq.essentially_surjective
+    l_equiv = eq.is_equivalence
     rep.add(Check("comparison-is-equivalence", _status(l_equiv)))
     win = P.window
     C = P.cat

@@ -167,9 +167,6 @@ class TCompletion:
     arr_of: dict[tuple[int, int, int], int]
     condition_v: str = "strict"
 
-    def object_name(self, carrier: int, rel: int) -> str:
-        return self.cat.objects[self.obj_of[(carrier, rel)]]
-
 
 def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
     """All symmetric-transitive relation objects over core carriers."""
@@ -359,8 +356,7 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     W = P.window
     keep = []
     for oi, (a, rel) in enumerate(tp.objects):
-        aa = W.prod(a, a)[0]
-        by_delta = P.fibers[aa].le(E.delta[a], rel)
+        by_delta = is_reflexive(P, E, a, rel)
         dg = P.r(W.diag(a)).table
         by_unit = int(dg[rel]) == P.fibers[a].top
         if by_delta != by_unit:

@@ -11,13 +11,14 @@ full scan over every arrow and composable pair names the canonical witness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
 from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope,
-                     is_mono)
+                     cospan_cones, is_mono, mediators)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint
 
 
@@ -42,9 +43,6 @@ class DoctrineData:
         if self._window is None:
             self._window = Window(self.cat, self.products, self.scope)
         return self._window
-
-    def fiber(self, obj: int) -> FinInfSL:
-        return self.fibers[obj]
 
     def fiber_named(self, name: str) -> FinInfSL:
         return self.fibers[self.cat.obj_index[name]]
@@ -261,12 +259,7 @@ def box_product(P: DoctrineData, x1: int, y1: int, a1: int,
 
 def _factor_set(C: FinCat, g: int) -> set[int]:
     """All composites g∘u, i.e. the arrows that factor through g."""
-    w = int(C.src[g])
-    out: set[int] = set()
-    for z in range(C.n_objects):
-        for u in C.hom(z, w):
-            out.add(int(C.comp[g, int(u)]))
-    return out
+    return {h for z in range(C.n_objects) for (h,) in mediators(C, z, (g,))}
 
 
 def _factor_classes(C: FinCat, arrows: list[int]) -> tuple[dict[int, set[int]], list[int]]:
@@ -373,31 +366,23 @@ def weak_subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int]]:
     return _class_lattice(C, fsets, reps), reps
 
 
-def _is_weak_pullback(C: FinCat, f: int, g: int, z: int, p: int, q: int) -> bool:
-    """Every cone over the cospan (f, g) factors through (z, p, q)."""
-    for z2 in range(C.n_objects):
-        reach = {(int(C.comp[p, int(m)]), int(C.comp[q, int(m)])) for m in C.hom(z2, z)}
-        for p2 in C.hom(z2, int(C.src[f])):
-            for q2 in C.hom(z2, int(C.src[g])):
-                if int(C.comp[f, int(p2)]) == int(C.comp[g, int(q2)]):
-                    if (int(p2), int(q2)) not in reach:
-                        return False
+def _is_weak_pullback(C: FinCat, cones: list[tuple[int, int, int]], p: int, q: int) -> bool:
+    """Every one of a cospan's cones (z, p2, q2), listed by apex, factors
+    through the span (p, q)."""
+    for z, at_z in itertools.groupby(cones, key=lambda cone: cone[0]):
+        table = mediators(C, z, (p, q))
+        if any((p2, q2) not in table for _, p2, q2 in at_z):
+            return False
     return True
 
 
 def weak_pullback(C: FinCat, f: int, g: int, cap: int = 1 << 20):
     """First cone over the cospan (f, g) through which every cone factors,
     not necessarily uniquely; None when the window has no such cone."""
-    a, b = int(C.src[f]), int(C.src[g])
-    cones = []
-    for z in range(C.n_objects):
-        for p in C.hom(z, a):
-            for q in C.hom(z, b):
-                if int(C.comp[f, int(p)]) == int(C.comp[g, int(q)]):
-                    cones.append((z, int(p), int(q)))
+    cones = list(cospan_cones(C, f, g))
     if len(cones) > cap:
         raise ResourceCap("weak pullback cone enumeration", len(cones), cap)
-    return next((cone for cone in cones if _is_weak_pullback(C, f, g, *cone)), None)
+    return next((cone for cone in cones if _is_weak_pullback(C, cones, *cone[1:])), None)
 
 
 def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope,
@@ -433,20 +418,14 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope,
             wp = weak_pullback(C, f, m)
             if wp is None:
                 raise NoWeakPullback((C.arrows[f], C.arrows[m]))
-            _, p, _ = wp
-            table[j] = class_of[a][p]
+            table[j] = class_of[a][wp[1]]
             if check_choice_independence:
-                z, p0, q0 = wp
-                for z2 in range(C.n_objects):
-                    for p2 in C.hom(z2, a):
-                        for q2 in C.hom(z2, int(C.src[m])):
-                            if int(C.comp[f, int(p2)]) != int(C.comp[m, int(q2)]):
-                                continue
-                            if _is_weak_pullback(C, f, m, z2, int(p2), int(q2)):
-                                if class_of[a][int(p2)] != class_of[a][p0]:
-                                    raise MalformedPresentation(
-                                        "weak pullback choice changes the reflection class "
-                                        f"for ({C.arrows[f]}, {C.arrows[m]})")
+                cones = list(cospan_cones(C, f, m))
+                if any(class_of[a][p2] != table[j] and _is_weak_pullback(C, cones, p2, q2)
+                       for _, p2, q2 in cones):
+                    raise MalformedPresentation(
+                        "weak pullback choice changes the reflection class "
+                        f"for ({C.arrows[f]}, {C.arrows[m]})")
         reindex_maps.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex_maps)
 

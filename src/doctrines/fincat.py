@@ -17,6 +17,7 @@ is a hard error, never a silent skip.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,9 @@ class FinCat:
     """A finite category presentation with index-based internal tables.
 
     The tables are read-only once built, which keeps the data derived from
-    them and kept here (hom sets, generators, law and exactness verdicts)
-    sound; a changed table needs a new FinCat built from a copy."""
+    them and kept here (hom sets, generators, law and exactness verdicts,
+    product cones) sound; a changed table needs a new FinCat built from a
+    copy."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -66,6 +68,7 @@ class FinCat:
         self._generators: np.ndarray | None = None
         self._is_category: bool | None = None
         self._exactness: dict[tuple, ExactnessVerdict] = {}
+        self._product_cones: dict[tuple, Cone | None] = {}
 
     def __setstate__(self, state: dict) -> None:
         # a copy's tables come back writeable: freeze them, derive afresh
@@ -105,13 +108,6 @@ class FinCat:
             raise MalformedPresentation(
                 f"arrows not composable: {self.arrows[g]} after {self.arrows[f]}")
         return h
-
-    def compose_many(self, *arrs: int) -> int:
-        """Composite of a path listed outermost-first: compose_many(h, g, f) = h∘g∘f."""
-        out = arrs[-1]
-        for a in reversed(arrs[:-1]):
-            out = self.compose(a, out)
-        return out
 
     # -- constructors ---------------------------------------------------------
 
@@ -161,9 +157,6 @@ class FinCat:
         comp[filled] = compose[last[filled], 2]
         return FinCat(tuple(objects), tuple(arrows), np.asarray(src, dtype=np.int32),
                       np.asarray(tgt, dtype=np.int32), id_arr, comp.reshape(n, n))
-
-    def arrow_triple(self, i: int) -> tuple[str, str, str]:
-        return (self.arrows[i], self.objects[int(self.src[i])], self.objects[int(self.tgt[i])])
 
     def generators(self) -> np.ndarray:
         """A composition-generating set, chosen greedily in id order: an
@@ -463,9 +456,6 @@ class Window:
         _, ps = self.prod3(a, b, c)
         return self.pair(ps[i - 1], ps[j - 1])
 
-    def tuple3(self, f: int, g: int, h: int) -> int:
-        return self.pair(self.pair(f, g), h)
-
     def prod4(self, x1: int, x2: int, y1: int, y2: int) -> tuple[int, tuple[int, int, int, int]]:
         """(X1×X2)×(Y1×Y2) with the four factor projections."""
         xs, a1, a2 = self.prod(x1, x2)
@@ -499,16 +489,24 @@ class Window:
 # ---------------------------------------------------------------------------
 
 
+def mediators(C: FinCat, z: int, legs: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+    """The arrows m: z -> apex of `legs`, grouped by the cone (l∘m for l in
+    legs) they mediate, in arrow-id order.  Every universal-property test
+    reads this table."""
+    H = C.hom(z, int(C.src[legs[0]]))
+    table: dict[tuple[int, ...], list[int]] = {}
+    for m, cone in zip(H.tolist(), zip(*[C.comp[l, H].tolist() for l in legs])):
+        table.setdefault(cone, []).append(m)
+    return table
+
+
+def jointly_monic(C: FinCat, legs: tuple[int, ...]) -> bool:
+    """No two arrows into the apex of `legs` mediate the same cone."""
+    return all(len(ms) == 1 for z in range(C.n_objects) for ms in mediators(C, z, legs).values())
+
+
 def is_mono(C: FinCat, f: int) -> bool:
-    a = int(C.src[f])
-    for z in range(C.n_objects):
-        h = C.hom(z, a)
-        if len(h) < 2:
-            continue
-        vals = C.comp[f, h]
-        if len(np.unique(vals)) != len(vals):
-            return False
-    return True
+    return jointly_monic(C, (f,))
 
 
 def inverse_of(C: FinCat, f: int) -> int | None:
@@ -538,7 +536,7 @@ def iso_classes(C: FinCat) -> list[list[str]]:
     classes: list[list[int]] = []
     for x in range(C.n_objects):
         for cl in classes:
-            if isomorphic(C, cl[0], x) is not None and isomorphic(C, x, cl[0]) is not None:
+            if isomorphic(C, cl[0], x) is not None:
                 cl.append(x)
                 break
         else:
@@ -571,58 +569,57 @@ def terminal_object(C: FinCat) -> int | None:
                  if all(len(C.hom(z, t)) == 1 for z in range(C.n_objects))), None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cone:
+    """Frozen: product cones are kept on their category and handed out."""
     apex: int
     legs: tuple[int, ...]
 
 
-def _limiting_cones(C: FinCat, cones: list[Cone], cap: int | None = None) -> list[Cone]:
-    """Cones through which every listed cone factors uniquely."""
+def _limiting_cones(C: FinCat, cones: list[Cone], cap: int | None = None):
+    """The cones through which every listed cone factors uniquely, in list
+    order; a candidate is dropped at the first cone that does not."""
     if cap is not None and len(cones) > cap:
         raise ResourceCap("cone enumeration", len(cones), cap)
-    out = []
+    by_apex: dict[int, list[tuple[int, ...]]] = {}
+    for cone in sorted(cones, key=lambda cone: cone.apex):
+        by_apex.setdefault(cone.apex, []).append(cone.legs)
     for cand in cones:
-        good = True
-        for z in sorted({c.apex for c in cones}):
-            table: dict[tuple[int, ...], int] = {}
-            for m in C.hom(z, cand.apex):
-                key = tuple(int(C.comp[l, int(m)]) for l in cand.legs)
-                table[key] = table.get(key, 0) + 1
-            for other in cones:
-                if other.apex != z:
-                    continue
-                if table.get(other.legs, 0) != 1:
-                    good = False
-                    break
-            if not good:
+        for z, legs_at_z in by_apex.items():
+            table = mediators(C, z, cand.legs)
+            if any(len(table.get(legs, ())) != 1 for legs in legs_at_z):
                 break
-        if good:
-            out.append(cand)
-    return out
+        else:
+            yield cand
+
+
+def cospan_cones(C: FinCat, f: int, g: int):
+    """The cones (z, p, q) over the cospan (f: A->T, g: B->T), f∘p = g∘q,
+    ordered by apex, then p, then q."""
+    a, b = int(C.src[f]), int(C.src[g])
+    for z in range(C.n_objects):
+        ha, hb = C.hom(z, a), C.hom(z, b)
+        qs_with = {}                            # g∘q -> the qs, in id order
+        for q, gq in zip(hb.tolist(), C.comp[g, hb].tolist()):
+            qs_with.setdefault(gq, []).append(q)
+        for p, fp in zip(ha.tolist(), C.comp[f, ha].tolist()):
+            for q in qs_with.get(fp, ()):
+                yield z, p, q
+
+
+def _pullbacks(C: FinCat, f: int, g: int, cap: int | None):
+    if int(C.tgt[f]) != int(C.tgt[g]):
+        raise MalformedPresentation("pullback of arrows with different targets")
+    return _limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)], cap)
 
 
 def enumerate_pullbacks(C: FinCat, f: int, g: int, cap: int | None = None) -> list[Cone]:
     """All limiting cones over the cospan (f: A->T, g: B->T); empty if none."""
-    if int(C.tgt[f]) != int(C.tgt[g]):
-        raise MalformedPresentation("pullback of arrows with different targets")
-    a, b = int(C.src[f]), int(C.src[g])
-    cones = []
-    for z in range(C.n_objects):
-        ha, hb = C.hom(z, a), C.hom(z, b)
-        if len(ha) == 0 or len(hb) == 0:
-            continue
-        va = C.comp[f, ha]
-        vb = C.comp[g, hb]
-        eq = va[:, None] == vb[None, :]
-        for i, j in np.argwhere(eq):
-            cones.append(Cone(z, (int(ha[i]), int(hb[j]))))
-    return _limiting_cones(C, cones, cap)
+    return list(_pullbacks(C, f, g, cap))
 
 
 def pullback(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
-    lims = enumerate_pullbacks(C, f, g, cap)
-    return lims[0] if lims else None
+    return next(_pullbacks(C, f, g, cap), None)
 
 
 def kernel_pair(C: FinCat, f: int, cap: int | None = None) -> Cone | None:
@@ -633,47 +630,27 @@ def equalizer(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
     """The limiting fork over a parallel pair, if the window contains one."""
     if int(C.src[f]) != int(C.src[g]) or int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("equalizer of a non-parallel pair")
-    a = int(C.src[f])
-    cones = []
-    for z in range(C.n_objects):
-        for e in C.hom(z, a):
-            e = int(e)
-            if int(C.comp[f, e]) == int(C.comp[g, e]):
-                cones.append(Cone(z, (e,)))
-    lims = _limiting_cones(C, cones, cap)
-    return lims[0] if lims else None
+    cones = [Cone(z, (e,)) for z in range(C.n_objects)
+             for e in C.hom(z, int(C.src[f])).tolist() if C.comp[f, e] == C.comp[g, e]]
+    return next(_limiting_cones(C, cones, cap), None)
 
 
 def product_cone(C: FinCat, a: int, b: int, cap: int | None = None) -> Cone | None:
-    """A limiting span over (a, b), searched among all objects of C."""
-    cones = []
-    for z in range(C.n_objects):
-        ha, hb = C.hom(z, a), C.hom(z, b)
-        for p in ha:
-            for q in hb:
-                cones.append(Cone(z, (int(p), int(q))))
-    lims = _limiting_cones(C, cones, cap)
-    return lims[0] if lims else None
+    """A limiting span over (a, b), searched among all objects of C once
+    and kept on C, one per (a, b, cap)."""
+    key = (a, b, cap)
+    if key not in C._product_cones:
+        cones = [Cone(z, (p, q)) for z in range(C.n_objects)
+                 for p in C.hom(z, a).tolist() for q in C.hom(z, b).tolist()]
+        C._product_cones[key] = next(_limiting_cones(C, cones, cap), None)
+    return C._product_cones[key]
 
 
 def coequalizer_arrows(C: FinCat, r: int, s: int) -> list[int]:
     """All arrows that coequalize (r, s) and are universal among such."""
     if int(C.src[r]) != int(C.src[s]) or int(C.tgt[r]) != int(C.tgt[s]):
         raise MalformedPresentation("coequalizer of a non-parallel pair")
-    x = int(C.tgt[r])
-    forks = [int(q) for q in C.outof(x) if int(C.comp[int(q), r]) == int(C.comp[int(q), s])]
-    out = []
-    for q in forks:
-        qt = int(C.tgt[q])
-        good = True
-        for h in forks:
-            ms = [int(m) for m in C.hom(qt, int(C.tgt[h])) if int(C.comp[int(m), q]) == h]
-            if len(ms) != 1:
-                good = False
-                break
-        if good:
-            out.append(q)
-    return out
+    return [q for q in C.outof(int(C.tgt[r])).tolist() if is_coequalizer_of(C, q, r, s)]
 
 
 def is_coequalizer_of(C: FinCat, e: int, r: int, s: int) -> bool:
@@ -697,15 +674,8 @@ def is_regular_epi(C: FinCat, e: int, cap: int | None = None) -> bool:
     kp = kernel_pair(C, e, cap)
     if kp is not None:
         return is_coequalizer_of(C, e, kp.legs[0], kp.legs[1])
-    a = int(C.src[e])
-    for z in range(C.n_objects):
-        hz = C.hom(z, a)
-        for r in hz:
-            for s in hz:
-                r_, s_ = int(r), int(s)
-                if int(C.comp[e, r_]) == int(C.comp[e, s_]) and is_coequalizer_of(C, e, r_, s_):
-                    return True
-    return False
+    return any(is_coequalizer_of(C, e, r, s) for z in range(C.n_objects)
+               for r, s in itertools.product(C.hom(z, int(C.src[e])).tolist(), repeat=2))
 
 
 @dataclass
@@ -757,45 +727,20 @@ class ExactnessVerdict:
 
 def _internal_equivalence_relations(C: FinCat, x: int, cap: int | None):
     """Jointly monic reflexive symmetric transitive spans over x."""
+    idx = int(C.id_arr[x])
     out = []
     for rob in range(C.n_objects):
-        h = C.hom(rob, x)
-        for r1 in h:
-            for r2 in h:
-                r1_, r2_ = int(r1), int(r2)
-                # jointly monic
-                jm = True
-                for z in range(C.n_objects):
-                    seen = set()
-                    for m in C.hom(z, rob):
-                        key = (int(C.comp[r1_, int(m)]), int(C.comp[r2_, int(m)]))
-                        if key in seen:
-                            jm = False
-                            break
-                        seen.add(key)
-                    if not jm:
-                        break
-                if not jm:
-                    continue
-                idx = int(C.id_arr[x])
-                refl = any(int(C.comp[r1_, int(d)]) == idx and int(C.comp[r2_, int(d)]) == idx
-                           for d in C.hom(x, rob))
-                if not refl:
-                    continue
-                sym = any(int(C.comp[r1_, int(s)]) == r2_ and int(C.comp[r2_, int(s)]) == r1_
-                          for s in C.hom(rob, rob))
-                if not sym:
-                    continue
-                pb = pullback(C, r1_, r2_, cap)
-                if pb is None:
-                    continue  # transitivity not expressible inside the window
-                q1, q2 = pb.legs
-                trans = any(int(C.comp[r1_, int(t)]) == int(C.comp[r1_, q2])
-                            and int(C.comp[r2_, int(t)]) == int(C.comp[r2_, q1])
-                            for t in C.hom(pb.apex, rob))
-                if not trans:
-                    continue
-                out.append((rob, r1_, r2_))
+        for r1, r2 in itertools.product(C.hom(rob, x).tolist(), repeat=2):
+            if not (jointly_monic(C, (r1, r2))
+                    and (idx, idx) in mediators(C, x, (r1, r2))         # reflexive
+                    and (r2, r1) in mediators(C, rob, (r1, r2))):       # symmetric
+                continue
+            pb = pullback(C, r1, r2, cap)
+            if pb is None:
+                continue  # transitivity not expressible inside the window
+            q1, q2 = pb.legs
+            if (int(C.comp[r1, q2]), int(C.comp[r2, q1])) in mediators(C, pb.apex, (r1, r2)):
+                out.append((rob, r1, r2))
     return out
 
 
@@ -817,96 +762,73 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
 
 def _exactness_verdict(C: FinCat, core_names: tuple[str, ...],
                        cap: int | None) -> ExactnessVerdict:
+    """Each clause is decided only when the ones before it hold; a failing
+    clause records its first witness."""
     core = [C.obj_index[o] for o in core_names]
     witness: dict = {"core": core_names}
+    holds: list[bool] = []
+    for clause, first_failure in (("finitely_complete", _finite_limit_failure),
+                                  ("regular", _regularity_failure),
+                                  ("exact", _effectiveness_failure)):
+        bad = first_failure(C, core, cap) if all(holds) else None
+        if bad is not None:
+            witness[clause] = bad
+        holds.append(all(holds) and bad is None)
+    return ExactnessVerdict(*holds, core_names, witness)
 
-    fc = True
+
+def _finite_limit_failure(C: FinCat, core: list[int], cap: int | None):
+    """A terminal, products of core pairs, equalizers of parallel pairs
+    between core objects: the first that is missing, or None."""
     if terminal_object(C) is None:
-        fc = False
-        witness["finitely_complete"] = "no terminal object"
-    if fc:
-        for a in core:
-            for b in core:
-                if product_cone(C, a, b, cap) is None:
-                    fc = False
-                    witness["finitely_complete"] = (C.objects[a], C.objects[b])
-                    break
-            if not fc:
-                break
-    if fc:
-        for a in core:
-            for b in core:
-                h = C.hom(a, b)
-                for f in h:
-                    for g in h:
-                        if int(f) < int(g) and equalizer(C, int(f), int(g), cap) is None:
-                            fc = False
-                            witness["finitely_complete"] = (C.arrows[int(f)], C.arrows[int(g)])
-                if not fc:
-                    break
-            if not fc:
-                break
+        return "no terminal object"
+    for a, b in itertools.product(core, repeat=2):
+        if product_cone(C, a, b, cap) is None:
+            return (C.objects[a], C.objects[b])
+    for a, b in itertools.product(core, repeat=2):
+        for f, g in itertools.combinations(C.hom(a, b).tolist(), 2):
+            if equalizer(C, f, g, cap) is None:
+                return (C.arrows[f], C.arrows[g])
+    return None
 
-    reg = fc
-    if reg:
-        core_set = set(core)
-        core_arrows = [f for f in range(C.n_arrows)
-                       if int(C.src[f]) in core_set and int(C.tgt[f]) in core_set]
-        for f in core_arrows:
-            if kernel_pair(C, f, cap) is None:
-                reg = False
-                witness["regular"] = ("kernel pair", C.arrows[f])
-                break
-            if image_factorization(C, f, cap) is None:
-                reg = False
-                witness["regular"] = ("factorization", C.arrows[f])
-                break
-        if reg:
-            repis = [f for f in core_arrows if is_regular_epi(C, f, cap)]
-            for e in repis:
-                b = int(C.tgt[e])
-                for c in core:
-                    for g in C.hom(c, b):
-                        pb = pullback(C, e, int(g), cap)
-                        if pb is None:
-                            reg = False
-                            witness["regular"] = ("stability pullback", C.arrows[e], C.arrows[int(g)])
-                            break
-                        if not is_regular_epi(C, pb.legs[1], cap):
-                            reg = False
-                            witness["regular"] = ("stability", C.arrows[e], C.arrows[int(g)])
-                            break
-                    if not reg:
-                        break
-                if not reg:
-                    break
 
-    ex = reg
-    if ex:
-        for x in core:
-            for rob, r1, r2 in _internal_equivalence_relations(C, x, cap):
-                qs = coequalizer_arrows(C, r1, r2)
-                if not qs:
-                    ex = False
-                    witness["exact"] = ("no coequalizer", C.arrows[r1], C.arrows[r2])
-                    break
-                q = qs[0]
-                kp = kernel_pair(C, q, cap)
-                if kp is None:
-                    ex = False
-                    witness["exact"] = ("no kernel pair of quotient", C.arrows[q])
-                    break
-                med = [int(m) for m in C.hom(rob, kp.apex)
-                       if int(C.comp[kp.legs[0], int(m)]) == r1
-                       and int(C.comp[kp.legs[1], int(m)]) == r2]
-                if len(med) != 1 or not is_iso(C, med[0]):
-                    ex = False
-                    witness["exact"] = ("not effective", C.arrows[r1], C.arrows[r2])
-                    break
-            if not ex:
-                break
+def _regularity_failure(C: FinCat, core: list[int], cap: int | None):
+    """Kernel pairs, image factorizations and pullback-stable regular epis
+    for arrows between core objects: the first that fails, or None."""
+    core_set = set(core)
+    core_arrows = [f for f in range(C.n_arrows)
+                   if int(C.src[f]) in core_set and int(C.tgt[f]) in core_set]
+    for f in core_arrows:
+        if kernel_pair(C, f, cap) is None:
+            return ("kernel pair", C.arrows[f])
+        if image_factorization(C, f, cap) is None:
+            return ("factorization", C.arrows[f])
+    for e in [f for f in core_arrows if is_regular_epi(C, f, cap)]:
+        for c in core:
+            for g in C.hom(c, int(C.tgt[e])).tolist():
+                pb = pullback(C, e, g, cap)
+                if pb is None:
+                    return ("stability pullback", C.arrows[e], C.arrows[g])
+                if not is_regular_epi(C, pb.legs[1], cap):
+                    return ("stability", C.arrows[e], C.arrows[g])
+    return None
 
-    return ExactnessVerdict(fc, reg, ex, core_names, witness)
+
+def _effectiveness_failure(C: FinCat, core: list[int], cap: int | None):
+    """Every internal equivalence relation on a core object is the kernel
+    pair of its coequalizer: the first that is not, or None."""
+    for x in core:
+        for rob, r1, r2 in _internal_equivalence_relations(C, x, cap):
+            qs = coequalizer_arrows(C, r1, r2)
+            if not qs:
+                return ("no coequalizer", C.arrows[r1], C.arrows[r2])
+            kp = kernel_pair(C, qs[0], cap)
+            if kp is None:
+                return ("no kernel pair of quotient", C.arrows[qs[0]])
+            med = mediators(C, rob, kp.legs).get((r1, r2), [])
+            if len(med) != 1 or not is_iso(C, med[0]):
+                return ("not effective", C.arrows[r1], C.arrows[r2])
+    return None
 
 
 def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]:
@@ -1021,7 +943,7 @@ def check_equivalence(F: FunctorData) -> EquivalenceVerdict:
         found = None
         for a, fa in enumerate(image_objs):
             i = isomorphic(T, fa, z)
-            if i is not None and isomorphic(T, z, fa) is not None:
+            if i is not None:
                 found = (S.objects[a], T.arrows[i])
                 break
         if found is None:

@@ -24,7 +24,8 @@ import numpy as np
 
 from .doctrine import DoctrineData
 from .fincat import FinCat, ProductChoice, WindowScope, validate_products
-from .semilattice import FinInfSL, MonotoneMap, chain, diamond, identity_map, lattice_from_leq
+from .semilattice import (MonotoneMap, chain, diamond, identity_map, lattice_from_leq,
+                          powerset)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +266,13 @@ def fs2_base() -> tuple[FinCat, ProductChoice, WindowScope, dict]:
     return _FS2_CACHE["base"]
 
 
-def powerset_fiber(k: int) -> FinInfSL:
-    from .semilattice import powerset
-    return powerset(k)
-
-
 def fs2() -> DoctrineData:
     """Full powerset fibers with preimage reindexing over the finite-set base."""
     if "doctrine" in _FS2_CACHE:
         return _FS2_CACHE["doctrine"]
     cat, pc, scope, lookup = fs2_base()
     sizes = [int(o) for o in cat.objects]
-    fibers = [powerset_fiber(s) for s in sizes]
+    fibers = [powerset(s) for s in sizes]
     vals_of: dict[int, tuple[int, ...]] = {}
     for (a, b, vals), nm in lookup.items():
         vals_of[cat.arr_index[nm]] = vals
@@ -293,15 +289,6 @@ def fs2() -> DoctrineData:
     P = DoctrineData(cat, pc, scope, fibers, reindex)
     _FS2_CACHE["doctrine"] = P
     return P
-
-
-def fs2_names() -> dict:
-    """Handy FS2 element names: masks for the 2-carrier relation fiber."""
-    return {
-        "diag2": "s9",      # {(0,0),(1,1)} as bits 2x+y in {0,3}
-        "full2": "s15",
-        "empty": "s0",
-    }
 
 
 # ---------------------------------------------------------------------------

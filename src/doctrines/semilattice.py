@@ -53,9 +53,6 @@ class FinInfSL:
     def downset(self, i: int) -> list[int]:
         return [int(k) for k in np.flatnonzero(self.leq[:, i])]
 
-    def upset(self, i: int) -> list[int]:
-        return [int(k) for k in np.flatnonzero(self.leq[i, :])]
-
     def validate(self) -> str | None:
         """Return None if this is a genuine inf-semilattice, else a message."""
         n = self.n

@@ -17,6 +17,7 @@ import numpy as np
 
 from .doctrine import DoctrineData
 from .errors import WindowClosure
+from .fincat import mediators
 from .semilattice import MonotoneMap, NoAdjoint, left_adjoint
 
 
@@ -265,18 +266,18 @@ def verify_comprehension_arrow(P: DoctrineData, a: int, el: int, c: int,
     restricts the element to top and every other restrictor factors through
     it (uniquely, when strict)."""
     C = P.cat
-    if int(C.tgt[c]) != a:
+
+    def restricts(f: int) -> bool:
+        return int(P.r(f).table[el]) == P.fibers[int(C.src[f])].top
+
+    if int(C.tgt[c]) != a or not restricts(c):
         return False
-    if int(P.r(c).table[el]) != P.fibers[int(C.src[c])].top:
-        return False
-    for f in C.into(a):
-        f = int(f)
-        if int(P.r(f).table[el]) != P.fibers[int(C.src[f])].top:
-            continue
-        g = [int(x) for x in C.hom(int(C.src[f]), int(C.src[c]))
-             if int(C.comp[c, int(x)]) == f]
-        if len(g) == 0 or (strict and len(g) > 1):
-            return False
+    for z in range(C.n_objects):
+        table = mediators(C, z, (c,))
+        for f in C.hom(z, a).tolist():
+            g = table.get((f,), ())
+            if restricts(f) and (not g or (strict and len(g) > 1)):
+                return False
     return True
 
 
@@ -301,8 +302,7 @@ def comprehension_table(P: DoctrineData) -> ComprehensionTable:
             for el2, c2 in pairs:
                 if c1 is None or c2 is None:
                     continue
-                factors = any(int(C.comp[c2, int(g)]) == c1
-                              for g in C.hom(int(C.src[c1]), int(C.src[c2])))
+                factors = (c1,) in mediators(C, int(C.src[c1]), (c2,))
                 if factors and not fib.le(el1, el2):
                     full = False
                     witness = witness or (C.objects[a], fib.elements[el1], fib.elements[el2])
@@ -345,11 +345,10 @@ class DeltaLawVerdict:
     ok: bool
     checked: list[tuple[str, str]]
     skipped: list[tuple[str, str, str]]
-    skips_acknowledged: bool
     witness: tuple = ()
 
     def __bool__(self) -> bool:
-        return self.ok and self.skips_acknowledged
+        return self.ok
 
 
 def check_delta_product_law(P: DoctrineData, E: ElementaryWitness) -> DeltaLawVerdict:
@@ -390,4 +389,4 @@ def check_delta_product_law(P: DoctrineData, E: ElementaryWitness) -> DeltaLawVe
                 if not witness:
                     fib = P.fibers[win.prod(ab, ab)[0]]
                     witness = names + (fib.elements[lhs], fib.elements[rhs])
-    return DeltaLawVerdict(ok, checked, skipped, True, witness)
+    return DeltaLawVerdict(ok, checked, skipped, witness)

@@ -4,9 +4,11 @@ Everything here is deliberately written from scratch against plain sets of
 pairs, never through the package's fiber/reindex tables, so the two routes
 stay independent.  Relations over range(n) are frozensets of pairs; the mask
 encoding matches the fixture convention (pair (x, y) over carriers of sizes
-(p, q) is the bit at x*q + y).  One reference is not from scratch:
+(p, q) is the bit at x*q + y).  Some references are not from scratch:
 `meets_from_leq` is the package's former per-pair meet search, kept to
-check the down-set lookup that replaced it.
+check the down-set lookup that replaced it, and the universal-property
+searches at the end are the package's former plain loops, kept to check
+the mediator table that replaced them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from doctrines.errors import MalformedPresentation
+from doctrines.errors import MalformedPresentation, ResourceCap
 
 
 def rel_from_mask(mask: int, p: int, q: int) -> frozenset:
@@ -368,3 +370,132 @@ def meets_from_leq(elements, leq):
                     f"elements {elements[i]}, {elements[j]} have no meet")
             meet[i, j] = greatest[0]
     return top, meet
+
+
+# ---------------------------------------------------------------------------
+# the package's former universal-property searches, one loop per test
+# ---------------------------------------------------------------------------
+
+
+def limiting_cones(C, cones, cap=None):
+    """Cones through which every listed cone factors uniquely."""
+    if cap is not None and len(cones) > cap:
+        raise ResourceCap("cone enumeration", len(cones), cap)
+    out = []
+    for cand in cones:
+        good = True
+        for z in sorted({c.apex for c in cones}):
+            table: dict[tuple[int, ...], int] = {}
+            for m in C.hom(z, cand.apex):
+                key = tuple(int(C.comp[l, int(m)]) for l in cand.legs)
+                table[key] = table.get(key, 0) + 1
+            for other in cones:
+                if other.apex != z:
+                    continue
+                if table.get(other.legs, 0) != 1:
+                    good = False
+                    break
+            if not good:
+                break
+        if good:
+            out.append(cand)
+    return out
+
+
+def is_mono(C, f: int) -> bool:
+    a = int(C.src[f])
+    for z in range(C.n_objects):
+        h = C.hom(z, a)
+        if len(h) < 2:
+            continue
+        vals = C.comp[f, h]
+        if len(np.unique(vals)) != len(vals):
+            return False
+    return True
+
+
+def jointly_monic(C, r1: int, r2: int) -> bool:
+    """The joint-monicity test of the former internal equivalence relation
+    search, for a span (r1, r2)."""
+    rob = int(C.src[r1])
+    for z in range(C.n_objects):
+        seen = set()
+        for m in C.hom(z, rob):
+            key = (int(C.comp[r1, int(m)]), int(C.comp[r2, int(m)]))
+            if key in seen:
+                return False
+            seen.add(key)
+    return True
+
+
+def coequalizer_arrows(C, r: int, s: int) -> list[int]:
+    """All arrows that coequalize (r, s) and are universal among such."""
+    if int(C.src[r]) != int(C.src[s]) or int(C.tgt[r]) != int(C.tgt[s]):
+        raise MalformedPresentation("coequalizer of a non-parallel pair")
+    x = int(C.tgt[r])
+    forks = [int(q) for q in C.outof(x) if int(C.comp[int(q), r]) == int(C.comp[int(q), s])]
+    out = []
+    for q in forks:
+        qt = int(C.tgt[q])
+        good = True
+        for h in forks:
+            ms = [int(m) for m in C.hom(qt, int(C.tgt[h])) if int(C.comp[int(m), q]) == h]
+            if len(ms) != 1:
+                good = False
+                break
+        if good:
+            out.append(q)
+    return out
+
+
+def is_weak_pullback(C, f: int, g: int, z: int, p: int, q: int) -> bool:
+    """Every cone over the cospan (f, g) factors through (z, p, q)."""
+    for z2 in range(C.n_objects):
+        reach = {(int(C.comp[p, int(m)]), int(C.comp[q, int(m)])) for m in C.hom(z2, z)}
+        for p2 in C.hom(z2, int(C.src[f])):
+            for q2 in C.hom(z2, int(C.src[g])):
+                if int(C.comp[f, int(p2)]) == int(C.comp[g, int(q2)]):
+                    if (int(p2), int(q2)) not in reach:
+                        return False
+    return True
+
+
+def cospan_cones(C, f: int, g: int) -> list[tuple[int, int, int]]:
+    """The cones (z, p, q) over the cospan (f, g), as the former weak
+    pullback search listed them."""
+    a, b = int(C.src[f]), int(C.src[g])
+    cones = []
+    for z in range(C.n_objects):
+        for p in C.hom(z, a):
+            for q in C.hom(z, b):
+                if int(C.comp[f, int(p)]) == int(C.comp[g, int(q)]):
+                    cones.append((z, int(p), int(q)))
+    return cones
+
+
+def weak_pullback(C, f: int, g: int, cap: int = 1 << 20):
+    """First cone over the cospan (f, g) through which every cone factors,
+    not necessarily uniquely; None when the window has no such cone."""
+    cones = cospan_cones(C, f, g)
+    if len(cones) > cap:
+        raise ResourceCap("weak pullback cone enumeration", len(cones), cap)
+    return next((cone for cone in cones if is_weak_pullback(C, f, g, *cone)), None)
+
+
+def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) -> bool:
+    """Arrow c restricts the element to top and every other restrictor
+    factors through it (uniquely, when strict)."""
+    C = P.cat
+    if int(C.tgt[c]) != a:
+        return False
+    if int(P.r(c).table[el]) != P.fibers[int(C.src[c])].top:
+        return False
+    for f in C.into(a):
+        f = int(f)
+        if int(P.r(f).table[el]) != P.fibers[int(C.src[f])].top:
+            continue
+        g = [int(x) for x in C.hom(int(C.src[f]), int(C.src[c]))
+             if int(C.comp[c, int(x)]) == f]
+        if len(g) == 0 or (strict and len(g) > 1):
+            return False
+    return True

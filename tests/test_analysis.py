@@ -14,7 +14,7 @@ from doctrines.compare import (analysis, verify_axc, verify_converse_axc,
                                verify_cthn, verify_fulc)
 from doctrines.completions import Caps
 from doctrines.doctrine import sub_doctrine
-from doctrines.errors import ResourceCap
+from doctrines.errors import MalformedPresentation, ResourceCap
 from doctrines.fileformat import emit_doctrine
 from doctrines.fincat import WindowScope
 
@@ -117,6 +117,20 @@ def test_errors_are_kept_and_raised_again(monkeypatch):
     assert builds[id(P)] == 1
     analysis(P).tp()
     assert builds[id(P)] == 2
+
+
+@pytest.mark.parametrize("part", ["tp", "er", "L", "rule_of_choice", "qp"])
+def test_parts_need_the_discovered_structure(part):
+    """mixedfail has no elementary structure: every part built on it raises
+    an error that names the failed discovery, kept and raised again."""
+    an = analysis(fixtures.mixedfail())
+    assert an.eed()[1] is None
+    with pytest.raises(MalformedPresentation) as first:
+        getattr(an, part)()
+    with pytest.raises(MalformedPresentation) as again:
+        getattr(an, part)()
+    assert "needs the elementary structure, whose discovery failed" in str(first.value)
+    assert again.value is not first.value and str(again.value) == str(first.value)
 
 
 @pytest.mark.parametrize("name", ["chain", "nochoice"])

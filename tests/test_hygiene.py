@@ -1,11 +1,13 @@
 """Source hygiene checked with the standard library alone."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "doctrines"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "doctrines"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +36,64 @@ def test_scan_finds_unused_import():
 def test_no_unused_imports(path):
     """`__init__.py` is left out: its imports are the package's re-exports."""
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """Top-level functions and the methods of top-level classes, dunder
+    methods left out, with their lines."""
+    out = []
+    for node in ast.parse(source).body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        out += [(d.name, d.lineno) for d in body
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (d.name.startswith("__") and d.name.endswith("__"))]
+    return out
+
+
+def names_used(source: str) -> set[str]:
+    """Every name a module reads or imports, or spells in a dotted string
+    such as "fincat.product_cone", outside the body of the function or
+    method it names.  Plain strings do not count: a file-format keyword
+    such as "fiber" is not a use of a method of that name."""
+    used: set[str] = set()
+
+    def walk(node, inside: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            found = [node.id]
+        elif isinstance(node, ast.Attribute):
+            found = [node.attr]
+        elif isinstance(node, ast.alias):
+            found = [node.name.split(".")[-1]]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"\w+(\.\w+)+", node.value):
+            found = node.value.split(".")
+        else:
+            found = []
+        used.update(name for name in found if name not in inside)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(source), frozenset())
+    return used
+
+
+def test_scan_finds_unused_definition():
+    source = ("def used():\n    return 1\n\n"
+              "def recursive(n):\n    return recursive(n - 1)\n\n"
+              "class K:\n    def __repr__(self):\n        return ''\n"
+              "    def method(self):\n        return used()\n")
+    unused = [(name, line) for name, line in definitions(source)
+              if name not in names_used(source)]
+    assert unused == [("recursive", 4), ("method", 10)]
+
+
+def test_no_unused_definitions():
+    """Every function and method of the package is named somewhere in the
+    package, its tests or the benchmark, outside its own definition."""
+    files = [p for d in ("src", "tests", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = set().union(*(names_used(p.read_text()) for p in files))
+    unused = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+              for name, line in definitions(path.read_text()) if name not in used]
+    assert unused == []

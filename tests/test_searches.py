@@ -1,0 +1,155 @@
+"""The universal-property searches against the plain loops they replaced.
+
+Limiting cones, monos, joint monicity, coequalizers, weak pullbacks and
+comprehensions all read one mediator table (`fincat.mediators`); on random
+small categories of finite maps and their powerset doctrines each must give
+the result lists of the former loops in `oracles.py`, in order.  Product
+cones are searched once per category, pair and cap."""
+
+import copy
+import itertools
+import pickle
+
+from hypothesis import given, settings
+
+import oracles
+from doctrines import completions, fincat, fixtures
+from doctrines.compare import analysis
+from doctrines.completions import choose_products
+from doctrines.doctrine import _is_weak_pullback, weak_pullback
+from doctrines.fincat import (Cone, WindowScope, check_exact, coequalizer_arrows,
+                              cospan_cones, equalizer, greedy_product_core, is_mono,
+                              jointly_monic, product_cone)
+from doctrines.structure import verify_comprehension_arrow
+from test_laws import concrete_categories, corrupted_doctrines
+
+
+def _pairs(C, same_source: bool):
+    """Arrow pairs with a common target, and a common source when asked."""
+    return [(f, g) for f, g in itertools.product(range(C.n_arrows), repeat=2)
+            if C.tgt[f] == C.tgt[g] and (not same_source or C.src[f] == C.src[g])]
+
+
+def _cone_lists(C):
+    """The candidate lists the limit searches hand to `_limiting_cones`:
+    spans over every object pair, cospan cones, forks of parallel pairs."""
+    for a, b in itertools.product(range(C.n_objects), repeat=2):
+        yield [Cone(z, (int(p), int(q))) for z in range(C.n_objects)
+               for p in C.hom(z, a) for q in C.hom(z, b)]
+    for f, g in _pairs(C, same_source=False)[::7]:
+        yield [Cone(z, (p, q)) for z, p, q in oracles.cospan_cones(C, f, g)]
+    for f, g in _pairs(C, same_source=True)[::3]:
+        yield [Cone(z, (int(e),)) for z in range(C.n_objects)
+               for e in C.hom(z, int(C.src[f])) if C.comp[f, e] == C.comp[g, e]]
+
+
+@settings(max_examples=40)
+@given(concrete_categories())
+def test_limiting_cones_match_oracle(sample):
+    C = sample[0]
+    for cones in _cone_lists(C):
+        assert list(fincat._limiting_cones(C, cones)) == oracles.limiting_cones(C, cones)
+
+
+@settings(max_examples=60)
+@given(concrete_categories())
+def test_monos_and_jointly_monic_spans_match_oracle(sample):
+    C = sample[0]
+    assert [is_mono(C, f) for f in range(C.n_arrows)] == \
+        [oracles.is_mono(C, f) for f in range(C.n_arrows)]
+    spans = [(f, g) for f, g in itertools.product(range(C.n_arrows), repeat=2)
+             if C.src[f] == C.src[g]]
+    assert [jointly_monic(C, span) for span in spans] == \
+        [oracles.jointly_monic(C, *span) for span in spans]
+
+
+@settings(max_examples=60)
+@given(concrete_categories())
+def test_coequalizer_arrows_match_oracle(sample):
+    C = sample[0]
+    for r, s in _pairs(C, same_source=True):
+        assert coequalizer_arrows(C, r, s) == oracles.coequalizer_arrows(C, r, s)
+
+
+@settings(max_examples=40)
+@given(concrete_categories())
+def test_weak_pullbacks_match_oracle(sample):
+    """The cospan cones in order, every cone's weak-pullback verdict and the
+    first weak pullback of every cospan."""
+    C = sample[0]
+    for f, g in _pairs(C, same_source=False)[::4]:
+        cones = list(cospan_cones(C, f, g))
+        assert cones == oracles.cospan_cones(C, f, g)
+        assert [_is_weak_pullback(C, cones, p, q) for _, p, q in cones] == \
+            [oracles.is_weak_pullback(C, f, g, *cone) for cone in cones]
+        assert weak_pullback(C, f, g) == oracles.weak_pullback(C, f, g)
+
+
+@settings(max_examples=60)
+@given(corrupted_doctrines())
+def test_comprehension_arrows_match_oracle(P):
+    """Every arrow into every object, for every element, strict and weak, on
+    powerset doctrines with up to two corrupted entries."""
+    C = P.cat
+    for a in range(C.n_objects):
+        for el in range(P.fibers[a].n):
+            for c in C.into(a).tolist():
+                for strict in (True, False):
+                    assert verify_comprehension_arrow(P, a, el, c, strict) == \
+                        oracles.verify_comprehension_arrow(P, a, el, c, strict)
+
+
+def test_product_cones_searched_once_per_category(chain, monkeypatch):
+    """choose_products, greedy_product_core and check_exact share one cone
+    search per (a, b, cap) on a copy of a completion category."""
+    C = copy.deepcopy(analysis(chain).tp().cat)
+    calls, searches, inside = [], [], []
+    search, limiting_cones = fincat.product_cone, fincat._limiting_cones
+
+    def counted_product_cone(C, a, b, cap=None):
+        calls.append((a, b, cap))
+        inside.append(True)
+        try:
+            return search(C, a, b, cap)
+        finally:
+            inside.pop()
+
+    def counted_limiting_cones(C, cones, cap=None):
+        if inside:
+            searches.append(cones)
+        return limiting_cones(C, cones, cap)
+
+    for module in (fincat, completions):
+        monkeypatch.setattr(module, "product_cone", counted_product_cone)
+    monkeypatch.setattr(fincat, "_limiting_cones", counted_limiting_cones)
+    choose_products(C)
+    check_exact(C, WindowScope(greedy_product_core(C)))
+    assert len(searches) == len(set(calls)) == len(C._product_cones) < len(calls)
+
+
+def test_copies_start_with_an_empty_cone_memo(chain):
+    C = analysis(chain).tp().cat
+    assert product_cone(C, 0, 0) is product_cone(C, 0, 0)
+    assert C._product_cones
+    assert copy.copy(C)._product_cones == {}
+    assert copy.deepcopy(C)._product_cones == {}
+    assert pickle.loads(pickle.dumps(C))._product_cones == {}
+
+
+def test_equalizer_clause_names_first_failing_pair():
+    """Maps 2 -> 2 in a finite-set window without the empty set: the pairs
+    that agree nowhere, (id, swap) and (c0, c1), have no equalizer, and the
+    finitely-complete witness is the first of them in arrow-id order."""
+    cat, _, _, lookup = fixtures.finset_window([1, 2, 4], [2])
+    two = cat.obj_index["2"]
+    values = {cat.arr_index[name]: vals for (a, b, vals), name in lookup.items()
+              if (a, b) == (2, 2)}
+    disjoint = [(f, g) for f, g in itertools.combinations(sorted(values), 2)
+                if all(x != y for x, y in zip(values[f], values[g]))]
+    assert len(disjoint) == 2
+    for f, g in itertools.combinations(cat.hom(two, two).tolist(), 2):
+        assert (equalizer(cat, f, g) is None) == ((f, g) in disjoint)
+    v = check_exact(cat, WindowScope(("2",)))
+    assert not v.finitely_complete and not v.regular and not v.exact
+    f, g = disjoint[0]
+    assert v.witness == {"core": ("2",), "finitely_complete": (cat.arrows[f], cat.arrows[g])}
