@@ -299,13 +299,49 @@ def subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], dict[int, s
     return _class_lattice(C, fsets, reps), reps, {r: fsets[r] for r in reps}
 
 
+def _greatest_classes(C: FinCat, reps_by_obj: list[list[int]],
+                      fsets_by_obj: list[dict[int, set[int]]]) -> list[np.ndarray]:
+    """Reindexing of the poset reflection of a class of arrows, given by the
+    representatives of the classes on each object and their factor sets: one
+    table per arrow f: a -> b, in id order.
+
+    Entry j of f's table is the position of the greatest class [g] of a such
+    that f∘g factors through the j-th representative m of b, or -1 when there
+    is none.  For subobjects this class is the pullback of m along f.  For
+    weak subobjects it is the class of the first leg of any weak pullback
+    (X, p, q) of (f, m): f∘p = m∘q, and when f∘g = m∘u the cone (g, u)
+    factors through (p, q), so g factors through p.
+
+    One matmul per arrow: H[j, k] says that f∘g_k factors through m_j, for
+    the arrows g_k into a, and bad[j, i] counts the g_k with H[j, k] set that
+    do not factor through representative i; entry j is the first i with
+    H[j, pos(i)] set and bad[j, i] = 0.  The counts, at most |into(a)| < 2^24,
+    are exact in float32, and a float32 matmul goes through BLAS where an
+    integer one does not."""
+    masks, outside, rep_pos = [], [], []
+    for a, (reps, fsets) in enumerate(zip(reps_by_obj, fsets_by_obj)):
+        mask = np.zeros((len(reps), C.n_arrows), dtype=bool)
+        for i, r in enumerate(reps):
+            mask[i, list(fsets[r])] = True
+        masks.append(mask)
+        outside.append((~mask[:, C.into(a)]).T.astype(np.float32))
+        rep_pos.append(np.searchsorted(C.into(a), reps))
+    tables = []
+    for f in range(C.n_arrows):
+        a, b = int(C.src[f]), int(C.tgt[f])
+        H = masks[b][:, C.comp[f, C.into(a)]]
+        bad = H.astype(np.float32) @ outside[a]
+        ok = H[:, rep_pos[a]] & (bad == 0)
+        tables.append(np.where(ok.any(axis=1), ok.argmax(axis=1), -1).astype(np.int32))
+    return tables
+
+
 def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineData:
     """Fibers are subobject posets (canonical representative = least arrow id),
-    reindexing is pullback of monos, computed as the largest subobject whose
-    image lands in the given one; missing pullbacks are window-closure errors."""
-    fibers: list[FinInfSL] = []
-    reps_by_obj: list[list[int]] = []
-    fsets_by_obj: list[dict[int, set[int]]] = []
+    reindexing is pullback of monos, computed by `_greatest_classes` as the
+    largest subobject whose image lands in the given one; missing pullbacks
+    are window-closure errors."""
+    fibers, reps_by_obj, fsets_by_obj = [], [], []
     for a in range(C.n_objects):
         fib, reps, fsets = subobject_poset(C, a)
         fibers.append(fib)
@@ -313,43 +349,17 @@ def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineDa
         fsets_by_obj.append(fsets)
         for i, m in enumerate(reps):
             for j, r in enumerate(reps):
-                g = fib.meet_of(i, j)
-                glb_set = fsets[reps[g]]
-                if not (fsets[m] & fsets[r]) <= glb_set:
+                if not (fsets[m] & fsets[r]) <= fsets[reps[fib.meet_of(i, j)]]:
                     raise WindowClosure((C.objects[a],),
                                         f"subobject meet of {fib.elements[i]}, {fib.elements[j]}"
                                         " is not their pullback")
-    # boolean masks over the arrow set make the pullback search a gather
-    fset_masks: list[dict[int, np.ndarray]] = []
-    pos_in_into: list[dict[int, int]] = []
-    for a in range(C.n_objects):
-        masks = {}
-        for r, fs in fsets_by_obj[a].items():
-            mask = np.zeros(C.n_arrows, dtype=bool)
-            mask[list(fs)] = True
-            masks[r] = mask
-        fset_masks.append(masks)
-        pos_in_into.append({int(g): i for i, g in enumerate(C.into(a))})
     reindex_maps: list[MonotoneMap] = []
-    for f in range(C.n_arrows):
+    for f, table in enumerate(_greatest_classes(C, reps_by_obj, fsets_by_obj)):
         a, b = int(C.src[f]), int(C.tgt[f])
-        reps_b = reps_by_obj[b]
-        reps_a = reps_by_obj[a]
-        into_a = C.into(a)
-        comps = C.comp[f, into_a]
-        table = np.empty(len(reps_b), dtype=np.int32)
-        for j, m in enumerate(reps_b):
-            hits = fset_masks[b][m][comps]     # arrows into a whose f-composite factors
-            best = None
-            for i, n_ in enumerate(reps_a):
-                nm = fset_masks[a][n_]
-                if hits[pos_in_into[a][n_]] and not (hits & ~nm[into_a]).any():
-                    best = i
-                    break
-            if best is None:
-                raise WindowClosure((C.objects[a], C.objects[b]),
-                                    f"no pullback of {C.arrows[m]} along {C.arrows[f]}")
-            table[j] = best
+        if (table < 0).any():
+            m = reps_by_obj[b][int(np.argmax(table < 0))]
+            raise WindowClosure((C.objects[a], C.objects[b]),
+                                f"no pullback of {C.arrows[m]} along {C.arrows[f]}")
         reindex_maps.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex_maps)
 
@@ -376,56 +386,56 @@ def _is_weak_pullback(C: FinCat, cones: list[tuple[int, int, int]], p: int, q: i
     return True
 
 
-def weak_pullback(C: FinCat, f: int, g: int, cap: int = 1 << 20):
-    """First cone over the cospan (f, g) through which every cone factors,
-    not necessarily uniquely; None when the window has no such cone."""
+def _cones_within_cap(C: FinCat, f: int, g: int, cap: int = 1 << 20) -> list[tuple]:
     cones = list(cospan_cones(C, f, g))
     if len(cones) > cap:
         raise ResourceCap("weak pullback cone enumeration", len(cones), cap)
+    return cones
+
+
+def weak_pullback(C: FinCat, f: int, g: int, cap: int = 1 << 20):
+    """First cone over the cospan (f, g) through which every cone factors,
+    not necessarily uniquely; None when the window has no such cone."""
+    cones = _cones_within_cap(C, f, g, cap)
     return next((cone for cone in cones if _is_weak_pullback(C, cones, *cone[1:])), None)
 
 
-def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope,
-                      check_choice_independence: bool = True) -> DoctrineData:
+def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineData:
     """Weak-subobject doctrine of a window with weak pullbacks.
 
-    Reindexing uses one chosen weak pullback per cospan; independence of the
-    choice up to the poset reflection is asserted, not assumed.  The
-    existential structure along projections is post-composition (verified
-    against the adjoint characterization by the structure checks)."""
-    fibers: list[FinInfSL] = []
-    reps_by_obj: list[list[int]] = []
-    class_of: list[dict[int, int]] = []
+    Reindexing along f sends the class of m to the class of the first leg of
+    a weak pullback of (f, m), which `_greatest_classes` computes without a
+    cone search.  The weak pullback chosen does not matter: two weak
+    pullbacks of one cospan factor through each other, so their first legs
+    lie in one class.  The greatest class can exist while no weak pullback
+    does, so existence is decided per cospan, over the cones whose first leg
+    lies in the greatest class.  The existential structure along projections
+    is post-composition (verified against the adjoint characterization by
+    the structure checks)."""
+    fibers, reps_by_obj, fsets_by_obj = [], [], []
     for a in range(C.n_objects):
         fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
         try:
             fibers.append(_class_lattice(C, fsets, reps))
         except MalformedPresentation:
-            # a missing meet in the reflection is a missing weak pullback of
-            # two representatives; report the first offending cospan
+            # a missing meet is a missing weak pullback of two representatives
             for r1 in reps:
                 for r2 in reps:
                     if weak_pullback(C, r1, r2) is None:
                         raise NoWeakPullback((C.arrows[r1], C.arrows[r2]))
             raise
         reps_by_obj.append(reps)
-        class_of.append({g: _class_of(C, fsets, reps, g) for g in fsets})
+        fsets_by_obj.append(fsets)
     reindex_maps: list[MonotoneMap] = []
-    for f in range(C.n_arrows):
+    for f, table in enumerate(_greatest_classes(C, reps_by_obj, fsets_by_obj)):
         a, b = int(C.src[f]), int(C.tgt[f])
-        table = np.empty(len(reps_by_obj[b]), dtype=np.int32)
-        for j, m in enumerate(reps_by_obj[b]):
-            wp = weak_pullback(C, f, m)
-            if wp is None:
+        for m, i in zip(reps_by_obj[b], table.tolist()):
+            cones = _cones_within_cap(C, f, m)
+            # a cone's first leg p factors through the greatest class, so p
+            # lies in it when the class's representative factors through p
+            if i < 0 or not any(reps_by_obj[a][i] in fsets_by_obj[a][p]
+                                and _is_weak_pullback(C, cones, p, q) for _, p, q in cones):
                 raise NoWeakPullback((C.arrows[f], C.arrows[m]))
-            table[j] = class_of[a][wp[1]]
-            if check_choice_independence:
-                cones = list(cospan_cones(C, f, m))
-                if any(class_of[a][p2] != table[j] and _is_weak_pullback(C, cones, p2, q2)
-                       for _, p2, q2 in cones):
-                    raise MalformedPresentation(
-                        "weak pullback choice changes the reflection class "
-                        f"for ({C.arrows[f]}, {C.arrows[m]})")
         reindex_maps.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex_maps)
 

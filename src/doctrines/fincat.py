@@ -406,11 +406,6 @@ class Window:
     def terminal(self) -> int:
         return self.C.obj_index[self.pc.terminal]
 
-    def bang(self, a: int) -> int:
-        """The unique arrow a -> terminal."""
-        h = self.C.hom(a, self.terminal())
-        return int(h[0])
-
     def has_prod(self, a: int, b: int) -> bool:
         return (self.C.objects[a], self.C.objects[b]) in self.pc.binary
 
@@ -646,13 +641,6 @@ def product_cone(C: FinCat, a: int, b: int, cap: int | None = None) -> Cone | No
     return C._product_cones[key]
 
 
-def coequalizer_arrows(C: FinCat, r: int, s: int) -> list[int]:
-    """All arrows that coequalize (r, s) and are universal among such."""
-    if int(C.src[r]) != int(C.src[s]) or int(C.tgt[r]) != int(C.tgt[s]):
-        raise MalformedPresentation("coequalizer of a non-parallel pair")
-    return [q for q in C.outof(int(C.tgt[r])).tolist() if is_coequalizer_of(C, q, r, s)]
-
-
 def is_coequalizer_of(C: FinCat, e: int, r: int, s: int) -> bool:
     if int(C.comp[e, r]) != int(C.comp[e, s]):
         return False
@@ -819,12 +807,12 @@ def _effectiveness_failure(C: FinCat, core: list[int], cap: int | None):
     pair of its coequalizer: the first that is not, or None."""
     for x in core:
         for rob, r1, r2 in _internal_equivalence_relations(C, x, cap):
-            qs = coequalizer_arrows(C, r1, r2)
-            if not qs:
+            q = next((q for q in C.outof(x).tolist() if is_coequalizer_of(C, q, r1, r2)), None)
+            if q is None:
                 return ("no coequalizer", C.arrows[r1], C.arrows[r2])
-            kp = kernel_pair(C, qs[0], cap)
+            kp = kernel_pair(C, q, cap)
             if kp is None:
-                return ("no kernel pair of quotient", C.arrows[qs[0]])
+                return ("no kernel pair of quotient", C.arrows[q])
             med = mediators(C, rob, kp.legs).get((r1, r2), [])
             if len(med) != 1 or not is_iso(C, med[0]):
                 return ("not effective", C.arrows[r1], C.arrows[r2])

@@ -8,7 +8,10 @@ encoding matches the fixture convention (pair (x, y) over carriers of sizes
 `meets_from_leq` is the package's former per-pair meet search, kept to
 check the down-set lookup that replaced it, and the universal-property
 searches at the end are the package's former plain loops, kept to check
-the mediator table that replaced them.
+the mediator table that replaced them, and so are the subobject and
+weak-subobject constructors after them, kept to check the one reindexing
+formula that replaced their per-representative loop and per-cospan weak
+pullback search.  These two take their fibers from the package.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ import itertools
 
 import numpy as np
 
-from doctrines.errors import MalformedPresentation, ResourceCap
+from doctrines.doctrine import (DoctrineData, _class_lattice, _class_of, _factor_classes,
+                                subobject_poset)
+from doctrines.errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
+from doctrines.semilattice import MonotoneMap
 
 
 def rel_from_mask(mask: int, p: int, q: int) -> frozenset:
@@ -480,6 +486,74 @@ def weak_pullback(C, f: int, g: int, cap: int = 1 << 20):
     if len(cones) > cap:
         raise ResourceCap("weak pullback cone enumeration", len(cones), cap)
     return next((cone for cone in cones if is_weak_pullback(C, f, g, *cone)), None)
+
+
+def sub_doctrine(C, pc, scope):
+    """Subobject doctrine: reindexing along f: a -> b sends a mono class [m]
+    to the first mono class of a, by representative, that f maps into m and
+    that every arrow f maps into m factors through."""
+    fibers, reps_by_obj, fsets_by_obj = [], [], []
+    for a in range(C.n_objects):
+        fib, reps, fsets = subobject_poset(C, a)
+        fibers.append(fib)
+        reps_by_obj.append(reps)
+        fsets_by_obj.append(fsets)
+        for i, m in enumerate(reps):
+            for j, r in enumerate(reps):
+                if not (fsets[m] & fsets[r]) <= fsets[reps[fib.meet_of(i, j)]]:
+                    raise WindowClosure((C.objects[a],),
+                                        f"subobject meet of {fib.elements[i]}, {fib.elements[j]}"
+                                        " is not their pullback")
+    reindex = []
+    for f in range(C.n_arrows):
+        a, b = int(C.src[f]), int(C.tgt[f])
+        into_a, row = C.into(a).tolist(), C.comp[f].tolist()
+        table = np.empty(len(reps_by_obj[b]), dtype=np.int32)
+        for j, m in enumerate(reps_by_obj[b]):
+            hits = {g for g in into_a if row[g] in fsets_by_obj[b][m]}
+            best = next((i for i, n in enumerate(reps_by_obj[a])
+                         if n in hits and hits <= fsets_by_obj[a][n]), None)
+            if best is None:
+                raise WindowClosure((C.objects[a], C.objects[b]),
+                                    f"no pullback of {C.arrows[m]} along {C.arrows[f]}")
+            table[j] = best
+        reindex.append(MonotoneMap(fibers[b], fibers[a], table))
+    return DoctrineData(C, pc, scope, fibers, reindex)
+
+
+def weak_sub_doctrine(C, pc, scope):
+    """Weak-subobject doctrine: reindexing along f sends [m] to the class of
+    the first leg of the first weak pullback of (f, m), and every other weak
+    pullback's first leg must give the same class."""
+    fibers, reps_by_obj, class_of = [], [], []
+    for a in range(C.n_objects):
+        fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
+        try:
+            fibers.append(_class_lattice(C, fsets, reps))
+        except MalformedPresentation:
+            for r1 in reps:
+                for r2 in reps:
+                    if weak_pullback(C, r1, r2) is None:
+                        raise NoWeakPullback((C.arrows[r1], C.arrows[r2]))
+            raise
+        reps_by_obj.append(reps)
+        class_of.append({g: _class_of(C, fsets, reps, g) for g in fsets})
+    reindex = []
+    for f in range(C.n_arrows):
+        a, b = int(C.src[f]), int(C.tgt[f])
+        table = np.empty(len(reps_by_obj[b]), dtype=np.int32)
+        for j, m in enumerate(reps_by_obj[b]):
+            wp = weak_pullback(C, f, m)
+            if wp is None:
+                raise NoWeakPullback((C.arrows[f], C.arrows[m]))
+            table[j] = class_of[a][wp[1]]
+            if any(class_of[a][p] != table[j] and is_weak_pullback(C, f, m, z, p, q)
+                   for z, p, q in cospan_cones(C, f, m)):
+                raise MalformedPresentation(
+                    "weak pullback choice changes the reflection class "
+                    f"for ({C.arrows[f]}, {C.arrows[m]})")
+        reindex.append(MonotoneMap(fibers[b], fibers[a], table))
+    return DoctrineData(C, pc, scope, fibers, reindex)
 
 
 def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) -> bool:

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from doctrines import fixtures
-from doctrines.doctrine import (box_product, reindex, sub_doctrine,
+from doctrines.compare import analysis
+from doctrines.doctrine import (_class_of, _factor_set, box_product, reindex, sub_doctrine,
                                 subobject_poset, validate_doctrine,
                                 weak_sub_doctrine, weak_subobject_poset)
-from doctrines.errors import MalformedPresentation, NoWeakPullback
-from doctrines.fincat import WindowScope
+from doctrines.errors import DoctrinesError, MalformedPresentation, NoWeakPullback
+from doctrines.fincat import FinCat, ProductChoice, WindowScope
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
 
 from oracles import preimage, set_from_mask
+from test_laws import concrete_categories
 
 
 def test_validate_all_fixtures(triv, chain, fs2, nochoice):
@@ -123,14 +127,6 @@ def test_weak_subobjects_match_subobjects_on_core(fs2):
         psi, _ = weak_subobject_poset(C, a)
         sub, _, _ = subobject_poset(C, a)
         assert psi.n == sub.n
-        # order isomorphism via matching by order-profile is too weak; build
-        # the map by comparing factor sets of representatives directly
-        iso = {}
-        for i in range(psi.n):
-            matches = [j for j in range(sub.n)
-                       if sorted(int(psi.leq[:, i].sum()) for _ in [0]) ==
-                       sorted(int(sub.leq[:, j].sum()) for _ in [0])]
-            assert matches
         # counts per rank agree
         assert sorted(int(psi.leq[:, i].sum()) for i in range(psi.n)) == \
             sorted(int(sub.leq[:, j].sum()) for j in range(sub.n))
@@ -207,3 +203,102 @@ def test_weak_and_strict_subobjects_order_isomorphic(fs2):
         psi, _ = weak_subobject_poset(C, a)
         sub, _, _ = subobject_poset(C, a)
         assert _poset_isomorphic(psi, sub)
+
+
+def _constructed(build, C):
+    """The fiber elements and orders and the reindex tables of a
+    constructor's doctrine on C, or the type, payload and message of the
+    error it raises."""
+    try:
+        D = build(C, ProductChoice(C.objects[0], {}), WindowScope(C.objects))
+    except DoctrinesError as e:
+        return type(e).__name__, vars(e), str(e)
+    return ([(fib.elements, fib.leq.tolist()) for fib in D.fibers],
+            [m.table.tolist() for m in D.reindex])
+
+
+@settings(max_examples=300)
+@given(concrete_categories())
+def test_sub_doctrine_matches_oracle(sample):
+    """The one reindexing formula against the former per-representative loop,
+    window-closure witnesses included (a few of these examples have a
+    missing pullback)."""
+    C = sample[0]
+    assert _constructed(sub_doctrine, C) == _constructed(oracles.sub_doctrine, C)
+
+
+@settings(max_examples=100)
+@given(concrete_categories())
+def test_weak_sub_doctrine_matches_oracle(sample):
+    """The one reindexing formula against the former per-cospan weak pullback
+    search with its choice-independence check, missing-weak-pullback
+    witnesses included."""
+    C = sample[0]
+    assert _constructed(weak_sub_doctrine, C) == _constructed(oracles.weak_sub_doctrine, C)
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "fs2"])
+def test_constructors_match_oracles_on_fixtures(name, request):
+    """Both constructors on the tp completion, and the subobject one on the
+    fixture itself (the former weak pullback search takes most of a minute
+    on fs2)."""
+    P = request.getfixturevalue(name)
+    tp = analysis(P).tp()
+    assert _constructed(sub_doctrine, P.cat) == _constructed(oracles.sub_doctrine, P.cat)
+    for build, oracle in ((sub_doctrine, oracles.sub_doctrine),
+                          (weak_sub_doctrine, oracles.weak_sub_doctrine)):
+        assert _constructed(build, tp.cat) == _constructed(oracle, tp.cat)
+
+
+def _with_identities(objects, arrows, compose):
+    """FinCat.build with identities named id<object> and their composites."""
+    ids = {o: f"id{o}" for o in objects}
+    compose = dict(compose)
+    for name, s, t in arrows:
+        compose[(name, ids[s])] = compose[(ids[t], name)] = name
+    for o in objects:
+        compose[(ids[o], ids[o])] = ids[o]
+    return FinCat.build(objects, [(ids[o], o, o) for o in objects] + arrows, ids, compose)
+
+
+def test_weak_pullback_missing_at_reindexing():
+    """Every fiber is a lattice and [idA] is the greatest class of arrows g
+    into A with f∘g factoring through m, yet no cone over (f, m) is a weak
+    pullback: (A, idA, q1) and (A, idA, q2) do not factor through each
+    other, and the cone (Z, z, w) cannot be factored by both."""
+    cat = _with_identities(
+        ["Z", "A", "B", "T"],
+        [("z", "Z", "A"), ("f", "A", "T"), ("m", "B", "T"), ("q1", "A", "B"),
+         ("q2", "A", "B"), ("w", "Z", "B"), ("fz", "Z", "T")],
+        {("m", "q1"): "f", ("m", "q2"): "f", ("q1", "z"): "w", ("q2", "z"): "w",
+         ("f", "z"): "fz", ("m", "w"): "fz"})
+    assert cat.is_category()
+    for a in range(cat.n_objects):     # no fiber lacks a meet, so none raises
+        weak_subobject_poset(cat, a)
+    assert _constructed(weak_sub_doctrine, cat) == _constructed(oracles.weak_sub_doctrine, cat)
+    with pytest.raises(NoWeakPullback) as raised:
+        weak_sub_doctrine(cat, ProductChoice("T", {}), WindowScope(("A", "B")))
+    assert raised.value.cospan == ("f", "m")
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "fs2"])
+def test_sub_and_weak_sub_agree_on_exact_completion(name, request):
+    """On an exact category every arrow factors through a mono, so sending a
+    mono class to its class in the slice reflection is an order isomorphism
+    from Sub(a) to Psi(a) that commutes with reindexing along every arrow."""
+    tp = analysis(request.getfixturevalue(name)).tp()
+    C = tp.cat
+    S = sub_doctrine(C, tp.pc, WindowScope(C.objects))
+    Psi = weak_sub_doctrine(C, tp.pc, WindowScope(C.objects))
+    iso = []
+    for a in range(C.n_objects):
+        _, sub_reps, _ = subobject_poset(C, a)
+        _, psi_reps = weak_subobject_poset(C, a)
+        psi_fsets = {r: _factor_set(C, r) for r in psi_reps}
+        table = np.array([_class_of(C, psi_fsets, psi_reps, m) for m in sub_reps])
+        assert sorted(table.tolist()) == list(range(Psi.fibers[a].n))
+        assert np.array_equal(S.fibers[a].leq, Psi.fibers[a].leq[np.ix_(table, table)])
+        iso.append(table)
+    for f in range(C.n_arrows):
+        a, b = int(C.src[f]), int(C.tgt[f])
+        assert np.array_equal(iso[a][S.r(f).table], Psi.r(f).table[iso[b]])

@@ -89,11 +89,35 @@ def test_scan_finds_unused_definition():
     assert unused == [("recursive", 4), ("method", 10)]
 
 
+# Definitions of the package that only the tests name, each with the reason
+# it stays in the package.  A new one fails the scan until it is listed here.
+TEST_ONLY = {
+    "weak_subobject_poset": "the weak-subobject fiber of one object, compared "
+                            "with the subobject fiber on exact bases",
+    "psi_postcompose_exists": "the weak-subobject existential in closed form, "
+                              "checked against the computed left adjoint",
+    "doctrine_equal": "structural equality of presentations, the file-format "
+                      "round-trip check",
+    "v_poset": "fixture without a binary product, for the exactness verdict",
+    "nofact_category": "fixture without image factorizations, for the exactness verdict",
+    "noext": "fixture without a smallest transitive extension, for its error path",
+    "is_monotone": "the monotonicity test of a map, which the adjoint-search "
+                   "tests need before they ask for an adjoint",
+    "homomorphism_violation": "names the first top or meet failure of a map",
+    "check_adjunction": "unit and counit test of an adjoint pair",
+}
+
+
 def test_no_unused_definitions():
     """Every function and method of the package is named somewhere in the
-    package, its tests or the benchmark, outside its own definition."""
-    files = [p for d in ("src", "tests", "benchmark") for p in sorted((ROOT / d).rglob("*.py"))]
-    used = set().union(*(names_used(p.read_text()) for p in files))
-    unused = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
-              for name, line in definitions(path.read_text()) if name not in used]
-    assert unused == []
+    package or the benchmark, outside its own definition, or else named by
+    the tests and listed in TEST_ONLY."""
+    def used_in(*dirs):
+        files = [p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+        return set().union(*(names_used(p.read_text()) for p in files))
+
+    package, tests = used_in("src", "benchmark"), used_in("tests")
+    outside = [(f"{path.name}:{line}", name) for path in sorted(SRC.glob("*.py"))
+               for name, line in definitions(path.read_text()) if name not in package]
+    assert [f"{where} {name}" for where, name in outside if name not in tests] == []
+    assert sorted(name for _, name in outside) == sorted(TEST_ONLY)
