@@ -7,8 +7,8 @@ from .errors import (DesNotClosed, DoctrinesError, FormulaMismatch,
                      ResourceCap, WindowClosure)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      Window, WindowScope, check_equivalence, check_exact,
-                     enumerate_pullbacks, image_factorization, iso_classes,
-                     validate_category, validate_products)
+                     image_factorization, iso_classes, validate_category,
+                     validate_products)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, chain, diamond,
                           lattice_from_leq, left_adjoint, powerset)
 from .doctrine import (DoctrineData, box_product, reindex, sub_doctrine,
@@ -19,7 +19,7 @@ from .structure import (ComprehensionTable, ElementaryWitness,
                         check_rule_of_choice, comprehension_of,
                         comprehension_table, discover_elementary,
                         discover_existential)
-from .allegory import RelArrow, classify, rel_compose, rel_opposite
+from .allegory import RelArrow, rel_compose, rel_opposite
 from .completions import (Caps, build_erp, build_gr, build_qp, build_tp,
                           functor_D, functor_L, transitive_extension)
 from .compare import (verify_axc, verify_cthn, verify_converse_axc,

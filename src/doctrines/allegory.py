@@ -2,8 +2,7 @@
 
 A relation from A to B is an element of P(A×B).  Composition reindexes both
 relations to the triple product, meets, and projects out the middle factor
-(the projection that drops it); the opposite reindexes along the swap.  Maps
-are the relations that are single-valued and total against fibered equality.
+(the projection that drops it); the opposite reindexes along the swap.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from dataclasses import dataclass
 from .doctrine import DoctrineData, exists_along
 from .errors import MalformedPresentation
 from .semilattice import NoAdjoint
-from .structure import ElementaryWitness
 
 
 @dataclass(frozen=True)
@@ -21,10 +19,6 @@ class RelArrow:
     src: int   # object index A
     tgt: int   # object index B
     el: int    # element index in P(A×B)
-
-
-def rel_fiber(P: DoctrineData, a: int, b: int) -> int:
-    return P.window.prod(a, b)[0]
 
 
 def rel_compose(P: DoctrineData, th: RelArrow, ze: RelArrow) -> RelArrow:
@@ -51,28 +45,3 @@ def rel_opposite(P: DoctrineData, th: RelArrow) -> RelArrow:
     _, q1, q2 = W.prod(th.tgt, th.src)
     sw = W.pair(q2, q1)
     return RelArrow(th.tgt, th.src, int(P.r(sw).table[th.el]))
-
-
-@dataclass
-class RelClassification:
-    is_symmetric_idempotent: bool
-    is_map: bool
-
-
-def classify(P: DoctrineData, E: ElementaryWitness, th: RelArrow) -> RelClassification:
-    """Symmetric idempotents are the self-opposite, self-composing
-    endorelations; maps are single-valued (op;self below equality) and total
-    (equality below self;op)."""
-    sym_idem = False
-    if th.src == th.tgt:
-        sym_idem = (rel_opposite(P, th).el == th.el
-                    and rel_compose(P, th, th).el == th.el)
-    is_map = False
-    if th.src in E.delta and th.tgt in E.delta:
-        op = rel_opposite(P, th)
-        ab = rel_fiber(P, th.tgt, th.tgt)
-        ba = rel_fiber(P, th.src, th.src)
-        single = P.fibers[ab].le(rel_compose(P, op, th).el, E.delta[th.tgt])
-        total = P.fibers[ba].le(E.delta[th.src], rel_compose(P, th, op).el)
-        is_map = single and total
-    return RelClassification(sym_idem, is_map)

@@ -198,12 +198,6 @@ class DoctrineMorphism:
     F: FunctorData
     components: dict[str, MonotoneMap]   # source object name -> fiber map
 
-    def key(self) -> tuple:
-        return (tuple(sorted(self.F.obj_map.items())),
-                tuple(sorted(self.F.arr_map.items())),
-                tuple((o, tuple(int(v) for v in m.table))
-                      for o, m in sorted(self.components.items())))
-
 
 @dataclass
 class Doctrine2Cell:
@@ -212,12 +206,11 @@ class Doctrine2Cell:
 
 def validate_doctrine_morphism(P: DoctrineData, R: DoctrineData,
                                mor: DoctrineMorphism,
-                               E_P: ElementaryWitness, E_R: ElementaryWitness,
-                               check_products: bool = True) -> bool:
+                               E_P: ElementaryWitness, E_R: ElementaryWitness) -> bool:
     """Functoriality, fiber homomorphisms, the equality condition and the
     commutation with existentials along core projections."""
     S = P.cat
-    rep = validate_functor(mor.F, (P.products, R.products) if check_products else None)
+    rep = validate_functor(mor.F, (P.products, R.products))
     if not rep.ok:
         return False
     for o in range(S.n_objects):

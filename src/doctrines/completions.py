@@ -662,8 +662,7 @@ class NoExtension:
         return False
 
 
-def transitive_extension(P: DoctrineData, c: int, zeta: int,
-                         delta: int | None = None) -> int | NoExtension:
+def transitive_extension(P: DoctrineData, c: int, zeta: int, delta: int) -> int | NoExtension:
     """Smallest transitive element above zeta in P(C×C), by exhausting the
     transitive elements above it; NoExtension carries the minimal antichain
     when no least one exists.  With homomorphism reindexing the transitive
@@ -671,7 +670,7 @@ def transitive_extension(P: DoctrineData, c: int, zeta: int,
     win = P.window
     cc = win.prod(c, c)[0]
     fib = P.fibers[cc]
-    if delta is not None and not fib.le(delta, zeta):
+    if not fib.le(delta, zeta):
         raise MalformedPresentation("relation is not reflexive against the given equality")
     m12 = P.r(win.pair3(c, c, c, 1, 2)).table
     m23 = P.r(win.pair3(c, c, c, 2, 3)).table
@@ -719,7 +718,7 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     """For each core A, the canonical map P(A) -> Sub(A, delta): an element
     goes to the class of the mono carried by its restriction of equality.
     Verified to be an order isomorphism; a failure is a broken witness."""
-    from .doctrine import _class_of, subobject_poset
+    from .doctrine import subobject_poset
     C = P.cat
     win = P.window
     out: dict[int, MonotoneMap] = {}
@@ -727,7 +726,7 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
         t_obj = tp.obj_of[(a, E.delta[a])]
         er_obj = er.obj_of[(a, E.delta[a])]
         fib_sub = sub_er.fibers[er_obj]
-        _, reps, rep_fsets = subobject_poset(tp.cat, t_obj)
+        cls = subobject_poset(tp.cat, t_obj)[3]
         fib_a = P.fibers[a]
         aa, p1, p2 = win.prod(a, a)
         fib_aa = P.fibers[aa]
@@ -746,10 +745,7 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
             if not is_mono(tp.cat, m):
                 raise MalformedPresentation(
                     f"restricted equality of {fib_a.elements[al]} is not monic")
-            cls = _class_of(tp.cat, rep_fsets, reps, m)
-            if cls is None:
-                raise MalformedPresentation("mono class lookup failed")
-            table[al] = cls
+            table[al] = cls[m]
         if len(set(int(x) for x in table)) != fib_a.n or fib_sub.n != fib_a.n:
             raise MalformedPresentation(
                 f"canonical comparison at {C.objects[a]} is not bijective")

@@ -257,53 +257,45 @@ def box_product(P: DoctrineData, x1: int, y1: int, a1: int,
 # ---------------------------------------------------------------------------
 
 
-def _factor_set(C: FinCat, g: int) -> set[int]:
-    """All composites g∘u, i.e. the arrows that factor through g."""
-    return {h for z in range(C.n_objects) for (h,) in mediators(C, z, (g,))}
+def _factor_classes(C: FinCat, arrows) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Classes of the listed arrows (in id order) under mutual factorization.
+
+    Returns the representatives (the least arrow id of each class), their
+    factor masks (row i is set at every composite reps[i]∘u, the arrows that
+    factor through reps[i]) and the position in `reps` of the class of each
+    listed arrow, as a table over all arrow ids (-1 for arrows not listed)."""
+    arrows = np.asarray(arrows, dtype=np.intp)
+    rows = C.comp[arrows]
+    k, u = np.nonzero(rows >= 0)
+    masks = np.zeros((len(arrows), C.n_arrows), dtype=bool)
+    masks[k, rows[k, u]] = True
+    below = masks[:, arrows]           # below[l, k]: arrows[k] factors through arrows[l]
+    first = (below & below.T).argmax(axis=1)
+    firsts = np.unique(first)
+    cls = np.full(C.n_arrows, -1, dtype=np.int32)
+    cls[arrows] = np.searchsorted(firsts, first)
+    return arrows[firsts].tolist(), masks[firsts], cls
 
 
-def _factor_classes(C: FinCat, arrows: list[int]) -> tuple[dict[int, set[int]], list[int]]:
-    """Factor sets of the arrows, and one representative (the least arrow
-    id) per class under mutual factorization."""
-    fsets = {g: _factor_set(C, g) for g in arrows}
-    reps: list[int] = []
-    for g in fsets:
-        if _class_of(C, fsets, reps, g) is None:
-            reps.append(g)
-    return fsets, sorted(reps)
-
-
-def _class_of(C: FinCat, fsets: dict[int, set[int]], reps: list[int], g: int) -> int | None:
-    """Position in `reps` of the representative that g factors through and
-    that factors through g; `fsets` holds the factor sets of the reps."""
-    g_set = fsets[g] if g in fsets else _factor_set(C, g)
-    return next((i for i, r in enumerate(reps) if g in fsets[r] and r in g_set), None)
-
-
-def _class_lattice(C: FinCat, fsets: dict[int, set[int]], reps: list[int]) -> FinInfSL:
+def _class_lattice(C: FinCat, reps: list[int], masks: np.ndarray) -> FinInfSL:
     """The classes ordered by factorization, named by their representatives."""
-    n = len(reps)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, g in enumerate(reps):
-        for j, r in enumerate(reps):
-            leq[i, j] = g in fsets[r]
-    return lattice_from_leq(tuple(f"[{C.arrows[r]}]" for r in reps), leq)
+    return lattice_from_leq(tuple(f"[{C.arrows[r]}]" for r in reps), masks[:, reps].T)
 
 
-def subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], dict[int, set[int]]]:
+def subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], np.ndarray, np.ndarray]:
     """Subobjects of `a` in the window: mono classes under mutual factorization.
 
-    Returns (fiber, class representatives by least arrow id, factor sets of
-    the representatives).  Raises when the classes are not meet-closed."""
-    fsets, reps = _factor_classes(C, [int(f) for f in C.into(a) if is_mono(C, int(f))])
-    return _class_lattice(C, fsets, reps), reps, {r: fsets[r] for r in reps}
+    Returns the fiber and `_factor_classes` of the monos into `a`.  Raises
+    when the classes are not meet-closed."""
+    reps, masks, cls = _factor_classes(C, [f for f in C.into(a).tolist() if is_mono(C, f)])
+    return _class_lattice(C, reps, masks), reps, masks, cls
 
 
 def _greatest_classes(C: FinCat, reps_by_obj: list[list[int]],
-                      fsets_by_obj: list[dict[int, set[int]]]) -> list[np.ndarray]:
+                      masks_by_obj: list[np.ndarray]) -> list[np.ndarray]:
     """Reindexing of the poset reflection of a class of arrows, given by the
-    representatives of the classes on each object and their factor sets: one
-    table per arrow f: a -> b, in id order.
+    representatives of the classes on each object and their factor masks:
+    one table per arrow f: a -> b, in id order.
 
     Entry j of f's table is the position of the greatest class [g] of a such
     that f∘g factors through the j-th representative m of b, or -1 when there
@@ -318,18 +310,14 @@ def _greatest_classes(C: FinCat, reps_by_obj: list[list[int]],
     H[j, pos(i)] set and bad[j, i] = 0.  The counts, at most |into(a)| < 2^24,
     are exact in float32, and a float32 matmul goes through BLAS where an
     integer one does not."""
-    masks, outside, rep_pos = [], [], []
-    for a, (reps, fsets) in enumerate(zip(reps_by_obj, fsets_by_obj)):
-        mask = np.zeros((len(reps), C.n_arrows), dtype=bool)
-        for i, r in enumerate(reps):
-            mask[i, list(fsets[r])] = True
-        masks.append(mask)
-        outside.append((~mask[:, C.into(a)]).T.astype(np.float32))
+    outside, rep_pos = [], []
+    for a, (reps, masks) in enumerate(zip(reps_by_obj, masks_by_obj)):
+        outside.append((~masks[:, C.into(a)]).T.astype(np.float32))
         rep_pos.append(np.searchsorted(C.into(a), reps))
     tables = []
     for f in range(C.n_arrows):
         a, b = int(C.src[f]), int(C.tgt[f])
-        H = masks[b][:, C.comp[f, C.into(a)]]
+        H = masks_by_obj[b][:, C.comp[f, C.into(a)]]
         bad = H.astype(np.float32) @ outside[a]
         ok = H[:, rep_pos[a]] & (bad == 0)
         tables.append(np.where(ok.any(axis=1), ok.argmax(axis=1), -1).astype(np.int32))
@@ -341,20 +329,22 @@ def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineDa
     reindexing is pullback of monos, computed by `_greatest_classes` as the
     largest subobject whose image lands in the given one; missing pullbacks
     are window-closure errors."""
-    fibers, reps_by_obj, fsets_by_obj = [], [], []
+    fibers, reps_by_obj, masks_by_obj = [], [], []
     for a in range(C.n_objects):
-        fib, reps, fsets = subobject_poset(C, a)
+        fib, reps, masks, _ = subobject_poset(C, a)
         fibers.append(fib)
         reps_by_obj.append(reps)
-        fsets_by_obj.append(fsets)
-        for i, m in enumerate(reps):
-            for j, r in enumerate(reps):
-                if not (fsets[m] & fsets[r]) <= fsets[reps[fib.meet_of(i, j)]]:
-                    raise WindowClosure((C.objects[a],),
-                                        f"subobject meet of {fib.elements[i]}, {fib.elements[j]}"
-                                        " is not their pullback")
+        masks_by_obj.append(masks)
+        for i in range(len(reps)):
+            # the arrows through both reps i and j lie under their meet
+            bad = (masks[i] & masks & ~masks[fib.meet[i]]).any(axis=1)
+            if bad.any():
+                j = int(bad.argmax())
+                raise WindowClosure((C.objects[a],),
+                                    f"subobject meet of {fib.elements[i]}, {fib.elements[j]}"
+                                    " is not their pullback")
     reindex_maps: list[MonotoneMap] = []
-    for f, table in enumerate(_greatest_classes(C, reps_by_obj, fsets_by_obj)):
+    for f, table in enumerate(_greatest_classes(C, reps_by_obj, masks_by_obj)):
         a, b = int(C.src[f]), int(C.tgt[f])
         if (table < 0).any():
             m = reps_by_obj[b][int(np.argmax(table < 0))]
@@ -369,11 +359,11 @@ def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineDa
 # ---------------------------------------------------------------------------
 
 
-def weak_subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int]]:
-    """Poset reflection of the slice over `a`: classes of all arrows into `a`
-    under mutual factorization."""
-    fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
-    return _class_lattice(C, fsets, reps), reps
+def weak_subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], np.ndarray, np.ndarray]:
+    """Poset reflection of the slice over `a`: the fiber and `_factor_classes`
+    of all arrows into `a`."""
+    reps, masks, cls = _factor_classes(C, C.into(a))
+    return _class_lattice(C, reps, masks), reps, masks, cls
 
 
 def _is_weak_pullback(C: FinCat, cones: list[tuple[int, int, int]], p: int, q: int) -> bool:
@@ -412,11 +402,11 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> Doctr
     lies in the greatest class.  The existential structure along projections
     is post-composition (verified against the adjoint characterization by
     the structure checks)."""
-    fibers, reps_by_obj, fsets_by_obj = [], [], []
+    fibers, reps_by_obj, masks_by_obj, cls_by_obj = [], [], [], []
     for a in range(C.n_objects):
-        fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
+        reps, masks, cls = _factor_classes(C, C.into(a))
         try:
-            fibers.append(_class_lattice(C, fsets, reps))
+            fibers.append(_class_lattice(C, reps, masks))
         except MalformedPresentation:
             # a missing meet is a missing weak pullback of two representatives
             for r1 in reps:
@@ -425,28 +415,24 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> Doctr
                         raise NoWeakPullback((C.arrows[r1], C.arrows[r2]))
             raise
         reps_by_obj.append(reps)
-        fsets_by_obj.append(fsets)
+        masks_by_obj.append(masks)
+        cls_by_obj.append(cls)
     reindex_maps: list[MonotoneMap] = []
-    for f, table in enumerate(_greatest_classes(C, reps_by_obj, fsets_by_obj)):
+    for f, table in enumerate(_greatest_classes(C, reps_by_obj, masks_by_obj)):
         a, b = int(C.src[f]), int(C.tgt[f])
         for m, i in zip(reps_by_obj[b], table.tolist()):
             cones = _cones_within_cap(C, f, m)
-            # a cone's first leg p factors through the greatest class, so p
-            # lies in it when the class's representative factors through p
-            if i < 0 or not any(reps_by_obj[a][i] in fsets_by_obj[a][p]
-                                and _is_weak_pullback(C, cones, p, q) for _, p, q in cones):
+            if i < 0 or not any(cls_by_obj[a][p] == i and _is_weak_pullback(C, cones, p, q)
+                                for _, p, q in cones):
                 raise NoWeakPullback((C.arrows[f], C.arrows[m]))
         reindex_maps.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex_maps)
 
 
-def psi_postcompose_exists(P: DoctrineData, reps_by_obj: list[list[int]],
-                           pr: int) -> MonotoneMap:
+def psi_postcompose_exists(P: DoctrineData, pr: int) -> MonotoneMap:
     """The post-composition map on weak-subobject fibers along a projection."""
     C = P.cat
     a, b = int(C.src[pr]), int(C.tgt[pr])
-    reps_b = reps_by_obj[b]
-    fsets_b = {r: _factor_set(C, r) for r in reps_b}
-    table = np.array([_class_of(C, fsets_b, reps_b, int(C.comp[pr, r]))
-                      for r in reps_by_obj[a]], dtype=np.int32)
-    return MonotoneMap(P.fibers[a], P.fibers[b], table)
+    reps_a = _factor_classes(C, C.into(a))[0]
+    cls_b = _factor_classes(C, C.into(b))[2]
+    return MonotoneMap(P.fibers[a], P.fibers[b], cls_b[C.comp[pr, reps_a]])

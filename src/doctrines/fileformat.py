@@ -379,24 +379,3 @@ def emit_doctrine(P: DoctrineData) -> str:
         out.append("}")
     out.append("core { " + " ".join(P.scope.core) + " }")
     return "\n".join(out) + "\n"
-
-
-def doctrine_equal(P: DoctrineData, Q: DoctrineData) -> bool:
-    """Structural equality of presentations (canonical-form identity)."""
-    if (P.cat.objects != Q.cat.objects or P.cat.arrows != Q.cat.arrows
-            or not np.array_equal(P.cat.src, Q.cat.src)
-            or not np.array_equal(P.cat.tgt, Q.cat.tgt)
-            or not np.array_equal(P.cat.id_arr, Q.cat.id_arr)
-            or not np.array_equal(P.cat.comp, Q.cat.comp)):
-        return False
-    if (P.products.terminal != Q.products.terminal
-            or P.products.binary != Q.products.binary
-            or P.scope.core != Q.scope.core):
-        return False
-    for f1, f2 in zip(P.fibers, Q.fibers):
-        if f1 != f2:
-            return False
-    for r1, r2 in zip(P.reindex, Q.reindex):
-        if not np.array_equal(r1.table, r2.table):
-            return False
-    return True

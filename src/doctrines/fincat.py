@@ -341,7 +341,6 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
             return ValidationReport(False, "Terminal", (C.objects[z],),
                                     f"terminal has {k} arrows from {C.objects[z]}")
     pc.pairing.clear()
-    n = C.n_arrows
     for (an, bn), (pn, p1n, p2n) in pc.binary.items():
         for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
                          (p1n, C.arr_index), (p2n, C.arr_index)):
@@ -352,28 +351,20 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
         if int(C.src[p1]) != p or int(C.tgt[p1]) != a or int(C.src[p2]) != p or int(C.tgt[p2]) != b:
             return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
         for z in range(C.n_objects):
-            mediators = C.hom(z, p)
-            cones_a, cones_b = C.hom(z, a), C.hom(z, b)
-            need = len(cones_a) * len(cones_b)
-            codes = C.comp[p1, mediators].astype(np.int64) * n + C.comp[p2, mediators]
-            uniq, counts = np.unique(codes, return_counts=True)
-            if (counts > 1).any():
-                code = int(uniq[np.flatnonzero(counts > 1)[0]])
-                return ValidationReport(False, "Product",
-                                        (C.arrows[code // n], C.arrows[code % n]),
-                                        f"cone has {int(counts.max())} mediating arrows into {pn}")
-            if len(uniq) != need:
-                have = set(int(u) for u in uniq)
-                for f in cones_a:
-                    for g in cones_b:
-                        if int(f) * n + int(g) not in have:
-                            return ValidationReport(
-                                False, "Product", (C.arrows[int(f)], C.arrows[int(g)]),
-                                f"cone has no mediating arrow into {pn}")
-            order = np.argsort(codes, kind="stable")
-            for k in order:
-                m = int(mediators[k])
-                pc.pairing[(int(C.comp[p1, m]), int(C.comp[p2, m]))] = m
+            table = mediators(C, z, (p1, p2))
+            dups = [cone for cone, ms in table.items() if len(ms) > 1]
+            if dups:
+                most = max(len(ms) for ms in table.values())
+                return ValidationReport(False, "Product", tuple(C.arrows[x] for x in min(dups)),
+                                        f"cone has {most} mediating arrows into {pn}")
+            cones_a, cones_b = C.hom(z, a).tolist(), C.hom(z, b).tolist()
+            if len(table) != len(cones_a) * len(cones_b):
+                missing = next((cone for cone in itertools.product(cones_a, cones_b)
+                                if cone not in table), None)
+                if missing is not None:
+                    return ValidationReport(False, "Product", tuple(C.arrows[x] for x in missing),
+                                            f"cone has no mediating arrow into {pn}")
+            pc.pairing.update((cone, ms[0]) for cone, ms in sorted(table.items()))
         if pc.pairing.get((p1, p2)) != int(C.id_arr[p]):
             return ValidationReport(False, "Product", (p1n, p2n),
                                     "<pr1, pr2> is not the identity of the product")
@@ -459,7 +450,7 @@ class Window:
         return p, (self.C.compose(a1, q1), self.C.compose(a2, q1),
                    self.C.compose(b1, q2), self.C.compose(b2, q2))
 
-    def check_closure(self, triples: bool = True) -> list[tuple[str, ...]]:
+    def check_closure(self) -> list[tuple[str, ...]]:
         """Products demanded by the scope that the window lacks (empty = closed)."""
         missing: list[tuple[str, ...]] = []
         core_idx = [self.C.obj_index[o] for o in self.core]
@@ -467,15 +458,14 @@ class Window:
             for b in core_idx:
                 if not self.has_prod(a, b):
                     missing.append((self.C.objects[a], self.C.objects[b]))
-        if triples:
-            for a in core_idx:
-                for b in core_idx:
-                    if not self.has_prod(a, b):
-                        continue
-                    ab = self.C.obj_index[self.pc.binary[(self.C.objects[a], self.C.objects[b])][0]]
-                    for c in core_idx:
-                        if not self.has_prod(ab, c):
-                            missing.append((self.C.objects[a], self.C.objects[b], self.C.objects[c]))
+        for a in core_idx:
+            for b in core_idx:
+                if not self.has_prod(a, b):
+                    continue
+                ab = self.C.obj_index[self.pc.binary[(self.C.objects[a], self.C.objects[b])][0]]
+                for c in core_idx:
+                    if not self.has_prod(ab, c):
+                        missing.append((self.C.objects[a], self.C.objects[b], self.C.objects[c]))
         return missing
 
 
@@ -541,21 +531,14 @@ def iso_classes(C: FinCat) -> list[list[str]]:
 
 def full_subcategory(C: FinCat, objs: list[int]) -> FinCat:
     """The full subcategory on `objs`, in that order; arrows keep theirs."""
-    obj_new = {o: i for i, o in enumerate(objs)}
-    keep = [f for f in range(C.n_arrows)
-            if int(C.src[f]) in obj_new and int(C.tgt[f]) in obj_new]
-    arr_new = {f: i for i, f in enumerate(keep)}
-    comp = np.full((len(keep), len(keep)), -1, dtype=np.int32)
-    for j in keep:
-        for i in keep:
-            c = int(C.comp[j, i])
-            if c >= 0:
-                comp[arr_new[j], arr_new[i]] = arr_new[c]
+    obj_new = np.full(C.n_objects, -1, dtype=np.int32)
+    obj_new[objs] = np.arange(len(objs))
+    keep = np.flatnonzero((obj_new[C.src] >= 0) & (obj_new[C.tgt] >= 0))
+    arr_new = np.full(C.n_arrows + 1, -1, dtype=np.int32)    # arr_new[-1] keeps -1
+    arr_new[keep] = np.arange(len(keep))
     return FinCat(tuple(C.objects[o] for o in objs), tuple(C.arrows[f] for f in keep),
-                  np.array([obj_new[int(C.src[f])] for f in keep], dtype=np.int32),
-                  np.array([obj_new[int(C.tgt[f])] for f in keep], dtype=np.int32),
-                  np.array([arr_new[int(C.id_arr[o])] for o in objs], dtype=np.int32),
-                  comp)
+                  obj_new[C.src[keep]], obj_new[C.tgt[keep]], arr_new[C.id_arr[objs]],
+                  arr_new[C.comp[np.ix_(keep, keep)]])
 
 
 def terminal_object(C: FinCat) -> int | None:
@@ -606,11 +589,6 @@ def _pullbacks(C: FinCat, f: int, g: int, cap: int | None):
     if int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("pullback of arrows with different targets")
     return _limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)], cap)
-
-
-def enumerate_pullbacks(C: FinCat, f: int, g: int, cap: int | None = None) -> list[Cone]:
-    """All limiting cones over the cospan (f: A->T, g: B->T); empty if none."""
-    return list(_pullbacks(C, f, g, cap))
 
 
 def pullback(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:

@@ -122,10 +122,7 @@ def meets_from_leq(elements: tuple[str, ...], leq: np.ndarray) -> tuple[int, np.
     found = downsets[meet] == wanted
     if not found.all():
         i, j = map(int, np.argwhere(~found)[0])
-        # only up to 64 elements is a pair without any lower bound named as
-        # such: parse errors on larger fibers have always said "no meet"
-        what = ("no lower bound" if n <= 64 and not (leq[:, i] & leq[:, j]).any()
-                else "no meet")
+        what = "no meet" if (leq[:, i] & leq[:, j]).any() else "no lower bound"
         raise MalformedPresentation(
             f"elements {elements[i]}, {elements[j]} have {what}")
     return top, meet
@@ -171,7 +168,7 @@ def powerset(k: int, prefix: str = "s") -> FinInfSL:
     return FinInfSL(names, leq, n - 1, meet)
 
 
-def sub_semilattice(parent: FinInfSL, idxs: list[int], names=None) -> FinInfSL:
+def sub_semilattice(parent: FinInfSL, idxs: list[int]) -> FinInfSL:
     """The induced order on a subset of elements; meets must stay inside it."""
     idxs = list(idxs)
     pos = {p: i for i, p in enumerate(idxs)}
@@ -188,9 +185,7 @@ def sub_semilattice(parent: FinInfSL, idxs: list[int], names=None) -> FinInfSL:
     tops = [i for i in range(n) if leq[:, i].all()]
     if not tops:
         raise MalformedPresentation("subset has no top element")
-    if names is None:
-        names = tuple(parent.elements[p] for p in idxs)
-    return FinInfSL(tuple(names), leq, tops[0], meet)
+    return FinInfSL(tuple(parent.elements[p] for p in idxs), leq, tops[0], meet)
 
 
 @dataclass
@@ -211,9 +206,6 @@ class MonotoneMap:
         """self after inner (inner.cod must be self.dom)."""
         return MonotoneMap(inner.dom, self.cod, self.table[inner.table])
 
-    def is_monotone(self) -> bool:
-        return bool((~self.dom.leq | self.cod.leq[self.table][:, self.table]).all())
-
     def is_homomorphism(self) -> bool:
         """Preserves top and binary meets (hence monotone)."""
         if int(self.table[self.dom.top]) != self.cod.top:
@@ -221,19 +213,6 @@ class MonotoneMap:
         lhs = self.table[self.dom.meet]
         rhs = self.cod.meet[self.table[:, None], self.table[None, :]]
         return bool(np.array_equal(lhs, rhs))
-
-    def homomorphism_violation(self) -> str | None:
-        """First top/meet preservation failure in canonical order, if any."""
-        if int(self.table[self.dom.top]) != self.cod.top:
-            return f"top {self.dom.elements[self.dom.top]} maps to non-top"
-        lhs = self.table[self.dom.meet]
-        rhs = self.cod.meet[self.table[:, None], self.table[None, :]]
-        bad = np.argwhere(lhs != rhs)
-        if len(bad):
-            i, j = map(int, bad[0])
-            return (f"meet not preserved at "
-                    f"({self.dom.elements[i]}, {self.dom.elements[j]})")
-        return None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MonotoneMap)
@@ -275,11 +254,3 @@ def left_adjoint(h: MonotoneMap) -> MonotoneMap | NoAdjoint:
             return NoAdjoint(M.elements[a], tuple(L.elements[c] for c in cand))
         table[a] = cand[minimal[0]]
     return MonotoneMap(M, L, table)
-
-
-def check_adjunction(e: MonotoneMap, h: MonotoneMap) -> bool:
-    """Check e -| h via both unit and counit inequalities, exhaustively."""
-    M, L = e.dom, e.cod
-    unit = all(M.le(a, int(h.table[e.table[a]])) for a in range(M.n))
-    counit = all(L.le(int(e.table[h.table[b]]), b) for b in range(L.n))
-    return unit and counit

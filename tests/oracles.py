@@ -7,23 +7,29 @@ encoding matches the fixture convention (pair (x, y) over carriers of sizes
 (p, q) is the bit at x*q + y).  Some references are not from scratch:
 `meets_from_leq` is the package's former per-pair meet search, kept to
 check the down-set lookup that replaced it, and the universal-property
-searches at the end are the package's former plain loops, kept to check
-the mediator table that replaced them, and so are the subobject and
-weak-subobject constructors after them, kept to check the one reindexing
-formula that replaced their per-representative loop and per-cospan weak
-pullback search.  These two take their fibers from the package.
+searches at the end, product validation among them, are the package's
+former plain loops, kept to check the mediator table that replaced them,
+and so are the subobject and weak-subobject constructors after them, kept
+to check the one reindexing formula that replaced their per-representative
+loop and per-cospan weak pullback search.  Their classes of arrows are
+plain factor sets, not the package's mask table.  The checks at the very
+end are ones only the tests make: presentation equality, relation
+classification, monotonicity, homomorphism failures and adjunctions.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
-from doctrines.doctrine import (DoctrineData, _class_lattice, _class_of, _factor_classes,
-                                subobject_poset)
+from doctrines.allegory import RelArrow, rel_compose, rel_opposite
+from doctrines.doctrine import DoctrineData
 from doctrines.errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
-from doctrines.semilattice import MonotoneMap
+from doctrines.fincat import Cone, ValidationReport
+from doctrines.semilattice import FinInfSL, MonotoneMap
+from doctrines.structure import ElementaryWitness
 
 
 def rel_from_mask(mask: int, p: int, q: int) -> frozenset:
@@ -359,8 +365,9 @@ def meets_from_leq(elements, leq):
         bad = ~(ok & in_lower)
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
+            what = "no meet" if (leq[:, i] & leq[:, j]).any() else "no lower bound"
             raise MalformedPresentation(
-                f"elements {elements[i]}, {elements[j]} have no meet")
+                f"elements {elements[i]}, {elements[j]} have {what}")
         return top, cand
     meet = np.empty((n, n), dtype=np.int32)
     below = leq.T
@@ -406,6 +413,61 @@ def limiting_cones(C, cones, cap=None):
         if good:
             out.append(cand)
     return out
+
+
+def enumerate_pullbacks(C, f: int, g: int, cap=None) -> list:
+    """All limiting cones over the cospan (f: A->T, g: B->T); empty if none."""
+    return limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)], cap)
+
+
+def validate_products(C, pc) -> ValidationReport:
+    """The terminal and every chosen product checked, and the pairing table
+    filled, with one table of cone codes per apex."""
+    if pc.terminal not in C.obj_index:
+        return ValidationReport(False, "MissingEntry", (pc.terminal,), "unknown terminal")
+    t = C.obj_index[pc.terminal]
+    for z in range(C.n_objects):
+        k = len(C.hom(z, t))
+        if k != 1:
+            return ValidationReport(False, "Terminal", (C.objects[z],),
+                                    f"terminal has {k} arrows from {C.objects[z]}")
+    pc.pairing.clear()
+    n = C.n_arrows
+    for (an, bn), (pn, p1n, p2n) in pc.binary.items():
+        for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
+                         (p1n, C.arr_index), (p2n, C.arr_index)):
+            if nm not in pool:
+                return ValidationReport(False, "MissingEntry", (nm,), "unknown id in product entry")
+        a, b, p = C.obj_index[an], C.obj_index[bn], C.obj_index[pn]
+        p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+        if int(C.src[p1]) != p or int(C.tgt[p1]) != a or int(C.src[p2]) != p or int(C.tgt[p2]) != b:
+            return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
+        for z in range(C.n_objects):
+            meds = C.hom(z, p)
+            cones_a, cones_b = C.hom(z, a), C.hom(z, b)
+            need = len(cones_a) * len(cones_b)
+            codes = C.comp[p1, meds].astype(np.int64) * n + C.comp[p2, meds]
+            uniq, counts = np.unique(codes, return_counts=True)
+            if (counts > 1).any():
+                code = int(uniq[np.flatnonzero(counts > 1)[0]])
+                return ValidationReport(False, "Product",
+                                        (C.arrows[code // n], C.arrows[code % n]),
+                                        f"cone has {int(counts.max())} mediating arrows into {pn}")
+            if len(uniq) != need:
+                have = set(int(u) for u in uniq)
+                for f in cones_a:
+                    for g in cones_b:
+                        if int(f) * n + int(g) not in have:
+                            return ValidationReport(
+                                False, "Product", (C.arrows[int(f)], C.arrows[int(g)]),
+                                f"cone has no mediating arrow into {pn}")
+            for k in np.argsort(codes, kind="stable"):
+                m = int(meds[k])
+                pc.pairing[(int(C.comp[p1, m]), int(C.comp[p2, m]))] = m
+        if pc.pairing.get((p1, p2)) != int(C.id_arr[p]):
+            return ValidationReport(False, "Product", (p1n, p2n),
+                                    "<pr1, pr2> is not the identity of the product")
+    return ValidationReport(True)
 
 
 def is_mono(C, f: int) -> bool:
@@ -488,6 +550,44 @@ def weak_pullback(C, f: int, g: int, cap: int = 1 << 20):
     return next((cone for cone in cones if is_weak_pullback(C, f, g, *cone)), None)
 
 
+def factor_set(C, g: int) -> set[int]:
+    """The arrows that factor through g: every composite g∘u."""
+    return {int(C.comp[g, u]) for u in range(C.n_arrows) if C.tgt[u] == C.src[g]}
+
+
+def class_of(fsets: dict[int, set[int]], reps: list[int], g: int) -> int | None:
+    """Position in `reps` of the representative that g factors through and
+    that factors through g; `fsets` holds the factor sets of both."""
+    return next((i for i, r in enumerate(reps) if g in fsets[r] and r in fsets[g]), None)
+
+
+def factor_classes(C, arrows) -> tuple[dict[int, set[int]], list[int]]:
+    """Factor sets of the arrows, and the least arrow id of each class under
+    mutual factorization, in id order."""
+    fsets = {int(g): factor_set(C, int(g)) for g in arrows}
+    reps: list[int] = []
+    for g in sorted(fsets):
+        if class_of(fsets, reps, g) is None:
+            reps.append(g)
+    return fsets, reps
+
+
+def class_lattice(C, fsets: dict[int, set[int]], reps: list[int]) -> FinInfSL:
+    """The classes ordered by factorization, named by their representatives."""
+    names = tuple(f"[{C.arrows[r]}]" for r in reps)
+    leq = np.array([[g in fsets[r] for r in reps] for g in reps], dtype=bool)
+    leq = leq.reshape(len(reps), len(reps))
+    top, meet = meets_from_leq(names, leq)
+    return FinInfSL(names, leq, top, meet)
+
+
+def subobject_poset(C, a: int):
+    """The mono classes into `a`, their representatives and factor sets."""
+    fsets, reps = factor_classes(C, [f for f in range(C.n_arrows)
+                                     if C.tgt[f] == a and is_mono(C, f)])
+    return class_lattice(C, fsets, reps), reps, fsets
+
+
 def sub_doctrine(C, pc, scope):
     """Subobject doctrine: reindexing along f: a -> b sends a mono class [m]
     to the first mono class of a, by representative, that f maps into m and
@@ -525,11 +625,11 @@ def weak_sub_doctrine(C, pc, scope):
     """Weak-subobject doctrine: reindexing along f sends [m] to the class of
     the first leg of the first weak pullback of (f, m), and every other weak
     pullback's first leg must give the same class."""
-    fibers, reps_by_obj, class_of = [], [], []
+    fibers, reps_by_obj, classes = [], [], []
     for a in range(C.n_objects):
-        fsets, reps = _factor_classes(C, [int(g) for g in C.into(a)])
+        fsets, reps = factor_classes(C, [g for g in range(C.n_arrows) if C.tgt[g] == a])
         try:
-            fibers.append(_class_lattice(C, fsets, reps))
+            fibers.append(class_lattice(C, fsets, reps))
         except MalformedPresentation:
             for r1 in reps:
                 for r2 in reps:
@@ -537,7 +637,7 @@ def weak_sub_doctrine(C, pc, scope):
                         raise NoWeakPullback((C.arrows[r1], C.arrows[r2]))
             raise
         reps_by_obj.append(reps)
-        class_of.append({g: _class_of(C, fsets, reps, g) for g in fsets})
+        classes.append({g: class_of(fsets, reps, g) for g in fsets})
     reindex = []
     for f in range(C.n_arrows):
         a, b = int(C.src[f]), int(C.tgt[f])
@@ -546,8 +646,8 @@ def weak_sub_doctrine(C, pc, scope):
             wp = weak_pullback(C, f, m)
             if wp is None:
                 raise NoWeakPullback((C.arrows[f], C.arrows[m]))
-            table[j] = class_of[a][wp[1]]
-            if any(class_of[a][p] != table[j] and is_weak_pullback(C, f, m, z, p, q)
+            table[j] = classes[a][wp[1]]
+            if any(classes[a][p] != table[j] and is_weak_pullback(C, f, m, z, p, q)
                    for z, p, q in cospan_cones(C, f, m)):
                 raise MalformedPresentation(
                     "weak pullback choice changes the reflection class "
@@ -573,3 +673,79 @@ def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) 
         if len(g) == 0 or (strict and len(g) > 1):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# checks that only the tests make
+# ---------------------------------------------------------------------------
+
+
+def doctrine_equal(P: DoctrineData, Q: DoctrineData) -> bool:
+    """Structural equality of presentations (canonical-form identity)."""
+    if (P.cat.objects != Q.cat.objects or P.cat.arrows != Q.cat.arrows
+            or not np.array_equal(P.cat.src, Q.cat.src)
+            or not np.array_equal(P.cat.tgt, Q.cat.tgt)
+            or not np.array_equal(P.cat.id_arr, Q.cat.id_arr)
+            or not np.array_equal(P.cat.comp, Q.cat.comp)):
+        return False
+    if (P.products.terminal != Q.products.terminal
+            or P.products.binary != Q.products.binary
+            or P.scope.core != Q.scope.core):
+        return False
+    for f1, f2 in zip(P.fibers, Q.fibers):
+        if f1 != f2:
+            return False
+    for r1, r2 in zip(P.reindex, Q.reindex):
+        if not np.array_equal(r1.table, r2.table):
+            return False
+    return True
+
+
+@dataclass
+class RelClassification:
+    is_symmetric_idempotent: bool
+    is_map: bool
+
+
+def classify(P: DoctrineData, E: ElementaryWitness, th: RelArrow) -> RelClassification:
+    """Symmetric idempotents are the self-opposite, self-composing
+    endorelations; maps are single-valued (op;self below equality) and total
+    (equality below self;op)."""
+    sym_idem = False
+    if th.src == th.tgt:
+        sym_idem = (rel_opposite(P, th).el == th.el
+                    and rel_compose(P, th, th).el == th.el)
+    is_map = False
+    if th.src in E.delta and th.tgt in E.delta:
+        op = rel_opposite(P, th)
+        ab = P.window.prod(th.tgt, th.tgt)[0]
+        ba = P.window.prod(th.src, th.src)[0]
+        single = P.fibers[ab].le(rel_compose(P, op, th).el, E.delta[th.tgt])
+        total = P.fibers[ba].le(E.delta[th.src], rel_compose(P, th, op).el)
+        is_map = single and total
+    return RelClassification(sym_idem, is_map)
+
+
+def is_monotone(h: MonotoneMap) -> bool:
+    return bool((~h.dom.leq | h.cod.leq[h.table][:, h.table]).all())
+
+
+def homomorphism_violation(h: MonotoneMap) -> str | None:
+    """First top/meet preservation failure in canonical order, if any."""
+    if int(h.table[h.dom.top]) != h.cod.top:
+        return f"top {h.dom.elements[h.dom.top]} maps to non-top"
+    lhs = h.table[h.dom.meet]
+    rhs = h.cod.meet[h.table[:, None], h.table[None, :]]
+    bad = np.argwhere(lhs != rhs)
+    if len(bad):
+        i, j = map(int, bad[0])
+        return f"meet not preserved at ({h.dom.elements[i]}, {h.dom.elements[j]})"
+    return None
+
+
+def check_adjunction(e: MonotoneMap, h: MonotoneMap) -> bool:
+    """Check e -| h via both unit and counit inequalities, exhaustively."""
+    M, L = e.dom, e.cod
+    unit = all(M.le(a, int(h.table[e.table[a]])) for a in range(M.n))
+    counit = all(L.le(int(e.table[h.table[b]]), b) for b in range(L.n))
+    return unit and counit

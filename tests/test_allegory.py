@@ -1,9 +1,9 @@
 import itertools
 
 
-from doctrines.allegory import RelArrow, classify, rel_compose, rel_opposite
+from doctrines.allegory import RelArrow, rel_compose, rel_opposite
 
-from oracles import (bool_matmul, bool_matrix, compose_rel, identity_rel,
+from oracles import (bool_matmul, bool_matrix, classify, compose_rel, identity_rel,
                      is_per, mask_from_rel, rel_from_mask, rel_from_matrix,
                      transpose_rel)
 

@@ -1,5 +1,6 @@
 import numpy as np
 
+import crafted
 from doctrines import compare, fixtures
 from doctrines.compare import (verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
@@ -175,7 +176,7 @@ def test_converse_triv(triv):
 
 
 def test_converse_noext_not_applicable():
-    P, names = fixtures.noext()
+    P, names = crafted.noext()
     rep = verify_converse_axc(P)
     na = _check(rep, "extensions-exist")
     assert na.status == NOT_APPLICABLE

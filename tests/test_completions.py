@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import crafted
 from doctrines import fixtures
 from doctrines.completions import (Caps, NoExtension, build_erp, build_gr,
                                    build_qp, build_tp, functor_D, functor_L,
@@ -302,7 +303,7 @@ def test_transitive_extension_matches_closure_oracle(completions):
 
 
 def test_transitive_extension_missing():
-    P, names = fixtures.noext()
+    P, names = crafted.noext()
     two = P.cat.obj_index["2"]
     fib = P.fibers[P.window.prod(two, two)[0]]
     res = transitive_extension(P, two, fib.index["zeta"], fib.index["delta"])

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 import oracles
 from doctrines import fixtures
 from doctrines.compare import analysis
-from doctrines.doctrine import (_class_of, _factor_set, box_product, reindex, sub_doctrine,
-                                subobject_poset, validate_doctrine,
-                                weak_sub_doctrine, weak_subobject_poset)
+from doctrines.doctrine import (box_product, reindex, sub_doctrine, subobject_poset,
+                                validate_doctrine, weak_sub_doctrine, weak_subobject_poset)
 from doctrines.errors import DoctrinesError, MalformedPresentation, NoWeakPullback
 from doctrines.fincat import FinCat, ProductChoice, WindowScope
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
@@ -124,8 +123,8 @@ def test_weak_subobjects_match_subobjects_on_core(fs2):
     C = fs2.cat
     for name in fs2.scope.core:
         a = C.obj_index[name]
-        psi, _ = weak_subobject_poset(C, a)
-        sub, _, _ = subobject_poset(C, a)
+        psi = weak_subobject_poset(C, a)[0]
+        sub = subobject_poset(C, a)[0]
         assert psi.n == sub.n
         # counts per rank agree
         assert sorted(int(psi.leq[:, i].sum()) for i in range(psi.n)) == \
@@ -149,17 +148,16 @@ def test_weak_sub_doctrine_on_poset(chain):
 def test_weak_sub_doctrine_postcomposition_is_existential(chain):
     """The existential structure of the weak-subobject doctrine along core
     projections is post-composition: it agrees with the computed adjoint."""
-    from doctrines.doctrine import psi_postcompose_exists, weak_subobject_poset
+    from doctrines.doctrine import psi_postcompose_exists
     from doctrines.semilattice import left_adjoint
     C = chain.cat
     Psi = weak_sub_doctrine(C, chain.products, chain.scope)
-    reps = [weak_subobject_poset(C, a)[1] for a in range(C.n_objects)]
     for a in chain.core_idx():
         for b in chain.core_idx():
             _, p1, p2 = Psi.window.prod(a, b)
             for pr in (p1, p2):
                 adj = left_adjoint(Psi.r(pr))
-                post = psi_postcompose_exists(Psi, reps, pr)
+                post = psi_postcompose_exists(Psi, pr)
                 assert np.array_equal(adj.table, post.table)
 
 
@@ -200,8 +198,8 @@ def test_weak_and_strict_subobjects_order_isomorphic(fs2):
     C = fs2.cat
     for name in fs2.scope.core:
         a = C.obj_index[name]
-        psi, _ = weak_subobject_poset(C, a)
-        sub, _, _ = subobject_poset(C, a)
+        psi = weak_subobject_poset(C, a)[0]
+        sub = subobject_poset(C, a)[0]
         assert _poset_isomorphic(psi, sub)
 
 
@@ -292,10 +290,11 @@ def test_sub_and_weak_sub_agree_on_exact_completion(name, request):
     Psi = weak_sub_doctrine(C, tp.pc, WindowScope(C.objects))
     iso = []
     for a in range(C.n_objects):
-        _, sub_reps, _ = subobject_poset(C, a)
-        _, psi_reps = weak_subobject_poset(C, a)
-        psi_fsets = {r: _factor_set(C, r) for r in psi_reps}
-        table = np.array([_class_of(C, psi_fsets, psi_reps, m) for m in sub_reps])
+        sub_reps = subobject_poset(C, a)[1]
+        psi_cls = weak_subobject_poset(C, a)[3]
+        table = psi_cls[sub_reps]
+        fsets, psi_reps = oracles.factor_classes(C, C.into(a).tolist())
+        assert table.tolist() == [oracles.class_of(fsets, psi_reps, m) for m in sub_reps]
         assert sorted(table.tolist()) == list(range(Psi.fibers[a].n))
         assert np.array_equal(S.fibers[a].leq, Psi.fibers[a].leq[np.ix_(table, table)])
         iso.append(table)

@@ -8,7 +8,9 @@ import pytest
 
 from doctrines import fixtures
 from doctrines.errors import ParseError
-from doctrines.fileformat import _lines, doctrine_equal, emit_doctrine, parse_doctrine
+from doctrines.fileformat import _lines, emit_doctrine, parse_doctrine
+
+from oracles import doctrine_equal
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 PARSE_CASES = json.loads((GOLDEN / "parse_errors.json").read_text())

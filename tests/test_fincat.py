@@ -1,12 +1,14 @@
 import numpy as np
 
+import crafted
 from doctrines import fixtures
 from doctrines.fincat import (Cone, FinCat, FunctorData, WindowScope,
-                              check_equivalence, check_exact,
-                              enumerate_pullbacks, image_factorization,
-                              is_iso, is_mono, is_regular_epi, iso_classes,
+                              check_equivalence, check_exact, image_factorization,
+                              is_iso, is_mono, is_regular_epi, iso_classes, pullback,
                               validate_category, validate_functor,
                               validate_products)
+
+from oracles import enumerate_pullbacks
 
 
 
@@ -91,6 +93,7 @@ def test_pullback_cones_pairwise_isomorphic(chain, fs2):
                 if int(C.tgt[f]) != int(C.tgt[g]):
                     continue
                 cones = enumerate_pullbacks(C, f, g)
+                assert pullback(C, f, g) == (cones[0] if cones else None)
                 seen += len(cones)
                 for c1 in cones:
                     for c2 in cones:
@@ -119,7 +122,7 @@ def test_factorization_poset_trivial(chain):
 
 
 def test_factorization_unavailable():
-    C = fixtures.nofact_category()
+    C = crafted.nofact_category()
     assert validate_category(C).ok
     f = C.arr_index["f"]
     assert not is_mono(C, f)
@@ -157,7 +160,7 @@ def test_check_exact_chain_base(chain):
 
 
 def test_check_exact_vposet_counterexample():
-    v = check_exact(fixtures.v_poset())
+    v = check_exact(crafted.v_poset())
     assert not v.finitely_complete
     assert tuple(v.witness["finitely_complete"]) == ("a", "b")
     assert not v.regular and not v.exact

@@ -38,55 +38,63 @@ def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
 
 
-def definitions(source: str) -> list[tuple[str, int]]:
+def definitions(source: str) -> list[tuple[str, int, bool]]:
     """Top-level functions and the methods of top-level classes, dunder
-    methods left out, with their lines."""
+    methods left out, with their lines and whether each is a method."""
     out = []
     for node in ast.parse(source).body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        out += [(d.name, d.lineno) for d in body
+        method = isinstance(node, ast.ClassDef)
+        body = node.body if method else [node]
+        out += [(d.name, d.lineno, method) for d in body
                 if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (d.name.startswith("__") and d.name.endswith("__"))]
     return out
 
 
-def names_used(source: str) -> set[str]:
-    """Every name a module reads or imports, or spells in a dotted string
-    such as "fincat.product_cone", outside the body of the function or
-    method it names.  Plain strings do not count: a file-format keyword
-    such as "fiber" is not a use of a method of that name."""
-    used: set[str] = set()
+def names_used(source: str) -> tuple[set[str], set[str]]:
+    """The names a module reads or imports, and the names it reads as an
+    attribute or spells in a dotted string such as "fincat.product_cone",
+    each outside the body of the function or method it names.  Plain
+    strings do not count: a file-format keyword such as "fiber" is not a
+    use of a method of that name."""
+    names: set[str] = set()
+    attributes: set[str] = set()
 
     def walk(node, inside: frozenset):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         if isinstance(node, ast.Name):
-            found = [node.id]
-        elif isinstance(node, ast.Attribute):
-            found = [node.attr]
+            names.update({node.id} - inside)
         elif isinstance(node, ast.alias):
-            found = [node.name.split(".")[-1]]
+            names.update({node.name.split(".")[-1]} - inside)
+        elif isinstance(node, ast.Attribute):
+            attributes.update({node.attr} - inside)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and re.fullmatch(r"\w+(\.\w+)+", node.value):
-            found = node.value.split(".")
-        else:
-            found = []
-        used.update(name for name in found if name not in inside)
+            attributes.update(set(node.value.split(".")) - inside)
         for child in ast.iter_child_nodes(node):
             walk(child, inside)
 
     walk(ast.parse(source), frozenset())
-    return used
+    return names, attributes
+
+
+def unused_definitions(source: str, names: set[str], attributes: set[str]) -> list[tuple[str, int]]:
+    """The definitions of `source` that `names_used` sets do not use.  A
+    method counts as used only through an attribute or a dotted string: a
+    local variable that shares its name, such as `key`, is not a use."""
+    return [(name, line) for name, line, method in definitions(source)
+            if name not in attributes and (method or name not in names)]
 
 
 def test_scan_finds_unused_definition():
-    source = ("def used():\n    return 1\n\n"
+    source = ("def used():\n    key = 1\n    return key\n\n"
               "def recursive(n):\n    return recursive(n - 1)\n\n"
               "class K:\n    def __repr__(self):\n        return ''\n"
-              "    def method(self):\n        return used()\n")
-    unused = [(name, line) for name, line in definitions(source)
-              if name not in names_used(source)]
-    assert unused == [("recursive", 4), ("method", 10)]
+              "    def method(self):\n        return used()\n"
+              "    def key(self):\n        return 0\n")
+    assert unused_definitions(source, *names_used(source)) == \
+        [("recursive", 5), ("method", 11), ("key", 13)]
 
 
 # Definitions of the package that only the tests name, each with the reason
@@ -96,28 +104,25 @@ TEST_ONLY = {
                             "with the subobject fiber on exact bases",
     "psi_postcompose_exists": "the weak-subobject existential in closed form, "
                               "checked against the computed left adjoint",
-    "doctrine_equal": "structural equality of presentations, the file-format "
-                      "round-trip check",
-    "v_poset": "fixture without a binary product, for the exactness verdict",
-    "nofact_category": "fixture without image factorizations, for the exactness verdict",
-    "noext": "fixture without a smallest transitive extension, for its error path",
-    "is_monotone": "the monotonicity test of a map, which the adjoint-search "
-                   "tests need before they ask for an adjoint",
-    "homomorphism_violation": "names the first top or meet failure of a map",
-    "check_adjunction": "unit and counit test of an adjoint pair",
 }
 
 
 def test_no_unused_definitions():
-    """Every function and method of the package is named somewhere in the
-    package or the benchmark, outside its own definition, or else named by
+    """Every function and method of the package is used somewhere in the
+    package or the benchmark, outside its own definition, or else used by
     the tests and listed in TEST_ONLY."""
     def used_in(*dirs):
-        files = [p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
-        return set().union(*(names_used(p.read_text()) for p in files))
+        found = [names_used(p.read_text()) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
+        return set().union(*(n for n, _ in found)), set().union(*(a for _, a in found))
 
     package, tests = used_in("src", "benchmark"), used_in("tests")
-    outside = [(f"{path.name}:{line}", name) for path in sorted(SRC.glob("*.py"))
-               for name, line in definitions(path.read_text()) if name not in package]
-    assert [f"{where} {name}" for where, name in outside if name not in tests] == []
-    assert sorted(name for _, name in outside) == sorted(TEST_ONLY)
+    test_only, unused = [], []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        not_in_tests = unused_definitions(source, *tests)
+        for name, line in unused_definitions(source, *package):
+            test_only.append(name)
+            if (name, line) in not_in_tests:
+                unused.append(f"{path.name}:{line} {name}")
+    assert unused == []
+    assert sorted(test_only) == sorted(TEST_ONLY)

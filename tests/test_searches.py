@@ -1,25 +1,28 @@
 """The universal-property searches against the plain loops they replaced.
 
-Limiting cones, monos, joint monicity, coequalizers, weak pullbacks and
-comprehensions all read one mediator table (`fincat.mediators`); on random
-small categories of finite maps and their powerset doctrines each must give
-the result lists of the former loops in `oracles.py`, in order.  Product
-cones are searched once per category, pair and cap."""
+Limiting cones, monos, joint monicity, coequalizers, weak pullbacks,
+comprehensions and product validation all read one mediator table
+(`fincat.mediators`); on random small categories of finite maps and their
+powerset doctrines, or on corrupted product choices, each must give the
+results of the former loops in `oracles.py`, in order.  Product cones are
+searched once per category, pair and cap."""
 
 import copy
 import itertools
 import pickle
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as strat
 
 import oracles
 from doctrines import completions, fincat, fixtures
 from doctrines.compare import analysis
 from doctrines.completions import choose_products
 from doctrines.doctrine import _is_weak_pullback, weak_pullback
-from doctrines.fincat import (Cone, WindowScope, check_exact, cospan_cones, equalizer,
-                              greedy_product_core, is_coequalizer_of, is_mono,
-                              jointly_monic, product_cone)
+from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, cospan_cones,
+                              equalizer, greedy_product_core, is_coequalizer_of, is_mono,
+                              jointly_monic, product_cone, validate_products)
 from doctrines.structure import verify_comprehension_arrow
 from test_laws import concrete_categories, corrupted_doctrines
 
@@ -85,6 +88,67 @@ def test_weak_pullbacks_match_oracle(sample):
         assert [_is_weak_pullback(C, cones, p, q) for _, p, q in cones] == \
             [oracles.is_weak_pullback(C, f, g, *cone) for cone in cones]
         assert weak_pullback(C, f, g) == oracles.weak_pullback(C, f, g)
+
+
+def _validated(validate, C, binary, terminal):
+    """The report and the pairing table, in order, of a fresh product choice."""
+    pc = ProductChoice(terminal, dict(binary))
+    return validate(C, pc), list(pc.pairing.items())
+
+
+@pytest.fixture(scope="session")
+def product_bases(triv, chain, fs2):
+    """Each fixture's base and tp completion with its chosen products."""
+    out = []
+    for P in (triv, chain, fs2):
+        tp = analysis(P).tp()
+        out += [(P.cat, P.products), (tp.cat, tp.pc)]
+    return out
+
+
+def test_product_validation_matches_oracle_on_fixtures(product_bases):
+    for C, pc in product_bases:
+        got = _validated(validate_products, C, pc.binary, pc.terminal)
+        assert got[0].ok and got == _validated(oracles.validate_products, C, pc.binary,
+                                               pc.terminal)
+
+
+@settings(max_examples=300)
+@given(strat.data())
+def test_product_validation_matches_oracle_on_corrupted_choices(product_bases, data):
+    """Up to two corruptions of a chosen product or the terminal: projections
+    swapped, one replaced by another arrow of its type or by any arrow, a
+    span from another apex, another terminal.  The report and the pairing
+    table must be the former code-table validation's."""
+    C, pc = data.draw(strat.sampled_from([b for b in product_bases if b[0].n_arrows > 1]))
+    binary, terminal = dict(pc.binary), pc.terminal
+    for _ in range(data.draw(strat.sampled_from([1, 1, 2]))):
+        kind = data.draw(strat.sampled_from(["swap", "typed", "typed", "any", "apex", "apex",
+                                             "apex", "terminal"]))
+        # a swap is well typed on a square A×A only
+        key = data.draw(strat.sampled_from(sorted(k for k in binary
+                                                  if kind != "swap" or k[0] == k[1])))
+        p, *legs = binary[key]
+        if kind == "swap":
+            legs.reverse()
+        elif kind in ("typed", "any"):
+            i = data.draw(strat.integers(0, 1))
+            pool = (C.hom(C.obj_index[p], C.obj_index[key[i]]).tolist() if kind == "typed"
+                    else range(C.n_arrows))
+            others = [C.arrows[f] for f in pool if C.arrows[f] != legs[i]]
+            if others:
+                legs[i] = data.draw(strat.sampled_from(others))
+        elif kind == "apex":
+            z = data.draw(strat.sampled_from([z for z in range(C.n_objects) if C.objects[z] != p]))
+            p = C.objects[z]
+            for j, o in enumerate(key):
+                h = C.hom(z, C.obj_index[o]).tolist()
+                legs[j] = C.arrows[data.draw(strat.sampled_from(h))] if h else legs[j]
+        else:
+            terminal = data.draw(strat.sampled_from([o for o in C.objects if o != terminal]))
+        binary[key] = (p, *legs)
+    assert _validated(validate_products, C, binary, terminal) == \
+        _validated(oracles.validate_products, C, binary, terminal)
 
 
 @settings(max_examples=60)
