@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allegory import RelArrow, rel_compose
+from .allegory import RelArrow, rel_compose, triple_product
 from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
                           NoExtension, QCompletion, TCompletion, _l_value,
                           build_erp, build_gr, build_qp, build_tp, choose_products,
@@ -677,13 +677,11 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     derived_all, witness = True, None
     instances = 0
     skipped: list[str] = []
-    by_pair = {(i.a1, i.a2): i for i in X.instances}
     for a in P.core_idx():
         for b in P.core_idx():
-            inst = by_pair[(a, b)]
-            e1 = X.adjoints[inst.pr1]
-            e2 = X.adjoints[inst.pr2]
-            fib_ab = P.fibers[inst.prod]
+            ab, pr1, _ = win.prod(a, b)
+            e1 = X.adjoints[pr1]
+            fib_ab = P.fibers[ab]
             for al in range(fib_ab.n):
                 if int(e1.table[al]) != P.fibers[a].top:
                     continue
@@ -759,16 +757,13 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
         return None
     # span the relation against itself and close transitively
     try:
-        aww = win.prod3(a, w_obj, w_obj)[0]
+        win.prod3(a, w_obj, w_obj)
     except WindowClosure:
         skipped.append(f"{label}: triple outside window")
         return None
-    fib3 = P.fibers[aww]
-    r12 = P.r(win.pair3(a, w_obj, w_obj, 1, 2)).table
-    r13 = P.r(win.pair3(a, w_obj, w_obj, 1, 3)).table
+    fib3, legs, r12, _, r13 = triple_product(P, a, w_obj, w_obj)
     lifted = fib3.meet_of(int(r12[alp]), int(r13[alp]))
-    drop1 = win.pair3(a, w_obj, w_obj, 2, 3)
-    ez = exists_along(P, drop1)
+    ez = exists_along(P, legs[1])                   # drops the source
     if isinstance(ez, NoAdjoint):
         skipped.append(f"{label}: no existential dropping the source")
         return None
@@ -809,7 +804,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
     for ci, (cx, cy, mem) in enumerate(q.classes):
         if (cx, cy) != (xi, yi):
             continue
-        if _l_value(P, win, a, w_obj, E.delta[a], tr, mem[0]) == phi:
+        if _l_value(P, a, w_obj, E.delta[a], tr, mem[0]) == phi:
             members = mem
             break
     if members is None:

@@ -19,11 +19,12 @@ computed on demand and reported separately, never silently quotiented.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .allegory import RelArrow, rel_compose
+from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
 from .doctrine import DoctrineData, exists_along
 from .errors import DesNotClosed, FormulaMismatch, MalformedPresentation, ResourceCap
 from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope,
@@ -173,21 +174,9 @@ def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
     W = P.window
     out = []
     for a in P.core_idx():
-        aa, _, _ = W.prod(a, a)
-        fib = P.fibers[aa]
-        sw = P.r(W.swap(a, a)).table
-        m12 = P.r(W.pair3(a, a, a, 1, 2)).table
-        m23 = P.r(W.pair3(a, a, a, 2, 3)).table
-        m13 = P.r(W.pair3(a, a, a, 1, 3)).table
-        aaa = W.prod3(a, a, a)[0]
-        fib3 = P.fibers[aaa]
-        for rel in range(fib.n):
-            if not fib.le(rel, int(sw[rel])):
-                continue
-            lhs = fib3.meet_of(int(m12[rel]), int(m23[rel]))
-            if not fib3.le(lhs, int(m13[rel])):
-                continue
-            out.append((a, rel))
+        fib = P.fibers[W.prod(a, a)[0]]
+        sym = fib.leq[np.arange(fib.n), P.r(W.swap(a, a)).table]
+        out += [(a, int(rel)) for rel in np.flatnonzero(sym & transitive_mask(P, a))]
     return out
 
 
@@ -201,44 +190,22 @@ def functional_relations(P: DoctrineData, W: ExistentialWitness,
     win = P.window
     ab, pr1, pr2 = win.prod(a, b)
     fib = P.fibers[ab]
-    n = fib.n
-    ok = np.ones(n, dtype=bool)
     # (i) contained in the domains of both relations
-    p11 = P.r(win.pair(pr1, pr1)).table
-    p22 = P.r(win.pair(pr2, pr2)).table
-    aa = win.prod(a, a)[0]
-    bb = win.prod(b, b)[0]
-    dom = fib.meet_of(int(p11[rho]), int(p22[sig]))
-    ok &= fib.leq[:, dom]
+    dom = fib.meet_of(int(P.r(win.pair(pr1, pr1)).table[rho]),
+                      int(P.r(win.pair(pr2, pr2)).table[sig]))
+    ok = fib.leq[:, dom].copy()
     # (ii) compatible on the left: over A×A×B
-    aab = win.prod3(a, a, b)[0]
-    fib_aab = P.fibers[aab]
-    q12 = P.r(win.pair3(a, a, b, 1, 2)).table
-    q23 = P.r(win.pair3(a, a, b, 2, 3)).table
-    q13 = P.r(win.pair3(a, a, b, 1, 3)).table
-    lhs = fib_aab.meet[int(q12[rho]), q23]
-    ok &= fib_aab.leq[lhs, q13]
+    fib3, _, q12, q23, q13 = triple_product(P, a, a, b)
+    ok &= fib3.leq[fib3.meet[int(q12[rho]), q23], q13]
     # (iii) compatible on the right and (iv) single-valued: over A×B×B
-    abb = win.prod3(a, b, b)[0]
-    fib_abb = P.fibers[abb]
-    t12 = P.r(win.pair3(a, b, b, 1, 2)).table
-    t23 = P.r(win.pair3(a, b, b, 2, 3)).table
-    t13 = P.r(win.pair3(a, b, b, 1, 3)).table
-    lhs3 = fib_abb.meet[t12, int(t23[sig])]
-    ok &= fib_abb.leq[lhs3, t13]
-    lhs4 = fib_abb.meet[t12, t13]
-    ok &= fib_abb.leq[lhs4, int(t23[sig])]
+    fib3, _, t12, t23, t13 = triple_product(P, a, b, b)
+    ok &= fib3.leq[fib3.meet[t12, int(t23[sig])], t13]
+    ok &= fib3.leq[fib3.meet[t12, t13], int(t23[sig])]
     # (v) totality
-    by_pair = {(i.a1, i.a2): i for i in W.instances}
-    inst = by_pair[(a, b)]
     if condition_v == "strict":
-        dgA = P.r(win.diag(a)).table
-        e1 = W.adjoints[inst.pr1]
-        ok &= P.fibers[a].leq[int(dgA[rho]), e1.table]
+        ok &= P.fibers[a].leq[int(P.r(win.diag(a)).table[rho]), W.adjoints[pr1].table]
     elif condition_v == "alt":
-        dgB = P.r(win.diag(b)).table
-        e2 = W.adjoints[inst.pr2]
-        ok &= P.fibers[b].leq[int(dgB[sig]), e2.table]
+        ok &= P.fibers[b].leq[int(P.r(win.diag(b)).table[sig]), W.adjoints[pr2].table]
     else:
         raise MalformedPresentation(f"unknown condition_v {condition_v!r}")
     return [int(i) for i in np.flatnonzero(ok)]
@@ -463,9 +430,6 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                     fxg = win.times(f, g)
                     if fib_aa.le(rho, int(P.r(fxg).table[sig])):
                         rel_pairs.add((f, g))
-            for f in good:
-                if (f, f) not in rel_pairs:
-                    raise MalformedPresentation("arrow identification is not reflexive")
             for (f, g) in rel_pairs:
                 if (g, f) not in rel_pairs:
                     raise MalformedPresentation(
@@ -521,12 +485,6 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                if fib_aa.le(fib_aa.meet_of(int(r1[al]), rho), int(r2[al]))]
         if fib_a.top not in des:
             raise DesNotClosed(obj_names[oi], "top fails descent")
-        for x in des:
-            for y in des:
-                if fib_a.meet_of(x, y) not in des:
-                    raise DesNotClosed(
-                        obj_names[oi],
-                        f"meet of {fib_a.elements[x]}, {fib_a.elements[y]} fails descent")
         try:
             fibers.append(sub_semilattice(fib_a, des))
         except MalformedPresentation as exc:
@@ -589,36 +547,27 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     skipped: list[str] = []
     for ci, (xi, yi, members) in enumerate(q.classes):
         (a, rho), (b, sig) = q.objects[xi], q.objects[yi]
-        values = set()
-        for f in members:
-            values.add(_l_value(P, win, a, b, rho, sig, f))
+        values = {_l_value(P, a, b, rho, sig, f) for f in members}
         if len(values) != 1:
             raise FormulaMismatch("comparison functor",
                                   f"value differs across representatives of {q.cat.arrows[ci]}")
         val = values.pop()
-        # second computation: existential image of the relation along <p1, f∘p2>
-        f0 = members[0]
-        aa, a1, a2 = win.prod(a, a)
-        gr = win.pair(a1, C.compose(f0, a2))          # <p1, f∘p2>: A×A -> A×B
-        e_gr = exists_along(P, gr)
-        if isinstance(e_gr, NoAdjoint):
+        # second form: the existential image of rho along <p1, f∘p2>, composed with sigma
+        _, a1, a2 = win.prod(a, a)
+        e_gr = exists_along(P, win.pair(a1, C.compose(members[0], a2)))
+        other = None
+        if not isinstance(e_gr, NoAdjoint):
+            with contextlib.suppress(MalformedPresentation):   # no existential along <p1, p3>
+                other = rel_compose(P, RelArrow(a, b, int(e_gr.table[rho])),
+                                    RelArrow(b, b, sig)).el
+        if other is None:
             skipped.append(q.cat.arrows[ci])
         else:
-            abb = win.prod3(a, b, b)[0]
-            fib_abb = P.fibers[abb]
-            u12 = P.r(win.pair3(a, b, b, 1, 2)).table
-            u23 = P.r(win.pair3(a, b, b, 2, 3)).table
-            lifted = fib_abb.meet_of(int(u12[int(e_gr.table[rho])]), int(u23[sig]))
-            e13 = exists_along(P, win.pair3(a, b, b, 1, 3))
-            if isinstance(e13, NoAdjoint):
-                skipped.append(q.cat.arrows[ci])
-            else:
-                other = int(e13.table[lifted])
-                comparisons += 1
-                if other != val:
-                    raise FormulaMismatch(
-                        "comparison functor",
-                        f"published forms disagree on {q.cat.arrows[ci]}")
+            comparisons += 1
+            if other != val:
+                raise FormulaMismatch(
+                    "comparison functor",
+                    f"published forms disagree on {q.cat.arrows[ci]}")
         key = (er.tp.obj_of[(a, rho)], er.tp.obj_of[(b, sig)], val)
         if key not in er.tp.arr_of:
             raise MalformedPresentation(
@@ -633,20 +582,10 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     return LFunctorResult(F, comparisons, skipped)
 
 
-def _l_value(P: DoctrineData, win, a: int, b: int, rho: int, sig: int, f: int) -> int:
-    """The reindex-only form over A×A×B: meet rho (front square) with sigma
-    pulled back along f on the middle coordinate, then drop the middle."""
-    C = P.cat
-    aab = win.prod3(a, a, b)[0]
-    fib = P.fibers[aab]
-    _, (p1, p2, p3) = win.prod3(a, a, b)
-    r12 = P.r(win.pair(p1, p2)).table
-    rf23 = P.r(win.pair(C.compose(f, p2), p3)).table
-    lifted = fib.meet_of(int(r12[rho]), int(rf23[sig]))
-    e13 = exists_along(P, win.pair(p1, p3))
-    if isinstance(e13, NoAdjoint):
-        raise MalformedPresentation("no existential along the outer projection")
-    return int(e13.table[lifted])
+def _l_value(P: DoctrineData, a: int, b: int, rho: int, sig: int, f: int) -> int:
+    """The reindex-only form: rho composed with sigma pulled back along f×id."""
+    fxid = P.window.times(f, int(P.cat.id_arr[b]))
+    return rel_compose(P, RelArrow(a, a, rho), RelArrow(a, b, int(P.r(fxid).table[sig]))).el
 
 
 # ---------------------------------------------------------------------------
@@ -667,26 +606,15 @@ def transitive_extension(P: DoctrineData, c: int, zeta: int, delta: int) -> int 
     transitive elements above it; NoExtension carries the minimal antichain
     when no least one exists.  With homomorphism reindexing the transitive
     elements are meet-closed, so the extension always exists there."""
-    win = P.window
-    cc = win.prod(c, c)[0]
-    fib = P.fibers[cc]
+    fib = P.fibers[P.window.prod(c, c)[0]]
     if not fib.le(delta, zeta):
         raise MalformedPresentation("relation is not reflexive against the given equality")
-    m12 = P.r(win.pair3(c, c, c, 1, 2)).table
-    m23 = P.r(win.pair3(c, c, c, 2, 3)).table
-    m13 = P.r(win.pair3(c, c, c, 1, 3)).table
-    fib3 = P.fibers[win.prod3(c, c, c)[0]]
-    cands = []
-    for xi in range(fib.n):
-        if not fib.le(zeta, xi):
-            continue
-        if fib3.le(fib3.meet_of(int(m12[xi]), int(m23[xi])), int(m13[xi])):
-            cands.append(xi)
-    for xi in cands:
-        if all(fib.le(xi, other) for other in cands):
-            return xi
-    minimal = [xi for xi in cands
-               if not any(other != xi and fib.le(other, xi) for other in cands)]
+    cands = np.flatnonzero(fib.leq[zeta] & transitive_mask(P, c))
+    below = fib.leq[np.ix_(cands, cands)]          # below[i, j]: cands[i] <= cands[j]
+    least = cands[below.all(axis=1)]
+    if least.size:
+        return int(least[0])
+    minimal = cands[~(below & ~np.eye(len(cands), dtype=bool)).any(axis=0)]
     return NoExtension(tuple(fib.elements[xi] for xi in minimal))
 
 

@@ -328,10 +328,13 @@ def _associativity_scan(C: FinCat) -> ValidationReport:
 
 
 def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
-    """Check the terminal and every chosen product; fill the pairing table.
+    """Check the terminal and every chosen product of the category C; fill
+    the pairing table.
 
     Every cone (f: Z->A, g: Z->B) present in the window must have exactly one
-    mediating arrow, and <pr1, pr2> must be the identity of the product."""
+    mediating arrow.  <pr1, pr2> is then the identity of the product: C's
+    table is unital, so id_P mediates (pr1, pr2) at z = P, and it is that
+    cone's only mediator."""
     if pc.terminal not in C.obj_index:
         return ValidationReport(False, "MissingEntry", (pc.terminal,), "unknown terminal")
     t = C.obj_index[pc.terminal]
@@ -365,9 +368,6 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
                     return ValidationReport(False, "Product", tuple(C.arrows[x] for x in missing),
                                             f"cone has no mediating arrow into {pn}")
             pc.pairing.update((cone, ms[0]) for cone, ms in sorted(table.items()))
-        if pc.pairing.get((p1, p2)) != int(C.id_arr[p]):
-            return ValidationReport(False, "Product", (p1n, p2n),
-                                    "<pr1, pr2> is not the identity of the product")
     return ValidationReport(True)
 
 
@@ -436,11 +436,6 @@ class Window:
         ab, p1, p2 = self.prod(a, b)
         abc, q1, q2 = self.prod(ab, c)
         return abc, (self.C.compose(p1, q1), self.C.compose(p2, q1), q2)
-
-    def pair3(self, a: int, b: int, c: int, i: int, j: int) -> int:
-        """<p_i, p_j>: A×B×C -> (factor i)×(factor j), 1-based indices."""
-        _, ps = self.prod3(a, b, c)
-        return self.pair(ps[i - 1], ps[j - 1])
 
     def prod4(self, x1: int, x2: int, y1: int, y2: int) -> tuple[int, tuple[int, int, int, int]]:
         """(X1×X2)×(Y1×Y2) with the four factor projections."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allegory import triple_product
 from .doctrine import DoctrineData
 from .errors import WindowClosure
 from .fincat import mediators
@@ -102,15 +103,11 @@ def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
             continue
         ok = True
         for x in P.core_idx():
-            xa, q1, q2 = W.prod(x, a)
-            xaa, (t1, t2, t3) = W.prod3(x, a, a)
+            xa, _, q2 = W.prod(x, a)
+            fib_xaa, _, r12, r23, _ = triple_product(P, x, a, a)
             e = W.pair(int(P.cat.id_arr[xa]), q2)       # <pr1, pr2, pr2>
-            fib_xa, fib_xaa = P.fibers[xa], P.fibers[xaa]
-            r12 = P.r(W.pair(t1, t2)).table
-            r23 = P.r(W.pair(t2, t3)).table
-            d_up = r23[d]
-            E2 = fib_xaa.meet[r12, d_up]
-            if not _is_left_adjoint(E2, fib_xaa.leq, fib_xa.leq, P.r(e).table):
+            E2 = fib_xaa.meet[r12, r23[d]]
+            if not _is_left_adjoint(E2, fib_xaa.leq, P.fibers[xa].leq, P.r(e).table):
                 ok = False
                 break
         if ok:
@@ -159,20 +156,19 @@ def check_beck_chevalley(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict
     equality of the two composite tables is demanded for every element."""
     win = P.window
     C = P.cat
-    by_pair = {(i.a1, i.a2): i for i in W.instances}
     checked = 0
     for x in P.core_idx():
         for a in P.core_idx():
-            inst = by_pair[(x, a)]
-            e_pr = W.adjoints[inst.pr2]
+            xa, _, pr2 = win.prod(x, a)
+            e_pr = W.adjoints[pr2]
             for ap in P.core_idx():
                 for f in C.hom(ap, a):
                     f = int(f)
                     if f == int(C.id_arr[a]):
                         continue
-                    inst2 = by_pair[(x, ap)]
-                    e_pr2 = W.adjoints[inst2.pr2]
-                    idxf = win.pair(inst2.pr1, C.compose(f, inst2.pr2))  # id_X × f
+                    _, q1, q2 = win.prod(x, ap)
+                    e_pr2 = W.adjoints[q2]
+                    idxf = win.pair(q1, C.compose(f, q2))  # id_X × f
                     lhs = e_pr2.table[P.r(idxf).table]      # ∃' ∘ P_{id×f}
                     rhs = P.r(f).table[e_pr.table]          # P_f ∘ ∃
                     checked += 1
@@ -180,8 +176,7 @@ def check_beck_chevalley(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict
                         b = int(np.flatnonzero(lhs != rhs)[0])
                         return CheckVerdict(
                             False, checked,
-                            (C.objects[x], C.arrows[f],
-                             P.fibers[inst.prod].elements[b]),
+                            (C.objects[x], C.arrows[f], P.fibers[xa].elements[b]),
                             "stability square failed")
     return CheckVerdict(True, checked)
 
@@ -319,14 +314,13 @@ def check_rule_of_choice(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict
     top <= P_<id,w>(alpha) for some w: A -> B, searched exhaustively."""
     C = P.cat
     win = P.window
-    by_pair = {(i.a1, i.a2): i for i in W.instances}
     checked = 0
     for a in P.core_idx():
         for b in P.core_idx():
-            inst = by_pair[(a, b)]
-            e1 = W.adjoints[inst.pr1]
+            ab, pr1, _ = win.prod(a, b)
+            e1 = W.adjoints[pr1]
             fib_a = P.fibers[a]
-            fib_p = P.fibers[inst.prod]
+            fib_p = P.fibers[ab]
             graphs = [win.pair(int(C.id_arr[a]), int(w)) for w in C.hom(a, b)]
             for al in range(fib_p.n):
                 if int(e1.table[al]) != fib_a.top:

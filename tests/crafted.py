@@ -59,9 +59,8 @@ def noext() -> tuple[DoctrineData, dict[str, str]]:
         fibers.append({"0": one, "1": one, "2": two, "4": M, "8": M}[o])
     W = Window(cat, pc, scope)
     o2 = cat.obj_index["2"]
-    r12 = W.pair3(o2, o2, o2, 1, 2)
-    r23 = W.pair3(o2, o2, o2, 2, 3)
-    r13 = W.pair3(o2, o2, o2, 1, 3)
+    _, (p1, p2, p3) = W.prod3(o2, o2, o2)
+    r12, r23, r13 = W.pair(p1, p2), W.pair(p2, p3), W.pair(p1, p3)
     sigma = np.array([bot, delta, delta, t1, t2, top], dtype=np.int32)
     ident = np.arange(6, dtype=np.int32)
     reindex = []
@@ -78,3 +77,30 @@ def noext() -> tuple[DoctrineData, dict[str, str]]:
             reindex.append(MonotoneMap(fb, fa, np.full(fb.n, fa.top, dtype=np.int32)))
     P = DoctrineData(cat, pc, scope, fibers, reindex)
     return P, {"zeta": "zeta", "delta": "delta", "t1": "t1", "t2": "t2"}
+
+
+def nofrobenius() -> DoctrineData:
+    """Doctored fibers over the finite-set base on which reciprocity fails:
+    P(2) is the chain lo < mid < hi, P(4) the chain no < yes, and reindexing
+    along the first projection 4 -> 2 sends lo and mid to no.  Its left
+    adjoint sends no to lo and yes to hi, so at alpha = mid, beta = yes the
+    projection of P(alpha) ∧ beta is lo while alpha ∧ ∃beta is mid.  Other
+    identities reindex as identities and every other arrow to top, so the
+    left adjoints along the other core projections exist and satisfy
+    reciprocity.  Deliberately not a valid doctrine."""
+    cat, pc, scope, _ = fs2_base()
+    one = lattice_from_leq(("s0",), np.ones((1, 1), dtype=bool))
+    fibers = [{"2": chain(("lo", "mid", "hi")), "4": chain(("no", "yes"))}.get(o, one)
+              for o in cat.objects]
+    p1 = cat.arr_index[pc.binary[("2", "2")][1]]
+    reindex = []
+    for f in range(cat.n_arrows):
+        fa, fb = fibers[int(cat.src[f])], fibers[int(cat.tgt[f])]
+        if f == p1:
+            table = np.array([0, 0, 1], dtype=np.int32)
+        elif f == int(cat.id_arr[cat.src[f]]):
+            table = np.arange(fb.n, dtype=np.int32)
+        else:
+            table = np.full(fb.n, fa.top, dtype=np.int32)
+        reindex.append(MonotoneMap(fb, fa, table))
+    return DoctrineData(cat, pc, scope, fibers, reindex)

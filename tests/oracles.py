@@ -12,7 +12,10 @@ former plain loops, kept to check the mediator table that replaced them,
 and so are the subobject and weak-subobject constructors after them, kept
 to check the one reindexing formula that replaced their per-representative
 loop and per-cospan weak pullback search.  Their classes of arrows are
-plain factor sets, not the package's mask table.  The checks at the very
+plain factor sets, not the package's mask table.  The relation objects,
+smallest transitive extensions and the comparison functor's value after
+them are the former per-element loops over the triple product, kept to
+check the masks and the relational composition that replaced them.  The checks at the very
 end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
@@ -25,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite
-from doctrines.doctrine import DoctrineData
+from doctrines.completions import NoExtension
+from doctrines.doctrine import DoctrineData, exists_along
 from doctrines.errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
 from doctrines.fincat import Cone, ValidationReport
-from doctrines.semilattice import FinInfSL, MonotoneMap
+from doctrines.semilattice import FinInfSL, MonotoneMap, NoAdjoint
 from doctrines.structure import ElementaryWitness
 
 
@@ -654,6 +658,59 @@ def weak_sub_doctrine(C, pc, scope):
                     f"for ({C.arrows[f]}, {C.arrows[m]})")
         reindex.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex)
+
+
+def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
+    """The former per-element loop: a relation on a core A is an object when
+    it is below its swap and r12 ∧ r23 <= r13 over A×A×A."""
+    W = P.window
+    out = []
+    for a in P.core_idx():
+        fib = P.fibers[W.prod(a, a)[0]]
+        sw = P.r(W.swap(a, a)).table
+        aaa, (p1, p2, p3) = W.prod3(a, a, a)
+        fib3 = P.fibers[aaa]
+        m12, m23, m13 = (P.r(W.pair(x, y)).table for x, y in ((p1, p2), (p2, p3), (p1, p3)))
+        for rel in range(fib.n):
+            if not fib.le(rel, int(sw[rel])):
+                continue
+            if fib3.le(fib3.meet_of(int(m12[rel]), int(m23[rel])), int(m13[rel])):
+                out.append((a, rel))
+    return out
+
+
+def transitive_extension(P: DoctrineData, c: int, zeta: int, delta: int):
+    """The former loop: the transitive elements above zeta in P(C×C), the
+    first one below all others, or else the minimal ones."""
+    W = P.window
+    fib = P.fibers[W.prod(c, c)[0]]
+    if not fib.le(delta, zeta):
+        raise MalformedPresentation("relation is not reflexive against the given equality")
+    ccc, (p1, p2, p3) = W.prod3(c, c, c)
+    fib3 = P.fibers[ccc]
+    m12, m23, m13 = (P.r(W.pair(x, y)).table for x, y in ((p1, p2), (p2, p3), (p1, p3)))
+    cands = [xi for xi in range(fib.n) if fib.le(zeta, xi)
+             and fib3.le(fib3.meet_of(int(m12[xi]), int(m23[xi])), int(m13[xi]))]
+    for xi in cands:
+        if all(fib.le(xi, other) for other in cands):
+            return xi
+    minimal = [xi for xi in cands
+               if not any(other != xi and fib.le(other, xi) for other in cands)]
+    return NoExtension(tuple(fib.elements[xi] for xi in minimal))
+
+
+def l_value(P: DoctrineData, a: int, b: int, rho: int, sig: int, f: int) -> int:
+    """The former reindex-only form over A×A×B: rho on the front square met
+    with sigma pulled back along <f∘p2, p3>, then the middle dropped."""
+    W = P.window
+    aab, (p1, p2, p3) = W.prod3(a, a, b)
+    fib = P.fibers[aab]
+    lifted = fib.meet_of(int(P.r(W.pair(p1, p2)).table[rho]),
+                         int(P.r(W.pair(P.cat.compose(f, p2), p3)).table[sig]))
+    e13 = exists_along(P, W.pair(p1, p3))
+    if isinstance(e13, NoAdjoint):
+        raise MalformedPresentation("no existential along the outer projection")
+    return int(e13.table[lifted])
 
 
 def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) -> bool:

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
+import pytest
 
 import crafted
 from doctrines import compare, fixtures
 from doctrines.compare import (verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
 from doctrines.completions import build_tp
+from doctrines.errors import ResourceCap
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import MonotoneMap
 from doctrines.structure import (ElementaryWitness, discover_elementary,
@@ -258,3 +262,49 @@ def test_harnesses_agree_with_direct_equivalence(completions):
                  if c.name == "conclusion-comparison-equivalence")
     assert (concl.data["measured"] == "pass") == (
         direct_l.faithful and direct_l.full and direct_l.essentially_surjective)
+
+
+# ---------------------------------------------------------------------------
+# enumeration caps: each guard names what it counted, the count and the cap
+# ---------------------------------------------------------------------------
+
+
+def _capped(call) -> tuple[str, int, int]:
+    with pytest.raises(ResourceCap) as raised:
+        call()
+    return raised.value.what, raised.value.size, raised.value.cap
+
+
+def test_functor_object_maps_cap(chain):
+    C, pc = chain.cat, chain.products
+    assert _capped(lambda: compare.enumerate_functors(C, pc, C, pc, 3)) == \
+        ("functor object maps", 4, 3)
+
+
+def test_functor_arrow_maps_cap(chain, fs2):
+    """The cap admits chain's 25 object maps into fs2 and their work
+    estimate; the first object map whose hom set for chain's one
+    non-identity arrow is larger than the cap is refused."""
+    S, T = chain.cat, fs2.cat
+    cap = T.n_objects ** S.n_objects * int((S.comp >= 0).sum())
+    size = next(n for x, y in itertools.product(range(T.n_objects), repeat=2)
+                if (n := len(T.hom(x, y))) > cap)
+    assert _capped(lambda: compare.enumerate_functors(S, chain.products, T, fs2.products, cap)) \
+        == ("functor arrow maps", size, cap)
+
+
+def test_fiber_homomorphisms_cap(triv):
+    L = triv.fibers[0]
+    assert _capped(lambda: compare.enumerate_fiber_homs(L, L, 63)) == \
+        ("fiber homomorphisms", 4 ** 3, 63)
+
+
+def test_morphism_components_cap(witnesses):
+    """chain -> triv has one functor; its components on u and v are each
+    within the cap, their combinations are not."""
+    P, E_P, _ = witnesses["chain"]
+    R, E_R, _ = witnesses["triv"]
+    homs = [len(compare.enumerate_fiber_homs(fib, R.fibers[0], 1 << 20)) for fib in P.fibers]
+    assert homs == [4, 9]
+    assert _capped(lambda: compare.enumerate_morphisms(P, R, E_P, E_R, 20)) == \
+        ("morphism components", 36, 20)

@@ -399,3 +399,12 @@ def test_descent_components_are_fiber_inclusions(completions):
             parent = P.fibers[a]
             assert set(fib.elements) <= set(parent.elements)
             assert fib.elements[fib.top] == parent.elements[parent.top]
+
+
+def test_hom_candidates_cap(witnesses):
+    """The first pair of relation objects is refused when its candidate
+    relations, the elements of P(T×T), outnumber the cap."""
+    P, E, X = witnesses["triv"]
+    with pytest.raises(ResourceCap) as raised:
+        build_tp(P, E, X, caps=Caps(enum=3))
+    assert (raised.value.what, raised.value.size, raised.value.cap) == ("hom candidates", 4, 3)

@@ -232,6 +232,64 @@ def test_oracles_pass_a_concrete_doctrine():
     assert validate_doctrine(P).ok
 
 
+def _generated_sub_doctrine(gens) -> DoctrineData:
+    """The least sub-doctrine of fs2 whose fibers hold the given (object,
+    subset) elements: the fibers are closed under meets, top and reindexing
+    along every arrow, so it is a doctrine with fs2's products."""
+    P = fixtures.fs2()
+    C = P.cat
+    keep = [np.zeros(fib.n, dtype=bool) for fib in P.fibers]
+    for o, fib in enumerate(P.fibers):
+        keep[o][fib.top] = True
+    for o, el in gens:
+        keep[o][el] = True
+    grown = True
+    while grown:
+        grown = False
+        for o, fib in enumerate(P.fibers):
+            idx = np.flatnonzero(keep[o])
+            meets = fib.meet[np.ix_(idx, idx)].ravel()
+            grown |= not keep[o][meets].all()
+            keep[o][meets] = True
+        for f in range(C.n_arrows):
+            pulled = P.r(f).table[keep[int(C.tgt[f])]]
+            grown |= not keep[int(C.src[f])][pulled].all()
+            keep[int(C.src[f])][pulled] = True
+    elems = [np.flatnonzero(k) for k in keep]
+    pos = [np.cumsum(k) - 1 for k in keep]
+    fibers = [FinInfSL(tuple(fib.elements[i] for i in e), fib.leq[np.ix_(e, e)],
+                       int(p[fib.top]), p[fib.meet[np.ix_(e, e)]].astype(np.int32))
+              for fib, e, p in zip(P.fibers, elems, pos)]
+    reindex = [MonotoneMap(fibers[int(C.tgt[f])], fibers[int(C.src[f])],
+                           pos[int(C.src[f])][P.r(f).table[elems[int(C.tgt[f])]]].astype(np.int32))
+               for f in range(C.n_arrows)]
+    return DoctrineData(C, P.products, P.scope, fibers, reindex)
+
+
+@strat.composite
+def window_doctrines(draw, corrupt: bool = False):
+    """A sub-doctrine of fs2 generated by one to three random subsets of the
+    objects 2, 4 and 8.  With `corrupt`, one value of the reindexing along a
+    leg <p_i, p_j> of a core cube A×A×A may be re-pointed, so the result may
+    break the laws; the relation masks must still match the loops there."""
+    C = fixtures.fs2().cat
+    gens = []
+    for _ in range(draw(strat.integers(1, 3))):
+        o = draw(strat.sampled_from([2, 3, 4]))
+        gens.append((o, draw(strat.integers(0, (1 << int(C.objects[o])) - 1))))
+    Q = _generated_sub_doctrine(gens)
+    if corrupt and draw(strat.booleans()):
+        W = Q.window
+        c = draw(strat.sampled_from(Q.core_idx()))
+        _, (p1, p2, p3) = W.prod3(c, c, c)
+        f = W.pair(*draw(strat.sampled_from([(p1, p2), (p2, p3), (p1, p3)])))
+        m = Q.reindex[f]
+        table = m.table.copy()
+        table[draw(strat.integers(0, m.dom.n - 1))] = draw(strat.integers(0, m.cod.n - 1))
+        Q.reindex[f] = MonotoneMap(m.dom, m.cod, table)
+    return Q
+
+
 # ---------------------------------------------------------------------------
 # faults injected into copies of fs2
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from doctrines import completions, fincat, fixtures
 from doctrines.compare import analysis
 from doctrines.completions import choose_products
 from doctrines.doctrine import _is_weak_pullback, weak_pullback
+from doctrines.errors import ResourceCap
 from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, cospan_cones,
                               equalizer, greedy_product_core, is_coequalizer_of, is_mono,
                               jointly_monic, product_cone, validate_products)
@@ -219,3 +220,16 @@ def test_equalizer_clause_names_first_failing_pair():
     assert not v.finitely_complete and not v.regular and not v.exact
     f, g = disjoint[0]
     assert v.witness == {"core": ("2",), "finitely_complete": (cat.arrows[f], cat.arrows[g])}
+
+
+@pytest.mark.parametrize("search, what", [(fincat.pullback, "cone enumeration"),
+                                          (weak_pullback, "weak pullback cone enumeration")])
+def test_cone_enumeration_caps(chain, search, what):
+    """The cospan (idv, idv) of chain has the cones (u, m, m) and
+    (v, idv, idv); a cap of one refuses them before any search."""
+    C = chain.cat
+    idv = C.arr_index["idv"]
+    assert len(list(cospan_cones(C, idv, idv))) == 2
+    with pytest.raises(ResourceCap) as raised:
+        search(C, idv, idv, cap=1)
+    assert (raised.value.what, raised.value.size, raised.value.cap) == (what, 2, 1)

@@ -1,5 +1,7 @@
 import numpy as np
 
+import crafted
+import oracles
 from doctrines import fixtures
 from doctrines.structure import (StructureFailure, check_beck_chevalley,
                                  check_delta_product_law, check_frobenius,
@@ -251,3 +253,30 @@ def test_weak_comprehension_classification():
     ent = comprehension_of(P, cat.obj_index["A"], fA.index["bot"])
     assert ent.kind == "weak"
     assert ent.arrow == "c"
+
+
+def test_reciprocity_failure_names_a_genuine_witness():
+    """On a doctrine whose left adjoint along the first projection 4 -> 2
+    breaks reciprocity, the witness (projection, alpha, beta) is the first
+    failing instance, and both sides recomputed there differ."""
+    P = crafted.nofrobenius()
+    X = discover_existential(P)
+    assert not isinstance(X, StructureFailure)
+    v = check_frobenius(P, X)
+    assert (v.ok, v.detail) == (False, "reciprocity failed")
+    arrow, al, be = v.witness
+    assert (arrow, al, be) == (P.products.binary[("2", "2")][1], "mid", "yes")
+    pr = P.cat.arr_index[arrow]
+    fib_a, fib_p = P.fibers[int(P.cat.tgt[pr])], P.fibers[int(P.cat.src[pr])]
+    e = X.adjoints[pr]
+    assert oracles.check_adjunction(e, P.r(pr))
+    lhs = int(e.table[fib_p.meet_of(int(P.r(pr).table[fib_a.index[al]]), fib_p.index[be])])
+    rhs = fib_a.meet_of(fib_a.index[al], int(e.table[fib_p.index[be]]))
+    assert (fib_a.elements[lhs], fib_a.elements[rhs]) == ("lo", "mid")
+    # every other projection satisfies reciprocity: the witness is the only failure
+    others = {i.pr1 for i in X.instances} | {i.pr2 for i in X.instances}
+    for q in others - {pr}:
+        fib_q = P.fibers[int(P.cat.src[q])]
+        for x in range(P.fibers[int(P.cat.tgt[q])].n):
+            assert (X.adjoints[q].table[fib_q.meet[P.r(q).table[x]]]
+                    == P.fibers[int(P.cat.tgt[q])].meet[x, X.adjoints[q].table]).all()

@@ -1,0 +1,132 @@
+"""List the failure sites of the package and whether the test suite runs them.
+
+A failure site is a statement of `src/doctrines/*.py` that returns
+`ValidationReport(False, ...)`, `CheckVerdict(False, ...)` or
+`StructureFailure(...)`, or that raises a subclass of `DoctrinesError`.
+The sites are found with `ast`; the suite then runs in this process under
+`sys.settrace`, with line events turned on only in the functions that hold
+a site.  Tests that start the command line in a subprocess are not traced,
+so a site reached only that way is listed as never run.
+
+    PYTHONPATH=src python tools/failure_sites.py [PYTEST ARGS...]
+
+Each site prints as `module:line  kind  run|never`, followed by the totals
+per module.  The pytest arguments default to `-q -p no:cacheprovider`.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "doctrines"
+VERDICTS = ("ValidationReport", "CheckVerdict")
+
+
+def error_classes() -> set[str]:
+    """DoctrinesError and the classes of errors.py derived from it."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    found = {"DoctrinesError"}
+    grew = True
+    while grew:
+        grew = False
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef) and node.name not in found
+                    and any(isinstance(b, ast.Name) and b.id in found for b in node.bases)):
+                found.add(node.name)
+                grew = True
+    return found
+
+
+def _called(node) -> str | None:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id
+    return None
+
+
+def _kind(node, errors: set[str]) -> str | None:
+    if isinstance(node, ast.Raise):
+        name = _called(node.exc) or (node.exc.id if isinstance(node.exc, ast.Name) else None)
+        return f"raise {name}" if name in errors else None
+    if isinstance(node, ast.Return):
+        name = _called(node.value)
+        if name == "StructureFailure":
+            return name
+        if (name in VERDICTS and node.value.args
+                and isinstance(node.value.args[0], ast.Constant) and node.value.args[0].value is False):
+            return f"{name}(False)"
+    return None
+
+
+def failure_sites() -> list[tuple[Path, int, int, str]]:
+    """(file, line, first line of the enclosing function, kind) per site."""
+    errors = error_classes()
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [n for n in ast.walk(tree)
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            kind = _kind(node, errors)
+            if kind is None:
+                continue
+            # the innermost function around the site runs it; its code object's
+            # first line is that of its first decorator, if it has one
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            first = max((min([f.lineno] + [d.lineno for d in f.decorator_list])
+                         for f in around), default=0)
+            sites.append((path, node.lineno, first, kind))
+    return sorted(sites, key=lambda s: (s[0].name, s[1]))
+
+
+def run_suite(sites, pytest_args: list[str]) -> set[tuple[str, int]]:
+    """Run pytest in this process; return the (file, line) sites executed."""
+    import pytest
+
+    wanted = {(str(p), line) for p, line, _, _ in sites}
+    holders = {(str(p), first) for p, _, first, _ in sites}
+    hit: set[tuple[str, int]] = set()
+
+    def local(frame, event, arg):
+        if event == "line" and (frame.f_code.co_filename, frame.f_lineno) in wanted:
+            hit.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def global_(frame, event, arg):
+        code = frame.f_code
+        return local if (code.co_filename, code.co_firstlineno) in holders else None
+
+    sys.settrace(global_)
+    threading.settrace(global_)
+    try:
+        pytest.main(pytest_args)
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    return hit
+
+
+def main(argv: list[str]) -> int:
+    sites = failure_sites()
+    hit = run_suite(sites, argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    per_module: Counter = Counter()
+    never_per_module: Counter = Counter()
+    print()
+    for path, line, _, kind in sites:
+        ran = (str(path), line) in hit
+        per_module[path.stem] += 1
+        never_per_module[path.stem] += not ran
+        print(f"{path.stem}:{line}  {kind}  {'run' if ran else 'never'}")
+    never = sum(never_per_module.values())
+    print(f"\n{len(sites)} failure sites, {never} never run in-process")
+    for module in sorted(per_module):
+        print(f"  {module}: {per_module[module]} sites, {never_per_module[module]} never run")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
