@@ -2,9 +2,8 @@
 category windows: structure discovery, relational calculus, completions and
 comparison functors, with exhaustive verification throughout."""
 
-from .errors import (DesNotClosed, DoctrinesError, FormulaMismatch,
-                     MalformedPresentation, NoWeakPullback, ParseError,
-                     ResourceCap, WindowClosure)
+from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
+                     NoWeakPullback, ParseError, ResourceCap, WindowClosure)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      Window, WindowScope, check_equivalence, check_exact,
                      image_factorization, iso_classes, validate_category,

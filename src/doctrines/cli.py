@@ -5,7 +5,8 @@ pass, 1 a law or theorem violation, 2 malformed input, 3 a resource cap.
 `check` verifies the doctrine is elementary existential on its core;
 `complete` builds one of the completions and emits it; `compare` runs the
 theorem harnesses; `demo` runs every shipped fixture and prints the headline
-numbers, byte-stably.
+numbers, byte-stably.  `complete`, `compare` and `universal` stop with exit 1
+when the doctrine laws fail, since their constructions assume them.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .completions import Caps, transitive_extension
 from .compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
                       verify_fulc, verify_universal)
 from .doctrine import DoctrineData, sub_doctrine
-from .errors import (DesNotClosed, FormulaMismatch, MalformedPresentation,
-                     NoWeakPullback, ParseError, ResourceCap, WindowClosure)
+from .errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
+                     ParseError, ResourceCap, WindowClosure)
 from .fileformat import emit_doctrine, parse_doctrine
 from .fincat import ValidationReport, WindowScope, check_exact, iso_classes
 from .report import FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
@@ -101,6 +102,17 @@ def check_report(P: DoctrineData) -> tuple[Report, bool]:
     return rep, is_eed
 
 
+def _doctrine_laws_hold(P: DoctrineData) -> bool:
+    """The completions and harnesses assume the doctrine laws; say so on
+    stderr when they fail.  The verdict does not depend on the caps, so it
+    is read from the default analysis, where `check_report` keeps it."""
+    vd = analysis(P).doctrine_laws()
+    if not vd.ok:
+        print(f"violation: doctrine laws fail at {vd.witness}: {vd.message}",
+              file=sys.stderr)
+    return vd.ok
+
+
 def cmd_check(args) -> int:
     P = load_doctrine(args.path)
     rep, ok = check_report(P)
@@ -117,6 +129,8 @@ def cmd_complete(args) -> int:
     if E is None or X is None:
         _print_report(out, args)
         print("cannot complete: structure discovery failed", file=sys.stderr)
+        return EXIT_VIOLATION
+    if not _doctrine_laws_hold(P):
         return EXIT_VIOLATION
     emitted: DoctrineData | None = None
     if args.kind == "gr":
@@ -175,12 +189,9 @@ def _harness_exit(reports: list[Report], cap_is_exit: bool = False) -> int:
 
 def cmd_compare(args) -> int:
     P = load_doctrine(args.path)
-    caps = Caps(args.cap_fibers, args.cap_enum)
-    vd = analysis(P, caps).doctrine_laws()
-    if not vd.ok:
-        print(f"violation: doctrine laws fail at {vd.witness}: {vd.message}",
-              file=sys.stderr)
+    if not _doctrine_laws_hold(P):
         return EXIT_VIOLATION
+    caps = Caps(args.cap_fibers, args.cap_enum)
     reports = [verify_cthn(P, caps), verify_fulc(P, caps),
                verify_axc(P, condition_v=args.condition_v, caps=caps),
                verify_converse_axc(P, caps)]
@@ -247,6 +258,8 @@ def cmd_universal(args) -> int:
     _, E, X = an.eed()
     if E is None or X is None:
         print("violation: structure discovery failed", file=sys.stderr)
+        return EXIT_VIOLATION
+    if not _doctrine_laws_hold(P):
         return EXIT_VIOLATION
     tp = an.tp()
     rep = verify_universal(P, tp.cat, tp.pc, tp.scope, an.caps)
@@ -348,8 +361,8 @@ def main(argv=None) -> int:
     except ResourceCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (MalformedPresentation, WindowClosure, DesNotClosed,
-            FormulaMismatch, NoWeakPullback) as exc:
+    except (MalformedPresentation, WindowClosure, FormulaMismatch,
+            NoWeakPullback) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

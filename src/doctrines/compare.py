@@ -22,8 +22,8 @@ from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
                           core_subcategory, functor_D, functor_L, iota_iso,
                           tp_sub_restriction, transitive_extension)
 from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
-from .errors import (DesNotClosed, DoctrinesError, FormulaMismatch,
-                     MalformedPresentation, ResourceCap, WindowClosure)
+from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
+                     ResourceCap, WindowClosure)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      WindowScope, check_equivalence, check_exact, inverse_of,
                      is_iso, iso_classes, validate_category, validate_functor,
@@ -39,7 +39,7 @@ from .structure import (CheckVerdict, ComprehensionTable, ElementaryWitness,
 
 # the completion chain cannot be built on this input: the harness reports
 # why instead of claiming anything about it
-_NOT_COMPUTABLE = (MalformedPresentation, DesNotClosed, FormulaMismatch, WindowClosure)
+_NOT_COMPUTABLE = (MalformedPresentation, FormulaMismatch, WindowClosure)
 
 
 def _status(ok: bool) -> str:
@@ -476,10 +476,7 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     fib_ok, witness = True, None
     for a in range(base.n_objects):
         gi = gr.obj_of[(a, P.fibers[a].top)]
-        pf, hf = P.fibers[a], hat.fibers[gi]
-        if (pf.elements != hf.elements or pf.top != hf.top
-                or not np.array_equal(pf.leq, hf.leq)
-                or not np.array_equal(pf.meet, hf.meet)):
+        if P.fibers[a] != hat.fibers[gi]:
             fib_ok = False
             witness = base.objects[a]
             break
@@ -811,8 +808,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
         return False
     # extract a member whose graph lies inside the original element
     for wp in members:
-        w_final = int(C.comp[c_arrow, wp]) if w_obj != b else wp
-        graph = win.pair(int(C.id_arr[a]), w_final)
+        graph = win.pair(int(C.id_arr[a]), int(C.comp[c_arrow, wp]))
         if int(P.r(graph).table[al]) == P.fibers[a].top:
             return True
     return False

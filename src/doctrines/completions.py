@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
-from .doctrine import DoctrineData, exists_along
-from .errors import DesNotClosed, FormulaMismatch, MalformedPresentation, ResourceCap
+from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
+from .errors import FormulaMismatch, MalformedPresentation, ResourceCap
 from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope,
                      full_subcategory, greedy_product_core, is_mono, product_cone,
                      terminal_object, validate_category, validate_products)
@@ -61,7 +61,15 @@ class GrCompletion:
 def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     """Objects are pairs (A, a) with a in P(A); an arrow over f: A -> B exists
     iff a <= P_f(b).  Products are carried by base products with meets of the
-    reindexed components; fibers are downsets with reindex-and-meet action."""
+    reindexed components; fibers are downsets with reindex-and-meet action.
+
+    The carried cones are products (lemma): a cone (f, g) from (Z, z) over
+    (A, a) and (B, b) has z <= P_f(a) ∧ P_g(b) = P_<f,g>(P_pr1(a) ∧ P_pr2(b)),
+    since reindexing is a functorial meet homomorphism, so the base mediator
+    <f, g> is an arrow of the points category and the only one over it; and
+    every (Z, z) has the one arrow over Z -> T into (T, top).  The chosen
+    products are therefore not validated again; `validate_products` is run
+    to fill their pairing table."""
     C = P.cat
     est = 0
     down_count = [P.fibers[o].leq.sum(axis=0) for o in range(C.n_objects)]
@@ -105,7 +113,6 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                  np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
                  id_arr, comp)
     # chosen products carried by the base
-    W = P.window
     term_obj = C.obj_index[P.products.terminal]
     pc = ProductChoice(obj_names[obj_of[(term_obj, P.fibers[term_obj].top)]], {})
     for (an, bn), (pn, p1n, p2n) in P.products.binary.items():
@@ -120,9 +127,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                     obj_names[obj_of[(p, ep)]],
                     names[arr_of[(p1, ep, ea)]],
                     names[arr_of[(p2, ep, eb)]])
-    rep = validate_products(cat, pc)
-    if not rep.ok:
-        raise MalformedPresentation(f"points category products: {rep.message} {rep.witness}")
+    validate_products(cat, pc)
     core = tuple(obj_names[obj_of[(C.obj_index[o], el)]]
                  for o in P.scope.core for el in range(P.fiber_named(o).n))
     scope = WindowScope(core)
@@ -215,7 +220,16 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
              condition_v: str = "strict", caps: Caps = Caps()) -> TCompletion:
     """The category of symmetric-transitive relations and functional
     relations; composition is relational composition and the identity of an
-    object is its own relation.  Laws are re-verified wholesale."""
+    object is its own relation.
+
+    That identity is an arrow (lemma): a symmetric, transitive rho is
+    contained in its domain (reindex transitivity along <p1, p2, p1>),
+    compatible on both sides (transitivity) and single-valued (symmetry,
+    then transitivity), and it is total on either side because the unit of
+    ∃_pr1 ⊣ P_pr1, reindexed along the diagonal, gives P_diag(rho) <=
+    ∃_pr1(rho), and likewise for pr2.  Composites are tested to be arrows,
+    and the category laws are verified wholesale: neither follows from the
+    doctrine laws without stability and reciprocity."""
     for o in range(P.cat.n_objects):
         if P.fibers[o].n > caps.fibers:
             raise ResourceCap("fiber size", P.fibers[o].n, caps.fibers)
@@ -254,13 +268,8 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                     f"composite of {names[i]} and {names[j]} is not a functional relation"
                     " (broken witness)")
             comp[j, i] = arr_of[key]
-    id_arr = np.empty(len(objs), dtype=np.int32)
-    for oi, (a, rel) in enumerate(objs):
-        key = (oi, oi, rel)
-        if key not in arr_of:
-            raise MalformedPresentation(
-                f"relation of {obj_names[oi]} is not an arrow (broken witness)")
-        id_arr[oi] = arr_of[key]
+    id_arr = np.array([arr_of[(oi, oi, rel)] for oi, (_, rel) in enumerate(objs)],
+                      dtype=np.int32)
     cat = FinCat(tuple(obj_names), tuple(names),
                  np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
                  id_arr, comp)
@@ -275,7 +284,10 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
 
 def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
     """Search a terminal and one product per object pair (where they exist);
-    None when the category has no terminal."""
+    None when the category has no terminal.  `terminal_object` and
+    `product_cone` test exactly what `validate_products` tests, so the
+    choice is not validated again; `validate_products` fills its pairing
+    table."""
     terminal = terminal_object(cat)
     if terminal is None:
         return None
@@ -287,9 +299,7 @@ def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
                 pc.binary[(cat.objects[a], cat.objects[b])] = (
                     cat.objects[cone.apex],
                     cat.arrows[cone.legs[0]], cat.arrows[cone.legs[1]])
-    rep = validate_products(cat, pc)
-    if not rep.ok:
-        raise MalformedPresentation(f"searched products failed validation: {rep.message}")
+    validate_products(cat, pc)
     return pc
 
 
@@ -316,22 +326,11 @@ def is_reflexive(P: DoctrineData, E: ElementaryWitness, a: int, rel: int) -> boo
 
 def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
               caps: Caps = Caps()) -> ERCompletion:
-    """Full subcategory of the relation completion on reflexive relations.
-
-    Membership by delta <= rho is asserted equivalent to top <= P_diag(rho)
-    on every candidate."""
-    W = P.window
-    keep = []
-    for oi, (a, rel) in enumerate(tp.objects):
-        by_delta = is_reflexive(P, E, a, rel)
-        dg = P.r(W.diag(a)).table
-        by_unit = int(dg[rel]) == P.fibers[a].top
-        if by_delta != by_unit:
-            raise FormulaMismatch("reflexivity test",
-                                  f"delta<=rho disagrees with top<=P_diag(rho) "
-                                  f"at {tp.cat.objects[oi]}")
-        if by_delta:
-            keep.append(oi)
+    """Full subcategory of the relation completion on reflexive relations,
+    those with delta <= rho.  That is top <= P_diag(rho) (lemma): the
+    discovered delta is ∃_diag(top), for the left adjoint P_pr1(-) ∧ delta
+    of P_diag, so delta <= rho iff top <= P_diag(rho)."""
+    keep = [oi for oi, (a, rel) in enumerate(tp.objects) if is_reflexive(P, E, a, rel)]
     objects = [tp.objects[oi] for oi in keep]
     cat = full_subcategory(tp.cat, keep)
     pc = choose_products(cat, caps)
@@ -349,33 +348,20 @@ def core_subcategory(P: DoctrineData) -> FinCat:
 
 def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:
     """Graph embedding of the (core of the) base: A goes to (A, delta), an
-    arrow to the image of top along its graph, computed both as an
-    existential image and as a reindexed equality, with equality asserted."""
+    arrow f: A -> B to the image of top along its graph <id, f>, computed as
+    the reindexed equality P_{f×id}(delta_B).  That is ∃_<id,f>(top) in any
+    elementary doctrine (lemma), so the existential image is not taken."""
     C = P.cat
-    W = P.window
     base = core_subcategory(P)
-    obj_map: dict[str, str] = {}
+    obj_map = {C.objects[a]: er.cat.objects[er.obj_of[(a, E.delta[a])]]
+               for a in P.core_idx()}
     arr_map: dict[str, str] = {}
-    for a in P.core_idx():
-        obj_map[C.objects[a]] = er.cat.objects[er.obj_of[(a, E.delta[a])]]
     for fname in base.arrows:
         f = C.arr_index[fname]
         a, b = int(C.src[f]), int(C.tgt[f])
-        graph = W.pair(int(C.id_arr[a]), f)          # <id, f>: A -> A×B
-        e = exists_along(P, graph)
-        if isinstance(e, NoAdjoint):
-            raise FormulaMismatch("graph functor",
-                                  f"no existential along <id,{fname}>")
-        via_exists = int(e.table[P.fibers[a].top])
-        fxid = W.times(f, int(C.id_arr[b]))          # f×id: A×B -> B×B
-        via_delta = int(P.r(fxid).table[E.delta[b]])
-        if via_exists != via_delta:
-            raise FormulaMismatch(
-                "graph functor",
-                f"existential image and reindexed equality differ on {fname}")
-        xi = er.obj_of[(a, E.delta[a])]
-        yi = er.obj_of[(b, E.delta[b])]
-        key = (er.tp.obj_of[(a, E.delta[a])], er.tp.obj_of[(b, E.delta[b])], via_exists)
+        fxid = P.window.times(f, int(C.id_arr[b]))   # f×id: A×B -> B×B
+        graph = int(P.r(fxid).table[E.delta[b]])
+        key = (er.tp.obj_of[(a, E.delta[a])], er.tp.obj_of[(b, E.delta[b])], graph)
         if key not in er.tp.arr_of:
             raise MalformedPresentation(f"graph of {fname} is not a functional relation")
         arr_map[fname] = er.tp.cat.arrows[er.tp.arr_of[key]]
@@ -403,8 +389,20 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
              caps: Caps = Caps()) -> QCompletion:
     """Objects are reflexive relations over core carriers; arrows are classes
     of base arrows respecting the relations, identified when related as a
-    pair.  The identification is verified to be an equivalence relation, and
-    descent fibers are verified to inherit meets and top."""
+    pair; the fiber over (A, rho) is its descent set in P(A).
+
+    Lemmas, from the doctrine laws alone, by which nothing here is verified
+    again:
+    * f ~ g, defined as rho <= P_{f×g}(sigma), is an equivalence relation on
+      the arrows with f ~ f (by the symmetry and transitivity of rho and
+      sigma) and a congruence (reindexing is functorial), so the classes
+      form a category, composed through any representatives;
+    * des(rho) = {al : P_pr1(al) ∧ rho <= P_pr2(al)} contains top and is
+      closed under meets, so it is a sub-inf-semilattice of P(A);
+    * P_f maps des(sigma) into des(rho) (reindex the descent of al along
+      f×f), and P_f = P_g on des(sigma) when f ~ g (reindex it along f×g,
+      then along the diagonal, where rho is top by reflexivity), so the
+      first representative gives the reindexing of its class."""
     C = P.cat
     win = P.window
     objs = [(a, rel) for (a, rel) in per_objects(P) if is_reflexive(P, E, a, rel)]
@@ -416,100 +414,49 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     names: list[str] = []
     srcs, tgts = [], []
     for xi, (a, rho) in enumerate(objs):
+        fib_aa = P.fibers[win.prod(a, a)[0]]
         for yi, (b, sig) in enumerate(objs):
-            fib_aa = P.fibers[win.prod(a, a)[0]]
-            good = []
-            for f in C.hom(a, b):
-                f = int(f)
-                fxf = win.times(f, f)
-                if fib_aa.le(rho, int(P.r(fxf).table[sig])):
-                    good.append(f)
-            rel_pairs: set[tuple[int, int]] = set()
+            good = [f for f in C.hom(a, b).tolist()
+                    if fib_aa.le(rho, int(P.r(win.times(f, f)).table[sig]))]
             for f in good:
-                for g in good:
-                    fxg = win.times(f, g)
-                    if fib_aa.le(rho, int(P.r(fxg).table[sig])):
-                        rel_pairs.add((f, g))
-            for (f, g) in rel_pairs:
-                if (g, f) not in rel_pairs:
-                    raise MalformedPresentation(
-                        f"arrow identification is not symmetric at ({C.arrows[f]}, {C.arrows[g]})")
-            for (f, g) in rel_pairs:
-                for (g2, h) in rel_pairs:
-                    if g2 == g and (f, h) not in rel_pairs:
-                        raise MalformedPresentation(
-                            "arrow identification is not transitive at "
-                            f"({C.arrows[f]}, {C.arrows[g]}, {C.arrows[h]})")
-            placed: set[int] = set()
-            for f in good:
-                if f in placed:
+                if (xi, yi, f) in class_of:
                     continue
-                members = tuple(sorted(g for g in good if (f, g) in rel_pairs))
-                placed.update(members)
-                ci = len(classes)
-                classes.append((xi, yi, members))
+                members = tuple(g for g in good
+                                if fib_aa.le(rho, int(P.r(win.times(f, g)).table[sig])))
                 for g in members:
-                    class_of[(xi, yi, g)] = ci
-                names.append(f"[{C.arrows[members[0]]}]({obj_names[xi]}~{obj_names[yi]})")
+                    class_of[(xi, yi, g)] = len(classes)
+                classes.append((xi, yi, members))
+                names.append(f"[{C.arrows[f]}]({obj_names[xi]}~{obj_names[yi]})")
                 srcs.append(xi)
                 tgts.append(yi)
     n = len(classes)
     comp = np.full((n, n), -1, dtype=np.int32)
     for i, (xi, yi, mem1) in enumerate(classes):
         for j, (yj, zi, mem2) in enumerate(classes):
-            if yj != yi:
-                continue
-            reps = {class_of[(xi, zi, int(C.comp[g, f]))] for f in mem1 for g in mem2}
-            if len(reps) != 1:
-                raise MalformedPresentation(
-                    "composition of arrow classes is not representative-independent")
-            comp[j, i] = reps.pop()
+            if yj == yi:
+                comp[j, i] = class_of[(xi, zi, int(C.comp[mem2[0], mem1[0]]))]
     id_arr = np.array([class_of[(oi, oi, int(C.id_arr[a]))]
                        for oi, (a, _) in enumerate(objs)], dtype=np.int32)
     cat = FinCat(tuple(obj_names), tuple(names),
                  np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
                  id_arr, comp)
-    rep = validate_category(cat)
-    if not rep.ok:
-        raise MalformedPresentation(
-            f"quotient completion is not a category: {rep.message} at {rep.witness}")
-    # descent fibers
+    # descent fibers, and each element's position in its fiber
     fibers: list[FinInfSL] = []
     des_elements: list[list[int]] = []
-    for oi, (a, rho) in enumerate(objs):
-        fib_a = P.fibers[a]
+    positions: list[np.ndarray] = []
+    for a, rho in objs:
         aa, pr1, pr2 = win.prod(a, a)
         fib_aa = P.fibers[aa]
-        r1, r2 = P.r(pr1).table, P.r(pr2).table
-        des = [al for al in range(fib_a.n)
-               if fib_aa.le(fib_aa.meet_of(int(r1[al]), rho), int(r2[al]))]
-        if fib_a.top not in des:
-            raise DesNotClosed(obj_names[oi], "top fails descent")
-        try:
-            fibers.append(sub_semilattice(fib_a, des))
-        except MalformedPresentation as exc:
-            raise DesNotClosed(obj_names[oi], str(exc))
+        des = np.flatnonzero(fib_aa.leq[fib_aa.meet[P.r(pr1).table, rho],
+                                        P.r(pr2).table]).tolist()
+        fibers.append(sub_semilattice(P.fibers[a], des))
         des_elements.append(des)
-    reindex: list[MonotoneMap] = []
-    for ci, (xi, yi, members) in enumerate(classes):
-        (a, rho), (b, sig) = objs[xi], objs[yi]
-        pos_a = {al: i2 for i2, al in enumerate(des_elements[xi])}
-        tables = []
-        for f in members:
-            rt = P.r(f).table
-            tab = []
-            for al in des_elements[yi]:
-                v = int(rt[al])
-                if v not in pos_a:
-                    raise DesNotClosed(obj_names[xi],
-                                       f"reindex along {C.arrows[f]} leaves descent")
-                tab.append(pos_a[v])
-            tables.append(tuple(tab))
-        if len(set(tables)) != 1:
-            raise MalformedPresentation(
-                f"descent reindexing differs across representatives of {names[ci]}")
-        reindex.append(MonotoneMap(fibers[yi], fibers[xi],
-                                   np.array(tables[0], dtype=np.int32)))
+        pos = np.full(P.fibers[a].n, -1, dtype=np.int32)
+        pos[des] = np.arange(len(des))
+        positions.append(pos)
+    reindex = [MonotoneMap(fibers[yi], fibers[xi],
+                           positions[xi][P.r(members[0]).table[des_elements[yi]]])
+               for xi, yi, members in classes]
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
     doct = DoctrineData(cat, pc if pc is not None else ProductChoice(cat.objects[0], {}),
@@ -537,7 +484,13 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     Both published forms are evaluated: the reindex-only-then-project form
     over A×A×B is authoritative; the form over A×B×B that first takes an
     existential along <p1, f∘p2> is compared whenever that adjoint exists,
-    and disagreement is a hard error."""
+    and disagreement is a hard error.
+
+    Lemmas, from the doctrine laws alone: the value rho ; P_{f×id}(sigma)
+    does not depend on the representative f of the class (rho(x, x') gives
+    rho(x', x'), hence sigma(fx', gx') when f ~ g, and then sigma(fx', y)
+    gives sigma(gx', y) by transitivity), and an identity class goes to
+    rho ; rho = rho, the identity of (A, rho) in the relation completion."""
     C = P.cat
     win = P.window
     obj_map = {q.cat.objects[i]: er.cat.objects[er.obj_of[pair]]
@@ -547,11 +500,7 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     skipped: list[str] = []
     for ci, (xi, yi, members) in enumerate(q.classes):
         (a, rho), (b, sig) = q.objects[xi], q.objects[yi]
-        values = {_l_value(P, a, b, rho, sig, f) for f in members}
-        if len(values) != 1:
-            raise FormulaMismatch("comparison functor",
-                                  f"value differs across representatives of {q.cat.arrows[ci]}")
-        val = values.pop()
+        val = _l_value(P, a, b, rho, sig, members[0])
         # second form: the existential image of rho along <p1, f∘p2>, composed with sigma
         _, a1, a2 = win.prod(a, a)
         e_gr = exists_along(P, win.pair(a1, C.compose(members[0], a2)))
@@ -573,13 +522,7 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
             raise MalformedPresentation(
                 f"comparison image of {q.cat.arrows[ci]} is not a functional relation")
         arr_map[q.cat.arrows[ci]] = er.tp.cat.arrows[er.tp.arr_of[key]]
-    F = FunctorData(q.cat, er.cat, obj_map, arr_map)
-    # identities must go to identities (the relation itself)
-    for oi, (a, rho) in enumerate(q.objects):
-        lid = arr_map[q.cat.arrows[int(q.cat.id_arr[oi])]]
-        if lid != er.cat.arrows[int(er.cat.id_arr[er.obj_of[(a, rho)]])]:
-            raise FormulaMismatch("comparison functor", "identity class not sent to identity")
-    return LFunctorResult(F, comparisons, skipped)
+    return LFunctorResult(FunctorData(q.cat, er.cat, obj_map, arr_map), comparisons, skipped)
 
 
 def _l_value(P: DoctrineData, a: int, b: int, rho: int, sig: int, f: int) -> int:
@@ -630,7 +573,6 @@ def tp_sub_restriction(tp: TCompletion, er: ERCompletion,
     the canonical fiber comparison below is an isomorphism)."""
     if tp.pc is None or er.pc is None:
         raise MalformedPresentation("completion has no terminal; cannot index subobjects")
-    from .doctrine import sub_doctrine
     full = sub_doctrine(tp.cat, tp.pc, WindowScope(tp.cat.objects))
     fibers = []
     for i, pair in enumerate(er.objects):
@@ -646,7 +588,6 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     """For each core A, the canonical map P(A) -> Sub(A, delta): an element
     goes to the class of the mono carried by its restriction of equality.
     Verified to be an order isomorphism; a failure is a broken witness."""
-    from .doctrine import subobject_poset
     C = P.cat
     win = P.window
     out: dict[int, MonotoneMap] = {}

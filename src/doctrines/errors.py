@@ -36,15 +36,6 @@ class ResourceCap(DoctrinesError):
         super().__init__(f"resource cap exceeded: {what} needs {size} > cap {cap}")
 
 
-class DesNotClosed(DoctrinesError):
-    """A descent fiber failed closure under meet or top."""
-
-    def __init__(self, obj: str, detail: str):
-        self.obj = obj
-        self.detail = detail
-        super().__init__(f"descent fiber over {obj} not closed: {detail}")
-
-
 class FormulaMismatch(DoctrinesError):
     """Two published forms of the same formula disagreed on an instance."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allegory import triple_product
-from .doctrine import DoctrineData
+from .doctrine import DoctrineData, box_product
 from .errors import WindowClosure
 from .fincat import mediators
 from .semilattice import MonotoneMap, NoAdjoint, left_adjoint
@@ -351,7 +351,6 @@ def check_delta_product_law(P: DoctrineData, E: ElementaryWitness) -> DeltaLawVe
     A pair is checked when the product carrier has a discovered equality and
     the fourfold product is inside the window; other pairs are reported in
     the skip list, never silently dropped."""
-    from .doctrine import box_product
     win = P.window
     C = P.cat
     checked: list[tuple[str, str]] = []

@@ -37,6 +37,29 @@ def nofact_category() -> FinCat:
          ("c", "s"): "c", ("c", "idA"): "c", ("idC", "c"): "c"})
 
 
+def meet_not_pullback() -> FinCat:
+    """Monos m1: X -> A and m2: Y -> A whose meet among the subobjects of A
+    is z: Z -> A, while w: W -> A factors through both and not through z.
+    w is not monic (w∘s = w for the idempotent s), so it is no subobject."""
+    ids = {o: f"id{o}" for o in "AXYZW"}
+    return FinCat.build(
+        list("AXYZW"),
+        [(ids[o], o, o) for o in "AXYZW"]
+        + [("m1", "X", "A"), ("m2", "Y", "A"), ("z1", "Z", "X"), ("z2", "Z", "Y"),
+           ("z", "Z", "A"), ("w1", "W", "X"), ("w2", "W", "Y"), ("w", "W", "A"),
+           ("s", "W", "W")],
+        ids,
+        {**{(ids[o], ids[o]): ids[o] for o in "AXYZW"},
+         **{(ids[t], f): f for f, t in (("m1", "A"), ("m2", "A"), ("z1", "X"), ("z2", "Y"),
+                                         ("z", "A"), ("w1", "X"), ("w2", "Y"), ("w", "A"),
+                                         ("s", "W"))},
+         **{(f, ids[s]): f for f, s in (("m1", "X"), ("m2", "Y"), ("z1", "Z"), ("z2", "Z"),
+                                         ("z", "Z"), ("w1", "W"), ("w2", "W"), ("w", "W"),
+                                         ("s", "W"))},
+         ("m1", "z1"): "z", ("m2", "z2"): "z", ("m1", "w1"): "w", ("m2", "w2"): "w",
+         ("w1", "s"): "w1", ("w2", "s"): "w2", ("w", "s"): "w", ("s", "s"): "s"})
+
+
 def noext() -> tuple[DoctrineData, dict[str, str]]:
     """Doctored fibers over the finite-set base: the designated reindexing
     along <p1,p3> demotes `zeta`, so the transitive elements above it are the

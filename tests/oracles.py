@@ -15,25 +15,34 @@ loop and per-cospan weak pullback search.  Their classes of arrows are
 plain factor sets, not the package's mask table.  The relation objects,
 smallest transitive extensions and the comparison functor's value after
 them are the former per-element loops over the triple product, kept to
-check the masks and the relational composition that replaced them.  The checks at the very
+check the masks and the relational composition that replaced them.  The
+reflexive and quotient completions and the two comparison functors after
+them are the former checked builders, which test on every build the lemmas
+that `completions.py` now states instead.  The checks at the very
 end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite
-from doctrines.completions import NoExtension
+from doctrines.completions import (Caps, ERCompletion, LFunctorResult, NoExtension,
+                                   QCompletion, TCompletion, choose_products,
+                                   core_subcategory, is_reflexive)
 from doctrines.doctrine import DoctrineData, exists_along
-from doctrines.errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
-from doctrines.fincat import Cone, ValidationReport
-from doctrines.semilattice import FinInfSL, MonotoneMap, NoAdjoint
-from doctrines.structure import ElementaryWitness
+from doctrines.errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
+                              ResourceCap, WindowClosure)
+from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport,
+                              WindowScope, full_subcategory, greedy_product_core,
+                              validate_category)
+from doctrines.semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
+from doctrines.structure import ElementaryWitness, ExistentialWitness
 
 
 def rel_from_mask(mask: int, p: int, q: int) -> frozenset:
@@ -711,6 +720,238 @@ def l_value(P: DoctrineData, a: int, b: int, rho: int, sig: int, f: int) -> int:
     if isinstance(e13, NoAdjoint):
         raise MalformedPresentation("no existential along the outer projection")
     return int(e13.table[lifted])
+
+
+def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
+              caps: Caps = Caps()) -> ERCompletion:
+    """Full subcategory of the relation completion on reflexive relations.
+
+    Membership by delta <= rho is asserted equivalent to top <= P_diag(rho)
+    on every candidate."""
+    W = P.window
+    keep = []
+    for oi, (a, rel) in enumerate(tp.objects):
+        by_delta = is_reflexive(P, E, a, rel)
+        dg = P.r(W.diag(a)).table
+        by_unit = int(dg[rel]) == P.fibers[a].top
+        if by_delta != by_unit:
+            raise FormulaMismatch("reflexivity test",
+                                  f"delta<=rho disagrees with top<=P_diag(rho) "
+                                  f"at {tp.cat.objects[oi]}")
+        if by_delta:
+            keep.append(oi)
+    objects = [tp.objects[oi] for oi in keep]
+    cat = full_subcategory(tp.cat, keep)
+    pc = choose_products(cat, caps)
+    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    inclusion = FunctorData(cat, tp.cat, {nm: nm for nm in cat.objects},
+                            {nm: nm for nm in cat.arrows})
+    obj_of = {pair: i for i, pair in enumerate(objects)}
+    return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion)
+
+
+def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:
+    """Graph embedding of the (core of the) base: A goes to (A, delta), an
+    arrow to the image of top along its graph, computed both as an
+    existential image and as a reindexed equality, with equality asserted."""
+    C = P.cat
+    W = P.window
+    base = core_subcategory(P)
+    obj_map: dict[str, str] = {}
+    arr_map: dict[str, str] = {}
+    for a in P.core_idx():
+        obj_map[C.objects[a]] = er.cat.objects[er.obj_of[(a, E.delta[a])]]
+    for fname in base.arrows:
+        f = C.arr_index[fname]
+        a, b = int(C.src[f]), int(C.tgt[f])
+        graph = W.pair(int(C.id_arr[a]), f)          # <id, f>: A -> A×B
+        e = exists_along(P, graph)
+        if isinstance(e, NoAdjoint):
+            raise FormulaMismatch("graph functor",
+                                  f"no existential along <id,{fname}>")
+        via_exists = int(e.table[P.fibers[a].top])
+        fxid = W.times(f, int(C.id_arr[b]))          # f×id: A×B -> B×B
+        via_delta = int(P.r(fxid).table[E.delta[b]])
+        if via_exists != via_delta:
+            raise FormulaMismatch(
+                "graph functor",
+                f"existential image and reindexed equality differ on {fname}")
+        key = (er.tp.obj_of[(a, E.delta[a])], er.tp.obj_of[(b, E.delta[b])], via_exists)
+        if key not in er.tp.arr_of:
+            raise MalformedPresentation(f"graph of {fname} is not a functional relation")
+        arr_map[fname] = er.tp.cat.arrows[er.tp.arr_of[key]]
+    return FunctorData(base, er.cat, obj_map, arr_map)
+
+
+def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
+             caps: Caps = Caps()) -> QCompletion:
+    """Objects are reflexive relations over core carriers; arrows are classes
+    of base arrows respecting the relations, identified when related as a
+    pair.  The identification is verified to be an equivalence relation, and
+    descent fibers are verified to inherit meets and top."""
+    C = P.cat
+    win = P.window
+    objs = [(a, rel) for (a, rel) in per_objects(P) if is_reflexive(P, E, a, rel)]
+    obj_of = {pair: i for i, pair in enumerate(objs)}
+    obj_names = [f"({C.objects[a]}|{P.fibers[win.prod(a, a)[0]].elements[rel]})"
+                 for a, rel in objs]
+    classes: list[tuple[int, int, tuple[int, ...]]] = []
+    class_of: dict[tuple[int, int, int], int] = {}
+    names: list[str] = []
+    srcs, tgts = [], []
+    for xi, (a, rho) in enumerate(objs):
+        for yi, (b, sig) in enumerate(objs):
+            fib_aa = P.fibers[win.prod(a, a)[0]]
+            good = []
+            for f in C.hom(a, b):
+                f = int(f)
+                fxf = win.times(f, f)
+                if fib_aa.le(rho, int(P.r(fxf).table[sig])):
+                    good.append(f)
+            rel_pairs: set[tuple[int, int]] = set()
+            for f in good:
+                for g in good:
+                    fxg = win.times(f, g)
+                    if fib_aa.le(rho, int(P.r(fxg).table[sig])):
+                        rel_pairs.add((f, g))
+            for (f, g) in rel_pairs:
+                if (g, f) not in rel_pairs:
+                    raise MalformedPresentation(
+                        f"arrow identification is not symmetric at ({C.arrows[f]}, {C.arrows[g]})")
+            for (f, g) in rel_pairs:
+                for (g2, h) in rel_pairs:
+                    if g2 == g and (f, h) not in rel_pairs:
+                        raise MalformedPresentation(
+                            "arrow identification is not transitive at "
+                            f"({C.arrows[f]}, {C.arrows[g]}, {C.arrows[h]})")
+            placed: set[int] = set()
+            for f in good:
+                if f in placed:
+                    continue
+                members = tuple(sorted(g for g in good if (f, g) in rel_pairs))
+                placed.update(members)
+                ci = len(classes)
+                classes.append((xi, yi, members))
+                for g in members:
+                    class_of[(xi, yi, g)] = ci
+                names.append(f"[{C.arrows[members[0]]}]({obj_names[xi]}~{obj_names[yi]})")
+                srcs.append(xi)
+                tgts.append(yi)
+    n = len(classes)
+    comp = np.full((n, n), -1, dtype=np.int32)
+    for i, (xi, yi, mem1) in enumerate(classes):
+        for j, (yj, zi, mem2) in enumerate(classes):
+            if yj != yi:
+                continue
+            reps = {class_of[(xi, zi, int(C.comp[g, f]))] for f in mem1 for g in mem2}
+            if len(reps) != 1:
+                raise MalformedPresentation(
+                    "composition of arrow classes is not representative-independent")
+            comp[j, i] = reps.pop()
+    id_arr = np.array([class_of[(oi, oi, int(C.id_arr[a]))]
+                       for oi, (a, _) in enumerate(objs)], dtype=np.int32)
+    cat = FinCat(tuple(obj_names), tuple(names),
+                 np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
+                 id_arr, comp)
+    rep = validate_category(cat)
+    if not rep.ok:
+        raise MalformedPresentation(
+            f"quotient completion is not a category: {rep.message} at {rep.witness}")
+    # descent fibers
+    fibers: list[FinInfSL] = []
+    des_elements: list[list[int]] = []
+    for oi, (a, rho) in enumerate(objs):
+        fib_a = P.fibers[a]
+        aa, pr1, pr2 = win.prod(a, a)
+        fib_aa = P.fibers[aa]
+        r1, r2 = P.r(pr1).table, P.r(pr2).table
+        des = [al for al in range(fib_a.n)
+               if fib_aa.le(fib_aa.meet_of(int(r1[al]), rho), int(r2[al]))]
+        if fib_a.top not in des:
+            raise MalformedPresentation(f"descent fiber over {obj_names[oi]}: top fails descent")
+        try:
+            fibers.append(sub_semilattice(fib_a, des))
+        except MalformedPresentation as exc:
+            raise MalformedPresentation(f"descent fiber over {obj_names[oi]}: {exc}")
+        des_elements.append(des)
+    reindex: list[MonotoneMap] = []
+    for ci, (xi, yi, members) in enumerate(classes):
+        (a, rho), (b, sig) = objs[xi], objs[yi]
+        pos_a = {al: i2 for i2, al in enumerate(des_elements[xi])}
+        tables = []
+        for f in members:
+            rt = P.r(f).table
+            tab = []
+            for al in des_elements[yi]:
+                v = int(rt[al])
+                if v not in pos_a:
+                    raise MalformedPresentation(f"descent fiber over {obj_names[xi]}: "
+                                                f"reindex along {C.arrows[f]} leaves descent")
+                tab.append(pos_a[v])
+            tables.append(tuple(tab))
+        if len(set(tables)) != 1:
+            raise MalformedPresentation(
+                f"descent reindexing differs across representatives of {names[ci]}")
+        reindex.append(MonotoneMap(fibers[yi], fibers[xi],
+                                   np.array(tables[0], dtype=np.int32)))
+    pc = choose_products(cat, caps)
+    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    doct = DoctrineData(cat, pc if pc is not None else ProductChoice(cat.objects[0], {}),
+                        scope, fibers, reindex)
+    return QCompletion(cat, pc, scope, objs, obj_of, classes, doct, des_elements)
+
+
+def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
+              q: QCompletion, er: ERCompletion) -> LFunctorResult:
+    """Identity on objects; a class [f]: (A,rho) -> (B,sigma) goes to the
+    relation got by spanning rho against sigma pulled back along f.
+
+    Both published forms are evaluated: the reindex-only-then-project form
+    over A×A×B is authoritative; the form over A×B×B that first takes an
+    existential along <p1, f∘p2> is compared whenever that adjoint exists,
+    and disagreement is a hard error."""
+    C = P.cat
+    win = P.window
+    obj_map = {q.cat.objects[i]: er.cat.objects[er.obj_of[pair]]
+               for i, pair in enumerate(q.objects)}
+    arr_map: dict[str, str] = {}
+    comparisons = 0
+    skipped: list[str] = []
+    for ci, (xi, yi, members) in enumerate(q.classes):
+        (a, rho), (b, sig) = q.objects[xi], q.objects[yi]
+        values = {l_value(P, a, b, rho, sig, f) for f in members}
+        if len(values) != 1:
+            raise FormulaMismatch("comparison functor",
+                                  f"value differs across representatives of {q.cat.arrows[ci]}")
+        val = values.pop()
+        # second form: the existential image of rho along <p1, f∘p2>, composed with sigma
+        _, a1, a2 = win.prod(a, a)
+        e_gr = exists_along(P, win.pair(a1, C.compose(members[0], a2)))
+        other = None
+        if not isinstance(e_gr, NoAdjoint):
+            with contextlib.suppress(MalformedPresentation):   # no existential along <p1, p3>
+                other = rel_compose(P, RelArrow(a, b, int(e_gr.table[rho])),
+                                    RelArrow(b, b, sig)).el
+        if other is None:
+            skipped.append(q.cat.arrows[ci])
+        else:
+            comparisons += 1
+            if other != val:
+                raise FormulaMismatch(
+                    "comparison functor",
+                    f"published forms disagree on {q.cat.arrows[ci]}")
+        key = (er.tp.obj_of[(a, rho)], er.tp.obj_of[(b, sig)], val)
+        if key not in er.tp.arr_of:
+            raise MalformedPresentation(
+                f"comparison image of {q.cat.arrows[ci]} is not a functional relation")
+        arr_map[q.cat.arrows[ci]] = er.tp.cat.arrows[er.tp.arr_of[key]]
+    F = FunctorData(q.cat, er.cat, obj_map, arr_map)
+    # identities must go to identities (the relation itself)
+    for oi, (a, rho) in enumerate(q.objects):
+        lid = arr_map[q.cat.arrows[int(q.cat.id_arr[oi])]]
+        if lid != er.cat.arrows[int(er.cat.id_arr[er.obj_of[(a, rho)]])]:
+            raise FormulaMismatch("comparison functor", "identity class not sent to identity")
+    return LFunctorResult(F, comparisons, skipped)
 
 
 def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) -> bool:

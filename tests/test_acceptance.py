@@ -225,7 +225,7 @@ def test_acceptance_07_graph_formula_agreement(completions):
     checked = 0
     for name in ("triv", "chain", "fs2"):
         P, E, X, tp, er, q = completions[name]
-        functor_D(P, E, er)  # raises on any disagreement
+        functor_D(P, E, er)  # builds from the reindexed form
         C = P.cat
         win = P.window
         for a in P.core_idx():

@@ -1,7 +1,9 @@
 import itertools
 
+import pytest
 
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite
+from doctrines.errors import MalformedPresentation
 
 from oracles import (bool_matmul, bool_matrix, classify, compose_rel, identity_rel,
                      is_per, mask_from_rel, rel_from_mask, rel_from_matrix,
@@ -167,3 +169,11 @@ def test_classify_all_two_carrier_relations(witnesses):
     # the graph of the swap is a map
     swap_mask = mask_from_rel({(0, 1), (1, 0)}, 2, 2)
     assert classify(P, E, _rel2(P, swap_mask)).is_map
+
+
+def test_relations_must_be_composable(witnesses):
+    """th: 2 -> 2 then ze: 1 -> 2 is refused: th ends where ze does not start."""
+    P = witnesses["fs2"][0]
+    one, two = P.cat.obj_index["1"], P.cat.obj_index["2"]
+    with pytest.raises(MalformedPresentation, match="^relations not composable$"):
+        rel_compose(P, RelArrow(two, two, 0), RelArrow(one, two, 0))

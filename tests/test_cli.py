@@ -149,3 +149,16 @@ def test_json_reports_match_golden(capsys, command, path, code):
     tests; the bytes must still be those of the golden file."""
     assert main(["--json", command, path]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{command}_{path}.json").read_text()
+
+
+@pytest.mark.parametrize("path, code, err", [
+    (str(DATA / "broken.dtn"), 1,
+     "violation: composite has wrong source or target at ('g', 'f')\n"),
+    ("no/such/file.dtn", 2,
+     "parse error: line 0, col 0: no such file or fixture: no/such/file.dtn\n"),
+])
+def test_load_refusals_in_process(capsys, path, code, err):
+    """A file whose category is broken, and a path that is neither a file
+    nor a fixture, as the subprocess tests above see them."""
+    assert main(["check", path]) == code
+    assert capsys.readouterr().err == err

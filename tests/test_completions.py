@@ -7,7 +7,7 @@ from doctrines import fixtures
 from doctrines.completions import (Caps, NoExtension, build_erp, build_gr,
                                    build_qp, build_tp, functor_D, functor_L,
                                    transitive_extension)
-from doctrines.doctrine import sub_doctrine
+from doctrines.doctrine import exists_along, sub_doctrine
 from doctrines.errors import ResourceCap
 from doctrines.fincat import (WindowScope, check_equivalence, check_exact,
                               iso_classes, validate_category, validate_functor)
@@ -138,7 +138,6 @@ def test_er_totality_reduction(completions):
     """Between reflexive objects the totality condition against the source
     relation coincides with plain totality of the projection image."""
     P, E, X, tp, er, q = completions["fs2"]
-    from doctrines.doctrine import exists_along
     from doctrines.completions import functional_relations
     win = P.window
     for x in er.objects:
@@ -180,11 +179,18 @@ def test_functor_D_values(completions):
 
 
 def test_D_formula_agreement_every_core_arrow(completions):
-    """Both published computations of the graph relation agree; building the
-    functor asserts it arrow by arrow."""
+    """Both published computations of the graph relation agree: the value
+    of the functor, the reindexed equality, is the existential image of top
+    along the graph, arrow by arrow."""
     for name in ("triv", "chain", "fs2"):
         P, E, X, tp, er, q = completions[name]
-        functor_D(P, E, er)  # raises FormulaMismatch on any disagreement
+        D = functor_D(P, E, er)
+        C = P.cat
+        for fname, img in D.arr_map.items():
+            f = C.arr_index[fname]
+            a = int(C.src[f])
+            e = exists_along(P, P.window.pair(int(C.id_arr[a]), f))
+            assert tp.arrows[tp.cat.arr_index[img]][2] == int(e.table[P.fibers[a].top])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import crafted
 import oracles
 from doctrines import fixtures
 from doctrines.compare import analysis
-from doctrines.doctrine import (box_product, reindex, sub_doctrine, subobject_poset,
+from doctrines.doctrine import (DoctrineData, box_product, reindex, sub_doctrine, subobject_poset,
                                 validate_doctrine, weak_sub_doctrine, weak_subobject_poset)
 from doctrines.errors import DoctrinesError, MalformedPresentation, NoWeakPullback
 from doctrines.fincat import FinCat, ProductChoice, WindowScope
@@ -301,3 +302,54 @@ def test_sub_and_weak_sub_agree_on_exact_completion(name, request):
     for f in range(C.n_arrows):
         a, b = int(C.src[f]), int(C.tgt[f])
         assert np.array_equal(iso[a][S.r(f).table], Psi.r(f).table[iso[b]])
+
+
+# ---------------------------------------------------------------------------
+# input guards, each reached by a fault and checked for its witness
+# ---------------------------------------------------------------------------
+
+
+def _outcome(build):
+    """The report a check returns, or the error a guard raises."""
+    try:
+        rep = build()
+    except DoctrinesError as exc:
+        return type(exc).__name__, str(exc)
+    return rep.ok, rep.law, rep.witness, rep.message
+
+
+def _chain_with(n_fibers: int = 2, n_reindex: int = 3, m=None) -> DoctrineData:
+    """The chain fixture (2 objects, 3 arrows) with its fiber and reindex
+    tables cut short, or with the reindexing along m: u -> v replaced by
+    `m(map)`."""
+    P = fixtures.chain_fixture()
+    reindex = P.reindex[:n_reindex]
+    if m is not None:
+        f = P.cat.arr_index["m"]
+        reindex[f] = m(reindex[f])
+    return DoctrineData(P.cat, P.products, P.scope, P.fibers[:n_fibers], reindex)
+
+
+@pytest.mark.parametrize("build, outcome", [
+    pytest.param(lambda: reindex(fixtures.chain_fixture(), "nope", "v0"),
+                 ("MalformedPresentation", "unknown arrow nope"), id="arrow"),
+    pytest.param(lambda: reindex(fixtures.chain_fixture(), "m", "u0"),
+                 ("MalformedPresentation", "element u0 not in the fiber of v"), id="element"),
+    pytest.param(lambda: validate_doctrine(_chain_with(n_fibers=1)),
+                 (False, "MalformedPresentation", (), "fiber table incomplete"), id="fibers"),
+    pytest.param(lambda: validate_doctrine(_chain_with(n_reindex=2)),
+                 (False, "MalformedPresentation", (), "reindex table incomplete"), id="reindex"),
+    pytest.param(lambda: validate_doctrine(_chain_with(m=lambda r: MonotoneMap(r.cod, r.dom,
+                                                                               r.table[:2]))),
+                 (False, "Reindex", ("m",), "reindex map badly typed"), id="typing"),
+    pytest.param(lambda: validate_doctrine(_chain_with(m=lambda r: MonotoneMap(r.dom, r.cod,
+                                                                               r.table[:2]))),
+                 (False, "Reindex", ("m",), "reindex table has wrong length"), id="length"),
+    pytest.param(lambda: sub_doctrine(crafted.meet_not_pullback(), ProductChoice("A", {}),
+                                      WindowScope(("A",))),
+                 ("WindowClosure", "window closure violated: missing product A "
+                                   "(subobject meet of [m1], [m2] is not their pullback)"),
+                 id="subobject-meet"),
+])
+def test_input_guards(build, outcome):
+    assert _outcome(build) == outcome

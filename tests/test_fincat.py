@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 import crafted
 from doctrines import fixtures
-from doctrines.fincat import (Cone, FinCat, FunctorData, WindowScope,
-                              check_equivalence, check_exact, image_factorization,
+from doctrines.errors import DoctrinesError
+from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, Window, WindowScope,
+                              check_equivalence, check_exact, equalizer, image_factorization,
                               is_iso, is_mono, is_regular_epi, iso_classes, pullback,
                               validate_category, validate_functor,
                               validate_products)
@@ -243,3 +245,101 @@ def test_window_closure_violation_is_reported(chain):
     win = Window(chain.cat, pc, WindowScope(("u", "v")))
     missing = win.check_closure()
     assert ("v", "v") in missing
+
+
+# ---------------------------------------------------------------------------
+# input guards, each reached by a fault and checked for its witness
+# ---------------------------------------------------------------------------
+
+
+def _outcome(build):
+    """The report a check returns, or the error a guard raises."""
+    try:
+        rep = build()
+    except DoctrinesError as exc:
+        return type(exc).__name__, str(exc)
+    return rep.ok, rep.law, rep.witness, rep.message
+
+
+def _on_nofact(fn, *arrows: str):
+    """fn on nofact_category and the named arrows."""
+    C = crafted.nofact_category()
+    return fn(C, *(C.arr_index[a] for a in arrows))
+
+
+def _nofact_with(g: str, f: str, h: str) -> FinCat:
+    """nofact_category with the composite g∘f set to h."""
+    C = crafted.nofact_category()
+    comp = C.comp.copy()
+    comp[C.arr_index[g], C.arr_index[f]] = C.arr_index[h]
+    return FinCat(C.objects, C.arrows, C.src, C.tgt, C.id_arr, comp)
+
+
+def _nofact_functor(source: FinCat | None = None, drop: str = "", **arrows) -> FunctorData:
+    """The identity of nofact_category, from `source` (its objects and arrow
+    names), with one name left out of the maps and some arrows re-pointed."""
+    T = crafted.nofact_category()
+    S = source or T
+    return FunctorData(S, T, {o: o for o in S.objects if o != drop},
+                       {a: arrows.get(a, a) for a in S.arrows if a != drop})
+
+
+def _v_window(core=("t",)) -> Window:
+    return Window(crafted.v_poset(), ProductChoice("t", {}), WindowScope(core))
+
+
+def _v_pair(f: str, g: str) -> int:
+    """<f, g> in v_poset's window, which chooses no binary product."""
+    W = _v_window()
+    return W.pair(W.C.arr_index[f], W.C.arr_index[g])
+
+
+@pytest.mark.parametrize("build, outcome", [
+    pytest.param(lambda: FinCat(("A", "A"), ("idA", "idB"), np.array([0, 1]), np.array([0, 1]),
+                                np.array([0, 1]), np.full((2, 2), -1)),
+                 ("MalformedPresentation", "duplicate object identifiers"), id="objects"),
+    pytest.param(lambda: FinCat(("A",), ("idA", "idA"), np.zeros(2, np.int32),
+                                np.zeros(2, np.int32), np.zeros(1, np.int32), np.full((2, 2), -1)),
+                 ("MalformedPresentation", "duplicate arrow identifiers"), id="arrows"),
+    pytest.param(lambda: _on_nofact(FinCat.compose, "f", "c"),
+                 ("MalformedPresentation", "arrows not composable: f after c"), id="compose"),
+    pytest.param(lambda: FinCat.build(["A"], [("x", "A", "Q")], {}, {}),
+                 ("MalformedPresentation", "arrow x has unknown endpoint A or Q"), id="endpoint"),
+    pytest.param(lambda: FinCat.build(["A"], [("idA", "A", "A")], {"A": "id"}, {}),
+                 ("MalformedPresentation", "identity entry A -> id has unknown id"), id="identity"),
+    pytest.param(lambda: FinCat.build(["A"], [("idA", "A", "A")], {"A": "idA"},
+                                      {("idA", "zz"): "idA"}),
+                 ("MalformedPresentation", "compose entry mentions unknown arrow zz"),
+                 id="compose-entry"),
+    pytest.param(lambda: validate_category(_nofact_with("s", "idA", "idA")),
+                 (False, "Identity", ("s",), "f∘id != f"), id="right-identity"),
+    pytest.param(lambda: validate_products(crafted.v_poset(), ProductChoice("nowhere", {})),
+                 (False, "MissingEntry", ("nowhere",), "unknown terminal"), id="terminal"),
+    pytest.param(lambda: validate_products(crafted.v_poset(),
+                                           ProductChoice("t", {("a", "b"): ("ab", "at", "bt")})),
+                 (False, "MissingEntry", ("ab",), "unknown id in product entry"),
+                 id="product-entry"),
+    pytest.param(lambda: _v_window(("nowhere",)),
+                 ("MalformedPresentation", "core object nowhere not in category"), id="core"),
+    pytest.param(lambda: _v_pair("at", "bt"),
+                 ("WindowClosure", "window closure violated: missing product txt "
+                                   "(no mediator for cone (at, bt))"), id="mediator"),
+    pytest.param(lambda: _on_nofact(pullback, "f", "c"),
+                 ("MalformedPresentation", "pullback of arrows with different targets"),
+                 id="pullback"),
+    pytest.param(lambda: _on_nofact(equalizer, "f", "c"),
+                 ("MalformedPresentation", "equalizer of a non-parallel pair"), id="equalizer"),
+    pytest.param(lambda: validate_functor(_nofact_functor(drop="A")),
+                 (False, "Functor", ("A",), "object map incomplete"), id="functor-objects"),
+    pytest.param(lambda: validate_functor(_nofact_functor(drop="s")),
+                 (False, "Functor", ("s",), "arrow map incomplete"), id="functor-arrows"),
+    pytest.param(lambda: validate_functor(_nofact_functor(s="f")),
+                 (False, "Functor", ("s",), "arrow map badly typed"), id="functor-typing"),
+    pytest.param(lambda: validate_functor(_nofact_functor(idA="s")),
+                 (False, "Functor", ("A",), "identity not preserved"), id="functor-identity"),
+    pytest.param(lambda: validate_functor(_nofact_functor(_nofact_with("s", "s", "s"))),
+                 (False, "Functor", ("s", "s"), "composition not preserved"),
+                 id="functor-composition"),
+])
+def test_input_guards(build, outcome):
+    assert _outcome(build) == outcome

@@ -38,6 +38,33 @@ def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
 
 
+def local_reimports(source: str) -> list[tuple[str, int]]:
+    """Relative imports made inside a function from a module that the file
+    already imports from at its top, as (module, line)."""
+    tree = ast.parse(source)
+    top = {node.module for node in tree.body
+           if isinstance(node, ast.ImportFrom) and node.level}
+    return sorted({(node.module, node.lineno)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   and node.module in top})
+
+
+def test_scan_finds_local_reimport():
+    source = ("from .a import x\nfrom .b import y\n\n"
+              "def f():\n    from .a import z\n    from .c import w\n"
+              "    def g():\n        from .b import v\n    return x, y, z, w, g\n")
+    assert local_reimports(source) == [("a", 5), ("b", 8)]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_local_reimports(path):
+    """A module already imported at the top is imported from there."""
+    assert local_reimports((SRC / path).read_text()) == []
+
+
 def definitions(source: str) -> list[tuple[str, int, bool]]:
     """Top-level functions and the methods of top-level classes, dunder
     methods left out, with their lines and whether each is a method."""

@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as strat
 
 import oracles
@@ -264,6 +264,12 @@ def _generated_sub_doctrine(gens) -> DoctrineData:
                            pos[int(C.src[f])][P.r(f).table[elems[int(C.tgt[f])]]].astype(np.int32))
                for f in range(C.n_arrows)]
     return DoctrineData(C, P.products, P.scope, fibers, reindex)
+
+
+# the phases of a test that draws window_doctrines: a failing example is
+# reported as found, not shrunk, since every shrink step rebuilds the
+# closure of a sub-doctrine over fs2's 949 arrows (6-8 minutes a failure)
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate, Phase.target]
 
 
 @strat.composite

@@ -20,7 +20,7 @@ from doctrines.completions import _l_value, build_qp, functor_L, per_objects, tr
 from doctrines.doctrine import DoctrineData
 from doctrines.errors import MalformedPresentation
 from doctrines.semilattice import NoAdjoint
-from test_laws import window_doctrines
+from test_laws import NO_SHRINK, window_doctrines
 
 FIXTURES = ["triv", "chain", "fs2", "nochoice"]
 
@@ -78,7 +78,7 @@ def test_l_value_is_one_composition_on_every_class_member(witnesses):
     assert members == 32
 
 
-@settings(max_examples=40)
+@settings(max_examples=40, phases=NO_SHRINK)
 @given(window_doctrines(corrupt=True))
 def test_relation_objects_and_extensions_match_oracle(Q):
     """Against the least element of each fiber, so that every element has a
@@ -90,7 +90,7 @@ def test_relation_objects_and_extensions_match_oracle(Q):
         _extensions(oracles.transitive_extension, Q, least)
 
 
-@settings(max_examples=25)
+@settings(max_examples=25, phases=NO_SHRINK)
 @given(window_doctrines())
 def test_l_value_matches_oracle(Q):
     pairs = _per_pairs(Q)

@@ -218,3 +218,17 @@ def test_validate_names_transitivity_gap_over_256_elements():
     leq[0, 257] = False
     broken = FinInfSL(names, leq, full.top, full.meet.copy())
     assert broken.validate() == "order not transitive: missing b <= t"
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: FinInfSL(("x", "x"), np.ones((2, 2), dtype=bool), 0,
+                                  np.zeros((2, 2), dtype=np.int32)),
+                 "duplicate element names in fiber", id="duplicate-elements"),
+    pytest.param(lambda: sub_semilattice(diamond(), [0, 1, 2]),
+                 "subset has no top element", id="no-top"),
+])
+def test_input_guards(build, message):
+    """Two elements named alike; the bottom and the two incomparable
+    midpoints of the diamond, closed under meets with no greatest one."""
+    with pytest.raises(MalformedPresentation, match=f"^{message}$"):
+        build()
