@@ -122,7 +122,7 @@ def cmd_check(args) -> int:
 
 def cmd_complete(args) -> int:
     P = load_doctrine(args.path)
-    _, ok = check_report(P)
+    verdict, ok = check_report(P)
     an = analysis(P, Caps(args.cap_fibers, args.cap_enum), args.condition_v)
     out = Report(f"complete --kind {args.kind}")
     _, E, X = an.eed()
@@ -167,6 +167,10 @@ def cmd_complete(args) -> int:
     if args.out and emitted is not None:
         Path(args.out).write_text(emit_doctrine(emitted))
         print(f"wrote {args.out}")
+    for eed in verdict.checks:
+        if eed.name == "eed" and eed.status == FAIL:
+            bad = next(c for c in eed.children if c.status == FAIL)
+            print(f"violation: eed fails: {bad.name} at {_fmt(bad.witness)}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 

@@ -81,18 +81,34 @@ def exists_along(P: DoctrineData, f: int) -> MonotoneMap | NoAdjoint:
 
 def validate_doctrine(P: DoctrineData) -> ValidationReport:
     """Fibers are inf-semilattices, reindexing is typed, identity-preserving,
-    functorial on every composable pair, and a homomorphism on every arrow."""
+    functorial on every composable pair, and a homomorphism on every arrow.
+
+    Over a category, with identities reindexing as identities, the two laws
+    are decided at a composition-generating set: the homomorphism clause on
+    every generator g and P(g∘f) = P(f)∘P(g) for every f into its source.
+    The arrows g functorial against every f contain the identities and are
+    closed under composition: for such g1, g2, P((g1∘g2)∘f) = P(g1∘(g2∘f))
+    = P(g2∘f)∘P(g1) = P(f)∘P(g2)∘P(g1) = P(f)∘P(g1∘g2).  So reindexing is
+    functorial, and every arrow, a composite of generators and identities,
+    reindexes by a composite of homomorphisms.  On a failure the scan over
+    every arrow names the witness."""
     bad = _fiber_and_identity_violation(P)
     if bad is not None:
         return bad
-    if P.cat.is_category() and _laws_at_generators(P):
+    stacks, pos = _reindex_stacks(P)
+    bad = _range_violation(P, stacks)
+    if bad is not None:
+        return bad
+    # the values index their fibers, so int16 holds them and halves the traffic
+    stacks = [tables.astype(np.int16) for tables in stacks]
+    if P.cat.is_category() and _laws_at_generators(P, stacks, pos):
         return ValidationReport(True)
-    return _homomorphism_and_functoriality_scan(P)
+    return _homomorphism_and_functoriality_scan(P, stacks, pos)
 
 
 def _fiber_and_identity_violation(P: DoctrineData) -> ValidationReport | None:
-    """Table sizes, fiber laws, reindex typing, identity reindexing and the
-    range of every reindex value, over every object and arrow."""
+    """Table sizes, fiber laws, reindex typing and identity reindexing, over
+    every object and arrow."""
     C = P.cat
     if len(P.fibers) != C.n_objects:
         return ValidationReport(False, "MalformedPresentation", (), "fiber table incomplete")
@@ -118,62 +134,79 @@ def _fiber_and_identity_violation(P: DoctrineData) -> ValidationReport | None:
             bad = int(np.flatnonzero(t != np.arange(len(t)))[0])
             return ValidationReport(False, "Functoriality", (C.objects[o],),
                                     f"identity reindex moves {P.fibers[o].elements[bad]}")
-    # every value lies in the source fiber, so that both law checks can index by it
-    for f, m in enumerate(P.reindex):
-        cod = P.fibers[int(C.src[f])]
-        outside = (m.table < 0) | (m.table >= cod.n)
-        if outside.any():
-            x = int(np.flatnonzero(outside)[0])
-            return ValidationReport(False, "Reindex", (C.arrows[f], m.dom.elements[x]),
-                                    f"value {int(m.table[x])} is outside the fiber of "
-                                    f"{C.objects[int(C.src[f])]}")
     return None
 
 
-def _laws_at_generators(P: DoctrineData) -> bool:
-    """The homomorphism clause and P(g∘f) = P(f)∘P(g) for every generator g
-    of the base and every f into its source.
-
-    Over a category, with identities reindexing as identities, this decides
-    both laws exactly.  The arrows g functorial against every f contain the
-    identities and are closed under composition: for such g1, g2,
-    P((g1∘g2)∘f) = P(g1∘(g2∘f)) = P(g2∘f)∘P(g1) = P(f)∘P(g2)∘P(g1)
-    = P(f)∘P(g1∘g2).  So reindexing is functorial, and every arrow, a
-    composite of generators and identities, reindexes by a composite of
-    homomorphisms."""
+def _reindex_stacks(P: DoctrineData) -> tuple[list[np.ndarray], np.ndarray]:
+    """The reindex tables stacked once, by target: row pos[f] of stacks[c]
+    is the table of f, for every arrow f into c, in id order."""
     C = P.cat
-    # stacked[c][pos[f]] is the reindex table of f, for every f into c
-    pos = np.empty(C.n_arrows, dtype=np.intp)
-    stacked = []
+    stacks, pos = [], np.empty(C.n_arrows, dtype=np.intp)
     for c in range(C.n_objects):
         F = C.into(c)
         pos[F] = np.arange(len(F))
-        stacked.append(np.stack([P.reindex[int(f)].table for f in F]))
-    for g in C.generators():
-        b, c = int(C.src[g]), int(C.tgt[g])
+        stacks.append(np.stack([P.reindex[f].table for f in F.tolist()]) if len(F)
+                      else np.zeros((0, P.fibers[c].n), dtype=np.int32))
+    return stacks, pos
+
+
+def _range_violation(P: DoctrineData, stacks: list[np.ndarray]) -> ValidationReport | None:
+    """The first arrow with a reindex value outside its source fiber, so
+    that both law checks can index by the values."""
+    C = P.cat
+    sizes = np.array([fib.n for fib in P.fibers])
+    first = []                      # the first such arrow into each object
+    for c, tables in enumerate(stacks):
+        F = C.into(c)
+        outside = (tables < 0) | (tables >= sizes[C.src[F]][:, None])
+        first.extend(F[outside.any(axis=1)][:1].tolist())
+    if not first:
+        return None
+    f = min(first)
+    table = P.reindex[f].table
+    x = int(np.flatnonzero((table < 0) | (table >= sizes[C.src[f]]))[0])
+    return ValidationReport(False, "Reindex", (C.arrows[f], P.reindex[f].dom.elements[x]),
+                            f"value {int(table[x])} is outside the fiber of "
+                            f"{C.objects[int(C.src[f])]}")
+
+
+def _laws_at_generators(P: DoctrineData, stacks: list[np.ndarray], pos: np.ndarray) -> bool:
+    """The homomorphism clause on every generator g of the base and
+    P(g∘f) = P(f)∘P(g) for every f into its source, a (src, tgt) block of
+    generators at a time, in chunks of about 8 MB."""
+    C = P.cat
+    gens = C.generators()
+    src, tgt = C.src[gens], C.tgt[gens]
+    meets16 = [fib.meet.ravel().astype(np.int16) for fib in P.fibers]
+    for b, c in sorted(set(zip(src.tolist(), tgt.tolist()))):
+        G = gens[(src == b) & (tgt == c)]
         fib_b, fib_c = P.fibers[b], P.fibers[c]
-        R = P.reindex[int(g)].table
-        if (int(R[fib_c.top]) != fib_b.top
-                or not np.array_equal(R[fib_c.meet], fib_b.meet[R[:, None], R[None, :]])):
+        R = stacks[c][pos[G]]                               # P(g), one row per generator
+        if (R[:, fib_c.top] != fib_b.top).any():
             return False
         F = C.into(b)
-        lhs = stacked[c][pos[C.comp[g, F]]]          # P(g∘f)
-        rhs = stacked[b][:, R]                       # P(f)∘P(g)
-        if not np.array_equal(lhs, rhs):
-            return False
+        Rp = R.astype(np.intp)
+        step = max(1, (1 << 20) // max(1, fib_c.n * max(fib_c.n, len(F))))
+        for lo in range(0, len(G), step):
+            Rc = Rp[lo:lo + step]
+            meets_after = np.take(R[lo:lo + step], fib_c.meet, axis=1)            # P(g)(x ∧ y)
+            meets_before = np.take(meets16[b], Rc[:, :, None] * fib_b.n + Rc[:, None, :])
+            if not np.array_equal(meets_after, meets_before):
+                return False
+            composite = stacks[c][pos[C.comp[G[lo:lo + step]][:, F]]]          # P(g∘f)
+            if not np.array_equal(composite, np.swapaxes(stacks[b][:, Rc], 0, 1)):
+                return False
     return True
 
 
-def _homomorphism_and_functoriality_scan(P: DoctrineData) -> ValidationReport:
+def _homomorphism_and_functoriality_scan(P: DoctrineData, stacks: list[np.ndarray],
+                                         pos: np.ndarray) -> ValidationReport:
     """Both laws on every arrow and composable pair, in canonical order."""
     C = P.cat
     # homomorphism clause, blockwise by (src, tgt); int16 values and hoisted
     # index conversions keep the big fixture inside the time budget
-    pairs = sorted({(int(C.src[f]), int(C.tgt[f])) for f in range(C.n_arrows)})
-    stacks16: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in pairs:
-        F = C.hom(a, b)
-        stacks16[(a, b)] = np.stack([P.reindex[int(f)].table for f in F]).astype(np.int16)
+    pairs = sorted(set(zip(C.src.tolist(), C.tgt.tolist())))
+    stacks16 = {(a, b): stacks[b][pos[C.hom(a, b)]] for a, b in pairs}
     for a, b in pairs:
         F = C.hom(a, b)
         fib_b, fib_a = P.fibers[b], P.fibers[a]

@@ -165,6 +165,7 @@ class FinCat:
         table, which validate_category checks before it asks."""
         if self._generators is None:
             n = self.n_arrows
+            comp_t = self.comp.T.copy()
             reached = np.zeros(n, dtype=bool)
             reached[self.id_arr] = True
             gens = []
@@ -172,18 +173,16 @@ class FinCat:
                 if reached[a]:
                     continue
                 gens.append(a)
-                reached[a] = True
-                # close under composition: each new arrow meets every
-                # reached one on both sides once, when it is popped
-                todo = [a]
-                while todo:
-                    x = todo.pop()
-                    row, col = self.comp[x], self.comp[:, x]
-                    hits = np.concatenate([row[reached & (row >= 0)],
-                                           col[reached & (col >= 0)]])
-                    new = np.unique(hits[~reached[hits]])
-                    reached[new] = True
-                    todo.extend(new.tolist())
+                # close under composition: each batch of new arrows meets
+                # every reached arrow, the batch included, on both sides once
+                new = np.zeros(n, dtype=bool)
+                new[a] = True
+                while new.any():
+                    reached |= new
+                    batch = np.flatnonzero(new)
+                    both = np.concatenate([self.comp[batch], comp_t[batch]])
+                    new[both[(both >= 0) & reached]] = True
+                    new &= ~reached
             self._generators = np.array(gens, dtype=np.intp)
         return self._generators
 
@@ -192,7 +191,7 @@ class FinCat:
         test; decided once and kept, without naming a witness."""
         if self._is_category is None:
             self._is_category = (_typing_or_identity_violation(self) is None
-                                 and _associative_at_generators(self))
+                                 and _associativity_scan(self, self.generators()).ok)
         return self._is_category
 
 
@@ -255,13 +254,12 @@ def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
         g, f = map(int, np.argwhere(composable & ~defined)[0])
         return ValidationReport(False, "MissingEntry", (C.arrows[g], C.arrows[f]),
                                 "composable pair has no composite")
-    gi, fi = np.nonzero(composable)
-    h = C.comp[gi, fi]
-    bad = (C.src[h] != C.src[fi]) | (C.tgt[h] != C.tgt[gi])
+    # g∘f must have the type (src f, tgt g); a type is coded src * |objects| + tgt
+    typ = C.src * C.n_objects + C.tgt
+    bad = composable & (np.take(typ, C.comp) != C.src[None, :] * C.n_objects + C.tgt[:, None])
     if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        return ValidationReport(False, "AssociativityOrTyping",
-                                (C.arrows[int(gi[k])], C.arrows[int(fi[k])]),
+        g, f = map(int, np.argwhere(bad)[0])
+        return ValidationReport(False, "AssociativityOrTyping", (C.arrows[g], C.arrows[f]),
                                 "composite has wrong source or target")
     # identity laws
     for i in range(C.n_objects):
@@ -280,50 +278,40 @@ def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
     return None
 
 
-def _associative_at_generators(C: FinCat) -> bool:
-    """Light's test: every triple with a generator in the middle associates.
+def _associativity_scan(C: FinCat, middle: np.ndarray | None = None) -> ValidationReport:
+    """Every composable triple (h, g, f) with g in `middle` (default: every
+    arrow), blockwise over (src g, tgt g), in canonical order; int16 values
+    and hoisted index conversions keep the big fixture fast.
 
-    It decides associativity of a typed, unital table exactly.  The arrows m
-    with (h∘m)∘f = h∘(m∘f) for all h, f contain the identities and are
-    closed under composition: for such m1, m2,
-    (h∘(m1∘m2))∘f = ((h∘m1)∘m2)∘f = (h∘m1)∘(m2∘f) = h∘(m1∘(m2∘f))
-    = h∘((m1∘m2)∘f).  So they are every arrow once they hold the generators."""
-    for g in C.generators():
-        H, F = C.outof(int(C.tgt[g])), C.into(int(C.src[g]))
-        lhs = C.comp[C.comp[H, g][:, None], F[None, :]]      # (h∘g)∘f
-        rhs = C.comp[H[:, None], C.comp[g, F][None, :]]      # h∘(g∘f)
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
-
-
-def _associativity_scan(C: FinCat) -> ValidationReport:
-    """Every composable triple, blockwise over (src g, tgt g), in canonical
-    order; int16 values and hoisted index conversions keep the big fixture
-    fast."""
+    With the generators as `middle` this is Light's test, which decides
+    associativity of a typed, unital table exactly.  The arrows m with
+    (h∘m)∘f = h∘(m∘f) for all h, f contain the identities and are closed
+    under composition: for such m1, m2, (h∘(m1∘m2))∘f = ((h∘m1)∘m2)∘f
+    = (h∘m1)∘(m2∘f) = h∘(m1∘(m2∘f)) = h∘((m1∘m2)∘f).  So they are every
+    arrow once they hold the generators."""
     comp16 = C.comp.astype(np.int16) if C.n_arrows < (1 << 15) else C.comp
-    for b in range(C.n_objects):
-        F = C.into(b)
-        if len(F) == 0:
+    middle = np.arange(C.n_arrows) if middle is None else np.asarray(middle)
+    src, tgt = C.src[middle], C.tgt[middle]
+    comp_F: dict[int, np.ndarray] = {}
+    for b, c in sorted(set(zip(src.tolist(), tgt.tolist()))):
+        G = middle[(src == b) & (tgt == c)]
+        F, H = C.into(b), C.outof(c)
+        if len(F) == 0 or len(H) == 0:
             continue
-        comp_F = comp16[:, F.astype(np.intp)]
-        for c in range(C.n_objects):
-            G = C.hom(b, c)
-            H = C.outof(c)
-            if len(G) == 0 or len(H) == 0:
-                continue
-            GF_ip = C.comp[np.ix_(G, F)].astype(np.intp)
-            HG_ip = C.comp[np.ix_(H, G)].astype(np.intp)
-            chunk = max(1, (1 << 22) // max(1, len(G) * len(F)))
-            for lo in range(0, len(H), chunk):
-                lhs = comp_F[HG_ip[lo:lo + chunk]]           # (ch, nG, nF): (h∘g)∘f
-                rhs = comp16[H[lo:lo + chunk].astype(np.intp)][:, GF_ip]  # h∘(g∘f)
-                if not np.array_equal(lhs, rhs):
-                    k, i, j = map(int, np.argwhere(lhs != rhs)[0])
-                    return ValidationReport(
-                        False, "AssociativityOrTyping",
-                        (C.arrows[int(H[lo + k])], C.arrows[int(G[i])], C.arrows[int(F[j])]),
-                        "(h∘g)∘f != h∘(g∘f)")
+        if b not in comp_F:
+            comp_F[b] = comp16[:, F]
+        GF_ip = C.comp[G][:, F].astype(np.intp)
+        HG_ip = C.comp[:, G][H].astype(np.intp)
+        chunk = max(1, (1 << 22) // max(1, len(G) * len(F)))
+        for lo in range(0, len(H), chunk):
+            lhs = comp_F[b][HG_ip[lo:lo + chunk]]           # (ch, nG, nF): (h∘g)∘f
+            rhs = comp16[H[lo:lo + chunk]][:, GF_ip]        # h∘(g∘f)
+            if not np.array_equal(lhs, rhs):
+                k, i, j = map(int, np.argwhere(lhs != rhs)[0])
+                return ValidationReport(
+                    False, "AssociativityOrTyping",
+                    (C.arrows[int(H[lo + k])], C.arrows[int(G[i])], C.arrows[int(F[j])]),
+                    "(h∘g)∘f != h∘(g∘f)")
     return ValidationReport(True)
 
 

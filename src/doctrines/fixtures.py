@@ -15,8 +15,6 @@ MIXEDFAIL: monotone but non-homomorphic reindexing; left adjoints genuinely
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .doctrine import DoctrineData
@@ -97,62 +95,51 @@ def mixedfail() -> DoctrineData:
 # finite-set windows
 # ---------------------------------------------------------------------------
 
-_COORD_KINDS = ("bit", "neg", "c0", "c1")
+
+def _coord_functions(size: int) -> np.ndarray:
+    """Maps size -> 2 with every value a bit, a negated bit, or a constant,
+    one row each (size >= 1)."""
+    x = np.arange(size, dtype=np.int64)
+    bits = (x[None, :] >> np.arange(size.bit_length() - 1)[:, None]) & 1
+    return np.concatenate([bits, 1 - bits, np.zeros((1, size), np.int64),
+                           np.ones((1, size), np.int64)])
 
 
-def _coord_functions(size: int) -> list[tuple[int, ...]]:
-    """Maps size -> 2 with every value a bit, a negated bit, or a constant."""
-    k = size.bit_length() - 1
-    out: list[tuple[int, ...]] = []
-    for i in range(k):
-        out.append(tuple((x >> i) & 1 for x in range(size)))
-    for i in range(k):
-        out.append(tuple(1 - ((x >> i) & 1) for x in range(size)))
-    out.append(tuple(0 for _ in range(size)))
-    out.append(tuple(1 for _ in range(size)))
-    # deduplicate while preserving determinism (size 1 collapses bits away)
-    seen: dict[tuple[int, ...], None] = {}
-    for f in out:
-        seen.setdefault(f, None)
-    return list(seen)
-
-
-def _finset_arrows(sizes: list[int]) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """Value tables of every window arrow, grouped by (src size, tgt size),
-    sorted by value code inside each block."""
-    homs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+def _finset_arrows(sizes: list[int]) -> dict[tuple[int, int], np.ndarray]:
+    """Value tables of every window arrow, one row per arrow, grouped by
+    (src size, tgt size) and sorted by value tuple inside each block."""
+    homs: dict[tuple[int, int], np.ndarray] = {}
     for a in sizes:
         for b in sizes:
-            if a == 0:
-                homs[(a, b)] = [()]
-                continue
-            if b == 0:
-                homs[(a, b)] = []
-                continue
-            j = b.bit_length() - 1
-            coords = _coord_functions(a)
-            fs = []
-            for combo in itertools.product(coords, repeat=j):
-                fs.append(tuple(sum(c[x] << i for i, c in enumerate(combo)) for x in range(a)))
-            if j == 0:
-                fs = [tuple(0 for _ in range(a))]
-            fs = sorted(set(fs))
-            homs[(a, b)] = fs
+            # the empty map out of 0, no map into 0, the constant map into 1
+            vals = np.zeros((1 if a == 0 or b > 0 else 0, a), dtype=np.int64)
+            if a > 0 and b > 1:
+                coords = _coord_functions(a)
+                for i in range(b.bit_length() - 1):     # output bit i
+                    vals = (vals[:, None, :] + (coords[None, :, :] << i)).reshape(-1, a)
+            # the values are below b, so the key orders rows as tuples
+            key = vals @ (max(b, 1) ** np.arange(a - 1, -1, -1, dtype=np.int64))
+            homs[(a, b)] = vals[np.unique(key, return_index=True)[1]]
     return homs
-
-
-def _code(vals: tuple[int, ...], base: int) -> int:
-    c = 0
-    for i, v in enumerate(vals):
-        c += v * (base ** i)
-    return c
 
 
 def finset_window(sizes: list[int], core: list[int]) -> tuple[FinCat, ProductChoice, WindowScope, dict]:
     """Finite-set window category over the given (power-of-two or zero) sizes.
 
     Returns the category, chosen products, scope, and a lookup dict mapping
-    (src size, tgt size, value tuple) to the arrow name."""
+    (src size, tgt size, value tuple) to the arrow name.  Arrows are named
+    by their code, the value tuple read as digits in base max(tgt, 1), least
+    significant first.
+
+    A window arrow is already fixed by its values at the probes, the input
+    0 and the one-bit inputs 2^i, since each output bit is a bit, a negated
+    bit or a constant of the input; its key reads those values as digits.
+    The keys of the composites g∘f of a block of (b, c) arrows g after a
+    block of (a, b) arrows f are one float64 matmul G @ M, with
+    G[g, y] = g(y) and M[y, f] the sum of c^k over the probes p_k with
+    f(p_k) = y.  They stay below c^(1 + log2 a), far below 2^53, so the
+    float result is exact, and a dense table per (a, c) block turns them
+    into arrows."""
     sizes = sorted(sizes)
     for s in sizes:
         if s != 0 and (s & (s - 1)) != 0:
@@ -162,65 +149,38 @@ def finset_window(sizes: list[int], core: list[int]) -> tuple[FinCat, ProductCho
     srcs: list[int] = []
     tgts: list[int] = []
     obj_names = [str(s) for s in sizes]
-    obj_of_size = {s: i for i, s in enumerate(sizes)}
     lookup: dict[tuple[int, int, tuple[int, ...]], str] = {}
-    values: dict[tuple[int, int], np.ndarray] = {}
-    for a in sizes:
-        for b in sizes:
-            block = homs[(a, b)]
-            arr = np.array(block, dtype=np.int64).reshape(len(block), a)
-            values[(a, b)] = arr
-            for vals in block:
-                if a == b and vals == tuple(range(a)):
-                    nm = f"id{a}"
-                else:
-                    nm = f"a{a}_{b}_{_code(vals, max(b, 1))}"
-                lookup[(a, b, vals)] = nm
-                names.append(nm)
-                srcs.append(obj_of_size[a])
-                tgts.append(obj_of_size[b])
+    start: dict[tuple[int, int], int] = {}
+    probes = {a: [0] + [1 << i for i in range(a.bit_length() - 1)] if a else [] for a in sizes}
+    arrow_of_key: dict[tuple[int, int], np.ndarray] = {}
+    for (a, b), vals in homs.items():
+        codes = vals @ (max(b, 1) ** np.arange(a, dtype=np.int64))
+        is_id = (a == b) & (vals == np.arange(a)).all(axis=1)
+        block = [f"id{a}" if i else f"a{a}_{b}_{c}" for i, c in zip(is_id.tolist(), codes.tolist())]
+        lookup.update(zip(((a, b, v) for v in map(tuple, vals.tolist())), block))
+        start[(a, b)] = len(names)
+        names.extend(block)
+        srcs.extend([sizes.index(a)] * len(block))
+        tgts.extend([sizes.index(b)] * len(block))
+        arrow_of_key[(a, b)] = np.full(max(b, 1) ** len(probes[a]), -1, dtype=np.int32)
+        keys = vals[:, probes[a]] @ (max(b, 1) ** np.arange(len(probes[a]), dtype=np.int64))
+        arrow_of_key[(a, b)][keys] = np.arange(len(vals)) + start[(a, b)]
     n = len(names)
-    src = np.array(srcs, dtype=np.int32)
-    tgt = np.array(tgts, dtype=np.int32)
-    arr_index = {nm: i for i, nm in enumerate(names)}
-    id_arr = np.array([arr_index[f"id{s}"] for s in sizes], dtype=np.int32)
-    # composition, blockwise: g over (b, c) after f over (a, b)
+    id_arr = np.array([names.index(f"id{s}") for s in sizes], dtype=np.int32)
     comp = np.full((n, n), -1, dtype=np.int32)
-    base_idx: dict[tuple[int, int], int] = {}
-    pos = 0
-    for a in sizes:
-        for b in sizes:
-            base_idx[(a, b)] = pos
-            pos += len(homs[(a, b)])
-    codes: dict[tuple[int, int], np.ndarray] = {}
-    for key, arr in values.items():
-        b = max(key[1], 1)
-        pw = b ** np.arange(arr.shape[1], dtype=np.int64)
-        codes[key] = arr @ pw if arr.shape[1] else np.zeros(len(arr), dtype=np.int64)
-    for a in sizes:
-        for b in sizes:
-            F = values[(a, b)]
-            if len(F) == 0:
+    for (a, b), F in homs.items():
+        for c in sizes:
+            G = homs[(b, c)]
+            if len(F) == 0 or len(G) == 0:
                 continue
-            for c in sizes:
-                G = values[(b, c)]
-                if len(G) == 0:
-                    continue
-                if a == 0:
-                    comp_codes = np.zeros((len(G), len(F)), dtype=np.int64)
-                elif b == 0:
-                    continue
-                else:
-                    V = G[:, F]                    # (nG, nF, a)
-                    pw = max(c, 1) ** np.arange(a, dtype=np.int64)
-                    comp_codes = V @ pw
-                tgt_codes = codes[(a, c)]
-                order = np.argsort(tgt_codes, kind="stable")
-                found = order[np.searchsorted(tgt_codes[order], comp_codes)]
-                comp[np.ix_(range(base_idx[(b, c)], base_idx[(b, c)] + len(G)),
-                            range(base_idx[(a, b)], base_idx[(a, b)] + len(F)))] = \
-                    found + base_idx[(a, c)]
-    cat = FinCat(tuple(obj_names), tuple(names), src, tgt, id_arr, comp)
+            M = np.zeros((b, len(F)))
+            np.add.at(M, (F[:, probes[a]], np.arange(len(F))[:, None]),
+                      float(max(c, 1)) ** np.arange(len(probes[a])))
+            keys = (G.astype(np.float64) @ M).astype(np.intp)
+            comp[start[(b, c)]:start[(b, c)] + len(G),
+                 start[(a, b)]:start[(a, b)] + len(F)] = arrow_of_key[(a, c)][keys]
+    cat = FinCat(tuple(obj_names), tuple(names), np.array(srcs, dtype=np.int32),
+                 np.array(tgts, dtype=np.int32), id_arr, comp)
 
     def name_of(a: int, b: int, fn) -> str:
         return lookup[(a, b, tuple(fn))]
@@ -263,25 +223,20 @@ def fs2_base() -> tuple[FinCat, ProductChoice, WindowScope, dict]:
 
 
 def fs2() -> DoctrineData:
-    """Full powerset fibers with preimage reindexing over the finite-set base."""
+    """Full powerset fibers with preimage reindexing over the finite-set base:
+    along f: a -> b the subset mask s goes to the mask of {x : f(x) in s},
+    the tables of a (src, tgt) block of arrows computed at once."""
     if "doctrine" in _FS2_CACHE:
         return _FS2_CACHE["doctrine"]
-    cat, pc, scope, lookup = fs2_base()
+    cat, pc, scope, _ = fs2_base()
     sizes = [int(o) for o in cat.objects]
     fibers = [powerset(s) for s in sizes]
-    vals_of: dict[int, tuple[int, ...]] = {}
-    for (a, b, vals), nm in lookup.items():
-        vals_of[cat.arr_index[nm]] = vals
     reindex: list[MonotoneMap] = []
-    for f in range(cat.n_arrows):
-        a, b = int(cat.src[f]), int(cat.tgt[f])
-        sa, sb = sizes[a], sizes[b]
-        masks = np.arange(1 << sb, dtype=np.int32)
-        pre = np.zeros(1 << sb, dtype=np.int32)
-        vals = vals_of[f]
-        for i in range(sa):
-            pre |= ((masks >> vals[i]) & 1) << i
-        reindex.append(MonotoneMap(fibers[b], fibers[a], pre))
+    for (a, b), vals in _finset_arrows(sizes).items():      # in arrow id order
+        bit_x = (np.arange(1 << b, dtype=np.int32) >> vals[:, :, None].astype(np.int32)) & 1
+        pre = (bit_x << np.arange(a, dtype=np.int32)[:, None]).sum(axis=1, dtype=np.int32)
+        reindex.extend(MonotoneMap(fibers[sizes.index(b)], fibers[sizes.index(a)], table)
+                       for table in pre)
     P = DoctrineData(cat, pc, scope, fibers, reindex)
     _FS2_CACHE["doctrine"] = P
     return P

@@ -65,27 +65,34 @@ class FinInfSL:
         if (sym & ~np.eye(n, dtype=bool)).any():
             i, j = map(int, np.argwhere(sym & ~np.eye(n, dtype=bool))[0])
             return f"order not antisymmetric at ({self.elements[i]}, {self.elements[j]})"
-        closure = self.leq @ self.leq      # bool matmul: no count to wrap
+        # a float32 matmul goes through BLAS; its counts, at most n < 2^24, are exact
+        order = self.leq.astype(np.float32)
+        closure = (order @ order) > 0
         if (closure & ~self.leq).any():
             i, j = map(int, np.argwhere(closure & ~self.leq)[0])
             return f"order not transitive: missing {self.elements[i]} <= {self.elements[j]}"
         if not self.leq[:, self.top].all():
             i = int(np.flatnonzero(~self.leq[:, self.top])[0])
             return f"top is not above {self.elements[i]}"
-        # meet[i, j] must be the greatest lower bound of {i, j}
-        below_i = self.leq.T  # below_i[i, k] iff k <= i
-        for i in range(n):
-            lower = below_i[i][None, :] & below_i  # lower[j, k] iff k <= i and k <= j
+        # meet[i, j] must be the greatest lower bound of {i, j}; the first
+        # row with a wrong entry is named, a missed lower bound before a
+        # missed upper bound, as a row-by-row check would name it
+        downsets, blocks = _pair_downsets(self.leq)
+        for lo, wanted in blocks:
+            m = self.meet[lo:lo + len(wanted)]
+            wrong = downsets[m] != wanted
+            if not wrong.any():
+                continue
+            i = lo + int(np.flatnonzero(wrong.any(axis=1))[0])
             m = self.meet[i]
-            if not (np.take_along_axis(lower, m[:, None], axis=1)).all():
-                j = int(np.flatnonzero(~np.take_along_axis(lower, m[:, None], axis=1).ravel())[0])
+            below = self.leq[m, i] & self.leq[m, np.arange(n)]
+            if not below.all():
+                j = int(np.flatnonzero(~below)[0])
                 return f"meet({self.elements[i]}, {self.elements[j]}) is not a lower bound"
-            # every common lower bound k is below meet[i, j]
-            ok = ~lower | self.leq[:, m].T
-            if not ok.all():
-                j, k = map(int, np.argwhere(~ok)[0])
-                return (f"meet({self.elements[i]}, {self.elements[j]}) "
-                        f"is not above lower bound {self.elements[k]}")
+            j = int(np.flatnonzero(wrong[i - lo])[0])
+            k = int(np.flatnonzero(self.leq[:, i] & self.leq[:, j] & ~self.leq[:, m[j]])[0])
+            return (f"meet({self.elements[i]}, {self.elements[j]}) "
+                    f"is not above lower bound {self.elements[k]}")
         return None
 
     def __eq__(self, other) -> bool:
@@ -96,35 +103,48 @@ class FinInfSL:
                 and np.array_equal(self.meet, other.meet))
 
 
+def _pair_downsets(leq: np.ndarray):
+    """The down-set criterion for meets: over a reflexive, transitive order,
+    m is the greatest lower bound of i and j exactly when ↓m = ↓i ∩ ↓j, with
+    ↓x = {k : k <= x}.  Returns ↓x for every x and the blocks (lo, ↓i ∩ ↓j
+    for the rows i from lo on and every j), each down-set packed into one
+    byte string; a block is about 8 MB at most."""
+    n = len(leq)
+    down = np.ascontiguousarray(np.packbits(leq.T, axis=1))   # row x packs ↓x
+    key = np.dtype((np.void, down.shape[1]))
+    step = max(1, (1 << 23) // max(1, n * down.shape[1]))
+    blocks = ((lo, (down[lo:lo + step, None, :] & down[None, :, :]).view(key).reshape(-1, n))
+              for lo in range(0, n, step))
+    return down.view(key).ravel(), blocks
+
+
 def meets_from_leq(elements: tuple[str, ...], leq: np.ndarray) -> tuple[int, np.ndarray]:
     """Compute (top, meet table) from a transitive order table; raise if
     either is missing.
 
-    With ↓x = {k : k <= x}, m is the greatest common lower bound of a and b
-    exactly when m <= m and ↓m = ↓a ∩ ↓b.  The down-sets are packed into
-    byte strings, intersected for every pair at once and looked up among
-    the down-sets of the reflexive elements, sorted stably, so that ties
-    go to the smallest index.  The first pair in row-major order without a
-    meet is named."""
+    By the down-set criterion, m is the meet of a and b exactly when m <= m
+    and ↓m = ↓a ∩ ↓b.  The intersections are looked up among the down-sets
+    of the reflexive elements, sorted stably, so that ties go to the
+    smallest index.  The first pair in row-major order without a meet is
+    named."""
     n = len(elements)
     tops = np.flatnonzero(leq.all(axis=0))
     if len(tops) == 0:
         raise MalformedPresentation("poset has no top element")
     top = int(tops[0])
-    down = np.ascontiguousarray(np.packbits(leq.T, axis=1))   # row x packs ↓x
-    key = np.dtype((np.void, down.shape[1]))
-    downsets = down.view(key).ravel()
-    wanted = (down[:, None, :] & down[None, :, :]).view(key).reshape(n, n)
+    meet = np.empty((n, n), dtype=np.int32)
+    downsets, blocks = _pair_downsets(leq)
     cand = np.flatnonzero(leq.diagonal())
     order = cand[np.argsort(downsets[cand], kind="stable")]
-    pos = np.searchsorted(downsets[order], wanted)
-    meet = order[np.minimum(pos, len(order) - 1)].astype(np.int32)
-    found = downsets[meet] == wanted
-    if not found.all():
-        i, j = map(int, np.argwhere(~found)[0])
-        what = "no meet" if (leq[:, i] & leq[:, j]).any() else "no lower bound"
-        raise MalformedPresentation(
-            f"elements {elements[i]}, {elements[j]} have {what}")
+    for lo, wanted in blocks:
+        rows = meet[lo:lo + len(wanted)]
+        rows[:] = order[np.minimum(np.searchsorted(downsets[order], wanted), len(order) - 1)]
+        found = downsets[rows] == wanted
+        if not found.all():
+            i, j = map(int, np.argwhere(~found)[0] + (lo, 0))
+            what = "no meet" if (leq[:, i] & leq[:, j]).any() else "no lower bound"
+            raise MalformedPresentation(
+                f"elements {elements[i]}, {elements[j]} have {what}")
     return top, meet
 
 

@@ -6,7 +6,10 @@ stay independent.  Relations over range(n) are frozensets of pairs; the mask
 encoding matches the fixture convention (pair (x, y) over carriers of sizes
 (p, q) is the bit at x*q + y).  Some references are not from scratch:
 `meets_from_leq` is the package's former per-pair meet search, kept to
-check the down-set lookup that replaced it, and the universal-property
+check the down-set lookup that replaced it; `fiber_validate`, `generators`,
+`finset_window` and `fs2_reindex` are the former row-by-row meet check,
+generator closure, per-arrow window build and per-arrow preimage tables,
+kept to check the blockwise code that replaced them; and the universal-property
 searches at the end, product validation among them, are the package's
 former plain loops, kept to check the mediator table that replaced them,
 and so are the subobject and weak-subobject constructors after them, kept
@@ -396,6 +399,207 @@ def meets_from_leq(elements, leq):
                     f"elements {elements[i]}, {elements[j]} have no meet")
             meet[i, j] = greatest[0]
     return top, meet
+
+
+def fiber_validate(lat: FinInfSL) -> str | None:
+    """FinInfSL.validate as the package had it before the down-set test:
+    the order checks, then the meets one row at a time."""
+    n = lat.n
+    if lat.leq.shape != (n, n):
+        return "leq table has wrong shape"
+    if not lat.leq.diagonal().all():
+        i = int(np.flatnonzero(~lat.leq.diagonal())[0])
+        return f"order not reflexive at {lat.elements[i]}"
+    sym = lat.leq & lat.leq.T
+    if (sym & ~np.eye(n, dtype=bool)).any():
+        i, j = map(int, np.argwhere(sym & ~np.eye(n, dtype=bool))[0])
+        return f"order not antisymmetric at ({lat.elements[i]}, {lat.elements[j]})"
+    closure = lat.leq @ lat.leq
+    if (closure & ~lat.leq).any():
+        i, j = map(int, np.argwhere(closure & ~lat.leq)[0])
+        return f"order not transitive: missing {lat.elements[i]} <= {lat.elements[j]}"
+    if not lat.leq[:, lat.top].all():
+        i = int(np.flatnonzero(~lat.leq[:, lat.top])[0])
+        return f"top is not above {lat.elements[i]}"
+    below_i = lat.leq.T
+    for i in range(n):
+        lower = below_i[i][None, :] & below_i
+        m = lat.meet[i]
+        if not (np.take_along_axis(lower, m[:, None], axis=1)).all():
+            j = int(np.flatnonzero(~np.take_along_axis(lower, m[:, None], axis=1).ravel())[0])
+            return f"meet({lat.elements[i]}, {lat.elements[j]}) is not a lower bound"
+        ok = ~lower | lat.leq[:, m].T
+        if not ok.all():
+            j, k = map(int, np.argwhere(~ok)[0])
+            return (f"meet({lat.elements[i]}, {lat.elements[j]}) "
+                    f"is not above lower bound {lat.elements[k]}")
+    return None
+
+
+def generators(C: FinCat) -> list[int]:
+    """FinCat.generators as the package had it before its mask closure:
+    each new arrow meets every reached one on both sides once, when it is
+    popped, one np.unique per popped arrow."""
+    n = C.n_arrows
+    reached = np.zeros(n, dtype=bool)
+    reached[C.id_arr] = True
+    gens = []
+    for a in range(n):
+        if reached[a]:
+            continue
+        gens.append(a)
+        reached[a] = True
+        todo = [a]
+        while todo:
+            x = todo.pop()
+            row, col = C.comp[x], C.comp[:, x]
+            hits = np.concatenate([row[reached & (row >= 0)], col[reached & (col >= 0)]])
+            new = np.unique(hits[~reached[hits]])
+            reached[new] = True
+            todo.extend(new.tolist())
+    return gens
+
+
+def _coord_functions(size: int) -> list[tuple[int, ...]]:
+    k = size.bit_length() - 1
+    out: list[tuple[int, ...]] = []
+    for i in range(k):
+        out.append(tuple((x >> i) & 1 for x in range(size)))
+    for i in range(k):
+        out.append(tuple(1 - ((x >> i) & 1) for x in range(size)))
+    out.append(tuple(0 for _ in range(size)))
+    out.append(tuple(1 for _ in range(size)))
+    seen: dict[tuple[int, ...], None] = {}
+    for f in out:
+        seen.setdefault(f, None)
+    return list(seen)
+
+
+def _finset_arrows(sizes: list[int]) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    homs: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for a in sizes:
+        for b in sizes:
+            if a == 0:
+                homs[(a, b)] = [()]
+                continue
+            if b == 0:
+                homs[(a, b)] = []
+                continue
+            j = b.bit_length() - 1
+            coords = _coord_functions(a)
+            fs = []
+            for combo in itertools.product(coords, repeat=j):
+                fs.append(tuple(sum(c[x] << i for i, c in enumerate(combo)) for x in range(a)))
+            if j == 0:
+                fs = [tuple(0 for _ in range(a))]
+            homs[(a, b)] = sorted(set(fs))
+    return homs
+
+
+def _code(vals: tuple[int, ...], base: int) -> int:
+    return sum(v * (base ** i) for i, v in enumerate(vals))
+
+
+def finset_window(sizes: list[int], core: list[int]):
+    """fixtures.finset_window as the package had it before its blockwise
+    build: names and codes per arrow, each composite's value table gathered
+    and matched against the codes of its block.  Returns (category, chosen
+    products, scope, lookup)."""
+    sizes = sorted(sizes)
+    homs = _finset_arrows(sizes)
+    names: list[str] = []
+    srcs: list[int] = []
+    tgts: list[int] = []
+    obj_of_size = {s: i for i, s in enumerate(sizes)}
+    lookup: dict[tuple[int, int, tuple[int, ...]], str] = {}
+    values: dict[tuple[int, int], np.ndarray] = {}
+    for a in sizes:
+        for b in sizes:
+            block = homs[(a, b)]
+            values[(a, b)] = np.array(block, dtype=np.int64).reshape(len(block), a)
+            for vals in block:
+                if a == b and vals == tuple(range(a)):
+                    nm = f"id{a}"
+                else:
+                    nm = f"a{a}_{b}_{_code(vals, max(b, 1))}"
+                lookup[(a, b, vals)] = nm
+                names.append(nm)
+                srcs.append(obj_of_size[a])
+                tgts.append(obj_of_size[b])
+    n = len(names)
+    arr_index = {nm: i for i, nm in enumerate(names)}
+    id_arr = np.array([arr_index[f"id{s}"] for s in sizes], dtype=np.int32)
+    comp = np.full((n, n), -1, dtype=np.int32)
+    base_idx: dict[tuple[int, int], int] = {}
+    pos = 0
+    for a in sizes:
+        for b in sizes:
+            base_idx[(a, b)] = pos
+            pos += len(homs[(a, b)])
+    codes = {}
+    for key, arr in values.items():
+        pw = max(key[1], 1) ** np.arange(arr.shape[1], dtype=np.int64)
+        codes[key] = arr @ pw if arr.shape[1] else np.zeros(len(arr), dtype=np.int64)
+    for a in sizes:
+        for b in sizes:
+            F = values[(a, b)]
+            if len(F) == 0:
+                continue
+            for c in sizes:
+                G = values[(b, c)]
+                if len(G) == 0:
+                    continue
+                if a == 0:
+                    comp_codes = np.zeros((len(G), len(F)), dtype=np.int64)
+                elif b == 0:
+                    continue
+                else:
+                    comp_codes = G[:, F] @ (max(c, 1) ** np.arange(a, dtype=np.int64))
+                tgt_codes = codes[(a, c)]
+                order = np.argsort(tgt_codes, kind="stable")
+                found = order[np.searchsorted(tgt_codes[order], comp_codes)]
+                comp[np.ix_(range(base_idx[(b, c)], base_idx[(b, c)] + len(G)),
+                            range(base_idx[(a, b)], base_idx[(a, b)] + len(F)))] = \
+                    found + base_idx[(a, c)]
+    cat = FinCat(tuple(str(s) for s in sizes), tuple(names), np.array(srcs, dtype=np.int32),
+                 np.array(tgts, dtype=np.int32), id_arr, comp)
+
+    def name_of(a: int, b: int, fn) -> str:
+        return lookup[(a, b, tuple(fn))]
+
+    binary: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for a in sizes:
+        for b in sizes:
+            p = a * b
+            if p not in sizes:
+                continue
+            if a == 0 or b == 0:
+                binary[(str(a), str(b))] = ("0", name_of(0, a, ()), name_of(0, b, ()))
+            elif a == 1:
+                binary[(str(a), str(b))] = (str(b), name_of(b, 1, [0] * b), f"id{b}")
+            elif b == 1:
+                binary[(str(a), str(b))] = (str(a), f"id{a}", name_of(a, 1, [0] * a))
+            else:
+                pr1 = name_of(p, a, [x // b for x in range(p)])
+                pr2 = name_of(p, b, [x % b for x in range(p)])
+                binary[(str(a), str(b))] = (str(p), pr1, pr2)
+    return cat, ProductChoice("1", binary), WindowScope(tuple(str(c) for c in core)), lookup
+
+
+def fs2_reindex(cat: FinCat, lookup: dict) -> list[np.ndarray]:
+    """The preimage tables of fs2 as fixtures.fs2 had them, one arrow and
+    one input point at a time."""
+    sizes = [int(o) for o in cat.objects]
+    vals_of = {cat.arr_index[nm]: vals for (a, b, vals), nm in lookup.items()}
+    tables = []
+    for f in range(cat.n_arrows):
+        sa, sb = sizes[int(cat.src[f])], sizes[int(cat.tgt[f])]
+        masks = np.arange(1 << sb, dtype=np.int32)
+        pre = np.zeros(1 << sb, dtype=np.int32)
+        for i in range(sa):
+            pre |= ((masks >> vals_of[f][i]) & 1) << i
+        tables.append(pre)
+    return tables
 
 
 # ---------------------------------------------------------------------------

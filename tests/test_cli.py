@@ -162,3 +162,19 @@ def test_load_refusals_in_process(capsys, path, code, err):
     nor a fixture, as the subprocess tests above see them."""
     assert main(["check", path]) == code
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("kind, summary", [
+    ("qp", "  objects: 2\n  arrow classes: 3\n"),
+    ("gr", "  objects: 6\n  arrows: 17\n  full comprehensions: yes\n"),
+])
+def test_complete_names_failed_eed_part(capsys, tmp_path, kind, summary):
+    """nochoice satisfies the doctrine laws but fails stability: `complete`
+    still writes its completion and exits 1, naming the failed part of the
+    EED verdict and its witness on stderr."""
+    out = tmp_path / f"{kind}.dtn"
+    assert main(["complete", "nochoice", "--kind", kind, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"complete --kind {kind}\n{summary}wrote {out}\n"
+    assert captured.err == "violation: eed fails: stability at (u, m, a)\n"
+    assert out.read_text().startswith("base {")

@@ -10,6 +10,7 @@ from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, Window, 
                               validate_category, validate_functor,
                               validate_products)
 
+import oracles
 from oracles import enumerate_pullbacks
 
 
@@ -343,3 +344,28 @@ def _v_pair(f: str, g: str) -> int:
 ])
 def test_input_guards(build, outcome):
     assert _outcome(build) == outcome
+
+
+@pytest.mark.parametrize("sizes, core", [([0, 1, 2, 4, 8], [0, 1, 2]), ([1, 2, 4], [2])])
+def test_finset_window_matches_former_builder(sizes, core):
+    """Names, arrow order, tables, chosen products and lookup of the
+    blockwise window build against the former per-arrow one."""
+    cat, pc, scope, lookup = fixtures.finset_window(sizes, core)
+    cat0, pc0, scope0, lookup0 = oracles.finset_window(sizes, core)
+    assert (cat.objects, cat.arrows) == (cat0.objects, cat0.arrows)
+    for table in ("src", "tgt", "id_arr", "comp"):
+        assert np.array_equal(getattr(cat, table), getattr(cat0, table)), table
+    assert (pc.terminal, pc.binary, scope) == (pc0.terminal, pc0.binary, scope0)
+    assert list(lookup.items()) == list(lookup0.items())
+
+
+def test_fs2_matches_former_builder():
+    P = fixtures.fs2()
+    cat0, pc0, scope0, lookup0 = oracles.finset_window([0, 1, 2, 4, 8], [0, 1, 2])
+    assert P.cat.arrows == cat0.arrows and np.array_equal(P.cat.comp, cat0.comp)
+    assert P.products.binary == pc0.binary and P.scope == scope0
+    assert fixtures.fs2_base()[3] == lookup0
+    for f, table in enumerate(oracles.fs2_reindex(cat0, lookup0)):
+        m = P.reindex[f]
+        assert m.dom is P.fibers[int(P.cat.tgt[f])] and m.cod is P.fibers[int(P.cat.src[f])]
+        assert m.table.dtype == table.dtype and np.array_equal(m.table, table), P.cat.arrows[f]

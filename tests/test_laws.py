@@ -18,7 +18,7 @@ from hypothesis import strategies as strat
 import oracles
 from doctrines import fixtures
 from doctrines.doctrine import (DoctrineData, _homomorphism_and_functoriality_scan,
-                                _laws_at_generators, validate_doctrine)
+                                _laws_at_generators, _reindex_stacks, validate_doctrine)
 from doctrines.fincat import (FinCat, ProductChoice, WindowScope, _associativity_scan,
                               validate_category)
 from doctrines.semilattice import FinInfSL, MonotoneMap, powerset
@@ -117,6 +117,18 @@ def test_generators_generate_greedily(sample):
     assert closure(ids | set(gens)) == set(range(C.n_arrows))
     for k, g in enumerate(gens):
         assert g not in closure(ids | set(gens[:k]))
+
+
+@settings(max_examples=100)
+@given(concrete_categories())
+def test_generators_match_former_closure(sample):
+    assert sample[0].generators().tolist() == oracles.generators(sample[0])
+
+
+def test_generators_match_former_closure_on_fs2_and_tp(completions):
+    assert fixtures.fs2().cat.generators().tolist() == oracles.generators(fixtures.fs2().cat)
+    for name, (_, _, _, tp, _, _) in completions.items():
+        assert tp.cat.generators().tolist() == oracles.generators(tp.cat), name
 
 
 def _with_comp(C: FinCat, comp, id_arr=None) -> FinCat:
@@ -342,11 +354,48 @@ def test_fs2_reindex_fault_caught_with_scan_witness(position):
     reindex = list(P.reindex)
     reindex[f] = MonotoneMap(m.dom, m.cod, table)
     bad = DoctrineData(C, P.products, P.scope, P.fibers, reindex)
-    assert not _laws_at_generators(bad)
+    stacks, pos = _reindex_stacks(bad)
+    stacks = [tables.astype(np.int16) for tables in stacks]
+    assert not _laws_at_generators(bad, stacks, pos)
     rep = validate_doctrine(bad)
     assert not rep.ok
-    assert _report(rep) == _report(_homomorphism_and_functoriality_scan(bad))
+    assert _report(rep) == _report(_homomorphism_and_functoriality_scan(bad, stacks, pos))
     assert validate_doctrine(P).ok
+
+
+@pytest.mark.parametrize("obj, i, j, value, message", [
+    ("8", 200, 77, 255, "meet(s200, s77) is not a lower bound"),
+    ("8", 77, 200, 64, "meet(s77, s200) is not above lower bound s8"),
+    ("2", 1, 3, 0, "meet(s1, s3) is not above lower bound s1"),
+])
+def test_fs2_meet_fault_named(obj, i, j, value, message):
+    """One meet entry of a fiber of fs2 changed: the Fiber witness and the
+    message the row-by-row fiber check names."""
+    P = fixtures.fs2()
+    o = P.cat.obj_index[obj]
+    fib = P.fibers[o]
+    meet = fib.meet.copy()
+    meet[i, j] = value
+    fibers = list(P.fibers)
+    fibers[o] = FinInfSL(fib.elements, fib.leq, fib.top, meet)
+    rep = validate_doctrine(DoctrineData(P.cat, P.products, P.scope, fibers, P.reindex))
+    assert _report(rep) == (False, "Fiber", (obj,), message)
+    assert oracles.fiber_validate(fibers[o]) == message
+
+
+def test_fs2_comp_fault_in_8_8_8_block_named():
+    """g∘f re-pointed for two arrows 8 -> 8: the associativity witness
+    the exhaustive scan names."""
+    C = fixtures.fs2().cat
+    H = C.hom(C.obj_index["8"], C.obj_index["8"]).tolist()
+    g, f = H[100], H[300]
+    comp = C.comp.copy()
+    comp[g, f] = H[(H.index(int(comp[g, f])) + 1) % len(H)]
+    assert (C.arrows[g], C.arrows[f], C.arrows[comp[g, f]]) == \
+        ("a8_8_4527185", "a8_8_7070252", "a8_8_14111825")
+    assert _report(validate_category(_with_comp(C, comp))) == (
+        False, "AssociativityOrTyping", ("a2_8_17", "a8_2_170", "a8_8_7070252"),
+        "(h∘g)∘f != h∘(g∘f)")
 
 
 @pytest.mark.parametrize("value", ["past the end", "negative"])

@@ -232,3 +232,60 @@ def test_input_guards(build, message):
     midpoints of the diamond, closed under meets with no greatest one."""
     with pytest.raises(MalformedPresentation, match=f"^{message}$"):
         build()
+
+
+@strat.composite
+def corrupted_lattices(draw):
+    """A meet-closed family of subsets, a chain or the diamond, with one to
+    three entries of its meet table changed or of its order table flipped."""
+    kind = draw(strat.sampled_from(["family", "family", "chain", "diamond"]))
+    if kind == "family":
+        lat = _random_semilattice(draw)
+    elif kind == "chain":
+        lat = chain(tuple(f"c{i}" for i in range(draw(strat.integers(1, 6)))))
+    else:
+        lat = diamond()
+    leq, meet = lat.leq.copy(), lat.meet.copy()
+    for _ in range(draw(strat.integers(1, 3))):
+        i, j = draw(strat.integers(0, lat.n - 1)), draw(strat.integers(0, lat.n - 1))
+        if draw(strat.sampled_from(["meet", "meet", "meet", "leq"])) == "meet":
+            meet[i, j] = draw(strat.integers(0, lat.n - 1))
+        else:
+            leq[i, j] = not leq[i, j]
+    return FinInfSL(lat.elements, leq, lat.top, meet)
+
+
+@settings(max_examples=200)
+@given(corrupted_lattices())
+def test_validate_matches_former_loop(lat):
+    """The down-set test names the fault, or passes, exactly as the former
+    row-by-row meet check does."""
+    assert lat.validate() == oracles.fiber_validate(lat)
+
+
+@pytest.mark.parametrize("size, i, j, value, message", [
+    (4, 1, 2, 3, "meet(a, b) is not a lower bound"),
+    (4, 1, 3, 0, "meet(a, top) is not above lower bound a"),
+    (512, 300, 5, 300, "meet(s300, s5) is not a lower bound"),
+    (512, 301, 300, 256, "meet(s301, s300) is not above lower bound s4"),
+])
+def test_validate_reaches_both_meet_messages(size, i, j, value, message):
+    """On the diamond, and past the first block of rows of a 512-element
+    powerset."""
+    lat = diamond() if size == 4 else powerset(9)
+    meet = lat.meet.copy()
+    meet[i, j] = value
+    broken = FinInfSL(lat.elements, lat.leq, lat.top, meet)
+    assert broken.validate() == message
+    assert oracles.fiber_validate(broken) == message
+
+
+def test_meets_from_leq_past_the_first_block():
+    """A 512-element powerset gets its own meets, and without the subset
+    {0, 1, 8} the first pair without a meet lies past the first block."""
+    lat = powerset(9)
+    top, meet = meets_from_leq(lat.elements, lat.leq)
+    assert top == lat.top and np.array_equal(meet, lat.meet)
+    keep = [x for x in range(512) if x != 0b100000011]
+    with pytest.raises(MalformedPresentation, match="^elements s263, s267 have no meet$"):
+        meets_from_leq(tuple(lat.elements[x] for x in keep), lat.leq[np.ix_(keep, keep)])
