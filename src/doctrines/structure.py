@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allegory import triple_product
-from .doctrine import DoctrineData, box_product
+from .doctrine import DoctrineData, box_product, exists_along
 from .errors import WindowClosure
 from .fincat import mediators
-from .semilattice import MonotoneMap, NoAdjoint, left_adjoint
+from .semilattice import MonotoneMap, NoAdjoint, left_adjoints
 
 
 @dataclass
@@ -64,15 +64,6 @@ class CheckVerdict:
         return self.ok
 
 
-def _is_left_adjoint(E_table: np.ndarray, big_leq: np.ndarray,
-                     small_leq: np.ndarray, H_table: np.ndarray) -> bool:
-    """E -| H for E: small -> big tabled by E_table and H tabled by H_table,
-    via the full Galois biconditional on all element pairs."""
-    lhs = big_leq[E_table]          # (n_small, n_big): E(a) <= b
-    rhs = small_leq[:, H_table]     # (n_small, n_big): a <= H(b)
-    return bool(np.array_equal(lhs, rhs))
-
-
 def core_projections(P: DoctrineData) -> tuple[ProjInstance, ...]:
     out = []
     W = P.window
@@ -89,30 +80,22 @@ def core_projections(P: DoctrineData) -> tuple[ProjInstance, ...]:
 
 
 def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
-    """All elements of P(A×A) passing both adjointness conditions at core A."""
+    """All elements d of P(A×A) passing both adjointness conditions at core
+    A: d ∧ P(pr1)(-) ⊣ P(diagonal) and P(<pr1,pr2>)(-) ∧ P(<pr2,pr3>)(d) ⊣
+    P(<pr1, pr2, pr2>) for every core X.  Adjoints are unique, so each says
+    the map equals the one `left_adjoints` computes, tested for all d at once."""
     W = P.window
     aa, pr1, _ = W.prod(a, a)
-    diag = W.diag(a)
     fib_a, fib_aa = P.fibers[a], P.fibers[aa]
-    r_pr1 = P.r(pr1).table
-    r_diag = P.r(diag).table
-    cands = []
-    for d in range(fib_aa.n):
-        E = fib_aa.meet[r_pr1, d]
-        if not _is_left_adjoint(E, fib_aa.leq, fib_a.leq, r_diag):
-            continue
-        ok = True
-        for x in P.core_idx():
-            xa, _, q2 = W.prod(x, a)
-            fib_xaa, _, r12, r23, _ = triple_product(P, x, a, a)
-            e = W.pair(int(P.cat.id_arr[xa]), q2)       # <pr1, pr2, pr2>
-            E2 = fib_xaa.meet[r12, r23[d]]
-            if not _is_left_adjoint(E2, fib_xaa.leq, P.fibers[xa].leq, P.r(e).table):
-                ok = False
-                break
-        if ok:
-            cands.append(d)
-    return cands
+    e = left_adjoints(fib_aa, fib_a, P.r(W.diag(a)).table[None])[0]
+    ok = (fib_aa.meet[P.r(pr1).table] == e[:, None]).all(axis=0)
+    for x in P.core_idx():
+        xa, _, q2 = W.prod(x, a)
+        fib_xaa, _, r12, r23, _ = triple_product(P, x, a, a)
+        pr122 = W.pair(int(P.cat.id_arr[xa]), q2)           # <pr1, pr2, pr2>
+        e = left_adjoints(fib_xaa, P.fibers[xa], P.r(pr122).table[None])[0]
+        ok &= (fib_xaa.meet[r12][:, r23] == e[:, None]).all(axis=0)
+    return np.flatnonzero(ok).tolist()
 
 
 def discover_elementary(P: DoctrineData) -> ElementaryWitness | StructureFailure:
@@ -134,7 +117,7 @@ def discover_existential(P: DoctrineData) -> ExistentialWitness | StructureFailu
         for pr in (inst.pr1, inst.pr2):
             if pr in adjoints:
                 continue
-            adj = left_adjoint(P.r(pr))
+            adj = exists_along(P, pr)
             if isinstance(adj, NoAdjoint):
                 return StructureFailure(
                     "existential",

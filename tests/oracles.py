@@ -21,8 +21,11 @@ them are the former per-element loops over the triple product, kept to
 check the masks and the relational composition that replaced them.  The
 reflexive and quotient completions and the two comparison functors after
 them are the former checked builders, which test on every build the lemmas
-that `completions.py` now states instead.  The checks at the very
-end are ones only the tests make: presentation equality, relation
+that `completions.py` now states instead.  After them come the former
+per-element left-adjoint search, the former Galois test of the equality
+candidates and the former meet-pair homomorphism clause at generators,
+kept to check the one adjoint kernel that replaced all three.  The checks
+at the very end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from doctrines.allegory import RelArrow, rel_compose, rel_opposite
+from doctrines.allegory import RelArrow, rel_compose, rel_opposite, triple_product
 from doctrines.completions import (Caps, ERCompletion, LFunctorResult, NoExtension,
                                    QCompletion, TCompletion, choose_products,
                                    core_subcategory, is_reflexive)
@@ -1173,6 +1176,87 @@ def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) 
         g = [int(x) for x in C.hom(int(C.src[f]), int(C.src[c]))
              if int(C.comp[c, int(x)]) == f]
         if len(g) == 0 or (strict and len(g) > 1):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the three adjoint decisions that `semilattice.left_adjoints` replaced
+# ---------------------------------------------------------------------------
+
+
+def left_adjoint(h: MonotoneMap) -> MonotoneMap | NoAdjoint:
+    """semilattice.left_adjoint as the package had it before `left_adjoints`:
+    the least member of each upper set {b : a <= h(b)}, searched element by
+    element.  On a map that is not monotone it can return a table that is
+    no adjoint, since it never asks whether the upper set is an up-set."""
+    L, M = h.dom, h.cod
+    table = np.empty(M.n, dtype=np.int32)
+    for a in range(M.n):
+        cond = M.leq[a][h.table]          # cond[b] iff a <= h(b)
+        cand = np.flatnonzero(cond)
+        if len(cand) == 0:
+            return NoAdjoint(M.elements[a], ())
+        sub = L.leq[np.ix_(cand, cand)]
+        minimal = np.flatnonzero(sub.all(axis=1))
+        if len(minimal) == 0:
+            return NoAdjoint(M.elements[a], tuple(L.elements[c] for c in cand))
+        table[a] = cand[minimal[0]]
+    return MonotoneMap(M, L, table)
+
+
+def is_left_adjoint(E_table: np.ndarray, big_leq: np.ndarray,
+                    small_leq: np.ndarray, H_table: np.ndarray) -> bool:
+    """E -| H for E: small -> big tabled by E_table and H tabled by H_table,
+    via the full Galois biconditional on all element pairs: the test
+    structure.py made before it compared with the computed adjoint."""
+    lhs = big_leq[E_table]          # (n_small, n_big): E(a) <= b
+    rhs = small_leq[:, H_table]     # (n_small, n_big): a <= H(b)
+    return bool(np.array_equal(lhs, rhs))
+
+
+def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
+    """structure.elementary_candidates as the package had it: both
+    adjointness conditions tested for one element d of P(A×A) at a time."""
+    W = P.window
+    aa, pr1, _ = W.prod(a, a)
+    fib_a, fib_aa = P.fibers[a], P.fibers[aa]
+    r_pr1 = P.r(pr1).table
+    r_diag = P.r(W.diag(a)).table
+    cands = []
+    for d in range(fib_aa.n):
+        if not is_left_adjoint(fib_aa.meet[r_pr1, d], fib_aa.leq, fib_a.leq, r_diag):
+            continue
+        ok = True
+        for x in P.core_idx():
+            xa, _, q2 = W.prod(x, a)
+            fib_xaa, _, r12, r23, _ = triple_product(P, x, a, a)
+            e = W.pair(int(P.cat.id_arr[xa]), q2)       # <pr1, pr2, pr2>
+            if not is_left_adjoint(fib_xaa.meet[r12, r23[d]], fib_xaa.leq,
+                                   P.fibers[xa].leq, P.r(e).table):
+                ok = False
+                break
+        if ok:
+            cands.append(d)
+    return cands
+
+
+def meets_at_generators(P: DoctrineData) -> bool:
+    """The homomorphism clause of doctrine._laws_at_generators as the
+    package had it before it was decided as adjoint existence: top, then
+    P(g)(x ∧ y) = P(g)(x) ∧ P(g)(y) on every pair, for each (src, tgt)
+    block of generators g."""
+    C = P.cat
+    gens = C.generators()
+    src, tgt = C.src[gens], C.tgt[gens]
+    for b, c in sorted(set(zip(src.tolist(), tgt.tolist()))):
+        fib_b, fib_c = P.fibers[b], P.fibers[c]
+        R = np.stack([P.reindex[g].table for g in gens[(src == b) & (tgt == c)].tolist()])
+        if (R[:, fib_c.top] != fib_b.top).any():
+            return False
+        meets_after = np.take(R, fib_c.meet, axis=1)                  # P(g)(x ∧ y)
+        meets_before = fib_b.meet[R[:, :, None], R[:, None, :]]
+        if not np.array_equal(meets_after, meets_before):
             return False
     return True
 

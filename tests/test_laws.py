@@ -21,7 +21,7 @@ from doctrines.doctrine import (DoctrineData, _homomorphism_and_functoriality_sc
                                 _laws_at_generators, _reindex_stacks, validate_doctrine)
 from doctrines.fincat import (FinCat, ProductChoice, WindowScope, _associativity_scan,
                               validate_category)
-from doctrines.semilattice import FinInfSL, MonotoneMap, powerset
+from doctrines.semilattice import FinInfSL, MonotoneMap, left_adjoints, powerset
 
 MAX_ARROWS = 40
 
@@ -232,6 +232,21 @@ def test_validate_doctrine_matches_oracle(P):
     assert _report(validate_doctrine(P)) == oracles.doctrine_laws(*_plain_doctrine(P))
 
 
+@settings(max_examples=150)
+@given(corrupted_doctrines())
+def test_adjoint_clause_matches_former_meet_pairs(P):
+    """The lemma the generator check rests on: with valid fibers and
+    reindex values inside them, every generator has a left adjoint exactly
+    when every generator preserves top and all pairs of meets."""
+    C = P.cat
+    if any(fib.validate() for fib in P.fibers) or not C.is_category():
+        return
+    gens = C.generators().tolist()
+    adjoints = all((left_adjoints(P.fibers[int(C.tgt[g])], P.fibers[int(C.src[g])],
+                                  P.reindex[g].table[None]) >= 0).all() for g in gens)
+    assert adjoints == oracles.meets_at_generators(P)
+
+
 def test_oracles_pass_a_concrete_doctrine():
     sizes = [1, 2, 3]
     seeds = {(1, 2, (0, 2)), (2, 1, (1, 0, 1)), (2, 2, (1, 2, 2)), (0, 1, (1,))}
@@ -338,19 +353,46 @@ def test_fs2_comp_fault_caught_with_scan_witness(position):
     assert validate_category(C).ok
 
 
-@pytest.mark.parametrize("position", POSITIONS)
-def test_fs2_reindex_fault_caught_with_scan_witness(position):
-    """One value of the reindexing along a non-identity arrow changed, at
-    several arrows and elements."""
-    P = fixtures.fs2()
+def _fs2_reindex_fault(P: DoctrineData, fault) -> tuple[int, np.ndarray]:
+    """(arrow, new table).  At a position: one value of the reindexing
+    along a non-identity arrow moved up by one, cyclically.  "meet": along
+    the first generator g: 4 -> 8, a coatom x with P(g)(x) below top sent to
+    top, which keeps P(g) monotone but breaks a meet.  "top": along that
+    generator, the top of P(8) sent to bottom."""
     C = P.cat
+    if fault in ("meet", "top"):
+        f = next(int(g) for g in C.generators()
+                 if (C.objects[int(C.src[g])], C.objects[int(C.tgt[g])]) == ("4", "8"))
+        m = P.reindex[f]
+        table = m.table.copy()
+        if fault == "meet":
+            x = next(x for x in range(m.dom.n) if m.dom.leq[x].sum() == 2
+                     and table[x] != m.cod.top)
+            table[x] = m.cod.top
+        else:
+            table[m.dom.top] = m.cod.meet_all(range(m.cod.n))
+        return f, table
     ids = set(C.id_arr.tolist())
     arrows = [f for f in range(C.n_arrows) if f not in ids and P.reindex[f].cod.n > 1]
-    f = arrows[int(position * (len(arrows) - 1))]
+    f = arrows[int(fault * (len(arrows) - 1))]
     m = P.reindex[f]
     table = m.table.copy()
-    x = int(position * (m.dom.n - 1))
+    x = int(fault * (m.dom.n - 1))
     table[x] = (table[x] + 1) % m.cod.n
+    return f, table
+
+
+@pytest.mark.parametrize("position", POSITIONS + ("meet", "top"))
+def test_fs2_reindex_fault_caught_with_scan_witness(position):
+    """One value of the reindexing along a non-identity arrow changed, at
+    several arrows and elements, and two homomorphism faults on a generator
+    into the 256-element fiber: the reduced check fails and the report is
+    the exhaustive scan's.  On the generator the adjoint kernel finds the
+    fault, so does the former meet-pair clause, and the witness is pinned."""
+    P = fixtures.fs2()
+    C = P.cat
+    f, table = _fs2_reindex_fault(P, position)
+    m = P.reindex[f]
     reindex = list(P.reindex)
     reindex[f] = MonotoneMap(m.dom, m.cod, table)
     bad = DoctrineData(C, P.products, P.scope, P.fibers, reindex)
@@ -360,6 +402,15 @@ def test_fs2_reindex_fault_caught_with_scan_witness(position):
     rep = validate_doctrine(bad)
     assert not rep.ok
     assert _report(rep) == _report(_homomorphism_and_functoriality_scan(bad, stacks, pos))
+    if position == "meet":
+        assert oracles.is_monotone(reindex[f])
+        assert _report(rep) == (False, "Homomorphism", ("a4_8_1672", "s8", "s247"),
+                                "meet not preserved")
+    if position == "top":
+        assert _report(rep) == (False, "Homomorphism", ("a4_8_1672",), "top not preserved")
+    if position in ("meet", "top"):
+        assert (left_adjoints(m.dom, m.cod, table[None]) < 0).any()
+        assert not oracles.meets_at_generators(bad)
     assert validate_doctrine(P).ok
 
 

@@ -7,7 +7,7 @@ from doctrines.errors import MalformedPresentation
 from doctrines.fileformat import _transitive_closure
 from doctrines.semilattice import (FinInfSL, MonotoneMap, NoAdjoint, chain, diamond,
                                    identity_map, lattice_from_leq, left_adjoint,
-                                   meets_from_leq, powerset, sub_semilattice)
+                                   left_adjoints, meets_from_leq, powerset, sub_semilattice)
 
 import oracles
 from oracles import check_adjunction, homomorphism_violation, is_monotone, min_of_upper_set
@@ -138,6 +138,63 @@ def test_adjoint_agrees_with_upper_set_oracle():
             assert want is None
         else:
             assert want == int(e.table[alpha])
+
+
+def test_left_adjoint_refuses_swap_on_two_chain():
+    """The swap on the 2-chain is not monotone.  1 <= h(b) only at b = 0,
+    and ↑0 is the whole chain, so e(1) <= b ⇔ 1 <= h(b) fails at b = 1,
+    whatever e(1) is.  The former search returned e = [0, 0]."""
+    c = chain(("0", "1"))
+    h = MonotoneMap(c, c, np.array([1, 0], dtype=np.int32))
+    assert left_adjoint(h) == NoAdjoint("1", ("0",))
+    assert np.array_equal(oracles.left_adjoint(h).table, [0, 0])
+
+
+@strat.composite
+def tabled_maps(draw):
+    """A map h: L -> M between random inf-semilattices: a homomorphism into
+    a powerset, b ↦ {i : k_i <= b}, which has a left adjoint; a monotone
+    map b ↦ ∧{r(c) : b <= c}; or any table; the first two sometimes with
+    one entry changed."""
+    L = _random_semilattice(draw)
+    kind = draw(strat.sampled_from(["homomorphism", "monotone", "any"]))
+    if kind == "homomorphism":
+        ks = draw(strat.lists(strat.integers(0, L.n - 1), min_size=1, max_size=3))
+        M = powerset(len(ks))
+        table = [sum(1 << i for i, k in enumerate(ks) if L.le(k, b)) for b in range(L.n)]
+    else:
+        M = _random_semilattice(draw)
+        r = [draw(strat.integers(0, M.n - 1)) for _ in range(L.n)]
+        table = r if kind == "any" else [M.meet_all(r[c] for c in range(L.n) if L.le(b, c))
+                                         for b in range(L.n)]
+    if kind != "any" and draw(strat.booleans()):
+        table[draw(strat.integers(0, L.n - 1))] = draw(strat.integers(0, M.n - 1))
+    return MonotoneMap(L, M, np.array(table, dtype=np.int32))
+
+
+@settings(max_examples=300)
+@given(tabled_maps())
+def test_left_adjoints_match_former_search(h):
+    """At each a the kernel gives the least member c of {b : a <= h(b)}
+    when that set is ↑c, else -1, by the oracle's search over sets of pairs.
+    On a monotone map `left_adjoint` gives the former search's table, or
+    its NoAdjoint witness and upper set; on any other map the same table,
+    or a NoAdjoint where the former table fails the Galois test."""
+    L, M = h.dom, h.cod
+    row = left_adjoints(L, M, h.table[None])[0]
+    L_leq = {(i, j) for i in range(L.n) for j in range(L.n) if L.le(i, j)}
+    M_leq = {(i, j) for i in range(M.n) for j in range(M.n) if M.le(i, j)}
+    for a in range(M.n):
+        c = min_of_upper_set(M_leq, L_leq, range(L.n), list(h.table), a)
+        upper = {b for b in range(L.n) if (a, int(h.table[b])) in M_leq}
+        assert row[a] == (c if c is not None and upper == {b for b in range(L.n)
+                                                           if (c, b) in L_leq} else -1)
+    new, old = left_adjoint(h), oracles.left_adjoint(h)
+    if is_monotone(h) or isinstance(new, MonotoneMap):
+        assert new == old
+    else:
+        assert isinstance(old, NoAdjoint) or not oracles.is_left_adjoint(
+            old.table, L.leq, M.leq, h.table)
 
 
 def test_homomorphism_flags():

@@ -36,6 +36,18 @@ def test_delta_candidates_unique(witnesses):
             assert len(elementary_candidates(P, a)) == 1
 
 
+def test_elementary_candidates_match_former_search():
+    """Reading the candidates off the computed adjoints keeps exactly the
+    elements the former per-element Galois test kept, on every built-in
+    fixture; mixedfail's object v has none."""
+    for name, build in fixtures.BUILTIN_FIXTURES.items():
+        P = build()
+        for a in P.core_idx():
+            assert elementary_candidates(P, a) == oracles.elementary_candidates(P, a), name
+    P = fixtures.mixedfail()
+    assert elementary_candidates(P, P.cat.obj_index["v"]) == []
+
+
 def test_delta_unit_inequality(witnesses):
     """top <= P_diag(delta) at every core object."""
     for name in ("triv", "chain", "fs2"):
