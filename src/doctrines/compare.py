@@ -29,7 +29,7 @@ from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      is_iso, iso_classes, validate_category, validate_functor,
                      validate_products)
 from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
-from .semilattice import FinInfSL, MonotoneMap, NoAdjoint
+from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, left_adjoints
 from .structure import (CheckVerdict, ComprehensionTable, ElementaryWitness,
                         ExistentialWitness, StructureFailure, check_beck_chevalley,
                         check_delta_product_law, check_frobenius,
@@ -311,46 +311,43 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
     out = []
     for omap in itertools.product(range(T.n_objects), repeat=S.n_objects):
         cand_lists = []
-        feasible = True
         total = 1
         for f in non_id:
-            cands = [int(h) for h in T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])])]
+            cands = T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])]).tolist()
             if not cands:
-                feasible = False
                 break
             total *= len(cands)
             if total > cap:
                 raise ResourceCap("functor arrow maps", total, cap)
             cand_lists.append(cands)
-        if not feasible:
-            continue
-        for combo in itertools.product(*cand_lists):
-            amap = {}
-            for o in range(S.n_objects):
-                amap[S.arrows[int(S.id_arr[o])]] = T.arrows[int(T.id_arr[omap[o]])]
-            for f, tf in zip(non_id, combo):
-                amap[S.arrows[f]] = T.arrows[tf]
-            F = FunctorData(S, T, {S.objects[o]: T.objects[omap[o]]
-                                   for o in range(S.n_objects)}, amap)
-            if validate_functor(F, (Spc, Tpc)).ok:
-                out.append(F)
+        else:                           # every arrow has candidates
+            for combo in itertools.product(*cand_lists):
+                amap = {S.arrows[int(S.id_arr[o])]: T.arrows[int(T.id_arr[omap[o]])]
+                        for o in range(S.n_objects)}
+                amap.update((S.arrows[f], T.arrows[tf]) for f, tf in zip(non_id, combo))
+                F = FunctorData(S, T, {S.objects[o]: T.objects[omap[o]]
+                                       for o in range(S.n_objects)}, amap)
+                if validate_functor(F, (Spc, Tpc)).ok:
+                    out.append(F)
     return out
 
 
 def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]:
+    """The homomorphisms L -> M, their values off the top in the order of
+    `itertools.product`: decoded in blocks from an index range, each block
+    decided by one `left_adjoints` call (between finite lattices a map
+    preserves top and meets iff it has a left adjoint)."""
     est = M.n ** max(0, L.n - 1)
     if est > cap:
         raise ResourceCap("fiber homomorphisms", est, cap)
     non_top = [i for i in range(L.n) if i != L.top]
+    radix = M.n ** np.arange(len(non_top) - 1, -1, -1, dtype=np.int64)
     out = []
-    for combo in itertools.product(range(M.n), repeat=len(non_top)):
-        table = np.empty(L.n, dtype=np.int32)
-        table[L.top] = M.top
-        for i, v in zip(non_top, combo):
-            table[i] = v
-        m = MonotoneMap(L, M, table)
-        if m.is_homomorphism():
-            out.append(table)
+    for lo in range(0, est, 1 << 14):
+        index = np.arange(lo, min(est, lo + (1 << 14)), dtype=np.int64)
+        tables = np.full((len(index), L.n), M.top, dtype=np.int32)
+        tables[:, non_top] = index[:, None] // radix % M.n
+        out.extend(tables[(left_adjoints(L, M, tables) >= 0).all(axis=1)])
     return out
 
 

@@ -11,14 +11,13 @@ full scan over every arrow and composable pair names the canonical witness.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedPresentation, NoWeakPullback, ResourceCap, WindowClosure
-from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope,
-                     cospan_cones, is_mono, mediators)
+from .errors import MalformedPresentation, NoWeakPullback, WindowClosure
+from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, is_mono,
+                     weak_pullback, weak_pullbacks_exist)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint,
                           left_adjoints)
 
@@ -398,30 +397,6 @@ def weak_subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], np.nda
     return _class_lattice(C, reps, masks), reps, masks, cls
 
 
-def _is_weak_pullback(C: FinCat, cones: list[tuple[int, int, int]], p: int, q: int) -> bool:
-    """Every one of a cospan's cones (z, p2, q2), listed by apex, factors
-    through the span (p, q)."""
-    for z, at_z in itertools.groupby(cones, key=lambda cone: cone[0]):
-        table = mediators(C, z, (p, q))
-        if any((p2, q2) not in table for _, p2, q2 in at_z):
-            return False
-    return True
-
-
-def _cones_within_cap(C: FinCat, f: int, g: int, cap: int = 1 << 20) -> list[tuple]:
-    cones = list(cospan_cones(C, f, g))
-    if len(cones) > cap:
-        raise ResourceCap("weak pullback cone enumeration", len(cones), cap)
-    return cones
-
-
-def weak_pullback(C: FinCat, f: int, g: int, cap: int = 1 << 20):
-    """First cone over the cospan (f, g) through which every cone factors,
-    not necessarily uniquely; None when the window has no such cone."""
-    cones = _cones_within_cap(C, f, g, cap)
-    return next((cone for cone in cones if _is_weak_pullback(C, cones, *cone[1:])), None)
-
-
 def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineData:
     """Weak-subobject doctrine of a window with weak pullbacks.
 
@@ -430,13 +405,13 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> Doctr
     cone search.  The weak pullback chosen does not matter: two weak
     pullbacks of one cospan factor through each other, so their first legs
     lie in one class.  The greatest class can exist while no weak pullback
-    does, so existence is decided per cospan, over the cones whose first leg
-    lies in the greatest class.  The existential structure along projections
-    is post-composition (verified against the adjoint characterization by
-    the structure checks)."""
-    fibers, reps_by_obj, masks_by_obj, cls_by_obj = [], [], [], []
+    does, so existence is decided, for all cospans (f, m) at once, trying
+    first the class representative as first leg: no lemma makes it one.
+    The existential structure along projections is post-composition
+    (verified against the adjoint characterization by the structure checks)."""
+    fibers, reps_by_obj, masks_by_obj = [], [], []
     for a in range(C.n_objects):
-        reps, masks, cls = _factor_classes(C, C.into(a))
+        reps, masks, _ = _factor_classes(C, C.into(a))
         try:
             fibers.append(_class_lattice(C, reps, masks))
         except MalformedPresentation:
@@ -448,17 +423,18 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> Doctr
             raise
         reps_by_obj.append(reps)
         masks_by_obj.append(masks)
-        cls_by_obj.append(cls)
-    reindex_maps: list[MonotoneMap] = []
-    for f, table in enumerate(_greatest_classes(C, reps_by_obj, masks_by_obj)):
-        a, b = int(C.src[f]), int(C.tgt[f])
-        for m, i in zip(reps_by_obj[b], table.tolist()):
-            cones = _cones_within_cap(C, f, m)
-            if i < 0 or not any(cls_by_obj[a][p] == i and _is_weak_pullback(C, cones, p, q)
-                                for _, p, q in cones):
-                raise NoWeakPullback((C.arrows[f], C.arrows[m]))
-        reindex_maps.append(MonotoneMap(fibers[b], fibers[a], table))
-    return DoctrineData(C, pc, scope, fibers, reindex_maps)
+    tables = _greatest_classes(C, reps_by_obj, masks_by_obj)
+    cospans = np.array([(f, m) for f in range(C.n_arrows) for m in reps_by_obj[int(C.tgt[f])]],
+                       dtype=np.intp).reshape(-1, 2)
+    hints = np.array([reps_by_obj[int(C.src[f])][i] if i >= 0 else -1
+                      for f, table in enumerate(tables) for i in table.tolist()], dtype=np.intp)
+    exists = weak_pullbacks_exist(C, cospans, hints)
+    if not exists.all():
+        f, m = cospans[int(exists.argmin())].tolist()
+        raise NoWeakPullback((C.arrows[f], C.arrows[m]))
+    return DoctrineData(C, pc, scope, fibers,
+                        [MonotoneMap(fibers[int(C.tgt[f])], fibers[int(C.src[f])], table)
+                         for f, table in enumerate(tables)])
 
 
 def psi_postcompose_exists(P: DoctrineData, pr: int) -> MonotoneMap:

@@ -9,6 +9,12 @@ over every composable triple names the canonical witness.  The composition
 table is a dense read-only matrix with a -1 sentinel so that law checks
 vectorize on large fixtures.
 
+Limits are decided by counting cones, never by listing them.  A cone
+(X, legs) sends each u: z -> X to the cone legs∘u at z: a limit iff that map
+is a bijection at every apex z (jointly monic legs, |hom(z, X)| cones at z),
+a weak limit iff it is onto (the distinct legs∘u number the cones).  Over a
+cospan (f, g) the cones at z number Σ_t n_f(z, t)·n_g(z, t), n_f(z, t) = #{p : f∘p = t}.
+
 Rich fixtures are windows of an ambient category: chosen product structure is
 recorded in a ProductChoice and quantified checks state their scope as a core
 object set (WindowScope).  A demanded product that is missing from the window
@@ -35,8 +41,8 @@ class FinCat:
 
     The tables are read-only once built, which keeps the data derived from
     them and kept here (hom sets, generators, law and exactness verdicts,
-    product cones) sound; a changed table needs a new FinCat built from a
-    copy."""
+    product cones and pullbacks, the cone-counting tables) sound; a changed
+    table needs a new FinCat built from a copy."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -69,6 +75,10 @@ class FinCat:
         self._is_category: bool | None = None
         self._exactness: dict[tuple, ExactnessVerdict] = {}
         self._product_cones: dict[tuple, Cone | None] = {}
+        self._pullbacks: dict[tuple, Cone | None] = {}
+        self._hom_sizes: np.ndarray | None = None
+        self._histograms: dict[int, np.ndarray] = {}
+        self._jointly_monic: dict[tuple[int, ...], bool] = {}
 
     def __setstate__(self, state: dict) -> None:
         # a copy's tables come back writeable: freeze them, derive afresh
@@ -322,7 +332,9 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
     Every cone (f: Z->A, g: Z->B) present in the window must have exactly one
     mediating arrow.  <pr1, pr2> is then the identity of the product: C's
     table is unital, so id_P mediates (pr1, pr2) at z = P, and it is that
-    cone's only mediator."""
+    cone's only mediator.  At the first apex where that fails, the witness
+    is the least cone with more than one mediator, with the most mediators
+    of any cone there, or else the first cone, in product order, with none."""
     if pc.terminal not in C.obj_index:
         return ValidationReport(False, "MissingEntry", (pc.terminal,), "unknown terminal")
     t = C.obj_index[pc.terminal]
@@ -332,6 +344,7 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
             return ValidationReport(False, "Terminal", (C.objects[z],),
                                     f"terminal has {k} arrows from {C.objects[z]}")
     pc.pairing.clear()
+    sizes = _hom_sizes(C)
     for (an, bn), (pn, p1n, p2n) in pc.binary.items():
         for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
                          (p1n, C.arr_index), (p2n, C.arr_index)):
@@ -341,21 +354,29 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
         p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
         if int(C.src[p1]) != p or int(C.tgt[p1]) != a or int(C.src[p2]) != p or int(C.tgt[p2]) != b:
             return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
-        for z in range(C.n_objects):
-            table = mediators(C, z, (p1, p2))
-            dups = [cone for cone, ms in table.items() if len(ms) > 1]
-            if dups:
-                most = max(len(ms) for ms in table.values())
-                return ValidationReport(False, "Product", tuple(C.arrows[x] for x in min(dups)),
-                                        f"cone has {most} mediating arrows into {pn}")
-            cones_a, cones_b = C.hom(z, a).tolist(), C.hom(z, b).tolist()
-            if len(table) != len(cones_a) * len(cones_b):
-                missing = next((cone for cone in itertools.product(cones_a, cones_b)
-                                if cone not in table), None)
-                if missing is not None:
-                    return ValidationReport(False, "Product", tuple(C.arrows[x] for x in missing),
-                                            f"cone has no mediating arrow into {pn}")
-            pc.pairing.update((cone, ms[0]) for cone, ms in sorted(table.items()))
+        if (sizes[:, p] == sizes[:, a] * sizes[:, b]).all() and jointly_monic(C, (p1, p2)):
+            meds = C.into(p)
+            l1, l2 = C.comp[p1, meds], C.comp[p2, meds]
+            order = np.lexsort((l2, l1, C.src[meds]))          # by apex, then cone
+            pc.pairing.update(zip(zip(l1[order].tolist(), l2[order].tolist()),
+                                  meds[order].tolist()))
+            continue
+        n = C.n_arrows
+        for z in range(C.n_objects):     # the first apex z where the map is no bijection
+            meds = C.hom(z, p)
+            cones, first, counts = np.unique(C.comp[p1, meds].astype(np.int64) * n
+                                             + C.comp[p2, meds], return_index=True,
+                                             return_counts=True)
+            have, most = set(cones.tolist()), int(counts.max(initial=0))
+            if most > 1 or len(cones) < sizes[z, a] * sizes[z, b]:
+                w = int(cones[counts > 1][0]) if most > 1 else next(
+                    f * n + g for f in C.hom(z, a).tolist() for g in C.hom(z, b).tolist()
+                    if f * n + g not in have)
+                return ValidationReport(False, "Product", (C.arrows[w // n], C.arrows[w % n]),
+                                        f"cone has {most} mediating arrows into {pn}" if most > 1
+                                        else f"cone has no mediating arrow into {pn}")
+            pc.pairing.update(zip(zip((cones // n).tolist(), (cones % n).tolist()),
+                                  meds[first].tolist()))
     return ValidationReport(True)
 
 
@@ -435,55 +456,84 @@ class Window:
 
     def check_closure(self) -> list[tuple[str, ...]]:
         """Products demanded by the scope that the window lacks (empty = closed)."""
-        missing: list[tuple[str, ...]] = []
-        core_idx = [self.C.obj_index[o] for o in self.core]
-        for a in core_idx:
-            for b in core_idx:
-                if not self.has_prod(a, b):
-                    missing.append((self.C.objects[a], self.C.objects[b]))
-        for a in core_idx:
-            for b in core_idx:
-                if not self.has_prod(a, b):
-                    continue
-                ab = self.C.obj_index[self.pc.binary[(self.C.objects[a], self.C.objects[b])][0]]
-                for c in core_idx:
-                    if not self.has_prod(ab, c):
-                        missing.append((self.C.objects[a], self.C.objects[b], self.C.objects[c]))
-        return missing
+        core, names = [self.C.obj_index[o] for o in self.core], self.C.objects
+        pairs = list(itertools.product(core, repeat=2))
+        return ([(names[a], names[b]) for a, b in pairs if not self.has_prod(a, b)]
+                + [(names[a], names[b], names[c]) for a, b in pairs if self.has_prod(a, b)
+                   for c in core if not self.has_prod(self.prod(a, b)[0], c)])
 
 
 # ---------------------------------------------------------------------------
-# monos, isos, limits and colimits by exhaustive mediator search
+# limits by counting cones; monos, isos and coequalizers
 # ---------------------------------------------------------------------------
 
 
-def mediators(C: FinCat, z: int, legs: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
-    """The arrows m: z -> apex of `legs`, grouped by the cone (l∘m for l in
-    legs) they mediate, in arrow-id order.  Every universal-property test
-    reads this table."""
-    H = C.hom(z, int(C.src[legs[0]]))
-    table: dict[tuple[int, ...], list[int]] = {}
-    for m, cone in zip(H.tolist(), zip(*[C.comp[l, H].tolist() for l in legs])):
-        table.setdefault(cone, []).append(m)
-    return table
+def _hom_sizes(C: FinCat) -> np.ndarray:
+    """sizes[z, x] = |hom(z, x)|, kept on C."""
+    if C._hom_sizes is None:
+        k = C.n_objects
+        C._hom_sizes = np.bincount(C.src.astype(np.intp) * k + C.tgt, minlength=k * k).reshape(k, k)
+        C._hom_sizes.flags.writeable = False
+    return C._hom_sizes
+
+
+def _histograms(C: FinCat, t: int) -> np.ndarray:
+    """The histogram block of t, kept on C: row i, column j counts the p with
+    f_i∘p = f_j, for the i-th and j-th arrows into t.  Row i read at the
+    arrows from z is n_{f_i}(z, ·)."""
+    if t not in C._histograms:
+        into = C.into(t)
+        C._histograms[t] = np.stack([factor_counts(C, f)[into] for f in into.tolist()])
+        C._histograms[t].flags.writeable = False
+    return C._histograms[t]
+
+
+def _cospan_counts(C: FinCat, f: int, g: int) -> np.ndarray:
+    """The cones over (f, g) at each apex z: Σ_t n_f(z, t)·n_g(z, t), t: z -> tgt f."""
+    into, H = C.into(int(C.tgt[f])), _histograms(C, int(C.tgt[f]))
+    i, j = np.searchsorted(into, (f, g))
+    return np.bincount(C.src[into], weights=H[i] * H[j], minlength=C.n_objects).astype(np.int64)
+
+
+def _cospan_cones_at(C: FinCat, f: int, g: int, x: int) -> list[tuple[int, int]]:
+    """The cones (p, q) over the cospan (f, g) at apex x, by p, then q."""
+    hp, hq = C.hom(x, int(C.src[f])), C.hom(x, int(C.src[g]))
+    i, j = np.nonzero(C.comp[f, hp][:, None] == C.comp[g, hq][None, :])
+    return list(zip(hp[i].tolist(), hq[j].tolist()))
 
 
 def jointly_monic(C: FinCat, legs: tuple[int, ...]) -> bool:
-    """No two arrows into the apex of `legs` mediate the same cone."""
-    return all(len(ms) == 1 for z in range(C.n_objects) for ms in mediators(C, z, legs).values())
+    """No two arrows u into the common source of `legs` give the same l∘u
+    for every leg l (which fix the source of u); kept on C per tuple."""
+    if legs not in C._jointly_monic:
+        into = C.into(int(C.src[legs[0]]))
+        codes = zip(*C.comp[np.array(legs)[:, None], into].tolist())
+        C._jointly_monic[legs] = len(set(codes)) == len(into)
+    return C._jointly_monic[legs]
 
 
 def is_mono(C: FinCat, f: int) -> bool:
     return jointly_monic(C, (f,))
 
 
+def mediating(C: FinCat, cone: tuple[int, ...], legs: tuple[int, ...]) -> np.ndarray:
+    """The arrows u with l∘u = c for every leg l of `legs` and the arrow c
+    of `cone` at its place, in id order."""
+    H = C.hom(int(C.src[cone[0]]), int(C.src[legs[0]]))
+    return H[(C.comp[np.array(legs)[:, None], H] == np.array(cone)[:, None]).all(axis=0)]
+
+
+def factor_counts(C: FinCat, m: int) -> np.ndarray:
+    """Per arrow f, the number of arrows u with m∘u = f: f factors through
+    m when its count is positive, and uniquely when it is 1."""
+    return np.bincount(C.comp[m, C.into(int(C.src[m]))], minlength=C.n_arrows)
+
+
 def inverse_of(C: FinCat, f: int) -> int | None:
     a, b = int(C.src[f]), int(C.tgt[f])
-    for g in C.hom(b, a):
-        g = int(g)
-        if int(C.comp[g, f]) == int(C.id_arr[a]) and int(C.comp[f, g]) == int(C.id_arr[b]):
-            return g
-    return None
+    ida, idb = int(C.id_arr[a]), int(C.id_arr[b])
+    return next((g for g in C.hom(b, a).tolist() if C.comp[g, f] == ida and C.comp[f, g] == idb),
+                None)
 
 
 def is_iso(C: FinCat, f: int) -> bool:
@@ -492,10 +542,7 @@ def is_iso(C: FinCat, f: int) -> bool:
 
 def isomorphic(C: FinCat, x: int, y: int) -> int | None:
     """An iso x -> y if one exists (least arrow id), else None."""
-    for f in C.hom(x, y):
-        if is_iso(C, int(f)):
-            return int(f)
-    return None
+    return next((f for f in C.hom(x, y).tolist() if is_iso(C, f)), None)
 
 
 def iso_classes(C: FinCat) -> list[list[str]]:
@@ -503,12 +550,11 @@ def iso_classes(C: FinCat) -> list[list[str]]:
     no quotient is applied anywhere else)."""
     classes: list[list[int]] = []
     for x in range(C.n_objects):
-        for cl in classes:
-            if isomorphic(C, cl[0], x) is not None:
-                cl.append(x)
-                break
-        else:
+        cl = next((cl for cl in classes if isomorphic(C, cl[0], x) is not None), None)
+        if cl is None:
             classes.append([x])
+        else:
+            cl.append(x)
     return [[C.objects[i] for i in cl] for cl in classes]
 
 
@@ -532,50 +578,31 @@ def terminal_object(C: FinCat) -> int | None:
 
 @dataclass(frozen=True)
 class Cone:
-    """Frozen: product cones are kept on their category and handed out."""
+    """Frozen: product cones and pullbacks are kept on their category."""
     apex: int
     legs: tuple[int, ...]
 
 
-def _limiting_cones(C: FinCat, cones: list[Cone], cap: int | None = None):
-    """The cones through which every listed cone factors uniquely, in list
-    order; a candidate is dropped at the first cone that does not."""
-    if cap is not None and len(cones) > cap:
-        raise ResourceCap("cone enumeration", len(cones), cap)
-    by_apex: dict[int, list[tuple[int, ...]]] = {}
-    for cone in sorted(cones, key=lambda cone: cone.apex):
-        by_apex.setdefault(cone.apex, []).append(cone.legs)
-    for cand in cones:
-        for z, legs_at_z in by_apex.items():
-            table = mediators(C, z, cand.legs)
-            if any(len(table.get(legs, ())) != 1 for legs in legs_at_z):
-                break
-        else:
-            yield cand
-
-
-def cospan_cones(C: FinCat, f: int, g: int):
-    """The cones (z, p, q) over the cospan (f: A->T, g: B->T), f∘p = g∘q,
-    ordered by apex, then p, then q."""
-    a, b = int(C.src[f]), int(C.src[g])
-    for z in range(C.n_objects):
-        ha, hb = C.hom(z, a), C.hom(z, b)
-        qs_with = {}                            # g∘q -> the qs, in id order
-        for q, gq in zip(hb.tolist(), C.comp[g, hb].tolist()):
-            qs_with.setdefault(gq, []).append(q)
-        for p, fp in zip(ha.tolist(), C.comp[f, ha].tolist()):
-            for q in qs_with.get(fp, ()):
-                yield z, p, q
-
-
-def _pullbacks(C: FinCat, f: int, g: int, cap: int | None):
-    if int(C.tgt[f]) != int(C.tgt[g]):
-        raise MalformedPresentation("pullback of arrows with different targets")
-    return _limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)], cap)
+def _first_limit(C: FinCat, counts: np.ndarray, cones_at, cap: int | None) -> Cone | None:
+    """The first limit, by apex, then legs, of counts[z] <= cap cones at z, listed by
+    `cones_at`: at an apex x with |hom(z, x)| = counts[z] at all z, its jointly monic cones."""
+    if cap is not None and counts.sum() > cap:
+        raise ResourceCap("cone enumeration", int(counts.sum()), cap)
+    for x in np.flatnonzero((_hom_sizes(C) == counts[:, None]).all(axis=0)).tolist():
+        legs = next((legs for legs in cones_at(x) if jointly_monic(C, legs)), None)
+        if legs is not None:
+            return Cone(x, legs)
+    return None
 
 
 def pullback(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
-    return next(_pullbacks(C, f, g, cap), None)
+    """Searched once per (f, g, cap) and kept on C."""
+    if int(C.tgt[f]) != int(C.tgt[g]):
+        raise MalformedPresentation("pullback of arrows with different targets")
+    if (f, g, cap) not in C._pullbacks:
+        C._pullbacks[f, g, cap] = _first_limit(C, _cospan_counts(C, f, g),
+                                               lambda x: _cospan_cones_at(C, f, g, x), cap)
+    return C._pullbacks[f, g, cap]
 
 
 def kernel_pair(C: FinCat, f: int, cap: int | None = None) -> Cone | None:
@@ -586,9 +613,10 @@ def equalizer(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
     """The limiting fork over a parallel pair, if the window contains one."""
     if int(C.src[f]) != int(C.src[g]) or int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("equalizer of a non-parallel pair")
-    cones = [Cone(z, (e,)) for z in range(C.n_objects)
-             for e in C.hom(z, int(C.src[f])).tolist() if C.comp[f, e] == C.comp[g, e]]
-    return next(_limiting_cones(C, cones, cap), None)
+    into = C.into(int(C.src[f]))
+    forks = into[C.comp[f, into] == C.comp[g, into]]
+    return _first_limit(C, np.bincount(C.src[forks], minlength=C.n_objects),
+                        lambda x: [(e,) for e in forks[C.src[forks] == x].tolist()], cap)
 
 
 def product_cone(C: FinCat, a: int, b: int, cap: int | None = None) -> Cone | None:
@@ -596,25 +624,79 @@ def product_cone(C: FinCat, a: int, b: int, cap: int | None = None) -> Cone | No
     and kept on C, one per (a, b, cap)."""
     key = (a, b, cap)
     if key not in C._product_cones:
-        cones = [Cone(z, (p, q)) for z in range(C.n_objects)
-                 for p in C.hom(z, a).tolist() for q in C.hom(z, b).tolist()]
-        C._product_cones[key] = next(_limiting_cones(C, cones, cap), None)
+        sizes = _hom_sizes(C)
+        C._product_cones[key] = _first_limit(
+            C, sizes[:, a] * sizes[:, b],
+            lambda x: itertools.product(C.hom(x, a).tolist(), C.hom(x, b).tolist()), cap)
     return C._product_cones[key]
 
 
+def weak_pullback(C: FinCat, f: int, g: int) -> tuple[int, int, int] | None:
+    """The first cone (z, p, q) over the cospan (f, g) through which every
+    cone factors, not necessarily uniquely; None when the window has none.
+    Only an apex x with |hom(z, x)| >= counts[z] at every z can hold one."""
+    if int(C.tgt[f]) != int(C.tgt[g]):
+        return None                     # no cone at all
+    counts = _cospan_counts(C, f, g)
+    for x in np.flatnonzero((_hom_sizes(C) >= counts[:, None]).all(axis=0)).tolist():
+        spans = _cospan_cones_at(C, f, g, x)
+        onto = _distinct_codes(C, x, np.array(spans, dtype=np.intp)) == counts.sum()
+        if onto.any():
+            return (x, *spans[int(onto.argmax())])
+    return None
+
+
+def weak_pullbacks_exist(C: FinCat, cospans: np.ndarray, hints: np.ndarray) -> np.ndarray:
+    """Per row (f, g) of `cospans`, whether it has a weak pullback: first the
+    cones (h, q) with h the row's hint, for all rows at once (cone counts by
+    a matmul of histogram rows, distinct codes per apex); `weak_pullback`
+    for a row none of them serve, or without a hint (-1)."""
+    f, g = cospans.T
+    totals = np.zeros(len(cospans))
+    for t in np.unique(C.tgt[f]).tolist():
+        at = np.flatnonzero(C.tgt[f] == t)
+        H = _histograms(C, t).astype(np.float64)      # the counts are exact below 2^53
+        fs, f_at = np.unique(np.searchsorted(C.into(t), f[at]), return_inverse=True)
+        gs, g_at = np.unique(np.searchsorted(C.into(t), g[at]), return_inverse=True)
+        totals[at] = (H[fs] @ H[gs].T)[f_at, g_at]
+    ok = np.zeros(len(cospans), dtype=bool)
+    hinted = np.flatnonzero(hints >= 0)
+    for x, b in set(zip(C.src[hints[hinted]].tolist(), C.src[g[hinted]].tolist())):
+        at = hinted[(C.src[hints[hinted]] == x) & (C.src[g[hinted]] == b)]
+        Q = C.hom(x, b)
+        k, j = np.nonzero(C.comp[np.ix_(g[at], Q)] == C.comp[f[at], hints[at]][:, None])
+        spans, span_at = np.unique(np.stack([hints[at[k]], Q[j]], axis=1), axis=0,
+                                   return_inverse=True)
+        ok[at[k[_distinct_codes(C, x, spans)[span_at] == totals[at[k]]]]] = True
+    for r in np.flatnonzero(~ok).tolist():
+        ok[r] = weak_pullback(C, int(f[r]), int(g[r])) is not None
+    return ok
+
+
+def _distinct_codes(C: FinCat, x: int, spans: np.ndarray) -> np.ndarray:
+    """Per span (p, q) from x, the distinct codes (p∘u, q∘u) over the u into
+    x.  They never outnumber the cones, and p∘u fixes the source of u: they
+    number them iff (p, q) is a weak pullback.  Sorted in blocks of 2M."""
+    into = C.into(x)
+    out = np.zeros(len(spans), dtype=np.int64)
+    step = max(1, (1 << 21) // len(into))
+    for lo in range(0, len(spans), step):
+        p, q = spans[lo:lo + step, 0], spans[lo:lo + step, 1]
+        codes = C.comp[np.ix_(p, into)].astype(np.int64) * C.n_arrows + C.comp[np.ix_(q, into)]
+        codes.sort(axis=1)
+        out[lo:lo + step] = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
+    return out
+
+
 def is_coequalizer_of(C: FinCat, e: int, r: int, s: int) -> bool:
+    """e coequalizes (r, s), and every h out of tgt r that does is m∘e for
+    exactly one m."""
     if int(C.comp[e, r]) != int(C.comp[e, s]):
         return False
-    x = int(C.tgt[r])
-    et = int(C.tgt[e])
-    for h in C.outof(x):
-        h = int(h)
-        if int(C.comp[h, r]) != int(C.comp[h, s]):
-            continue
-        ms = [int(m) for m in C.hom(et, int(C.tgt[h])) if int(C.comp[int(m), e]) == h]
-        if len(ms) != 1:
-            return False
-    return True
+    out = C.outof(int(C.tgt[r]))
+    forks = out[C.comp[out, r] == C.comp[out, s]]
+    after_e = np.bincount(C.comp[C.outof(int(C.tgt[e])), e], minlength=C.n_arrows)
+    return bool((after_e[forks] == 1).all())
 
 
 def is_regular_epi(C: FinCat, e: int, cap: int | None = None) -> bool:
@@ -635,26 +717,12 @@ class Factorization:
 
 
 def image_factorization(C: FinCat, f: int, cap: int | None = None) -> Factorization | None:
-    """f = mono ∘ regular-epi, searched exhaustively; None when unavailable."""
+    """f = mono ∘ regular-epi, the first by image, then epi, then mono;
+    None when unavailable."""
     a, b = int(C.src[f]), int(C.tgt[f])
-    monos: dict[int, bool] = {}
-    repis: dict[int, bool] = {}
-    for i in range(C.n_objects):
-        for e in C.hom(a, i):
-            e = int(e)
-            for m in C.hom(i, b):
-                m = int(m)
-                if int(C.comp[m, e]) != f:
-                    continue
-                if m not in monos:
-                    monos[m] = is_mono(C, m)
-                if not monos[m]:
-                    continue
-                if e not in repis:
-                    repis[e] = is_regular_epi(C, e, cap)
-                if repis[e]:
-                    return Factorization(e, m, i)
-    return None
+    return next((Factorization(e, m, i) for i in range(C.n_objects)
+                 for e in C.hom(a, i).tolist() for m in C.hom(i, b).tolist()
+                 if C.comp[m, e] == f and is_mono(C, m) and is_regular_epi(C, e, cap)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +744,18 @@ class ExactnessVerdict:
 
 def _internal_equivalence_relations(C: FinCat, x: int, cap: int | None):
     """Jointly monic reflexive symmetric transitive spans over x."""
-    idx = int(C.id_arr[x])
     out = []
     for rob in range(C.n_objects):
         for r1, r2 in itertools.product(C.hom(rob, x).tolist(), repeat=2):
             if not (jointly_monic(C, (r1, r2))
-                    and (idx, idx) in mediators(C, x, (r1, r2))         # reflexive
-                    and (r2, r1) in mediators(C, rob, (r1, r2))):       # symmetric
+                    and len(mediating(C, (int(C.id_arr[x]),) * 2, (r1, r2)))    # reflexive
+                    and len(mediating(C, (r2, r1), (r1, r2)))):         # symmetric
                 continue
             pb = pullback(C, r1, r2, cap)
             if pb is None:
                 continue  # transitivity not expressible inside the window
             q1, q2 = pb.legs
-            if (int(C.comp[r1, q2]), int(C.comp[r2, q1])) in mediators(C, pb.apex, (r1, r2)):
+            if len(mediating(C, (int(C.comp[r1, q2]), int(C.comp[r2, q1])), (r1, r2))):
                 out.append((rob, r1, r2))
     return out
 
@@ -744,9 +811,7 @@ def _finite_limit_failure(C: FinCat, core: list[int], cap: int | None):
 def _regularity_failure(C: FinCat, core: list[int], cap: int | None):
     """Kernel pairs, image factorizations and pullback-stable regular epis
     for arrows between core objects: the first that fails, or None."""
-    core_set = set(core)
-    core_arrows = [f for f in range(C.n_arrows)
-                   if int(C.src[f]) in core_set and int(C.tgt[f]) in core_set]
+    core_arrows = np.flatnonzero(np.isin(C.src, core) & np.isin(C.tgt, core)).tolist()
     for f in core_arrows:
         if kernel_pair(C, f, cap) is None:
             return ("kernel pair", C.arrows[f])
@@ -774,8 +839,8 @@ def _effectiveness_failure(C: FinCat, core: list[int], cap: int | None):
             kp = kernel_pair(C, q, cap)
             if kp is None:
                 return ("no kernel pair of quotient", C.arrows[q])
-            med = mediators(C, rob, kp.legs).get((r1, r2), [])
-            if len(med) != 1 or not is_iso(C, med[0]):
+            med = mediating(C, (r1, r2), kp.legs)
+            if len(med) != 1 or not is_iso(C, int(med[0])):
                 return ("not effective", C.arrows[r1], C.arrows[r2])
     return None
 
@@ -785,12 +850,8 @@ def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]
     its products with every member (both ways) exist in C."""
     core: list[int] = []
     for x in range(C.n_objects):
-        ok = True
-        for y in core + [x]:
-            if product_cone(C, x, y, cap) is None or product_cone(C, y, x, cap) is None:
-                ok = False
-                break
-        if ok:
+        if all(product_cone(C, x, y, cap) is not None and product_cone(C, y, x, cap) is not None
+               for y in core + [x]):
             core.append(x)
     return tuple(C.objects[i] for i in core)
 
@@ -868,37 +929,24 @@ def check_equivalence(F: FunctorData) -> EquivalenceVerdict:
     """Faithful/full/essentially-surjective verdicts with counterexamples;
     essential surjectivity uses exhaustive isomorphism detection."""
     S, T = F.source, F.target
-    faithful, full = True, True
     witness: dict = {}
-    for a in range(S.n_objects):
-        for b in range(S.n_objects):
-            h = [int(x) for x in S.hom(a, b)]
-            images = [F.ar(f) for f in h]
-            if len(set(images)) != len(images):
-                faithful = False
-                dup = [S.arrows[h[i]] for i in range(len(h))
-                       if images.count(images[i]) > 1]
-                witness.setdefault("faithful", (S.objects[a], S.objects[b], tuple(dup)))
-            target_hom = {int(x) for x in T.hom(F.ob(a), F.ob(b))}
-            missing = target_hom - set(images)
-            if missing:
-                full = False
-                witness.setdefault("full", (S.objects[a], S.objects[b],
-                                            T.arrows[min(missing)]))
-    ess = True
+    for a, b in itertools.product(range(S.n_objects), repeat=2):
+        h = S.hom(a, b).tolist()
+        images = [F.ar(f) for f in h]
+        if len(set(images)) != len(images):
+            dup = [S.arrows[f] for f, i in zip(h, images) if images.count(i) > 1]
+            witness.setdefault("faithful", (S.objects[a], S.objects[b], tuple(dup)))
+        missing = set(T.hom(F.ob(a), F.ob(b)).tolist()) - set(images)
+        if missing:
+            witness.setdefault("full", (S.objects[a], S.objects[b], T.arrows[min(missing)]))
     iso_map: dict[str, tuple[str, str]] = {}
-    image_objs = [F.ob(a) for a in range(S.n_objects)]
     for z in range(T.n_objects):
-        found = None
-        for a, fa in enumerate(image_objs):
-            i = isomorphic(T, fa, z)
-            if i is not None:
-                found = (S.objects[a], T.arrows[i])
-                break
+        found = next(((a, i) for a in range(S.n_objects)
+                      if (i := isomorphic(T, F.ob(a), z)) is not None), None)
         if found is None:
-            ess = False
             witness.setdefault("essentially_surjective", T.objects[z])
         else:
-            iso_map[T.objects[z]] = found
+            iso_map[T.objects[z]] = (S.objects[found[0]], T.arrows[found[1]])
     witness["iso_witnesses"] = iso_map
-    return EquivalenceVerdict(faithful, full, ess, witness)
+    return EquivalenceVerdict("faithful" not in witness, "full" not in witness,
+                              "essentially_surjective" not in witness, witness)

@@ -10,8 +10,9 @@ check the down-set lookup that replaced it; `fiber_validate`, `generators`,
 `finset_window` and `fs2_reindex` are the former row-by-row meet check,
 generator closure, per-arrow window build and per-arrow preimage tables,
 kept to check the blockwise code that replaced them; and the universal-property
-searches at the end, product validation among them, are the package's
-former plain loops, kept to check the mediator table that replaced them,
+searches at the end, product validation and the mediator table among them,
+are the package's former plain loops, kept to check the cone counting that
+replaced them,
 and so are the subobject and weak-subobject constructors after them, kept
 to check the one reindexing formula that replaced their per-representative
 loop and per-cospan weak pullback search.  Their classes of arrows are
@@ -23,8 +24,9 @@ reflexive and quotient completions and the two comparison functors after
 them are the former checked builders, which test on every build the lemmas
 that `completions.py` now states instead.  After them come the former
 per-element left-adjoint search, the former Galois test of the equality
-candidates and the former meet-pair homomorphism clause at generators,
-kept to check the one adjoint kernel that replaced all three.  The checks
+candidates, the former meet-pair homomorphism clause at generators and the
+former loop over candidate fiber homomorphisms, kept to check the one
+adjoint kernel that replaced all four.  The checks
 at the very end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
@@ -640,6 +642,45 @@ def enumerate_pullbacks(C, f: int, g: int, cap=None) -> list:
     return limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)], cap)
 
 
+def product_cones(C, a: int, b: int) -> list:
+    """Every span over (a, b), by apex, then legs."""
+    return [Cone(z, (int(p), int(q))) for z in range(C.n_objects)
+            for p in C.hom(z, a) for q in C.hom(z, b)]
+
+
+def forks(C, f: int, g: int) -> list:
+    """Every cone e over the parallel pair (f, g), f∘e = g∘e, by apex, then e."""
+    return [Cone(z, (int(e),)) for z in range(C.n_objects)
+            for e in C.hom(z, int(C.src[f])) if C.comp[f, e] == C.comp[g, e]]
+
+
+def first_limiting_cone(C, cones: list[Cone], cap=None) -> Cone | None:
+    """The first listed cone through which every listed cone factors
+    uniquely, read off one mediator table per (candidate, apex); a
+    candidate is dropped at the first cone that does not."""
+    if cap is not None and len(cones) > cap:
+        raise ResourceCap("cone enumeration", len(cones), cap)
+    by_apex: dict[int, list[tuple[int, ...]]] = {}
+    for cone in sorted(cones, key=lambda cone: cone.apex):
+        by_apex.setdefault(cone.apex, []).append(cone.legs)
+    for cand in cones:
+        if all(len(mediators(C, z, cand.legs).get(legs, ())) == 1
+               for z, legs_at_z in by_apex.items() for legs in legs_at_z):
+            return cand
+    return None
+
+
+def mediators(C, z: int, legs: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+    """The arrows m: z -> apex of `legs`, grouped by the cone (l∘m for l in
+    legs) they mediate, in arrow-id order: the table the package's searches
+    read before they counted cones."""
+    H = C.hom(z, int(C.src[legs[0]]))
+    table: dict[tuple[int, ...], list[int]] = {}
+    for m, cone in zip(H.tolist(), zip(*[C.comp[leg, H].tolist() for leg in legs])):
+        table.setdefault(cone, []).append(m)
+    return table
+
+
 def validate_products(C, pc) -> ValidationReport:
     """The terminal and every chosen product checked, and the pairing table
     filled, with one table of cone codes per apex."""
@@ -1181,7 +1222,7 @@ def verify_comprehension_arrow(P, a: int, el: int, c: int, strict: bool = True) 
 
 
 # ---------------------------------------------------------------------------
-# the three adjoint decisions that `semilattice.left_adjoints` replaced
+# the adjoint decisions that `semilattice.left_adjoints` replaced
 # ---------------------------------------------------------------------------
 
 
@@ -1259,6 +1300,24 @@ def meets_at_generators(P: DoctrineData) -> bool:
         if not np.array_equal(meets_after, meets_before):
             return False
     return True
+
+
+def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]:
+    """The former candidate loop: one map per table of values off the top,
+    in `itertools.product` order, kept when it preserves top and meets."""
+    est = M.n ** max(0, L.n - 1)
+    if est > cap:
+        raise ResourceCap("fiber homomorphisms", est, cap)
+    non_top = [i for i in range(L.n) if i != L.top]
+    out = []
+    for combo in itertools.product(range(M.n), repeat=len(non_top)):
+        table = np.empty(L.n, dtype=np.int32)
+        table[L.top] = M.top
+        for i, v in zip(non_top, combo):
+            table[i] = v
+        if MonotoneMap(L, M, table).is_homomorphism():
+            out.append(table)
+    return out
 
 
 # ---------------------------------------------------------------------------

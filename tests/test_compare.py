@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import crafted
+import oracles
 from doctrines import compare, fixtures
 from doctrines.compare import (verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
 from doctrines.completions import build_tp
 from doctrines.errors import ResourceCap
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
-from doctrines.semilattice import MonotoneMap
+from doctrines.semilattice import MonotoneMap, chain as chain_lattice
 from doctrines.structure import (ElementaryWitness, discover_elementary,
                                  discover_existential)
 
@@ -297,6 +298,24 @@ def test_fiber_homomorphisms_cap(triv):
     L = triv.fibers[0]
     assert _capped(lambda: compare.enumerate_fiber_homs(L, L, 63)) == \
         ("fiber homomorphisms", 4 ** 3, 63)
+
+
+def test_fiber_homomorphisms_match_former_loop(triv, chain, nochoice, fs2):
+    """The blockwise adjoint test against the former loop over candidate
+    tables, in order: chain(6) -> chain(6), whose 252 homomorphisms are the
+    maps that fix the top and are monotone, C(10, 5) of them, and every
+    pair of fixture fibers within the cap, diamond and powerset fibers
+    among them."""
+    six = chain_lattice(tuple("abcdef"))
+    homs = compare.enumerate_fiber_homs(six, six, 1 << 20)
+    assert len(homs) == 252
+    assert [h.tolist() for h in homs] == \
+        [h.tolist() for h in oracles.enumerate_fiber_homs(six, six, 1 << 20)]
+    fibers = [fib for P in (triv, chain, nochoice, fs2) for fib in P.fibers if fib.n <= 16]
+    for L, M in itertools.product(fibers, repeat=2):
+        if M.n ** (L.n - 1) <= 1 << 16:
+            assert [h.tolist() for h in compare.enumerate_fiber_homs(L, M, 1 << 16)] == \
+                [h.tolist() for h in oracles.enumerate_fiber_homs(L, M, 1 << 16)]
 
 
 def test_morphism_components_cap(witnesses):

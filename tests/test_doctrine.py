@@ -1,10 +1,13 @@
+import copy
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import crafted
 import oracles
-from doctrines import fixtures
+from doctrines import fincat, fixtures
 from doctrines.compare import analysis
 from doctrines.doctrine import (DoctrineData, box_product, reindex, sub_doctrine, subobject_poset,
                                 validate_doctrine, weak_sub_doctrine, weak_subobject_poset)
@@ -175,7 +178,7 @@ def test_weak_pullback_missing_witness():
          ("a1", "idA"): "a1", ("idT", "a1"): "a1",
          ("a2", "idA"): "a2", ("idT", "a2"): "a2",
          ("b", "idB"): "b", ("idT", "b"): "b"})
-    from doctrines.doctrine import weak_pullback, weak_sub_doctrine
+    from doctrines.fincat import weak_pullback
     assert weak_pullback(cat, cat.arr_index["a1"], cat.arr_index["b"]) is None
     with pytest.raises(NoWeakPullback):
         weak_sub_doctrine(cat, ProductChoice("T", {}), WindowScope(("A", "B")))
@@ -278,6 +281,50 @@ def test_weak_pullback_missing_at_reindexing():
     with pytest.raises(NoWeakPullback) as raised:
         weak_sub_doctrine(cat, ProductChoice("T", {}), WindowScope(("A", "B")))
     assert raised.value.cospan == ("f", "m")
+
+
+def test_weak_sub_doctrine_on_fs2(fs2):
+    """Built on fs2's base: 41,597 cospans (f, m), m a class representative,
+    each with a weak pullback.  Its fibers have the sizes of the subobject
+    fibers, 1, 2, 4, 12 and 50, and the build takes well under 2 s."""
+    C = copy.deepcopy(fs2.cat)             # no kept tables from other tests
+    start = time.perf_counter()
+    Psi = weak_sub_doctrine(C, fs2.products, fs2.scope)
+    took = time.perf_counter() - start
+    assert [fib.n for fib in Psi.fibers] == [1, 2, 4, 12, 50]
+    assert [fib.n for fib in Psi.fibers] == \
+        [fib.n for fib in sub_doctrine(fs2.cat, fs2.products, fs2.scope).fibers]
+    assert took < 2.0, f"weak_sub_doctrine(fs2) took {took:.2f} s"
+
+
+def test_weak_pullback_beyond_the_class_representative(monkeypatch):
+    """Finite sets A = 1 and B = 4 with the point x = 2 of B, the constant
+    c = x∘! and g = (1, 2, 2, 2).  Over the cospan (x, g) the greatest class
+    of first legs is {idA, !}, represented by idA, but the cone (A, idA, x)
+    misses the cone (!, g) at B; the later member ! has the weak pullback
+    (B, !, g).  The constructor finds it by the full search and goes on to
+    the cospan (c, g), whose six cones at B outnumber hom(B, B): no weak
+    pullback there, the former per-cospan search's witness."""
+    cat = _with_identities(
+        ["A", "B"],
+        [("x", "A", "B"), ("bang", "B", "A"), ("c", "B", "B"), ("g", "B", "B")],
+        {("bang", "x"): "idA", ("x", "bang"): "c", ("c", "x"): "x", ("g", "x"): "x",
+         ("bang", "c"): "bang", ("bang", "g"): "bang", ("c", "c"): "c", ("c", "g"): "c",
+         ("g", "c"): "c", ("g", "g"): "c"})
+    assert cat.is_category()
+    x, g, ida, bang = (cat.arr_index[a] for a in ("x", "g", "idA", "bang"))
+    assert weak_subobject_poset(cat, cat.obj_index["A"])[1] == [ida]
+    assert not any(oracles.is_weak_pullback(cat, x, g, 0, ida, int(q)) for q in cat.hom(0, 1)
+                   if cat.comp[x, ida] == cat.comp[g, int(q)])
+    assert fincat.weak_pullback(cat, x, g) == (1, bang, g)
+    searched = []
+    monkeypatch.setattr(fincat, "weak_pullback",
+                        lambda C, f, m: searched.append((f, m)) or oracles.weak_pullback(C, f, m))
+    assert _constructed(weak_sub_doctrine, cat) == _constructed(oracles.weak_sub_doctrine, cat)
+    assert (x, g) in searched
+    with pytest.raises(NoWeakPullback) as raised:
+        weak_sub_doctrine(cat, ProductChoice("A", {}), WindowScope(("A", "B")))
+    assert raised.value.cospan == ("c", "g")
 
 
 @pytest.mark.parametrize("name", ["triv", "chain", "fs2"])

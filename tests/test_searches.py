@@ -1,16 +1,17 @@
 """The universal-property searches against the plain loops they replaced.
 
-Limiting cones, monos, joint monicity, coequalizers, weak pullbacks,
-comprehensions and product validation all read one mediator table
-(`fincat.mediators`); on random small categories of finite maps and their
-powerset doctrines, or on corrupted product choices, each must give the
-results of the former loops in `oracles.py`, in order.  Product cones are
-searched once per category, pair and cap."""
+Limits, weak pullbacks, monos, joint monicity and product validation are
+decided by counting cones (`fincat` module docstring), and comprehensions
+by counting factorizations.  On random small categories of finite maps, on
+the fixtures and their tp completions, and on corrupted product choices,
+each must give the results of the former loops in `oracles.py`, in order.
+Product cones are searched once per category, pair and cap."""
 
 import copy
 import itertools
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
@@ -19,52 +20,128 @@ import oracles
 from doctrines import completions, fincat, fixtures
 from doctrines.compare import analysis
 from doctrines.completions import choose_products
-from doctrines.doctrine import _is_weak_pullback, weak_pullback
 from doctrines.errors import ResourceCap
-from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, cospan_cones,
-                              equalizer, greedy_product_core, is_coequalizer_of, is_mono,
-                              jointly_monic, product_cone, validate_products)
+from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, equalizer,
+                              factor_counts, greedy_product_core, is_coequalizer_of, is_mono,
+                              jointly_monic, mediating, product_cone, pullback,
+                              validate_products, weak_pullback)
 from doctrines.structure import verify_comprehension_arrow
 from test_laws import concrete_categories, corrupted_doctrines
 
 
-def _pairs(C, same_source: bool):
-    """Arrow pairs with a common target, and a common source when asked."""
-    return [(f, g) for f, g in itertools.product(range(C.n_arrows), repeat=2)
-            if C.tgt[f] == C.tgt[g] and (not same_source or C.src[f] == C.src[g])]
+def _pairs(C, same_source: bool, objects=None):
+    """Arrow pairs with a common target, and a common source when asked,
+    between the given objects (default: all), in id order."""
+    arrows = np.arange(C.n_arrows) if objects is None else \
+        np.flatnonzero(np.isin(C.src, objects) & np.isin(C.tgt, objects))
+    f, g = np.repeat(arrows, len(arrows)), np.tile(arrows, len(arrows))
+    keep = (C.tgt[f] == C.tgt[g]) & ((C.src[f] == C.src[g]) | (not same_source))
+    return list(zip(f[keep].tolist(), g[keep].tolist()))
 
 
-def _cone_lists(C):
-    """The candidate lists the limit searches hand to `_limiting_cones`:
-    spans over every object pair, cospan cones, forks of parallel pairs."""
-    for a, b in itertools.product(range(C.n_objects), repeat=2):
-        yield [Cone(z, (int(p), int(q))) for z in range(C.n_objects)
-               for p in C.hom(z, a) for q in C.hom(z, b)]
-    for f, g in _pairs(C, same_source=False)[::7]:
-        yield [Cone(z, (p, q)) for z, p, q in oracles.cospan_cones(C, f, g)]
-    for f, g in _pairs(C, same_source=True)[::3]:
-        yield [Cone(z, (int(e),)) for z in range(C.n_objects)
-               for e in C.hom(z, int(C.src[f])) if C.comp[f, e] == C.comp[g, e]]
+def assert_limits_match(C, stride: int = 1, objects=None):
+    """Pullbacks of every `stride`-th cospan, equalizers of every
+    `stride`-th parallel pair and product cones of every pair, between
+    `objects` (default: all), are the former loops' first limiting cones."""
+    for f, g in _pairs(C, False, objects)[::stride]:
+        cones = [Cone(z, (p, q)) for z, p, q in oracles.cospan_cones(C, f, g)]
+        assert pullback(C, f, g) == oracles.first_limiting_cone(C, cones)
+    for f, g in _pairs(C, True, objects)[::stride]:
+        assert equalizer(C, f, g) == oracles.first_limiting_cone(C, oracles.forks(C, f, g))
+    for a, b in itertools.product(range(C.n_objects) if objects is None else objects, repeat=2):
+        assert product_cone(C, a, b) == \
+            oracles.first_limiting_cone(C, oracles.product_cones(C, a, b))
+
+
+def assert_monos_match(C, objects=None):
+    """Every arrow and every span between `objects` (default: all)."""
+    assert [is_mono(C, f) for f in range(C.n_arrows)] == \
+        [oracles.is_mono(C, f) for f in range(C.n_arrows)]
+    spans = _pairs(C, True, objects)
+    assert [jointly_monic(C, span) for span in spans] == \
+        [oracles.jointly_monic(C, *span) for span in spans]
+
+
+def assert_weak_pullbacks_match(C, stride: int = 1, objects=None):
+    """Every `stride`-th cospan between `objects` (default: all): its cone
+    counts are the lengths of the former listing, apex by apex, and its
+    first weak pullback is the former search's; also for the first and last
+    arrows, which may not share a target."""
+    for f, g in _pairs(C, False, objects)[::stride]:
+        cones = oracles.cospan_cones(C, f, g)
+        assert fincat._cospan_counts(C, f, g).tolist() == \
+            [sum(1 for cone in cones if cone[0] == z) for z in range(C.n_objects)]
+        assert weak_pullback(C, f, g) == oracles.weak_pullback(C, f, g)
+    assert weak_pullback(C, 0, C.n_arrows - 1) == oracles.weak_pullback(C, 0, C.n_arrows - 1)
 
 
 @settings(max_examples=40)
 @given(concrete_categories())
 def test_limiting_cones_match_oracle(sample):
-    C = sample[0]
-    for cones in _cone_lists(C):
-        assert list(fincat._limiting_cones(C, cones)) == oracles.limiting_cones(C, cones)
+    """Every third cospan and parallel pair: the former loops are slow."""
+    assert_limits_match(sample[0], 3)
 
 
 @settings(max_examples=60)
 @given(concrete_categories())
 def test_monos_and_jointly_monic_spans_match_oracle(sample):
+    assert_monos_match(sample[0])
+
+
+@settings(max_examples=40)
+@given(concrete_categories())
+def test_weak_pullbacks_match_oracle(sample):
+    assert_weak_pullbacks_match(sample[0], 4)
+
+
+@settings(max_examples=60)
+@given(concrete_categories(), strat.data())
+def test_weak_pullbacks_exist_matches_oracle(sample, data):
+    """The batch existence test against the former search on every cospan,
+    each with a hint drawn from the arrows into the first leg's target, or
+    none: a hint whose cones are no weak pullback must fall back."""
     C = sample[0]
-    assert [is_mono(C, f) for f in range(C.n_arrows)] == \
-        [oracles.is_mono(C, f) for f in range(C.n_arrows)]
-    spans = [(f, g) for f, g in itertools.product(range(C.n_arrows), repeat=2)
-             if C.src[f] == C.src[g]]
-    assert [jointly_monic(C, span) for span in spans] == \
-        [oracles.jointly_monic(C, *span) for span in spans]
+    cospans = np.array(_pairs(C, False), dtype=np.intp).reshape(-1, 2)
+    hints = np.array([data.draw(strat.sampled_from([-1] + C.into(int(C.src[f])).tolist()))
+                      for f in cospans[:, 0]], dtype=np.intp)
+    assert fincat.weak_pullbacks_exist(C, cospans, hints).tolist() == \
+        [oracles.weak_pullback(C, int(f), int(g)) is not None for f, g in cospans]
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "fs2"])
+def test_limits_match_oracle_on_fixtures(name, request):
+    """Everything on the fixture's base and tp completion, but on fs2's base
+    (949 arrows) only the cospans, parallel pairs and object pairs of the
+    core 0, 1, 2, each searched over all five apexes: the former loops take
+    up to 1.4 s for one cospan into 8, and try every one of the 300,000
+    spans over (8, 8), which has no product."""
+    P = request.getfixturevalue(name)
+    for C, objects in ((analysis(P).tp().cat, None),
+                       (P.cat, P.core_idx() if name == "fs2" else None)):
+        assert_limits_match(C, 1, objects)
+        assert_monos_match(C, objects)
+        assert_weak_pullbacks_match(C, 1, objects)
+
+
+@settings(max_examples=60)
+@given(concrete_categories())
+def test_mediators_and_factor_counts_match_oracle(sample):
+    """The mediators of every cone over every span, and the factorizations
+    through every arrow, against the former mediator table."""
+    C = sample[0]
+    for f in range(C.n_arrows):
+        counts = factor_counts(C, f)
+        for z in range(C.n_objects):
+            table = oracles.mediators(C, z, (f,))
+            assert [counts[h] for h in C.hom(z, int(C.tgt[f]))] == \
+                [len(table.get((int(h),), [])) for h in C.hom(z, int(C.tgt[f]))]
+    for legs in [(f, g) for f, g in itertools.product(range(C.n_arrows), repeat=2)
+                 if C.src[f] == C.src[g]][::5]:
+        for z in range(C.n_objects):
+            table = oracles.mediators(C, z, legs)
+            for cone in itertools.product(C.hom(z, int(C.tgt[legs[0]])).tolist(),
+                                          C.hom(z, int(C.tgt[legs[1]])).tolist()):
+                assert mediating(C, cone, legs).tolist() == table.get(cone, [])
 
 
 @settings(max_examples=60)
@@ -75,20 +152,6 @@ def test_coequalizer_arrows_match_oracle(sample):
     for r, s in _pairs(C, same_source=True):
         found = [q for q in C.outof(int(C.tgt[r])).tolist() if is_coequalizer_of(C, q, r, s)]
         assert found == oracles.coequalizer_arrows(C, r, s)
-
-
-@settings(max_examples=40)
-@given(concrete_categories())
-def test_weak_pullbacks_match_oracle(sample):
-    """The cospan cones in order, every cone's weak-pullback verdict and the
-    first weak pullback of every cospan."""
-    C = sample[0]
-    for f, g in _pairs(C, same_source=False)[::4]:
-        cones = list(cospan_cones(C, f, g))
-        assert cones == oracles.cospan_cones(C, f, g)
-        assert [_is_weak_pullback(C, cones, p, q) for _, p, q in cones] == \
-            [oracles.is_weak_pullback(C, f, g, *cone) for cone in cones]
-        assert weak_pullback(C, f, g) == oracles.weak_pullback(C, f, g)
 
 
 def _validated(validate, C, binary, terminal):
@@ -112,6 +175,61 @@ def test_product_validation_matches_oracle_on_fixtures(product_bases):
         got = _validated(validate_products, C, pc.binary, pc.terminal)
         assert got[0].ok and got == _validated(oracles.validate_products, C, pc.binary,
                                                pc.terminal)
+
+
+def _former_product_witness(C, a: int, b: int, p1: int, p2: int):
+    """The former mediator-table scan: at the first apex with a fault, the
+    least cone with more than one mediator and the most mediators of any
+    cone there, else the first cone in product order with none."""
+    for z in range(C.n_objects):
+        table = oracles.mediators(C, z, (p1, p2))
+        dups = [cone for cone, ms in table.items() if len(ms) > 1]
+        if dups:
+            return min(dups), max(len(ms) for ms in table.values())
+        missing = [cone for cone in itertools.product(C.hom(z, a).tolist(), C.hom(z, b).tolist())
+                   if cone not in table]
+        if missing:
+            return missing[0], 0
+    return None
+
+
+def _chain_with_idempotent():
+    """chain's u <= v with an idempotent e on u that m absorbs, m∘e = m:
+    the span (m, m) from u over (v, v) has the mediators idu and e for its
+    cone (m, m) at u."""
+    return fincat.FinCat.build(
+        ["u", "v"], [("idu", "u", "u"), ("idv", "v", "v"), ("m", "u", "v"), ("e", "u", "u")],
+        {"u": "idu", "v": "idv"},
+        {("idu", "idu"): "idu", ("idv", "idv"): "idv", ("m", "idu"): "m", ("idv", "m"): "m",
+         ("e", "idu"): "e", ("idu", "e"): "e", ("e", "e"): "e", ("m", "e"): "m"})
+
+
+@pytest.mark.parametrize("case", ["chain missing", "chain duplicated",
+                                  "fs2 missing", "fs2 duplicated", "fs2 duplicated and missing"])
+def test_product_validation_names_the_former_witness(chain, fs2, case):
+    """A chosen product replaced by a span with a missing or a duplicated
+    mediator: the report names the former scan's cone and count, and the
+    pairing table is the former validation's, filled up to that apex."""
+    C, pc = (chain.cat, chain.products) if case.startswith("chain") else (fs2.cat, fs2.products)
+    key, span = {
+        "chain missing": (("v", "v"), ("u", "m", "m")),
+        "chain duplicated": (("v", "v"), ("u", "m", "m")),
+        "fs2 missing": (("2", "2"), ("2", "id2", "id2")),
+        "fs2 duplicated": (("2", "2"), ("8", "a8_2_170", "a8_2_204")),          # bits 0, 1
+        "fs2 duplicated and missing": (("2", "2"), ("8", "a8_2_170", "a8_2_0")),  # bit 0, 0
+    }[case]
+    binary = {**pc.binary, key: span}
+    if case == "chain duplicated":           # (u, u) and (u, v) are no products there
+        C, binary = _chain_with_idempotent(), {key: span}
+    a, b = (C.obj_index[o] for o in key)
+    cone, most = _former_product_witness(C, a, b, C.arr_index[span[1]], C.arr_index[span[2]])
+    assert ("duplicated" in case) == (most > 1)
+    report, pairing = _validated(validate_products, C, binary, pc.terminal)
+    assert (report.ok, report.law, report.witness) == \
+        (False, "Product", tuple(C.arrows[x] for x in cone))
+    assert report.message == (f"cone has {most} mediating arrows into {span[0]}" if most
+                              else f"cone has no mediating arrow into {span[0]}")
+    assert (report, pairing) == _validated(oracles.validate_products, C, binary, pc.terminal)
 
 
 @settings(max_examples=300)
@@ -171,7 +289,7 @@ def test_product_cones_searched_once_per_category(chain, monkeypatch):
     search per (a, b, cap) on a copy of a completion category."""
     C = copy.deepcopy(analysis(chain).tp().cat)
     calls, searches, inside = [], [], []
-    search, limiting_cones = fincat.product_cone, fincat._limiting_cones
+    search, first_limit = fincat.product_cone, fincat._first_limit
 
     def counted_product_cone(C, a, b, cap=None):
         calls.append((a, b, cap))
@@ -181,14 +299,14 @@ def test_product_cones_searched_once_per_category(chain, monkeypatch):
         finally:
             inside.pop()
 
-    def counted_limiting_cones(C, cones, cap=None):
+    def counted_first_limit(C, counts, cones_at, cap):
         if inside:
-            searches.append(cones)
-        return limiting_cones(C, cones, cap)
+            searches.append(counts)
+        return first_limit(C, counts, cones_at, cap)
 
     for module in (fincat, completions):
         monkeypatch.setattr(module, "product_cone", counted_product_cone)
-    monkeypatch.setattr(fincat, "_limiting_cones", counted_limiting_cones)
+    monkeypatch.setattr(fincat, "_first_limit", counted_first_limit)
     choose_products(C)
     check_exact(C, WindowScope(greedy_product_core(C)))
     assert len(searches) == len(set(calls)) == len(C._product_cones) < len(calls)
@@ -201,6 +319,23 @@ def test_copies_start_with_an_empty_cone_memo(chain):
     assert copy.copy(C)._product_cones == {}
     assert copy.deepcopy(C)._product_cones == {}
     assert pickle.loads(pickle.dumps(C))._product_cones == {}
+
+
+def test_copies_start_without_counting_tables(chain):
+    """The cone-counting kernel's tables (hom sizes, histogram blocks,
+    joint-monicity verdicts) and the pullback memo are dropped by every
+    copy, and the tables the kernel hands out are read-only."""
+    C = analysis(chain).tp().cat
+    f = int(C.into(0)[-1])
+    assert pullback(C, f, f) is not None and pullback(C, f, f) is pullback(C, f, f)
+    assert C._hom_sizes is not None and C._histograms and C._jointly_monic and C._pullbacks
+    for table in [C._hom_sizes, *C._histograms.values()]:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+    for D in (copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
+        assert (D._hom_sizes, D._histograms, D._jointly_monic, D._pullbacks) == (None, {}, {}, {})
+        assert pullback(D, f, f) == pullback(C, f, f)
 
 
 def test_equalizer_clause_names_first_failing_pair():
@@ -222,14 +357,13 @@ def test_equalizer_clause_names_first_failing_pair():
     assert v.witness == {"core": ("2",), "finitely_complete": (cat.arrows[f], cat.arrows[g])}
 
 
-@pytest.mark.parametrize("search, what", [(fincat.pullback, "cone enumeration"),
-                                          (weak_pullback, "weak pullback cone enumeration")])
+@pytest.mark.parametrize("search, what", [(fincat.pullback, "cone enumeration")])
 def test_cone_enumeration_caps(chain, search, what):
     """The cospan (idv, idv) of chain has the cones (u, m, m) and
     (v, idv, idv); a cap of one refuses them before any search."""
     C = chain.cat
     idv = C.arr_index["idv"]
-    assert len(list(cospan_cones(C, idv, idv))) == 2
+    assert fincat._cospan_counts(C, idv, idv).sum() == len(oracles.cospan_cones(C, idv, idv)) == 2
     with pytest.raises(ResourceCap) as raised:
         search(C, idv, idv, cap=1)
     assert (raised.value.what, raised.value.size, raised.value.cap) == (what, 2, 1)
