@@ -311,24 +311,29 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
     out = []
     for omap in itertools.product(range(T.n_objects), repeat=S.n_objects):
         cand_lists = []
+        feasible = True
         total = 1
         for f in non_id:
-            cands = T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])]).tolist()
+            cands = [int(h) for h in T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])])]
             if not cands:
+                feasible = False
                 break
             total *= len(cands)
             if total > cap:
                 raise ResourceCap("functor arrow maps", total, cap)
             cand_lists.append(cands)
-        else:                           # every arrow has candidates
-            for combo in itertools.product(*cand_lists):
-                amap = {S.arrows[int(S.id_arr[o])]: T.arrows[int(T.id_arr[omap[o]])]
-                        for o in range(S.n_objects)}
-                amap.update((S.arrows[f], T.arrows[tf]) for f, tf in zip(non_id, combo))
-                F = FunctorData(S, T, {S.objects[o]: T.objects[omap[o]]
-                                       for o in range(S.n_objects)}, amap)
-                if validate_functor(F, (Spc, Tpc)).ok:
-                    out.append(F)
+        if not feasible:
+            continue
+        for combo in itertools.product(*cand_lists):
+            amap = {}
+            for o in range(S.n_objects):
+                amap[S.arrows[int(S.id_arr[o])]] = T.arrows[int(T.id_arr[omap[o]])]
+            for f, tf in zip(non_id, combo):
+                amap[S.arrows[f]] = T.arrows[tf]
+            F = FunctorData(S, T, {S.objects[o]: T.objects[omap[o]]
+                                   for o in range(S.n_objects)}, amap)
+            if validate_functor(F, (Spc, Tpc)).ok:
+                out.append(F)
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MalformedPresentation, NoWeakPullback, WindowClosure
 from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, is_mono,
-                     weak_pullback, weak_pullbacks_exist)
+                     first_without_weak_pullback, weak_pullback)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint,
                           left_adjoints)
 
@@ -405,8 +405,9 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> Doctr
     cone search.  The weak pullback chosen does not matter: two weak
     pullbacks of one cospan factor through each other, so their first legs
     lie in one class.  The greatest class can exist while no weak pullback
-    does, so existence is decided, for all cospans (f, m) at once, trying
-    first the class representative as first leg: no lemma makes it one.
+    does, so existence is decided: for all cospans (f, m) at once with the
+    class representative as first leg (no lemma makes it one), then by the
+    full search, in order, up to the first cospan that has none.
     The existential structure along projections is post-composition
     (verified against the adjoint characterization by the structure checks)."""
     fibers, reps_by_obj, masks_by_obj = [], [], []
@@ -428,9 +429,9 @@ def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> Doctr
                        dtype=np.intp).reshape(-1, 2)
     hints = np.array([reps_by_obj[int(C.src[f])][i] if i >= 0 else -1
                       for f, table in enumerate(tables) for i in table.tolist()], dtype=np.intp)
-    exists = weak_pullbacks_exist(C, cospans, hints)
-    if not exists.all():
-        f, m = cospans[int(exists.argmin())].tolist()
+    missing = first_without_weak_pullback(C, cospans, hints)
+    if missing is not None:
+        f, m = cospans[missing].tolist()
         raise NoWeakPullback((C.arrows[f], C.arrows[m]))
     return DoctrineData(C, pc, scope, fibers,
                         [MonotoneMap(fibers[int(C.tgt[f])], fibers[int(C.src[f])], table)

@@ -9,11 +9,12 @@ over every composable triple names the canonical witness.  The composition
 table is a dense read-only matrix with a -1 sentinel so that law checks
 vectorize on large fixtures.
 
-Limits are decided by counting cones, never by listing them.  A cone
-(X, legs) sends each u: z -> X to the cone legs∘u at z: a limit iff that map
-is a bijection at every apex z (jointly monic legs, |hom(z, X)| cones at z),
-a weak limit iff it is onto (the distinct legs∘u number the cones).  Over a
-cospan (f, g) the cones at z number Σ_t n_f(z, t)·n_g(z, t), n_f(z, t) = #{p : f∘p = t}.
+Limits are decided by counting cones; cones are listed only at an apex that
+can hold a limit.  A cone (X, legs) sends each u: z -> X to the cone legs∘u
+at z: a limit iff that map is a bijection at every apex z (jointly monic
+legs, |hom(z, X)| cones at z), a weak limit iff it is onto (the distinct
+legs∘u number the cones).  Over a cospan (f, g) the cones at z number
+Σ_t n_f(z, t)·n_g(z, t), n_f(z, t) = #{p : f∘p = t}.
 
 Rich fixtures are windows of an ambient category: chosen product structure is
 recorded in a ProductChoice and quantified checks state their scope as a core
@@ -330,11 +331,13 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
     the pairing table.
 
     Every cone (f: Z->A, g: Z->B) present in the window must have exactly one
-    mediating arrow.  <pr1, pr2> is then the identity of the product: C's
-    table is unital, so id_P mediates (pr1, pr2) at z = P, and it is that
-    cone's only mediator.  At the first apex where that fails, the witness
-    is the least cone with more than one mediator, with the most mediators
-    of any cone there, or else the first cone, in product order, with none."""
+    mediating arrow: the cones (pr1∘u, pr2∘u) of the arrows u: z -> P are
+    distinct and number |hom(z, A)|·|hom(z, B)| at every apex z (module
+    docstring).  <pr1, pr2> is then the identity of the product: C's table
+    is unital, so id_P mediates (pr1, pr2) at z = P, and it is that cone's
+    only mediator.  At the first apex where that fails, the witness is the
+    least cone with more than one mediator, with the most mediators of any
+    cone there, or else the first cone, in product order, with none."""
     if pc.terminal not in C.obj_index:
         return ValidationReport(False, "MissingEntry", (pc.terminal,), "unknown terminal")
     t = C.obj_index[pc.terminal]
@@ -344,7 +347,7 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
             return ValidationReport(False, "Terminal", (C.objects[z],),
                                     f"terminal has {k} arrows from {C.objects[z]}")
     pc.pairing.clear()
-    sizes = _hom_sizes(C)
+    sizes, n = _hom_sizes(C), C.n_arrows
     for (an, bn), (pn, p1n, p2n) in pc.binary.items():
         for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
                          (p1n, C.arr_index), (p2n, C.arr_index)):
@@ -354,29 +357,27 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
         p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
         if int(C.src[p1]) != p or int(C.tgt[p1]) != a or int(C.src[p2]) != p or int(C.tgt[p2]) != b:
             return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
-        if (sizes[:, p] == sizes[:, a] * sizes[:, b]).all() and jointly_monic(C, (p1, p2)):
-            meds = C.into(p)
-            l1, l2 = C.comp[p1, meds], C.comp[p2, meds]
-            order = np.lexsort((l2, l1, C.src[meds]))          # by apex, then cone
-            pc.pairing.update(zip(zip(l1[order].tolist(), l2[order].tolist()),
-                                  meds[order].tolist()))
-            continue
-        n = C.n_arrows
-        for z in range(C.n_objects):     # the first apex z where the map is no bijection
-            meds = C.hom(z, p)
-            cones, first, counts = np.unique(C.comp[p1, meds].astype(np.int64) * n
-                                             + C.comp[p2, meds], return_index=True,
-                                             return_counts=True)
-            have, most = set(cones.tolist()), int(counts.max(initial=0))
-            if most > 1 or len(cones) < sizes[z, a] * sizes[z, b]:
-                w = int(cones[counts > 1][0]) if most > 1 else next(
-                    f * n + g for f in C.hom(z, a).tolist() for g in C.hom(z, b).tolist()
-                    if f * n + g not in have)
-                return ValidationReport(False, "Product", (C.arrows[w // n], C.arrows[w % n]),
-                                        f"cone has {most} mediating arrows into {pn}" if most > 1
-                                        else f"cone has no mediating arrow into {pn}")
-            pc.pairing.update(zip(zip((cones // n).tolist(), (cones % n).tolist()),
-                                  meds[first].tolist()))
+        # the cones (z, p1∘u, p2∘u) of every u into p, coded by apex, then cone
+        meds = C.into(p)
+        codes, first, counts = np.unique(
+            (C.src[meds].astype(np.int64) * n + C.comp[p1, meds]) * n + C.comp[p2, meds],
+            return_index=True, return_counts=True)
+        apex, cones, k = codes // (n * n), codes % (n * n), C.n_objects
+        bad = np.flatnonzero((np.bincount(apex[counts > 1], minlength=k) > 0)
+                             | (np.bincount(apex, minlength=k) < sizes[:, a] * sizes[:, b]))
+        z = int(bad[0]) if len(bad) else k      # the first apex with no bijection
+        fill = apex < z
+        pc.pairing.update(zip(zip((cones[fill] // n).tolist(), (cones[fill] % n).tolist()),
+                              meds[first[fill]].tolist()))
+        if z < k:
+            at = apex == z
+            have, most = set(cones[at].tolist()), int(counts[at].max(initial=0))
+            w = int(cones[counts > 1][0]) if most > 1 else next(   # none below z
+                f * n + g for f in C.hom(z, a).tolist() for g in C.hom(z, b).tolist()
+                if f * n + g not in have)
+            return ValidationReport(False, "Product", (C.arrows[w // n], C.arrows[w % n]),
+                                    f"cone has {most} mediating arrows into {pn}" if most > 1
+                                    else f"cone has no mediating arrow into {pn}")
     return ValidationReport(True)
 
 
@@ -456,11 +457,21 @@ class Window:
 
     def check_closure(self) -> list[tuple[str, ...]]:
         """Products demanded by the scope that the window lacks (empty = closed)."""
-        core, names = [self.C.obj_index[o] for o in self.core], self.C.objects
-        pairs = list(itertools.product(core, repeat=2))
-        return ([(names[a], names[b]) for a, b in pairs if not self.has_prod(a, b)]
-                + [(names[a], names[b], names[c]) for a, b in pairs if self.has_prod(a, b)
-                   for c in core if not self.has_prod(self.prod(a, b)[0], c)])
+        missing: list[tuple[str, ...]] = []
+        core_idx = [self.C.obj_index[o] for o in self.core]
+        for a in core_idx:
+            for b in core_idx:
+                if not self.has_prod(a, b):
+                    missing.append((self.C.objects[a], self.C.objects[b]))
+        for a in core_idx:
+            for b in core_idx:
+                if not self.has_prod(a, b):
+                    continue
+                ab = self.C.obj_index[self.pc.binary[(self.C.objects[a], self.C.objects[b])][0]]
+                for c in core_idx:
+                    if not self.has_prod(ab, c):
+                        missing.append((self.C.objects[a], self.C.objects[b], self.C.objects[c]))
+        return missing
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +506,12 @@ def _cospan_counts(C: FinCat, f: int, g: int) -> np.ndarray:
     return np.bincount(C.src[into], weights=H[i] * H[j], minlength=C.n_objects).astype(np.int64)
 
 
-def _cospan_cones_at(C: FinCat, f: int, g: int, x: int) -> list[tuple[int, int]]:
-    """The cones (p, q) over the cospan (f, g) at apex x, by p, then q."""
+def _cospan_cones_at(C: FinCat, f: int, g: int, x: int) -> np.ndarray:
+    """The counts[x] cones (p, q) over the cospan (f, g) at apex x, one per
+    row, by p, then q."""
     hp, hq = C.hom(x, int(C.src[f])), C.hom(x, int(C.src[g]))
     i, j = np.nonzero(C.comp[f, hp][:, None] == C.comp[g, hq][None, :])
-    return list(zip(hp[i].tolist(), hq[j].tolist()))
+    return np.stack([hp[i], hq[j]], axis=1)
 
 
 def jointly_monic(C: FinCat, legs: tuple[int, ...]) -> bool:
@@ -531,9 +543,11 @@ def factor_counts(C: FinCat, m: int) -> np.ndarray:
 
 def inverse_of(C: FinCat, f: int) -> int | None:
     a, b = int(C.src[f]), int(C.tgt[f])
-    ida, idb = int(C.id_arr[a]), int(C.id_arr[b])
-    return next((g for g in C.hom(b, a).tolist() if C.comp[g, f] == ida and C.comp[f, g] == idb),
-                None)
+    for g in C.hom(b, a):
+        g = int(g)
+        if int(C.comp[g, f]) == int(C.id_arr[a]) and int(C.comp[f, g]) == int(C.id_arr[b]):
+            return g
+    return None
 
 
 def is_iso(C: FinCat, f: int) -> bool:
@@ -542,7 +556,10 @@ def is_iso(C: FinCat, f: int) -> bool:
 
 def isomorphic(C: FinCat, x: int, y: int) -> int | None:
     """An iso x -> y if one exists (least arrow id), else None."""
-    return next((f for f in C.hom(x, y).tolist() if is_iso(C, f)), None)
+    for f in C.hom(x, y):
+        if is_iso(C, int(f)):
+            return int(f)
+    return None
 
 
 def iso_classes(C: FinCat) -> list[list[str]]:
@@ -550,11 +567,12 @@ def iso_classes(C: FinCat) -> list[list[str]]:
     no quotient is applied anywhere else)."""
     classes: list[list[int]] = []
     for x in range(C.n_objects):
-        cl = next((cl for cl in classes if isomorphic(C, cl[0], x) is not None), None)
-        if cl is None:
-            classes.append([x])
+        for cl in classes:
+            if isomorphic(C, cl[0], x) is not None:
+                cl.append(x)
+                break
         else:
-            cl.append(x)
+            classes.append([x])
     return [[C.objects[i] for i in cl] for cl in classes]
 
 
@@ -600,8 +618,9 @@ def pullback(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
     if int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("pullback of arrows with different targets")
     if (f, g, cap) not in C._pullbacks:
-        C._pullbacks[f, g, cap] = _first_limit(C, _cospan_counts(C, f, g),
-                                               lambda x: _cospan_cones_at(C, f, g, x), cap)
+        C._pullbacks[f, g, cap] = _first_limit(
+            C, _cospan_counts(C, f, g),
+            lambda x: map(tuple, _cospan_cones_at(C, f, g, x).tolist()), cap)
     return C._pullbacks[f, g, cap]
 
 
@@ -640,17 +659,18 @@ def weak_pullback(C: FinCat, f: int, g: int) -> tuple[int, int, int] | None:
     counts = _cospan_counts(C, f, g)
     for x in np.flatnonzero((_hom_sizes(C) >= counts[:, None]).all(axis=0)).tolist():
         spans = _cospan_cones_at(C, f, g, x)
-        onto = _distinct_codes(C, x, np.array(spans, dtype=np.intp)) == counts.sum()
+        onto = _distinct_codes(C, x, spans) == counts.sum()
         if onto.any():
-            return (x, *spans[int(onto.argmax())])
+            return (x, *spans[int(onto.argmax())].tolist())
     return None
 
 
-def weak_pullbacks_exist(C: FinCat, cospans: np.ndarray, hints: np.ndarray) -> np.ndarray:
-    """Per row (f, g) of `cospans`, whether it has a weak pullback: first the
-    cones (h, q) with h the row's hint, for all rows at once (cone counts by
-    a matmul of histogram rows, distinct codes per apex); `weak_pullback`
-    for a row none of them serve, or without a hint (-1)."""
+def first_without_weak_pullback(C: FinCat, cospans: np.ndarray, hints: np.ndarray) -> int | None:
+    """The first row (f, g) of `cospans` that has no weak pullback, or None.
+    First the cones (h, q) with h the row's hint are tried, for all rows at
+    once (cone counts by a matmul of histogram rows, distinct codes per
+    apex); then `weak_pullback`, in row order, on the rows none of them
+    serve or without a hint (-1), up to the first that has none."""
     f, g = cospans.T
     totals = np.zeros(len(cospans))
     for t in np.unique(C.tgt[f]).tolist():
@@ -668,9 +688,8 @@ def weak_pullbacks_exist(C: FinCat, cospans: np.ndarray, hints: np.ndarray) -> n
         spans, span_at = np.unique(np.stack([hints[at[k]], Q[j]], axis=1), axis=0,
                                    return_inverse=True)
         ok[at[k[_distinct_codes(C, x, spans)[span_at] == totals[at[k]]]]] = True
-    for r in np.flatnonzero(~ok).tolist():
-        ok[r] = weak_pullback(C, int(f[r]), int(g[r])) is not None
-    return ok
+    return next((r for r in np.flatnonzero(~ok).tolist()
+                 if weak_pullback(C, int(f[r]), int(g[r])) is None), None)
 
 
 def _distinct_codes(C: FinCat, x: int, spans: np.ndarray) -> np.ndarray:
@@ -717,12 +736,26 @@ class Factorization:
 
 
 def image_factorization(C: FinCat, f: int, cap: int | None = None) -> Factorization | None:
-    """f = mono ∘ regular-epi, the first by image, then epi, then mono;
-    None when unavailable."""
+    """f = mono ∘ regular-epi, searched exhaustively; None when unavailable."""
     a, b = int(C.src[f]), int(C.tgt[f])
-    return next((Factorization(e, m, i) for i in range(C.n_objects)
-                 for e in C.hom(a, i).tolist() for m in C.hom(i, b).tolist()
-                 if C.comp[m, e] == f and is_mono(C, m) and is_regular_epi(C, e, cap)), None)
+    monos: dict[int, bool] = {}
+    repis: dict[int, bool] = {}
+    for i in range(C.n_objects):
+        for e in C.hom(a, i):
+            e = int(e)
+            for m in C.hom(i, b):
+                m = int(m)
+                if int(C.comp[m, e]) != f:
+                    continue
+                if m not in monos:
+                    monos[m] = is_mono(C, m)
+                if not monos[m]:
+                    continue
+                if e not in repis:
+                    repis[e] = is_regular_epi(C, e, cap)
+                if repis[e]:
+                    return Factorization(e, m, i)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +777,12 @@ class ExactnessVerdict:
 
 def _internal_equivalence_relations(C: FinCat, x: int, cap: int | None):
     """Jointly monic reflexive symmetric transitive spans over x."""
+    idx = int(C.id_arr[x])
     out = []
     for rob in range(C.n_objects):
         for r1, r2 in itertools.product(C.hom(rob, x).tolist(), repeat=2):
             if not (jointly_monic(C, (r1, r2))
-                    and len(mediating(C, (int(C.id_arr[x]),) * 2, (r1, r2)))    # reflexive
+                    and len(mediating(C, (idx, idx), (r1, r2)))         # reflexive
                     and len(mediating(C, (r2, r1), (r1, r2)))):         # symmetric
                 continue
             pb = pullback(C, r1, r2, cap)
@@ -811,7 +845,9 @@ def _finite_limit_failure(C: FinCat, core: list[int], cap: int | None):
 def _regularity_failure(C: FinCat, core: list[int], cap: int | None):
     """Kernel pairs, image factorizations and pullback-stable regular epis
     for arrows between core objects: the first that fails, or None."""
-    core_arrows = np.flatnonzero(np.isin(C.src, core) & np.isin(C.tgt, core)).tolist()
+    core_set = set(core)
+    core_arrows = [f for f in range(C.n_arrows)
+                   if int(C.src[f]) in core_set and int(C.tgt[f]) in core_set]
     for f in core_arrows:
         if kernel_pair(C, f, cap) is None:
             return ("kernel pair", C.arrows[f])
@@ -850,8 +886,12 @@ def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]
     its products with every member (both ways) exist in C."""
     core: list[int] = []
     for x in range(C.n_objects):
-        if all(product_cone(C, x, y, cap) is not None and product_cone(C, y, x, cap) is not None
-               for y in core + [x]):
+        ok = True
+        for y in core + [x]:
+            if product_cone(C, x, y, cap) is None or product_cone(C, y, x, cap) is None:
+                ok = False
+                break
+        if ok:
             core.append(x)
     return tuple(C.objects[i] for i in core)
 
@@ -929,24 +969,37 @@ def check_equivalence(F: FunctorData) -> EquivalenceVerdict:
     """Faithful/full/essentially-surjective verdicts with counterexamples;
     essential surjectivity uses exhaustive isomorphism detection."""
     S, T = F.source, F.target
+    faithful, full = True, True
     witness: dict = {}
-    for a, b in itertools.product(range(S.n_objects), repeat=2):
-        h = S.hom(a, b).tolist()
-        images = [F.ar(f) for f in h]
-        if len(set(images)) != len(images):
-            dup = [S.arrows[f] for f, i in zip(h, images) if images.count(i) > 1]
-            witness.setdefault("faithful", (S.objects[a], S.objects[b], tuple(dup)))
-        missing = set(T.hom(F.ob(a), F.ob(b)).tolist()) - set(images)
-        if missing:
-            witness.setdefault("full", (S.objects[a], S.objects[b], T.arrows[min(missing)]))
+    for a in range(S.n_objects):
+        for b in range(S.n_objects):
+            h = [int(x) for x in S.hom(a, b)]
+            images = [F.ar(f) for f in h]
+            if len(set(images)) != len(images):
+                faithful = False
+                dup = [S.arrows[h[i]] for i in range(len(h))
+                       if images.count(images[i]) > 1]
+                witness.setdefault("faithful", (S.objects[a], S.objects[b], tuple(dup)))
+            target_hom = {int(x) for x in T.hom(F.ob(a), F.ob(b))}
+            missing = target_hom - set(images)
+            if missing:
+                full = False
+                witness.setdefault("full", (S.objects[a], S.objects[b],
+                                            T.arrows[min(missing)]))
+    ess = True
     iso_map: dict[str, tuple[str, str]] = {}
+    image_objs = [F.ob(a) for a in range(S.n_objects)]
     for z in range(T.n_objects):
-        found = next(((a, i) for a in range(S.n_objects)
-                      if (i := isomorphic(T, F.ob(a), z)) is not None), None)
+        found = None
+        for a, fa in enumerate(image_objs):
+            i = isomorphic(T, fa, z)
+            if i is not None:
+                found = (S.objects[a], T.arrows[i])
+                break
         if found is None:
+            ess = False
             witness.setdefault("essentially_surjective", T.objects[z])
         else:
-            iso_map[T.objects[z]] = (S.objects[found[0]], T.arrows[found[1]])
+            iso_map[T.objects[z]] = found
     witness["iso_witnesses"] = iso_map
-    return EquivalenceVerdict("faithful" not in witness, "full" not in witness,
-                              "essentially_surjective" not in witness, witness)
+    return EquivalenceVerdict(faithful, full, ess, witness)

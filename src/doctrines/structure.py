@@ -225,13 +225,17 @@ class ComprehensionTable:
 def comprehension_of(P: DoctrineData, a: int, el: int) -> ComprehensionEntry:
     """Search all arrows into A for a universal restriction of el to top;
     strict when every factorization is unique, weak when mere existence."""
-    C, name = P.cat, P.fibers[a].elements[el]
-    for kind in ("strict", "weak"):
-        c = next((c for c in C.into(a).tolist()
-                  if verify_comprehension_arrow(P, a, el, c, strict=kind == "strict")), None)
-        if c is not None:
-            return ComprehensionEntry(C.objects[a], name, kind, C.arrows[c])
-    return ComprehensionEntry(C.objects[a], name, "none")
+    C = P.cat
+    fib = P.fibers[a]
+    best_weak = None
+    for c in (int(c) for c in C.into(a)):
+        if verify_comprehension_arrow(P, a, el, c, strict=True):
+            return ComprehensionEntry(C.objects[a], fib.elements[el], "strict", C.arrows[c])
+        if best_weak is None and verify_comprehension_arrow(P, a, el, c, strict=False):
+            best_weak = c
+    if best_weak is not None:
+        return ComprehensionEntry(C.objects[a], fib.elements[el], "weak", C.arrows[best_weak])
+    return ComprehensionEntry(C.objects[a], fib.elements[el], "none")
 
 
 def verify_comprehension_arrow(P: DoctrineData, a: int, el: int, c: int,
@@ -254,16 +258,28 @@ def comprehension_table(P: DoctrineData) -> ComprehensionTable:
     """Comprehensions of every core fiber element, plus the fullness verdict:
     whenever the comprehension of a factors through that of b, a <= b."""
     C = P.cat
-    entries, witness = [], ()
+    entries = []
+    per_obj: dict[int, list[tuple[int, int | None]]] = {}
     for a in P.core_idx():
         fib = P.fibers[a]
-        found = [comprehension_of(P, a, el) for el in range(fib.n)]
-        entries += found
-        arrows = [(el, C.arr_index[ent.arrow]) for el, ent in enumerate(found) if ent.arrow]
-        witness = witness or next(((C.objects[a], fib.elements[el1], fib.elements[el2])
-                                   for el1, c1 in arrows for el2, c2 in arrows
-                                   if factor_counts(C, c2)[c1] > 0 and not fib.le(el1, el2)), ())
-    return ComprehensionTable(entries, not witness, witness)
+        per_obj[a] = []
+        for el in range(fib.n):
+            ent = comprehension_of(P, a, el)
+            entries.append(ent)
+            per_obj[a].append((el, C.arr_index[ent.arrow] if ent.arrow else None))
+    full = True
+    witness: tuple = ()
+    for a, pairs in per_obj.items():
+        fib = P.fibers[a]
+        for el1, c1 in pairs:
+            for el2, c2 in pairs:
+                if c1 is None or c2 is None:
+                    continue
+                factors = factor_counts(C, c2)[c1] > 0
+                if factors and not fib.le(el1, el2):
+                    full = False
+                    witness = witness or (C.objects[a], fib.elements[el1], fib.elements[el2])
+    return ComprehensionTable(entries, full, witness)
 
 
 # ---------------------------------------------------------------------------

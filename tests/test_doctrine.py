@@ -1,5 +1,4 @@
 import copy
-import time
 
 import numpy as np
 import pytest
@@ -283,18 +282,20 @@ def test_weak_pullback_missing_at_reindexing():
     assert raised.value.cospan == ("f", "m")
 
 
-def test_weak_sub_doctrine_on_fs2(fs2):
+def test_weak_sub_doctrine_on_fs2(fs2, monkeypatch):
     """Built on fs2's base: 41,597 cospans (f, m), m a class representative,
-    each with a weak pullback.  Its fibers have the sizes of the subobject
-    fibers, 1, 2, 4, 12 and 50, and the build takes well under 2 s."""
-    C = copy.deepcopy(fs2.cat)             # no kept tables from other tests
-    start = time.perf_counter()
-    Psi = weak_sub_doctrine(C, fs2.products, fs2.scope)
-    took = time.perf_counter() - start
+    each with a weak pullback whose first leg is the representative of its
+    class, so the batch settles them all and no cospan is searched one by
+    one.  Its fibers have the sizes of the subobject fibers, 1, 2, 4, 12
+    and 50."""
+    searched = []
+    monkeypatch.setattr(fincat, "weak_pullback",
+                        lambda C, f, m: searched.append((f, m)) or oracles.weak_pullback(C, f, m))
+    Psi = weak_sub_doctrine(copy.deepcopy(fs2.cat), fs2.products, fs2.scope)
+    assert searched == []
     assert [fib.n for fib in Psi.fibers] == [1, 2, 4, 12, 50]
     assert [fib.n for fib in Psi.fibers] == \
         [fib.n for fib in sub_doctrine(fs2.cat, fs2.products, fs2.scope).fibers]
-    assert took < 2.0, f"weak_sub_doctrine(fs2) took {took:.2f} s"
 
 
 def test_weak_pullback_beyond_the_class_representative(monkeypatch):
