@@ -196,27 +196,24 @@ def _copy_error(exc: DoctrinesError) -> DoctrinesError:
 @dataclass
 class DoctrineMorphism:
     F: FunctorData
-    components: dict[str, MonotoneMap]   # source object name -> fiber map
-
-
-@dataclass
-class Doctrine2Cell:
-    theta: dict[str, str]   # source object name -> target arrow name
+    components: tuple[MonotoneMap, ...]   # fiber map per source object, by index
 
 
 def validate_doctrine_morphism(P: DoctrineData, R: DoctrineData,
                                mor: DoctrineMorphism,
                                E_P: ElementaryWitness, E_R: ElementaryWitness) -> bool:
-    """Functoriality, fiber homomorphisms, the equality condition and the
-    commutation with existentials along core projections."""
-    S = P.cat
-    rep = validate_functor(mor.F, (P.products, R.products))
-    if not rep.ok:
-        return False
-    for o in range(S.n_objects):
-        m = mor.components[S.objects[o]]
-        if not m.is_homomorphism():
-            return False
+    """A product-preserving functor, homomorphisms as components, and
+    `_preserves_eed`.  `enumerate_morphisms` has the first two from its
+    enumerations; precomposition's well-definedness claims all three."""
+    return (validate_functor(mor.F, (P.products, R.products)).ok
+            and all(m.is_homomorphism() for m in mor.components)
+            and _preserves_eed(P, R, mor, E_P, E_R))
+
+
+def _preserves_eed(P: DoctrineData, R: DoctrineData, mor: DoctrineMorphism,
+                   E_P: ElementaryWitness, E_R: ElementaryWitness) -> bool:
+    """The equality condition and the commutation with existentials along
+    core projections."""
     winP, winR = P.window, R.window
     for a in P.core_idx():
         aa, p1, p2 = winP.prod(a, a)
@@ -224,7 +221,7 @@ def validate_doctrine_morphism(P: DoctrineData, R: DoctrineData,
         if (R.cat.objects[fa], R.cat.objects[fa]) not in R.products.binary:
             return False
         cmp_arrow = winR.pair(mor.F.ar(p1), mor.F.ar(p2))   # F(A×A) -> FA×FA
-        lhs = int(mor.components[S.objects[aa]].table[E_P.delta[a]])
+        lhs = int(mor.components[aa].table[E_P.delta[a]])
         if fa not in E_R.delta:
             return False
         rhs = int(R.r(cmp_arrow).table[E_R.delta[fa]])
@@ -238,8 +235,8 @@ def validate_doctrine_morphism(P: DoctrineData, R: DoctrineData,
                 eR = exists_along(R, mor.F.ar(pr))
                 if isinstance(eP, NoAdjoint) or isinstance(eR, NoAdjoint):
                     return False
-                bt = mor.components[S.objects[tgt]].table
-                bab = mor.components[S.objects[ab]].table
+                bt = mor.components[tgt].table
+                bab = mor.components[ab].table
                 if not np.array_equal(bt[eP.table], eR.table[bab]):
                     return False
     return True
@@ -249,50 +246,35 @@ def morphism_preserves_comprehensions(P: DoctrineData, R: DoctrineData,
                                       mor: DoctrineMorphism) -> bool:
     """Strict reading: the functor image of a comprehension arrow is a
     comprehension of the component image of the element."""
-    for a in P.core_idx():
-        for el in range(P.fibers[a].n):
-            ent = comprehension_of(P, a, el)
-            if ent.kind == "none":
-                continue
-            c = P.cat.arr_index[ent.arrow]
-            img = int(mor.components[P.cat.objects[a]].table[el])
-            if not verify_comprehension_arrow(R, mor.F.ob(a), img, mor.F.ar(c),
-                                              strict=(ent.kind == "strict")):
-                return False
+    elements = ((a, el) for a in P.core_idx() for el in range(P.fibers[a].n))
+    for (a, el), ent in zip(elements, analysis(P).comprehensions().entries):
+        if ent.kind == "none":
+            continue
+        img = int(mor.components[a].table[el])
+        if not verify_comprehension_arrow(R, mor.F.ob(a), img,
+                                          mor.F.ar(P.cat.arr_index[ent.arrow]),
+                                          strict=(ent.kind == "strict")):
+            return False
     return True
 
 
 def valid_2cells(P: DoctrineData, R: DoctrineData,
-                 m1: DoctrineMorphism, m2: DoctrineMorphism) -> list[Doctrine2Cell]:
+                 m1: DoctrineMorphism, m2: DoctrineMorphism) -> list[tuple[int, ...]]:
     """All natural transformations between the functors whose components are
-    lax against the fiber maps."""
+    lax against the fiber maps, each as its component arrow ids by source
+    object, in the order of `itertools.product` over the candidates at each
+    object.  Laxness depends on each component alone, so each object's
+    candidates are filtered before the product is taken."""
     S, T = P.cat, R.cat
-    comp_choices = []
+    choices = []
     for a in range(S.n_objects):
-        comp_choices.append([int(h) for h in T.hom(m1.F.ob(a), m2.F.ob(a))])
-    out = []
-    for combo in itertools.product(*comp_choices):
-        natural = True
-        for f in range(S.n_arrows):
-            a, b = int(S.src[f]), int(S.tgt[f])
-            if int(T.comp[combo[b], m1.F.ar(f)]) != int(T.comp[m2.F.ar(f), combo[a]]):
-                natural = False
-                break
-        if not natural:
-            continue
-        lax = True
-        for a in range(S.n_objects):
-            b1 = m1.components[S.objects[a]]
-            b2 = m2.components[S.objects[a]]
-            rt = R.r(combo[a]).table
-            if not all(b1.cod.le(int(b1.table[x]), int(rt[b2.table[x]]))
-                       for x in range(b1.dom.n)):
-                lax = False
-                break
-        if lax:
-            out.append(Doctrine2Cell({S.objects[a]: T.arrows[combo[a]]
-                                      for a in range(S.n_objects)}))
-    return out
+        b1, b2 = m1.components[a], m2.components[a]
+        choices.append([h for h in T.hom(m1.F.ob(a), m2.F.ob(a)).tolist()
+                        if b1.cod.leq[b1.table, R.r(h).table[b2.table]].all()])
+    squares = [(int(S.src[f]), int(S.tgt[f]), m1.F.ar(f), m2.F.ar(f))
+               for f in range(S.n_arrows)]
+    return [combo for combo in itertools.product(*choices)
+            if all(T.comp[combo[b], f1] == T.comp[f2, combo[a]] for a, b, f1, f2 in squares)]
 
 
 def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductChoice,
@@ -359,9 +341,12 @@ def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]
 def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
                         E_P: ElementaryWitness, E_R: ElementaryWitness,
                         cap: int) -> list[DoctrineMorphism]:
-    functors = enumerate_functors(P.cat, P.products, R.cat, R.products, cap)
+    """The doctrine morphisms P -> R.  `enumerate_functors` has validated
+    each functor against the chosen products, and every component that
+    `enumerate_fiber_homs` returns is a homomorphism, so each combination
+    of components is tested only by `_preserves_eed`."""
     out = []
-    for F in functors:
+    for F in enumerate_functors(P.cat, P.products, R.cat, R.products, cap):
         hom_lists = []
         total = 1
         for o in range(P.cat.n_objects):
@@ -371,11 +356,9 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
                 raise ResourceCap("morphism components", total, cap)
             hom_lists.append(homs)
         for combo in itertools.product(*hom_lists):
-            comps = {P.cat.objects[o]: MonotoneMap(P.fibers[o], R.fibers[F.ob(o)],
-                                                   combo[o])
-                     for o in range(P.cat.n_objects)}
-            mor = DoctrineMorphism(F, comps)
-            if validate_doctrine_morphism(P, R, mor, E_P, E_R):
+            mor = DoctrineMorphism(F, tuple(MonotoneMap(P.fibers[o], R.fibers[F.ob(o)], table)
+                                            for o, table in enumerate(combo)))
+            if _preserves_eed(P, R, mor, E_P, E_R):
                 out.append(mor)
     return out
 
@@ -829,20 +812,6 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
         {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows})
 
 
-def _iso_2cell_exists(P: DoctrineData, R: DoctrineData,
-                      m1: DoctrineMorphism, m2: DoctrineMorphism) -> bool:
-    """An invertible 2-cell m1 -> m2: componentwise isos, lax both ways."""
-    for cell in valid_2cells(P, R, m1, m2):
-        comps = {o: R.cat.arr_index[n] for o, n in cell.theta.items()}
-        if not all(is_iso(R.cat, c) for c in comps.values()):
-            continue
-        inv = {o: R.cat.arrows[inverse_of(R.cat, c)] for o, c in comps.items()}
-        back = valid_2cells(P, R, m2, m1)
-        if any(b.theta == inv for b in back):
-            return True
-    return False
-
-
 def verify_universal(P: DoctrineData, X: FinCat,
                      Xpc: ProductChoice | None = None,
                      Xscope: WindowScope | None = None,
@@ -852,7 +821,10 @@ def verify_universal(P: DoctrineData, X: FinCat,
     completion, and check that precomposition with the graph embedding is an
     essential equivalence (surjective up to invertible 2-cell, bijective on
     2-cells).  Both readings of the morphism notion are checked: plain
-    existential morphisms, and those preserving comprehensions strictly."""
+    existential morphisms, and those preserving comprehensions strictly.
+    The well-definedness of each precomposite and the 2-cells of each
+    ordered pair of morphisms are decided at most once, and each reading
+    reads them for its filtered indices."""
     rep = Report("universal-property")
     try:
         ex = check_exact(X, Xscope, caps.enum)
@@ -900,54 +872,50 @@ def verify_universal(P: DoctrineData, X: FinCat,
         rep.summary["morphisms-from-base"] = len(mor_p)
         rep.summary["morphisms-from-completion"] = len(mor_er)
 
+        at_D = [sub_er.cat.obj_index[D.obj_map[o]] for o in P.cat.objects]
+
         def precompose(m: DoctrineMorphism) -> DoctrineMorphism:
-            F2 = compose_functors(D, m.F)
-            comps = {}
-            for o in range(P.cat.n_objects):
-                oname = P.cat.objects[o]
-                it = iota[o]
-                after = m.components[D.obj_map[oname]]
-                comps[oname] = MonotoneMap(P.fibers[o], after.cod,
-                                           after.table[it.table])
-            return DoctrineMorphism(F2, comps)
+            return DoctrineMorphism(compose_functors(D, m.F), tuple(
+                MonotoneMap(P.fibers[o], m.components[d].cod,
+                            m.components[d].table[iota[o].table])
+                for o, d in enumerate(at_D)))
+
+        # the morphisms out of P: the precomposed ones, then those of the base
+        down = [precompose(m) for m in mor_er] + mor_p
+        n = len(mor_er)
+        well_defined = functools.cache(
+            lambda i: validate_doctrine_morphism(P, sub_x, down[i], E_P, E_SX))
+        cells_down = functools.cache(lambda i, j: valid_2cells(P, sub_x, down[i], down[j]))
+        cells_up = functools.cache(
+            lambda i, j: valid_2cells(sub_er, sub_x, mor_er[i], mor_er[j]))
+        T = sub_x.cat
+
+        def iso_2cell_exists(i: int, j: int) -> bool:
+            """An invertible 2-cell down[i] -> down[j]: componentwise isos
+            whose inverses are a 2-cell back."""
+            return any(all(is_iso(T, c) for c in cell)
+                       and tuple(inverse_of(T, c) for c in cell) in cells_down(j, i)
+                       for cell in cells_down(i, j))
 
         for reading, strict_comp in (("existential", False),
                                      ("comprehension-preserving", True)):
-            mp = [m for m in mor_p
+            mp = [n + k for k, m in enumerate(mor_p)
                   if not strict_comp or morphism_preserves_comprehensions(P, sub_x, m)]
-            mer = [m for m in mor_er
-                   if not strict_comp
-                   or morphism_preserves_comprehensions(sub_er, sub_x, m)]
-            pre = [precompose(m) for m in mer]
-            well_defined = all(validate_doctrine_morphism(P, sub_x, m, E_P, E_SX)
-                               for m in pre)
+            mer = [i for i, m in enumerate(mor_er)
+                   if not strict_comp or morphism_preserves_comprehensions(sub_er, sub_x, m)]
             rep.add(Check(f"{reading}:precomposition-well-defined",
-                          _status(well_defined)))
-            surj, sw = True, None
-            for m in mp:
-                if not any(_iso_2cell_exists(P, sub_x, pm, m) for pm in pre):
-                    surj = False
-                    sw = str(sorted(m.F.obj_map.items()))
-                    break
-            rep.add(Check(f"{reading}:essentially-surjective", _status(surj), sw,
+                          _status(all(well_defined(i) for i in mer))))
+            sw = next((str(sorted(down[k].F.obj_map.items())) for k in mp
+                       if not any(iso_2cell_exists(i, k) for i in mer)), None)
+            rep.add(Check(f"{reading}:essentially-surjective", _status(sw is None), sw,
                           {"base-side": len(mp), "completion-side": len(mer)}))
-            ff, fw = True, None
-            for i, m1 in enumerate(mer):
-                for j, m2 in enumerate(mer):
-                    cells_up = valid_2cells(sub_er, sub_x, m1, m2)
-                    cells_dn = valid_2cells(P, sub_x, pre[i], pre[j])
-                    whisk = sorted(
-                        str(sorted({o: c.theta[D.obj_map[o]]
-                                    for o in P.cat.objects}.items()))
-                        for c in cells_up)
-                    down = sorted(str(sorted(c.theta.items())) for c in cells_dn)
-                    if whisk != down:
-                        ff = False
-                        fw = (i, j, len(cells_up), len(cells_dn))
-                        break
-                if not ff:
+            fw = None
+            for (i, a), (j, b) in itertools.product(enumerate(mer), repeat=2):
+                up, dn = cells_up(a, b), cells_down(a, b)
+                if sorted(tuple(c[d] for d in at_D) for c in up) != sorted(dn):
+                    fw = (i, j, len(up), len(dn))
                     break
-            rep.add(Check(f"{reading}:fully-faithful-on-2-cells", _status(ff), fw))
+            rep.add(Check(f"{reading}:fully-faithful-on-2-cells", _status(fw is None), fw))
     except ResourceCap as exc:
         rep.add(Check("enumeration", CAPPED, str(exc),
                       {"what": exc.what, "size": exc.size, "cap": exc.cap}))

@@ -41,9 +41,9 @@ class FinCat:
     """A finite category presentation with index-based internal tables.
 
     The tables are read-only once built, which keeps the data derived from
-    them and kept here (hom sets, generators, law and exactness verdicts,
-    product cones and pullbacks, the cone-counting tables) sound; a changed
-    table needs a new FinCat built from a copy."""
+    them and kept here (hom sets, generators, law, exactness and regular-epi
+    verdicts, product cones and pullbacks, the cone-counting tables) sound;
+    a changed table needs a new FinCat built from a copy."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -80,6 +80,7 @@ class FinCat:
         self._hom_sizes: np.ndarray | None = None
         self._histograms: dict[int, np.ndarray] = {}
         self._jointly_monic: dict[tuple[int, ...], bool] = {}
+        self._regular_epi: dict[tuple[int, int | None], bool] = {}
 
     def __setstate__(self, state: dict) -> None:
         # a copy's tables come back writeable: freeze them, derive afresh
@@ -720,12 +721,17 @@ def is_coequalizer_of(C: FinCat, e: int, r: int, s: int) -> bool:
 
 def is_regular_epi(C: FinCat, e: int, cap: int | None = None) -> bool:
     """e is regular epi iff it is a coequalizer of its kernel pair; when the
-    window lacks the kernel pair, fall back to searching all parallel pairs."""
-    kp = kernel_pair(C, e, cap)
-    if kp is not None:
-        return is_coequalizer_of(C, e, kp.legs[0], kp.legs[1])
-    return any(is_coequalizer_of(C, e, r, s) for z in range(C.n_objects)
-               for r, s in itertools.product(C.hom(z, int(C.src[e])).tolist(), repeat=2))
+    window lacks the kernel pair, fall back to searching all parallel pairs.
+    Kept on C per (e, cap)."""
+    if (e, cap) not in C._regular_epi:
+        kp = kernel_pair(C, e, cap)
+        if kp is not None:
+            C._regular_epi[e, cap] = is_coequalizer_of(C, e, kp.legs[0], kp.legs[1])
+        else:
+            C._regular_epi[e, cap] = any(
+                is_coequalizer_of(C, e, r, s) for z in range(C.n_objects)
+                for r, s in itertools.product(C.hom(z, int(C.src[e])).tolist(), repeat=2))
+    return C._regular_epi[e, cap]
 
 
 @dataclass
@@ -738,22 +744,12 @@ class Factorization:
 def image_factorization(C: FinCat, f: int, cap: int | None = None) -> Factorization | None:
     """f = mono ∘ regular-epi, searched exhaustively; None when unavailable."""
     a, b = int(C.src[f]), int(C.tgt[f])
-    monos: dict[int, bool] = {}
-    repis: dict[int, bool] = {}
     for i in range(C.n_objects):
         for e in C.hom(a, i):
             e = int(e)
             for m in C.hom(i, b):
                 m = int(m)
-                if int(C.comp[m, e]) != f:
-                    continue
-                if m not in monos:
-                    monos[m] = is_mono(C, m)
-                if not monos[m]:
-                    continue
-                if e not in repis:
-                    repis[e] = is_regular_epi(C, e, cap)
-                if repis[e]:
+                if int(C.comp[m, e]) == f and is_mono(C, m) and is_regular_epi(C, e, cap):
                     return Factorization(e, m, i)
     return None
 

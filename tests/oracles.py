@@ -26,7 +26,11 @@ that `completions.py` now states instead.  After them come the former
 per-element left-adjoint search, the former Galois test of the equality
 candidates, the former meet-pair homomorphism clause at generators and the
 former loop over candidate fiber homomorphisms, kept to check the one
-adjoint kernel that replaced all four.  The checks
+adjoint kernel that replaced all four.  Then come the universal-property
+harness's former 2-cell loop, which decided laxness per combination of
+components and named each cell by a dict of names, and its former test for
+an invertible 2-cell, which searched the reverse cells again for every iso
+cell it tried.  The checks
 at the very end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
@@ -48,7 +52,7 @@ from doctrines.errors import (FormulaMismatch, MalformedPresentation, NoWeakPull
                               ResourceCap, WindowClosure)
 from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport,
                               WindowScope, full_subcategory, greedy_product_core,
-                              validate_category)
+                              inverse_of, is_iso, validate_category)
 from doctrines.semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from doctrines.structure import ElementaryWitness, ExistentialWitness
 
@@ -1318,6 +1322,55 @@ def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]
         if MonotoneMap(L, M, table).is_homomorphism():
             out.append(table)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the universal-property harness's former 2-cell searches
+# ---------------------------------------------------------------------------
+
+
+def valid_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[dict[str, str]]:
+    """Every combination of components, by `itertools.product`, kept when it
+    is natural and then lax against the fiber maps; each kept cell is a dict
+    from source object name to target arrow name."""
+    S, T = P.cat, R.cat
+    comp_choices = []
+    for a in range(S.n_objects):
+        comp_choices.append([int(h) for h in T.hom(m1.F.ob(a), m2.F.ob(a))])
+    out = []
+    for combo in itertools.product(*comp_choices):
+        natural = True
+        for f in range(S.n_arrows):
+            a, b = int(S.src[f]), int(S.tgt[f])
+            if int(T.comp[combo[b], m1.F.ar(f)]) != int(T.comp[m2.F.ar(f), combo[a]]):
+                natural = False
+                break
+        if not natural:
+            continue
+        lax = True
+        for a in range(S.n_objects):
+            b1, b2 = m1.components[a], m2.components[a]
+            rt = R.r(combo[a]).table
+            if not all(b1.cod.le(int(b1.table[x]), int(rt[b2.table[x]]))
+                       for x in range(b1.dom.n)):
+                lax = False
+                break
+        if lax:
+            out.append({S.objects[a]: T.arrows[combo[a]] for a in range(S.n_objects)})
+    return out
+
+
+def iso_2cell_exists(P: DoctrineData, R: DoctrineData, m1, m2) -> bool:
+    """An invertible 2-cell m1 -> m2: componentwise isos, lax both ways."""
+    for theta in valid_2cells(P, R, m1, m2):
+        comps = {o: R.cat.arr_index[n] for o, n in theta.items()}
+        if not all(is_iso(R.cat, c) for c in comps.values()):
+            continue
+        inv = {o: R.cat.arrows[inverse_of(R.cat, c)] for o, c in comps.items()}
+        back = valid_2cells(P, R, m2, m1)
+        if any(b == inv for b in back):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ def test_demo_byte_identical():
     ("check", "nochoice", 1),
     ("compare", "triv", 0), ("compare", "chain", 0), ("compare", "fs2", 0),
     ("compare", "nochoice", 0),
-    ("universal", "triv", 0),
+    ("universal", "triv", 0), ("universal", "chain", 0),
 ])
 def test_json_reports_match_golden(capsys, command, path, code):
     """In-process, so a doctrine's analysis may already be filled by other

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 import crafted
 import oracles
 from doctrines import compare, fixtures
-from doctrines.compare import (verify_axc, verify_cthn, verify_converse_axc,
+from doctrines.compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
-from doctrines.completions import build_tp
+from doctrines.completions import Caps, build_tp, tp_sub_restriction
+from doctrines.doctrine import sub_doctrine
 from doctrines.errors import ResourceCap
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
@@ -227,6 +229,152 @@ def test_universal_fs2_caps(fs2):
     assert not rep.any_failed()
     capped = [c for c in rep.walk() if c.status == CAPPED]
     assert capped and "cap" in capped[0].data
+
+
+def _universal_sides(P):
+    """The subobject doctrine of P's relation completion, and the doctrine
+    morphisms into it from P and from the completion's reflexive part, as
+    `verify_universal` enumerates them."""
+    an = analysis(P)
+    E_P = an.eed()[1]
+    tp, er = an.tp(), an.er()
+    sub_x = sub_doctrine(tp.cat, tp.pc, tp.scope)
+    sub_er = tp_sub_restriction(tp, er)
+    E_SX = discover_elementary(sub_x)
+    return sub_x, [(S, compare.enumerate_morphisms(S, sub_x, E, E_SX, Caps().enum))
+                   for S, E in ((P, E_P), (sub_er, discover_elementary(sub_er)))]
+
+
+@pytest.mark.parametrize("name", ["triv", "chain"])
+def test_2cells_match_former_loop(request, name):
+    """For every ordered pair of morphisms from the base and from the
+    completion, the 2-cells in the former loop's order, its name-keyed
+    cells read as arrow ids by source object."""
+    P = request.getfixturevalue(name)
+    sub_x, sides = _universal_sides(P)
+    T = sub_x.cat
+    sizes = Counter()
+    for S, mors in sides:
+        assert len(mors) == 25
+        for m1, m2 in itertools.product(mors, repeat=2):
+            cells = compare.valid_2cells(S, sub_x, m1, m2)
+            assert cells == [tuple(T.arr_index[theta[o]] for o in S.cat.objects)
+                             for theta in oracles.valid_2cells(S, sub_x, m1, m2)]
+            sizes[len(cells)] += 1
+    assert sizes[0] and sizes[1]
+
+
+def test_universal_computes_2cells_once_per_pair(chain, monkeypatch):
+    """Counted by the identity of the two morphisms: one `verify_universal`
+    call computes the 2-cells of each ordered pair at most once, though both
+    readings, the iso test and the fully-faithful test read them."""
+    calls, kept = Counter(), []
+    real = compare.valid_2cells
+
+    def counted(S, R, m1, m2):
+        kept.append((m1, m2))   # no id is reused while counted
+        calls[id(m1), id(m2)] += 1
+        return real(S, R, m1, m2)
+
+    monkeypatch.setattr(compare, "valid_2cells", counted)
+    tp = analysis(chain).tp()
+    rep = verify_universal(chain, tp.cat, tp.pc, tp.scope)
+    assert not rep.any_failed() and not rep.any_capped()
+    assert len(calls) > 2 * 25 * 25 and max(calls.values()) == 1
+
+
+def test_morphisms_validate_each_functor_once(chain, monkeypatch):
+    """`enumerate_morphisms` validates each candidate functor once, inside
+    `enumerate_functors`, and tests no combination of components for
+    functoriality or for being homomorphisms again; chain has more morphisms
+    into its completion's subobjects than functors."""
+    sub_x, _ = _universal_sides(chain)
+    E_P, E_SX = analysis(chain).eed()[1], discover_elementary(sub_x)
+    calls, kept = Counter(), []
+    real = compare.validate_functor
+
+    def counted(F, products=None):
+        kept.append(F)
+        calls[id(F)] += 1
+        return real(F, products)
+
+    monkeypatch.setattr(compare, "validate_functor", counted)
+    functors = compare.enumerate_functors(chain.cat, chain.products, sub_x.cat,
+                                          sub_x.products, Caps().enum)
+    candidates = sum(calls.values())
+    calls.clear()
+    monkeypatch.setattr(MonotoneMap, "is_homomorphism",
+                        lambda self: pytest.fail("component tested again"))
+    mors = compare.enumerate_morphisms(chain, sub_x, E_P, E_SX, Caps().enum)
+    assert sum(calls.values()) == candidates and max(calls.values()) == 1
+    assert len(mors) == 25 > len(functors)
+
+
+def _reversed_iota(real):
+    """Each canonical fiber comparison with its table reversed: a permutation
+    that moves the top."""
+    return lambda *args: {o: MonotoneMap(m.dom, m.cod, m.table[::-1].copy())
+                          for o, m in real(*args).items()}
+
+
+def _top_iota(real):
+    """Each canonical fiber comparison replaced by the constant map to top:
+    a homomorphism, but no isomorphism."""
+    return lambda *args: {o: MonotoneMap(m.dom, m.cod,
+                                         np.full(m.dom.n, m.cod.top, dtype=np.int32))
+                          for o, m in real(*args).items()}
+
+
+def _completion_side_short(real, P):
+    """The morphisms out of the completion without the last one."""
+    return lambda S, R, *rest: real(S, R, *rest)[:-1] if S is not P else real(S, R, *rest)
+
+
+# the witnesses the former 2-cell loop gave for the same faults
+_UNIVERSAL_FAULTS = [
+    ("triv", "iota_iso", _reversed_iota,
+     {"precomposition-well-defined": (FAIL, None),
+      "essentially-surjective": (FAIL, "[('T', '(T|a)')]"),
+      "fully-faithful-on-2-cells": (PASS, None)}),
+    ("chain", "iota_iso", _reversed_iota,
+     {"precomposition-well-defined": (FAIL, None),
+      "essentially-surjective": (FAIL, "[('u', '(u|u0)'), ('v', '(u|u1)')]"),
+      "fully-faithful-on-2-cells": (PASS, None)}),
+    ("triv", "enumerate_morphisms", _completion_side_short,
+     {"precomposition-well-defined": (PASS, None),
+      "essentially-surjective": (FAIL, "[('T', '(T|top)')]"),
+      "fully-faithful-on-2-cells": (PASS, None)}),
+    ("chain", "enumerate_morphisms", _completion_side_short,
+     {"precomposition-well-defined": (PASS, None),
+      "essentially-surjective": (FAIL, "[('u', '(v|v2)'), ('v', '(v|v2)')]"),
+      "fully-faithful-on-2-cells": (PASS, None)}),
+    ("triv", "iota_iso", _top_iota,
+     {"precomposition-well-defined": (PASS, None),
+      "essentially-surjective": (FAIL, "[('T', '(T|a)')]"),
+      "fully-faithful-on-2-cells": (FAIL, (2, 1, 0, 1))}),
+    ("chain", "iota_iso", _top_iota,
+     {"precomposition-well-defined": (FAIL, None),
+      "essentially-surjective": (FAIL, "[('u', '(u|u0)'), ('v', '(u|u1)')]"),
+      "fully-faithful-on-2-cells": (FAIL, (6, 5, 0, 1))}),
+]
+
+
+@pytest.mark.parametrize("name, target, fault, expected", _UNIVERSAL_FAULTS,
+                         ids=[f"{n}-{f.__name__.strip('_')}" for n, _, f, _ in _UNIVERSAL_FAULTS])
+def test_universal_faults_fail_with_witness(request, monkeypatch, name, target, fault,
+                                            expected):
+    """Each clause of the universal property fails on an injected fault,
+    with the witness the former loops gave, under both readings."""
+    P = request.getfixturevalue(name)
+    real = getattr(compare, target)
+    monkeypatch.setattr(compare, target,
+                        fault(real, P) if fault is _completion_side_short else fault(real))
+    tp = analysis(P).tp()
+    rep = verify_universal(P, tp.cat, tp.pc, tp.scope)
+    for reading in ("existential", "comprehension-preserving"):
+        assert {clause: (_check(rep, f"{reading}:{clause}").status,
+                         _check(rep, f"{reading}:{clause}").witness)
+                for clause in expected} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from doctrines.completions import choose_products
 from doctrines.errors import ResourceCap
 from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, equalizer,
                               factor_counts, greedy_product_core, is_coequalizer_of, is_mono,
-                              jointly_monic, mediating, product_cone, pullback,
+                              is_regular_epi, jointly_monic, mediating, product_cone, pullback,
                               validate_products, weak_pullback)
 from doctrines.structure import verify_comprehension_arrow
 from test_laws import concrete_categories, corrupted_doctrines
@@ -336,19 +336,24 @@ def test_copies_start_with_an_empty_cone_memo(chain):
 
 def test_copies_start_without_counting_tables(chain):
     """The cone-counting kernel's tables (hom sizes, histogram blocks,
-    joint-monicity verdicts) and the pullback memo are dropped by every
-    copy, and the tables the kernel hands out are read-only."""
+    joint-monicity verdicts), the pullback memo and the regular-epi
+    verdicts are dropped by every copy, and the tables the kernel hands out
+    are read-only."""
     C = analysis(chain).tp().cat
     f = int(C.into(0)[-1])
     assert pullback(C, f, f) is not None and pullback(C, f, f) is pullback(C, f, f)
+    regular = is_regular_epi(C, f)
+    assert C._regular_epi[f, None] == regular
     assert C._hom_sizes is not None and C._histograms and C._jointly_monic and C._pullbacks
     for table in [C._hom_sizes, *C._histograms.values()]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
     for D in (copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
-        assert (D._hom_sizes, D._histograms, D._jointly_monic, D._pullbacks) == (None, {}, {}, {})
+        assert (D._hom_sizes, D._histograms, D._jointly_monic, D._pullbacks,
+                D._regular_epi) == (None, {}, {}, {}, {})
         assert pullback(D, f, f) == pullback(C, f, f)
+        assert is_regular_epi(D, f) == regular
 
 
 def test_equalizer_clause_names_first_failing_pair():

@@ -2,11 +2,14 @@
 
 A failure site is a statement of `src/doctrines/*.py` that returns
 `ValidationReport(False, ...)`, `CheckVerdict(False, ...)` or
-`StructureFailure(...)`, or that raises a subclass of `DoctrinesError`.
-The sites are found with `ast`; the suite then runs in this process under
-`sys.settrace`, with line events turned on only in the functions that hold
-a site.  Tests that start the command line in a subprocess are not traced,
-so a site reached only that way is listed as never run.
+`StructureFailure(...)`, that raises a subclass of `DoctrinesError`, or
+that builds a harness `Check(..., FAIL, ...)`; a call `_status(...)` is a
+site too, as it turns a harness verdict into PASS or FAIL.  The sites are
+found with `ast`; the suite then runs in this process under `sys.settrace`,
+with line events turned on only in the functions that hold a site.  A
+`_status` site counts as run when `_status` is called from its line with a
+false argument.  Tests that start the command line in a subprocess are not
+traced, so a site reached only that way is listed as never run.
 
     PYTHONPATH=src python tools/failure_sites.py [PYTEST ARGS...]
 
@@ -25,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "doctrines"
 VERDICTS = ("ValidationReport", "CheckVerdict")
+STATUS = "_status"
 
 
 def error_classes() -> set[str]:
@@ -49,6 +53,13 @@ def _called(node) -> str | None:
 
 
 def _kind(node, errors: set[str]) -> str | None:
+    if isinstance(node, ast.Call):
+        name = _called(node)
+        if name == STATUS:
+            return name
+        if (name == "Check" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Name) and node.args[1].id == "FAIL"):
+            return "Check(FAIL)"
     if isinstance(node, ast.Raise):
         name = _called(node.exc) or (node.exc.id if isinstance(node.exc, ast.Name) else None)
         return f"raise {name}" if name in errors else None
@@ -87,8 +98,10 @@ def run_suite(sites, pytest_args: list[str]) -> set[tuple[str, int]]:
     """Run pytest in this process; return the (file, line) sites executed."""
     import pytest
 
-    wanted = {(str(p), line) for p, line, _, _ in sites}
-    holders = {(str(p), first) for p, _, first, _ in sites}
+    lines = [(str(p), line, first) for p, line, first, kind in sites if kind != STATUS]
+    wanted = {(p, line) for p, line, _ in lines}
+    holders = {(p, first) for p, _, first in lines}
+    statuses = {(str(p), line) for p, line, _, kind in sites if kind == STATUS}
     hit: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
@@ -98,6 +111,12 @@ def run_suite(sites, pytest_args: list[str]) -> set[tuple[str, int]]:
 
     def global_(frame, event, arg):
         code = frame.f_code
+        if code.co_name == STATUS and code.co_filename.startswith(str(SRC)):
+            caller = frame.f_back
+            site = (caller.f_code.co_filename, caller.f_lineno)
+            if site in statuses and not frame.f_locals[code.co_varnames[0]]:
+                hit.add(site)
+            return None
         return local if (code.co_filename, code.co_firstlineno) in holders else None
 
     sys.settrace(global_)
