@@ -10,8 +10,8 @@ from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      validate_products)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, chain, diamond,
                           lattice_from_leq, left_adjoint, powerset)
-from .doctrine import (DoctrineData, box_product, reindex, sub_doctrine,
-                       validate_doctrine, weak_sub_doctrine)
+from .doctrine import (DoctrineData, box_product, sub_doctrine, validate_doctrine,
+                       weak_sub_doctrine)
 from .structure import (ComprehensionTable, ElementaryWitness,
                         ExistentialWitness, check_beck_chevalley,
                         check_delta_product_law, check_frobenius,

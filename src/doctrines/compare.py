@@ -400,13 +400,21 @@ def _comparison(an: Analysis, rep: Report, check: str, data: dict | None = None
 @_claims_only_on_hypotheses
 def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     """The category of points carries a full-comprehension existential
-    doctrine and the top-element embedding preserves all the structure."""
+    doctrine and the top-element embedding preserves all the structure.
+
+    The embedding is compared only once the points doctrine passes its laws,
+    so each of its reindexing maps preserves top and binary meets between
+    finite inf-semilattices, hence all meets, and has a left adjoint (lemma):
+    the existentials along the embedded projections exist."""
     rep = Report("comprehension-completion")
     an = analysis(P, caps)
     base_eed, E_P, X_P = an.eed()
     rep.add(Check("base-is-eed", base_eed.status, data={"context": "hypothesis"}))
     try:
         gr = an.gr()
+    except _NOT_COMPUTABLE as exc:
+        rep.add(Check("build", NOT_APPLICABLE, str(exc)))
+        return rep
     except ResourceCap as exc:
         rep.add(Check("build", CAPPED, str(exc)))
         return rep
@@ -485,9 +493,7 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
             for pr in (inst.pr1, inst.pr2):
                 e_hat = exists_along(
                     hat, gr.cat.arr_index[gr.embed.arr_map[base.arrows[pr]]])
-                eP = X_P.adjoints[pr]
-                if isinstance(e_hat, NoAdjoint) or not np.array_equal(eP.table,
-                                                                      e_hat.table):
+                if not np.array_equal(X_P.adjoints[pr].table, e_hat.table):
                     ex_ok = False
     rep.add(Check("embedding-preserves-existentials", _status(ex_ok)))
     return rep
@@ -697,14 +703,16 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
     transitively; its saturation against the closure is an arrow out of
     equality into the closure, fullness of the comparison functor yields a
     class with that value, and the class members are searched for one whose
-    graph lies inside the original element."""
+    graph lies inside the original element.
+
+    A and B are core objects, so the existential along pr2 is the one the
+    discovery kept in X (lemma).  The product A×W is in the window: it is
+    A×B when W = B, and `win.times` has read it when W is the source of the
+    comprehension."""
     C = P.cat
     win = P.window
     ab, pr1, pr2 = win.prod(a, b)
-    e2 = exists_along(P, pr2)
-    if isinstance(e2, NoAdjoint):
-        skipped.append(f"{C.objects[a]},{C.objects[b]}: no second existential")
-        return None
+    e2 = X.adjoints[pr2]
     label = f"{C.objects[a]}x{C.objects[b]}:{P.fibers[ab].elements[al]}"
     if int(e2.table[al]) == P.fibers[b].top:
         w_obj, c_arrow, alp = b, int(C.id_arr[b]), al
@@ -723,11 +731,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
             skipped.append(f"{label}: restricted product outside window")
             return None
         alp = int(P.r(idxc).table[al])
-    try:
-        aw, q1, q2 = win.prod(a, w_obj)
-    except WindowClosure:
-        skipped.append(f"{label}: no product with restricted target")
-        return None
+    aw, q1, q2 = win.prod(a, w_obj)
     e1p = exists_along(P, q1)
     e2p = exists_along(P, q2)
     if isinstance(e1p, NoAdjoint) or isinstance(e2p, NoAdjoint):
@@ -824,7 +828,10 @@ def verify_universal(P: DoctrineData, X: FinCat,
     existential morphisms, and those preserving comprehensions strictly.
     The well-definedness of each precomposite and the 2-cells of each
     ordered pair of morphisms are decided at most once, and each reading
-    reads them for its filtered indices."""
+    reads them for its filtered indices.
+
+    An exact target is finitely complete, so it has a terminal object and
+    `choose_products` returns a choice (lemma)."""
     rep = Report("universal-property")
     try:
         ex = check_exact(X, Xscope, caps.enum)
@@ -835,9 +842,6 @@ def verify_universal(P: DoctrineData, X: FinCat,
             return rep
         if Xpc is None:
             Xpc = choose_products(X, caps)
-        if Xpc is None:
-            rep.add(Check("target-products", FAIL, "no terminal object"))
-            return rep
         sub_x = sub_doctrine(X, Xpc, Xscope or WindowScope(X.objects))
         vx = validate_doctrine(sub_x)
         rep.add(Check("target-subobjects", _status(vx.ok), vx.witness or None))

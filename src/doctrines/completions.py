@@ -29,7 +29,7 @@ from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
 from .errors import FormulaMismatch, MalformedPresentation, ResourceCap
 from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope,
                      full_subcategory, greedy_product_core, is_mono, product_cone,
-                     terminal_object, validate_category, validate_products)
+                     terminal_object, validate_category)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
 
@@ -68,8 +68,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     since reindexing is a functorial meet homomorphism, so the base mediator
     <f, g> is an arrow of the points category and the only one over it; and
     every (Z, z) has the one arrow over Z -> T into (T, top).  The chosen
-    products are therefore not validated again; `validate_products` is run
-    to fill their pairing table."""
+    products are therefore not validated again."""
     C = P.cat
     est = 0
     down_count = [P.fibers[o].leq.sum(axis=0) for o in range(C.n_objects)]
@@ -99,6 +98,17 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                              f"|{P.fibers[b].elements[eb]})")
                 srcs.append(obj_of[(a, ea)])
                 tgts.append(obj_of[(b, eb)])
+
+    def arrow(f: int, ea: int, eb: int) -> int:
+        """The arrow over f from (A, ea) to (B, eb), which the doctrine laws
+        provide wherever it is asked for."""
+        if (f, ea, eb) not in arr_of:
+            raise MalformedPresentation(
+                f"({C.arrows[f]}|{P.fibers[int(C.src[f])].elements[ea]}"
+                f"|{P.fibers[int(C.tgt[f])].elements[eb]}) is not an arrow of the points"
+                " category: the doctrine laws fail")
+        return arr_of[(f, ea, eb)]
+
     n = len(names)
     comp = np.full((n, n), -1, dtype=np.int32)
     by_src_obj: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -107,8 +117,8 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     for (f, ea, eb), i in arr_of.items():
         tgt_obj = obj_of[(int(C.tgt[f]), eb)]
         for (g, eb2, ec, j) in by_src_obj.get(tgt_obj, ()):
-            comp[j, i] = arr_of[(int(C.comp[g, f]), ea, ec)]
-    id_arr = np.array([arr_of[(int(C.id_arr[o]), el, el)] for o, el in objs], dtype=np.int32)
+            comp[j, i] = arrow(int(C.comp[g, f]), ea, ec)
+    id_arr = np.array([arrow(int(C.id_arr[o]), el, el) for o, el in objs], dtype=np.int32)
     cat = FinCat(tuple(obj_names), tuple(names),
                  np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
                  id_arr, comp)
@@ -125,9 +135,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                 ep = P.fibers[p].meet_of(int(r1[ea]), int(r2[eb]))
                 pc.binary[(obj_names[obj_of[(a, ea)]], obj_names[obj_of[(b, eb)]])] = (
                     obj_names[obj_of[(p, ep)]],
-                    names[arr_of[(p1, ep, ea)]],
-                    names[arr_of[(p2, ep, eb)]])
-    validate_products(cat, pc)
+                    names[arrow(p1, ep, ea)], names[arrow(p2, ep, eb)])
     core = tuple(obj_names[obj_of[(C.obj_index[o], el)]]
                  for o in P.scope.core for el in range(P.fiber_named(o).n))
     scope = WindowScope(core)
@@ -151,8 +159,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     embed = FunctorData(
         C, cat,
         {C.objects[o]: obj_names[obj_of[(o, P.fibers[o].top)]] for o in range(C.n_objects)},
-        {C.arrows[f]: names[arr_of[(f, P.fibers[int(C.src[f])].top,
-                                    P.fibers[int(C.tgt[f])].top)]]
+        {C.arrows[f]: names[arrow(f, P.fibers[int(C.src[f])].top, P.fibers[int(C.tgt[f])].top)]
          for f in range(C.n_arrows)})
     return GrCompletion(cat, pc, scope, hat, embed, obj_of)
 
@@ -286,8 +293,7 @@ def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
     """Search a terminal and one product per object pair (where they exist);
     None when the category has no terminal.  `terminal_object` and
     `product_cone` test exactly what `validate_products` tests, so the
-    choice is not validated again; `validate_products` fills its pairing
-    table."""
+    choice is not validated again."""
     terminal = terminal_object(cat)
     if terminal is None:
         return None
@@ -299,7 +305,6 @@ def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
                 pc.binary[(cat.objects[a], cat.objects[b])] = (
                     cat.objects[cone.apex],
                     cat.arrows[cone.legs[0]], cat.arrows[cone.legs[1]])
-    validate_products(cat, pc)
     return pc
 
 

@@ -54,19 +54,6 @@ class DoctrineData:
         return [self.cat.obj_index[o] for o in self.scope.core]
 
 
-def reindex(P: DoctrineData, f_name: str, el_name: str) -> str:
-    """Action of the doctrine on an arrow, as a pure table lookup."""
-    if f_name not in P.cat.arr_index:
-        raise MalformedPresentation(f"unknown arrow {f_name}")
-    f = P.cat.arr_index[f_name]
-    fib_t = P.fibers[int(P.cat.tgt[f])]
-    fib_s = P.fibers[int(P.cat.src[f])]
-    if el_name not in fib_t.index:
-        raise MalformedPresentation(
-            f"element {el_name} not in the fiber of {P.cat.objects[int(P.cat.tgt[f])]}")
-    return fib_s.elements[P.r(f)(fib_t.index[el_name])]
-
-
 def exists_along(P: DoctrineData, f: int) -> MonotoneMap | NoAdjoint:
     """Left adjoint of reindexing along f, memoized per doctrine."""
     if f not in P._adjoints:

@@ -209,9 +209,10 @@ class FinCat:
 
 @dataclass
 class ProductChoice:
-    """Chosen terminal and binary products; the pairing table is filled by
-    validate_products (mediators are forced to be unique, so it is derived
-    data, but kept for O(1) lookups)."""
+    """Chosen terminal and binary products; the pairing table is derived
+    from the chosen projections by the first Window built over the choice
+    (mediators into a product are unique, so it is derived data, kept for
+    O(1) lookups)."""
 
     terminal: str
     binary: dict[tuple[str, str], tuple[str, str, str]]  # (A,B) -> (P, pr1, pr2)
@@ -300,7 +301,10 @@ def _associativity_scan(C: FinCat, middle: np.ndarray | None = None) -> Validati
     (h∘m)∘f = h∘(m∘f) for all h, f contain the identities and are closed
     under composition: for such m1, m2, (h∘(m1∘m2))∘f = ((h∘m1)∘m2)∘f
     = (h∘m1)∘(m2∘f) = h∘(m1∘(m2∘f)) = h∘((m1∘m2)∘f).  So they are every
-    arrow once they hold the generators."""
+    arrow once they hold the generators.
+
+    Both callers run it once the typing and identity laws hold, so id_b is
+    an f into b and id_c an h out of c: no block is empty."""
     comp16 = C.comp.astype(np.int16) if C.n_arrows < (1 << 15) else C.comp
     middle = np.arange(C.n_arrows) if middle is None else np.asarray(middle)
     src, tgt = C.src[middle], C.tgt[middle]
@@ -308,8 +312,6 @@ def _associativity_scan(C: FinCat, middle: np.ndarray | None = None) -> Validati
     for b, c in sorted(set(zip(src.tolist(), tgt.tolist()))):
         G = middle[(src == b) & (tgt == c)]
         F, H = C.into(b), C.outof(c)
-        if len(F) == 0 or len(H) == 0:
-            continue
         if b not in comp_F:
             comp_F[b] = comp16[:, F]
         GF_ip = C.comp[G][:, F].astype(np.intp)
@@ -328,8 +330,8 @@ def _associativity_scan(C: FinCat, middle: np.ndarray | None = None) -> Validati
 
 
 def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
-    """Check the terminal and every chosen product of the category C; fill
-    the pairing table.
+    """Check the terminal and every chosen product of the category C; a
+    verdict only, which leaves the choice as it is.
 
     Every cone (f: Z->A, g: Z->B) present in the window must have exactly one
     mediating arrow: the cones (pr1∘u, pr2∘u) of the arrows u: z -> P are
@@ -347,7 +349,6 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
         if k != 1:
             return ValidationReport(False, "Terminal", (C.objects[z],),
                                     f"terminal has {k} arrows from {C.objects[z]}")
-    pc.pairing.clear()
     sizes, n = _hom_sizes(C), C.n_arrows
     for (an, bn), (pn, p1n, p2n) in pc.binary.items():
         for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
@@ -360,17 +361,14 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
             return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
         # the cones (z, p1∘u, p2∘u) of every u into p, coded by apex, then cone
         meds = C.into(p)
-        codes, first, counts = np.unique(
+        codes, counts = np.unique(
             (C.src[meds].astype(np.int64) * n + C.comp[p1, meds]) * n + C.comp[p2, meds],
-            return_index=True, return_counts=True)
+            return_counts=True)
         apex, cones, k = codes // (n * n), codes % (n * n), C.n_objects
         bad = np.flatnonzero((np.bincount(apex[counts > 1], minlength=k) > 0)
                              | (np.bincount(apex, minlength=k) < sizes[:, a] * sizes[:, b]))
-        z = int(bad[0]) if len(bad) else k      # the first apex with no bijection
-        fill = apex < z
-        pc.pairing.update(zip(zip((cones[fill] // n).tolist(), (cones[fill] % n).tolist()),
-                              meds[first[fill]].tolist()))
-        if z < k:
+        if len(bad):                            # the first apex with no bijection
+            z = int(bad[0])
             at = apex == z
             have, most = set(cones[at].tolist()), int(counts[at].max(initial=0))
             w = int(cones[counts > 1][0]) if most > 1 else next(   # none below z
@@ -397,6 +395,8 @@ class Window:
     lives."""
 
     def __init__(self, C: FinCat, pc: ProductChoice, scope: WindowScope):
+        """The first Window over `pc` fills its pairing table: each cone
+        (pr1∘u, pr2∘u) of an arrow u into a chosen product, least u first."""
         self.C = C
         self.pc = pc
         self.scope = scope
@@ -404,9 +404,13 @@ class Window:
         for o in self.core:
             if o not in C.obj_index:
                 raise MalformedPresentation(f"core object {o} not in category")
-
-    def terminal(self) -> int:
-        return self.C.obj_index[self.pc.terminal]
+        if not pc.pairing:
+            for pn, p1n, p2n in pc.binary.values():
+                meds = C.into(C.obj_index[pn])
+                p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+                for cone, u in zip(zip(C.comp[p1, meds].tolist(), C.comp[p2, meds].tolist()),
+                                   meds.tolist()):
+                    pc.pairing.setdefault(cone, u)
 
     def has_prod(self, a: int, b: int) -> bool:
         return (self.C.objects[a], self.C.objects[b]) in self.pc.binary

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .doctrine import DoctrineData
-from .fincat import FinCat, ProductChoice, WindowScope, validate_products
+from .fincat import FinCat, ProductChoice, WindowScope
 from .semilattice import MonotoneMap, chain, diamond, identity_map, powerset
 
 
@@ -31,8 +31,6 @@ def triv() -> DoctrineData:
     cat = FinCat.build(
         ["T"], [("idT", "T", "T")], {"T": "idT"}, {("idT", "idT"): "idT"})
     pc = ProductChoice("T", {("T", "T"): ("T", "idT", "idT")})
-    rep = validate_products(cat, pc)
-    assert rep.ok, rep
     fib = diamond()
     return DoctrineData(cat, pc, WindowScope(("T",)), [fib], [identity_map(fib)])
 
@@ -55,8 +53,6 @@ def _chain_base() -> tuple[FinCat, ProductChoice]:
         ("v", "u"): ("u", "m", "idu"),
         ("v", "v"): ("v", "idv", "idv"),
     })
-    rep = validate_products(cat, pc)
-    assert rep.ok, rep
     return cat, pc
 
 
@@ -213,12 +209,9 @@ _FS2_CACHE: dict = {}
 
 
 def fs2_base() -> tuple[FinCat, ProductChoice, WindowScope, dict]:
-    """The validated finite-set window on sizes {0,1,2,4,8}, core {0,1,2}."""
+    """The finite-set window on sizes {0,1,2,4,8}, core {0,1,2}."""
     if "base" not in _FS2_CACHE:
-        cat, pc, scope, lookup = finset_window([0, 1, 2, 4, 8], [0, 1, 2])
-        rep = validate_products(cat, pc)
-        assert rep.ok, rep
-        _FS2_CACHE["base"] = (cat, pc, scope, lookup)
+        _FS2_CACHE["base"] = finset_window([0, 1, 2, 4, 8], [0, 1, 2])
     return _FS2_CACHE["base"]
 
 

@@ -222,10 +222,6 @@ class MonotoneMap:
     def __call__(self, i: int) -> int:
         return int(self.table[i])
 
-    def compose(self, inner: "MonotoneMap") -> "MonotoneMap":
-        """self after inner (inner.cod must be self.dom)."""
-        return MonotoneMap(inner.dom, self.cod, self.table[inner.table])
-
     def is_homomorphism(self) -> bool:
         """Preserves top and binary meets (hence monotone)."""
         if int(self.table[self.dom.top]) != self.cod.top:

@@ -2,6 +2,7 @@
 computed once per doctrine, and no report can change what is kept."""
 
 import gc
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ from doctrines import cli, compare, fincat, fixtures
 from doctrines.cli import check_report, main
 from doctrines.compare import (analysis, verify_axc, verify_converse_axc,
                                verify_cthn, verify_fulc)
-from doctrines.completions import Caps
+from doctrines.completions import Caps, build_erp, build_gr, build_qp, build_tp
 from doctrines.doctrine import sub_doctrine
 from doctrines.errors import MalformedPresentation, ResourceCap
 from doctrines.fileformat import emit_doctrine
@@ -48,6 +49,43 @@ def test_check_file_validates_each_law_once(tmp_path, monkeypatch, capsys):
     assert "category-laws" in capsys.readouterr().out
     assert sum(category.values()) == 1
     assert sum(products.values()) == 1
+
+
+def _calls_of(fn, run) -> int:
+    """How often `fn` runs while `run()` does, through any binding."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is fn.__code__:
+            calls.append(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+def test_building_and_checking_fs2_validates_its_products_once(monkeypatch, capsys):
+    """The fixture builder leaves the verdict to the analysis, and the
+    Window derives the pairing table without validating."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    assert _calls_of(fincat.validate_products, lambda: main(["check", "fs2"])) == 1
+    assert "chosen-products" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "fs2"])
+def test_completions_do_not_validate_products(name):
+    """The completions' chosen products are searched (tp, er, qp) or carried
+    by a lemma (gr), and their pairing tables come from the Window."""
+    P = fixtures.BUILTIN_FIXTURES[name]()
+    _, E, X = analysis(P).eed()
+    builds = [lambda: build_tp(P, E, X), lambda: build_erp(P, E, build_tp(P, E, X)),
+              lambda: build_qp(P, E, X)]
+    if name != "fs2":                 # fs2's points category is over the arrow cap
+        builds.append(lambda: build_gr(P))
+    for build in builds:
+        assert _calls_of(fincat.validate_products, build) == 0
 
 
 def test_demo_builds_each_relation_completion_once(monkeypatch, capsys):

@@ -69,6 +69,20 @@ def test_cthn_detects_injected_meet_fault(triv):
         assert "meet not preserved" in rep.message
 
 
+@pytest.mark.parametrize("make, arrow", [
+    (fixtures.mixedfail, "(m|top|v1)"),          # top is not preserved along m
+    (crafted.nofrobenius, "(id2|mid|lo)"),       # a composite the laws would provide
+])
+def test_cthn_reports_a_points_category_the_laws_do_not_give(make, arrow):
+    """On a lawless doctrine an arrow of the points category can be missing;
+    the harness reports the build not applicable, naming that arrow."""
+    rep = verify_cthn(make())
+    assert [(c.name, c.status) for c in rep.checks] == \
+        [("base-is-eed", FAIL), ("build", NOT_APPLICABLE)]
+    assert _check(rep, "build").witness == \
+        f"{arrow} is not an arrow of the points category: the doctrine laws fail"
+
+
 def test_eed_fails_on_broken_equality_tensor_law(fs2, monkeypatch):
     """A discovered equality that breaks the equality-tensor law (fs2's at 1
     moved to the other element of P(1×1)) fails the eed verdict, though

@@ -8,7 +8,7 @@ import crafted
 import oracles
 from doctrines import fincat, fixtures
 from doctrines.compare import analysis
-from doctrines.doctrine import (DoctrineData, box_product, reindex, sub_doctrine, subobject_poset,
+from doctrines.doctrine import (DoctrineData, box_product, sub_doctrine, subobject_poset,
                                 validate_doctrine, weak_sub_doctrine, weak_subobject_poset)
 from doctrines.errors import DoctrinesError, MalformedPresentation, NoWeakPullback
 from doctrines.fincat import FinCat, ProductChoice, WindowScope
@@ -43,17 +43,6 @@ def test_validate_rejects_functoriality_break():
         fv, fv, np.array([0, 0, 2], dtype=np.int32))
     rep = validate_doctrine(bad)
     assert not rep.ok
-
-
-def test_reindex_lookup(chain, fs2):
-    assert reindex(chain, "idv", "v1") == "v1"
-    assert reindex(chain, "m", "v2") == "u1"
-    assert reindex(chain, "m", "v1") == "u1"
-    assert reindex(chain, "m", "v0") == "u0"
-    # finite-set oracle: preimage of the top along the unique map 0 -> 1
-    C = fs2.cat
-    z = [a for a in C.hom(C.obj_index["0"], C.obj_index["1"])][0]
-    assert reindex(fs2, C.arrows[int(z)], "s1") == "s0"
 
 
 def test_reindex_is_preimage_on_sets(fs2):
@@ -379,10 +368,6 @@ def _chain_with(n_fibers: int = 2, n_reindex: int = 3, m=None) -> DoctrineData:
 
 
 @pytest.mark.parametrize("build, outcome", [
-    pytest.param(lambda: reindex(fixtures.chain_fixture(), "nope", "v0"),
-                 ("MalformedPresentation", "unknown arrow nope"), id="arrow"),
-    pytest.param(lambda: reindex(fixtures.chain_fixture(), "m", "u0"),
-                 ("MalformedPresentation", "element u0 not in the fiber of v"), id="element"),
     pytest.param(lambda: validate_doctrine(_chain_with(n_fibers=1)),
                  (False, "MalformedPresentation", (), "fiber table incomplete"), id="fibers"),
     pytest.param(lambda: validate_doctrine(_chain_with(n_reindex=2)),

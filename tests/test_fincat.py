@@ -47,12 +47,13 @@ def test_products_triv_chain(triv, chain):
 
 def test_products_fs2_against_set_oracle(fs2):
     """Chosen mediators are the set-theoretic tuple maps."""
-    assert len(fs2.products.pairing) > 0
+    pairing = fs2.window.pc.pairing
+    assert len(pairing) > 0
     C = fs2.cat
     # the mediator of the cone (pr1, pr2) is the identity of the product
     for (a, b), (p, p1, p2) in fs2.products.binary.items():
         i1, i2 = C.arr_index[p1], C.arr_index[p2]
-        assert fs2.products.pairing[(i1, i2)] == int(C.id_arr[C.obj_index[p]])
+        assert pairing[(i1, i2)] == int(C.id_arr[C.obj_index[p]])
 
 
 def test_pullback_chain_is_meet(chain):
@@ -205,8 +206,8 @@ def test_pairing_postcomposition(chain, fs2):
     """Every mediator postcomposes with the projections back to its cone."""
     for P in (chain, fs2):
         C = P.cat
-        assert P.products.pairing
-        for (f, g), m in P.products.pairing.items():
+        assert P.window.pc.pairing
+        for (f, g), m in P.window.pc.pairing.items():
             a, b = int(C.tgt[f]), int(C.tgt[g])
             _, p1n, p2n = P.products.binary[(C.objects[a], C.objects[b])]
             p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
@@ -221,7 +222,7 @@ def test_fs2_mediators_are_tuple_maps(fs2):
     lk = fixtures.fs2_base()[3]
     vals = {C.arr_index[nm]: v for (a, b, v), nm in lk.items()}
     checked = 0
-    for (f, g), m in list(fs2.products.pairing.items())[::7]:
+    for (f, g), m in list(fs2.window.pc.pairing.items())[::7]:
         a, b = int(C.tgt[f]), int(C.tgt[g])
         pn, p1n, p2n = fs2.products.binary[(C.objects[a], C.objects[b])]
         sb = int(C.objects[b])

@@ -168,9 +168,8 @@ def test_coequalizer_arrows_match_oracle(sample):
 
 
 def _validated(validate, C, binary, terminal):
-    """The report and the pairing table, in order, of a fresh product choice."""
-    pc = ProductChoice(terminal, dict(binary))
-    return validate(C, pc), list(pc.pairing.items())
+    """The report on a fresh product choice."""
+    return validate(C, ProductChoice(terminal, dict(binary)))
 
 
 @pytest.fixture(scope="session")
@@ -186,8 +185,8 @@ def product_bases(triv, chain, fs2):
 def test_product_validation_matches_oracle_on_fixtures(product_bases):
     for C, pc in product_bases:
         got = _validated(validate_products, C, pc.binary, pc.terminal)
-        assert got[0].ok and got == _validated(oracles.validate_products, C, pc.binary,
-                                               pc.terminal)
+        assert got.ok and got == _validated(oracles.validate_products, C, pc.binary,
+                                            pc.terminal)
 
 
 def _former_product_witness(C, a: int, b: int, p1: int, p2: int):
@@ -221,8 +220,7 @@ def _chain_with_idempotent():
                                   "fs2 missing", "fs2 duplicated", "fs2 duplicated and missing"])
 def test_product_validation_names_the_former_witness(chain, fs2, case):
     """A chosen product replaced by a span with a missing or a duplicated
-    mediator: the report names the former scan's cone and count, and the
-    pairing table is the former validation's, filled up to that apex."""
+    mediator: the report names the former scan's cone and count."""
     C, pc = (chain.cat, chain.products) if case.startswith("chain") else (fs2.cat, fs2.products)
     key, span = {
         "chain missing": (("v", "v"), ("u", "m", "m")),
@@ -237,12 +235,12 @@ def test_product_validation_names_the_former_witness(chain, fs2, case):
     a, b = (C.obj_index[o] for o in key)
     cone, most = _former_product_witness(C, a, b, C.arr_index[span[1]], C.arr_index[span[2]])
     assert ("duplicated" in case) == (most > 1)
-    report, pairing = _validated(validate_products, C, binary, pc.terminal)
+    report = _validated(validate_products, C, binary, pc.terminal)
     assert (report.ok, report.law, report.witness) == \
         (False, "Product", tuple(C.arrows[x] for x in cone))
     assert report.message == (f"cone has {most} mediating arrows into {span[0]}" if most
                               else f"cone has no mediating arrow into {span[0]}")
-    assert (report, pairing) == _validated(oracles.validate_products, C, binary, pc.terminal)
+    assert report == _validated(oracles.validate_products, C, binary, pc.terminal)
 
 
 @settings(max_examples=300)
@@ -250,8 +248,8 @@ def test_product_validation_names_the_former_witness(chain, fs2, case):
 def test_product_validation_matches_oracle_on_corrupted_choices(product_bases, data):
     """Up to two corruptions of a chosen product or the terminal: projections
     swapped, one replaced by another arrow of its type or by any arrow, a
-    span from another apex, another terminal.  The report and the pairing
-    table must be the former code-table validation's."""
+    span from another apex, another terminal.  The report must be the former
+    code-table validation's."""
     C, pc = data.draw(strat.sampled_from([b for b in product_bases if b[0].n_arrows > 1]))
     binary, terminal = dict(pc.binary), pc.terminal
     for _ in range(data.draw(strat.sampled_from([1, 1, 2]))):
@@ -281,6 +279,37 @@ def test_product_validation_matches_oracle_on_corrupted_choices(product_bases, d
         binary[key] = (p, *legs)
     assert _validated(validate_products, C, binary, terminal) == \
         _validated(oracles.validate_products, C, binary, terminal)
+
+
+def _pairing_matches_oracle(C, pc):
+    """A Window over a fresh copy of the choice pairs every cone over every
+    chosen product with the one mediator the oracle's table holds for it."""
+    win = fincat.Window(C, ProductChoice(pc.terminal, dict(pc.binary)), WindowScope(()))
+    for (an, bn), (_, p1n, p2n) in pc.binary.items():
+        a, b = C.obj_index[an], C.obj_index[bn]
+        for z in range(C.n_objects):
+            cones = itertools.product(C.hom(z, a).tolist(), C.hom(z, b).tolist())
+            assert {cone: [win.pair(*cone)] for cone in cones} == \
+                oracles.mediators(C, z, (C.arr_index[p1n], C.arr_index[p2n]))
+
+
+def test_pairing_matches_oracle_on_fixtures(triv, chain, fs2):
+    """The fixture bases and their tp, er, qp and gr categories; fs2's
+    points category is over the default arrow cap."""
+    for P in (triv, chain, fs2):
+        an = analysis(P)
+        _pairing_matches_oracle(P.cat, P.products)
+        for part in (an.tp, an.er, an.qp) + ((an.gr,) if P is not fs2 else ()):
+            assert part().pc is not None
+            _pairing_matches_oracle(part().cat, part().pc)
+
+
+@settings(max_examples=60)
+@given(concrete_categories())
+def test_pairing_matches_oracle_on_chosen_products(sample):
+    pc = choose_products(sample[0])
+    if pc is not None:
+        _pairing_matches_oracle(sample[0], pc)
 
 
 @settings(max_examples=60)
