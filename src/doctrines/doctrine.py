@@ -4,9 +4,9 @@ A doctrine assigns a fiber to every object and a contravariant reindexing map
 to every arrow; reindexing maps are top/meet-preserving homomorphisms and the
 assignment is functorial.  Everything is tabled.  Validation is exhaustive in
 effect and vectorized: fibers, typing and identities are checked everywhere,
-the homomorphism clause and functoriality on a composition-generating set of
-the base, which is exact once the base is a category, and on a failure the
-full scan over every arrow and composable pair names the canonical witness.
+and one scan decides the homomorphism clause and functoriality: on a
+composition-generating set of the base, exact once the base is a category,
+and on a failure over every arrow, where it names the canonical witness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MalformedPresentation, NoWeakPullback, WindowClosure
 from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, is_mono,
-                     first_without_weak_pullback, weak_pullback)
+                     _typing_violation, first_without_weak_pullback, weak_pullback)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint,
                           left_adjoints)
 
@@ -70,15 +70,11 @@ def validate_doctrine(P: DoctrineData) -> ValidationReport:
     """Fibers are inf-semilattices, reindexing is typed, identity-preserving,
     functorial on every composable pair, and a homomorphism on every arrow.
 
-    Over a category, with identities reindexing as identities, the two laws
-    are decided at a composition-generating set: the homomorphism clause on
-    every generator g and P(g∘f) = P(f)∘P(g) for every f into its source.
-    The arrows g functorial against every f contain the identities and are
-    closed under composition: for such g1, g2, P((g1∘g2)∘f) = P(g1∘(g2∘f))
-    = P(g2∘f)∘P(g1) = P(f)∘P(g2)∘P(g1) = P(f)∘P(g1∘g2).  So reindexing is
-    functorial, and every arrow, a composite of generators and identities,
-    reindexes by a composite of homomorphisms.  On a failure the scan over
-    every arrow names the witness."""
+    Over a category both laws are decided by `_laws_scan` at a
+    composition-generating set; on a failure, or over a base that is not a
+    category, the same scan over every arrow names the witness.  It reads
+    composites, so a base table that is not typed and total is named first,
+    as `validate_category` names it."""
     bad = _fiber_and_identity_violation(P)
     if bad is not None:
         return bad
@@ -88,9 +84,11 @@ def validate_doctrine(P: DoctrineData) -> ValidationReport:
         return bad
     # the values index their fibers, so int16 holds them and halves the traffic
     stacks = [tables.astype(np.int16) for tables in stacks]
-    if P.cat.is_category() and _laws_at_generators(P, stacks, pos):
+    C = P.cat
+    if C.is_category() and _laws_scan(P, stacks, pos, C.generators()).ok:
         return ValidationReport(True)
-    return _homomorphism_and_functoriality_scan(P, stacks, pos)
+    bad = _typing_violation(C)
+    return bad if bad is not None else _laws_scan(P, stacks, pos)
 
 
 def _fiber_and_identity_violation(P: DoctrineData) -> ValidationReport | None:
@@ -157,96 +155,67 @@ def _range_violation(P: DoctrineData, stacks: list[np.ndarray]) -> ValidationRep
                             f"{C.objects[int(C.src[f])]}")
 
 
-def _laws_at_generators(P: DoctrineData, stacks: list[np.ndarray], pos: np.ndarray) -> bool:
-    """The homomorphism clause on every generator g of the base and
-    P(g∘f) = P(f)∘P(g) for every f into its source, a (src, tgt) block of
-    generators at a time.  The clause is decided as adjoint existence, by
-    the lemma: between finite inf-semilattices, h: L -> M preserves top and
-    binary meets exactly when it has a left adjoint.  A right adjoint keeps
-    every meet, the empty one (top) too; and if h keeps top and meets, each
-    U = {b : a <= h(b)} is a meet-closed up-set holding top, so e(a) = ∧U
-    is its least member.  That costs |P(src)|·|P(tgt)| per g, not |P(tgt)|²."""
+def _laws_scan(P: DoctrineData, stacks: list[np.ndarray], pos: np.ndarray,
+               middle: np.ndarray | None = None) -> ValidationReport:
+    """The homomorphism clause on every g in `middle` (default: every
+    arrow), then P(g∘f) = P(f)∘P(g) for every f into its source, blockwise
+    over (src g, tgt g), then src f, in canonical order.
+
+    The clause is decided as adjoint existence, by the lemma: between finite
+    inf-semilattices, h: L -> M preserves top and binary meets exactly when
+    it has a left adjoint.  A right adjoint keeps every meet, the empty one
+    (top) too; and if h keeps top and meets, each U = {b : a <= h(b)} is a
+    meet-closed up-set holding top, so e(a) = ∧U is its least member.  That
+    costs |P(src)|·|P(tgt)| per g, not |P(tgt)|².  So in a block that fails,
+    the arrow that checking top, then meets, would name is the first that
+    moves top, or else the first without an adjoint; only its meets are read.
+
+    With the generators of a category as `middle` this decides both laws:
+    identities reindex as identities (checked before), so the arrows g
+    functorial against every f contain the identities, and they are closed
+    under composition: for such g1, g2, P((g1∘g2)∘f) = P(g1∘(g2∘f))
+    = P(g2∘f)∘P(g1) = P(f)∘P(g2)∘P(g1) = P(f)∘P(g1∘g2).  So reindexing is
+    functorial, and every arrow, a composite of generators and identities,
+    reindexes by a composite of homomorphisms."""
     C = P.cat
-    gens = C.generators()
-    src, tgt = C.src[gens], C.tgt[gens]
+    middle = np.arange(C.n_arrows) if middle is None else np.asarray(middle)
+    src, tgt = C.src[middle], C.tgt[middle]
+    blocks = []
     for b, c in sorted(set(zip(src.tolist(), tgt.tolist()))):
-        G = gens[(src == b) & (tgt == c)]
-        R = stacks[c][pos[G]]                               # P(g), one row per generator
-        if (left_adjoints(P.fibers[c], P.fibers[b], R) < 0).any():
-            return False
-        F = C.into(b)
-        Rp = R.astype(np.intp)
-        step = max(1, (1 << 22) // max(1, P.fibers[c].n * len(F)))
-        for lo in range(0, len(G), step):
-            composite = stacks[c][pos[C.comp[G[lo:lo + step]][:, F]]]          # P(g∘f)
-            if not np.array_equal(composite, np.swapaxes(stacks[b][:, Rp[lo:lo + step]], 0, 1)):
-                return False
-    return True
-
-
-def _homomorphism_and_functoriality_scan(P: DoctrineData, stacks: list[np.ndarray],
-                                         pos: np.ndarray) -> ValidationReport:
-    """Both laws on every arrow and composable pair, in canonical order."""
-    C = P.cat
-    # homomorphism clause, blockwise by (src, tgt); int16 values and hoisted
-    # index conversions keep the big fixture inside the time budget
-    pairs = sorted(set(zip(C.src.tolist(), C.tgt.tolist())))
-    stacks16 = {(a, b): stacks[b][pos[C.hom(a, b)]] for a, b in pairs}
-    for a, b in pairs:
-        F = C.hom(a, b)
-        fib_b, fib_a = P.fibers[b], P.fibers[a]
-        R = stacks16[(a, b)]
-        if (R[:, fib_b.top] != fib_a.top).any():
-            f = int(F[int(np.flatnonzero(R[:, fib_b.top] != fib_a.top)[0])])
-            return ValidationReport(False, "Homomorphism", (C.arrows[f],),
+        G = middle[(src == b) & (tgt == c)]
+        blocks.append((b, c, G, stacks[c][pos[G]]))        # P(g), one row per g
+    for b, c, G, R in blocks:
+        fib_b, fib_c = P.fibers[b], P.fibers[c]
+        no_adjoint = (left_adjoints(fib_c, fib_b, R) < 0).any(axis=1)
+        if not no_adjoint.any():
+            continue
+        moved = np.flatnonzero(R[:, fib_c.top] != fib_b.top)
+        if len(moved):
+            return ValidationReport(False, "Homomorphism", (C.arrows[int(G[moved[0]])],),
                                     "top not preserved")
-        meet_b_ip = fib_b.meet.astype(np.intp)
-        meet_a16 = fib_a.meet.astype(np.int16)
-        chunk = max(1, (1 << 22) // max(1, fib_b.n * fib_b.n))
-        for lo in range(0, len(F), chunk):
-            Rc = R[lo:lo + chunk]
-            Rp = Rc.astype(np.intp)
-            lhs = Rc[:, meet_b_ip]                                    # (k, nb, nb)
-            rhs = meet_a16[Rp[:, :, None], Rp[:, None, :]]
-            if not np.array_equal(lhs, rhs):
-                k, i, j = map(int, np.argwhere(lhs != rhs)[0])
-                f = int(F[lo + k])
-                return ValidationReport(
-                    False, "Homomorphism", (C.arrows[f], fib_b.elements[i], fib_b.elements[j]),
-                    "meet not preserved")
-    # functoriality on all composable pairs, blockwise by (a, b, c)
-    objs_with_arrows = sorted({int(x) for x in C.src} | {int(x) for x in C.tgt})
-    pos_of: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in pairs:
-        F = C.hom(a, b)
-        arr = np.full(C.n_arrows, -1, dtype=np.intp)
-        arr[F] = np.arange(len(F))
-        pos_of[(a, b)] = arr
-    for b in objs_with_arrows:
-        for c in objs_with_arrows:
-            G = C.hom(b, c)
-            if len(G) == 0:
+        k = int(np.flatnonzero(no_adjoint)[0])
+        t = R[k].astype(np.intp)
+        i, j = map(int, np.argwhere(t[fib_c.meet] != fib_b.meet[t[:, None], t[None, :]])[0])
+        return ValidationReport(False, "Homomorphism",
+                                (C.arrows[int(G[k])], fib_c.elements[i], fib_c.elements[j]),
+                                "meet not preserved")
+    for b, c, G, R in blocks:
+        Rp, nc = R.astype(np.intp), P.fibers[c].n
+        for a in range(C.n_objects):
+            F = C.hom(a, b)
+            if len(F) == 0:
                 continue
-            Rbc_ip = stacks16[(b, c)].astype(np.intp)
-            for a in objs_with_arrows:
-                F = C.hom(a, b)
-                if len(F) == 0 or (a, c) not in stacks16:
-                    continue
-                Rab = stacks16[(a, b)]
-                Rac = stacks16[(a, c)]
-                rows = pos_of[(a, c)][C.comp[np.ix_(G, F)]]
-                nc = P.fibers[c].n
-                chunk = max(1, (1 << 22) // max(1, len(F) * nc))
-                for lo in range(0, len(G), chunk):
-                    rhs = Rab[:, Rbc_ip[lo:lo + chunk]]     # (nF, ch, nc)
-                    lhs = Rac[rows[lo:lo + chunk]]          # (ch, nF, nc)
-                    if not np.array_equal(lhs, np.swapaxes(rhs, 0, 1)):
-                        k, i, x = map(int, np.argwhere(lhs != np.swapaxes(rhs, 0, 1))[0])
-                        return ValidationReport(
-                            False, "Functoriality",
-                            (C.arrows[int(G[lo + k])], C.arrows[int(F[i])],
-                             P.fibers[c].elements[x]),
-                            "reindex(g∘f) != reindex(f)∘reindex(g)")
+            step = max(1, (1 << 22) // max(1, nc * len(F)))
+            for lo in range(0, len(G), step):
+                lhs = stacks[c][pos[C.comp[G[lo:lo + step]][:, F]]]         # P(g∘f)
+                rhs = np.swapaxes(stacks[b][pos[F]][:, Rp[lo:lo + step]], 0, 1)
+                if not np.array_equal(lhs, rhs):
+                    k, i, x = map(int, np.argwhere(lhs != rhs)[0])
+                    return ValidationReport(
+                        False, "Functoriality",
+                        (C.arrows[int(G[lo + k])], C.arrows[int(F[i])],
+                         P.fibers[c].elements[x]),
+                        "reindex(g∘f) != reindex(f)∘reindex(g)")
     return ValidationReport(True)
 
 
@@ -289,7 +258,7 @@ def _factor_classes(C: FinCat, arrows) -> tuple[list[int], np.ndarray, np.ndarra
     masks[k, rows[k, u]] = True
     below = masks[:, arrows]           # below[l, k]: arrows[k] factors through arrows[l]
     first = (below & below.T).argmax(axis=1)
-    firsts = np.unique(first)
+    firsts = np.flatnonzero(np.bincount(first, minlength=len(arrows)))
     cls = np.full(C.n_arrows, -1, dtype=np.int32)
     cls[arrows] = np.searchsorted(firsts, first)
     return arrows[firsts].tolist(), masks[firsts], cls

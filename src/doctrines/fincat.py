@@ -254,9 +254,9 @@ def validate_category(C: FinCat) -> ValidationReport:
     return bad if bad is not None else _associativity_scan(C)
 
 
-def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
-    """Typing, totality and the identity laws over every arrow and pair."""
-    n = C.n_arrows
+def _typing_violation(C: FinCat) -> ValidationReport | None:
+    """Composites defined on exactly the composable pairs, each typed
+    (src f, tgt g): what a reader of composites needs."""
     composable = C.src[:, None] == C.tgt[None, :]
     defined = C.comp >= 0
     if (defined & ~composable).any():
@@ -274,6 +274,15 @@ def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
         g, f = map(int, np.argwhere(bad)[0])
         return ValidationReport(False, "AssociativityOrTyping", (C.arrows[g], C.arrows[f]),
                                 "composite has wrong source or target")
+    return None
+
+
+def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
+    """Typing, totality and the identity laws over every arrow and pair."""
+    bad = _typing_violation(C)
+    if bad is not None:
+        return bad
+    n = C.n_arrows
     # identity laws
     for i in range(C.n_objects):
         e = int(C.id_arr[i])

@@ -223,12 +223,9 @@ class MonotoneMap:
         return int(self.table[i])
 
     def is_homomorphism(self) -> bool:
-        """Preserves top and binary meets (hence monotone)."""
-        if int(self.table[self.dom.top]) != self.cod.top:
-            return False
-        lhs = self.table[self.dom.meet]
-        rhs = self.cod.meet[self.table[:, None], self.table[None, :]]
-        return bool(np.array_equal(lhs, rhs))
+        """Preserves top and binary meets (hence monotone): between finite
+        inf-semilattices, exactly when it has a left adjoint."""
+        return bool((left_adjoints(self.dom, self.cod, self.table[None]) >= 0).all())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MonotoneMap)

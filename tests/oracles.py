@@ -1287,8 +1287,8 @@ def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
 
 
 def meets_at_generators(P: DoctrineData) -> bool:
-    """The homomorphism clause of doctrine._laws_at_generators as the
-    package had it before it was decided as adjoint existence: top, then
+    """The homomorphism clause at the generators, as the package decided it
+    before it read adjoint existence (`doctrine._laws_scan`): top, then
     P(g)(x ∧ y) = P(g)(x) ∧ P(g)(y) on every pair, for each (src, tgt)
     block of generators g."""
     C = P.cat
@@ -1319,7 +1319,7 @@ def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]
         table[L.top] = M.top
         for i, v in zip(non_top, combo):
             table[i] = v
-        if MonotoneMap(L, M, table).is_homomorphism():
+        if homomorphism_violation(MonotoneMap(L, M, table)) is None:
             out.append(table)
     return out
 

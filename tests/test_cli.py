@@ -178,3 +178,20 @@ def test_complete_names_failed_eed_part(capsys, tmp_path, kind, summary):
     assert captured.out == f"complete --kind {kind}\n{summary}wrote {out}\n"
     assert captured.err == "violation: eed fails: stability at (u, m, a)\n"
     assert out.read_text().startswith("base {")
+
+
+@pytest.mark.parametrize("argv", [["complete", "fs2", "--kind", "tp"], ["demo"],
+                                  ["universal", "chain"]])
+def test_commands_do_not_import_numpy_ma(argv):
+    """`numpy.ma` costs 10-17 ms to import in a fresh process, and numpy
+    imports it lazily from `np.unique`; the commands that build completions
+    run without it."""
+    child = ("import contextlib, io, sys\n"
+             "from doctrines.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    main({argv!r})\n"
+             "print('numpy.ma' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                       cwd=ROOT, timeout=240)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "False\n"

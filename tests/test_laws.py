@@ -17,8 +17,7 @@ from hypothesis import strategies as strat
 
 import oracles
 from doctrines import fixtures
-from doctrines.doctrine import (DoctrineData, _homomorphism_and_functoriality_scan,
-                                _laws_at_generators, _reindex_stacks, validate_doctrine)
+from doctrines.doctrine import DoctrineData, _laws_scan, _reindex_stacks, validate_doctrine
 from doctrines.fincat import (FinCat, ProductChoice, WindowScope, _associativity_scan,
                               validate_category)
 from doctrines.semilattice import FinInfSL, MonotoneMap, left_adjoints, powerset
@@ -200,13 +199,20 @@ def _powerset_doctrine(C: FinCat, arrows, sizes) -> DoctrineData:
 @strat.composite
 def corrupted_doctrines(draw):
     """A powerset doctrine with up to two corrupted entries: a reindex value
-    of a non-identity arrow, a meet of a fiber, or (for the fallback over a
+    of a non-identity arrow, the reindexing of a non-identity arrow replaced
+    by that of another arrow of its type (a homomorphism, so only
+    functoriality can fail), a meet of a fiber, or (for the fallback over a
     non-category) a composite of the base re-pointed within its type."""
     C, arrows, sizes = draw(concrete_categories())
     P = _powerset_doctrine(C, arrows, sizes)
     for _ in range(draw(strat.sampled_from([1, 1, 2, 0]))):
-        kind = draw(strat.sampled_from(["reindex", "reindex", "reindex", "meet", "base"]))
-        if kind == "reindex":
+        kind = draw(strat.sampled_from(["reindex", "reindex", "reindex", "borrow", "borrow",
+                                        "meet", "base"]))
+        if kind == "borrow":
+            f = draw(strat.sampled_from(_non_identity(C) or [0]))
+            g = draw(strat.sampled_from(C.hom(int(C.src[f]), int(C.tgt[f])).tolist()))
+            P.reindex[f] = MonotoneMap(P.reindex[f].dom, P.reindex[f].cod, P.reindex[g].table)
+        elif kind == "reindex":
             f = draw(strat.sampled_from(_non_identity(C) or [0]))
             m = P.reindex[f]
             table = m.table.copy()
@@ -257,6 +263,22 @@ def test_oracles_pass_a_concrete_doctrine():
     P = _powerset_doctrine(C, arrows, sizes)
     assert oracles.doctrine_laws(*_plain_doctrine(P)) == oracles.PASSED
     assert validate_doctrine(P).ok
+
+
+def test_functoriality_witness_is_first_by_source_object():
+    """The sets 1 and 2 with every map between them, the endomaps of 2
+    first in id order, and the swap s of 2 reindexed as the constant map
+    c0, a homomorphism.  In the block of g = s, the pairs (s, f) fail for
+    f = p0: 1 -> 2 and for f = s and c0: 2 -> 2, which have smaller ids; the
+    canonical witness takes the source object of f before the arrow ids."""
+    sizes = [1, 2]
+    arrows = [(1, 1, (0, 1)), (1, 1, (1, 0)), (1, 1, (0, 0)), (1, 1, (1, 1)),
+              (0, 0, (0,)), (0, 1, (0,)), (0, 1, (1,)), (1, 0, (0, 0))]
+    P = _powerset_doctrine(_concrete(sizes, arrows), arrows, sizes)
+    P.reindex[1] = MonotoneMap(P.reindex[1].dom, P.reindex[1].cod, P.reindex[2].table)
+    want = (False, "Functoriality", ("m1", "m5", "s1"), "reindex(g∘f) != reindex(f)∘reindex(g)")
+    assert oracles.doctrine_laws(*_plain_doctrine(P)) == want
+    assert _report(validate_doctrine(P)) == want
 
 
 def _generated_sub_doctrine(gens) -> DoctrineData:
@@ -358,8 +380,16 @@ def _fs2_reindex_fault(P: DoctrineData, fault) -> tuple[int, np.ndarray]:
     along a non-identity arrow moved up by one, cyclically.  "meet": along
     the first generator g: 4 -> 8, a coatom x with P(g)(x) below top sent to
     top, which keeps P(g) monotone but breaks a meet.  "top": along that
-    generator, the top of P(8) sent to bottom."""
+    generator, the top of P(8) sent to bottom.  "second", "last": the
+    second non-identity arrow 4 -> 8 given the table of the first, or the
+    last given the table of the one before it, a homomorphism, so that only
+    functoriality fails."""
     C = P.cat
+    ids = set(C.id_arr.tolist())
+    if fault in ("second", "last"):
+        H = [f for f in C.hom(C.obj_index["4"], C.obj_index["8"]).tolist() if f not in ids]
+        f, g = (H[1], H[0]) if fault == "second" else (H[-1], H[-2])
+        return f, P.reindex[g].table.copy()
     if fault in ("meet", "top"):
         f = next(int(g) for g in C.generators()
                  if (C.objects[int(C.src[g])], C.objects[int(C.tgt[g])]) == ("4", "8"))
@@ -372,7 +402,6 @@ def _fs2_reindex_fault(P: DoctrineData, fault) -> tuple[int, np.ndarray]:
         else:
             table[m.dom.top] = m.cod.meet_all(range(m.cod.n))
         return f, table
-    ids = set(C.id_arr.tolist())
     arrows = [f for f in range(C.n_arrows) if f not in ids and P.reindex[f].cod.n > 1]
     f = arrows[int(fault * (len(arrows) - 1))]
     m = P.reindex[f]
@@ -382,36 +411,71 @@ def _fs2_reindex_fault(P: DoctrineData, fault) -> tuple[int, np.ndarray]:
     return f, table
 
 
-@pytest.mark.parametrize("position", POSITIONS + ("meet", "top"))
-def test_fs2_reindex_fault_caught_with_scan_witness(position):
-    """One value of the reindexing along a non-identity arrow changed, at
-    several arrows and elements, and two homomorphism faults on a generator
-    into the 256-element fiber: the reduced check fails and the report is
-    the exhaustive scan's.  On the generator the adjoint kernel finds the
-    fault, so does the former meet-pair clause, and the witness is pinned."""
-    P = fixtures.fs2()
-    C = P.cat
-    f, table = _fs2_reindex_fault(P, position)
+def _with_reindex(P: DoctrineData, f: int, table) -> DoctrineData:
+    """A copy of P with the reindexing along f given by `table`."""
     m = P.reindex[f]
     reindex = list(P.reindex)
     reindex[f] = MonotoneMap(m.dom, m.cod, table)
-    bad = DoctrineData(C, P.products, P.scope, P.fibers, reindex)
-    stacks, pos = _reindex_stacks(bad)
+    return DoctrineData(P.cat, P.products, P.scope, P.fibers, reindex)
+
+
+def _fails_at_generators(P: DoctrineData) -> bool:
+    stacks, pos = _reindex_stacks(P)
     stacks = [tables.astype(np.int16) for tables in stacks]
-    assert not _laws_at_generators(bad, stacks, pos)
-    rep = validate_doctrine(bad)
-    assert not rep.ok
-    assert _report(rep) == _report(_homomorphism_and_functoriality_scan(bad, stacks, pos))
+    return not _laws_scan(P, stacks, pos, P.cat.generators()).ok
+
+
+# the reports the former exhaustive scan gave, kept as the canonical ones
+MEET = "meet not preserved"
+FUNCTOR = "reindex(g∘f) != reindex(f)∘reindex(g)"
+REINDEX_FAULT_REPORTS = {
+    0.0: ("Homomorphism", ("a1_2_0", "s0", "s2"), MEET),
+    0.37: ("Homomorphism", ("a4_8_3575", "s94", "s95"), MEET),
+    0.71: ("Homomorphism", ("a8_8_14233563", "s8", "s181"), MEET),
+    0.98: ("Homomorphism", ("a8_8_4941567", "s4", "s249"), MEET),
+    "meet": ("Homomorphism", ("a4_8_1672", "s8", "s247"), MEET),
+    "top": ("Homomorphism", ("a4_8_1672",), "top not preserved"),
+    "second": ("Functoriality", ("a2_8_8", "a4_2_12", "s1"), FUNCTOR),
+    "last": ("Functoriality", ("a1_8_7", "a4_1_0", "s64"), FUNCTOR),
+}
+
+
+@pytest.mark.parametrize("position", POSITIONS + ("meet", "top", "second", "last"))
+def test_fs2_reindex_fault_caught_with_scan_witness(position):
+    """One value of the reindexing along a non-identity arrow changed, at
+    several arrows and elements, two homomorphism faults on a generator
+    into the 256-element fiber, and two faults only functoriality catches:
+    the scan at the generators fails and the scan over every arrow names
+    the pinned witness.  On the generator the adjoint kernel finds the
+    homomorphism faults, and so does the former meet-pair clause."""
+    P = fixtures.fs2()
+    f, table = _fs2_reindex_fault(P, position)
+    bad = _with_reindex(P, f, table)
+    assert _fails_at_generators(bad)
+    assert _report(validate_doctrine(bad)) == (False, *REINDEX_FAULT_REPORTS[position])
     if position == "meet":
-        assert oracles.is_monotone(reindex[f])
-        assert _report(rep) == (False, "Homomorphism", ("a4_8_1672", "s8", "s247"),
-                                "meet not preserved")
-    if position == "top":
-        assert _report(rep) == (False, "Homomorphism", ("a4_8_1672",), "top not preserved")
+        assert oracles.is_monotone(bad.reindex[f])
     if position in ("meet", "top"):
+        m = P.reindex[f]
         assert (left_adjoints(m.dom, m.cod, table[None]) < 0).any()
         assert not oracles.meets_at_generators(bad)
     assert validate_doctrine(P).ok
+
+
+@pytest.mark.parametrize("name, obj", [("chain", "v"), ("fs2", "0")])
+def test_missing_composite_named_before_the_laws(request, name, obj):
+    """id∘id removed from the base: the doctrine laws would read the
+    missing composite, so the report is the base's, as validate_category
+    names it, not a pass or an IndexError."""
+    P = request.getfixturevalue(name)
+    C = P.cat
+    i = int(C.id_arr[C.obj_index[obj]])
+    comp = C.comp.copy()
+    comp[i, i] = -1
+    bad = DoctrineData(_with_comp(C, comp), P.products, P.scope, P.fibers, P.reindex)
+    want = (False, "MissingEntry", (f"id{obj}", f"id{obj}"), "composable pair has no composite")
+    assert _report(validate_category(bad.cat)) == want
+    assert _report(validate_doctrine(bad)) == want
 
 
 @pytest.mark.parametrize("obj, i, j, value, message", [

@@ -207,6 +207,14 @@ def test_homomorphism_flags():
     assert "meet not preserved" in homomorphism_violation(bad)
 
 
+@settings(max_examples=300)
+@given(tabled_maps())
+def test_homomorphism_matches_top_and_meet_comparison(h):
+    """Adjoint existence decides the homomorphism clause: the same verdict
+    as comparing top and every pair of meets."""
+    assert h.is_homomorphism() == (homomorphism_violation(h) is None)
+
+
 def test_sub_semilattice_requires_meet_closure():
     d = diamond()
     with pytest.raises(MalformedPresentation):
