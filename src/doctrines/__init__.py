@@ -1,6 +1,17 @@
 """Desk-scale workbench for indexed finite inf-semilattices over finite
 category windows: structure discovery, relational calculus, completions and
-comparison functors, with exhaustive verification throughout."""
+comparison functors, with exhaustive verification throughout.
+
+Importing the package asks numpy's BLAS for one thread: its matrices have at
+most a few hundred rows, and idle BLAS threads spin when the CPUs are busy.
+`OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` default to 1; a value the user
+has set is kept.  BLAS reads them when numpy is imported, so the default has
+no effect where numpy was imported before this package."""
+
+import os as _os
+
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
                      NoWeakPullback, ParseError, ResourceCap, WindowClosure)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
                      ResourceCap, WindowClosure)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      WindowScope, check_equivalence, check_exact, inverse_of,
-                     is_iso, iso_classes, validate_category, validate_functor,
+                     iso_classes, validate_category, validate_functor,
                      validate_products)
 from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, left_adjoints
@@ -199,82 +200,187 @@ class DoctrineMorphism:
     components: tuple[MonotoneMap, ...]   # fiber map per source object, by index
 
 
-def validate_doctrine_morphism(P: DoctrineData, R: DoctrineData,
-                               mor: DoctrineMorphism,
-                               E_P: ElementaryWitness, E_R: ElementaryWitness) -> bool:
-    """A product-preserving functor, homomorphisms as components, and
-    `_preserves_eed`.  `enumerate_morphisms` has the first two from its
-    enumerations; precomposition's well-definedness claims all three."""
-    return (validate_functor(mor.F, (P.products, R.products)).ok
-            and all(m.is_homomorphism() for m in mor.components)
-            and _preserves_eed(P, R, mor, E_P, E_R))
+@dataclass
+class EEDConditions:
+    """What the components of a doctrine morphism P -> R over a fixed
+    functor F must satisfy to preserve equality and existentials along core
+    projections: per core A, the component at A×A sends δ_A to the value of
+    `equality`; per core A, B and projection pr: A×B -> C, the component at
+    C after ∃_pr is ∃_F(pr) after the component at A×B."""
+    equality: list[tuple[int, int, int]]               # (A×A, δ_A, R(<F pr1, F pr2>)(δ_FA))
+    existentials: list[tuple[int, int, np.ndarray, np.ndarray]]   # (A×B, C, ∃_pr, ∃_F(pr))
+
+    def hold(self, stacks: list[np.ndarray]) -> Iterator[tuple[int, ...]]:
+        """The combinations of candidate components, one stack of tables
+        per source object, that satisfy the conditions, as index tuples in
+        `itertools.product` order.  Each condition is tabled once over its
+        one or two stacks, so a combination costs only lookups."""
+        equality = [(aa, (stacks[aa][:, d] == want).tolist())
+                    for aa, d, want in self.equality]
+        existentials = [(c, ab, (stacks[c][:, e_p][:, None] == e_r[stacks[ab]][None])
+                         .all(axis=2).tolist())
+                        for ab, c, e_p, e_r in self.existentials]
+        for idx in itertools.product(*(range(len(s)) for s in stacks)):
+            if (all(ok[idx[aa]] for aa, ok in equality)
+                    and all(ok[idx[c]][idx[ab]] for c, ab, ok in existentials)):
+                yield idx
 
 
-def _preserves_eed(P: DoctrineData, R: DoctrineData, mor: DoctrineMorphism,
-                   E_P: ElementaryWitness, E_R: ElementaryWitness) -> bool:
-    """The equality condition and the commutation with existentials along
-    core projections."""
+def eed_conditions(P: DoctrineData, R: DoctrineData, F: FunctorData,
+                   E_P: ElementaryWitness, E_R: ElementaryWitness) -> EEDConditions | None:
+    """The conditions on components over F, or None when F alone breaks
+    them: FA×FA is not a chosen product of R or has no equality, or an
+    existential is missing.  R's chosen products are products, so the
+    pairing table holds the comparison <F pr1, F pr2>: F(A×A) -> FA×FA."""
     winP, winR = P.window, R.window
+    equality = []
     for a in P.core_idx():
         aa, p1, p2 = winP.prod(a, a)
-        fa = mor.F.ob(a)
-        if (R.cat.objects[fa], R.cat.objects[fa]) not in R.products.binary:
-            return False
-        cmp_arrow = winR.pair(mor.F.ar(p1), mor.F.ar(p2))   # F(A×A) -> FA×FA
-        lhs = int(mor.components[aa].table[E_P.delta[a]])
-        if fa not in E_R.delta:
-            return False
-        rhs = int(R.r(cmp_arrow).table[E_R.delta[fa]])
-        if lhs != rhs:
-            return False
+        fa = F.ob(a)
+        if (R.cat.objects[fa], R.cat.objects[fa]) not in R.products.binary or fa not in E_R.delta:
+            return None
+        cmp_arrow = winR.pair(F.ar(p1), F.ar(p2))
+        equality.append((aa, E_P.delta[a], int(R.r(cmp_arrow).table[E_R.delta[fa]])))
+    existentials = []
     for a in P.core_idx():
         for b in P.core_idx():
             ab, p1, p2 = winP.prod(a, b)
             for pr, tgt in ((p1, a), (p2, b)):
                 eP = exists_along(P, pr)
-                eR = exists_along(R, mor.F.ar(pr))
+                eR = exists_along(R, F.ar(pr))
                 if isinstance(eP, NoAdjoint) or isinstance(eR, NoAdjoint):
-                    return False
-                bt = mor.components[tgt].table
-                bab = mor.components[ab].table
-                if not np.array_equal(bt[eP.table], eR.table[bab]):
-                    return False
-    return True
+                    return None
+                existentials.append((ab, tgt, eP.table, eR.table))
+    return EEDConditions(equality, existentials)
 
 
-def morphism_preserves_comprehensions(P: DoctrineData, R: DoctrineData,
-                                      mor: DoctrineMorphism) -> bool:
-    """Strict reading: the functor image of a comprehension arrow is a
-    comprehension of the component image of the element."""
+def validate_doctrine_morphisms(P: DoctrineData, R: DoctrineData,
+                                mors: list[DoctrineMorphism],
+                                E_P: ElementaryWitness, E_R: ElementaryWitness) -> list[bool]:
+    """Which of the morphisms are doctrine morphisms: a product-preserving
+    functor, homomorphisms as components, and the `eed_conditions` of the
+    functor, each functor (by identity) decided once.  `enumerate_morphisms`
+    has the first two from its enumerations; precomposition's
+    well-definedness claims all three."""
+    conditions: dict[int, EEDConditions | None] = {}
+    valid = []
+    for m in mors:
+        if id(m.F) not in conditions:
+            conditions[id(m.F)] = (eed_conditions(P, R, m.F, E_P, E_R)
+                                   if validate_functor(m.F, (P.products, R.products)).ok
+                                   else None)
+        cond = conditions[id(m.F)]
+        valid.append(cond is not None and all(c.is_homomorphism() for c in m.components)
+                     and any(cond.hold([c.table[None] for c in m.components])))
+    return valid
+
+
+def preserve_comprehensions(P: DoctrineData, R: DoctrineData,
+                            mors: list[DoctrineMorphism]) -> list[bool]:
+    """Strict reading, for each morphism: the functor image of every
+    comprehension arrow is a comprehension of the component image of its
+    element.  Each (object, element, arrow, strictness) of R is verified
+    once."""
     elements = ((a, el) for a in P.core_idx() for el in range(P.fibers[a].n))
-    for (a, el), ent in zip(elements, analysis(P).comprehensions().entries):
-        if ent.kind == "none":
-            continue
-        img = int(mor.components[a].table[el])
-        if not verify_comprehension_arrow(R, mor.F.ob(a), img,
-                                          mor.F.ar(P.cat.arr_index[ent.arrow]),
-                                          strict=(ent.kind == "strict")):
-            return False
-    return True
+    entries = [(a, el, P.cat.arr_index[ent.arrow], ent.kind == "strict")
+               for (a, el), ent in zip(elements, analysis(P).comprehensions().entries)
+               if ent.kind != "none"]
+    verified = functools.cache(functools.partial(verify_comprehension_arrow, R))
+    return [all(verified(m.F.ob(a), int(m.components[a].table[el]), m.F.ar(c), strict)
+                for a, el, c, strict in entries) for m in mors]
 
 
-def valid_2cells(P: DoctrineData, R: DoctrineData,
-                 m1: DoctrineMorphism, m2: DoctrineMorphism) -> list[tuple[int, ...]]:
-    """All natural transformations between the functors whose components are
-    lax against the fiber maps, each as its component arrow ids by source
-    object, in the order of `itertools.product` over the candidates at each
-    object.  Laxness depends on each component alone, so each object's
-    candidates are filtered before the product is taken."""
-    S, T = P.cat, R.cat
-    choices = []
-    for a in range(S.n_objects):
-        b1, b2 = m1.components[a], m2.components[a]
-        choices.append([h for h in T.hom(m1.F.ob(a), m2.F.ob(a)).tolist()
-                        if b1.cod.leq[b1.table, R.r(h).table[b2.table]].all()])
-    squares = [(int(S.src[f]), int(S.tgt[f]), m1.F.ar(f), m2.F.ar(f))
-               for f in range(S.n_arrows)]
-    return [combo for combo in itertools.product(*choices)
-            if all(T.comp[combo[b], f1] == T.comp[f2, combo[a]] for a, b, f1, f2 in squares)]
+# the combinations of a 2-cell table are decoded and tested this many at a time
+COMBINATION_BLOCK = 1 << 16
+
+
+class TwoCellTable:
+    """The 2-cells between every ordered pair of a list of doctrine
+    morphisms S -> R: natural transformations between their functors whose
+    components h are lax against the fiber maps, b_i(x) <= R(h)(b_j(x)).
+
+    Laxness depends on each component alone.  So per source object a, and
+    per image u = F_i a, one broadcast decides it for every morphism i with
+    that image, every candidate h out of u and every morphism j with
+    F_j a = cod h, and the lax triples are kept sparse, by pair and then in
+    hom order.  The cells of a pair are the combinations of its lax lists
+    in `itertools.product` order, kept when natural on every arrow of S; a
+    pair with an empty list at some object has none.  `_natural` decides
+    a block of combinations at once, each decoded from its rank.  The lax lists ascend, so each pair's cells are listed in
+    ascending order: in `cells` as tuples and in `array` as rows, from
+    `first[i*n + j]` on.  The inverses of R's arrows are tabled once, for
+    `invertible`."""
+
+    def __init__(self, S: DoctrineData, R: DoctrineData, mors: list[DoctrineMorphism]):
+        C, T = S.cat, R.cat
+        n = self.n = len(mors)
+        self.T, self.src, self.tgt = T, C.src, C.tgt
+        self.inverse = [-1 if (g := inverse_of(T, f)) is None else g for f in range(T.n_arrows)]
+        self.arrows = np.array([[m.F.ar(f) for f in range(C.n_arrows)] for m in mors],
+                               dtype=np.intp).reshape(n, C.n_arrows)
+        # R's reindexing tables end to end: R(h) starts at offset[h]
+        sizes = np.array([R.r(h).table.shape[0] for h in range(T.n_arrows)], dtype=np.intp)
+        flat = np.concatenate([R.r(h).table for h in range(T.n_arrows)])
+        offset = np.cumsum(sizes) - sizes
+        # per source object a: the lax candidates of pair i*n + j, from starts[a]
+        self.counts = np.ones((C.n_objects, n * n), dtype=np.intp)
+        self.starts = np.zeros((C.n_objects, n * n), dtype=np.intp)
+        self.cands = [np.zeros(0, dtype=np.intp)] * C.n_objects
+        for a in range(C.n_objects if n else 0):
+            ob = np.array([m.F.ob(a) for m in mors], dtype=np.intp)
+            tables = np.stack([m.components[a].table for m in mors])
+            keys, cands = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+            for u in np.flatnonzero(np.bincount(ob)).tolist():
+                I, H = np.flatnonzero(ob == u), T.outof(u)
+                h, j = np.nonzero(T.tgt[H][:, None] == ob[None, :])     # h: u -> F_j a
+                after = flat[offset[H[h]][:, None] + tables[j]]
+                i, k = np.nonzero(R.fibers[u].leq[tables[I][:, None, :], after[None]].all(axis=2))
+                keys.append(I[i] * n + j[k])
+                cands.append(H[h[k]])
+            key, cand = np.concatenate(keys), np.concatenate(cands)
+            self.counts[a] = np.bincount(key, minlength=n * n)
+            self.starts[a] = np.cumsum(self.counts[a]) - self.counts[a]
+            self.cands[a] = cand[np.argsort(key, kind="stable")]     # h ascends within a pair
+        self.sizes = self.counts.prod(axis=0)            # combinations per pair
+        self.ends = np.cumsum(self.sizes)
+        pairs, cells = [np.zeros(0, dtype=np.intp)], [np.zeros((0, C.n_objects), dtype=np.intp)]
+        total = int(self.sizes.sum())
+        for lo in range(0, total, COMBINATION_BLOCK):
+            pair, natural = self._natural(np.arange(lo, min(total, lo + COMBINATION_BLOCK)))
+            pairs.append(pair)
+            cells.append(natural)
+        self.array = np.concatenate(cells)
+        self.cells = [tuple(c) for c in self.array.tolist()]
+        found = np.bincount(np.concatenate(pairs), minlength=n * n)
+        self.first = np.concatenate([[0], np.cumsum(found)])
+        self._first = self.first.tolist()
+
+    def __call__(self, i: int, j: int) -> list[tuple[int, ...]]:
+        k = i * self.n + j
+        return self.cells[self._first[k]:self._first[k + 1]]
+
+    def invertible(self, i: int, j: int) -> bool:
+        """Whether some cell i -> j has iso components whose inverses are a
+        cell j -> i.  An arrow without an inverse reads -1, in no cell."""
+        back = self(j, i)
+        return bool(back) and any(tuple(self.inverse[c] for c in cell) in back
+                                  for cell in self(i, j))
+
+    def _natural(self, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Of the combinations numbered `ranks`, over all pairs in pair order
+        and within a pair in the order of `itertools.product`, the natural
+        ones, each with its pair."""
+        n, T = self.n, self.T
+        pair = np.searchsorted(self.ends, ranks, side="right")
+        rank = ranks - (self.ends[pair] - self.sizes[pair])
+        combos = np.empty((len(pair), len(self.cands)), dtype=np.intp)
+        for a in reversed(range(len(self.cands))):      # the last object varies fastest
+            c = self.counts[a, pair]
+            combos[:, a] = self.cands[a][self.starts[a, pair] + rank % c]
+            rank = rank // c
+        natural = (T.comp[combos[:, self.tgt], self.arrows[pair // n]]
+                   == T.comp[self.arrows[pair % n], combos[:, self.src]]).all(axis=1)
+        return pair[natural], combos[natural]
 
 
 def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductChoice,
@@ -319,11 +425,11 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
     return out
 
 
-def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]:
-    """The homomorphisms L -> M, their values off the top in the order of
-    `itertools.product`: decoded in blocks from an index range, each block
-    decided by one `left_adjoints` call (between finite lattices a map
-    preserves top and meets iff it has a left adjoint)."""
+def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> np.ndarray:
+    """The homomorphisms L -> M, one table a row, their values off the top
+    in the order of `itertools.product`: decoded in blocks from an index
+    range, each block decided by one `left_adjoints` call (between finite
+    lattices a map preserves top and meets iff it has a left adjoint)."""
     est = M.n ** max(0, L.n - 1)
     if est > cap:
         raise ResourceCap("fiber homomorphisms", est, cap)
@@ -334,8 +440,8 @@ def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]
         index = np.arange(lo, min(est, lo + (1 << 14)), dtype=np.int64)
         tables = np.full((len(index), L.n), M.top, dtype=np.int32)
         tables[:, non_top] = index[:, None] // radix % M.n
-        out.extend(tables[(left_adjoints(L, M, tables) >= 0).all(axis=1)])
-    return out
+        out.append(tables[(left_adjoints(L, M, tables) >= 0).all(axis=1)])
+    return np.concatenate(out)
 
 
 def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
@@ -344,22 +450,24 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
     """The doctrine morphisms P -> R.  `enumerate_functors` has validated
     each functor against the chosen products, and every component that
     `enumerate_fiber_homs` returns is a homomorphism, so each combination
-    of components is tested only by `_preserves_eed`."""
+    of components is tested only against the functor's `eed_conditions`."""
     out = []
+    fiber_homs = functools.cache(lambda o, fo: enumerate_fiber_homs(P.fibers[o], R.fibers[fo], cap))
     for F in enumerate_functors(P.cat, P.products, R.cat, R.products, cap):
         hom_lists = []
         total = 1
         for o in range(P.cat.n_objects):
-            homs = enumerate_fiber_homs(P.fibers[o], R.fibers[F.ob(o)], cap)
+            homs = fiber_homs(o, F.ob(o))
             total *= max(1, len(homs))
             if total > cap:
                 raise ResourceCap("morphism components", total, cap)
             hom_lists.append(homs)
-        for combo in itertools.product(*hom_lists):
-            mor = DoctrineMorphism(F, tuple(MonotoneMap(P.fibers[o], R.fibers[F.ob(o)], table)
-                                            for o, table in enumerate(combo)))
-            if _preserves_eed(P, R, mor, E_P, E_R):
-                out.append(mor)
+        cond = eed_conditions(P, R, F, E_P, E_R)
+        if cond is None:
+            continue
+        out.extend(DoctrineMorphism(F, tuple(
+            MonotoneMap(P.fibers[o], R.fibers[F.ob(o)], hom_lists[o][k])
+            for o, k in enumerate(idx))) for idx in cond.hold(hom_lists))
     return out
 
 
@@ -816,6 +924,81 @@ def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
         {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows})
 
 
+def whiskering_agrees(above: TwoCellTable, below: TwoCellTable, at: list[int]) -> np.ndarray:
+    """Per pair (a, b) of the morphisms of `above`, whether its cells, read
+    at the objects `at` and sorted, are the cells of the pair (a, b) of
+    `below`, which lists them sorted: all pairs in one comparison."""
+    n = above.n
+    count = np.diff(above.first)
+    pairs = (np.arange(n)[:, None] * below.n + np.arange(n)).ravel()
+    first = below.first[pairs]
+    agree = count == below.first[pairs + 1] - first
+    pair = np.repeat(np.flatnonzero(agree), count[agree])
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(count[agree]) - count[agree], count[agree])
+    read = above.array[above.first[pair] + rank][:, at]
+    read = read[np.lexsort([*read.T[::-1], pair])]
+    agree[pair[(read != below.array[first[pair] + rank]).any(axis=1)]] = False
+    return agree.reshape(n, n)
+
+
+def essential_equivalence(rep: Report, P: DoctrineData, Q: DoctrineData,
+                          R: DoctrineData, D: FunctorData, iota: dict[int, MonotoneMap],
+                          mor_p: list[DoctrineMorphism], mor_q: list[DoctrineMorphism],
+                          E_P: ElementaryWitness, E_R: ElementaryWitness) -> None:
+    """Add to `rep` whether precomposition with the embedding D: P -> Q,
+    whose fiber comparison at each object o of P is iota[o]: P(o) -> Q(D o),
+    is an essential equivalence from the morphisms Q -> R (`mor_q`) to the
+    morphisms P -> R (`mor_p`): well defined, surjective up to an invertible
+    2-cell, and bijective on 2-cells, which D whiskers.  Both readings of
+    the morphism notion are checked: plain existential morphisms, and those
+    preserving comprehensions strictly.
+
+    Well-definedness is decided once for all precomposites
+    (`validate_doctrine_morphisms`).  The 2-cells come from one
+    `TwoCellTable` per side: below, over the precomposed morphisms then
+    `mor_p`; above, over `mor_q`.  The iso test reads the table below
+    (`invertible`), and `whiskering_agrees` compares the two tables at
+    once.  Each reading reads them for its filtered indices."""
+    at_D = [Q.cat.obj_index[D.obj_map[o]] for o in P.cat.objects]
+
+    composites: dict[int, FunctorData] = {}     # D then F, once per functor F
+
+    def precompose(m: DoctrineMorphism) -> DoctrineMorphism:
+        if id(m.F) not in composites:
+            composites[id(m.F)] = compose_functors(D, m.F)
+        return DoctrineMorphism(composites[id(m.F)], tuple(
+            MonotoneMap(P.fibers[o], m.components[d].cod,
+                        m.components[d].table[iota[o].table])
+            for o, d in enumerate(at_D)))
+
+    # the morphisms out of P: the precomposed ones, then mor_p
+    down = [precompose(m) for m in mor_q] + mor_p
+    n = len(mor_q)
+    well_defined = validate_doctrine_morphisms(P, R, down[:n], E_P, E_R)
+    cells_down, cells_up = TwoCellTable(P, R, down), TwoCellTable(Q, R, mor_q)
+    agree = whiskering_agrees(cells_up, cells_down, at_D)
+
+    for reading, strict_comp in (("existential", False),
+                                 ("comprehension-preserving", True)):
+        keep_p = preserve_comprehensions(P, R, mor_p) if strict_comp else [True] * len(mor_p)
+        keep_q = preserve_comprehensions(Q, R, mor_q) if strict_comp else [True] * n
+        mp = [n + k for k, keep in enumerate(keep_p) if keep]
+        mq = [i for i, keep in enumerate(keep_q) if keep]
+        rep.add(Check(f"{reading}:precomposition-well-defined",
+                      _status(all(well_defined[i] for i in mq))))
+        sw = next((str(sorted(down[k].F.obj_map.items())) for k in mp
+                   if not any(cells_down.invertible(i, k) for i in mq)), None)
+        rep.add(Check(f"{reading}:essentially-surjective", _status(sw is None), sw,
+                      {"base-side": len(mp), "completion-side": len(mq)}))
+        keep = np.array(mq, dtype=np.intp)
+        bad = np.argwhere(~agree[np.ix_(keep, keep)])
+        fw = None
+        if len(bad):
+            i, j = map(int, bad[0])
+            fw = (i, j, len(cells_up(mq[i], mq[j])), len(cells_down(mq[i], mq[j])))
+        rep.add(Check(f"{reading}:fully-faithful-on-2-cells", _status(fw is None), fw))
+
+
 def verify_universal(P: DoctrineData, X: FinCat,
                      Xpc: ProductChoice | None = None,
                      Xscope: WindowScope | None = None,
@@ -823,12 +1006,8 @@ def verify_universal(P: DoctrineData, X: FinCat,
     """Enumerate doctrine morphisms into the subobject doctrine of an exact
     category, from the base doctrine and from the subobjects of its
     completion, and check that precomposition with the graph embedding is an
-    essential equivalence (surjective up to invertible 2-cell, bijective on
-    2-cells).  Both readings of the morphism notion are checked: plain
-    existential morphisms, and those preserving comprehensions strictly.
-    The well-definedness of each precomposite and the 2-cells of each
-    ordered pair of morphisms are decided at most once, and each reading
-    reads them for its filtered indices.
+    essential equivalence (`essential_equivalence`, with the embedding D and
+    the canonical fiber comparison).
 
     An exact target is finitely complete, so it has a terminal object and
     `choose_products` returns a choice (lemma)."""
@@ -875,51 +1054,7 @@ def verify_universal(P: DoctrineData, X: FinCat,
         mor_er = enumerate_morphisms(sub_er, sub_x, E_ER, E_SX, caps.enum)
         rep.summary["morphisms-from-base"] = len(mor_p)
         rep.summary["morphisms-from-completion"] = len(mor_er)
-
-        at_D = [sub_er.cat.obj_index[D.obj_map[o]] for o in P.cat.objects]
-
-        def precompose(m: DoctrineMorphism) -> DoctrineMorphism:
-            return DoctrineMorphism(compose_functors(D, m.F), tuple(
-                MonotoneMap(P.fibers[o], m.components[d].cod,
-                            m.components[d].table[iota[o].table])
-                for o, d in enumerate(at_D)))
-
-        # the morphisms out of P: the precomposed ones, then those of the base
-        down = [precompose(m) for m in mor_er] + mor_p
-        n = len(mor_er)
-        well_defined = functools.cache(
-            lambda i: validate_doctrine_morphism(P, sub_x, down[i], E_P, E_SX))
-        cells_down = functools.cache(lambda i, j: valid_2cells(P, sub_x, down[i], down[j]))
-        cells_up = functools.cache(
-            lambda i, j: valid_2cells(sub_er, sub_x, mor_er[i], mor_er[j]))
-        T = sub_x.cat
-
-        def iso_2cell_exists(i: int, j: int) -> bool:
-            """An invertible 2-cell down[i] -> down[j]: componentwise isos
-            whose inverses are a 2-cell back."""
-            return any(all(is_iso(T, c) for c in cell)
-                       and tuple(inverse_of(T, c) for c in cell) in cells_down(j, i)
-                       for cell in cells_down(i, j))
-
-        for reading, strict_comp in (("existential", False),
-                                     ("comprehension-preserving", True)):
-            mp = [n + k for k, m in enumerate(mor_p)
-                  if not strict_comp or morphism_preserves_comprehensions(P, sub_x, m)]
-            mer = [i for i, m in enumerate(mor_er)
-                   if not strict_comp or morphism_preserves_comprehensions(sub_er, sub_x, m)]
-            rep.add(Check(f"{reading}:precomposition-well-defined",
-                          _status(all(well_defined(i) for i in mer))))
-            sw = next((str(sorted(down[k].F.obj_map.items())) for k in mp
-                       if not any(iso_2cell_exists(i, k) for i in mer)), None)
-            rep.add(Check(f"{reading}:essentially-surjective", _status(sw is None), sw,
-                          {"base-side": len(mp), "completion-side": len(mer)}))
-            fw = None
-            for (i, a), (j, b) in itertools.product(enumerate(mer), repeat=2):
-                up, dn = cells_up(a, b), cells_down(a, b)
-                if sorted(tuple(c[d] for d in at_D) for c in up) != sorted(dn):
-                    fw = (i, j, len(up), len(dn))
-                    break
-            rep.add(Check(f"{reading}:fully-faithful-on-2-cells", _status(fw is None), fw))
+        essential_equivalence(rep, P, sub_er, sub_x, D, iota, mor_p, mor_er, E_P, E_SX)
     except ResourceCap as exc:
         rep.add(Check("enumeration", CAPPED, str(exc),
                       {"what": exc.what, "size": exc.size, "cap": exc.cap}))

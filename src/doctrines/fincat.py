@@ -687,7 +687,7 @@ def first_without_weak_pullback(C: FinCat, cospans: np.ndarray, hints: np.ndarra
     serve or without a hint (-1), up to the first that has none."""
     f, g = cospans.T
     totals = np.zeros(len(cospans))
-    for t in np.unique(C.tgt[f]).tolist():
+    for t in np.flatnonzero(np.bincount(C.tgt[f], minlength=C.n_objects)).tolist():
         at = np.flatnonzero(C.tgt[f] == t)
         H = _histograms(C, t).astype(np.float64)      # the counts are exact below 2^53
         fs, f_at = np.unique(np.searchsorted(C.into(t), f[at]), return_inverse=True)

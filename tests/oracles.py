@@ -27,10 +27,14 @@ per-element left-adjoint search, the former Galois test of the equality
 candidates, the former meet-pair homomorphism clause at generators and the
 former loop over candidate fiber homomorphisms, kept to check the one
 adjoint kernel that replaced all four.  Then come the universal-property
-harness's former 2-cell loop, which decided laxness per combination of
-components and named each cell by a dict of names, and its former test for
-an invertible 2-cell, which searched the reverse cells again for every iso
-cell it tried.  The checks
+harness's former searches: its test of a whole morphism for equality and
+existentials, which redid the functor's part for every combination of
+components, kept to check the per-functor conditions that replaced it; its
+per-morphism test of the strict reading, kept to check the shared one; its
+per-pair 2-cell loop, which filtered each object's candidates for laxness
+and tried each combination for naturality, kept with the loop before it
+(laxness per combination of components, each cell a dict of names) to
+check the 2-cell table that replaced both.  The checks
 at the very end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
@@ -52,9 +56,9 @@ from doctrines.errors import (FormulaMismatch, MalformedPresentation, NoWeakPull
                               ResourceCap, WindowClosure)
 from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport,
                               WindowScope, full_subcategory, greedy_product_core,
-                              inverse_of, is_iso, validate_category)
+                              validate_category)
 from doctrines.semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
-from doctrines.structure import ElementaryWitness, ExistentialWitness
+from doctrines.structure import ElementaryWitness, ExistentialWitness, comprehension_table
 
 
 def rel_from_mask(mask: int, p: int, q: int) -> frozenset:
@@ -230,7 +234,10 @@ def downset(leq_pairs, elements, top_of):
 PASSED = (True, "", (), "")
 
 
-def category_laws(objects, arrows, src, tgt, ident, comp):
+def typing_laws(arrows, src, tgt, comp):
+    """The first composite defined on a non-composable pair, then the first
+    composable pair without one, then the first composite of the wrong
+    type; None when composites are typed and total."""
     n = len(arrows)
     pairs = [(g, f) for g in range(n) for f in range(n)]
     for g, f in pairs:
@@ -247,6 +254,14 @@ def category_laws(objects, arrows, src, tgt, ident, comp):
             if src[h] != src[f] or tgt[h] != tgt[g]:
                 return (False, "AssociativityOrTyping", (arrows[g], arrows[f]),
                         "composite has wrong source or target")
+    return None
+
+
+def category_laws(objects, arrows, src, tgt, ident, comp):
+    n = len(arrows)
+    bad = typing_laws(arrows, src, tgt, comp)
+    if bad:
+        return bad
     for o in range(len(objects)):
         if src[ident[o]] != o or tgt[ident[o]] != o:
             return (False, "Identity", (objects[o],), "identity arrow has wrong endpoints")
@@ -332,6 +347,11 @@ def doctrine_laws(cat, fibers, reindex):
             if not 0 <= y < len(fibers[src[f]][0]):
                 return (False, "Reindex", (arrows[f], dom[x]),
                         f"value {y} is outside the fiber of {objects[src[f]]}")
+    # the laws below read composites: a base whose composites are not typed
+    # and total is named first, as `category_laws` names it
+    bad = typing_laws(arrows, src, tgt, comp)
+    if bad:
+        return bad
     # per (src, tgt) block: top for every arrow, then meets for every arrow
     for a, b in sorted({(src[f], tgt[f]) for f in range(n)}):
         block = [f for f in range(n) if src[f] == a and tgt[f] == b]
@@ -1329,6 +1349,71 @@ def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> list[np.ndarray]
 # ---------------------------------------------------------------------------
 
 
+def preserves_eed(P: DoctrineData, R: DoctrineData, mor,
+                  E_P: ElementaryWitness, E_R: ElementaryWitness) -> bool:
+    """The former test of a whole morphism for the equality condition and
+    the commutation with existentials along core projections, functor and
+    components together."""
+    winP, winR = P.window, R.window
+    for a in P.core_idx():
+        aa, p1, p2 = winP.prod(a, a)
+        fa = mor.F.ob(a)
+        if (R.cat.objects[fa], R.cat.objects[fa]) not in R.products.binary:
+            return False
+        cmp_arrow = winR.pair(mor.F.ar(p1), mor.F.ar(p2))   # F(A×A) -> FA×FA
+        lhs = int(mor.components[aa].table[E_P.delta[a]])
+        if fa not in E_R.delta:
+            return False
+        rhs = int(R.r(cmp_arrow).table[E_R.delta[fa]])
+        if lhs != rhs:
+            return False
+    for a in P.core_idx():
+        for b in P.core_idx():
+            ab, p1, p2 = winP.prod(a, b)
+            for pr, tgt in ((p1, a), (p2, b)):
+                eP = exists_along(P, pr)
+                eR = exists_along(R, mor.F.ar(pr))
+                if isinstance(eP, NoAdjoint) or isinstance(eR, NoAdjoint):
+                    return False
+                bt = mor.components[tgt].table
+                bab = mor.components[ab].table
+                if not np.array_equal(bt[eP.table], eR.table[bab]):
+                    return False
+    return True
+
+
+def morphism_preserves_comprehensions(P: DoctrineData, R: DoctrineData, mor) -> bool:
+    """The former per-morphism test of the strict reading: the functor image
+    of each comprehension arrow is a comprehension of the component image
+    of its element."""
+    elements = ((a, el) for a in P.core_idx() for el in range(P.fibers[a].n))
+    for (a, el), ent in zip(elements, comprehension_table(P).entries):
+        if ent.kind == "none":
+            continue
+        img = int(mor.components[a].table[el])
+        if not verify_comprehension_arrow(R, mor.F.ob(a), img,
+                                          mor.F.ar(P.cat.arr_index[ent.arrow]),
+                                          strict=(ent.kind == "strict")):
+            return False
+    return True
+
+
+def lax_filtered_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[tuple[int, ...]]:
+    """The former per-pair loop: each object's candidates filtered for
+    laxness, then every combination of them by `itertools.product`, kept
+    when natural; each cell is its component arrow ids by source object."""
+    S, T = P.cat, R.cat
+    choices = []
+    for a in range(S.n_objects):
+        b1, b2 = m1.components[a], m2.components[a]
+        choices.append([h for h in T.hom(m1.F.ob(a), m2.F.ob(a)).tolist()
+                        if b1.cod.leq[b1.table, R.r(h).table[b2.table]].all()])
+    squares = [(int(S.src[f]), int(S.tgt[f]), m1.F.ar(f), m2.F.ar(f))
+               for f in range(S.n_arrows)]
+    return [combo for combo in itertools.product(*choices)
+            if all(T.comp[combo[b], f1] == T.comp[f2, combo[a]] for a, b, f1, f2 in squares)]
+
+
 def valid_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[dict[str, str]]:
     """Every combination of components, by `itertools.product`, kept when it
     is natural and then lax against the fiber maps; each kept cell is a dict
@@ -1358,19 +1443,6 @@ def valid_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[dict[str, str
         if lax:
             out.append({S.objects[a]: T.arrows[combo[a]] for a in range(S.n_objects)})
     return out
-
-
-def iso_2cell_exists(P: DoctrineData, R: DoctrineData, m1, m2) -> bool:
-    """An invertible 2-cell m1 -> m2: componentwise isos, lax both ways."""
-    for theta in valid_2cells(P, R, m1, m2):
-        comps = {o: R.cat.arr_index[n] for o, n in theta.items()}
-        if not all(is_iso(R.cat, c) for c in comps.values()):
-            continue
-        inv = {o: R.cat.arrows[inverse_of(R.cat, c)] for o, c in comps.items()}
-        back = valid_2cells(P, R, m2, m1)
-        if any(b == inv for b in back):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -180,18 +181,49 @@ def test_complete_names_failed_eed_part(capsys, tmp_path, kind, summary):
     assert out.read_text().startswith("base {")
 
 
+def _numpy_ma_after(statement: str) -> str:
+    """What a fresh process prints for `'numpy.ma' in sys.modules` after
+    running the statement with its standard output captured."""
+    child = ("import contextlib, io, sys\n"
+             "from doctrines import fixtures\n"
+             "from doctrines.cli import main\n"
+             "from doctrines.doctrine import weak_sub_doctrine\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    {statement}\n"
+             "print('numpy.ma' in sys.modules)\n")
+    r = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                       cwd=ROOT, timeout=240)
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
 @pytest.mark.parametrize("argv", [["complete", "fs2", "--kind", "tp"], ["demo"],
                                   ["universal", "chain"]])
 def test_commands_do_not_import_numpy_ma(argv):
     """`numpy.ma` costs 10-17 ms to import in a fresh process, and numpy
     imports it lazily from `np.unique`; the commands that build completions
     run without it."""
-    child = ("import contextlib, io, sys\n"
-             "from doctrines.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    main({argv!r})\n"
-             "print('numpy.ma' in sys.modules)\n")
-    r = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                       cwd=ROOT, timeout=240)
+    assert _numpy_ma_after(f"main({argv!r})") == "False\n"
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_asks_for_one_blas_thread(preset):
+    """Importing the package sets both BLAS thread variables to 1 before
+    numpy loads, and keeps a value the user has set."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    r = subprocess.run([sys.executable, "-c",
+                        "import os, doctrines\n"
+                        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"],
+                       capture_output=True, text=True, cwd=ROOT, env=env, timeout=240)
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "False\n"
+    assert r.stdout == f"{preset or 1} {preset or 1}\n"
+
+
+def test_weak_route_does_not_import_numpy_ma():
+    """The weak-subobject doctrine of chain, which no command builds, runs
+    without `numpy.ma` too."""
+    assert _numpy_ma_after("P = fixtures.chain_fixture(); "
+                           "weak_sub_doctrine(P.cat, P.products, P.scope)") == "False\n"

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from doctrines.compare import (analysis, verify_axc, verify_cthn, verify_convers
 from doctrines.completions import Caps, build_tp, tp_sub_restriction
 from doctrines.doctrine import sub_doctrine
 from doctrines.errors import ResourceCap
+from doctrines.fincat import FunctorData, inverse_of, is_iso, validate_functor
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
 from doctrines.structure import (ElementaryWitness, discover_elementary,
@@ -262,39 +264,219 @@ def _universal_sides(P):
 @pytest.mark.parametrize("name", ["triv", "chain"])
 def test_2cells_match_former_loop(request, name):
     """For every ordered pair of morphisms from the base and from the
-    completion, the 2-cells in the former loop's order, its name-keyed
-    cells read as arrow ids by source object."""
+    completion, the table's 2-cells in the former loop's order, its
+    name-keyed cells read as arrow ids by source object."""
     P = request.getfixturevalue(name)
     sub_x, sides = _universal_sides(P)
     T = sub_x.cat
     sizes = Counter()
     for S, mors in sides:
         assert len(mors) == 25
-        for m1, m2 in itertools.product(mors, repeat=2):
-            cells = compare.valid_2cells(S, sub_x, m1, m2)
+        table = compare.TwoCellTable(S, sub_x, mors)
+        for (i, m1), (j, m2) in itertools.product(enumerate(mors), repeat=2):
+            cells = table(i, j)
             assert cells == [tuple(T.arr_index[theta[o]] for o in S.cat.objects)
                              for theta in oracles.valid_2cells(S, sub_x, m1, m2)]
             sizes[len(cells)] += 1
     assert sizes[0] and sizes[1]
 
 
+def test_2cells_reject_lax_unnatural_combinations(chain, completions, monkeypatch):
+    """Chain's 48 functors into the subobjects of fs2's relation completion,
+    each with its components constant at bottom: the table matches the
+    former loop on all 2,304 ordered pairs, where naturality rejects lax
+    combinations and many pairs have more than one cell, also when the
+    combinations are decided a few at a time; and its iso test
+    matches the former one, which finds some pairs invertible only through
+    cells that are not identities."""
+    tp = completions["fs2"][3]
+    R = sub_doctrine(tp.cat, tp.pc, tp.scope)
+    functors = compare.enumerate_functors(chain.cat, chain.products, R.cat, R.products,
+                                          Caps().enum)
+    assert len(functors) == 48
+    mors = []
+    for F in functors:
+        bottom = [R.fibers[F.ob(o)] for o in range(chain.cat.n_objects)]
+        mors.append(compare.DoctrineMorphism(F, tuple(
+            MonotoneMap(chain.fibers[o], fib,
+                        np.full(chain.fibers[o].n, int(np.flatnonzero(fib.leq.all(axis=1))[0]),
+                                dtype=np.int32))
+            for o, fib in enumerate(bottom))))
+    table = compare.TwoCellTable(chain, R, mors)
+    cells = {(i, j): oracles.lax_filtered_2cells(chain, R, m1, m2)
+             for (i, m1), (j, m2) in itertools.product(enumerate(mors), repeat=2)}
+    rejected = multiple = 0
+    for (i, j), former in cells.items():
+        assert table(i, j) == former
+        rejected += int(table.sizes[i * len(mors) + j]) - len(former)
+        multiple += len(former) > 1
+    assert (rejected, multiple) == (384, 297)
+    monkeypatch.setattr(compare, "COMBINATION_BLOCK", 7)      # blocks that split pairs
+    assert compare.TwoCellTable(chain, R, mors).cells == table.cells
+    T = R.cat
+    through_isos = 0
+    for (i, j), former in cells.items():
+        invertible = [cell for cell in former if all(is_iso(T, c) for c in cell)
+                      and tuple(inverse_of(T, c) for c in cell) in cells[j, i]]
+        assert table.invertible(i, j) == bool(invertible)
+        through_isos += bool(invertible) and all(
+            any(c != int(T.id_arr[T.src[c]]) for c in cell) for cell in invertible)
+    assert through_isos
+
+
+@pytest.mark.parametrize("name", ["triv", "chain"])
+def test_whiskering_matches_former_loop(request, name):
+    """The one comparison of whiskered cells against the former per-pair
+    sorted comparison: the completion's table against itself read at every
+    object, and at its objects reversed, and against the base's table read
+    at its first object.  On chain some pair has as many cells on each side
+    but not the same ones."""
+    P = request.getfixturevalue(name)
+    sub_x, ((S, mor_p), (Q, mor_q)) = _universal_sides(P)
+    above = compare.TwoCellTable(Q, sub_x, mor_q)
+    objects = list(range(Q.cat.n_objects))
+    same_count_only = 0
+    for below, at in ((above, objects), (above, objects[::-1]),
+                      (compare.TwoCellTable(S, sub_x, mor_p), [0] * S.cat.n_objects)):
+        agree = compare.whiskering_agrees(above, below, at)
+        for a, b in itertools.product(range(len(mor_q)), repeat=2):
+            up, dn = above(a, b), below(a, b)
+            assert agree[a, b] == (sorted(tuple(c[d] for d in at) for c in up) == sorted(dn))
+            same_count_only += len(up) == len(dn) and not agree[a, b]
+    assert bool(same_count_only) == (name == "chain")
+
+
+def test_whiskering_sorts_the_cells_it_reads():
+    """One pair whose two cells, read at the objects swapped, are the cells
+    below in the other order."""
+    def table(rows):
+        return SimpleNamespace(n=1, first=np.array([0, len(rows)]), array=np.array(rows))
+
+    above = table([(0, 5), (1, 4)])
+    assert compare.whiskering_agrees(above, table([(4, 1), (5, 0)]), [1, 0]).tolist() == [[True]]
+    assert compare.whiskering_agrees(above, table([(4, 1), (5, 1)]), [1, 0]).tolist() == [[False]]
+
+
+def _moved_equality(R, E_R) -> ElementaryWitness:
+    """R's equality with the last object's moved to the bottom of its
+    fiber, which only the equality condition on components sees."""
+    last = max(E_R.delta)
+    pairs = R.fibers[R.window.prod(last, last)[0]]
+    return ElementaryWitness({**E_R.delta, last: int(np.flatnonzero(pairs.leq.all(axis=1))[0])})
+
+
+@pytest.mark.parametrize("name", ["triv", "chain"])
+def test_morphism_checks_match_former_checks(request, name):
+    """`validate_doctrine_morphisms` and `preserve_comprehensions` against
+    the former per-morphism checks (the functor, each component a
+    homomorphism, `oracles.preserves_eed`; the strict reading), on the
+    morphisms into the completion's subobjects with one component entry
+    changed, on every functor with every combination of component
+    homomorphisms, and on one with an object moved, against the target's equality
+    and against it moved: some fail only as homomorphisms, some only the
+    equality and existential conditions, and some break comprehensions."""
+    P = request.getfixturevalue(name)
+    sub_x, ((_, mors), _) = _universal_sides(P)
+    E_P, E_SX = analysis(P).eed()[1], discover_elementary(sub_x)
+    cases = []
+    for m in mors:
+        for o, comp in enumerate(m.components):
+            for x, y in itertools.product(range(comp.dom.n), range(comp.cod.n)):
+                table = comp.table.copy()
+                table[x] = y
+                cases.append(compare.DoctrineMorphism(m.F, tuple(
+                    MonotoneMap(c.dom, c.cod, table if k == o else c.table)
+                    for k, c in enumerate(m.components))))
+    preserving = compare.preserve_comprehensions(P, sub_x, cases)
+    assert preserving == [oracles.morphism_preserves_comprehensions(P, sub_x, case)
+                          for case in cases]
+    assert not all(preserving)
+    for F in compare.enumerate_functors(P.cat, P.products, sub_x.cat, sub_x.products,
+                                        Caps().enum):
+        homs = [[MonotoneMap(P.fibers[o], sub_x.fibers[F.ob(o)], t)
+                 for t in compare.enumerate_fiber_homs(P.fibers[o], sub_x.fibers[F.ob(o)],
+                                                       Caps().enum)]
+                for o in range(P.cat.n_objects)]
+        cases.extend(compare.DoctrineMorphism(F, combo) for combo in itertools.product(*homs))
+    F = mors[0].F
+    moved = {**F.obj_map, P.cat.objects[0]: next(o for o in sub_x.cat.objects
+                                                 if o != F.obj_map[P.cat.objects[0]])}
+    cases.append(compare.DoctrineMorphism(FunctorData(P.cat, sub_x.cat, moved, F.arr_map),
+                                          mors[0].components))
+    kinds = Counter()
+    for E_R in (E_SX, _moved_equality(sub_x, E_SX)):
+        for case, valid in zip(cases, compare.validate_doctrine_morphisms(P, sub_x, cases,
+                                                                          E_P, E_R)):
+            kind = (validate_functor(case.F, (P.products, sub_x.products)).ok,)
+            if kind[0]:
+                kind += (all(c.is_homomorphism() for c in case.components),
+                         oracles.preserves_eed(P, sub_x, case, E_P, E_R))
+            assert valid == all(kind)
+            kinds[kind] += 1
+    assert kinds[False,] == 2
+    assert kinds[True, True, True] and kinds[True, False, True] and kinds[True, True, False]
+
+
+@pytest.mark.parametrize("name", ["triv", "chain"])
+def test_eed_conditions_match_former_test(request, name):
+    """Every functor and every combination of component homomorphisms from
+    the base and from the completion into the completion's subobjects: the
+    per-functor conditions decide what the former whole-morphism test
+    decided, also against a target equality with one object's missing,
+    where some functors have no conditions at all, and with one object's
+    moved to bottom, which only the equality condition sees."""
+    P = request.getfixturevalue(name)
+    sub_x, _ = _universal_sides(P)
+    E_SX = discover_elementary(sub_x)
+    short = ElementaryWitness({o: d for o, d in E_SX.delta.items() if o != max(E_SX.delta)})
+    moved = _moved_equality(sub_x, E_SX)
+    an = analysis(P)
+    sub_er = tp_sub_restriction(an.tp(), an.er())
+    verdicts = Counter()
+    for (S, E), E_R in itertools.product(
+            ((P, an.eed()[1]), (sub_er, discover_elementary(sub_er))), (E_SX, short, moved)):
+        for F in compare.enumerate_functors(S.cat, S.products, sub_x.cat, sub_x.products,
+                                            Caps().enum):
+            cond = compare.eed_conditions(S, sub_x, F, E, E_R)
+            homs = [compare.enumerate_fiber_homs(S.fibers[o], sub_x.fibers[F.ob(o)],
+                                                 Caps().enum)
+                    for o in range(S.cat.n_objects)]
+            held = set(cond.hold(homs)) if cond is not None else set()
+            for idx in itertools.product(*(range(len(h)) for h in homs)):
+                mor = compare.DoctrineMorphism(F, tuple(
+                    MonotoneMap(S.fibers[o], sub_x.fibers[F.ob(o)], homs[o][k])
+                    for o, k in enumerate(idx)))
+                assert (idx in held) == oracles.preserves_eed(S, sub_x, mor, E, E_R)
+                verdicts[E_R is E_SX, "none" if cond is None else idx in held] += 1
+    assert verdicts[True, True] == 50 and verdicts[True, "none"] == 0
+    assert verdicts[False, "none"] and verdicts[False, False]
+    assert bool(verdicts[True, False]) == (name == "chain")
+
+
 def test_universal_computes_2cells_once_per_pair(chain, monkeypatch):
-    """Counted by the identity of the two morphisms: one `verify_universal`
-    call computes the 2-cells of each ordered pair at most once, though both
-    readings, the iso test and the fully-faithful test read them."""
-    calls, kept = Counter(), []
-    real = compare.valid_2cells
+    """One `verify_universal` call builds one 2-cell table per side, below
+    over the 25 precomposed and the 25 base morphisms, above over the 25
+    completion morphisms, and decides each lax combination of each ordered
+    pair once, though both readings, the iso test and the fully-faithful
+    test read them."""
+    tables, decided = [], Counter()
 
-    def counted(S, R, m1, m2):
-        kept.append((m1, m2))   # no id is reused while counted
-        calls[id(m1), id(m2)] += 1
-        return real(S, R, m1, m2)
+    class Counted(compare.TwoCellTable):
+        def __init__(self, S, R, mors):
+            tables.append(self)
+            super().__init__(S, R, mors)
 
-    monkeypatch.setattr(compare, "valid_2cells", counted)
+        def _natural(self, ranks):
+            decided.update((len(tables), r) for r in ranks.tolist())
+            return super()._natural(ranks)
+
+    monkeypatch.setattr(compare, "TwoCellTable", Counted)
     tp = analysis(chain).tp()
     rep = verify_universal(chain, tp.cat, tp.pc, tp.scope)
     assert not rep.any_failed() and not rep.any_capped()
-    assert len(calls) > 2 * 25 * 25 and max(calls.values()) == 1
+    assert [t.n for t in tables] == [50, 25]
+    assert len(decided) == sum(int(t.sizes.sum()) for t in tables)
+    assert max(decided.values()) == 1
 
 
 def test_morphisms_validate_each_functor_once(chain, monkeypatch):

@@ -197,17 +197,20 @@ def _powerset_doctrine(C: FinCat, arrows, sizes) -> DoctrineData:
 
 
 @strat.composite
-def corrupted_doctrines(draw):
+def corrupted_doctrines(draw, base_faults=("repoint",)):
     """A powerset doctrine with up to two corrupted entries: a reindex value
     of a non-identity arrow, the reindexing of a non-identity arrow replaced
     by that of another arrow of its type (a homomorphism, so only
     functoriality can fail), a meet of a fiber, or (for the fallback over a
-    non-category) a composite of the base re-pointed within its type."""
+    non-category) a composite of the base changed by one of `base_faults`:
+    re-pointed within its type ("repoint"), removed ("remove") or
+    re-pointed at an arrow of another type ("mistype").  The last two leave
+    a base whose composites are not typed and total."""
     C, arrows, sizes = draw(concrete_categories())
     P = _powerset_doctrine(C, arrows, sizes)
     for _ in range(draw(strat.sampled_from([1, 1, 2, 0]))):
         kind = draw(strat.sampled_from(["reindex", "reindex", "reindex", "borrow", "borrow",
-                                        "meet", "base"]))
+                                        "meet", *base_faults]))
         if kind == "borrow":
             f = draw(strat.sampled_from(_non_identity(C) or [0]))
             g = draw(strat.sampled_from(C.hom(int(C.src[f]), int(C.tgt[f])).tolist()))
@@ -225,15 +228,28 @@ def corrupted_doctrines(draw):
             i, j = draw(strat.integers(0, fib.n - 1)), draw(strat.integers(0, fib.n - 1))
             meet[i, j] = draw(strat.integers(0, fib.n - 1))
             P.fibers[o] = FinInfSL(fib.elements, fib.leq, fib.top, meet)
-        else:
+        elif kind == "repoint":
             comp = C.comp.copy()
             _repoint(draw, C, comp)
+            C = P.cat = _with_comp(C, comp)
+        else:
+            comp = C.comp.copy()
+            defined = np.argwhere(comp >= 0).tolist()
+            if not defined:
+                continue
+            g, f = draw(strat.sampled_from(defined))
+            other = [k for k in range(C.n_arrows)
+                     if (C.src[k], C.tgt[k]) != (C.src[f], C.tgt[g])]
+            if kind == "remove":
+                comp[g, f] = -1
+            elif other:
+                comp[g, f] = draw(strat.sampled_from(other))
             C = P.cat = _with_comp(C, comp)
     return P
 
 
 @settings(max_examples=150)
-@given(corrupted_doctrines())
+@given(corrupted_doctrines(base_faults=("repoint", "remove", "mistype")))
 def test_validate_doctrine_matches_oracle(P):
     assert _report(validate_doctrine(P)) == oracles.doctrine_laws(*_plain_doctrine(P))
 
