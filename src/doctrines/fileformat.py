@@ -19,11 +19,16 @@ closure and derives the meet table (rejecting posets that are not
 inf-semilattices).  Reindex blocks must be total: partially specified maps
 are parse errors, never defaulted.  A repeated `compose g f` line keeps its
 last entry.  Unknown identifiers are errors with line and column.  Emission
-produces the canonical form, so parse-emit-parse is the identity on it.
+produces the canonical form, so parse-emit-parse is the identity on it.  Runs
+of compose lines and reindex blocks in canonical form are read in bulk; any
+other layout is read line by line, to the same result and the same errors.
 """
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass, field
+from itertools import repeat
 from sys import intern
 from typing import NamedTuple
 
@@ -48,24 +53,20 @@ def _ident(ln: int, raw: str, tok: str, what: str) -> str:
     return tok
 
 
+@dataclass(slots=True)
 class _FiberBlock:
-    __slots__ = ("elements", "top", "pairs", "line")
-
-    def __init__(self, line: int):
-        self.elements: list[str] = []
-        self.top: str | None = None
-        self.pairs: list[tuple[str, str]] = []
-        self.line = line
+    line: int
+    elements: list[str] = field(default_factory=list)
+    top: str | None = None
+    pairs: list[tuple[str, str]] = field(default_factory=list)
 
 
+@dataclass(slots=True)
 class _ReindexBlock:
-    __slots__ = ("targets", "sources", "lines", "line")
-
-    def __init__(self, line: int):
-        self.targets: list[str] = []     # entry k reads targets[k] -> sources[k]
-        self.sources: list[str] = []
-        self.lines: list[int] = []
-        self.line = line
+    line: int
+    targets: list[str] = field(default_factory=list)   # entry k: targets[k] -> sources[k]
+    sources: list[str] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)
 
 
 class _Read(NamedTuple):
@@ -77,7 +78,7 @@ class _Read(NamedTuple):
     src: list[int]
     tgt: list[int]
     identity: dict[int, int]
-    compose: list[int]     # g, f, h of each compose line in turn: comp[g, f] = h
+    compose: np.ndarray    # one row (g, f, h) per compose line in turn: comp[g, f] = h
     terminal: str | None
     binary: dict[tuple[str, str], tuple[str, str, str]]
     fibers: dict[int, _FiberBlock]
@@ -85,21 +86,79 @@ class _Read(NamedTuple):
     core: list[str] | None
 
 
-def _lines(text: str, chunk: int = 1 << 20):
-    """The lines of text.splitlines(), split a megabyte at a time so that
-    the list of a large file's lines never exists whole; cutting just after
-    a newline leaves every line break where splitlines finds it."""
+_PIECE = 1 << 16              # characters of whole lines read at a time
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"   # splitlines' line breaks but \n
+_RUN_END = re.compile(r"\n(?!  compose )")
+_BLOCK = re.compile(r"reindex (\S+) \{\n((?:  \S+ -> \S+\n)*)\}\n")
+_BULK = {("base", "compose"), (None, "reindex")}     # (section, head) where bulk runs start
+
+
+def _lines(text: str, jump: list[int], chunk: int = _PIECE):
+    """(position in text or -1, line) for the lines of text.splitlines(), cut
+    after a newline every chunk characters or so; a position put on jump
+    resumes the lines there, and -1 marks a piece with another line break."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + chunk) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        piece = text[start:end]
+        at = -1 if any(map(piece.__contains__, _BREAKS)) else start
+        for raw in piece.splitlines():
+            yield at, raw
+            if jump:
+                end = jump.pop()
+                break
+            at += len(raw) + 1 if at >= 0 else 0
         start = end
+
+
+def _compose_run(text: str, pos: int, names: dict[str, int], out: list) -> tuple[int, int]:
+    """Read compose lines from pos a chunk at a time, with one split and one name
+    map, while the per-line reader would read the same entries: the position
+    and the number of lines reached."""
+    lines = 0
+    while text.startswith("  compose ", pos) and "compose" not in names:
+        m = _RUN_END.search(text, pos, text.find("\n", pos + _PIECE) + 1 or len(text))
+        if m is None:               # the last line, without a newline
+            break
+        end = m.end()               # the n lines up to end start with "  compose "
+        chunk, n = text[pos:end], text.count("\n", pos, end)
+        toks = [] if any(map(chunk.__contains__, _BREAKS)) else chunk.split()
+        # once g, f, h resolve in names (no compose, no name with #) and every
+        # fourth token is =, compose starts each line alone: 5 tokens a line
+        if len(toks) != 5 * n or toks[3::5].count("=") != n:
+            break
+        try:
+            out.append(np.stack([np.fromiter(map(names.__getitem__, toks[k::5]), np.intp, n)
+                                 for k in (1, 2, 4)], axis=1))
+        except KeyError:
+            break
+        pos, lines = end, lines + n
+    return pos, lines
+
+
+def _reindex_blocks(text: str, pos: int, ln: int, arr_index: dict[str, int], tgt: list[int],
+                    fibers: dict[int, _FiberBlock], out: dict[int, _ReindexBlock]):
+    """Read reindex blocks from pos, the first with its header at line ln, each
+    body with one split, while the per-line reader would read the same lines:
+    the position and the number of lines reached."""
+    lines = 0
+    while (m := _BLOCK.match(text, pos)) and m[1] in arr_index and "#" not in m[2]:
+        toks = m[2].split()
+        f, n = arr_index[m[1]], len(toks) // 3
+        block = out[f] = _ReindexBlock(ln + lines)
+        elements = getattr(fibers.get(tgt[f]), "elements", None)    # one copy of each name:
+        block.targets = elements if toks[0::3] == elements else list(map(intern, toks[0::3]))
+        block.sources = list(map(intern, toks[2::3]))              # the fiber's, or interned
+        block.lines = range(block.line + 1, block.line + 1 + n)
+        pos, lines = m.end(), lines + n + 2
+    return pos, lines
 
 
 def _read_lines(text: str) -> _Read:
     """One pass over the lines, dispatching on the open section; names of
     objects and arrows are resolved as they are read, so every line-level
-    error is raised in line order."""
+    error is raised in line order.  Lines the bulk readers leave, errors
+    among them, are read here."""
     objects: list[str] = []
     obj_index: dict[str, int] = {}
     arrows: list[str] = []
@@ -107,8 +166,8 @@ def _read_lines(text: str) -> _Read:
     src: list[int] = []
     tgt: list[int] = []
     identity: dict[int, int] = {}
-    compose: list[int] = []
-    put = compose.append
+    compose: list = [[]]   # arrays of rows (g, f, h), and lists g, f, h, ... read singly
+    put = compose[-1].append
     terminal: str | None = None
     binary: dict[tuple[str, str], tuple[str, str, str]] = {}
     fibers: dict[int, _FiberBlock] = {}
@@ -128,11 +187,27 @@ def _read_lines(text: str) -> _Read:
             raise _err(ln, raw, f, f"unknown arrow {f!r}")
         return arr_index[f]
 
-    ln = 0
-    for ln, raw in enumerate(_lines(text), start=1):
+    ln = bulk_from = 0           # no bulk read starts before bulk_from
+    jump: list[int] = []         # where the lines resume after a bulk read
+    for at, raw in _lines(text, jump):
+        ln += 1
         parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not parts:
             continue
+        if at >= bulk_from and (section, parts[0]) in _BULK:
+            if section == "base":
+                stop, n = _compose_run(text, at, arr_index, compose)
+                compose.append([])
+                put = compose[-1].append
+            else:
+                stop, n = _reindex_blocks(text, at, ln, arr_index, tgt, fibers, reindex)
+            if n:
+                jump.append(stop)
+                ln += n - 1
+                continue
+            bulk_from = at + _PIECE
+        if section is None and parts[0] == "core" and parts[1:2] == ["{"]:
+            core, section, parts = [], "core", parts[2:]
         if section == "base":
             head = parts[0]
             if head == "compose":
@@ -203,7 +278,7 @@ def _read_lines(text: str) -> _Read:
                 if parts[-1] != ";":
                     raise _err(ln, raw, head, "elements list must end with ';'")
                 for e in parts[1:-1]:
-                    fblock.elements.append(_ident(ln, raw, e, "element"))
+                    fblock.elements.append(intern(_ident(ln, raw, e, "element")))
             elif head == "top" and len(parts) == 2:
                 fblock.top = _ident(ln, raw, parts[1], "element")
             elif head == "leq" and len(parts) == 3:
@@ -231,20 +306,12 @@ def _read_lines(text: str) -> _Read:
                 rblock = _ReindexBlock(ln)
                 put_target, put_source = rblock.targets.append, rblock.sources.append
                 put_line = rblock.lines.append
-            elif head == "core" and parts[1:2] == ["{"]:
-                core = []
-                section = "core"
-                for tok in parts[2:]:
-                    if tok == "}":
-                        section = None
-                        break
-                    known_object(ln, raw, tok)
-                    core.append(tok)
             else:
                 raise _err(ln, raw, head, f"unknown section {head!r}")
     if section is not None:
         raise ParseError(ln, 1, "unterminated section")
-    return _Read(objects, arrows, src, tgt, identity, compose, terminal, binary,
+    rows = np.concatenate([np.array(c, dtype=np.intp).reshape(-1, 3) for c in compose])
+    return _Read(objects, arrows, src, tgt, identity, rows, terminal, binary,
                  fibers, reindex, core)
 
 
@@ -281,13 +348,17 @@ def _fiber(name: str, block: _FiberBlock | None) -> FinInfSL:
 def _reindex_table(name: str, block: _ReindexBlock | None, fb: FinInfSL, fa: FinInfSL,
                    b: str, a: str) -> np.ndarray:
     """The table of a reindex block from the fiber of b to the fiber of a,
-    one dict lookup per token; the first bad entry in block order is named."""
+    one dict lookup per source, and per target unless the block lists the
+    targets in fiber order; the first bad entry in block order is named."""
     if block is None:
         raise ParseError(1, 1, f"arrow {name!r} has no reindex block")
-    xs = np.array([fb.index.get(x, -1) for x in block.targets], dtype=np.intp)
-    ys = np.array([fa.index.get(y, -1) for y in block.sources], dtype=np.int32)
-    repeated = np.ones(len(xs), dtype=bool)
-    repeated[np.unique(xs, return_index=True)[1]] = False
+    ys = np.fromiter(map(fa.index.get, block.sources, repeat(-1)), np.int32, len(block.sources))
+    if tuple(block.targets) == fb.elements:         # total, none repeated
+        xs, repeated = np.arange(fb.n), False
+    else:
+        xs = np.fromiter(map(fb.index.get, block.targets, repeat(-1)), np.intp, len(ys))
+        repeated = np.ones(len(xs), dtype=bool)
+        repeated[np.unique(xs, return_index=True)[1]] = False
     bad = (xs < 0) | (ys < 0) | repeated
     if bad.any():
         k = int(np.argmax(bad))
@@ -321,8 +392,7 @@ def parse_doctrine(text: str) -> DoctrineData:
         raise ParseError(1, 1, "no terminal declared")
     id_arr = [r.identity.get(o, -1) for o in range(len(r.objects))]
     try:
-        cat = FinCat.from_indices(r.objects, r.arrows, r.src, r.tgt, id_arr,
-                                  np.array(r.compose, dtype=np.intp).reshape(-1, 3))
+        cat = FinCat.from_indices(r.objects, r.arrows, r.src, r.tgt, id_arr, r.compose)
     except MalformedPresentation as exc:
         raise ParseError(1, 1, str(exc))
     fibers = [_fiber(o, r.fibers.get(i)) for i, o in enumerate(r.objects)]
@@ -346,36 +416,26 @@ def _cover_pairs(fib: FinInfSL) -> list[tuple[int, int]]:
 
 def emit_doctrine(P: DoctrineData) -> str:
     C = P.cat
-    out: list[str] = ["base {"]
-    out.append("  objects " + " ".join(C.objects) + " ;")
-    for f in range(C.n_arrows):
-        out.append(f"  arrow {C.arrows[f]} {C.objects[int(C.src[f])]}"
-                   f" {C.objects[int(C.tgt[f])]}")
-    for o in range(C.n_objects):
-        out.append(f"  identity {C.objects[o]} = {C.arrows[int(C.id_arr[o])]}")
+    arrows, objects, src, tgt = C.arrows, C.objects, C.src.tolist(), C.tgt.tolist()
+    out: list[str] = ["base {", "  objects " + " ".join(objects) + " ;"]
+    out += [f"  arrow {f} {objects[a]} {objects[b]}" for f, a, b in zip(arrows, src, tgt)]
+    out += [f"  identity {o} = {arrows[i]}" for o, i in zip(objects, C.id_arr.tolist())]
     gi, fi = np.nonzero(C.comp >= 0)
-    for g, f in zip(gi, fi):
-        out.append(f"  compose {C.arrows[int(g)]} {C.arrows[int(f)]}"
-                   f" = {C.arrows[int(C.comp[g, f])]}")
+    out += [f"  compose {arrows[g]} {arrows[f]} = {arrows[h]}"
+            for g, f, h in zip(gi.tolist(), fi.tolist(), C.comp[gi, fi].tolist())]
     out.append(f"  terminal {P.products.terminal}")
-    for (a, b), (p, p1, p2) in P.products.binary.items():
-        out.append(f"  product {a} {b} = {p} {p1} {p2}")
+    out += [f"  product {a} {b} = {p} {p1} {p2}"
+            for (a, b), (p, p1, p2) in P.products.binary.items()]
     out.append("}")
-    for o in range(C.n_objects):
-        fib = P.fibers[o]
-        out.append(f"fiber {C.objects[o]} {{")
-        out.append("  elements " + " ".join(fib.elements) + " ;")
-        out.append(f"  top {fib.elements[fib.top]}")
-        for i, j in _cover_pairs(fib):
-            out.append(f"  leq {fib.elements[i]} {fib.elements[j]}")
+    for o, fib in zip(objects, P.fibers):
+        out += [f"fiber {o} {{", "  elements " + " ".join(fib.elements) + " ;",
+                f"  top {fib.elements[fib.top]}"]
+        out += [f"  leq {fib.elements[i]} {fib.elements[j]}" for i, j in _cover_pairs(fib)]
         out.append("}")
-    for f in range(C.n_arrows):
-        fb = P.fibers[int(C.tgt[f])]
-        fa = P.fibers[int(C.src[f])]
-        out.append(f"reindex {C.arrows[f]} {{")
-        t = P.reindex[f].table
-        for x in range(fb.n):
-            out.append(f"  {fb.elements[x]} -> {fa.elements[int(t[x])]}")
+    for f, a, b, m in zip(arrows, src, tgt, P.reindex):
+        out.append(f"reindex {f} {{")
+        out += [f"  {x} -> {P.fibers[a].elements[y]}"
+                for x, y in zip(P.fibers[b].elements, m.table.tolist())]
         out.append("}")
     out.append("core { " + " ".join(P.scope.core) + " }")
     return "\n".join(out) + "\n"

@@ -934,20 +934,19 @@ def validate_functor(F: FunctorData,
     for a in S.arrows:
         if a not in F.arr_map or F.arr_map[a] not in T.arr_index:
             return ValidationReport(False, "Functor", (a,), "arrow map incomplete")
+    ar = np.array([F.ar(f) for f in range(S.n_arrows)], dtype=np.intp)
     for f in range(S.n_arrows):
-        tf = F.ar(f)
-        if int(T.src[tf]) != F.ob(int(S.src[f])) or int(T.tgt[tf]) != F.ob(int(S.tgt[f])):
+        if int(T.src[ar[f]]) != F.ob(int(S.src[f])) or int(T.tgt[ar[f]]) != F.ob(int(S.tgt[f])):
             return ValidationReport(False, "Functor", (S.arrows[f],), "arrow map badly typed")
     for o in range(S.n_objects):
-        if F.ar(int(S.id_arr[o])) != int(T.id_arr[F.ob(o)]):
+        if ar[S.id_arr[o]] != int(T.id_arr[F.ob(o)]):
             return ValidationReport(False, "Functor", (S.objects[o],), "identity not preserved")
-    for g in range(S.n_arrows):
-        for f in np.flatnonzero(S.tgt == S.src[g]):
-            lhs = F.ar(int(S.comp[g, int(f)]))
-            rhs = int(T.comp[F.ar(g), F.ar(int(f))])
-            if lhs != rhs:
-                return ValidationReport(False, "Functor", (S.arrows[g], S.arrows[int(f)]),
-                                        "composition not preserved")
+    # every typed pair (g, f) at once, in the order g, then f
+    g, f = np.nonzero(S.tgt[None, :] == S.src[:, None])
+    bad = np.flatnonzero(ar[S.comp[g, f]] != T.comp[ar[g], ar[f]])
+    if len(bad):
+        return ValidationReport(False, "Functor", (S.arrows[g[bad[0]]], S.arrows[f[bad[0]]]),
+                                "composition not preserved")
     if products is not None:
         pcs, pct = products
         wt = Window(T, pct, WindowScope(T.objects))

@@ -34,7 +34,9 @@ per-morphism test of the strict reading, kept to check the shared one; its
 per-pair 2-cell loop, which filtered each object's candidates for laxness
 and tried each combination for naturality, kept with the loop before it
 (laxness per combination of components, each cell a dict of names) to
-check the 2-cell table that replaced both.  The checks
+check the 2-cell table that replaced both; and functor validation's former
+per-pair composition loop, kept to check the one array comparison that
+replaced it.  The checks
 at the very end are ones only the tests make: presentation equality, relation
 classification, monotonicity, homomorphism failures and adjunctions.
 """
@@ -1443,6 +1445,20 @@ def valid_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[dict[str, str
         if lax:
             out.append({S.objects[a]: T.arrows[combo[a]] for a in range(S.n_objects)})
     return out
+
+
+def functor_composition_violation(F: FunctorData) -> ValidationReport | None:
+    """The former composition clause of `validate_functor`: each typed pair
+    (g, f), g in arrow order and then f, until F(g∘f) != F(g)∘F(f)."""
+    S, T = F.source, F.target
+    for g in range(S.n_arrows):
+        for f in np.flatnonzero(S.tgt == S.src[g]):
+            lhs = F.ar(int(S.comp[g, int(f)]))
+            rhs = int(T.comp[F.ar(g), F.ar(int(f))])
+            if lhs != rhs:
+                return ValidationReport(False, "Functor", (S.arrows[g], S.arrows[int(f)]),
+                                        "composition not preserved")
+    return None
 
 
 # ---------------------------------------------------------------------------

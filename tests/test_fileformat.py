@@ -1,19 +1,28 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from doctrines import fixtures
+from doctrines import fileformat, fixtures
 from doctrines.errors import ParseError
 from doctrines.fileformat import _lines, emit_doctrine, parse_doctrine
 
 from oracles import doctrine_equal
+from test_laws import NO_SHRINK
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 PARSE_CASES = json.loads((GOLDEN / "parse_errors.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def fs2_text(fs2):
+    return emit_doctrine(fs2)
 
 
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice", "mixedfail"])
@@ -26,9 +35,8 @@ def test_round_trip_small(name):
     assert emit_doctrine(Q) == text
 
 
-def test_round_trip_finite_set_window(fs2):
-    text = emit_doctrine(fs2)
-    Q = parse_doctrine(text)
+def test_round_trip_finite_set_window(fs2, fs2_text):
+    Q = parse_doctrine(fs2_text)
     assert doctrine_equal(fs2, Q)
 
 
@@ -134,11 +142,23 @@ def test_parse_matches_golden(case):
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 1 << 20])
 def test_lines_read_in_chunks_are_splitlines(chunk):
     """Cut anywhere, the chunked reader gives the lines of splitlines, for
-    every line break splitlines knows, blank lines and a missing last break."""
+    every line break splitlines knows, blank lines and a missing last break;
+    where it gives a position, the line starts there after a newline, and a
+    position put on jump resumes the lines there."""
     text = "a b\r\nc\rd\n\ne\x0cf\x0bg\x1ch\x85i\u2028j\u2029\r\n\n  k  \r\r\nlast"
-    assert list(_lines(text, chunk)) == text.splitlines()
-    assert list(_lines(text + "\n", chunk)) == (text + "\n").splitlines()
-    assert list(_lines("", chunk)) == []
+    plain = "a b\n\n  c d \nlast line\n\n"
+    for t in (text, text + "\n", plain, ""):
+        got = list(_lines(t, [], chunk))
+        assert [raw for _, raw in got] == t.splitlines()
+        assert all(t.startswith(raw, at) and t[at - 1:at] in ("", "\n")
+                   for at, raw in got if at >= 0)
+    assert all(at >= 0 for at, _ in _lines(plain, [], chunk))
+    jump, seen = [], []
+    for at, raw in _lines(plain, jump, chunk):
+        seen.append(raw)
+        if raw == "a b":
+            jump.append(plain.index("last"))
+    assert seen == ["a b", "last line", ""]
 
 
 def test_core_keyword_alone_is_a_parse_error(triv):
@@ -174,17 +194,247 @@ def test_lattice_with_256_elements_between_bottom_and_top():
     assert doctrine_equal(parse_doctrine(emitted), P)
 
 
-def test_parse_fs2_file_peak_memory():
-    """Parsing the emitted fs2 file (27 MB) stays well below the 400 MB that
-    name-keyed composition tables took."""
-    child = ("import resource\n"
-             "from doctrines import fixtures\n"
-             "from doctrines.fileformat import emit_doctrine, parse_doctrine\n"
-             "parse_doctrine(emit_doctrine(fixtures.fs2()))\n"
-             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+def test_parse_fs2_file_peak_memory(fs2_text, tmp_path):
+    """A process that reads the emitted fs2 file (27 MB) and parses it peaks
+    below 130 MB, 1.1 times the 118.8 MB of the per-line reader that kept
+    one copy of each element name (139.9 MB without it)."""
+    path = tmp_path / "fs2.dtn"
+    path.write_text(fs2_text)
+    # the child's own high-water mark: its ru_maxrss would start from this
+    # process's, which Linux carries over into a spawned child
+    child = ("import sys\n"
+             "from pathlib import Path\n"
+             "from doctrines.fileformat import parse_doctrine\n"
+             "parse_doctrine(Path(sys.argv[1]).read_text())\n"
+             "print(Path('/proc/self/status').read_text().split('VmHWM:')[1].split()[0])\n")
     paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                         env=env, check=True, timeout=240)
-    peak_mb = int(out.stdout.split()[-1]) / 1024      # ru_maxrss is in KiB on Linux
-    assert peak_mb < 300, peak_mb
+    out = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True,
+                         text=True, env=env, check=True, timeout=240)
+    peak_mb = int(out.stdout.split()[-1]) / 1024      # VmHWM is in kB
+    assert peak_mb < 130, peak_mb
+
+
+# ---------------------------------------------------------------------------
+# bulk reading against the per-line reader
+# ---------------------------------------------------------------------------
+
+
+def _per_line(monkeypatch):
+    """Turn the bulk readers off: what is left is the per-line reader."""
+    monkeypatch.setattr(fileformat, "_compose_run", lambda text, pos, *rest: (pos, 0))
+    monkeypatch.setattr(fileformat, "_reindex_blocks", lambda text, pos, *rest: (pos, 0))
+
+
+def _read(text):
+    """What the line pass gathers, in comparable form, or its ParseError."""
+    try:
+        r = fileformat._read_lines(text)
+    except ParseError as exc:
+        return exc.line, exc.col, exc.msg
+    return (r.objects, r.arrows, r.src, r.tgt, r.identity, r.compose.tolist(), r.terminal,
+            r.binary, {o: (b.elements, b.top, b.pairs, b.line) for o, b in r.fibers.items()},
+            {f: (list(b.targets), list(b.sources), list(b.lines), b.line)
+             for f, b in r.reindex.items()}, r.core)
+
+
+def _parsed(text):
+    try:
+        return emit_doctrine(parse_doctrine(text))
+    except ParseError as exc:
+        return exc.line, exc.col, exc.msg
+
+
+def _both_ways(monkeypatch, text, how=_read):
+    """how(text) read with the bulk readers, the lines they took, and
+    how(text) read line by line."""
+    taken = []
+    with monkeypatch.context() as m:
+        for name in ("_compose_run", "_reindex_blocks"):
+            def counted(*args, real=getattr(fileformat, name)):
+                out = real(*args)
+                taken.append(out[1])
+                return out
+            m.setattr(fileformat, name, counted)
+        bulk = how(text)
+    with monkeypatch.context() as m:
+        _per_line(m)
+        return bulk, sum(taken), how(text)
+
+
+@pytest.fixture(scope="module")
+def fs2_regions(fs2_text):
+    """Two readable cuts of the emitted fs2 text, each with the index of a
+    line to fault: the base section with its first four 64 KB chunks of
+    compose lines, and a line in the middle of the second chunk; and the
+    file without compose lines up to ten reindex blocks past the first
+    128 KB, and the middle entry of the first of those blocks."""
+    text = fs2_text
+    piece = fileformat._PIECE
+    c0, t0 = text.index("\n  compose ") + 1, text.index("\n  terminal ") + 1
+    compose = text[:text.index("\n", c0 + 4 * piece) + 1] + "}\n"
+    k = compose.count("\n", 0, compose.index("\n", c0 + piece + piece // 2))
+    reindex = text[:c0] + text[t0:]
+    start = reindex.index("\n}\n", 2 * piece) + 3           # the header of the faulted block
+    end = start
+    for _ in range(10):
+        end = reindex.index("\n}\n", end) + 3
+    body = reindex[start:reindex.index("\n}\n", start)].count("\n")
+    return (compose, k + 1), (reindex[:end], reindex.count("\n", 0, start) + 1 + body // 2)
+
+
+def _compose_faults(g, f, h, c, d, e):
+    """Each fault by name: the lines that replace the line compose g f = h
+    and the next one, compose c d = e."""
+    line, nxt = f"  compose {g} {f} = {h}", f"  compose {c} {d} = {e}"
+    return {
+        "unknown-g": [f"  compose zz {f} = {h}", nxt],
+        "unknown-f": [f"  compose {g} zz = {h}", nxt],
+        "unknown-h": [f"  compose {g} {f} = zz", nxt],
+        "four-tokens": [f"  compose {g} {f} {h}", nxt],
+        "six-tokens": [f"  compose {g} {f} = {h} {h}", nxt],
+        "no-equals": [f"  compose {g} {f} {h} {h}", nxt],
+        "tokens-moved-to-next-line": [f"  compose {g} {f} =", f"  {h} compose {c} {d} = {e}"],
+        "comment-line": [line, "# a comment", nxt],
+        "trailing-comment": [line + "  # a comment", nxt],
+        "comment-in-token": [line + "#c", nxt],
+        "blank-line": [line, "", nxt],
+        "tab": [f"  compose {g}\t{f} = {h}", nxt],
+        "carriage-return": [f"  compose {g} {f} =\r{h}", nxt],
+        "crlf-line-end": [line + "\r", nxt],
+        "form-feed": [f"  compose {g} {f}\x0c= {h}", nxt],
+        "line-separator": [f"  compose {g} {f} = {h}\u2028", nxt],
+        "indented-close": [line, "  }", nxt],
+        "repeated-entry": [line, nxt, f"  compose {g} {f} = {e}"],
+        "unindented": [line, f"compose {c} {d} = {e}"],
+    }
+
+
+def _reindex_faults(x, y, nxt):
+    """Each fault by name: the lines that replace the entry x -> y and the
+    line nxt after it."""
+    line = f"  {x} -> {y}"
+    return {
+        "two-tokens": [f"  {x} ->", nxt],
+        "four-tokens": [f"  {x} -> {y} {y}", nxt],
+        "unknown-target": [f"  zz -> {y}", nxt],
+        "unknown-source": [f"  {x} -> zz", nxt],
+        "indented-close": [line, "  }", nxt],
+        "comment-line": [line, "# a comment", nxt],
+        "trailing-comment": [line + " # a comment", nxt],
+        "comment-in-token": [line + "#c", nxt],
+        "blank-line": [line, "", nxt],
+        "tab": [f"  {x}\t-> {y}", nxt],
+        "tab-between-sources": [f"  {x} -> {y}\t{y}", nxt],
+        "two-spaces": [f"  {x}  -> {y}", nxt],
+        "form-feed-after-source": [f"  {x} -> {y}\x0c{y}", nxt],
+        "carriage-return": [f"  {x} ->\r{y}", nxt],
+        "form-feed": [f"  {x}\x0c-> {y}", nxt],
+        "line-separator": [f"  {x} ->\u2028{y}", nxt],
+        "repeated-entry": [line, nxt, line],
+        "entries-moved": [f"  {x} -> {y} " + nxt.split()[0], "  " + " ".join(nxt.split()[1:])],
+    }
+
+
+COMPOSE_FAULTS = list(_compose_faults(*"gfhcde"))
+REINDEX_FAULTS = list(_reindex_faults("x", "y", "  z -> w"))
+
+
+@pytest.mark.parametrize("fault", COMPOSE_FAULTS)
+def test_compose_chunk_fault_reads_as_per_line(fs2_regions, monkeypatch, fault):
+    """A fault in the middle of a 64 KB chunk of compose lines: the bulk
+    reader takes the chunk before it (and those after it, if the fault is
+    no error), and the reader gives the per-line reader's error or what it
+    gathers."""
+    (text, k), _ = fs2_regions
+    lines = text.split("\n")
+    _, g, f, _, h = lines[k].split()
+    _, c, d, _, e = lines[k + 1].split()
+    lines[k:k + 2] = _compose_faults(g, f, h, c, d, e)[fault]
+    bulk, taken, oracle = _both_ways(monkeypatch, "\n".join(lines))
+    assert bulk == oracle
+    assert taken > fileformat._PIECE // 50     # the lines of at least one chunk
+
+
+def test_arrow_named_compose_reads_as_per_line(fs2_regions, monkeypatch):
+    """With an arrow named compose, compose lines are read line by line: in
+    canonical lines, and in a line of six tokens followed by one of four,
+    whose tokens line up as in two canonical lines."""
+    (text, k), _ = fs2_regions
+    lines = text.split("\n")
+    g = lines[k].split()[1]
+    renamed = re.sub(rf"(?<= ){re.escape(g)}(?=[ \n])", "compose", text)
+    assert renamed.count(" compose compose ") > 1
+    lines = renamed.split("\n")
+    _, g, f, _, h = lines[k].split()
+    _, c, d, _, e = lines[k + 1].split()
+    shifted = lines[:k] + [f"  compose {g} {f} = {h} compose", f"  compose {c} = {e}"]
+    bulk, taken, oracle = _both_ways(monkeypatch, renamed)
+    assert bulk == oracle and not isinstance(bulk[0], int) and taken == 0
+    bulk, _, oracle = _both_ways(monkeypatch, "\n".join(shifted + lines[k + 2:]))
+    assert bulk == oracle == (k + 1, 3, "malformed compose entry")
+
+
+@pytest.mark.parametrize("fault", REINDEX_FAULTS + ["header-form-feed"])
+def test_reindex_block_fault_reads_as_per_line(fs2_regions, monkeypatch, fault):
+    """A fault in a reindex block past the first 128 KB: the bulk reader
+    takes the blocks before it, the reader gives the per-line reader's error
+    or what it gathers, and parsing gives the per-line parse's error."""
+    _, (text, k) = fs2_regions
+    lines = text.split("\n")
+    if fault == "header-form-feed":
+        k = max(i for i in range(k) if lines[i].startswith("reindex "))
+        lines[k] = lines[k].replace(" {", "\x0c{")
+    else:
+        x, _, y = lines[k].split()
+        lines[k:k + 2] = _reindex_faults(x, y, lines[k + 1])[fault]
+    faulty = "\n".join(lines)
+    bulk, taken, oracle = _both_ways(monkeypatch, faulty)
+    assert bulk == oracle
+    assert taken > 2 * fileformat._PIECE // 20
+    bulk, _, oracle = _both_ways(monkeypatch, faulty, _parsed)
+    assert bulk == oracle
+
+
+def test_fs2_file_reads_as_per_line(fs2_text, monkeypatch):
+    """The whole emitted fs2 file: the bulk readers take all but a few
+    hundred of its lines, and the reader gathers what the per-line reader
+    gathers."""
+    text = fs2_text
+    bulk, taken, oracle = _both_ways(monkeypatch, text)
+    assert bulk == oracle
+    assert text.count("\n") - taken < 3000
+
+
+_NOISE = [" ", "\t", "\n", "\r", "\r\n", "\x0c", "\x1f", "\x85", "\u2028", "#", "=", "->",
+          "{", "}", "\n}\n", "compose ", "\n  compose ", "zz", "\n\n", "\nreindex "]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_canonical_text() -> str:
+    """The canonical text of the subobject doctrine of chain's relation
+    completion: 49 compose lines and 17 reindex blocks."""
+    from doctrines.compare import analysis
+    from doctrines.doctrine import sub_doctrine
+    tp = analysis(fixtures.chain_fixture()).tp()
+    return emit_doctrine(sub_doctrine(tp.cat, tp.pc, tp.scope))
+
+
+@settings(max_examples=300, phases=NO_SHRINK)
+@given(st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3), st.sampled_from(_NOISE)),
+                min_size=1, max_size=3))
+def test_edited_text_reads_as_per_line(edits):
+    """Random edits of a small canonical text, each replacing up to three
+    characters from a space or line break on by a token, a space or a line
+    break, read in chunks of about 256 characters: the reader gives the
+    per-line reader's error or what it gathers."""
+    text = _small_canonical_text()
+    for where, cut, noise in edits:
+        spots = [m.start() for m in re.finditer(r"\s", text)]
+        k = spots[int(where * (len(spots) - 1))]
+        text = text[:k] + noise + text[k + cut:]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fileformat, "_PIECE", 256)
+        m.setattr(fileformat._lines, "__defaults__", (256,))
+        bulk, _, oracle = _both_ways(m, text)
+    assert bulk == oracle

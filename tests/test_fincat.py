@@ -1,14 +1,17 @@
+import random
+
 import numpy as np
 import pytest
 
 import crafted
-from doctrines import fixtures
+from doctrines import compare, fixtures
+from doctrines.doctrine import sub_doctrine
 from doctrines.errors import DoctrinesError
-from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, Window, WindowScope,
-                              check_equivalence, check_exact, equalizer, image_factorization,
-                              is_iso, is_mono, is_regular_epi, iso_classes, pullback,
-                              validate_category, validate_functor,
-                              validate_products)
+from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport, Window,
+                              WindowScope, check_equivalence, check_exact, equalizer,
+                              full_subcategory, image_factorization, is_iso, is_mono,
+                              is_regular_epi, iso_classes, pullback, validate_category,
+                              validate_functor, validate_products)
 
 import oracles
 from oracles import enumerate_pullbacks
@@ -193,6 +196,58 @@ def test_equivalence_embedding_misses_object(chain):
     eq = check_equivalence(F)
     assert not eq.essentially_surjective
     assert eq.witness["essentially_surjective"] == "v"
+
+
+def _typed_functors(S, T, rng, count):
+    """Random functor data S -> T that send identities to identities and
+    every other arrow into the hom-set of its mapped ends, so that only
+    composition can fail."""
+    out = []
+    while len(out) < count:
+        omap = [rng.randrange(T.n_objects) for _ in range(S.n_objects)]
+        homs = [T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])]) for f in range(S.n_arrows)]
+        if all(len(h) for h in homs):
+            amap = {S.arrows[f]: T.arrows[int(T.id_arr[omap[int(S.src[f])]])
+                                          if f in S.id_arr else int(rng.choice(list(h)))]
+                    for f, h in enumerate(homs)}
+            out.append(FunctorData(S, T, dict(zip(S.objects, (T.objects[o] for o in omap))),
+                                   amap))
+    return out
+
+
+def test_functor_composition_matches_former_loop(triv, chain, fs2, completions, monkeypatch):
+    """The composition clause of validate_functor, decided for all typed
+    pairs at once, names the former loop's first failing pair: on random
+    functor data between the bases and relation completions of triv and
+    chain, from them into fs2, and from fs2's core into itself and fs2;
+    and on every candidate that enumerate_functors validates from
+    triv and chain into the bases of triv and chain and into the subobject
+    doctrine of their own relation completion."""
+    rng = random.Random(5)
+    cats = [triv.cat, chain.cat, completions["triv"][3].cat, completions["chain"][3].cat]
+    core = full_subcategory(fs2.cat, [0, 1, 2])
+    cases = [F for S in cats for T in cats + [fs2.cat] for F in _typed_functors(S, T, rng, 25)]
+    cases += _typed_functors(core, core, rng, 50) + _typed_functors(core, fs2.cat, rng, 50)
+    seen = []
+
+    def both(F, products=None):
+        got, want = validate_functor(F, products), oracles.functor_composition_violation(F)
+        assert got == want if want is not None else got.message != "composition not preserved"
+        seen.append(want is None)
+        return got
+
+    monkeypatch.setattr(compare, "validate_functor", both)
+    for P in (triv, chain):
+        tp = completions["triv" if P is triv else "chain"][3]
+        for R in (triv, chain, sub_doctrine(tp.cat, tp.pc, tp.scope)):
+            compare.enumerate_functors(P.cat, P.products, R.cat, R.products, 1 << 20)
+    for F in cases:
+        want = oracles.functor_composition_violation(F)
+        assert validate_functor(F) == (ValidationReport(True) if want is None else want)
+        seen.append(want is None)
+    assert True in seen and False in seen
+    witnesses = {validate_functor(F).witness for F in cases} - {()}
+    assert len(witnesses) > 10
 
 
 def test_iso_classes_relation_completion(completions):
