@@ -31,10 +31,10 @@ from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      validate_products)
 from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, left_adjoints
-from .structure import (CheckVerdict, ComprehensionTable, ElementaryWitness,
-                        ExistentialWitness, StructureFailure, check_beck_chevalley,
-                        check_delta_product_law, check_frobenius,
-                        check_rule_of_choice, comprehension_of, comprehension_table,
+from .structure import (CheckVerdict, ComprehensionEntry, ComprehensionTable,
+                        ElementaryWitness, ExistentialWitness, StructureFailure,
+                        check_beck_chevalley, check_delta_product_law, check_frobenius,
+                        check_rule_of_choice, comprehension_table,
                         discover_elementary, discover_existential,
                         verify_comprehension_arrow)
 
@@ -233,13 +233,14 @@ def eed_conditions(P: DoctrineData, R: DoctrineData, F: FunctorData,
     existential is missing.  R's chosen products are products, so the
     pairing table holds the comparison <F pr1, F pr2>: F(A×A) -> FA×FA."""
     winP, winR = P.window, R.window
+    ob, ar = F.obj_map.tolist(), F.arr_map.tolist()
     equality = []
     for a in P.core_idx():
         aa, p1, p2 = winP.prod(a, a)
-        fa = F.ob(a)
-        if (R.cat.objects[fa], R.cat.objects[fa]) not in R.products.binary or fa not in E_R.delta:
+        fa = ob[a]
+        if (fa, fa) not in R.products.binary or fa not in E_R.delta:
             return None
-        cmp_arrow = winR.pair(F.ar(p1), F.ar(p2))
+        cmp_arrow = winR.pair(ar[p1], ar[p2])
         equality.append((aa, E_P.delta[a], int(R.r(cmp_arrow).table[E_R.delta[fa]])))
     existentials = []
     for a in P.core_idx():
@@ -247,7 +248,7 @@ def eed_conditions(P: DoctrineData, R: DoctrineData, F: FunctorData,
             ab, p1, p2 = winP.prod(a, b)
             for pr, tgt in ((p1, a), (p2, b)):
                 eP = exists_along(P, pr)
-                eR = exists_along(R, F.ar(pr))
+                eR = exists_along(R, ar[pr])
                 if isinstance(eP, NoAdjoint) or isinstance(eR, NoAdjoint):
                     return None
                 existentials.append((ab, tgt, eP.table, eR.table))
@@ -281,13 +282,20 @@ def preserve_comprehensions(P: DoctrineData, R: DoctrineData,
     comprehension arrow is a comprehension of the component image of its
     element.  Each (object, element, arrow, strictness) of R is verified
     once."""
-    elements = ((a, el) for a in P.core_idx() for el in range(P.fibers[a].n))
     entries = [(a, el, P.cat.arr_index[ent.arrow], ent.kind == "strict")
-               for (a, el), ent in zip(elements, analysis(P).comprehensions().entries)
+               for (a, el), ent in comprehension_entries(P, analysis(P).comprehensions())
                if ent.kind != "none"]
     verified = functools.cache(functools.partial(verify_comprehension_arrow, R))
-    return [all(verified(m.F.ob(a), int(m.components[a].table[el]), m.F.ar(c), strict)
+    return [all(verified(int(m.F.obj_map[a]), int(m.components[a].table[el]),
+                         int(m.F.arr_map[c]), strict)
                 for a, el, c, strict in entries) for m in mors]
+
+
+def comprehension_entries(P: DoctrineData, ct: ComprehensionTable
+                          ) -> Iterator[tuple[tuple[int, int], ComprehensionEntry]]:
+    """The entries of P's comprehension table, each with its (core object,
+    element): the table lists them in that order."""
+    return zip(((a, el) for a in P.core_idx() for el in range(P.fibers[a].n)), ct.entries)
 
 
 # the combinations of a 2-cell table are decoded and tested this many at a time
@@ -316,8 +324,8 @@ class TwoCellTable:
         n = self.n = len(mors)
         self.T, self.src, self.tgt = T, C.src, C.tgt
         self.inverse = [-1 if (g := inverse_of(T, f)) is None else g for f in range(T.n_arrows)]
-        self.arrows = np.array([[m.F.ar(f) for f in range(C.n_arrows)] for m in mors],
-                               dtype=np.intp).reshape(n, C.n_arrows)
+        self.arrows = np.array([m.F.arr_map for m in mors], dtype=np.intp).reshape(n, C.n_arrows)
+        obs = np.array([m.F.obj_map for m in mors], dtype=np.intp).reshape(n, C.n_objects)
         # R's reindexing tables end to end: R(h) starts at offset[h]
         sizes = np.array([R.r(h).table.shape[0] for h in range(T.n_arrows)], dtype=np.intp)
         flat = np.concatenate([R.r(h).table for h in range(T.n_arrows)])
@@ -327,7 +335,7 @@ class TwoCellTable:
         self.starts = np.zeros((C.n_objects, n * n), dtype=np.intp)
         self.cands = [np.zeros(0, dtype=np.intp)] * C.n_objects
         for a in range(C.n_objects if n else 0):
-            ob = np.array([m.F.ob(a) for m in mors], dtype=np.intp)
+            ob = obs[:, a]
             tables = np.stack([m.components[a].table for m in mors])
             keys, cands = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
             for u in np.flatnonzero(np.bincount(ob)).tolist():
@@ -389,8 +397,7 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
     the guard charges every candidate object map with the cost of one full
     functoriality validation, so oversized instances abort up front."""
     est = T.n_objects ** S.n_objects
-    non_id = [f for f in range(S.n_arrows)
-              if f != int(S.id_arr[int(S.src[f])])]
+    non_id = np.flatnonzero(np.arange(S.n_arrows) != S.id_arr[S.src])
     if est > cap:
         raise ResourceCap("functor object maps", est, cap)
     work = est * max(1, int((S.comp >= 0).sum()))
@@ -399,27 +406,21 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
     out = []
     for omap in itertools.product(range(T.n_objects), repeat=S.n_objects):
         cand_lists = []
-        feasible = True
         total = 1
-        for f in non_id:
-            cands = [int(h) for h in T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])])]
-            if not cands:
-                feasible = False
-                break
+        for s, t in zip(S.src[non_id].tolist(), S.tgt[non_id].tolist()):
+            cands = T.hom(omap[s], omap[t]).tolist()
             total *= len(cands)
             if total > cap:
                 raise ResourceCap("functor arrow maps", total, cap)
             cand_lists.append(cands)
-        if not feasible:
-            continue
+            if not cands:
+                break
+        # an identity goes to the identity of its image, the others to a
+        # combination of candidates; an empty candidate list leaves none
+        amap = T.id_arr[np.array(omap, dtype=np.intp)[S.src]].astype(np.intp)
         for combo in itertools.product(*cand_lists):
-            amap = {}
-            for o in range(S.n_objects):
-                amap[S.arrows[int(S.id_arr[o])]] = T.arrows[int(T.id_arr[omap[o]])]
-            for f, tf in zip(non_id, combo):
-                amap[S.arrows[f]] = T.arrows[tf]
-            F = FunctorData(S, T, {S.objects[o]: T.objects[omap[o]]
-                                   for o in range(S.n_objects)}, amap)
+            amap[non_id] = combo
+            F = FunctorData(S, T, omap, amap)
             if validate_functor(F, (Spc, Tpc)).ok:
                 out.append(F)
     return out
@@ -456,8 +457,9 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
     for F in enumerate_functors(P.cat, P.products, R.cat, R.products, cap):
         hom_lists = []
         total = 1
+        ob = F.obj_map.tolist()
         for o in range(P.cat.n_objects):
-            homs = fiber_homs(o, F.ob(o))
+            homs = fiber_homs(o, ob[o])
             total *= max(1, len(homs))
             if total > cap:
                 raise ResourceCap("morphism components", total, cap)
@@ -466,7 +468,7 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
         if cond is None:
             continue
         out.extend(DoctrineMorphism(F, tuple(
-            MonotoneMap(P.fibers[o], R.fibers[F.ob(o)], hom_lists[o][k])
+            MonotoneMap(P.fibers[o], R.fibers[ob[o]], hom_lists[o][k])
             for o, k in enumerate(idx))) for idx in cond.hold(hom_lists))
     return out
 
@@ -553,12 +555,8 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     for (o, el), gi in gr.obj_of.items():
         fib = hat.fibers[gi]
         for pos, parent_el in enumerate(P.fibers[o].downset(el)):
-            cname = f"({base.arrows[int(base.id_arr[o])]}" \
-                    f"|{P.fibers[o].elements[parent_el]}|{P.fibers[o].elements[el]})"
-            if (cname not in gr.cat.arr_index
-                    or not verify_comprehension_arrow(hat, gi, pos,
-                                                      gr.cat.arr_index[cname],
-                                                      strict=True)):
+            c = gr.arr_of.get((int(base.id_arr[o]), parent_el, el))
+            if c is None or not verify_comprehension_arrow(hat, gi, pos, c, strict=True):
                 carried_ok = False
                 carried_witness = (gr.cat.objects[gi], fib.elements[pos])
                 break
@@ -572,8 +570,9 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("comprehensions-gained", INFO, data={"previously-missing": gained}))
     # the embedding is a product-preserving functor whose fiber components
     # are identities: fibers, equality, meets/top and existentials transfer
-    emb_ok = validate_functor(gr.embed, (P.products, gr.pc)).ok
-    rep.add(Check("embedding-functor", _status(emb_ok)))
+    vf = validate_functor(gr.embed, (P.products, gr.pc))
+    rep.add(Check("embedding-functor", _status(vf.ok),
+                  (vf.witness + (vf.message,)) if not vf.ok else None))
     fib_ok, witness = True, None
     for a in range(base.n_objects):
         gi = gr.obj_of[(a, P.fibers[a].top)]
@@ -595,15 +594,15 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
                 dwitness = base.objects[a]
                 break
     rep.add(Check("embedding-preserves-equality", _status(delta_ok), dwitness))
-    ex_ok = True
+    # the first projection whose existential the embedding does not carry
+    ex_witness = None
     if X_P is not None:
-        for inst in X_P.instances:
-            for pr in (inst.pr1, inst.pr2):
-                e_hat = exists_along(
-                    hat, gr.cat.arr_index[gr.embed.arr_map[base.arrows[pr]]])
-                if not np.array_equal(X_P.adjoints[pr].table, e_hat.table):
-                    ex_ok = False
-    rep.add(Check("embedding-preserves-existentials", _status(ex_ok)))
+        embedded = gr.embed.arr_map.tolist()
+        ex_witness = next((base.arrows[pr] for inst in X_P.instances
+                           for pr in (inst.pr1, inst.pr2)
+                           if not np.array_equal(X_P.adjoints[pr].table,
+                                                 exists_along(hat, embedded[pr]).table)), None)
+    rep.add(Check("embedding-preserves-existentials", _status(ex_witness is None), ex_witness))
     return rep
 
 
@@ -648,20 +647,16 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
                   {"iso-witnesses": eq.witness.get("iso_witnesses", {})}))
     # proof identity: el = exists_{comprehension}(top)
     ident_ok, ident_witness, count = True, None, 0
-    for a in P.core_idx():
-        for el in range(P.fibers[a].n):
-            ent = next(e for e in ct.entries
-                       if e.obj == P.cat.objects[a]
-                       and e.element == P.fibers[a].elements[el])
-            c = P.cat.arr_index[ent.arrow]
-            e_c = exists_along(P, c)
-            if isinstance(e_c, NoAdjoint):
-                continue
-            count += 1
-            w = int(P.cat.src[c])
-            if int(e_c.table[P.fibers[w].top]) != el:
-                ident_ok = False
-                ident_witness = (P.cat.objects[a], P.fibers[a].elements[el])
+    for (a, el), ent in comprehension_entries(P, ct):
+        c = P.cat.arr_index[ent.arrow]
+        e_c = exists_along(P, c)
+        if isinstance(e_c, NoAdjoint):
+            continue
+        count += 1
+        w = int(P.cat.src[c])
+        if int(e_c.table[P.fibers[w].top]) != el:
+            ident_ok = False
+            ident_witness = (P.cat.objects[a], P.fibers[a].elements[el])
     rep.add(Check("image-of-top-identity", _status(ident_ok), ident_witness,
                   {"instances": count}))
     return rep
@@ -773,6 +768,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     derived_all, witness = True, None
     instances = 0
     skipped: list[str] = []
+    entries = dict(comprehension_entries(P, ct))
     for a in P.core_idx():
         for b in P.core_idx():
             ab, pr1, _ = win.prod(a, b)
@@ -782,7 +778,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
                 if int(e1.table[al]) != P.fibers[a].top:
                     continue
                 instances += 1
-                got = _derive_choice(P, E, X, q, er, a, b, al, ct, caps, skipped)
+                got = _derive_choice(P, E, X, q, er, a, b, al, entries, skipped)
                 if got is None:
                     continue
                 if not got:
@@ -801,7 +797,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
 
 
 def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
-                   ct: ComprehensionTable, caps: Caps,
+                   entries: dict[tuple[int, int], ComprehensionEntry],
                    skipped: list[str]) -> bool | None:
     """Derive a graphed arrow for the total element al in P(A×B) through the
     quotient completion; None means the instance was skipped (reported).
@@ -814,7 +810,8 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
     graph lies inside the original element.
 
     A and B are core objects, so the existential along pr2 is the one the
-    discovery kept in X (lemma).  The product A×W is in the window: it is
+    discovery kept in X (lemma), and the comprehension of the image is the
+    entry of the analysis' table, `entries`.  The product A×W is in the window: it is
     A×B when W = B, and `win.times` has read it when W is the source of the
     comprehension."""
     C = P.cat
@@ -827,7 +824,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
     else:
         # restrict the target along the comprehension of the image
         img = int(e2.table[al])
-        ent = comprehension_of(P, b, img)
+        ent = entries[b, img]
         if ent.kind == "none":
             skipped.append(f"{label}: image has no comprehension")
             return None
@@ -918,10 +915,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
 
 def compose_functors(F: FunctorData, G: FunctorData) -> FunctorData:
     """G after F."""
-    return FunctorData(
-        F.source, G.target,
-        {o: G.obj_map[F.obj_map[o]] for o in F.source.objects},
-        {a: G.arr_map[F.arr_map[a]] for a in F.source.arrows})
+    return FunctorData(F.source, G.target, G.obj_map[F.obj_map], G.arr_map[F.arr_map])
 
 
 def whiskering_agrees(above: TwoCellTable, below: TwoCellTable, at: list[int]) -> np.ndarray:
@@ -959,7 +953,7 @@ def essential_equivalence(rep: Report, P: DoctrineData, Q: DoctrineData,
     `mor_p`; above, over `mor_q`.  The iso test reads the table below
     (`invertible`), and `whiskering_agrees` compares the two tables at
     once.  Each reading reads them for its filtered indices."""
-    at_D = [Q.cat.obj_index[D.obj_map[o]] for o in P.cat.objects]
+    at_D = D.obj_map.tolist()
 
     composites: dict[int, FunctorData] = {}     # D then F, once per functor F
 
@@ -986,8 +980,9 @@ def essential_equivalence(rep: Report, P: DoctrineData, Q: DoctrineData,
         mq = [i for i, keep in enumerate(keep_q) if keep]
         rep.add(Check(f"{reading}:precomposition-well-defined",
                       _status(all(well_defined[i] for i in mq))))
-        sw = next((str(sorted(down[k].F.obj_map.items())) for k in mp
-                   if not any(cells_down.invertible(i, k) for i in mq)), None)
+        sw = next((str(sorted(zip(P.cat.objects, map(R.cat.objects.__getitem__,
+                                                      down[k].F.obj_map.tolist()))))
+                   for k in mp if not any(cells_down.invertible(i, k) for i in mq)), None)
         rep.add(Check(f"{reading}:essentially-surjective", _status(sw is None), sw,
                       {"base-side": len(mp), "completion-side": len(mq)}))
         keep = np.array(mq, dtype=np.intp)

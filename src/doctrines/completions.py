@@ -56,6 +56,7 @@ class GrCompletion:
     doctrine: DoctrineData          # restricted-downset fibers over cat
     embed: FunctorData              # base -> cat, at top elements
     obj_of: dict[tuple[int, int], int]   # (base object, element) -> object index
+    arr_of: dict[tuple[int, int, int], int]   # (base arrow, source el, target el) -> arrow
 
 
 def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
@@ -123,22 +124,17 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                  np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
                  id_arr, comp)
     # chosen products carried by the base
-    term_obj = C.obj_index[P.products.terminal]
-    pc = ProductChoice(obj_names[obj_of[(term_obj, P.fibers[term_obj].top)]], {})
-    for (an, bn), (pn, p1n, p2n) in P.products.binary.items():
-        a, b = C.obj_index[an], C.obj_index[bn]
-        p = C.obj_index[pn]
-        p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+    t = P.products.terminal
+    pc = ProductChoice(obj_of[(t, P.fibers[t].top)], {})
+    for (a, b), (p, p1, p2) in P.products.binary.items():
         r1, r2 = P.r(p1).table, P.r(p2).table
         for ea in range(P.fibers[a].n):
             for eb in range(P.fibers[b].n):
                 ep = P.fibers[p].meet_of(int(r1[ea]), int(r2[eb]))
-                pc.binary[(obj_names[obj_of[(a, ea)]], obj_names[obj_of[(b, eb)]])] = (
-                    obj_names[obj_of[(p, ep)]],
-                    names[arrow(p1, ep, ea)], names[arrow(p2, ep, eb)])
-    core = tuple(obj_names[obj_of[(C.obj_index[o], el)]]
-                 for o in P.scope.core for el in range(P.fiber_named(o).n))
-    scope = WindowScope(core)
+                pc.binary[(obj_of[(a, ea)], obj_of[(b, eb)])] = (
+                    obj_of[(p, ep)], arrow(p1, ep, ea), arrow(p2, ep, eb))
+    scope = WindowScope(tuple(obj_names[obj_of[(o, el)]]
+                              for o in P.core_idx() for el in range(P.fibers[o].n)))
     # restricted-downset fibers
     fibers: list[FinInfSL] = []
     for o, el in objs:
@@ -156,12 +152,11 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                          dtype=np.int32)
         reindex.append(MonotoneMap(fibers[obj_of[(b, eb)]], fibers[obj_of[(a, ea)]], table))
     hat = DoctrineData(cat, pc, scope, fibers, reindex)
-    embed = FunctorData(
-        C, cat,
-        {C.objects[o]: obj_names[obj_of[(o, P.fibers[o].top)]] for o in range(C.n_objects)},
-        {C.arrows[f]: names[arrow(f, P.fibers[int(C.src[f])].top, P.fibers[int(C.tgt[f])].top)]
-         for f in range(C.n_arrows)})
-    return GrCompletion(cat, pc, scope, hat, embed, obj_of)
+    top = [P.fibers[o].top for o in range(C.n_objects)]
+    embed = FunctorData(C, cat, [obj_of[(o, top[o])] for o in range(C.n_objects)],
+                        [arrow(f, top[a], top[b])
+                         for f, (a, b) in enumerate(zip(C.src.tolist(), C.tgt.tolist()))])
+    return GrCompletion(cat, pc, scope, hat, embed, obj_of, arr_of)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +292,12 @@ def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
     terminal = terminal_object(cat)
     if terminal is None:
         return None
-    pc = ProductChoice(cat.objects[terminal], {})
+    pc = ProductChoice(terminal, {})
     for a in range(cat.n_objects):
         for b in range(cat.n_objects):
             cone = product_cone(cat, a, b, caps.enum)
             if cone is not None:
-                pc.binary[(cat.objects[a], cat.objects[b])] = (
-                    cat.objects[cone.apex],
-                    cat.arrows[cone.legs[0]], cat.arrows[cone.legs[1]])
+                pc.binary[(a, b)] = (cone.apex, *cone.legs)
     return pc
 
 
@@ -321,7 +314,8 @@ class ERCompletion:
     tp: TCompletion
     objects: list[tuple[int, int]]
     obj_of: dict[tuple[int, int], int]
-    inclusion: FunctorData          # into tp.cat
+    inclusion: FunctorData          # into tp.cat: the kept objects and arrows
+    arr_of: dict[tuple[int, int, int], int]   # tp.arr_of's keys of the kept arrows -> arrow
 
 
 def is_reflexive(P: DoctrineData, E: ElementaryWitness, a: int, rel: int) -> bool:
@@ -337,18 +331,18 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     of P_diag, so delta <= rho iff top <= P_diag(rho)."""
     keep = [oi for oi, (a, rel) in enumerate(tp.objects) if is_reflexive(P, E, a, rel)]
     objects = [tp.objects[oi] for oi in keep]
-    cat = full_subcategory(tp.cat, keep)
+    inclusion = full_subcategory(tp.cat, keep)
+    cat = inclusion.source
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    inclusion = FunctorData(cat, tp.cat, {nm: nm for nm in cat.objects},
-                            {nm: nm for nm in cat.arrows})
     obj_of = {pair: i for i, pair in enumerate(objects)}
-    return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion)
+    arr_of = {tp.arrows[t]: i for i, t in enumerate(inclusion.arr_map.tolist())}
+    return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion, arr_of)
 
 
 def core_subcategory(P: DoctrineData) -> FinCat:
     """Full subcategory of the base on the core objects."""
-    return full_subcategory(P.cat, P.core_idx())
+    return full_subcategory(P.cat, P.core_idx()).source
 
 
 def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:
@@ -357,20 +351,18 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
     the reindexed equality P_{f×id}(delta_B).  That is ∃_<id,f>(top) in any
     elementary doctrine (lemma), so the existential image is not taken."""
     C = P.cat
-    base = core_subcategory(P)
-    obj_map = {C.objects[a]: er.cat.objects[er.obj_of[(a, E.delta[a])]]
-               for a in P.core_idx()}
-    arr_map: dict[str, str] = {}
-    for fname in base.arrows:
-        f = C.arr_index[fname]
+    core = full_subcategory(C, P.core_idx())
+    arr_map = []
+    for f in core.arr_map.tolist():
         a, b = int(C.src[f]), int(C.tgt[f])
         fxid = P.window.times(f, int(C.id_arr[b]))   # f×id: A×B -> B×B
         graph = int(P.r(fxid).table[E.delta[b]])
         key = (er.tp.obj_of[(a, E.delta[a])], er.tp.obj_of[(b, E.delta[b])], graph)
-        if key not in er.tp.arr_of:
-            raise MalformedPresentation(f"graph of {fname} is not a functional relation")
-        arr_map[fname] = er.tp.cat.arrows[er.tp.arr_of[key]]
-    return FunctorData(base, er.cat, obj_map, arr_map)
+        if key not in er.arr_of:
+            raise MalformedPresentation(f"graph of {C.arrows[f]} is not a functional relation")
+        arr_map.append(er.arr_of[key])
+    return FunctorData(core.source, er.cat, [er.obj_of[(a, E.delta[a])] for a in P.core_idx()],
+                       arr_map)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +456,7 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                for xi, yi, members in classes]
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    doct = DoctrineData(cat, pc if pc is not None else ProductChoice(cat.objects[0], {}),
+    doct = DoctrineData(cat, pc if pc is not None else ProductChoice(0, {}),
                         scope, fibers, reindex)
     return QCompletion(cat, pc, scope, objs, obj_of, classes, doct, des_elements)
 
@@ -498,9 +490,7 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     rho ; rho = rho, the identity of (A, rho) in the relation completion."""
     C = P.cat
     win = P.window
-    obj_map = {q.cat.objects[i]: er.cat.objects[er.obj_of[pair]]
-               for i, pair in enumerate(q.objects)}
-    arr_map: dict[str, str] = {}
+    arr_map = []
     comparisons = 0
     skipped: list[str] = []
     for ci, (xi, yi, members) in enumerate(q.classes):
@@ -523,10 +513,11 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                     "comparison functor",
                     f"published forms disagree on {q.cat.arrows[ci]}")
         key = (er.tp.obj_of[(a, rho)], er.tp.obj_of[(b, sig)], val)
-        if key not in er.tp.arr_of:
+        if key not in er.arr_of:
             raise MalformedPresentation(
                 f"comparison image of {q.cat.arrows[ci]} is not a functional relation")
-        arr_map[q.cat.arrows[ci]] = er.tp.cat.arrows[er.tp.arr_of[key]]
+        arr_map.append(er.arr_of[key])
+    obj_map = [er.obj_of[pair] for pair in q.objects]
     return LFunctorResult(FunctorData(q.cat, er.cat, obj_map, arr_map), comparisons, skipped)
 
 
@@ -579,12 +570,8 @@ def tp_sub_restriction(tp: TCompletion, er: ERCompletion,
     if tp.pc is None or er.pc is None:
         raise MalformedPresentation("completion has no terminal; cannot index subobjects")
     full = sub_doctrine(tp.cat, tp.pc, WindowScope(tp.cat.objects))
-    fibers = []
-    for i, pair in enumerate(er.objects):
-        fibers.append(full.fibers[tp.obj_of[pair]])
-    reindex = []
-    for name in er.cat.arrows:
-        reindex.append(full.reindex[tp.cat.arr_index[name]])
+    fibers = [full.fibers[o] for o in er.inclusion.obj_map.tolist()]
+    reindex = [full.reindex[f] for f in er.inclusion.arr_map.tolist()]
     return DoctrineData(er.cat, er.pc, WindowScope(er.cat.objects), fibers, reindex)
 
 

@@ -44,9 +44,6 @@ class DoctrineData:
             self._window = Window(self.cat, self.products, self.scope)
         return self._window
 
-    def fiber_named(self, name: str) -> FinInfSL:
-        return self.fibers[self.cat.obj_index[name]]
-
     def r(self, f: int) -> MonotoneMap:
         return self.reindex[f]
 

@@ -79,8 +79,8 @@ class _Read(NamedTuple):
     tgt: list[int]
     identity: dict[int, int]
     compose: np.ndarray    # one row (g, f, h) per compose line in turn: comp[g, f] = h
-    terminal: str | None
-    binary: dict[tuple[str, str], tuple[str, str, str]]
+    terminal: int | None
+    binary: dict[tuple[int, int], tuple[int, int, int]]
     fibers: dict[int, _FiberBlock]
     reindex: dict[int, _ReindexBlock]
     core: list[str] | None
@@ -168,8 +168,8 @@ def _read_lines(text: str) -> _Read:
     identity: dict[int, int] = {}
     compose: list = [[]]   # arrays of rows (g, f, h), and lists g, f, h, ... read singly
     put = compose[-1].append
-    terminal: str | None = None
-    binary: dict[tuple[str, str], tuple[str, str, str]] = {}
+    terminal: int | None = None
+    binary: dict[tuple[int, int], tuple[int, int, int]] = {}
     fibers: dict[int, _FiberBlock] = {}
     reindex: dict[int, _ReindexBlock] = {}
     core: list[str] | None = None
@@ -245,15 +245,11 @@ def _read_lines(text: str) -> _Read:
                 o = known_object(ln, raw, parts[1])
                 identity[o] = known_arrow(ln, raw, parts[3])
             elif head == "terminal" and len(parts) == 2:
-                known_object(ln, raw, parts[1])
-                terminal = parts[1]
+                terminal = known_object(ln, raw, parts[1])
             elif head == "product" and len(parts) == 7 and parts[3] == "=":
-                a, b, p, p1, p2 = parts[1], parts[2], parts[4], parts[5], parts[6]
-                for o in (a, b, p):
-                    known_object(ln, raw, o)
-                for x in (p1, p2):
-                    known_arrow(ln, raw, x)
-                binary[(a, b)] = (p, p1, p2)
+                a, b, p = (known_object(ln, raw, o) for o in (parts[1], parts[2], parts[4]))
+                binary[(a, b)] = (p, known_arrow(ln, raw, parts[5]),
+                                  known_arrow(ln, raw, parts[6]))
             else:
                 raise _err(ln, raw, head, f"malformed base entry {head!r}")
         elif section == "reindex":
@@ -423,8 +419,8 @@ def emit_doctrine(P: DoctrineData) -> str:
     gi, fi = np.nonzero(C.comp >= 0)
     out += [f"  compose {arrows[g]} {arrows[f]} = {arrows[h]}"
             for g, f, h in zip(gi.tolist(), fi.tolist(), C.comp[gi, fi].tolist())]
-    out.append(f"  terminal {P.products.terminal}")
-    out += [f"  product {a} {b} = {p} {p1} {p2}"
+    out.append(f"  terminal {objects[P.products.terminal]}")
+    out += [f"  product {objects[a]} {objects[b]} = {objects[p]} {arrows[p1]} {arrows[p2]}"
             for (a, b), (p, p1, p2) in P.products.binary.items()]
     out.append("}")
     for o, fib in zip(objects, P.fibers):

@@ -20,6 +20,10 @@ Rich fixtures are windows of an ambient category: chosen product structure is
 recorded in a ProductChoice and quantified checks state their scope as a core
 object set (WindowScope).  A demanded product that is missing from the window
 is a hard error, never a silent skip.
+
+Product choices and functors hold indices into their categories.  Names
+live only at the edges: the parser resolves them, the emitter writes them,
+and witnesses and report text name what they point at.
 """
 
 from __future__ import annotations
@@ -209,13 +213,15 @@ class FinCat:
 
 @dataclass
 class ProductChoice:
-    """Chosen terminal and binary products; the pairing table is derived
-    from the chosen projections by the first Window built over the choice
-    (mediators into a product are unique, so it is derived data, kept for
-    O(1) lookups)."""
+    """Chosen terminal and binary products by index into one category:
+    binary maps the objects (a, b) to the product object and its two
+    projections (p, pr1, pr2).  Names live only at the parser, the emitter
+    and the witnesses.  The pairing table is derived from the chosen
+    projections by the first Window built over the choice (mediators into
+    a product are unique, so it is derived data, kept for O(1) lookups)."""
 
-    terminal: str
-    binary: dict[tuple[str, str], tuple[str, str, str]]  # (A,B) -> (P, pr1, pr2)
+    terminal: int
+    binary: dict[tuple[int, int], tuple[int, int, int]]  # (a, b) -> (p, pr1, pr2)
     pairing: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
 
@@ -350,24 +356,23 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
     only mediator.  At the first apex where that fails, the witness is the
     least cone with more than one mediator, with the most mediators of any
     cone there, or else the first cone, in product order, with none."""
-    if pc.terminal not in C.obj_index:
-        return ValidationReport(False, "MissingEntry", (pc.terminal,), "unknown terminal")
-    t = C.obj_index[pc.terminal]
+    t = pc.terminal
+    if not 0 <= t < C.n_objects:
+        return ValidationReport(False, "MissingEntry", (t,), "unknown terminal")
     for z in range(C.n_objects):
         k = len(C.hom(z, t))
         if k != 1:
             return ValidationReport(False, "Terminal", (C.objects[z],),
                                     f"terminal has {k} arrows from {C.objects[z]}")
     sizes, n = _hom_sizes(C), C.n_arrows
-    for (an, bn), (pn, p1n, p2n) in pc.binary.items():
-        for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
-                         (p1n, C.arr_index), (p2n, C.arr_index)):
-            if nm not in pool:
-                return ValidationReport(False, "MissingEntry", (nm,), "unknown id in product entry")
-        a, b, p = C.obj_index[an], C.obj_index[bn], C.obj_index[pn]
-        p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+    for (a, b), (p, p1, p2) in pc.binary.items():
+        for i, pool in ((a, C.n_objects), (b, C.n_objects), (p, C.n_objects),
+                        (p1, C.n_arrows), (p2, C.n_arrows)):
+            if not 0 <= i < pool:
+                return ValidationReport(False, "MissingEntry", (i,), "unknown id in product entry")
         if int(C.src[p1]) != p or int(C.tgt[p1]) != a or int(C.src[p2]) != p or int(C.tgt[p2]) != b:
-            return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
+            return ValidationReport(False, "MissingEntry", (C.objects[p],),
+                                    "projections badly typed")
         # the cones (z, p1∘u, p2∘u) of every u into p, coded by apex, then cone
         meds = C.into(p)
         codes, counts = np.unique(
@@ -384,8 +389,9 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
                 f * n + g for f in C.hom(z, a).tolist() for g in C.hom(z, b).tolist()
                 if f * n + g not in have)
             return ValidationReport(False, "Product", (C.arrows[w // n], C.arrows[w % n]),
-                                    f"cone has {most} mediating arrows into {pn}" if most > 1
-                                    else f"cone has no mediating arrow into {pn}")
+                                    f"cone has {most} mediating arrows into {C.objects[p]}"
+                                    if most > 1
+                                    else f"cone has no mediating arrow into {C.objects[p]}")
     return ValidationReport(True)
 
 
@@ -414,22 +420,16 @@ class Window:
             if o not in C.obj_index:
                 raise MalformedPresentation(f"core object {o} not in category")
         if not pc.pairing:
-            for pn, p1n, p2n in pc.binary.values():
-                meds = C.into(C.obj_index[pn])
-                p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+            for p, p1, p2 in pc.binary.values():
+                meds = C.into(p)
                 for cone, u in zip(zip(C.comp[p1, meds].tolist(), C.comp[p2, meds].tolist()),
                                    meds.tolist()):
                     pc.pairing.setdefault(cone, u)
 
-    def has_prod(self, a: int, b: int) -> bool:
-        return (self.C.objects[a], self.C.objects[b]) in self.pc.binary
-
     def prod(self, a: int, b: int) -> tuple[int, int, int]:
-        key = (self.C.objects[a], self.C.objects[b])
-        if key not in self.pc.binary:
-            raise WindowClosure(key)
-        pn, p1n, p2n = self.pc.binary[key]
-        return (self.C.obj_index[pn], self.C.arr_index[p1n], self.C.arr_index[p2n])
+        if (a, b) not in self.pc.binary:
+            raise WindowClosure((self.C.objects[a], self.C.objects[b]))
+        return self.pc.binary[a, b]
 
     def pair(self, f: int, g: int) -> int:
         """<f, g> for a cone (f: Z->A, g: Z->B) over the chosen product A×B."""
@@ -471,21 +471,12 @@ class Window:
 
     def check_closure(self) -> list[tuple[str, ...]]:
         """Products demanded by the scope that the window lacks (empty = closed)."""
-        missing: list[tuple[str, ...]] = []
-        core_idx = [self.C.obj_index[o] for o in self.core]
-        for a in core_idx:
-            for b in core_idx:
-                if not self.has_prod(a, b):
-                    missing.append((self.C.objects[a], self.C.objects[b]))
-        for a in core_idx:
-            for b in core_idx:
-                if not self.has_prod(a, b):
-                    continue
-                ab = self.C.obj_index[self.pc.binary[(self.C.objects[a], self.C.objects[b])][0]]
-                for c in core_idx:
-                    if not self.has_prod(ab, c):
-                        missing.append((self.C.objects[a], self.C.objects[b], self.C.objects[c]))
-        return missing
+        ob, binary = self.C.objects, self.pc.binary
+        core = [self.C.obj_index[o] for o in self.core]
+        pairs = list(itertools.product(core, repeat=2))
+        return ([(ob[a], ob[b]) for a, b in pairs if (a, b) not in binary]
+                + [(ob[a], ob[b], ob[c]) for a, b in pairs if (a, b) in binary
+                   for c in core if (binary[a, b][0], c) not in binary])
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +581,19 @@ def iso_classes(C: FinCat) -> list[list[str]]:
     return [[C.objects[i] for i in cl] for cl in classes]
 
 
-def full_subcategory(C: FinCat, objs: list[int]) -> FinCat:
-    """The full subcategory on `objs`, in that order; arrows keep theirs."""
+def full_subcategory(C: FinCat, objs: list[int]) -> FunctorData:
+    """The full subcategory on `objs`, in that order, as its inclusion into
+    C: the subcategory is the source, and its arrows keep their names and
+    their order in C."""
     obj_new = np.full(C.n_objects, -1, dtype=np.int32)
     obj_new[objs] = np.arange(len(objs))
     keep = np.flatnonzero((obj_new[C.src] >= 0) & (obj_new[C.tgt] >= 0))
     arr_new = np.full(C.n_arrows + 1, -1, dtype=np.int32)    # arr_new[-1] keeps -1
     arr_new[keep] = np.arange(len(keep))
-    return FinCat(tuple(C.objects[o] for o in objs), tuple(C.arrows[f] for f in keep),
-                  obj_new[C.src[keep]], obj_new[C.tgt[keep]], arr_new[C.id_arr[objs]],
-                  arr_new[C.comp[np.ix_(keep, keep)]])
+    sub = FinCat(tuple(C.objects[o] for o in objs), tuple(C.arrows[f] for f in keep),
+                 obj_new[C.src[keep]], obj_new[C.tgt[keep]], arr_new[C.id_arr[objs]],
+                 arr_new[C.comp[np.ix_(keep, keep)]])
+    return FunctorData(sub, C, objs, keep)
 
 
 def terminal_object(C: FinCat) -> int | None:
@@ -910,37 +904,49 @@ def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctorData:
+    """Data of a functor by index: obj_map[o] is the image of source object
+    o and arr_map[f] that of source arrow f, both read-only int arrays.
+    Names live only at the parser, the emitter and the witnesses.  The
+    data is checked by `validate_functor`, which reads an entry outside
+    the target, or a missing one, as an incomplete map."""
+
     source: FinCat
     target: FinCat
-    obj_map: dict[str, str]
-    arr_map: dict[str, str]
+    obj_map: np.ndarray
+    arr_map: np.ndarray
 
-    def ob(self, i: int) -> int:
-        return self.target.obj_index[self.obj_map[self.source.objects[i]]]
+    def __post_init__(self):
+        self.obj_map = np.array(self.obj_map, dtype=np.intp)
+        self.arr_map = np.array(self.arr_map, dtype=np.intp)
+        self.obj_map.flags.writeable = self.arr_map.flags.writeable = False
 
-    def ar(self, f: int) -> int:
-        return self.target.arr_index[self.arr_map[self.source.arrows[f]]]
+
+def _first_outside(table: np.ndarray, n: int, bound: int) -> int | None:
+    """The first position below n where `table` has no entry in range(bound)."""
+    ok = np.zeros(n, dtype=bool)
+    ok[:len(table)] = (table[:n] >= 0) & (table[:n] < bound)
+    return None if ok.all() else int(ok.argmin())
 
 
 def validate_functor(F: FunctorData,
                      products: tuple[ProductChoice, ProductChoice] | None = None
                      ) -> ValidationReport:
     S, T = F.source, F.target
-    for o in S.objects:
-        if o not in F.obj_map or F.obj_map[o] not in T.obj_index:
-            return ValidationReport(False, "Functor", (o,), "object map incomplete")
-    for a in S.arrows:
-        if a not in F.arr_map or F.arr_map[a] not in T.arr_index:
-            return ValidationReport(False, "Functor", (a,), "arrow map incomplete")
-    ar = np.array([F.ar(f) for f in range(S.n_arrows)], dtype=np.intp)
-    for f in range(S.n_arrows):
-        if int(T.src[ar[f]]) != F.ob(int(S.src[f])) or int(T.tgt[ar[f]]) != F.ob(int(S.tgt[f])):
-            return ValidationReport(False, "Functor", (S.arrows[f],), "arrow map badly typed")
-    for o in range(S.n_objects):
-        if ar[S.id_arr[o]] != int(T.id_arr[F.ob(o)]):
-            return ValidationReport(False, "Functor", (S.objects[o],), "identity not preserved")
+    o = _first_outside(F.obj_map, S.n_objects, T.n_objects)
+    if o is not None:
+        return ValidationReport(False, "Functor", (S.objects[o],), "object map incomplete")
+    f = _first_outside(F.arr_map, S.n_arrows, T.n_arrows)
+    if f is not None:
+        return ValidationReport(False, "Functor", (S.arrows[f],), "arrow map incomplete")
+    ob, ar = F.obj_map[:S.n_objects], F.arr_map[:S.n_arrows]
+    bad = np.flatnonzero((T.src[ar] != ob[S.src]) | (T.tgt[ar] != ob[S.tgt]))
+    if len(bad):
+        return ValidationReport(False, "Functor", (S.arrows[bad[0]],), "arrow map badly typed")
+    bad = np.flatnonzero(ar[S.id_arr] != T.id_arr[ob])
+    if len(bad):
+        return ValidationReport(False, "Functor", (S.objects[bad[0]],), "identity not preserved")
     # every typed pair (g, f) at once, in the order g, then f
     g, f = np.nonzero(S.tgt[None, :] == S.src[:, None])
     bad = np.flatnonzero(ar[S.comp[g, f]] != T.comp[ar[g], ar[f]])
@@ -950,13 +956,10 @@ def validate_functor(F: FunctorData,
     if products is not None:
         pcs, pct = products
         wt = Window(T, pct, WindowScope(T.objects))
-        for (an, bn), (pn, p1n, p2n) in pcs.binary.items():
-            fa, fb = T.obj_index[F.obj_map[an]], T.obj_index[F.obj_map[bn]]
-            if (T.objects[fa], T.objects[fb]) not in pct.binary:
-                continue
-            cmp_arrow = wt.pair(F.ar(S.arr_index[p1n]), F.ar(S.arr_index[p2n]))
-            if not is_iso(T, cmp_arrow):
-                return ValidationReport(False, "Functor", (pn,),
+        ob, ar = ob.tolist(), ar.tolist()
+        for (a, b), (p, p1, p2) in pcs.binary.items():
+            if (ob[a], ob[b]) in pct.binary and not is_iso(T, wt.pair(ar[p1], ar[p2])):
+                return ValidationReport(False, "Functor", (S.objects[p],),
                                         "canonical product comparison is not iso")
     return ValidationReport(True)
 
@@ -977,18 +980,19 @@ def check_equivalence(F: FunctorData) -> EquivalenceVerdict:
     """Faithful/full/essentially-surjective verdicts with counterexamples;
     essential surjectivity uses exhaustive isomorphism detection."""
     S, T = F.source, F.target
+    ob, ar = F.obj_map.tolist(), F.arr_map.tolist()
     faithful, full = True, True
     witness: dict = {}
     for a in range(S.n_objects):
         for b in range(S.n_objects):
-            h = [int(x) for x in S.hom(a, b)]
-            images = [F.ar(f) for f in h]
+            h = S.hom(a, b).tolist()
+            images = [ar[f] for f in h]
             if len(set(images)) != len(images):
                 faithful = False
                 dup = [S.arrows[h[i]] for i in range(len(h))
                        if images.count(images[i]) > 1]
                 witness.setdefault("faithful", (S.objects[a], S.objects[b], tuple(dup)))
-            target_hom = {int(x) for x in T.hom(F.ob(a), F.ob(b))}
+            target_hom = set(T.hom(ob[a], ob[b]).tolist())
             missing = target_hom - set(images)
             if missing:
                 full = False
@@ -996,10 +1000,9 @@ def check_equivalence(F: FunctorData) -> EquivalenceVerdict:
                                             T.arrows[min(missing)]))
     ess = True
     iso_map: dict[str, tuple[str, str]] = {}
-    image_objs = [F.ob(a) for a in range(S.n_objects)]
     for z in range(T.n_objects):
         found = None
-        for a, fa in enumerate(image_objs):
+        for a, fa in enumerate(ob):
             i = isomorphic(T, fa, z)
             if i is not None:
                 found = (S.objects[a], T.arrows[i])

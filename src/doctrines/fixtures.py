@@ -30,7 +30,7 @@ from .semilattice import MonotoneMap, chain, diamond, identity_map, powerset
 def triv() -> DoctrineData:
     cat = FinCat.build(
         ["T"], [("idT", "T", "T")], {"T": "idT"}, {("idT", "idT"): "idT"})
-    pc = ProductChoice("T", {("T", "T"): ("T", "idT", "idT")})
+    pc = ProductChoice(0, {(0, 0): (0, 0, 0)})     # T×T = T, both projections idT
     fib = diamond()
     return DoctrineData(cat, pc, WindowScope(("T",)), [fib], [identity_map(fib)])
 
@@ -47,11 +47,12 @@ def _chain_base() -> tuple[FinCat, ProductChoice]:
         {"u": "idu", "v": "idv"},
         {("idu", "idu"): "idu", ("idv", "idv"): "idv",
          ("m", "idu"): "m", ("idv", "m"): "m"})
-    pc = ProductChoice("v", {
-        ("u", "u"): ("u", "idu", "idu"),
-        ("u", "v"): ("u", "idu", "m"),
-        ("v", "u"): ("u", "m", "idu"),
-        ("v", "v"): ("v", "idv", "idv"),
+    u, v, idu, idv, m = 0, 1, 0, 1, 2               # the indices of the names above
+    pc = ProductChoice(v, {
+        (u, u): (u, idu, idu),
+        (u, v): (u, idu, m),
+        (v, u): (u, m, idu),
+        (v, v): (v, idv, idv),
     })
     return cat, pc
 
@@ -146,6 +147,7 @@ def finset_window(sizes: list[int], core: list[int]) -> tuple[FinCat, ProductCho
     tgts: list[int] = []
     obj_names = [str(s) for s in sizes]
     lookup: dict[tuple[int, int, tuple[int, ...]], str] = {}
+    index_of: dict[tuple[int, int, tuple[int, ...]], int] = {}
     start: dict[tuple[int, int], int] = {}
     probes = {a: [0] + [1 << i for i in range(a.bit_length() - 1)] if a else [] for a in sizes}
     arrow_of_key: dict[tuple[int, int], np.ndarray] = {}
@@ -153,7 +155,9 @@ def finset_window(sizes: list[int], core: list[int]) -> tuple[FinCat, ProductCho
         codes = vals @ (max(b, 1) ** np.arange(a, dtype=np.int64))
         is_id = (a == b) & (vals == np.arange(a)).all(axis=1)
         block = [f"id{a}" if i else f"a{a}_{b}_{c}" for i, c in zip(is_id.tolist(), codes.tolist())]
-        lookup.update(zip(((a, b, v) for v in map(tuple, vals.tolist())), block))
+        tuples = [(a, b, v) for v in map(tuple, vals.tolist())]
+        lookup.update(zip(tuples, block))
+        index_of.update(zip(tuples, range(len(names), len(names) + len(block))))
         start[(a, b)] = len(names)
         names.extend(block)
         srcs.extend([sizes.index(a)] * len(block))
@@ -178,29 +182,29 @@ def finset_window(sizes: list[int], core: list[int]) -> tuple[FinCat, ProductCho
     cat = FinCat(tuple(obj_names), tuple(names), np.array(srcs, dtype=np.int32),
                  np.array(tgts, dtype=np.int32), id_arr, comp)
 
-    def name_of(a: int, b: int, fn) -> str:
-        return lookup[(a, b, tuple(fn))]
+    def arrow(a: int, b: int, fn) -> int:
+        return index_of[(a, b, tuple(fn))]
 
-    binary: dict[tuple[str, str], tuple[str, str, str]] = {}
-    have = set(sizes)
+    ob = {s: i for i, s in enumerate(sizes)}
+    binary: dict[tuple[int, int], tuple[int, int, int]] = {}
     for a in sizes:
         for b in sizes:
             p = a * b
-            if p not in have:
+            if p not in ob:
                 continue
             if a == 0 or b == 0:
-                binary[(str(a), str(b))] = ("0", name_of(0, a, ()), name_of(0, b, ()))
+                pr1, pr2 = arrow(0, a, ()), arrow(0, b, ())
             elif a == 1:
-                binary[(str(a), str(b))] = (str(b), name_of(b, 1, [0] * b), f"id{b}")
+                pr1, pr2 = arrow(b, 1, [0] * b), int(id_arr[ob[b]])
             elif b == 1:
-                binary[(str(a), str(b))] = (str(a), f"id{a}", name_of(a, 1, [0] * a))
+                pr1, pr2 = int(id_arr[ob[a]]), arrow(a, 1, [0] * a)
             else:
-                pr1 = name_of(p, a, [x // b for x in range(p)])
-                pr2 = name_of(p, b, [x % b for x in range(p)])
-                binary[(str(a), str(b))] = (str(p), pr1, pr2)
-    if 1 not in have:
+                pr1 = arrow(p, a, [x // b for x in range(p)])
+                pr2 = arrow(p, b, [x % b for x in range(p)])
+            binary[(ob[a], ob[b])] = (ob[p], pr1, pr2)
+    if 1 not in ob:
         raise ValueError("window needs a terminal (size-1) object")
-    pc = ProductChoice("1", binary)
+    pc = ProductChoice(ob[1], binary)
     scope = WindowScope(tuple(str(c) for c in core))
     return cat, pc, scope, lookup
 

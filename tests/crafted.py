@@ -5,9 +5,40 @@ from __future__ import annotations
 import numpy as np
 
 from doctrines.doctrine import DoctrineData
-from doctrines.fincat import FinCat, Window
+from doctrines.fincat import FinCat, FunctorData, ProductChoice, Window
 from doctrines.fixtures import fs2_base
 from doctrines.semilattice import MonotoneMap, chain, lattice_from_leq
+
+
+def choice(C: FinCat, terminal: str,
+           binary: dict[tuple[str, str], tuple[str, str, str]]) -> ProductChoice:
+    """The product choice given by names: the terminal object, and per pair
+    of objects the product object and its two projections."""
+    o, a = C.obj_index, C.arr_index
+    return ProductChoice(o[terminal], {(o[x], o[y]): (o[p], a[p1], a[p2])
+                                       for (x, y), (p, p1, p2) in binary.items()})
+
+
+def choice_names(C: FinCat, pc: ProductChoice) -> tuple[str, dict]:
+    """The terminal and the binary products of a choice, by name."""
+    ob, ar = C.objects, C.arrows
+    return ob[pc.terminal], {(ob[x], ob[y]): (ob[p], ar[p1], ar[p2])
+                             for (x, y), (p, p1, p2) in pc.binary.items()}
+
+
+def functor(S: FinCat, T: FinCat, obj_map: dict[str, str],
+            arr_map: dict[str, str]) -> FunctorData:
+    """The functor data given by names; a name left out, or one T lacks,
+    maps to -1, which `validate_functor` reads as an incomplete map."""
+    return FunctorData(S, T, [T.obj_index.get(obj_map.get(o), -1) for o in S.objects],
+                       [T.arr_index.get(arr_map.get(f), -1) for f in S.arrows])
+
+
+def functor_names(F: FunctorData) -> tuple[dict[str, str], dict[str, str]]:
+    """The object and arrow maps of functor data, by name."""
+    S, T = F.source, F.target
+    return (dict(zip(S.objects, map(T.objects.__getitem__, F.obj_map.tolist()))),
+            dict(zip(S.arrows, map(T.arrows.__getitem__, F.arr_map.tolist()))))
 
 
 def v_poset() -> FinCat:
@@ -115,7 +146,8 @@ def nofrobenius() -> DoctrineData:
     one = lattice_from_leq(("s0",), np.ones((1, 1), dtype=bool))
     fibers = [{"2": chain(("lo", "mid", "hi")), "4": chain(("no", "yes"))}.get(o, one)
               for o in cat.objects]
-    p1 = cat.arr_index[pc.binary[("2", "2")][1]]
+    two = cat.obj_index["2"]
+    p1 = pc.binary[two, two][1]
     reindex = []
     for f in range(cat.n_arrows):
         fa, fb = fibers[int(cat.src[f])], fibers[int(cat.tgt[f])]

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import crafted
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite, triple_product
 from doctrines.completions import (Caps, ERCompletion, LFunctorResult, NoExtension,
                                    QCompletion, TCompletion, choose_products,
@@ -58,7 +59,7 @@ from doctrines.errors import (FormulaMismatch, MalformedPresentation, NoWeakPull
                               ResourceCap, WindowClosure)
 from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport,
                               WindowScope, full_subcategory, greedy_product_core,
-                              validate_category)
+                              validate_category, validate_functor)
 from doctrines.semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from doctrines.structure import ElementaryWitness, ExistentialWitness, comprehension_table
 
@@ -614,7 +615,8 @@ def finset_window(sizes: list[int], core: list[int]):
                 pr1 = name_of(p, a, [x // b for x in range(p)])
                 pr2 = name_of(p, b, [x % b for x in range(p)])
                 binary[(str(a), str(b))] = (str(p), pr1, pr2)
-    return cat, ProductChoice("1", binary), WindowScope(tuple(str(c) for c in core)), lookup
+    return (cat, crafted.choice(cat, "1", binary), WindowScope(tuple(str(c) for c in core)),
+            lookup)
 
 
 def fs2_reindex(cat: FinCat, lookup: dict) -> list[np.ndarray]:
@@ -710,9 +712,9 @@ def mediators(C, z: int, legs: tuple[int, ...]) -> dict[tuple[int, ...], list[in
 def validate_products(C, pc) -> ValidationReport:
     """The terminal and every chosen product checked, and the pairing table
     filled, with one table of cone codes per apex."""
-    if pc.terminal not in C.obj_index:
-        return ValidationReport(False, "MissingEntry", (pc.terminal,), "unknown terminal")
-    t = C.obj_index[pc.terminal]
+    t = pc.terminal
+    if t not in range(C.n_objects):
+        return ValidationReport(False, "MissingEntry", (t,), "unknown terminal")
     for z in range(C.n_objects):
         k = len(C.hom(z, t))
         if k != 1:
@@ -720,13 +722,12 @@ def validate_products(C, pc) -> ValidationReport:
                                     f"terminal has {k} arrows from {C.objects[z]}")
     pc.pairing.clear()
     n = C.n_arrows
-    for (an, bn), (pn, p1n, p2n) in pc.binary.items():
-        for nm, pool in ((an, C.obj_index), (bn, C.obj_index), (pn, C.obj_index),
-                         (p1n, C.arr_index), (p2n, C.arr_index)):
-            if nm not in pool:
-                return ValidationReport(False, "MissingEntry", (nm,), "unknown id in product entry")
-        a, b, p = C.obj_index[an], C.obj_index[bn], C.obj_index[pn]
-        p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+    for (a, b), (p, p1, p2) in pc.binary.items():
+        for i, pool in ((a, C.objects), (b, C.objects), (p, C.objects),
+                        (p1, C.arrows), (p2, C.arrows)):
+            if i not in range(len(pool)):
+                return ValidationReport(False, "MissingEntry", (i,), "unknown id in product entry")
+        pn = C.objects[p]
         if int(C.src[p1]) != p or int(C.tgt[p1]) != a or int(C.src[p2]) != p or int(C.tgt[p2]) != b:
             return ValidationReport(False, "MissingEntry", (pn,), "projections badly typed")
         for z in range(C.n_objects):
@@ -752,7 +753,7 @@ def validate_products(C, pc) -> ValidationReport:
                 m = int(meds[k])
                 pc.pairing[(int(C.comp[p1, m]), int(C.comp[p2, m]))] = m
         if pc.pairing.get((p1, p2)) != int(C.id_arr[p]):
-            return ValidationReport(False, "Product", (p1n, p2n),
+            return ValidationReport(False, "Product", (C.arrows[p1], C.arrows[p2]),
                                     "<pr1, pr2> is not the identity of the product")
     return ValidationReport(True)
 
@@ -1015,13 +1016,14 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
         if by_delta:
             keep.append(oi)
     objects = [tp.objects[oi] for oi in keep]
-    cat = full_subcategory(tp.cat, keep)
+    cat = full_subcategory(tp.cat, keep).source
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    inclusion = FunctorData(cat, tp.cat, {nm: nm for nm in cat.objects},
-                            {nm: nm for nm in cat.arrows})
+    inclusion = crafted.functor(cat, tp.cat, {nm: nm for nm in cat.objects},
+                                {nm: nm for nm in cat.arrows})
     obj_of = {pair: i for i, pair in enumerate(objects)}
-    return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion)
+    arr_of = {tp.arrows[tp.cat.arr_index[nm]]: i for i, nm in enumerate(cat.arrows)}
+    return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion, arr_of)
 
 
 def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:
@@ -1054,7 +1056,7 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
         if key not in er.tp.arr_of:
             raise MalformedPresentation(f"graph of {fname} is not a functional relation")
         arr_map[fname] = er.tp.cat.arrows[er.tp.arr_of[key]]
-    return FunctorData(base, er.cat, obj_map, arr_map)
+    return crafted.functor(base, er.cat, obj_map, arr_map)
 
 
 def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
@@ -1170,7 +1172,7 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                                    np.array(tables[0], dtype=np.int32)))
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    doct = DoctrineData(cat, pc if pc is not None else ProductChoice(cat.objects[0], {}),
+    doct = DoctrineData(cat, pc if pc is not None else ProductChoice(0, {}),
                         scope, fibers, reindex)
     return QCompletion(cat, pc, scope, objs, obj_of, classes, doct, des_elements)
 
@@ -1219,7 +1221,7 @@ def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
             raise MalformedPresentation(
                 f"comparison image of {q.cat.arrows[ci]} is not a functional relation")
         arr_map[q.cat.arrows[ci]] = er.tp.cat.arrows[er.tp.arr_of[key]]
-    F = FunctorData(q.cat, er.cat, obj_map, arr_map)
+    F = crafted.functor(q.cat, er.cat, obj_map, arr_map)
     # identities must go to identities (the relation itself)
     for oi, (a, rho) in enumerate(q.objects):
         lid = arr_map[q.cat.arrows[int(q.cat.id_arr[oi])]]
@@ -1359,10 +1361,10 @@ def preserves_eed(P: DoctrineData, R: DoctrineData, mor,
     winP, winR = P.window, R.window
     for a in P.core_idx():
         aa, p1, p2 = winP.prod(a, a)
-        fa = mor.F.ob(a)
-        if (R.cat.objects[fa], R.cat.objects[fa]) not in R.products.binary:
+        fa = int(mor.F.obj_map[a])
+        if (fa, fa) not in R.products.binary:
             return False
-        cmp_arrow = winR.pair(mor.F.ar(p1), mor.F.ar(p2))   # F(A×A) -> FA×FA
+        cmp_arrow = winR.pair(int(mor.F.arr_map[p1]), int(mor.F.arr_map[p2]))   # F(A×A) -> FA×FA
         lhs = int(mor.components[aa].table[E_P.delta[a]])
         if fa not in E_R.delta:
             return False
@@ -1374,7 +1376,7 @@ def preserves_eed(P: DoctrineData, R: DoctrineData, mor,
             ab, p1, p2 = winP.prod(a, b)
             for pr, tgt in ((p1, a), (p2, b)):
                 eP = exists_along(P, pr)
-                eR = exists_along(R, mor.F.ar(pr))
+                eR = exists_along(R, int(mor.F.arr_map[pr]))
                 if isinstance(eP, NoAdjoint) or isinstance(eR, NoAdjoint):
                     return False
                 bt = mor.components[tgt].table
@@ -1393,8 +1395,8 @@ def morphism_preserves_comprehensions(P: DoctrineData, R: DoctrineData, mor) -> 
         if ent.kind == "none":
             continue
         img = int(mor.components[a].table[el])
-        if not verify_comprehension_arrow(R, mor.F.ob(a), img,
-                                          mor.F.ar(P.cat.arr_index[ent.arrow]),
+        if not verify_comprehension_arrow(R, int(mor.F.obj_map[a]), img,
+                                          int(mor.F.arr_map[P.cat.arr_index[ent.arrow]]),
                                           strict=(ent.kind == "strict")):
             return False
     return True
@@ -1408,9 +1410,9 @@ def lax_filtered_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[tuple[
     choices = []
     for a in range(S.n_objects):
         b1, b2 = m1.components[a], m2.components[a]
-        choices.append([h for h in T.hom(m1.F.ob(a), m2.F.ob(a)).tolist()
+        choices.append([h for h in T.hom(int(m1.F.obj_map[a]), int(m2.F.obj_map[a])).tolist()
                         if b1.cod.leq[b1.table, R.r(h).table[b2.table]].all()])
-    squares = [(int(S.src[f]), int(S.tgt[f]), m1.F.ar(f), m2.F.ar(f))
+    squares = [(int(S.src[f]), int(S.tgt[f]), int(m1.F.arr_map[f]), int(m2.F.arr_map[f]))
                for f in range(S.n_arrows)]
     return [combo for combo in itertools.product(*choices)
             if all(T.comp[combo[b], f1] == T.comp[f2, combo[a]] for a, b, f1, f2 in squares)]
@@ -1423,13 +1425,13 @@ def valid_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[dict[str, str
     S, T = P.cat, R.cat
     comp_choices = []
     for a in range(S.n_objects):
-        comp_choices.append([int(h) for h in T.hom(m1.F.ob(a), m2.F.ob(a))])
+        comp_choices.append([int(h) for h in T.hom(int(m1.F.obj_map[a]), int(m2.F.obj_map[a]))])
     out = []
     for combo in itertools.product(*comp_choices):
         natural = True
         for f in range(S.n_arrows):
             a, b = int(S.src[f]), int(S.tgt[f])
-            if int(T.comp[combo[b], m1.F.ar(f)]) != int(T.comp[m2.F.ar(f), combo[a]]):
+            if int(T.comp[combo[b], m1.F.arr_map[f]]) != int(T.comp[m2.F.arr_map[f], combo[a]]):
                 natural = False
                 break
         if not natural:
@@ -1447,14 +1449,39 @@ def valid_2cells(P: DoctrineData, R: DoctrineData, m1, m2) -> list[dict[str, str
     return out
 
 
+def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductChoice,
+                       cap: int) -> list[tuple[dict[str, str], dict[str, str]]]:
+    """The former name-keyed enumeration of the product-preserving functors
+    S -> T: object maps in `itertools.product` order, then every combination
+    of the images of the arrows that are no identities; each functor that
+    validates as its object and arrow maps by name."""
+    non_id = [f for f in range(S.n_arrows) if f != int(S.id_arr[int(S.src[f])])]
+    if T.n_objects ** S.n_objects > cap:
+        raise ResourceCap("functor object maps", T.n_objects ** S.n_objects, cap)
+    out = []
+    for omap in itertools.product(range(T.n_objects), repeat=S.n_objects):
+        cand_lists = [[int(h) for h in T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])])]
+                      for f in non_id]
+        for combo in itertools.product(*cand_lists):
+            amap = {}
+            for o in range(S.n_objects):
+                amap[S.arrows[int(S.id_arr[o])]] = T.arrows[int(T.id_arr[omap[o]])]
+            for f, tf in zip(non_id, combo):
+                amap[S.arrows[f]] = T.arrows[tf]
+            obj_map = {S.objects[o]: T.objects[omap[o]] for o in range(S.n_objects)}
+            if validate_functor(crafted.functor(S, T, obj_map, amap), (Spc, Tpc)).ok:
+                out.append((obj_map, amap))
+    return out
+
+
 def functor_composition_violation(F: FunctorData) -> ValidationReport | None:
     """The former composition clause of `validate_functor`: each typed pair
     (g, f), g in arrow order and then f, until F(g∘f) != F(g)∘F(f)."""
     S, T = F.source, F.target
     for g in range(S.n_arrows):
         for f in np.flatnonzero(S.tgt == S.src[g]):
-            lhs = F.ar(int(S.comp[g, int(f)]))
-            rhs = int(T.comp[F.ar(g), F.ar(int(f))])
+            lhs = int(F.arr_map[S.comp[g, f]])
+            rhs = int(T.comp[F.arr_map[g], F.arr_map[f]])
             if lhs != rhs:
                 return ValidationReport(False, "Functor", (S.arrows[g], S.arrows[int(f)]),
                                         "composition not preserved")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 from types import SimpleNamespace
@@ -69,6 +70,28 @@ def test_cthn_detects_injected_meet_fault(triv):
     assert rep.law in ("Homomorphism", "Functoriality")
     if rep.law == "Homomorphism":
         assert "meet not preserved" in rep.message
+
+
+def test_cthn_names_the_embedding_faults(monkeypatch):
+    """The points completion of a fresh chain with its embedding re-pointed
+    at m, to the arrow over m out of (u|u0) instead of (u|u1): the functor
+    check names m as badly typed, and the existentials check names m, the
+    first projection whose existential the embedding does not preserve."""
+    build = compare.build_gr
+
+    def doctored(P, caps):
+        gr = build(P, caps)
+        m, u0, v2 = P.cat.arr_index["m"], P.fibers[0].index["u0"], P.fibers[1].top
+        arr_map = gr.embed.arr_map.copy()
+        arr_map[m] = gr.arr_of[m, u0, v2]
+        return dataclasses.replace(gr, embed=FunctorData(P.cat, gr.cat, gr.embed.obj_map,
+                                                         arr_map))
+
+    monkeypatch.setattr(compare, "build_gr", doctored)
+    rep = verify_cthn(fixtures.chain_fixture())
+    failed = {c.name: c.witness for c in rep.walk() if c.status == FAIL}
+    assert failed == {"embedding-functor": ("m", "arrow map badly typed"),
+                      "embedding-preserves-existentials": "m"}
 
 
 @pytest.mark.parametrize("make, arrow", [
@@ -226,10 +249,10 @@ def test_universal_triv_confirmed(triv):
 
 def test_universal_terminal_target(triv):
     """Against the terminal category both sides collapse."""
-    from doctrines.fincat import FinCat, ProductChoice, validate_products
+    from doctrines.fincat import FinCat, validate_products
     one = FinCat.build(["X"], [("idX", "X", "X")], {"X": "idX"},
                        {("idX", "idX"): "idX"})
-    pc = ProductChoice("X", {("X", "X"): ("X", "idX", "idX")})
+    pc = crafted.choice(one, "X", {("X", "X"): ("X", "idX", "idX")})
     assert validate_products(one, pc).ok
     rep = verify_universal(triv, one, pc)
     assert not rep.any_failed() and not rep.any_capped()
@@ -259,6 +282,23 @@ def _universal_sides(P):
     E_SX = discover_elementary(sub_x)
     return sub_x, [(S, compare.enumerate_morphisms(S, sub_x, E, E_SX, Caps().enum))
                    for S, E in ((P, E_P), (sub_er, discover_elementary(sub_er)))]
+
+
+@pytest.mark.parametrize("name", ["triv", "chain"])
+def test_functors_match_former_enumeration(request, completions, triv, chain, name):
+    """From triv and chain into both bases and into the subobject doctrines
+    of P's base and of its relation completion: the same functors, in the
+    same order, as the former name-keyed loop."""
+    P = request.getfixturevalue(name)
+    tp = completions[name][3]
+    counts = []
+    for R in (triv, chain, sub_doctrine(P.cat, P.products, P.scope),
+              sub_doctrine(tp.cat, tp.pc, tp.scope)):
+        got = compare.enumerate_functors(P.cat, P.products, R.cat, R.products, Caps().enum)
+        assert [crafted.functor_names(F) for F in got] == \
+            oracles.enumerate_functors(P.cat, P.products, R.cat, R.products, Caps().enum)
+        counts.append(len(got))
+    assert min(counts) >= 1 and max(counts) > 1
 
 
 @pytest.mark.parametrize("name", ["triv", "chain"])
@@ -296,7 +336,7 @@ def test_2cells_reject_lax_unnatural_combinations(chain, completions, monkeypatc
     assert len(functors) == 48
     mors = []
     for F in functors:
-        bottom = [R.fibers[F.ob(o)] for o in range(chain.cat.n_objects)]
+        bottom = [R.fibers[F.obj_map[o]] for o in range(chain.cat.n_objects)]
         mors.append(compare.DoctrineMorphism(F, tuple(
             MonotoneMap(chain.fibers[o], fib,
                         np.full(chain.fibers[o].n, int(np.flatnonzero(fib.leq.all(axis=1))[0]),
@@ -393,14 +433,14 @@ def test_morphism_checks_match_former_checks(request, name):
     assert not all(preserving)
     for F in compare.enumerate_functors(P.cat, P.products, sub_x.cat, sub_x.products,
                                         Caps().enum):
-        homs = [[MonotoneMap(P.fibers[o], sub_x.fibers[F.ob(o)], t)
-                 for t in compare.enumerate_fiber_homs(P.fibers[o], sub_x.fibers[F.ob(o)],
+        homs = [[MonotoneMap(P.fibers[o], sub_x.fibers[F.obj_map[o]], t)
+                 for t in compare.enumerate_fiber_homs(P.fibers[o], sub_x.fibers[F.obj_map[o]],
                                                        Caps().enum)]
                 for o in range(P.cat.n_objects)]
         cases.extend(compare.DoctrineMorphism(F, combo) for combo in itertools.product(*homs))
     F = mors[0].F
-    moved = {**F.obj_map, P.cat.objects[0]: next(o for o in sub_x.cat.objects
-                                                 if o != F.obj_map[P.cat.objects[0]])}
+    moved = F.obj_map.copy()
+    moved[0] = next(o for o in range(sub_x.cat.n_objects) if o != F.obj_map[0])
     cases.append(compare.DoctrineMorphism(FunctorData(P.cat, sub_x.cat, moved, F.arr_map),
                                           mors[0].components))
     kinds = Counter()
@@ -438,13 +478,13 @@ def test_eed_conditions_match_former_test(request, name):
         for F in compare.enumerate_functors(S.cat, S.products, sub_x.cat, sub_x.products,
                                             Caps().enum):
             cond = compare.eed_conditions(S, sub_x, F, E, E_R)
-            homs = [compare.enumerate_fiber_homs(S.fibers[o], sub_x.fibers[F.ob(o)],
+            homs = [compare.enumerate_fiber_homs(S.fibers[o], sub_x.fibers[F.obj_map[o]],
                                                  Caps().enum)
                     for o in range(S.cat.n_objects)]
             held = set(cond.hold(homs)) if cond is not None else set()
             for idx in itertools.product(*(range(len(h)) for h in homs)):
                 mor = compare.DoctrineMorphism(F, tuple(
-                    MonotoneMap(S.fibers[o], sub_x.fibers[F.ob(o)], homs[o][k])
+                    MonotoneMap(S.fibers[o], sub_x.fibers[F.obj_map[o]], homs[o][k])
                     for o, k in enumerate(idx)))
                 assert (idx in held) == oracles.preserves_eed(S, sub_x, mor, E, E_R)
                 verdicts[E_R is E_SX, "none" if cond is None else idx in held] += 1

@@ -88,9 +88,9 @@ def test_box_product_top_and_monotone(chain):
 
 def test_sub_doctrine_fs2_core_fibers(fs2):
     S = sub_doctrine(fs2.cat, fs2.products, fs2.scope)
-    assert S.fiber_named("2").n == 4
-    assert S.fiber_named("1").n == 2
-    assert S.fiber_named("0").n == 1
+    assert S.fibers[S.cat.obj_index["2"]].n == 4
+    assert S.fibers[S.cat.obj_index["1"]].n == 2
+    assert S.fibers[S.cat.obj_index["0"]].n == 1
     assert validate_doctrine(S).ok
 
 
@@ -103,10 +103,10 @@ def test_sub_doctrine_deterministic(fs2):
 
 def test_sub_doctrine_poset_base(chain, triv):
     S = sub_doctrine(chain.cat, chain.products, chain.scope)
-    assert S.fiber_named("v").n == 2   # the inclusion of u and the identity
-    assert S.fiber_named("u").n == 1
+    assert S.fibers[S.cat.obj_index["v"]].n == 2   # the inclusion of u and the identity
+    assert S.fibers[S.cat.obj_index["u"]].n == 1
     T = sub_doctrine(triv.cat, triv.products, triv.scope)
-    assert T.fiber_named("T").n == 1
+    assert T.fibers[T.cat.obj_index["T"]].n == 1
 
 
 def test_weak_subobjects_match_subobjects_on_core(fs2):
@@ -133,8 +133,8 @@ def test_weak_sub_doctrine_on_poset(chain):
     Psi = weak_sub_doctrine(chain.cat, chain.products, chain.scope)
     assert validate_doctrine(Psi).ok
     # classes of arrows into the top of a chain: one per object below it
-    assert Psi.fiber_named("v").n == 2
-    assert Psi.fiber_named("u").n == 1
+    assert Psi.fibers[Psi.cat.obj_index["v"]].n == 2
+    assert Psi.fibers[Psi.cat.obj_index["u"]].n == 1
 
 
 def test_weak_sub_doctrine_postcomposition_is_existential(chain):
@@ -169,7 +169,7 @@ def test_weak_pullback_missing_witness():
     from doctrines.fincat import weak_pullback
     assert weak_pullback(cat, cat.arr_index["a1"], cat.arr_index["b"]) is None
     with pytest.raises(NoWeakPullback):
-        weak_sub_doctrine(cat, ProductChoice("T", {}), WindowScope(("A", "B")))
+        weak_sub_doctrine(cat, crafted.choice(cat, "T", {}), WindowScope(("A", "B")))
 
 
 def _poset_isomorphic(p, q) -> bool:
@@ -200,7 +200,7 @@ def _constructed(build, C):
     constructor's doctrine on C, or the type, payload and message of the
     error it raises."""
     try:
-        D = build(C, ProductChoice(C.objects[0], {}), WindowScope(C.objects))
+        D = build(C, ProductChoice(0, {}), WindowScope(C.objects))
     except DoctrinesError as e:
         return type(e).__name__, vars(e), str(e)
     return ([(fib.elements, fib.leq.tolist()) for fib in D.fibers],
@@ -267,7 +267,7 @@ def test_weak_pullback_missing_at_reindexing():
         weak_subobject_poset(cat, a)
     assert _constructed(weak_sub_doctrine, cat) == _constructed(oracles.weak_sub_doctrine, cat)
     with pytest.raises(NoWeakPullback) as raised:
-        weak_sub_doctrine(cat, ProductChoice("T", {}), WindowScope(("A", "B")))
+        weak_sub_doctrine(cat, crafted.choice(cat, "T", {}), WindowScope(("A", "B")))
     assert raised.value.cospan == ("f", "m")
 
 
@@ -313,7 +313,7 @@ def test_weak_pullback_beyond_the_class_representative(monkeypatch):
     assert _constructed(weak_sub_doctrine, cat) == _constructed(oracles.weak_sub_doctrine, cat)
     assert (x, g) in searched
     with pytest.raises(NoWeakPullback) as raised:
-        weak_sub_doctrine(cat, ProductChoice("A", {}), WindowScope(("A", "B")))
+        weak_sub_doctrine(cat, crafted.choice(cat, "A", {}), WindowScope(("A", "B")))
     assert raised.value.cospan == ("c", "g")
 
 
@@ -378,7 +378,7 @@ def _chain_with(n_fibers: int = 2, n_reindex: int = 3, m=None) -> DoctrineData:
     pytest.param(lambda: validate_doctrine(_chain_with(m=lambda r: MonotoneMap(r.dom, r.cod,
                                                                                r.table[:2]))),
                  (False, "Reindex", ("m",), "reindex table has wrong length"), id="length"),
-    pytest.param(lambda: sub_doctrine(crafted.meet_not_pullback(), ProductChoice("A", {}),
+    pytest.param(lambda: sub_doctrine(crafted.meet_not_pullback(), ProductChoice(0, {}),   # A
                                       WindowScope(("A",))),
                  ("WindowClosure", "window closure violated: missing product A "
                                    "(subobject meet of [m1], [m2] is not their pullback)"),

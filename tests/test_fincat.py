@@ -54,9 +54,8 @@ def test_products_fs2_against_set_oracle(fs2):
     assert len(pairing) > 0
     C = fs2.cat
     # the mediator of the cone (pr1, pr2) is the identity of the product
-    for (a, b), (p, p1, p2) in fs2.products.binary.items():
-        i1, i2 = C.arr_index[p1], C.arr_index[p2]
-        assert pairing[(i1, i2)] == int(C.id_arr[C.obj_index[p]])
+    for p, p1, p2 in fs2.products.binary.values():
+        assert pairing[(p1, p2)] == int(C.id_arr[p])
 
 
 def test_pullback_chain_is_meet(chain):
@@ -86,8 +85,9 @@ def test_pullback_fs2_kernel_of_collapse(fs2):
     apexes = {C.objects[c.apex] for c in cones}
     assert "4" in apexes
     four = [c for c in cones if C.objects[c.apex] == "4"][0]
-    p, p1, p2 = fs2.products.binary[("2", "2")]
-    assert {C.arrows[four.legs[0]], C.arrows[four.legs[1]]} == {p1, p2}
+    two = C.obj_index["2"]
+    _, p1, p2 = fs2.products.binary[two, two]
+    assert set(four.legs) == {p1, p2}
 
 
 def test_pullback_cones_pairwise_isomorphic(chain, fs2):
@@ -182,7 +182,7 @@ def test_check_exact_monotone(completions):
 
 
 def test_equivalence_identity(triv):
-    F = FunctorData(triv.cat, triv.cat, {"T": "T"}, {"idT": "idT"})
+    F = FunctorData(triv.cat, triv.cat, [0], [0])
     assert validate_functor(F).ok
     eq = check_equivalence(F)
     assert eq.faithful and eq.full and eq.essentially_surjective
@@ -191,11 +191,30 @@ def test_equivalence_identity(triv):
 def test_equivalence_embedding_misses_object(chain):
     one = FinCat.build(["X"], [("idX", "X", "X")], {"X": "idX"},
                        {("idX", "idX"): "idX"})
-    F = FunctorData(one, chain.cat, {"X": "u"}, {"idX": "idu"})
+    F = crafted.functor(one, chain.cat, {"X": "u"}, {"idX": "idu"})
     assert validate_functor(F).ok
     eq = check_equivalence(F)
     assert not eq.essentially_surjective
     assert eq.witness["essentially_surjective"] == "v"
+
+
+def test_equivalence_witnesses_of_index_functors(chain):
+    """Functors given by index with one fault each: collapsing nofact's s
+    to idA is neither faithful nor full at (A, A), and sending the discrete
+    category on A, B to u, v misses m.  The witnesses are those the former
+    name-keyed functor data gave for the same faults."""
+    T = crafted.nofact_category()       # arrows idA, idB, idC, s, f, c
+    eq = check_equivalence(FunctorData(T, T, [0, 1, 2], [0, 1, 2, 0, 4, 5]))
+    assert (eq.faithful, eq.full, eq.essentially_surjective) == (False, False, True)
+    assert (eq.witness["faithful"], eq.witness["full"]) == (("A", "A", ("idA", "s")),
+                                                            ("A", "A", "s"))
+    S = FinCat.build(["A", "B"], [("idA", "A", "A"), ("idB", "B", "B")],
+                     {"A": "idA", "B": "idB"}, {("idA", "idA"): "idA", ("idB", "idB"): "idB"})
+    F = FunctorData(S, chain.cat, [0, 1], [0, 1])      # u, v and idu, idv
+    assert validate_functor(F).ok
+    eq = check_equivalence(F)
+    assert (eq.faithful, eq.full, eq.essentially_surjective) == (True, False, True)
+    assert eq.witness["full"] == ("A", "B", "m") and "faithful" not in eq.witness
 
 
 def _typed_functors(S, T, rng, count):
@@ -207,11 +226,9 @@ def _typed_functors(S, T, rng, count):
         omap = [rng.randrange(T.n_objects) for _ in range(S.n_objects)]
         homs = [T.hom(omap[int(S.src[f])], omap[int(S.tgt[f])]) for f in range(S.n_arrows)]
         if all(len(h) for h in homs):
-            amap = {S.arrows[f]: T.arrows[int(T.id_arr[omap[int(S.src[f])]])
-                                          if f in S.id_arr else int(rng.choice(list(h)))]
-                    for f, h in enumerate(homs)}
-            out.append(FunctorData(S, T, dict(zip(S.objects, (T.objects[o] for o in omap))),
-                                   amap))
+            amap = [int(T.id_arr[omap[int(S.src[f])]]) if f in S.id_arr
+                    else int(rng.choice(list(h))) for f, h in enumerate(homs)]
+            out.append(FunctorData(S, T, omap, amap))
     return out
 
 
@@ -225,7 +242,7 @@ def test_functor_composition_matches_former_loop(triv, chain, fs2, completions, 
     doctrine of their own relation completion."""
     rng = random.Random(5)
     cats = [triv.cat, chain.cat, completions["triv"][3].cat, completions["chain"][3].cat]
-    core = full_subcategory(fs2.cat, [0, 1, 2])
+    core = full_subcategory(fs2.cat, [0, 1, 2]).source
     cases = [F for S in cats for T in cats + [fs2.cat] for F in _typed_functors(S, T, rng, 25)]
     cases += _typed_functors(core, core, rng, 50) + _typed_functors(core, fs2.cat, rng, 50)
     seen = []
@@ -263,9 +280,7 @@ def test_pairing_postcomposition(chain, fs2):
         C = P.cat
         assert P.window.pc.pairing
         for (f, g), m in P.window.pc.pairing.items():
-            a, b = int(C.tgt[f]), int(C.tgt[g])
-            _, p1n, p2n = P.products.binary[(C.objects[a], C.objects[b])]
-            p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
+            _, p1, p2 = P.products.binary[int(C.tgt[f]), int(C.tgt[g])]
             assert int(C.comp[p1, m]) == f
             assert int(C.comp[p2, m]) == g
 
@@ -279,13 +294,12 @@ def test_fs2_mediators_are_tuple_maps(fs2):
     checked = 0
     for (f, g), m in list(fs2.window.pc.pairing.items())[::7]:
         a, b = int(C.tgt[f]), int(C.tgt[g])
-        pn, p1n, p2n = fs2.products.binary[(C.objects[a], C.objects[b])]
+        _, p1, p2 = fs2.products.binary[a, b]
         sb = int(C.objects[b])
         if int(C.objects[a]) == 0 or sb == 0:
             continue
         fn, gn, mn = vals[f], vals[g], vals[m]
         # decode against the chosen projections rather than guessing layout
-        p1, p2 = C.arr_index[p1n], C.arr_index[p2n]
         pr1v, pr2v = vals[p1], vals[p2]
         for z in range(len(mn)):
             assert pr1v[mn[z]] == fn[z]
@@ -296,8 +310,9 @@ def test_fs2_mediators_are_tuple_maps(fs2):
 
 def test_window_closure_violation_is_reported(chain):
     from doctrines.fincat import ProductChoice, Window, WindowScope, validate_products
-    pc = ProductChoice("v", dict(chain.products.binary))
-    del pc.binary[("v", "v")]
+    pc = ProductChoice(chain.products.terminal, dict(chain.products.binary))
+    v = chain.cat.obj_index["v"]
+    del pc.binary[v, v]
     assert validate_products(chain.cat, pc).ok
     win = Window(chain.cat, pc, WindowScope(("u", "v")))
     missing = win.check_closure()
@@ -337,12 +352,13 @@ def _nofact_functor(source: FinCat | None = None, drop: str = "", **arrows) -> F
     names), with one name left out of the maps and some arrows re-pointed."""
     T = crafted.nofact_category()
     S = source or T
-    return FunctorData(S, T, {o: o for o in S.objects if o != drop},
-                       {a: arrows.get(a, a) for a in S.arrows if a != drop})
+    return crafted.functor(S, T, {o: o for o in S.objects if o != drop},
+                           {a: arrows.get(a, a) for a in S.arrows if a != drop})
 
 
 def _v_window(core=("t",)) -> Window:
-    return Window(crafted.v_poset(), ProductChoice("t", {}), WindowScope(core))
+    C = crafted.v_poset()
+    return Window(C, crafted.choice(C, "t", {}), WindowScope(core))
 
 
 def _v_pair(f: str, g: str) -> int:
@@ -370,11 +386,13 @@ def _v_pair(f: str, g: str) -> int:
                  id="compose-entry"),
     pytest.param(lambda: validate_category(_nofact_with("s", "idA", "idA")),
                  (False, "Identity", ("s",), "f∘id != f"), id="right-identity"),
-    pytest.param(lambda: validate_products(crafted.v_poset(), ProductChoice("nowhere", {})),
-                 (False, "MissingEntry", ("nowhere",), "unknown terminal"), id="terminal"),
+    # v_poset has the objects a, b, t and the arrows ida, idb, idt, at, bt: index 3
+    # is no object, and a product of (a, b) with the apex 3 names an unknown id
+    pytest.param(lambda: validate_products(crafted.v_poset(), ProductChoice(3, {})),
+                 (False, "MissingEntry", (3,), "unknown terminal"), id="terminal"),
     pytest.param(lambda: validate_products(crafted.v_poset(),
-                                           ProductChoice("t", {("a", "b"): ("ab", "at", "bt")})),
-                 (False, "MissingEntry", ("ab",), "unknown id in product entry"),
+                                           ProductChoice(2, {(0, 1): (3, 3, 4)})),
+                 (False, "MissingEntry", (3,), "unknown id in product entry"),
                  id="product-entry"),
     pytest.param(lambda: _v_window(("nowhere",)),
                  ("MalformedPresentation", "core object nowhere not in category"), id="core"),

@@ -193,7 +193,7 @@ def _powerset_doctrine(C: FinCat, arrows, sizes) -> DoctrineData:
         table = np.array([sum(1 << x for x in range(sizes[a]) if (mask >> fn[x]) & 1)
                           for mask in range(1 << sizes[b])], dtype=np.int32)
         reindex.append(MonotoneMap(fibers[b], fibers[a], table))
-    return DoctrineData(C, ProductChoice("o0", {}), WindowScope(()), fibers, reindex)
+    return DoctrineData(C, ProductChoice(0, {}), WindowScope(()), fibers, reindex)
 
 
 @strat.composite

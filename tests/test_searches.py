@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+import crafted
 import oracles
 from doctrines import completions, fincat, fixtures
 from doctrines.compare import analysis
@@ -168,8 +169,8 @@ def test_coequalizer_arrows_match_oracle(sample):
 
 
 def _validated(validate, C, binary, terminal):
-    """The report on a fresh product choice."""
-    return validate(C, ProductChoice(terminal, dict(binary)))
+    """The report on a fresh product choice, given by names."""
+    return validate(C, crafted.choice(C, terminal, binary))
 
 
 @pytest.fixture(scope="session")
@@ -184,9 +185,9 @@ def product_bases(triv, chain, fs2):
 
 def test_product_validation_matches_oracle_on_fixtures(product_bases):
     for C, pc in product_bases:
-        got = _validated(validate_products, C, pc.binary, pc.terminal)
-        assert got.ok and got == _validated(oracles.validate_products, C, pc.binary,
-                                            pc.terminal)
+        terminal, binary = crafted.choice_names(C, pc)
+        got = _validated(validate_products, C, binary, terminal)
+        assert got.ok and got == _validated(oracles.validate_products, C, binary, terminal)
 
 
 def _former_product_witness(C, a: int, b: int, p1: int, p2: int):
@@ -222,6 +223,7 @@ def test_product_validation_names_the_former_witness(chain, fs2, case):
     """A chosen product replaced by a span with a missing or a duplicated
     mediator: the report names the former scan's cone and count."""
     C, pc = (chain.cat, chain.products) if case.startswith("chain") else (fs2.cat, fs2.products)
+    terminal, chosen = crafted.choice_names(C, pc)
     key, span = {
         "chain missing": (("v", "v"), ("u", "m", "m")),
         "chain duplicated": (("v", "v"), ("u", "m", "m")),
@@ -229,18 +231,18 @@ def test_product_validation_names_the_former_witness(chain, fs2, case):
         "fs2 duplicated": (("2", "2"), ("8", "a8_2_170", "a8_2_204")),          # bits 0, 1
         "fs2 duplicated and missing": (("2", "2"), ("8", "a8_2_170", "a8_2_0")),  # bit 0, 0
     }[case]
-    binary = {**pc.binary, key: span}
+    binary = {**chosen, key: span}
     if case == "chain duplicated":           # (u, u) and (u, v) are no products there
         C, binary = _chain_with_idempotent(), {key: span}
     a, b = (C.obj_index[o] for o in key)
     cone, most = _former_product_witness(C, a, b, C.arr_index[span[1]], C.arr_index[span[2]])
     assert ("duplicated" in case) == (most > 1)
-    report = _validated(validate_products, C, binary, pc.terminal)
+    report = _validated(validate_products, C, binary, terminal)
     assert (report.ok, report.law, report.witness) == \
         (False, "Product", tuple(C.arrows[x] for x in cone))
     assert report.message == (f"cone has {most} mediating arrows into {span[0]}" if most
                               else f"cone has no mediating arrow into {span[0]}")
-    assert report == _validated(oracles.validate_products, C, binary, pc.terminal)
+    assert report == _validated(oracles.validate_products, C, binary, terminal)
 
 
 @settings(max_examples=300)
@@ -251,7 +253,7 @@ def test_product_validation_matches_oracle_on_corrupted_choices(product_bases, d
     span from another apex, another terminal.  The report must be the former
     code-table validation's."""
     C, pc = data.draw(strat.sampled_from([b for b in product_bases if b[0].n_arrows > 1]))
-    binary, terminal = dict(pc.binary), pc.terminal
+    terminal, binary = crafted.choice_names(C, pc)
     for _ in range(data.draw(strat.sampled_from([1, 1, 2]))):
         kind = data.draw(strat.sampled_from(["swap", "typed", "typed", "any", "apex", "apex",
                                              "apex", "terminal"]))
@@ -285,12 +287,10 @@ def _pairing_matches_oracle(C, pc):
     """A Window over a fresh copy of the choice pairs every cone over every
     chosen product with the one mediator the oracle's table holds for it."""
     win = fincat.Window(C, ProductChoice(pc.terminal, dict(pc.binary)), WindowScope(()))
-    for (an, bn), (_, p1n, p2n) in pc.binary.items():
-        a, b = C.obj_index[an], C.obj_index[bn]
+    for (a, b), (_, p1, p2) in pc.binary.items():
         for z in range(C.n_objects):
             cones = itertools.product(C.hom(z, a).tolist(), C.hom(z, b).tolist())
-            assert {cone: [win.pair(*cone)] for cone in cones} == \
-                oracles.mediators(C, z, (C.arr_index[p1n], C.arr_index[p2n]))
+            assert {cone: [win.pair(*cone)] for cone in cones} == oracles.mediators(C, z, (p1, p2))
 
 
 def test_pairing_matches_oracle_on_fixtures(triv, chain, fs2):

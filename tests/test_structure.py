@@ -148,13 +148,13 @@ def test_comprehension_examples(witnesses):
     P, E, X = witnesses["chain"]
     C = P.cat
     # top elements are comprehended by identities, strictly
-    top_u = comprehension_of(P, C.obj_index["u"], P.fiber_named("u").top)
+    top_u = comprehension_of(P, C.obj_index["u"], P.fibers[P.cat.obj_index["u"]].top)
     assert top_u.kind == "strict" and top_u.arrow == "idu"
     # the bottom of the fiber over v has no comprehension at all
-    none_v = comprehension_of(P, C.obj_index["v"], P.fiber_named("v").index["v0"])
+    none_v = comprehension_of(P, C.obj_index["v"], P.fibers[P.cat.obj_index["v"]].index["v0"])
     assert none_v.kind == "none"
     # the middle element restricts along the embedding
-    mid = comprehension_of(P, C.obj_index["v"], P.fiber_named("v").index["v1"])
+    mid = comprehension_of(P, C.obj_index["v"], P.fibers[P.cat.obj_index["v"]].index["v1"])
     assert mid.kind == "strict" and mid.arrow == "m"
 
 
@@ -241,7 +241,7 @@ def test_weak_comprehension_classification():
     unique (a nontrivial automorphism over it) is weak, not strict."""
     import numpy as np
     from doctrines.doctrine import DoctrineData
-    from doctrines.fincat import FinCat, ProductChoice, WindowScope, validate_products
+    from doctrines.fincat import FinCat, WindowScope, validate_products
     from doctrines.semilattice import MonotoneMap, chain as chain_lattice, lattice_from_leq
     cat = FinCat.build(
         ["W", "A"],
@@ -250,7 +250,7 @@ def test_weak_comprehension_classification():
         {("idW", "idW"): "idW", ("e", "idW"): "e", ("idW", "e"): "e",
          ("e", "e"): "idW", ("idA", "idA"): "idA",
          ("c", "idW"): "c", ("c", "e"): "c", ("idA", "c"): "c"})
-    pc = ProductChoice("A", {("A", "A"): ("A", "idA", "idA")})
+    pc = crafted.choice(cat, "A", {("A", "A"): ("A", "idA", "idA")})
     assert validate_products(cat, pc).ok
     fW = lattice_from_leq(("w",), np.ones((1, 1), dtype=bool))
     fA = chain_lattice(("bot", "top"))
@@ -277,7 +277,8 @@ def test_reciprocity_failure_names_a_genuine_witness():
     v = check_frobenius(P, X)
     assert (v.ok, v.detail) == (False, "reciprocity failed")
     arrow, al, be = v.witness
-    assert (arrow, al, be) == (P.products.binary[("2", "2")][1], "mid", "yes")
+    two = P.cat.obj_index["2"]
+    assert (arrow, al, be) == (P.cat.arrows[P.products.binary[two, two][1]], "mid", "yes")
     pr = P.cat.arr_index[arrow]
     fib_a, fib_p = P.fibers[int(P.cat.tgt[pr])], P.fibers[int(P.cat.src[pr])]
     e = X.adjoints[pr]
