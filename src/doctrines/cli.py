@@ -23,7 +23,7 @@ from .doctrine import DoctrineData, sub_doctrine
 from .errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
                      ParseError, ResourceCap, WindowClosure)
 from .fileformat import emit_doctrine, parse_doctrine
-from .fincat import ValidationReport, WindowScope, check_exact, iso_classes
+from .fincat import ValidationReport, check_exact, iso_classes
 from .report import FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
 
 EXIT_OK = 0
@@ -84,12 +84,13 @@ def check_report(P: DoctrineData) -> tuple[Report, bool]:
     elif ct.complete and ct.full:
         rep.summary["comprehensions"] = "weak full"
     else:
-        misses = ", ".join(f"{o}:{e}" for o, e in ct.missing())
+        misses = ", ".join(f"{o}:{e}" for o, e in ct.missing(P))
         rep.summary["comprehensions"] = f"partial (missing for {misses})" \
             if misses else "not full"
+    ob, ar = P.cat.objects, P.cat.arrows
     rep.add(Check("comprehensions", INFO,
-                  data={"table": [f"{e.obj}:{e.element}={e.kind}"
-                                  + (f"[{e.arrow}]" if e.arrow else "")
+                  data={"table": [f"{ob[e.obj]}:{P.fibers[e.obj].elements[e.element]}={e.kind}"
+                                  + (f"[{ar[e.arrow]}]" if e.arrow is not None else "")
                                   for e in ct.entries],
                         "full": ct.full}))
     if X is not None:
@@ -151,13 +152,13 @@ def cmd_complete(args) -> int:
                     for a in range(cat.n_objects) for b in range(cat.n_objects))
         out.summary["poset"] = "yes" if poset else "no"
         if args.kind == "tp":
-            ex = check_exact(cat, WindowScope(comp.scope.core), an.caps.enum)
+            ex = check_exact(cat, comp.scope, an.caps.enum)
             out.summary["exact"] = "yes" if ex.exact else "no"
             out.summary["exactness core"] = len(ex.core)
         if comp.pc is None:
             print("completed category has no terminal; cannot emit", file=sys.stderr)
             return EXIT_VIOLATION
-        emitted = sub_doctrine(cat, comp.pc, WindowScope(comp.scope.core))
+        emitted = sub_doctrine(cat, comp.pc, comp.scope)
     elif args.kind == "qp":
         q = an.qp()
         out.summary["objects"] = q.cat.n_objects
@@ -288,7 +289,7 @@ def cmd_demo(args) -> int:
             continue
         if ok:
             tp, er, q = an.tp(), an.er(), an.qp()
-            ex = check_exact(tp.cat, WindowScope(tp.scope.core), caps.enum)
+            ex = check_exact(tp.cat, tp.scope, caps.enum)
             out.append(f"  relation completion: objects={tp.cat.n_objects}"
                        f" arrows={tp.cat.n_arrows}"
                        f" iso-classes={len(iso_classes(tp.cat))}"

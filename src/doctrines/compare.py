@@ -235,7 +235,7 @@ def eed_conditions(P: DoctrineData, R: DoctrineData, F: FunctorData,
     winP, winR = P.window, R.window
     ob, ar = F.obj_map.tolist(), F.arr_map.tolist()
     equality = []
-    for a in P.core_idx():
+    for a in P.scope.core:
         aa, p1, p2 = winP.prod(a, a)
         fa = ob[a]
         if (fa, fa) not in R.products.binary or fa not in E_R.delta:
@@ -243,8 +243,8 @@ def eed_conditions(P: DoctrineData, R: DoctrineData, F: FunctorData,
         cmp_arrow = winR.pair(ar[p1], ar[p2])
         equality.append((aa, E_P.delta[a], int(R.r(cmp_arrow).table[E_R.delta[fa]])))
     existentials = []
-    for a in P.core_idx():
-        for b in P.core_idx():
+    for a in P.scope.core:
+        for b in P.scope.core:
             ab, p1, p2 = winP.prod(a, b)
             for pr, tgt in ((p1, a), (p2, b)):
                 eP = exists_along(P, pr)
@@ -282,20 +282,12 @@ def preserve_comprehensions(P: DoctrineData, R: DoctrineData,
     comprehension arrow is a comprehension of the component image of its
     element.  Each (object, element, arrow, strictness) of R is verified
     once."""
-    entries = [(a, el, P.cat.arr_index[ent.arrow], ent.kind == "strict")
-               for (a, el), ent in comprehension_entries(P, analysis(P).comprehensions())
-               if ent.kind != "none"]
+    entries = [(e.obj, e.element, e.arrow, e.kind == "strict")
+               for e in analysis(P).comprehensions().entries if e.kind != "none"]
     verified = functools.cache(functools.partial(verify_comprehension_arrow, R))
     return [all(verified(int(m.F.obj_map[a]), int(m.components[a].table[el]),
                          int(m.F.arr_map[c]), strict)
                 for a, el, c, strict in entries) for m in mors]
-
-
-def comprehension_entries(P: DoctrineData, ct: ComprehensionTable
-                          ) -> Iterator[tuple[tuple[int, int], ComprehensionEntry]]:
-    """The entries of P's comprehension table, each with its (core object,
-    element): the table lists them in that order."""
-    return zip(((a, el) for a in P.core_idx() for el in range(P.fibers[a].n)), ct.entries)
 
 
 # the combinations of a 2-cell table are decoded and tested this many at a time
@@ -545,7 +537,7 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
         return rep
     ct = an_hat.comprehensions()
     rep.add(Check("comprehensions-full", _status(ct.strict_complete and ct.full),
-                  ct.full_witness or (ct.missing() or None),
+                  ct.full_witness or (ct.missing(hat) or None),
                   {"entries": len(ct.entries)}))
     # every element of a restricted fiber is comprehended by the arrow the
     # identity carries
@@ -566,7 +558,7 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
                   carried_witness))
     # comprehensions the base lacked
     base_ct = an.comprehensions()
-    gained = [f"{o}:{e}" for (o, e) in base_ct.missing()]
+    gained = [f"{o}:{e}" for (o, e) in base_ct.missing(P)]
     rep.add(Check("comprehensions-gained", INFO, data={"previously-missing": gained}))
     # the embedding is a product-preserving functor whose fiber components
     # are identities: fibers, equality, meets/top and existentials transfer
@@ -583,7 +575,7 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("embedding-preserves-fibers-meets-top", _status(fib_ok), witness))
     delta_ok, dwitness = True, None
     if E_P is not None:
-        for a in P.core_idx():
+        for a in P.scope.core:
             gi = gr.obj_of[(a, P.fibers[a].top)]
             d_hat = E_hat.delta.get(gi)
             aa = P.window.prod(a, a)[0]
@@ -622,7 +614,7 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     ct = an.comprehensions()
     if not (ct.strict_complete and ct.full):
         rep.add(Check("full-comprehensions", NOT_APPLICABLE,
-                      ct.missing() or ct.full_witness,
+                      ct.missing(P) or ct.full_witness,
                       {"reason": "base lacks full comprehensions"}))
         return rep
     rep.add(Check("full-comprehensions", PASS, data={"entries": len(ct.entries)}))
@@ -647,16 +639,15 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
                   {"iso-witnesses": eq.witness.get("iso_witnesses", {})}))
     # proof identity: el = exists_{comprehension}(top)
     ident_ok, ident_witness, count = True, None, 0
-    for (a, el), ent in comprehension_entries(P, ct):
-        c = P.cat.arr_index[ent.arrow]
-        e_c = exists_along(P, c)
+    for ent in ct.entries:
+        e_c = exists_along(P, ent.arrow)
         if isinstance(e_c, NoAdjoint):
             continue
         count += 1
-        w = int(P.cat.src[c])
-        if int(e_c.table[P.fibers[w].top]) != el:
+        w = int(P.cat.src[ent.arrow])
+        if int(e_c.table[P.fibers[w].top]) != ent.element:
             ident_ok = False
-            ident_witness = (P.cat.objects[a], P.fibers[a].elements[el])
+            ident_witness = (P.cat.objects[ent.obj], P.fibers[ent.obj].elements[ent.element])
     rep.add(Check("image-of-top-identity", _status(ident_ok), ident_witness,
                   {"instances": count}))
     return rep
@@ -685,7 +676,7 @@ def verify_axc(P: DoctrineData, condition_v: str = "strict",
     ct = an.comprehensions()
     hyp1 = ct.complete and ct.full
     rep.add(Check("hypothesis-weak-full-comprehensions", _status(hyp1),
-                  None if hyp1 else (ct.missing() or ct.full_witness)))
+                  None if hyp1 else (ct.missing(P) or ct.full_witness)))
     roc = an.rule_of_choice()
     rep.add(Check("hypothesis-rule-of-choice", _status(roc.ok),
                   roc.witness or None, {"totals-checked": roc.checked}))
@@ -740,10 +731,10 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     ct = an.comprehensions()
     hyp_comp = ct.strict_complete and ct.full
     rep.add(Check("hypothesis-full-comprehensions", _status(hyp_comp),
-                  None if hyp_comp else (ct.missing() or ct.full_witness)))
+                  None if hyp_comp else (ct.missing(P) or ct.full_witness)))
     # every reflexive element over the core must have a smallest transitive
     # extension; otherwise the construction does not apply
-    for c in P.core_idx():
+    for c in P.scope.core:
         cc = P.window.prod(c, c)[0]
         fib = P.fibers[cc]
         for z in range(fib.n):
@@ -768,9 +759,9 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     derived_all, witness = True, None
     instances = 0
     skipped: list[str] = []
-    entries = dict(comprehension_entries(P, ct))
-    for a in P.core_idx():
-        for b in P.core_idx():
+    entries = {(e.obj, e.element): e for e in ct.entries}
+    for a in P.scope.core:
+        for b in P.scope.core:
             ab, pr1, _ = win.prod(a, b)
             e1 = X.adjoints[pr1]
             fib_ab = P.fibers[ab]
@@ -828,7 +819,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
         if ent.kind == "none":
             skipped.append(f"{label}: image has no comprehension")
             return None
-        c_arrow = C.arr_index[ent.arrow]
+        c_arrow = ent.arrow
         w_obj = int(C.src[c_arrow])
         try:
             idxc = win.times(int(C.id_arr[a]), c_arrow)   # id×c: A×W -> A×B
@@ -1011,12 +1002,12 @@ def verify_universal(P: DoctrineData, X: FinCat,
         ex = check_exact(X, Xscope, caps.enum)
         rep.add(Check("target-exact", _status(ex.exact), ex.witness.get("exact")
                       or ex.witness.get("regular") or ex.witness.get("finitely_complete"),
-                      {"core": list(ex.core)}))
+                      {"core": list(ex.witness["core"])}))
         if not ex.exact:
             return rep
         if Xpc is None:
             Xpc = choose_products(X, caps)
-        sub_x = sub_doctrine(X, Xpc, Xscope or WindowScope(X.objects))
+        sub_x = sub_doctrine(X, Xpc, Xscope or WindowScope(tuple(range(X.n_objects))))
         vx = validate_doctrine(sub_x)
         rep.add(Check("target-subobjects", _status(vx.ok), vx.witness or None))
         E_SX = discover_elementary(sub_x)

@@ -133,8 +133,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                 ep = P.fibers[p].meet_of(int(r1[ea]), int(r2[eb]))
                 pc.binary[(obj_of[(a, ea)], obj_of[(b, eb)])] = (
                     obj_of[(p, ep)], arrow(p1, ep, ea), arrow(p2, ep, eb))
-    scope = WindowScope(tuple(obj_names[obj_of[(o, el)]]
-                              for o in P.core_idx() for el in range(P.fibers[o].n)))
+    scope = WindowScope(tuple(obj_of[(o, el)] for o in P.scope.core for el in range(P.fibers[o].n)))
     # restricted-downset fibers
     fibers: list[FinInfSL] = []
     for o, el in objs:
@@ -180,7 +179,7 @@ def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
     """All symmetric-transitive relation objects over core carriers."""
     W = P.window
     out = []
-    for a in P.core_idx():
+    for a in P.scope.core:
         fib = P.fibers[W.prod(a, a)[0]]
         sym = fib.leq[np.arange(fib.n), P.r(W.swap(a, a)).table]
         out += [(a, int(rel)) for rel in np.flatnonzero(sym & transitive_mask(P, a))]
@@ -342,7 +341,7 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
 
 def core_subcategory(P: DoctrineData) -> FinCat:
     """Full subcategory of the base on the core objects."""
-    return full_subcategory(P.cat, P.core_idx()).source
+    return full_subcategory(P.cat, P.scope.core).source
 
 
 def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:
@@ -351,7 +350,7 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
     the reindexed equality P_{f×id}(delta_B).  That is ∃_<id,f>(top) in any
     elementary doctrine (lemma), so the existential image is not taken."""
     C = P.cat
-    core = full_subcategory(C, P.core_idx())
+    core = full_subcategory(C, P.scope.core)
     arr_map = []
     for f in core.arr_map.tolist():
         a, b = int(C.src[f]), int(C.tgt[f])
@@ -361,7 +360,7 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
         if key not in er.arr_of:
             raise MalformedPresentation(f"graph of {C.arrows[f]} is not a functional relation")
         arr_map.append(er.arr_of[key])
-    return FunctorData(core.source, er.cat, [er.obj_of[(a, E.delta[a])] for a in P.core_idx()],
+    return FunctorData(core.source, er.cat, [er.obj_of[(a, E.delta[a])] for a in P.scope.core],
                        arr_map)
 
 
@@ -569,10 +568,10 @@ def tp_sub_restriction(tp: TCompletion, er: ERCompletion,
     the canonical fiber comparison below is an isomorphism)."""
     if tp.pc is None or er.pc is None:
         raise MalformedPresentation("completion has no terminal; cannot index subobjects")
-    full = sub_doctrine(tp.cat, tp.pc, WindowScope(tp.cat.objects))
+    full = sub_doctrine(tp.cat, tp.pc, WindowScope(tuple(range(tp.cat.n_objects))))
     fibers = [full.fibers[o] for o in er.inclusion.obj_map.tolist()]
     reindex = [full.reindex[f] for f in er.inclusion.arr_map.tolist()]
-    return DoctrineData(er.cat, er.pc, WindowScope(er.cat.objects), fibers, reindex)
+    return DoctrineData(er.cat, er.pc, WindowScope(tuple(range(er.cat.n_objects))), fibers, reindex)
 
 
 def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
@@ -583,7 +582,7 @@ def iota_iso(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     C = P.cat
     win = P.window
     out: dict[int, MonotoneMap] = {}
-    for a in P.core_idx():
+    for a in P.scope.core:
         t_obj = tp.obj_of[(a, E.delta[a])]
         er_obj = er.obj_of[(a, E.delta[a])]
         fib_sub = sub_er.fibers[er_obj]

@@ -47,9 +47,6 @@ class DoctrineData:
     def r(self, f: int) -> MonotoneMap:
         return self.reindex[f]
 
-    def core_idx(self) -> list[int]:
-        return [self.cat.obj_index[o] for o in self.scope.core]
-
 
 def exists_along(P: DoctrineData, f: int) -> MonotoneMap | NoAdjoint:
     """Left adjoint of reindexing along f, memoized per doctrine."""

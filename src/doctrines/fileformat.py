@@ -83,7 +83,7 @@ class _Read(NamedTuple):
     binary: dict[tuple[int, int], tuple[int, int, int]]
     fibers: dict[int, _FiberBlock]
     reindex: dict[int, _ReindexBlock]
-    core: list[str] | None
+    core: list[int] | None
 
 
 _PIECE = 1 << 16              # characters of whole lines read at a time
@@ -172,7 +172,7 @@ def _read_lines(text: str) -> _Read:
     binary: dict[tuple[int, int], tuple[int, int, int]] = {}
     fibers: dict[int, _FiberBlock] = {}
     reindex: dict[int, _ReindexBlock] = {}
-    core: list[str] | None = None
+    core: list[int] | None = None
 
     section: str | None = None   # "base", "fiber", "reindex", "core" or None
     owner = -1                   # the open block's object or arrow
@@ -286,8 +286,7 @@ def _read_lines(text: str) -> _Read:
                 if tok == "}":
                     section = None
                     break
-                known_object(ln, raw, tok)
-                core.append(tok)
+                core.append(known_object(ln, raw, tok))
         else:
             head = parts[0]
             if head == "base" and parts[1:] == ["{"]:
@@ -399,7 +398,7 @@ def parse_doctrine(text: str) -> DoctrineData:
                                r.objects[b], r.objects[a])
         reindex.append(MonotoneMap(fibers[b], fibers[a], table))
     pc = ProductChoice(r.terminal, r.binary)
-    scope = WindowScope(tuple(r.core) if r.core is not None else tuple(r.objects))
+    scope = WindowScope(tuple(r.core) if r.core is not None else tuple(range(len(r.objects))))
     return DoctrineData(cat, pc, scope, fibers, reindex)
 
 
@@ -433,5 +432,5 @@ def emit_doctrine(P: DoctrineData) -> str:
         out += [f"  {x} -> {P.fibers[a].elements[y]}"
                 for x, y in zip(P.fibers[b].elements, m.table.tolist())]
         out.append("}")
-    out.append("core { " + " ".join(P.scope.core) + " }")
+    out.append("core { " + " ".join(objects[o] for o in P.scope.core) + " }")
     return "\n".join(out) + "\n"

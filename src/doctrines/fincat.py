@@ -21,9 +21,10 @@ recorded in a ProductChoice and quantified checks state their scope as a core
 object set (WindowScope).  A demanded product that is missing from the window
 is a hard error, never a silent skip.
 
-Product choices and functors hold indices into their categories.  Names
-live only at the edges: the parser resolves them, the emitter writes them,
-and witnesses and report text name what they point at.
+Product choices, functors, window scopes and comprehension entries hold
+indices into their categories.  Names live only at the edges: the parser
+resolves them, the emitter and the hand-written fixtures write them, and
+witnesses and report text name what they point at.
 """
 
 from __future__ import annotations
@@ -128,34 +129,6 @@ class FinCat:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def build(objects, arrows, identity, compose) -> "FinCat":
-        """Build from name-keyed tables: arrows is a list of (name, src, tgt),
-        identity maps object name to arrow name, compose maps (g, f) to g∘f."""
-        objects = tuple(objects)
-        obj_index = {o: i for i, o in enumerate(objects)}
-        names, srcs, tgts = [], [], []
-        for name, s, t in arrows:
-            if s not in obj_index or t not in obj_index:
-                raise MalformedPresentation(f"arrow {name} has unknown endpoint {s} or {t}")
-            names.append(name)
-            srcs.append(obj_index[s])
-            tgts.append(obj_index[t])
-        arr_index = {a: i for i, a in enumerate(names)}
-        id_arr = [-1] * len(objects)
-        for o, a in identity.items():
-            if o not in obj_index or a not in arr_index:
-                raise MalformedPresentation(f"identity entry {o} -> {a} has unknown id")
-            id_arr[obj_index[o]] = arr_index[a]
-        entries = []
-        for (g, f), h in compose.items():
-            for nm in (g, f, h):
-                if nm not in arr_index:
-                    raise MalformedPresentation(f"compose entry mentions unknown arrow {nm}")
-            entries.append((arr_index[g], arr_index[f], arr_index[h]))
-        return FinCat.from_indices(objects, names, srcs, tgts, id_arr,
-                                   np.array(entries, dtype=np.intp).reshape(-1, 3))
-
-    @staticmethod
     def from_indices(objects, arrows, src, tgt, id_arr, compose: np.ndarray) -> "FinCat":
         """Build from index tables: src, tgt and id_arr by position (-1 for
         an object without identity) and the composition entries, one row
@@ -227,11 +200,11 @@ class ProductChoice:
 
 @dataclass
 class WindowScope:
-    """Objects designated for quantified checks; constructions demand window
-    closure under the products they use (pairs, and triples for composition
-    and transitivity shaped checks)."""
+    """Objects designated for quantified checks, by index; constructions
+    demand window closure under the products they use (pairs, and triples
+    for composition and transitivity shaped checks)."""
 
-    core: tuple[str, ...]
+    core: tuple[int, ...]
 
 
 @dataclass
@@ -415,9 +388,8 @@ class Window:
         self.C = C
         self.pc = pc
         self.scope = scope
-        self.core = tuple(scope.core)
-        for o in self.core:
-            if o not in C.obj_index:
+        for o in scope.core:
+            if not 0 <= o < C.n_objects:
                 raise MalformedPresentation(f"core object {o} not in category")
         if not pc.pairing:
             for p, p1, p2 in pc.binary.values():
@@ -471,8 +443,7 @@ class Window:
 
     def check_closure(self) -> list[tuple[str, ...]]:
         """Products demanded by the scope that the window lacks (empty = closed)."""
-        ob, binary = self.C.objects, self.pc.binary
-        core = [self.C.obj_index[o] for o in self.core]
+        ob, binary, core = self.C.objects, self.pc.binary, self.scope.core
         pairs = list(itertools.product(core, repeat=2))
         return ([(ob[a], ob[b]) for a, b in pairs if (a, b) not in binary]
                 + [(ob[a], ob[b], ob[c]) for a, b in pairs if (a, b) in binary
@@ -581,10 +552,11 @@ def iso_classes(C: FinCat) -> list[list[str]]:
     return [[C.objects[i] for i in cl] for cl in classes]
 
 
-def full_subcategory(C: FinCat, objs: list[int]) -> FunctorData:
+def full_subcategory(C: FinCat, objs: list[int] | tuple[int, ...]) -> FunctorData:
     """The full subcategory on `objs`, in that order, as its inclusion into
     C: the subcategory is the source, and its arrows keep their names and
     their order in C."""
+    objs = list(objs)               # a tuple would index the tables as several axes
     obj_new = np.full(C.n_objects, -1, dtype=np.int32)
     obj_new[objs] = np.arange(len(objs))
     keep = np.flatnonzero((obj_new[C.src] >= 0) & (obj_new[C.tgt] >= 0))
@@ -771,7 +743,7 @@ class ExactnessVerdict:
     finitely_complete: bool
     regular: bool
     exact: bool
-    core: tuple[str, ...]
+    core: tuple[int, ...]
     witness: dict = field(default_factory=dict)
 
     def __bool__(self) -> bool:
@@ -806,19 +778,18 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
     factorizations and pullback-stable regular epis for arrows between core
     objects; exact: every internal equivalence relation on a core object is
     effective.  The verdict is kept on C, one per (core, cap)."""
-    core_names = tuple(scope.core if scope is not None else C.objects)
-    key = (core_names, cap)
+    core = tuple(scope.core) if scope is not None else tuple(range(C.n_objects))
+    key = (core, cap)
     if key not in C._exactness:
-        C._exactness[key] = _exactness_verdict(C, core_names, cap)
+        C._exactness[key] = _exactness_verdict(C, core, cap)
     return C._exactness[key]
 
 
-def _exactness_verdict(C: FinCat, core_names: tuple[str, ...],
+def _exactness_verdict(C: FinCat, core: tuple[int, ...],
                        cap: int | None) -> ExactnessVerdict:
     """Each clause is decided only when the ones before it hold; a failing
     clause records its first witness."""
-    core = [C.obj_index[o] for o in core_names]
-    witness: dict = {"core": core_names}
+    witness: dict = {"core": tuple(C.objects[o] for o in core)}
     holds: list[bool] = []
     for clause, first_failure in (("finitely_complete", _finite_limit_failure),
                                   ("regular", _regularity_failure),
@@ -827,10 +798,10 @@ def _exactness_verdict(C: FinCat, core_names: tuple[str, ...],
         if bad is not None:
             witness[clause] = bad
         holds.append(all(holds) and bad is None)
-    return ExactnessVerdict(*holds, core_names, witness)
+    return ExactnessVerdict(*holds, core, witness)
 
 
-def _finite_limit_failure(C: FinCat, core: list[int], cap: int | None):
+def _finite_limit_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
     """A terminal, products of core pairs, equalizers of parallel pairs
     between core objects: the first that is missing, or None."""
     if terminal_object(C) is None:
@@ -845,7 +816,7 @@ def _finite_limit_failure(C: FinCat, core: list[int], cap: int | None):
     return None
 
 
-def _regularity_failure(C: FinCat, core: list[int], cap: int | None):
+def _regularity_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
     """Kernel pairs, image factorizations and pullback-stable regular epis
     for arrows between core objects: the first that fails, or None."""
     core_set = set(core)
@@ -867,7 +838,7 @@ def _regularity_failure(C: FinCat, core: list[int], cap: int | None):
     return None
 
 
-def _effectiveness_failure(C: FinCat, core: list[int], cap: int | None):
+def _effectiveness_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
     """Every internal equivalence relation on a core object is the kernel
     pair of its coequalizer: the first that is not, or None."""
     for x in core:
@@ -884,7 +855,7 @@ def _effectiveness_failure(C: FinCat, core: list[int], cap: int | None):
     return None
 
 
-def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]:
+def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[int, ...]:
     """Largest product-closed core in identifier order: an object joins iff
     its products with every member (both ways) exist in C."""
     core: list[int] = []
@@ -896,7 +867,7 @@ def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[str, ...]
                 break
         if ok:
             core.append(x)
-    return tuple(C.objects[i] for i in core)
+    return tuple(core)
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +926,7 @@ def validate_functor(F: FunctorData,
                                 "composition not preserved")
     if products is not None:
         pcs, pct = products
-        wt = Window(T, pct, WindowScope(T.objects))
+        wt = Window(T, pct, WindowScope(()))
         ob, ar = ob.tolist(), ar.tolist()
         for (a, b), (p, p1, p2) in pcs.binary.items():
             if (ob[a], ob[b]) in pct.binary and not is_iso(T, wt.pair(ar[p1], ar[p2])):

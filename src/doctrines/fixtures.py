@@ -28,11 +28,10 @@ from .semilattice import MonotoneMap, chain, diamond, identity_map, powerset
 
 
 def triv() -> DoctrineData:
-    cat = FinCat.build(
-        ["T"], [("idT", "T", "T")], {"T": "idT"}, {("idT", "idT"): "idT"})
+    cat = FinCat.from_indices(["T"], ["idT"], [0], [0], [0], np.array([[0, 0, 0]]))
     pc = ProductChoice(0, {(0, 0): (0, 0, 0)})     # T×T = T, both projections idT
     fib = diamond()
-    return DoctrineData(cat, pc, WindowScope(("T",)), [fib], [identity_map(fib)])
+    return DoctrineData(cat, pc, WindowScope((0,)), [fib], [identity_map(fib)])
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +40,10 @@ def triv() -> DoctrineData:
 
 
 def _chain_base() -> tuple[FinCat, ProductChoice]:
-    cat = FinCat.build(
-        ["u", "v"],
-        [("idu", "u", "u"), ("idv", "v", "v"), ("m", "u", "v")],
-        {"u": "idu", "v": "idv"},
-        {("idu", "idu"): "idu", ("idv", "idv"): "idv",
-         ("m", "idu"): "m", ("idv", "m"): "m"})
-    u, v, idu, idv, m = 0, 1, 0, 1, 2               # the indices of the names above
+    u, v, idu, idv, m = 0, 1, 0, 1, 2               # the indices of the names below
+    cat = FinCat.from_indices(
+        ["u", "v"], ["idu", "idv", "m"], [u, v, u], [u, v, v], [idu, idv],
+        np.array([(idu, idu, idu), (idv, idv, idv), (m, idu, m), (idv, m, m)]))
     pc = ProductChoice(v, {
         (u, u): (u, idu, idu),
         (u, v): (u, idu, m),
@@ -62,7 +58,7 @@ def chain_fixture() -> DoctrineData:
     fu = chain(("u0", "u1"))
     fv = chain(("v0", "v1", "v2"))
     rm = MonotoneMap(fv, fu, np.array([0, 1, 1], dtype=np.int32))
-    return DoctrineData(cat, pc, WindowScope(("u", "v")),
+    return DoctrineData(cat, pc, WindowScope((0, 1)),
                         [fu, fv], [identity_map(fu), identity_map(fv), rm])
 
 
@@ -73,7 +69,7 @@ def nochoice() -> DoctrineData:
     fu = diamond()
     fv = chain(("v0", "v1"))
     rm = MonotoneMap(fv, fu, np.array([fu.index["bot"], fu.index["top"]], dtype=np.int32))
-    return DoctrineData(cat, pc, WindowScope(("u", "v")),
+    return DoctrineData(cat, pc, WindowScope((0, 1)),
                         [fu, fv], [identity_map(fu), identity_map(fv), rm])
 
 
@@ -84,7 +80,7 @@ def mixedfail() -> DoctrineData:
     fu = diamond()
     fv = chain(("v0", "v1"))
     rm = MonotoneMap(fv, fu, np.array([fu.index["bot"], fu.index["b"]], dtype=np.int32))
-    return DoctrineData(cat, pc, WindowScope(("u", "v")),
+    return DoctrineData(cat, pc, WindowScope((0, 1)),
                         [fu, fv], [identity_map(fu), identity_map(fv), rm])
 
 
@@ -205,7 +201,7 @@ def finset_window(sizes: list[int], core: list[int]) -> tuple[FinCat, ProductCho
     if 1 not in ob:
         raise ValueError("window needs a terminal (size-1) object")
     pc = ProductChoice(ob[1], binary)
-    scope = WindowScope(tuple(str(c) for c in core))
+    scope = WindowScope(tuple(ob[c] for c in core))
     return cat, pc, scope, lookup
 
 

@@ -67,8 +67,8 @@ class CheckVerdict:
 def core_projections(P: DoctrineData) -> tuple[ProjInstance, ...]:
     out = []
     W = P.window
-    for a1 in P.core_idx():
-        for a2 in P.core_idx():
+    for a1 in P.scope.core:
+        for a2 in P.scope.core:
             prod, pr1, pr2 = W.prod(a1, a2)
             out.append(ProjInstance(a1, a2, prod, pr1, pr2))
     return tuple(out)
@@ -89,7 +89,7 @@ def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
     fib_a, fib_aa = P.fibers[a], P.fibers[aa]
     e = left_adjoints(fib_aa, fib_a, P.r(W.diag(a)).table[None])[0]
     ok = (fib_aa.meet[P.r(pr1).table] == e[:, None]).all(axis=0)
-    for x in P.core_idx():
+    for x in P.scope.core:
         xa, _, q2 = W.prod(x, a)
         fib_xaa, _, r12, r23, _ = triple_product(P, x, a, a)
         pr122 = W.pair(int(P.cat.id_arr[xa]), q2)           # <pr1, pr2, pr2>
@@ -100,7 +100,7 @@ def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
 
 def discover_elementary(P: DoctrineData) -> ElementaryWitness | StructureFailure:
     delta: dict[int, int] = {}
-    for a in P.core_idx():
+    for a in P.scope.core:
         cands = elementary_candidates(P, a)
         if len(cands) != 1:
             return StructureFailure(
@@ -140,11 +140,11 @@ def check_beck_chevalley(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict
     win = P.window
     C = P.cat
     checked = 0
-    for x in P.core_idx():
-        for a in P.core_idx():
+    for x in P.scope.core:
+        for a in P.scope.core:
             xa, _, pr2 = win.prod(x, a)
             e_pr = W.adjoints[pr2]
-            for ap in P.core_idx():
+            for ap in P.scope.core:
                 for f in C.hom(ap, a):
                     f = int(f)
                     if f == int(C.id_arr[a]):
@@ -198,10 +198,14 @@ def check_frobenius(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict:
 
 @dataclass
 class ComprehensionEntry:
-    obj: str
-    element: str
+    """The comprehension of one fiber element, by index: `element` is an
+    element of the fiber over the base object `obj`, and `arrow` the base
+    arrow into `obj` that comprehends it, None when `kind` is "none"."""
+
+    obj: int
+    element: int
     kind: str              # "strict" | "weak" | "none"
-    arrow: str | None = None
+    arrow: int | None = None
 
 
 @dataclass
@@ -218,24 +222,24 @@ class ComprehensionTable:
     def strict_complete(self) -> bool:
         return all(e.kind == "strict" for e in self.entries)
 
-    def missing(self) -> list[tuple[str, str]]:
-        return [(e.obj, e.element) for e in self.entries if e.kind == "none"]
+    def missing(self, P: DoctrineData) -> list[tuple[str, str]]:
+        """The (object, element) names of the entries with no comprehension."""
+        return [(P.cat.objects[e.obj], P.fibers[e.obj].elements[e.element])
+                for e in self.entries if e.kind == "none"]
 
 
 def comprehension_of(P: DoctrineData, a: int, el: int) -> ComprehensionEntry:
     """Search all arrows into A for a universal restriction of el to top;
     strict when every factorization is unique, weak when mere existence."""
-    C = P.cat
-    fib = P.fibers[a]
     best_weak = None
-    for c in (int(c) for c in C.into(a)):
+    for c in P.cat.into(a).tolist():
         if verify_comprehension_arrow(P, a, el, c, strict=True):
-            return ComprehensionEntry(C.objects[a], fib.elements[el], "strict", C.arrows[c])
+            return ComprehensionEntry(a, el, "strict", c)
         if best_weak is None and verify_comprehension_arrow(P, a, el, c, strict=False):
             best_weak = c
     if best_weak is not None:
-        return ComprehensionEntry(C.objects[a], fib.elements[el], "weak", C.arrows[best_weak])
-    return ComprehensionEntry(C.objects[a], fib.elements[el], "none")
+        return ComprehensionEntry(a, el, "weak", best_weak)
+    return ComprehensionEntry(a, el, "none")
 
 
 def verify_comprehension_arrow(P: DoctrineData, a: int, el: int, c: int,
@@ -259,26 +263,21 @@ def comprehension_table(P: DoctrineData) -> ComprehensionTable:
     whenever the comprehension of a factors through that of b, a <= b."""
     C = P.cat
     entries = []
-    per_obj: dict[int, list[tuple[int, int | None]]] = {}
-    for a in P.core_idx():
-        fib = P.fibers[a]
-        per_obj[a] = []
-        for el in range(fib.n):
-            ent = comprehension_of(P, a, el)
-            entries.append(ent)
-            per_obj[a].append((el, C.arr_index[ent.arrow] if ent.arrow else None))
     full = True
     witness: tuple = ()
-    for a, pairs in per_obj.items():
+    for a in P.scope.core:
         fib = P.fibers[a]
-        for el1, c1 in pairs:
-            for el2, c2 in pairs:
-                if c1 is None or c2 is None:
+        here = [comprehension_of(P, a, el) for el in range(fib.n)]
+        entries += here
+        for e1 in here:
+            for e2 in here:
+                if e1.arrow is None or e2.arrow is None:
                     continue
-                factors = factor_counts(C, c2)[c1] > 0
-                if factors and not fib.le(el1, el2):
+                factors = factor_counts(C, e2.arrow)[e1.arrow] > 0
+                if factors and not fib.le(e1.element, e2.element):
                     full = False
-                    witness = witness or (C.objects[a], fib.elements[el1], fib.elements[el2])
+                    witness = witness or (C.objects[a], fib.elements[e1.element],
+                                          fib.elements[e2.element])
     return ComprehensionTable(entries, full, witness)
 
 
@@ -293,8 +292,8 @@ def check_rule_of_choice(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict
     C = P.cat
     win = P.window
     checked = 0
-    for a in P.core_idx():
-        for b in P.core_idx():
+    for a in P.scope.core:
+        for b in P.scope.core:
             ab, pr1, _ = win.prod(a, b)
             e1 = W.adjoints[pr1]
             fib_a = P.fibers[a]
@@ -337,8 +336,8 @@ def check_delta_product_law(P: DoctrineData, E: ElementaryWitness) -> DeltaLawVe
     skipped: list[tuple[str, str, str]] = []
     witness: tuple = ()
     ok = True
-    for a in P.core_idx():
-        for b in P.core_idx():
+    for a in P.scope.core:
+        for b in P.scope.core:
             names = (C.objects[a], C.objects[b])
             try:
                 fiber_obj, rhs = box_product(P, a, a, E.delta[a], b, b, E.delta[b])

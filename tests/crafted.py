@@ -5,9 +5,39 @@ from __future__ import annotations
 import numpy as np
 
 from doctrines.doctrine import DoctrineData
+from doctrines.errors import MalformedPresentation
 from doctrines.fincat import FinCat, FunctorData, ProductChoice, Window
 from doctrines.fixtures import fs2_base
 from doctrines.semilattice import MonotoneMap, chain, lattice_from_leq
+
+
+def build(objects, arrows, identity, compose) -> FinCat:
+    """The category given by name-keyed tables: arrows is a list of (name,
+    src, tgt), identity maps object name to arrow name, compose maps (g, f)
+    to g∘f."""
+    objects = tuple(objects)
+    obj_index = {o: i for i, o in enumerate(objects)}
+    names, srcs, tgts = [], [], []
+    for name, s, t in arrows:
+        if s not in obj_index or t not in obj_index:
+            raise MalformedPresentation(f"arrow {name} has unknown endpoint {s} or {t}")
+        names.append(name)
+        srcs.append(obj_index[s])
+        tgts.append(obj_index[t])
+    arr_index = {a: i for i, a in enumerate(names)}
+    id_arr = [-1] * len(objects)
+    for o, a in identity.items():
+        if o not in obj_index or a not in arr_index:
+            raise MalformedPresentation(f"identity entry {o} -> {a} has unknown id")
+        id_arr[obj_index[o]] = arr_index[a]
+    entries = []
+    for (g, f), h in compose.items():
+        for nm in (g, f, h):
+            if nm not in arr_index:
+                raise MalformedPresentation(f"compose entry mentions unknown arrow {nm}")
+        entries.append((arr_index[g], arr_index[f], arr_index[h]))
+    return FinCat.from_indices(objects, names, srcs, tgts, id_arr,
+                               np.array(entries, dtype=np.intp).reshape(-1, 3))
 
 
 def choice(C: FinCat, terminal: str,
@@ -43,7 +73,7 @@ def functor_names(F: FunctorData) -> tuple[dict[str, str], dict[str, str]]:
 
 def v_poset() -> FinCat:
     """Two incomparable elements below a top; no product of (a, b)."""
-    return FinCat.build(
+    return build(
         ["a", "b", "t"],
         [("ida", "a", "a"), ("idb", "b", "b"), ("idt", "t", "t"),
          ("at", "a", "t"), ("bt", "b", "t")],
@@ -57,7 +87,7 @@ def nofact_category() -> FinCat:
     """f: A->B is neither mono (f∘s = f) nor regular epi (the invariant arrow
     c blocks every coequalizer), and no intermediate factors it: image
     factorization is unavailable."""
-    return FinCat.build(
+    return build(
         ["A", "B", "C"],
         [("idA", "A", "A"), ("idB", "B", "B"), ("idC", "C", "C"),
          ("s", "A", "A"), ("f", "A", "B"), ("c", "A", "C")],
@@ -73,7 +103,7 @@ def meet_not_pullback() -> FinCat:
     is z: Z -> A, while w: W -> A factors through both and not through z.
     w is not monic (w∘s = w for the idempotent s), so it is no subobject."""
     ids = {o: f"id{o}" for o in "AXYZW"}
-    return FinCat.build(
+    return build(
         list("AXYZW"),
         [(ids[o], o, o) for o in "AXYZW"]
         + [("m1", "X", "A"), ("m2", "Y", "A"), ("z1", "Z", "X"), ("z2", "Z", "Y"),

@@ -615,8 +615,8 @@ def finset_window(sizes: list[int], core: list[int]):
                 pr1 = name_of(p, a, [x // b for x in range(p)])
                 pr2 = name_of(p, b, [x % b for x in range(p)])
                 binary[(str(a), str(b))] = (str(p), pr1, pr2)
-    return (cat, crafted.choice(cat, "1", binary), WindowScope(tuple(str(c) for c in core)),
-            lookup)
+    return (cat, crafted.choice(cat, "1", binary),
+            WindowScope(tuple(cat.obj_index[str(c)] for c in core)), lookup)
 
 
 def fs2_reindex(cat: FinCat, lookup: dict) -> list[np.ndarray]:
@@ -949,7 +949,7 @@ def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
     it is below its swap and r12 ∧ r23 <= r13 over A×A×A."""
     W = P.window
     out = []
-    for a in P.core_idx():
+    for a in P.scope.core:
         fib = P.fibers[W.prod(a, a)[0]]
         sw = P.r(W.swap(a, a)).table
         aaa, (p1, p2, p3) = W.prod3(a, a, a)
@@ -1035,7 +1035,7 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
     base = core_subcategory(P)
     obj_map: dict[str, str] = {}
     arr_map: dict[str, str] = {}
-    for a in P.core_idx():
+    for a in P.scope.core:
         obj_map[C.objects[a]] = er.cat.objects[er.obj_of[(a, E.delta[a])]]
     for fname in base.arrows:
         f = C.arr_index[fname]
@@ -1297,7 +1297,7 @@ def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
         if not is_left_adjoint(fib_aa.meet[r_pr1, d], fib_aa.leq, fib_a.leq, r_diag):
             continue
         ok = True
-        for x in P.core_idx():
+        for x in P.scope.core:
             xa, _, q2 = W.prod(x, a)
             fib_xaa, _, r12, r23, _ = triple_product(P, x, a, a)
             e = W.pair(int(P.cat.id_arr[xa]), q2)       # <pr1, pr2, pr2>
@@ -1359,7 +1359,7 @@ def preserves_eed(P: DoctrineData, R: DoctrineData, mor,
     the commutation with existentials along core projections, functor and
     components together."""
     winP, winR = P.window, R.window
-    for a in P.core_idx():
+    for a in P.scope.core:
         aa, p1, p2 = winP.prod(a, a)
         fa = int(mor.F.obj_map[a])
         if (fa, fa) not in R.products.binary:
@@ -1371,8 +1371,8 @@ def preserves_eed(P: DoctrineData, R: DoctrineData, mor,
         rhs = int(R.r(cmp_arrow).table[E_R.delta[fa]])
         if lhs != rhs:
             return False
-    for a in P.core_idx():
-        for b in P.core_idx():
+    for a in P.scope.core:
+        for b in P.scope.core:
             ab, p1, p2 = winP.prod(a, b)
             for pr, tgt in ((p1, a), (p2, b)):
                 eP = exists_along(P, pr)
@@ -1390,13 +1390,12 @@ def morphism_preserves_comprehensions(P: DoctrineData, R: DoctrineData, mor) -> 
     """The former per-morphism test of the strict reading: the functor image
     of each comprehension arrow is a comprehension of the component image
     of its element."""
-    elements = ((a, el) for a in P.core_idx() for el in range(P.fibers[a].n))
-    for (a, el), ent in zip(elements, comprehension_table(P).entries):
+    for ent in comprehension_table(P).entries:
         if ent.kind == "none":
             continue
-        img = int(mor.components[a].table[el])
-        if not verify_comprehension_arrow(R, int(mor.F.obj_map[a]), img,
-                                          int(mor.F.arr_map[P.cat.arr_index[ent.arrow]]),
+        img = int(mor.components[ent.obj].table[ent.element])
+        if not verify_comprehension_arrow(R, int(mor.F.obj_map[ent.obj]), img,
+                                          int(mor.F.arr_map[ent.arrow]),
                                           strict=(ent.kind == "strict")):
             return False
     return True

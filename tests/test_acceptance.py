@@ -126,7 +126,7 @@ def test_acceptance_03_relational_laws(witnesses):
     count = 0
     for name in ("triv", "chain", "fs2"):
         P, E, X = witnesses[name]
-        objs = P.core_idx()
+        objs = P.scope.core
         for a, b in itertools.product(objs, repeat=2):
             ab = P.window.prod(a, b)[0]
             for th in range(P.fibers[ab].n):
@@ -228,8 +228,8 @@ def test_acceptance_07_graph_formula_agreement(completions):
         functor_D(P, E, er)  # builds from the reindexed form
         C = P.cat
         win = P.window
-        for a in P.core_idx():
-            for b in P.core_idx():
+        for a in P.scope.core:
+            for b in P.scope.core:
                 for f in C.hom(a, b):
                     f = int(f)
                     graph = win.pair(int(C.id_arr[a]), f)

@@ -26,8 +26,8 @@ def test_identity_laws_exhaustive(witnesses, completions):
     """Equality is a two-sided unit for relational composition."""
     for name in ("triv", "chain", "fs2"):
         P, E, X = witnesses[name]
-        for a in P.core_idx():
-            for b in P.core_idx():
+        for a in P.scope.core:
+            for b in P.scope.core:
                 ab = P.window.prod(a, b)[0]
                 for th in range(P.fibers[ab].n):
                     rel = RelArrow(a, b, th)
@@ -90,7 +90,7 @@ def test_associativity_mixed_carriers(witnesses):
     """Composable triples across all core carriers of the finite-set window."""
     P, E, X = witnesses["fs2"]
     C = P.cat
-    objs = P.core_idx()
+    objs = P.scope.core
     for a, b, c, d in itertools.product(objs, repeat=4):
         fab = P.fibers[P.window.prod(a, b)[0]]
         fbc = P.fibers[P.window.prod(b, c)[0]]
@@ -107,7 +107,7 @@ def test_associativity_mixed_carriers(witnesses):
 def test_associativity_poset_fixtures(witnesses):
     for name in ("triv", "chain"):
         P, E, X = witnesses[name]
-        objs = P.core_idx()
+        objs = P.scope.core
         for a, b, c, d in itertools.product(objs, repeat=4):
             for m1 in range(P.fibers[P.window.prod(a, b)[0]].n):
                 for m2 in range(P.fibers[P.window.prod(b, c)[0]].n):

@@ -11,7 +11,7 @@ import oracles
 from doctrines import compare, fixtures
 from doctrines.compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
-from doctrines.completions import Caps, build_tp, tp_sub_restriction
+from doctrines.completions import Caps, build_gr, build_tp, tp_sub_restriction
 from doctrines.doctrine import sub_doctrine
 from doctrines.errors import ResourceCap
 from doctrines.fincat import FunctorData, inverse_of, is_iso, validate_functor
@@ -150,12 +150,25 @@ def test_fulc_chain_not_applicable(chain):
 def test_fulc_applies_to_the_points_doctrine(chain):
     """The restricted-downset doctrine over the points of the chain has full
     comprehensions, and there the inclusion is an equivalence."""
-    from doctrines.completions import build_gr
     gr = build_gr(chain)
     rep = verify_fulc(gr.doctrine)
     assert _check(rep, "full-comprehensions").status == PASS
     assert not rep.any_failed()
     assert _check(rep, "inclusion-essentially-surjective").status == PASS
+
+
+def test_fulc_names_an_element_its_comprehension_does_not_give():
+    """The points doctrine of a fresh chain with the comprehension of its
+    first non-top element, u0 over (u|u1), pointed at the identity of
+    (u|u1): the image of top along it is u1, so the proof identity fails
+    there."""
+    P = build_gr(fixtures.chain_fixture()).doctrine
+    ent = next(e for e in analysis(P).comprehensions().entries
+               if e.element != P.fibers[e.obj].top)
+    ent.arrow = int(P.cat.id_arr[ent.obj])
+    ident = _check(verify_fulc(P), "image-of-top-identity")
+    assert (ident.status, tuple(ident.witness)) == (FAIL, ("(u|u1)", "u0"))
+    assert ident.data["instances"] == 9
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +234,33 @@ def test_converse_triv(triv):
     assert _check(rep, "agreement-with-direct-verdict").status == PASS
 
 
+def test_converse_fails_on_the_points_doctrine(chain):
+    """The points doctrine of chain has full comprehensions, yet its
+    comparison functor is no equivalence, and the derivation fails at a
+    genuine total relation, unclaimed; the direct verdict fails too."""
+    rep = verify_converse_axc(build_gr(chain).doctrine)
+    assert _check(rep, "comparison-is-equivalence").status == FAIL
+    dc = _check(rep, "derived-choice")
+    assert (dc.status, tuple(dc.witness)) == (FAIL, ("(v|v0)", "(u|u0)", "u0"))
+    assert (dc.data["claimed"], dc.data["totals"], dc.data["skipped"]) == (False, 17, [])
+    agree = _check(rep, "agreement-with-direct-verdict")
+    assert (agree.status, agree.data["direct"]) == (PASS, "fail")
+
+
+def test_converse_skips_a_relation_whose_image_has_no_comprehension():
+    """A fresh chain with the comprehension of v1 over v marked missing: the
+    derivation for the total relation u1 over u×v restricts along that
+    entry, so it skips the relation and says why, and the skip breaks the
+    agreement with the direct verdict."""
+    P = fixtures.chain_fixture()
+    v, v1 = 1, 1
+    ent = next(e for e in analysis(P).comprehensions().entries if (e.obj, e.element) == (v, v1))
+    ent.kind = "none"
+    rep = verify_converse_axc(P)
+    assert _check(rep, "derived-choice").data["skipped"] == ["uxv:u1: image has no comprehension"]
+    assert _check(rep, "agreement-with-direct-verdict").status == FAIL
+
+
 def test_converse_noext_not_applicable():
     P, names = crafted.noext()
     rep = verify_converse_axc(P)
@@ -249,8 +289,8 @@ def test_universal_triv_confirmed(triv):
 
 def test_universal_terminal_target(triv):
     """Against the terminal category both sides collapse."""
-    from doctrines.fincat import FinCat, validate_products
-    one = FinCat.build(["X"], [("idX", "X", "X")], {"X": "idX"},
+    from doctrines.fincat import validate_products
+    one = crafted.build(["X"], [("idX", "X", "X")], {"X": "idX"},
                        {("idX", "idX"): "idX"})
     pc = crafted.choice(one, "X", {("X", "X"): ("X", "idX", "idX")})
     assert validate_products(one, pc).ok

@@ -164,7 +164,7 @@ def test_functor_D_values(completions):
     C = P.cat
     arr_map = crafted.functor_names(D)[1]
     # identities go to the equalities
-    for a in P.core_idx():
+    for a in P.scope.core:
         img = arr_map[C.arrows[int(C.id_arr[a])]]
         _, _, el = er.tp.arrows[er.tp.cat.arr_index[img]]
         assert el == E.delta[a]
@@ -339,7 +339,7 @@ def test_base_equivalent_to_completion_of_its_subobjects(fs2):
     eq = check_equivalence(full)
     assert eq.faithful and eq.full and eq.essentially_surjective
     assert len(iso_classes(tp.cat)) == 3
-    core = [S.cat.obj_index[o] for o in S.scope.core]
+    core = S.scope.core
     base_core_classes = set()
     from doctrines.fincat import isomorphic
     reps = []

@@ -11,7 +11,7 @@ from doctrines.compare import analysis
 from doctrines.doctrine import (DoctrineData, box_product, sub_doctrine, subobject_poset,
                                 validate_doctrine, weak_sub_doctrine, weak_subobject_poset)
 from doctrines.errors import DoctrinesError, MalformedPresentation, NoWeakPullback
-from doctrines.fincat import FinCat, ProductChoice, WindowScope
+from doctrines.fincat import ProductChoice, WindowScope
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
 
 from oracles import preimage, set_from_mask
@@ -113,8 +113,7 @@ def test_weak_subobjects_match_subobjects_on_core(fs2):
     """Every arrow into a small set factors through its image, so the slice
     reflection and the mono classes give isomorphic posets on the core."""
     C = fs2.cat
-    for name in fs2.scope.core:
-        a = C.obj_index[name]
+    for a in fs2.scope.core:
         psi = weak_subobject_poset(C, a)[0]
         sub = subobject_poset(C, a)[0]
         assert psi.n == sub.n
@@ -144,8 +143,8 @@ def test_weak_sub_doctrine_postcomposition_is_existential(chain):
     from doctrines.semilattice import left_adjoint
     C = chain.cat
     Psi = weak_sub_doctrine(C, chain.products, chain.scope)
-    for a in chain.core_idx():
-        for b in chain.core_idx():
+    for a in chain.scope.core:
+        for b in chain.scope.core:
             _, p1, p2 = Psi.window.prod(a, b)
             for pr in (p1, p2):
                 adj = left_adjoint(Psi.r(pr))
@@ -156,8 +155,7 @@ def test_weak_sub_doctrine_postcomposition_is_existential(chain):
 def test_weak_pullback_missing_witness():
     """A cospan with no cone at all has no weak pullback; the constructor
     raises with the cospan as witness."""
-    from doctrines.fincat import FinCat, ProductChoice, WindowScope
-    cat = FinCat.build(
+    cat = crafted.build(
         ["A", "B", "T"],
         [("idA", "A", "A"), ("idB", "B", "B"), ("idT", "T", "T"),
          ("a1", "A", "T"), ("a2", "A", "T"), ("b", "B", "T")],
@@ -169,7 +167,7 @@ def test_weak_pullback_missing_witness():
     from doctrines.fincat import weak_pullback
     assert weak_pullback(cat, cat.arr_index["a1"], cat.arr_index["b"]) is None
     with pytest.raises(NoWeakPullback):
-        weak_sub_doctrine(cat, crafted.choice(cat, "T", {}), WindowScope(("A", "B")))
+        weak_sub_doctrine(cat, crafted.choice(cat, "T", {}), WindowScope((0, 1)))   # A, B
 
 
 def _poset_isomorphic(p, q) -> bool:
@@ -188,8 +186,7 @@ def test_weak_and_strict_subobjects_order_isomorphic(fs2):
     """The slice reflection and the mono-class poset are order isomorphic on
     every core object of the finite-set window."""
     C = fs2.cat
-    for name in fs2.scope.core:
-        a = C.obj_index[name]
+    for a in fs2.scope.core:
         psi = weak_subobject_poset(C, a)[0]
         sub = subobject_poset(C, a)[0]
         assert _poset_isomorphic(psi, sub)
@@ -200,7 +197,7 @@ def _constructed(build, C):
     constructor's doctrine on C, or the type, payload and message of the
     error it raises."""
     try:
-        D = build(C, ProductChoice(0, {}), WindowScope(C.objects))
+        D = build(C, ProductChoice(0, {}), WindowScope(tuple(range(C.n_objects))))
     except DoctrinesError as e:
         return type(e).__name__, vars(e), str(e)
     return ([(fib.elements, fib.leq.tolist()) for fib in D.fibers],
@@ -241,14 +238,14 @@ def test_constructors_match_oracles_on_fixtures(name, request):
 
 
 def _with_identities(objects, arrows, compose):
-    """FinCat.build with identities named id<object> and their composites."""
+    """crafted.build with identities named id<object> and their composites."""
     ids = {o: f"id{o}" for o in objects}
     compose = dict(compose)
     for name, s, t in arrows:
         compose[(name, ids[s])] = compose[(ids[t], name)] = name
     for o in objects:
         compose[(ids[o], ids[o])] = ids[o]
-    return FinCat.build(objects, [(ids[o], o, o) for o in objects] + arrows, ids, compose)
+    return crafted.build(objects, [(ids[o], o, o) for o in objects] + arrows, ids, compose)
 
 
 def test_weak_pullback_missing_at_reindexing():
@@ -267,7 +264,7 @@ def test_weak_pullback_missing_at_reindexing():
         weak_subobject_poset(cat, a)
     assert _constructed(weak_sub_doctrine, cat) == _constructed(oracles.weak_sub_doctrine, cat)
     with pytest.raises(NoWeakPullback) as raised:
-        weak_sub_doctrine(cat, crafted.choice(cat, "T", {}), WindowScope(("A", "B")))
+        weak_sub_doctrine(cat, crafted.choice(cat, "T", {}), WindowScope((1, 2)))   # A, B
     assert raised.value.cospan == ("f", "m")
 
 
@@ -313,7 +310,7 @@ def test_weak_pullback_beyond_the_class_representative(monkeypatch):
     assert _constructed(weak_sub_doctrine, cat) == _constructed(oracles.weak_sub_doctrine, cat)
     assert (x, g) in searched
     with pytest.raises(NoWeakPullback) as raised:
-        weak_sub_doctrine(cat, crafted.choice(cat, "A", {}), WindowScope(("A", "B")))
+        weak_sub_doctrine(cat, crafted.choice(cat, "A", {}), WindowScope((0, 1)))   # A, B
     assert raised.value.cospan == ("c", "g")
 
 
@@ -324,8 +321,8 @@ def test_sub_and_weak_sub_agree_on_exact_completion(name, request):
     from Sub(a) to Psi(a) that commutes with reindexing along every arrow."""
     tp = analysis(request.getfixturevalue(name)).tp()
     C = tp.cat
-    S = sub_doctrine(C, tp.pc, WindowScope(C.objects))
-    Psi = weak_sub_doctrine(C, tp.pc, WindowScope(C.objects))
+    S = sub_doctrine(C, tp.pc, WindowScope(tuple(range(C.n_objects))))
+    Psi = weak_sub_doctrine(C, tp.pc, WindowScope(tuple(range(C.n_objects))))
     iso = []
     for a in range(C.n_objects):
         sub_reps = subobject_poset(C, a)[1]
@@ -379,7 +376,7 @@ def _chain_with(n_fibers: int = 2, n_reindex: int = 3, m=None) -> DoctrineData:
                                                                                r.table[:2]))),
                  (False, "Reindex", ("m",), "reindex table has wrong length"), id="length"),
     pytest.param(lambda: sub_doctrine(crafted.meet_not_pullback(), ProductChoice(0, {}),   # A
-                                      WindowScope(("A",))),
+                                      WindowScope((0,))),
                  ("WindowClosure", "window closure violated: missing product A "
                                    "(subobject meet of [m1], [m2] is not their pullback)"),
                  id="subobject-meet"),

@@ -117,6 +117,23 @@ def test_duplicate_arrow_rejected():
         parse_doctrine(text)
 
 
+@pytest.mark.parametrize("old, new, error", [
+    pytest.param("arrow idT T T", "arrow idT T Q", (3, 15, "unknown object 'Q'"), id="endpoint"),
+    pytest.param("identity T = idT", "identity T = zz", (4, 16, "unknown arrow 'zz'"),
+                 id="identity"),
+    pytest.param("compose idT idT = idT", "compose idT zz = idT", (5, 15, "unknown arrow 'zz'"),
+                 id="compose-entry"),
+    pytest.param("core { T }", "core { T zz }", (23, 10, "unknown object 'zz'"), id="core"),
+])
+def test_unknown_names_are_parse_errors(triv, old, new, error):
+    """The parser resolves every name it reads, and names the one it does
+    not know where it stands: an arrow's endpoint, an identity, a
+    composite, a core object."""
+    with pytest.raises(ParseError) as exc:
+        parse_doctrine(emit_doctrine(triv).replace(old, new))
+    assert (exc.value.line, exc.value.col, exc.value.msg) == error
+
+
 def test_comments_and_blank_lines(triv):
     text = emit_doctrine(triv)
     noisy = "# leading comment\n\n" + text.replace(

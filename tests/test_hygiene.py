@@ -65,6 +65,40 @@ def test_no_local_reimports(path):
     assert local_reimports((SRC / path).read_text()) == []
 
 
+def name_lookups(source: str) -> list[str]:
+    """Each read of a category's name table, `obj_index` or `arr_index`, by
+    subscript or by `.get`, as its source text."""
+    def is_table(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in ("obj_index", "arr_index")
+                or isinstance(node, ast.Attribute) and node.attr in ("obj_index", "arr_index"))
+
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and is_table(node.value)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and is_table(node.func.value)]
+
+
+def test_scan_finds_name_lookups():
+    source = ("def f(C, P, obj_index):\n"
+              "    a = C.obj_index['x'] + P.cat.arr_index.get('f', -1)\n"
+              "    return a, obj_index[a], C.objects[a], len(C.arr_index)\n")
+    assert sorted(name_lookups(source)) == \
+        ["C.obj_index['x']", "P.cat.arr_index.get('f', -1)", "obj_index[a]"]
+
+
+# The one name lookup left outside the parser: the demo names a built-in
+# fixture's object.
+NAME_LOOKUPS = {"cli.py": ["P2.cat.obj_index['2']"]}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "fileformat.py"))
+def test_names_resolved_only_by_the_parser(path):
+    """Everything past the parser holds indices, so no module but the
+    parser turns a name back into an index."""
+    assert name_lookups((SRC / path).read_text()) == NAME_LOOKUPS.get(path, [])
+
+
 def definitions(source: str) -> list[tuple[str, int, bool]]:
     """Top-level functions and the methods of top-level classes, dunder
     methods left out, with their lines and whether each is a method."""

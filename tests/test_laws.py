@@ -351,7 +351,7 @@ def window_doctrines(draw, corrupt: bool = False):
     Q = _generated_sub_doctrine(gens)
     if corrupt and draw(strat.booleans()):
         W = Q.window
-        c = draw(strat.sampled_from(Q.core_idx()))
+        c = draw(strat.sampled_from(Q.scope.core))
         _, (p1, p2, p3) = W.prod3(c, c, c)
         f = W.pair(*draw(strat.sampled_from([(p1, p2), (p2, p3), (p1, p3)])))
         m = Q.reindex[f]

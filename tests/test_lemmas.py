@@ -234,7 +234,7 @@ def iota_inputs(completions):
     """triv's completions, the subobjects of its reflexive part, and the
     first element whose restricted equality is not the equality itself."""
     P, E, X, tp, er, _ = completions["triv"]
-    a = P.core_idx()[0]
+    a = P.scope.core[0]
     aa, p1, p2 = P.window.prod(a, a)
     fib_aa = P.fibers[aa]
     rho = next(r for r in (fib_aa.meet_all([E.delta[a], int(P.r(p1).table[al]),

@@ -85,7 +85,7 @@ def test_relation_objects_and_extensions_match_oracle(Q):
     transitive extension to compare."""
     assert per_objects(Q) == oracles.per_objects(Q)
     least = {c: int(np.flatnonzero(Q.fibers[Q.window.prod(c, c)[0]].leq.all(axis=1))[0])
-             for c in Q.core_idx()}
+             for c in Q.scope.core}
     assert _extensions(transitive_extension, Q, least) == \
         _extensions(oracles.transitive_extension, Q, least)
 

@@ -131,7 +131,7 @@ def test_limits_match_oracle_on_fixtures(name, request):
     spans over (8, 8), which has no product."""
     P = request.getfixturevalue(name)
     for C, objects in ((analysis(P).tp().cat, None),
-                       (P.cat, P.core_idx() if name == "fs2" else None)):
+                       (P.cat, P.scope.core if name == "fs2" else None)):
         assert_limits_match(C, 1, objects)
         assert_monos_match(C, objects)
         assert_weak_pullbacks_match(C, 1, objects)
@@ -210,7 +210,7 @@ def _chain_with_idempotent():
     """chain's u <= v with an idempotent e on u that m absorbs, m∘e = m:
     the span (m, m) from u over (v, v) has the mediators idu and e for its
     cone (m, m) at u."""
-    return fincat.FinCat.build(
+    return crafted.build(
         ["u", "v"], [("idu", "u", "u"), ("idv", "v", "v"), ("m", "u", "v"), ("e", "u", "u")],
         {"u": "idu", "v": "idv"},
         {("idu", "idu"): "idu", ("idv", "idv"): "idv", ("m", "idu"): "m", ("idv", "m"): "m",
@@ -398,7 +398,7 @@ def test_equalizer_clause_names_first_failing_pair():
     assert len(disjoint) == 2
     for f, g in itertools.combinations(cat.hom(two, two).tolist(), 2):
         assert (equalizer(cat, f, g) is None) == ((f, g) in disjoint)
-    v = check_exact(cat, WindowScope(("2",)))
+    v = check_exact(cat, WindowScope((two,)))
     assert not v.finitely_complete and not v.regular and not v.exact
     f, g = disjoint[0]
     assert v.witness == {"core": ("2",), "finitely_complete": (cat.arrows[f], cat.arrows[g])}

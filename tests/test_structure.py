@@ -32,7 +32,7 @@ def test_discover_elementary_values(witnesses):
 def test_delta_candidates_unique(witnesses):
     for name in ("triv", "chain", "fs2"):
         P, E, X = witnesses[name]
-        for a in P.core_idx():
+        for a in P.scope.core:
             assert len(elementary_candidates(P, a)) == 1
 
 
@@ -42,7 +42,7 @@ def test_elementary_candidates_match_former_search():
     fixture; mixedfail's object v has none."""
     for name, build in fixtures.BUILTIN_FIXTURES.items():
         P = build()
-        for a in P.core_idx():
+        for a in P.scope.core:
             assert elementary_candidates(P, a) == oracles.elementary_candidates(P, a), name
     P = fixtures.mixedfail()
     assert elementary_candidates(P, P.cat.obj_index["v"]) == []
@@ -149,13 +149,13 @@ def test_comprehension_examples(witnesses):
     C = P.cat
     # top elements are comprehended by identities, strictly
     top_u = comprehension_of(P, C.obj_index["u"], P.fibers[P.cat.obj_index["u"]].top)
-    assert top_u.kind == "strict" and top_u.arrow == "idu"
+    assert top_u.kind == "strict" and top_u.arrow == C.arr_index["idu"]
     # the bottom of the fiber over v has no comprehension at all
     none_v = comprehension_of(P, C.obj_index["v"], P.fibers[P.cat.obj_index["v"]].index["v0"])
     assert none_v.kind == "none"
     # the middle element restricts along the embedding
     mid = comprehension_of(P, C.obj_index["v"], P.fibers[P.cat.obj_index["v"]].index["v1"])
-    assert mid.kind == "strict" and mid.arrow == "m"
+    assert mid.kind == "strict" and mid.arrow == C.arr_index["m"]
 
 
 def test_comprehension_fs2_singleton(witnesses):
@@ -164,8 +164,7 @@ def test_comprehension_fs2_singleton(witnesses):
     two = C.obj_index["2"]
     ent = comprehension_of(P, two, P.fibers[two].index["s1"])
     assert ent.kind == "strict"
-    f = C.arr_index[ent.arrow]
-    assert C.objects[int(C.src[f])] == "1"
+    assert C.objects[int(C.src[ent.arrow])] == "1"
     ct = comprehension_table(P)
     assert ct.strict_complete and ct.full
 
@@ -175,13 +174,13 @@ def test_comprehension_fullness_antisymmetry(witnesses):
     forces equality of the elements."""
     P, E, X = witnesses["fs2"]
     C = P.cat
-    for a in P.core_idx():
+    for a in P.scope.core:
         fib = P.fibers[a]
         ents = {el: comprehension_of(P, a, el) for el in range(fib.n)}
         for e1 in range(fib.n):
             for e2 in range(fib.n):
-                c1 = C.arr_index[ents[e1].arrow]
-                c2 = C.arr_index[ents[e2].arrow]
+                c1 = ents[e1].arrow
+                c2 = ents[e2].arrow
                 fw = any(int(C.comp[c2, int(g)]) == c1
                          for g in C.hom(int(C.src[c1]), int(C.src[c2])))
                 bw = any(int(C.comp[c1, int(g)]) == c2
@@ -241,9 +240,9 @@ def test_weak_comprehension_classification():
     unique (a nontrivial automorphism over it) is weak, not strict."""
     import numpy as np
     from doctrines.doctrine import DoctrineData
-    from doctrines.fincat import FinCat, WindowScope, validate_products
+    from doctrines.fincat import WindowScope, validate_products
     from doctrines.semilattice import MonotoneMap, chain as chain_lattice, lattice_from_leq
-    cat = FinCat.build(
+    cat = crafted.build(
         ["W", "A"],
         [("idW", "W", "W"), ("e", "W", "W"), ("idA", "A", "A"), ("c", "W", "A")],
         {"W": "idW", "A": "idA"},
@@ -254,7 +253,7 @@ def test_weak_comprehension_classification():
     assert validate_products(cat, pc).ok
     fW = lattice_from_leq(("w",), np.ones((1, 1), dtype=bool))
     fA = chain_lattice(("bot", "top"))
-    P = DoctrineData(cat, pc, WindowScope(("A",)),
+    P = DoctrineData(cat, pc, WindowScope((1,)),                 # A
                      [fW, fA],
                      [MonotoneMap(fW, fW, np.array([0], dtype=np.int32)),
                       MonotoneMap(fW, fW, np.array([0], dtype=np.int32)),
@@ -264,7 +263,7 @@ def test_weak_comprehension_classification():
     assert validate_doctrine(P).ok
     ent = comprehension_of(P, cat.obj_index["A"], fA.index["bot"])
     assert ent.kind == "weak"
-    assert ent.arrow == "c"
+    assert ent.arrow == cat.arr_index["c"]
 
 
 def test_reciprocity_failure_names_a_genuine_witness():
