@@ -23,8 +23,8 @@ from .doctrine import DoctrineData, sub_doctrine
 from .errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
                      ParseError, ResourceCap, WindowClosure)
 from .fileformat import emit_doctrine, parse_doctrine
-from .fincat import ValidationReport, check_exact, iso_classes
-from .report import FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
+from .fincat import DEFAULT_ENUM_CAP, DEFAULT_FIBER_CAP, ValidationReport, check_exact, iso_classes
+from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -124,7 +124,7 @@ def cmd_check(args) -> int:
 def cmd_complete(args) -> int:
     P = load_doctrine(args.path)
     verdict, ok = check_report(P)
-    an = analysis(P, Caps(args.cap_fibers, args.cap_enum), args.condition_v)
+    an = analysis(P, Caps(args.cap_fibers, args.cap_enum))
     out = Report(f"complete --kind {args.kind}")
     _, E, X = an.eed()
     if E is None or X is None:
@@ -198,7 +198,7 @@ def cmd_compare(args) -> int:
         return EXIT_VIOLATION
     caps = Caps(args.cap_fibers, args.cap_enum)
     reports = [verify_cthn(P, caps), verify_fulc(P, caps),
-               verify_axc(P, condition_v=args.condition_v, caps=caps),
+               verify_axc(P, caps),
                verify_converse_axc(P, caps)]
     for rep in reports:
         _print_report(rep, args)
@@ -230,17 +230,22 @@ def _compare_summary(reports) -> str:
         lines.append("  fulc: " + ("equivalence" if not fulc.any_failed() else "FAIL"))
     hyp_fail = [c for c in axc.walk()
                 if c.status == FAIL and c.name.startswith("hypothesis-")]
+    not_run = [c for c in axc.walk() if c.status in (CAPPED, NOT_APPLICABLE)]
     concl = [c for c in axc.walk() if c.name == "conclusion-comparison-equivalence"]
     if hyp_fail:
         parts = "; ".join(
             f"{h.name.removeprefix('hypothesis-').replace('-', ' ')}"
             f" failed (witness {_fmt_witness(h.witness)})" for h in hyp_fail)
         lines.append(f"  axc: hypothesis {parts}; conclusion unclaimed")
+    elif not_run:
+        state = "capped" if not_run[0].status == CAPPED else "not computable"
+        lines.append(f"  axc: {state} ({not_run[0].witness})")
     elif concl and concl[0].data.get("measured") == "pass":
         lines.append("  axc: hypotheses ok, L equivalence")
     else:
         lines.append("  axc: FAIL")
     na2 = [c for c in conv.walk() if c.status == NOT_APPLICABLE]
+    capped = [c for c in conv.walk() if c.status == CAPPED]
     conv_hyp = [c for c in conv.walk()
                 if c.status == FAIL and c.name.startswith("hypothesis-")]
     conv_real = [c for c in conv.walk()
@@ -248,6 +253,8 @@ def _compare_summary(reports) -> str:
                  and c.data.get("context") != "hypothesis"]
     if na2:
         lines.append(f"  converse: not applicable (witness {na2[0].witness})")
+    elif capped:
+        lines.append(f"  converse: capped ({capped[0].witness})")
     elif conv_real:
         lines.append("  converse: FAIL")
     elif conv_hyp:
@@ -335,12 +342,11 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("path")
-        p.add_argument("--cap-fibers", type=int, default=512)
-        p.add_argument("--cap-enum", type=int, default=1 << 20)
-        p.add_argument("--condition-v", choices=("strict", "alt"), default="strict")
+        p.add_argument("--cap-fibers", type=int, default=DEFAULT_FIBER_CAP)
+        p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
 
     p_check = sub.add_parser("check", help="verify the doctrine is elementary existential")
-    common(p_check)
+    p_check.add_argument("path")
     p_check.set_defaults(fn=cmd_check)
     p_complete = sub.add_parser("complete", help="build a completion and emit it")
     common(p_complete)

@@ -19,9 +19,9 @@ import numpy as np
 from .allegory import RelArrow, rel_compose, triple_product
 from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
                           NoExtension, QCompletion, TCompletion, _l_value,
-                          build_erp, build_gr, build_qp, build_tp, choose_products,
-                          core_subcategory, functor_D, functor_L, iota_iso,
-                          tp_sub_restriction, transitive_extension)
+                          build_erp, build_gr, build_qp, build_tp, functor_D,
+                          functor_L, iota_iso, tp_sub_restriction,
+                          transitive_extension)
 from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
 from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
                      ResourceCap, WindowClosure)
@@ -90,7 +90,8 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
 class Analysis:
     """Law verdicts, structure, comprehensions and completions of one
     doctrine, each computed on its first read and kept in the doctrine's
-    `_analyses`, one memo per (caps.fibers, caps.enum, condition_v).
+    `_analyses`, one memo per (caps.fibers, caps.enum).  Functional
+    relations are total on the source, the paper's condition (v).
 
     An error raised while computing a part is kept as that part's outcome
     and raised again, as a copy, on every later read, so a reader sees what
@@ -98,11 +99,10 @@ class Analysis:
     doctrine, so it is freed with it.  A doctrine must not be mutated once
     its analysis exists: fault-injection code builds a fresh doctrine."""
 
-    def __init__(self, P: DoctrineData, caps: Caps, condition_v: str):
+    def __init__(self, P: DoctrineData, caps: Caps):
         self.P = P
         self.caps = caps
-        self.condition_v = condition_v
-        self._memo = P._analyses.setdefault((caps.fibers, caps.enum, condition_v), {})
+        self._memo = P._analyses.setdefault((caps.fibers, caps.enum), {})
 
     def _once(self, part: str, compute):
         if part not in self._memo:
@@ -156,8 +156,7 @@ class Analysis:
         return self._once("gr", lambda: build_gr(self.P, self.caps))
 
     def tp(self) -> TCompletion:
-        return self._once("tp", lambda: build_tp(self.P, *self._structure("tp"),
-                                                 self.condition_v, self.caps))
+        return self._once("tp", lambda: build_tp(self.P, *self._structure("tp"), self.caps))
 
     def er(self) -> ERCompletion:
         return self._once("er", lambda: build_erp(self.P, self._structure("er")[0], self.tp(),
@@ -175,10 +174,9 @@ class Analysis:
         return self._once("L", compute)
 
 
-def analysis(P: DoctrineData, caps: Caps = Caps(),
-             condition_v: str = "strict") -> Analysis:
-    """The analysis of P under these caps and totality side."""
-    return Analysis(P, caps, condition_v)
+def analysis(P: DoctrineData, caps: Caps = Caps()) -> Analysis:
+    """The analysis of P under these caps."""
+    return Analysis(P, caps)
 
 
 def _copy_error(exc: DoctrinesError) -> DoctrinesError:
@@ -658,13 +656,12 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def verify_axc(P: DoctrineData, condition_v: str = "strict",
-               caps: Caps = Caps()) -> Report:
+def verify_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     """Hypotheses (weak full comprehensions, rule of choice) are verified and
     reported; the conclusion (the comparison functor is full and faithful) is
     measured regardless but claimed only when every hypothesis holds."""
     rep = Report("quotient-comparison-equivalence")
-    an = analysis(P, caps, condition_v)
+    an = analysis(P, caps)
     eed, E, X = an.eed()
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
@@ -985,8 +982,7 @@ def essential_equivalence(rep: Report, P: DoctrineData, Q: DoctrineData,
         rep.add(Check(f"{reading}:fully-faithful-on-2-cells", _status(fw is None), fw))
 
 
-def verify_universal(P: DoctrineData, X: FinCat,
-                     Xpc: ProductChoice | None = None,
+def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
                      Xscope: WindowScope | None = None,
                      caps: Caps = Caps()) -> Report:
     """Enumerate doctrine morphisms into the subobject doctrine of an exact
@@ -996,7 +992,7 @@ def verify_universal(P: DoctrineData, X: FinCat,
     the canonical fiber comparison).
 
     An exact target is finitely complete, so it has a terminal object and
-    `choose_products` returns a choice (lemma)."""
+    its product choice Xpc is not None (lemma)."""
     rep = Report("universal-property")
     try:
         ex = check_exact(X, Xscope, caps.enum)
@@ -1005,8 +1001,6 @@ def verify_universal(P: DoctrineData, X: FinCat,
                       {"core": list(ex.witness["core"])}))
         if not ex.exact:
             return rep
-        if Xpc is None:
-            Xpc = choose_products(X, caps)
         sub_x = sub_doctrine(X, Xpc, Xscope or WindowScope(tuple(range(X.n_objects))))
         vx = validate_doctrine(sub_x)
         rep.add(Check("target-subobjects", _status(vx.ok), vx.witness or None))
@@ -1020,8 +1014,7 @@ def verify_universal(P: DoctrineData, X: FinCat,
         if E_P is None or X_P is None:
             return rep
         mor_p = enumerate_morphisms(P, sub_x, E_P, E_SX, caps.enum)
-        base = core_subcategory(P)
-        if base.objects != P.cat.objects:
+        if P.scope.core != tuple(range(P.cat.n_objects)):
             rep.add(Check("base-window", CAPPED,
                           "base has non-core objects; enumeration restricted"))
             return rep

@@ -27,14 +27,11 @@ import numpy as np
 from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
 from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
 from .errors import FormulaMismatch, MalformedPresentation, ResourceCap
-from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope,
-                     full_subcategory, greedy_product_core, is_mono, product_cone,
-                     terminal_object, validate_category)
+from .fincat import (DEFAULT_ENUM_CAP, DEFAULT_FIBER_CAP, FinCat, FunctorData,
+                     ProductChoice, WindowScope, full_subcategory, greedy_product_core,
+                     is_mono, product_cone, terminal_object, validate_category)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
-
-DEFAULT_FIBER_CAP = 512
-DEFAULT_ENUM_CAP = 1 << 20
 
 
 @dataclass
@@ -172,7 +169,6 @@ class TCompletion:
     obj_of: dict[tuple[int, int], int]
     arrows: list[tuple[int, int, int]]   # (src obj idx, tgt obj idx, element)
     arr_of: dict[tuple[int, int, int], int]
-    condition_v: str = "strict"
 
 
 def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
@@ -187,11 +183,10 @@ def per_objects(P: DoctrineData) -> list[tuple[int, int]]:
 
 
 def functional_relations(P: DoctrineData, W: ExistentialWitness,
-                         x: tuple[int, int], y: tuple[int, int],
-                         condition_v: str = "strict") -> list[int]:
+                         x: tuple[int, int], y: tuple[int, int]) -> list[int]:
     """Elements of P(A×B) that are relational, compatible, single-valued and
-    total from (A, rho) to (B, sigma); the totality direction is governed by
-    condition_v ("strict" demands it on the source, "alt" on the target)."""
+    total from (A, rho) to (B, sigma); totality is the paper's condition (v),
+    on the source: rho(x,x) ⊢ ∃y phi(x,y), that is P_diag(rho) <= ∃_pr1(phi)."""
     (a, rho), (b, sig) = x, y
     win = P.window
     ab, pr1, pr2 = win.prod(a, b)
@@ -208,17 +203,12 @@ def functional_relations(P: DoctrineData, W: ExistentialWitness,
     ok &= fib3.leq[fib3.meet[t12, int(t23[sig])], t13]
     ok &= fib3.leq[fib3.meet[t12, t13], int(t23[sig])]
     # (v) totality
-    if condition_v == "strict":
-        ok &= P.fibers[a].leq[int(P.r(win.diag(a)).table[rho]), W.adjoints[pr1].table]
-    elif condition_v == "alt":
-        ok &= P.fibers[b].leq[int(P.r(win.diag(b)).table[sig]), W.adjoints[pr2].table]
-    else:
-        raise MalformedPresentation(f"unknown condition_v {condition_v!r}")
+    ok &= P.fibers[a].leq[int(P.r(win.diag(a)).table[rho]), W.adjoints[pr1].table]
     return [int(i) for i in np.flatnonzero(ok)]
 
 
 def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
-             condition_v: str = "strict", caps: Caps = Caps()) -> TCompletion:
+             caps: Caps = Caps()) -> TCompletion:
     """The category of symmetric-transitive relations and functional
     relations; composition is relational composition and the identity of an
     object is its own relation.
@@ -248,7 +238,7 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
             pairs = len(P.fibers[P.window.prod(x[0], y[0])[0]].elements)
             if pairs > caps.enum:
                 raise ResourceCap("hom candidates", pairs, caps.enum)
-            for el in functional_relations(P, W, x, y, condition_v):
+            for el in functional_relations(P, W, x, y):
                 arr_of[(xi, yi, el)] = len(arrows)
                 arrows.append((xi, yi, el))
                 fib = P.fibers[P.window.prod(x[0], y[0])[0]]
@@ -280,7 +270,7 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
             f"relation completion is not a category: {rep.message} at {rep.witness}")
     pc = choose_products(cat, caps)
     scope = WindowScope(greedy_product_core(cat, caps.enum))
-    return TCompletion(cat, pc, scope, objs, obj_of, arrows, arr_of, condition_v)
+    return TCompletion(cat, pc, scope, objs, obj_of, arrows, arr_of)
 
 
 def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
@@ -337,11 +327,6 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     obj_of = {pair: i for i, pair in enumerate(objects)}
     arr_of = {tp.arrows[t]: i for i, t in enumerate(inclusion.arr_map.tolist())}
     return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion, arr_of)
-
-
-def core_subcategory(P: DoctrineData) -> FinCat:
-    """Full subcategory of the base on the core objects."""
-    return full_subcategory(P.cat, P.scope.core).source
 
 
 def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> FunctorData:

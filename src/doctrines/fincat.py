@@ -36,6 +36,9 @@ import numpy as np
 
 from .errors import MalformedPresentation, ResourceCap, WindowClosure
 
+DEFAULT_FIBER_CAP = 512
+DEFAULT_ENUM_CAP = 1 << 20
+
 # ---------------------------------------------------------------------------
 # presentations
 # ---------------------------------------------------------------------------
@@ -770,7 +773,7 @@ def _internal_equivalence_relations(C: FinCat, x: int, cap: int | None):
 
 
 def check_exact(C: FinCat, scope: WindowScope | None = None,
-                cap: int | None = 1 << 20) -> ExactnessVerdict:
+                cap: int | None = DEFAULT_ENUM_CAP) -> ExactnessVerdict:
     """Exactness clauses, quantified over the scope core (default: all objects).
 
     finitely_complete: terminal, binary products of core pairs, equalizers of
@@ -855,7 +858,7 @@ def _effectiveness_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
     return None
 
 
-def greedy_product_core(C: FinCat, cap: int | None = 1 << 20) -> tuple[int, ...]:
+def greedy_product_core(C: FinCat, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
     """Largest product-closed core in identifier order: an object joins iff
     its products with every member (both ways) exist in C."""
     core: list[int] = []

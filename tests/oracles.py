@@ -53,7 +53,7 @@ import crafted
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite, triple_product
 from doctrines.completions import (Caps, ERCompletion, LFunctorResult, NoExtension,
                                    QCompletion, TCompletion, choose_products,
-                                   core_subcategory, is_reflexive)
+                                   is_reflexive)
 from doctrines.doctrine import DoctrineData, exists_along
 from doctrines.errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
                               ResourceCap, WindowClosure)
@@ -1032,7 +1032,7 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
     existential image and as a reindexed equality, with equality asserted."""
     C = P.cat
     W = P.window
-    base = core_subcategory(P)
+    base = full_subcategory(P.cat, P.scope.core).source
     obj_map: dict[str, str] = {}
     arr_map: dict[str, str] = {}
     for a in P.scope.core:

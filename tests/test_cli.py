@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from doctrines import compare, fixtures
 from doctrines.cli import main
+from doctrines.errors import FormulaMismatch
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -110,6 +112,42 @@ def test_compare_summaries():
     assert r.returncode == 0
     assert "rule of choice failed" in r.stdout or "rule_of_choice" in r.stdout \
         or "rule of choice" in r.stdout
+
+
+def test_compare_summary_names_a_capped_comparison(capsys):
+    """Under a fiber cap of 1 the comparison functor of chain is never built,
+    so the converse's derived choice never runs: its line says so."""
+    assert main(["compare", "chain", "--cap-fibers", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "[capped] comparison-is-equivalence" in out
+    assert out.endswith(
+        "  axc: hypothesis weak full comprehensions failed (witness u, u0, v, v0);"
+        " conclusion unclaimed\n"
+        "  converse: capped (resource cap exceeded: fiber size needs 2 > cap 1)\n")
+
+
+def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):
+    """On a fresh fs2, every hypothesis of axc holds but the comparison
+    functor cannot be built: the axc line gives the reason, not FAIL."""
+    def no_comparison(*args):
+        raise FormulaMismatch("comparison", "injected")
+
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    monkeypatch.setattr(compare, "functor_L", no_comparison)
+    assert main(["compare", "fs2"]) == 0
+    out = capsys.readouterr().out
+    assert "  axc: not computable (formula mismatch in comparison: injected)\n" in out
+    assert "  converse: not applicable (witness formula mismatch in comparison: injected)\n" in out
+
+
+@pytest.mark.parametrize("argv", [["compare", "chain", "--condition-v", "alt"],
+                                  ["check", "chain", "--cap-enum", "5"],
+                                  ["universal", "chain", "--condition-v", "strict"]])
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_compare_fs2():

@@ -187,3 +187,73 @@ def test_no_unused_definitions():
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
     assert sorted(test_only) == sorted(TEST_ONLY)
+
+
+def unread_options(source: str) -> dict[str, list[str]]:
+    """For each subcommand of an argparse command line, the destinations of
+    the options it accepts that its handler never reads as `args.<dest>`.
+    A subcommand's options are its own `add_argument` calls and those of a
+    helper called on its parser, such as `common(p)`; its handler is the
+    function named in its `set_defaults(fn=...)`."""
+    tree = ast.parse(source)
+    calls = [c for c in ast.walk(tree) if isinstance(c, ast.Call)]
+    functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+
+    def method_calls(node, method: str, receiver: str) -> list[ast.Call]:
+        return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute) and c.func.attr == method
+                and isinstance(c.func.value, ast.Name) and c.func.value.id == receiver]
+
+    def dests(node, parser: str) -> list[str]:
+        out = []
+        for c in method_calls(node, "add_argument", parser):
+            flags = [a.value for a in c.args]
+            name = next((f for f in flags if f.startswith("--")), flags[0])
+            out += [k.value.value for k in c.keywords if k.arg == "dest"] \
+                or [name.lstrip("-").replace("-", "_")]
+        return out
+
+    helpers = {name: dests(f, f.args.args[0].arg)
+               for name, f in functions.items() if f.args.args}
+    parsers = {node.targets[0].id: node.value.args[0].value for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+               and isinstance(node.value.func, ast.Attribute)
+               and node.value.func.attr == "add_parser"}
+    out = {}
+    for var, command in parsers.items():
+        accepted = dests(tree, var) + [
+            opt for c in calls if isinstance(c.func, ast.Name) and c.func.id in helpers
+            and c.args and isinstance(c.args[0], ast.Name) and c.args[0].id == var
+            for opt in helpers[c.func.id]]
+        (fn,) = [k.value.id for c in method_calls(tree, "set_defaults", var)
+                 for k in c.keywords if k.arg == "fn"]
+        handler = functions[fn]
+        args = handler.args.args[0].arg
+        read = {a.attr for a in ast.walk(handler) if isinstance(a, ast.Attribute)
+                and isinstance(a.value, ast.Name) and a.value.id == args}
+        if unread := sorted(set(accepted) - read):
+            out[command] = unread
+    return out
+
+
+def test_scan_finds_unread_options():
+    source = ("def cmd_a(args):\n    return args.path, args.cap\n\n"
+              "def cmd_b(ns):\n    return ns.path\n\n"
+              "def cmd_c(args):\n    return 0\n\n"
+              "def main(argv):\n"
+              "    def common(p):\n        p.add_argument('path')\n"
+              "        p.add_argument('--cap', type=int)\n\n"
+              "    p_a = sub.add_parser('a')\n    common(p_a)\n"
+              "    p_a.set_defaults(fn=cmd_a)\n"
+              "    p_b = sub.add_parser('b')\n    common(p_b)\n"
+              "    p_b.add_argument('--out-file')\n"
+              "    p_b.add_argument('-k', '--kind')\n"
+              "    p_b.add_argument('-s', dest='sort')\n"
+              "    p_b.set_defaults(fn=cmd_b)\n"
+              "    p_c = sub.add_parser('c')\n    p_c.set_defaults(fn=cmd_c)\n")
+    assert unread_options(source) == {"b": ["cap", "kind", "out_file", "sort"]}
+
+
+def test_every_option_is_read_by_its_handler():
+    """A subcommand accepts no option that its handler ignores."""
+    assert unread_options((SRC / "cli.py").read_text()) == {}

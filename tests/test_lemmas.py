@@ -23,8 +23,8 @@ from doctrines import completions as builders
 from doctrines import fixtures
 from doctrines.cli import _doctrine_laws_hold, main
 from doctrines.compare import analysis
-from doctrines.completions import (build_erp, build_gr, build_qp, build_tp, functional_relations,
-                                   functor_D, functor_L, iota_iso, tp_sub_restriction,
+from doctrines.completions import (build_erp, build_gr, build_qp, build_tp, functor_D,
+                                   functor_L, iota_iso, tp_sub_restriction,
                                    transitive_extension)
 from doctrines.doctrine import DoctrineData
 from doctrines.errors import FormulaMismatch, MalformedPresentation
@@ -127,13 +127,6 @@ def test_points_products_are_products(name, witnesses):
 # ---------------------------------------------------------------------------
 # the failure sites that stay, reached by broken witnesses
 # ---------------------------------------------------------------------------
-
-
-def test_unknown_totality_side(witnesses):
-    P, _, X = witnesses["triv"]
-    x = builders.per_objects(P)[0]
-    with pytest.raises(MalformedPresentation, match="unknown condition_v 'sideways'"):
-        functional_relations(P, X, x, x, "sideways")
 
 
 def test_relation_completion_not_a_category(witnesses, monkeypatch):
