@@ -224,8 +224,11 @@ def _compare_summary(reports) -> str:
     else:
         lines.append("  cthn: " + ("pass" if not cthn.any_failed() else "FAIL"))
     na = [c for c in fulc.walk() if c.status == NOT_APPLICABLE]
+    cap = [c for c in fulc.walk() if c.status == CAPPED]
     if na:
         lines.append(f"  fulc: not applicable ({na[0].data.get('reason', na[0].witness)})")
+    elif cap:
+        lines.append(f"  fulc: capped ({cap[0].witness})")
     else:
         lines.append("  fulc: " + ("equivalence" if not fulc.any_failed() else "FAIL"))
     hyp_fail = [c for c in axc.walk()

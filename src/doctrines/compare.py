@@ -625,6 +625,9 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     except _NOT_COMPUTABLE as exc:
         rep.add(Check("inclusion-faithful", NOT_APPLICABLE, str(exc)))
         return rep
+    except ResourceCap as exc:
+        rep.add(Check("inclusion-faithful", CAPPED, str(exc)))
+        return rep
     rep.summary["relation-objects"] = len(tp.objects)
     rep.summary["reflexive-objects"] = len(er.objects)
     rep.summary["iso-classes"] = len(iso_classes(tp.cat))
@@ -1019,7 +1022,7 @@ def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
                           "base has non-core objects; enumeration restricted"))
             return rep
         tp, er = an.tp(), an.er()
-        sub_er = tp_sub_restriction(tp, er, caps)
+        sub_er = tp_sub_restriction(tp, er)
         v_er = validate_doctrine(sub_er)
         rep.add(Check("completion-subobjects", _status(v_er.ok), v_er.witness or None))
         E_ER = discover_elementary(sub_er)

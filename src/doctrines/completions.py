@@ -40,6 +40,20 @@ class Caps:
     enum: int = DEFAULT_ENUM_CAP
 
 
+def _assemble(objects: list[str], arrows: list[str], src: list[int], tgt: list[int],
+              identity, compose) -> FinCat:
+    """The category whose identity at object o is identity(o) and whose
+    composite g after f is compose(g, f), asked once per composable pair,
+    by f and then by g in arrow order, before any identity is asked."""
+    out_of: dict[int, list[int]] = {}
+    for j, s in enumerate(src):
+        out_of.setdefault(s, []).append(j)
+    rows = [(j, i, compose(j, i)) for i, t in enumerate(tgt) for j in out_of.get(t, ())]
+    return FinCat.from_indices(objects, arrows, src, tgt,
+                               [identity(o) for o in range(len(objects))],
+                               np.array(rows, dtype=np.intp).reshape(-1, 3))
+
+
 # ---------------------------------------------------------------------------
 # category of points
 # ---------------------------------------------------------------------------
@@ -107,19 +121,11 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
                 " category: the doctrine laws fail")
         return arr_of[(f, ea, eb)]
 
-    n = len(names)
-    comp = np.full((n, n), -1, dtype=np.int32)
-    by_src_obj: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (f, ea, eb), i in arr_of.items():
-        by_src_obj.setdefault(obj_of[(int(C.src[f]), ea)], []).append((f, ea, eb, i))
-    for (f, ea, eb), i in arr_of.items():
-        tgt_obj = obj_of[(int(C.tgt[f]), eb)]
-        for (g, eb2, ec, j) in by_src_obj.get(tgt_obj, ()):
-            comp[j, i] = arrow(int(C.comp[g, f]), ea, ec)
-    id_arr = np.array([arrow(int(C.id_arr[o]), el, el) for o, el in objs], dtype=np.int32)
-    cat = FinCat(tuple(obj_names), tuple(names),
-                 np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
-                 id_arr, comp)
+    over = list(arr_of)             # (f, ea, eb) by arrow index
+    cat = _assemble(obj_names, names, srcs, tgts,
+                    lambda oi: arrow(int(C.id_arr[objs[oi][0]]), objs[oi][1], objs[oi][1]),
+                    lambda j, i: arrow(int(C.comp[over[j][0], over[i][0]]),
+                                       over[i][1], over[j][2]))
     # chosen products carried by the base
     t = P.products.terminal
     pc = ProductChoice(obj_of[(t, P.fibers[t].top)], {})
@@ -232,7 +238,6 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     arrows: list[tuple[int, int, int]] = []
     arr_of: dict[tuple[int, int, int], int] = {}
     names: list[str] = []
-    srcs, tgts = [], []
     for xi, x in enumerate(objs):
         for yi, y in enumerate(objs):
             pairs = len(P.fibers[P.window.prod(x[0], y[0])[0]].elements)
@@ -243,27 +248,19 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                 arrows.append((xi, yi, el))
                 fib = P.fibers[P.window.prod(x[0], y[0])[0]]
                 names.append(f"({obj_names[xi]}~{obj_names[yi]}|{fib.elements[el]})")
-                srcs.append(xi)
-                tgts.append(yi)
-    n = len(arrows)
-    comp = np.full((n, n), -1, dtype=np.int32)
-    for i, (xi, yi, el1) in enumerate(arrows):
-        for j, (yj, zi, el2) in enumerate(arrows):
-            if yj != yi:
-                continue
-            r = rel_compose(P, RelArrow(objs[xi][0], objs[yi][0], el1),
-                            RelArrow(objs[yj][0], objs[zi][0], el2))
-            key = (xi, zi, r.el)
-            if key not in arr_of:
-                raise MalformedPresentation(
-                    f"composite of {names[i]} and {names[j]} is not a functional relation"
-                    " (broken witness)")
-            comp[j, i] = arr_of[key]
-    id_arr = np.array([arr_of[(oi, oi, rel)] for oi, (_, rel) in enumerate(objs)],
-                      dtype=np.int32)
-    cat = FinCat(tuple(obj_names), tuple(names),
-                 np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
-                 id_arr, comp)
+
+    def compose(j: int, i: int) -> int:
+        (xi, yi, el1), (_, zi, el2) = arrows[i], arrows[j]
+        r = rel_compose(P, RelArrow(objs[xi][0], objs[yi][0], el1),
+                        RelArrow(objs[yi][0], objs[zi][0], el2))
+        if (xi, zi, r.el) not in arr_of:
+            raise MalformedPresentation(
+                f"composite of {names[i]} and {names[j]} is not a functional relation"
+                " (broken witness)")
+        return arr_of[(xi, zi, r.el)]
+
+    cat = _assemble(obj_names, names, [x for x, _, _ in arrows], [y for _, y, _ in arrows],
+                    lambda oi: arr_of[(oi, oi, objs[oi][1])], compose)
     rep = validate_category(cat)
     if not rep.ok:
         raise MalformedPresentation(
@@ -393,7 +390,6 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     classes: list[tuple[int, int, tuple[int, ...]]] = []
     class_of: dict[tuple[int, int, int], int] = {}
     names: list[str] = []
-    srcs, tgts = [], []
     for xi, (a, rho) in enumerate(objs):
         fib_aa = P.fibers[win.prod(a, a)[0]]
         for yi, (b, sig) in enumerate(objs):
@@ -408,19 +404,10 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                     class_of[(xi, yi, g)] = len(classes)
                 classes.append((xi, yi, members))
                 names.append(f"[{C.arrows[f]}]({obj_names[xi]}~{obj_names[yi]})")
-                srcs.append(xi)
-                tgts.append(yi)
-    n = len(classes)
-    comp = np.full((n, n), -1, dtype=np.int32)
-    for i, (xi, yi, mem1) in enumerate(classes):
-        for j, (yj, zi, mem2) in enumerate(classes):
-            if yj == yi:
-                comp[j, i] = class_of[(xi, zi, int(C.comp[mem2[0], mem1[0]]))]
-    id_arr = np.array([class_of[(oi, oi, int(C.id_arr[a]))]
-                       for oi, (a, _) in enumerate(objs)], dtype=np.int32)
-    cat = FinCat(tuple(obj_names), tuple(names),
-                 np.array(srcs, dtype=np.int32), np.array(tgts, dtype=np.int32),
-                 id_arr, comp)
+    cat = _assemble(obj_names, names, [x for x, _, _ in classes], [y for _, y, _ in classes],
+                    lambda oi: class_of[(oi, oi, int(C.id_arr[objs[oi][0]]))],
+                    lambda j, i: class_of[(classes[i][0], classes[j][1],
+                                           int(C.comp[classes[j][2][0], classes[i][2][0]]))])
     # descent fibers, and each element's position in its fiber
     fibers: list[FinInfSL] = []
     des_elements: list[list[int]] = []
@@ -546,8 +533,7 @@ def transitive_extension(P: DoctrineData, c: int, zeta: int, delta: int) -> int 
 # ---------------------------------------------------------------------------
 
 
-def tp_sub_restriction(tp: TCompletion, er: ERCompletion,
-                       caps: Caps = Caps()) -> DoctrineData:
+def tp_sub_restriction(tp: TCompletion, er: ERCompletion) -> DoctrineData:
     """The subobject doctrine of the relation completion, restricted to the
     reflexive objects (subobjects are computed in the full completion, where
     the canonical fiber comparison below is an isomorphism)."""

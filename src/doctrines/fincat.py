@@ -38,6 +38,7 @@ from .errors import MalformedPresentation, ResourceCap, WindowClosure
 
 DEFAULT_FIBER_CAP = 512
 DEFAULT_ENUM_CAP = 1 << 20
+TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 192 MiB with the last-entry table
 
 # ---------------------------------------------------------------------------
 # presentations
@@ -141,6 +142,8 @@ class FinCat:
             o = objects[int(np.flatnonzero(id_arr < 0)[0])]
             raise MalformedPresentation(f"object {o} has no identity arrow")
         n = len(arrows)
+        if n * n > TABLE_CELL_CAP:
+            raise ResourceCap("composition table cells", n * n, TABLE_CELL_CAP)
         cell = compose[:, 0] * n + compose[:, 1]
         last = np.full(n * n, -1, dtype=np.intp)        # last entry per cell
         np.maximum.at(last, cell, np.arange(len(cell)))

@@ -223,6 +223,27 @@ def downset(leq_pairs, elements, top_of):
     return [x for x in elements if (x, top_of) in leq_pairs or x == top_of]
 
 
+def points_category(P: DoctrineData):
+    """The category of points from its definition, read off the doctrine's
+    order and reindexing tables alone: an object (A, a) for each a in P(A);
+    an arrow (f, a, b): (A, a) -> (B, b) over f: A -> B iff a <= P_f(b);
+    the identity of (A, a) is (id_A, a, a) and the composite of (f, a, b)
+    and (g, b, c) is (g∘f, a, c).  Returns the objects, the arrows, the
+    identities by object and the composites by pair (g-arrow, f-arrow)."""
+    C = P.cat
+    objects = [(A, a) for A in range(C.n_objects) for a in range(P.fibers[A].n)]
+    arrows = []
+    for f in range(C.n_arrows):
+        A, B = int(C.src[f]), int(C.tgt[f])
+        arrows += [(f, a, b) for a in range(P.fibers[A].n) for b in range(P.fibers[B].n)
+                   if P.fibers[A].leq[a, int(P.reindex[f].table[b])]]
+    identity = {(A, a): (int(C.id_arr[A]), a, a) for A, a in objects}
+    composite = {((g, b2, c), (f, a, b)): (int(C.comp[g, f]), a, c)
+                 for f, a, b in arrows for g, b2, c in arrows
+                 if C.tgt[f] == C.src[g] and b == b2}
+    return objects, arrows, identity, composite
+
+
 # ---------------------------------------------------------------------------
 # the category and doctrine laws, by plain loops in canonical order
 # ---------------------------------------------------------------------------

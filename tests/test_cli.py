@@ -1,12 +1,13 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from doctrines import compare, fixtures
+from doctrines import compare, fincat, fixtures
 from doctrines.cli import main
 from doctrines.errors import FormulaMismatch
 
@@ -124,6 +125,51 @@ def test_compare_summary_names_a_capped_comparison(capsys):
         "  axc: hypothesis weak full comprehensions failed (witness u, u0, v, v0);"
         " conclusion unclaimed\n"
         "  converse: capped (resource cap exceeded: fiber size needs 2 > cap 1)\n")
+
+
+def test_compare_reports_a_capped_inclusion(capsys):
+    """Under a fiber cap of 100, fs2's relation completion is never built:
+    the inclusion harness reports the cap as a check, and every report and
+    the summary are printed."""
+    assert main(["compare", "fs2", "--cap-fibers", "100"]) == 0
+    out = capsys.readouterr().out
+    cap = "resource cap exceeded: fiber size needs 256 > cap 100"
+    assert f"  [capped] inclusion-faithful  witness={cap}\n" in out
+    assert [line for line in out.splitlines() if not line.startswith(" ")] == [
+        "comprehension-completion", "reflexive-inclusion-equivalence",
+        "quotient-comparison-equivalence", "choice-from-equivalence", "summary:"]
+    assert f"  fulc: capped ({cap})\n" in out
+
+
+def test_composition_table_cap_is_exit_3(monkeypatch, capsys):
+    """A category whose composition table would exceed the cell cap is
+    refused before the table exists."""
+    monkeypatch.setattr(fincat, "TABLE_CELL_CAP", 8)
+    assert main(["check", "fixtures/chain.dtn"]) == 3
+    assert "resource cap exceeded: composition table cells needs" in capsys.readouterr().err
+
+
+def test_oversized_category_file_exits_3_under_a_memory_limit(tmp_path):
+    """12,000 objects with only their identities need a 144,000,000-cell
+    table, about 1.6 GiB; under a 1 GiB address-space limit, set on the
+    child alone, the file is refused by the cap and not by the allocator."""
+    n = 12000
+    path = tmp_path / "identities.dtn"
+    path.write_text("\n".join(
+        ["base {", "  objects " + " ".join(f"o{i}" for i in range(n)) + " ;",
+         *(f"  arrow i{i} o{i} o{i}" for i in range(n)),
+         *(f"  identity o{i} = i{i}" for i in range(n)),
+         *(f"  compose i{i} i{i} = i{i}" for i in range(n)),
+         "  terminal o0", "}"]) + "\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    r = subprocess.run([sys.executable, "-m", "doctrines", "check", str(path)],
+                       capture_output=True, text=True, cwd=ROOT, timeout=240,
+                       preexec_fn=limit_memory)
+    assert (r.returncode, r.stderr) == (3, "resource cap: resource cap exceeded: composition"
+                                           " table cells needs 144000000 > cap 16777216\n")
 
 
 def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from doctrines.fincat import (WindowScope, check_equivalence, check_exact,
                               iso_classes, validate_category, validate_functor)
 from doctrines.structure import discover_elementary, discover_existential
 
+import oracles
 from oracles import (compose_rel, functional_relation_oracle, identity_rel,
                      is_per, mask_from_rel, pers_on, rel_from_mask,
                      transitive_closure)
@@ -362,6 +363,27 @@ def test_gr_counts(witnesses):
     assert gr.cat.n_objects == 4
     fib = gr.doctrine.fibers[gr.obj_of[(0, P.fibers[0].index["a"])]]
     assert set(fib.elements) == {"bot", "a"}
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])
+def test_gr_category_against_definition(witnesses, name):
+    """Objects, arrows, ends, identities and every composite of the points
+    category are those of its definition."""
+    P = witnesses[name][0]
+    gr = build_gr(P)
+    C, obj, arr = gr.cat, gr.obj_of, gr.arr_of
+    objects, arrows, identity, composite = oracles.points_category(P)
+    assert sorted(obj, key=obj.get) == objects
+    over = sorted(arr, key=arr.get)
+    assert sorted(over) == sorted(arrows)
+    assert C.n_objects == len(objects) and C.n_arrows == len(arrows)
+    for i, (f, a, b) in enumerate(over):
+        assert (C.src[i], C.tgt[i]) == (obj[(P.cat.src[f], a)], obj[(P.cat.tgt[f], b)])
+    assert [over[h] for h in C.id_arr] == [identity[o] for o in objects]
+    expected = np.full((len(arrows), len(arrows)), -1)
+    for (g, f), h in composite.items():
+        expected[arr[g], arr[f]] = arr[h]
+    assert np.array_equal(C.comp, expected)
 
 
 def test_gr_embedding_reindexes_like_base(witnesses):

@@ -257,3 +257,56 @@ def test_scan_finds_unread_options():
 def test_every_option_is_read_by_its_handler():
     """A subcommand accepts no option that its handler ignores."""
     assert unread_options((SRC / "cli.py").read_text()) == {}
+
+
+def table_builds(source: str) -> list[str]:
+    """Each direct `FinCat(...)` call and each `np.full` of a square shape,
+    `(n, n)` or `n * n`, as "function: call" with the enclosing function's
+    dotted name."""
+    def square(shape) -> bool:
+        sides = (shape.elts if isinstance(shape, ast.Tuple)
+                 else [shape.left, shape.right]
+                 if isinstance(shape, ast.BinOp) and isinstance(shape.op, ast.Mult) else [])
+        return len(sides) == 2 and ast.dump(sides[0]) == ast.dump(sides[1])
+
+    out = []
+
+    def walk(node, where: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if func == "FinCat" or func == "np.full" and node.args and square(node.args[0]):
+                out.append(f"{where}: {func}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def test_scan_finds_table_builds():
+    source = ("class K:\n    @staticmethod\n    def make(n, m):\n"
+              "        a = np.full(n * n, -1)\n"
+              "        return FinCat(np.full((n, n), -1), np.full((n, m), 0), np.full(n, 0))\n\n"
+              "def build(C):\n    def inner(k):\n"
+              "        return np.full((C.n_arrows, C.n_arrows), -1)\n"
+              "    return FinCat.from_indices(inner(0))\n")
+    assert table_builds(source) == ["K.make: np.full", "K.make: FinCat", "K.make: np.full",
+                                    "build.inner: np.full"]
+
+
+# The places that build a category's composition table: the one assembler,
+# the full subcategory that slices its parent's table, and the fs2 window
+# that fills its table a block at a time.
+TABLE_BUILDERS = {"fincat.py": {"FinCat.from_indices", "full_subcategory"},
+                  "fixtures.py": {"finset_window"}}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_categories_are_assembled_in_one_place(path):
+    """Every other category is built by `FinCat.from_indices`, which sizes
+    its table against the cap before allocating it."""
+    builders = TABLE_BUILDERS.get(path, set())
+    assert [b for b in table_builds((SRC / path).read_text())
+            if b.split(":")[0] not in builders] == []
