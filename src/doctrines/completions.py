@@ -29,7 +29,7 @@ from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
 from .errors import FormulaMismatch, MalformedPresentation, ResourceCap
 from .fincat import (DEFAULT_ENUM_CAP, DEFAULT_FIBER_CAP, FinCat, FunctorData,
                      ProductChoice, WindowScope, full_subcategory, greedy_product_core,
-                     is_mono, product_cone, terminal_object, validate_category)
+                     guard_table, is_mono, product_cone, terminal_object, validate_category)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
 
@@ -44,7 +44,9 @@ def _assemble(objects: list[str], arrows: list[str], src: list[int], tgt: list[i
               identity, compose) -> FinCat:
     """The category whose identity at object o is identity(o) and whose
     composite g after f is compose(g, f), asked once per composable pair,
-    by f and then by g in arrow order, before any identity is asked."""
+    by f and then by g in arrow order, before any identity is asked, once
+    the table is sized."""
+    guard_table(len(arrows))
     out_of: dict[int, list[int]] = {}
     for j, s in enumerate(src):
         out_of.setdefault(s, []).append(j)

@@ -39,6 +39,14 @@ from .errors import MalformedPresentation, ResourceCap, WindowClosure
 DEFAULT_FIBER_CAP = 512
 DEFAULT_ENUM_CAP = 1 << 20
 TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 192 MiB with the last-entry table
+FIBER_ELEMENT_CAP = 1 << 10  # elements of a parsed fiber, before its n x n order and meet tables
+
+
+def guard_table(n_arrows: int) -> None:
+    """Refuse a composition table of more than TABLE_CELL_CAP cells."""
+    if n_arrows * n_arrows > TABLE_CELL_CAP:
+        raise ResourceCap("composition table cells", n_arrows * n_arrows, TABLE_CELL_CAP)
+
 
 # ---------------------------------------------------------------------------
 # presentations
@@ -142,8 +150,7 @@ class FinCat:
             o = objects[int(np.flatnonzero(id_arr < 0)[0])]
             raise MalformedPresentation(f"object {o} has no identity arrow")
         n = len(arrows)
-        if n * n > TABLE_CELL_CAP:
-            raise ResourceCap("composition table cells", n * n, TABLE_CELL_CAP)
+        guard_table(n)
         cell = compose[:, 0] * n + compose[:, 1]
         last = np.full(n * n, -1, dtype=np.intp)        # last entry per cell
         np.maximum.at(last, cell, np.arange(len(cell)))

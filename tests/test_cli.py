@@ -172,6 +172,30 @@ def test_oversized_category_file_exits_3_under_a_memory_limit(tmp_path):
                                            " table cells needs 144000000 > cap 16777216\n")
 
 
+def test_oversized_fiber_file_exits_3_under_a_memory_limit(tmp_path):
+    """A fiber of one element more than the cap (1,024) is refused with its
+    full count before its tables exist, with and without a 1 GiB
+    address-space limit set on the child alone."""
+    els = [f"a{i}" for i in range(fincat.FIBER_ELEMENT_CAP + 1)]
+    path = tmp_path / "fiber.dtn"
+    path.write_text("\n".join(
+        ["base {", "  objects A ;", "  arrow idA A A", "  identity A = idA",
+         "  compose idA idA = idA", "  terminal A", "  product A A = A idA idA", "}",
+         "fiber A {", "  elements " + " ".join(els) + " ;", f"  top {els[-1]}",
+         *(f"  leq {x} {y}" for x, y in zip(els, els[1:])), "}",
+         "reindex idA {", *(f"  {e} -> {e}" for e in els), "}", "core { A }"]) + "\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for limit in (None, limit_memory):
+        r = subprocess.run([sys.executable, "-m", "doctrines", "check", str(path)],
+                           capture_output=True, text=True, cwd=ROOT, timeout=240,
+                           preexec_fn=limit)
+        assert (r.returncode, r.stderr) == (3, "resource cap: resource cap exceeded: fiber"
+                                               " elements of 'A' needs 1025 > cap 1024\n")
+
+
 def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):
     """On a fresh fs2, every hypothesis of axc holds but the comparison
     functor cannot be built: the axc line gives the reason, not FAIL."""

@@ -365,6 +365,32 @@ def test_gr_counts(witnesses):
     assert set(fib.elements) == {"bot", "a"}
 
 
+def test_oversized_points_category_is_refused_before_any_composite(monkeypatch):
+    """One object whose fiber is a 100-element chain: its points category has
+    5,050 arrows, so 25,502,500 table cells, and is refused before the
+    assembler asks for a single composite."""
+    from doctrines import completions
+    from doctrines.fileformat import parse_doctrine
+    els = [f"e{i}" for i in range(100)]
+    P = parse_doctrine("\n".join(
+        ["base {", "  objects A ;", "  arrow idA A A", "  identity A = idA",
+         "  compose idA idA = idA", "  terminal A", "  product A A = A idA idA", "}",
+         "fiber A {", "  elements " + " ".join(els) + " ;", f"  top {els[-1]}",
+         *(f"  leq {x} {y}" for x, y in zip(els, els[1:])), "}",
+         "reindex idA {", *(f"  {e} -> {e}" for e in els), "}"]) + "\n")
+    asked, assemble = [], completions._assemble
+
+    def counted(objects, arrows, src, tgt, identity, compose):
+        return assemble(objects, arrows, src, tgt, identity,
+                        lambda g, f: asked.append((g, f)) or compose(g, f))
+
+    monkeypatch.setattr(completions, "_assemble", counted)
+    with pytest.raises(ResourceCap) as exc:
+        build_gr(P)
+    assert (exc.value.what, exc.value.size) == ("composition table cells", 5050 * 5050)
+    assert asked == []
+
+
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])
 def test_gr_category_against_definition(witnesses, name):
     """Objects, arrows, ends, identities and every composite of the points

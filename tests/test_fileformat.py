@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,8 +214,8 @@ def test_lattice_with_256_elements_between_bottom_and_top():
 
 def test_parse_fs2_file_peak_memory(fs2_text, tmp_path):
     """A process that reads the emitted fs2 file (27 MB) and parses it peaks
-    below 130 MB, 1.1 times the 118.8 MB of the per-line reader that kept
-    one copy of each element name (139.9 MB without it)."""
+    below 105 MB, 1.1 times the 95.7 MB of the byte-level reader (106.8 MB
+    with the str-token bulk readers, 118.8 MB with the per-line reader)."""
     path = tmp_path / "fs2.dtn"
     path.write_text(fs2_text)
     # the child's own high-water mark: its ru_maxrss would start from this
@@ -229,7 +230,7 @@ def test_parse_fs2_file_peak_memory(fs2_text, tmp_path):
     out = subprocess.run([sys.executable, "-c", child, str(path)], capture_output=True,
                          text=True, env=env, check=True, timeout=240)
     peak_mb = int(out.stdout.split()[-1]) / 1024      # VmHWM is in kB
-    assert peak_mb < 130, peak_mb
+    assert peak_mb < 105, peak_mb
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +245,17 @@ def _per_line(monkeypatch):
 
 
 def _read(text):
-    """What the line pass gathers, in comparable form, or its ParseError."""
+    """What the line pass gathers, in comparable form, or its ParseError; a
+    reindex block read in bulk is shown by the names in its span."""
     try:
         r = fileformat._read_lines(text)
     except ParseError as exc:
         return exc.line, exc.col, exc.msg
+    named = {f: fileformat._by_name(text, b) for f, b in r.reindex.items()}
     return (r.objects, r.arrows, r.src, r.tgt, r.identity, r.compose.tolist(), r.terminal,
             r.binary, {o: (b.elements, b.top, b.pairs, b.line) for o, b in r.fibers.items()},
             {f: (list(b.targets), list(b.sources), list(b.lines), b.line)
-             for f, b in r.reindex.items()}, r.core)
+             for f, b in named.items()}, r.core)
 
 
 def _parsed(text):
@@ -374,9 +377,9 @@ def test_compose_chunk_fault_reads_as_per_line(fs2_regions, monkeypatch, fault):
 
 
 def test_arrow_named_compose_reads_as_per_line(fs2_regions, monkeypatch):
-    """With an arrow named compose, compose lines are read line by line: in
-    canonical lines, and in a line of six tokens followed by one of four,
-    whose tokens line up as in two canonical lines."""
+    """An arrow named compose: canonical compose lines naming it are read in
+    bulk, and a line of six tokens followed by one of four, whose tokens line
+    up as in two canonical lines, is the per-line reader's error."""
     (text, k), _ = fs2_regions
     lines = text.split("\n")
     g = lines[k].split()[1]
@@ -387,7 +390,8 @@ def test_arrow_named_compose_reads_as_per_line(fs2_regions, monkeypatch):
     _, c, d, _, e = lines[k + 1].split()
     shifted = lines[:k] + [f"  compose {g} {f} = {h} compose", f"  compose {c} = {e}"]
     bulk, taken, oracle = _both_ways(monkeypatch, renamed)
-    assert bulk == oracle and not isinstance(bulk[0], int) and taken == 0
+    assert bulk == oracle and not isinstance(bulk[0], int)
+    assert taken == renamed.count("\n  compose ")
     bulk, _, oracle = _both_ways(monkeypatch, "\n".join(shifted + lines[k + 2:]))
     assert bulk == oracle == (k + 1, 3, "malformed compose entry")
 
@@ -437,15 +441,29 @@ def _small_canonical_text() -> str:
     return emit_doctrine(sub_doctrine(tp.cat, tp.pc, tp.scope))
 
 
-@settings(max_examples=300, phases=NO_SHRINK)
-@given(st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3), st.sampled_from(_NOISE)),
-                min_size=1, max_size=3))
-def test_edited_text_reads_as_per_line(edits):
-    """Random edits of a small canonical text, each replacing up to three
-    characters from a space or line break on by a token, a space or a line
-    break, read in chunks of about 256 characters: the reader gives the
-    per-line reader's error or what it gathers."""
+@functools.lru_cache(maxsize=None)
+def _short_canonical_text() -> str:
+    """The small canonical text with short names (objects o0, ..., arrows
+    f0, ..., elements e0, ...), which the bulk readers read."""
     text = _small_canonical_text()
+    names = {}
+    for kind, found in (("o", re.findall(r"^  objects (.*) ;$", text, re.M)),
+                        ("f", re.findall(r"^  arrow (\S+) ", text, re.M)),
+                        ("e", re.findall(r"^  elements (.*) ;$", text, re.M))):
+        for name in " ".join(found).split():
+            names.setdefault(name, f"{kind}{len(names)}")
+    return re.sub(r"\S+", lambda m: names.get(m[0], m[0]), text)
+
+
+EDITS = st.lists(st.tuples(st.floats(0, 1), st.integers(0, 3), st.sampled_from(_NOISE)),
+                 min_size=1, max_size=3)
+
+
+def _edited(text, edits, *hows):
+    """Edits, each replacing up to three characters from a space or line
+    break on by a token, a space or a line break, read in chunks of about
+    256 characters: the reader gives the per-line reader's error or what it
+    gathers."""
     for where, cut, noise in edits:
         spots = [m.start() for m in re.finditer(r"\s", text)]
         k = spots[int(where * (len(spots) - 1))]
@@ -453,5 +471,191 @@ def test_edited_text_reads_as_per_line(edits):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(fileformat, "_PIECE", 256)
         m.setattr(fileformat._lines, "__defaults__", (256,))
-        bulk, _, oracle = _both_ways(m, text)
+        for how in hows:
+            bulk, _, oracle = _both_ways(m, text, how)
+            assert bulk == oracle
+
+
+@settings(max_examples=300, phases=NO_SHRINK)
+@given(EDITS)
+def test_edited_text_reads_as_per_line(edits):
+    """Random edits of a small canonical text whose names are too long for
+    the bulk readers."""
+    _edited(_small_canonical_text(), edits, _read)
+
+
+@settings(max_examples=300, phases=NO_SHRINK)
+@given(EDITS)
+def test_edited_short_name_text_reads_as_per_line(edits):
+    """Random edits of the same text with short names, which the bulk
+    readers read, also parsed."""
+    _edited(_short_canonical_text(), edits, _read, _parsed)
+
+
+def test_short_name_text_is_read_in_bulk(monkeypatch):
+    """The text the edits above start from: the bulk readers take all its
+    compose and reindex lines, and it parses as it reads line by line."""
+    text = _short_canonical_text()
+    bulk, taken, oracle = _both_ways(monkeypatch, text, _parsed)
+    assert bulk == oracle == text
+    assert taken == _bulk_lines(text)
+
+
+# ---------------------------------------------------------------------------
+# names read as bytes: the bulk readers' own edges
+# ---------------------------------------------------------------------------
+
+
+def _word_text(arrows, fibers, reindex_after=None, moves=()):
+    """A canonical text over objects A and B (fiber elements given in
+    order, each a chain), an arrow of each name from A to B but the first,
+    the identity of A, and the identity of B as `i`: g after f is g, and
+    reindexing along an arrow into B sends each element to the one in the
+    same place in the fiber of A.  reindex_after names the fiber block put
+    after the reindex blocks; moves are (line, new line) replacements."""
+    (ea, eb), objs = fibers, ["A", "B"]
+    src = ["A"] + ["A"] * (len(arrows) - 1) + ["B"]
+    tgt = ["A"] + ["B"] * (len(arrows) - 1) + ["B"]
+    names = arrows + ["i"]
+    lines = ["base {", "  objects A B ;"]
+    lines += [f"  arrow {f} {a} {b}" for f, a, b in zip(names, src, tgt)]
+    lines += [f"  identity A = {arrows[0]}", "  identity B = i"]
+    lines += [f"  compose {g} {f} = {g}" for g, a in zip(names, src)
+              for f, b in zip(names, tgt) if b == a]
+    lines += ["  terminal A", f"  product A A = A {arrows[0]} {arrows[0]}", "}"]
+    blocks = {}
+    for o, els in zip(objs, fibers):
+        blocks[o] = [f"fiber {o} {{", "  elements " + " ".join(els) + " ;", f"  top {els[-1]}"]
+        blocks[o] += [f"  leq {x} {y}" for x, y in zip(els, els[1:])] + ["}"]
+    for o in objs:
+        if o != reindex_after:
+            lines += blocks[o]
+    for f, a, b in zip(names, src, tgt):
+        froms, tos = (ea if b == "A" else eb), (ea if a == "A" else eb)
+        lines += [f"reindex {f} {{"] + [f"  {x} -> {tos[min(k, len(tos) - 1)]}"
+                                         for k, x in enumerate(froms)] + ["}"]
+    lines += blocks.get(reindex_after, []) + ["core { A B }"]
+    for old, new in moves:
+        lines[lines.index(old)] = new
+    return "\n".join(lines) + "\n"
+
+
+def _bulk_lines(text):
+    """The compose lines and the lines of the reindex blocks of text, which
+    come after its fibers."""
+    return text.count("\n  compose ") + text[text.index("\nreindex "):].count("\n") - 2
+
+
+def _impostor(names, like):
+    """A name not among names that shares its first 8 bytes with like, and
+    whose hash slot holds a name with the same first 8 bytes."""
+    table = fileformat._Names(names)
+    same = [i for i, s in enumerate(names) if s[:8] == like[:8]]
+    for k in range(100000):
+        cand = like[:8] + f"~{k}"
+        w = np.frombuffer(cand.encode().ljust(16, b"\0"), "<u8")
+        if cand not in names and table.table[table.slot(w[:1], w[1:])[0]] in same:
+            return cand
+    raise AssertionError("no impostor")
+
+
+ODD_ARROWS = ["id", "a" * 16, "abcdefgh1", "abcdefgh2", "abcdefgh", "f"]
+ODD_ELEMENTS = (["x", "e" * 16, "abcdefghX", "abcdefghY", "t"], ["y", "abcdefghX", "e" * 16, "u"])
+
+
+@pytest.mark.parametrize("odd", [None, "fé", "é", "a" * 17, "e" * 17])
+def test_names_read_as_bytes_read_as_per_line(monkeypatch, odd):
+    """Names of 16 bytes and names equal in their first 8 bytes, as arrows
+    and as fiber elements, are read in bulk; with a non-ASCII name or one of
+    17 bytes added, as an arrow or an element, the text reads and parses as
+    line by line and re-emits as itself."""
+    arrows, (ea, eb) = list(ODD_ARROWS), ODD_ELEMENTS
+    if odd and odd[0] in "fa":
+        arrows.insert(3, odd)
+    elif odd:
+        ea, eb = ea[:2] + [odd] + ea[2:], eb[:1] + [odd] + eb[1:]
+    text = _word_text(arrows, (ea, eb))
+    bulk, taken, oracle = _both_ways(monkeypatch, text)
+    assert bulk == oracle and not isinstance(bulk[0], int)
+    if odd is None:
+        assert taken == _bulk_lines(text)
+    bulk, _, oracle = _both_ways(monkeypatch, text, _parsed)
+    assert bulk == oracle == text
+
+
+@pytest.mark.parametrize("where", ["compose", "target", "source"])
+def test_impostor_names_read_as_per_line(monkeypatch, where):
+    """A name sharing its first 8 bytes and its hash slot with a known one,
+    as a composite or in a reindex block: the per-line reader's error."""
+    text = _word_text(ODD_ARROWS, ODD_ELEMENTS)
+    if where == "compose":
+        fake = _impostor(ODD_ARROWS + ["i"], "abcdefgh2")
+        old = "  compose abcdefgh2 id = abcdefgh2"
+        text = text.replace(old + "\n", f"  compose abcdefgh2 id = {fake}\n")
+    else:
+        names, old, like = ((ODD_ELEMENTS[1], f"  abcdefghX -> {'e' * 16}\n", "abcdefghX")
+                            if where == "target" else
+                            (ODD_ELEMENTS[0], "  u -> abcdefghY\n", "abcdefghY"))
+        fake, k = _impostor(names, like), text.index("reindex f {")
+        text = text[:k] + text[k:].replace(old, old.replace(like, fake), 1)
+    assert fake in text
+    for how in (_read, _parsed):
+        bulk, _, oracle = _both_ways(monkeypatch, text, how)
+        assert bulk == oracle
+    assert isinstance(oracle[0], int) and fake in oracle[2]
+
+
+def test_element_with_two_places_reads_as_per_line(monkeypatch):
+    """The same element names in two fibers in different orders: each block
+    is found in its own fibers."""
+    text = _word_text(["id", "f", "g"], (["p", "q", "r", "s"], ["s", "r", "q", "p"]))
+    bulk, taken, oracle = _both_ways(monkeypatch, text, _parsed)
+    assert bulk == oracle == text
+    assert taken == _bulk_lines(text)
+
+
+@pytest.mark.parametrize("fiber", ["after", "redeclared"])
+def test_fiber_after_its_reindex_blocks_reads_as_per_line(monkeypatch, fiber):
+    """A fiber block after the reindex blocks into and out of it, and one
+    declared before them and again after them with its elements in another
+    order: the blocks are found in the fibers as the text leaves them."""
+    els = (["p", "q", "r", "t"], ["y", "u"])
+    text = _word_text(["id", "f", "g"], els, reindex_after="A")
+    if fiber == "redeclared":
+        k = text.index("fiber B {")
+        text = text[:k] + "fiber A {\n  elements q p r t ;\n  top t\n}\n" + text[k:]
+    bulk, taken, oracle = _both_ways(monkeypatch, text, _parsed)
+    assert bulk == oracle and not isinstance(bulk, tuple)
+    assert taken >= text.count("\n  compose ") + 3 * 6
+    assert _both_ways(monkeypatch, text)[0] == _both_ways(monkeypatch, text)[2]
+
+
+def test_compose_run_after_new_arrows_is_read_in_bulk(monkeypatch):
+    """Compose lines, then new arrow lines, then compose lines naming the
+    new arrows: both runs are read in bulk, as line by line."""
+    text = _word_text(["id", "f", "g"], (["p", "t"], ["u"]))
+    lines = text.split("\n")
+    k = next(i for i, ln in enumerate(lines) if ln.startswith("  compose "))
+    late = ["  arrow h A B", "  arrow k A B"]
+    late += [f"  compose {g} id = {g}" for g in ("h", "k")]
+    late += [f"  compose i {g} = {g}" for g in ("h", "k")]
+    text = "\n".join(lines[:k + 3] + late + lines[k + 3:])
+    text = text.replace("core { A B }", "reindex h {\n  u -> p\n}\nreindex k {\n  u -> t\n}\n"
+                        "core { A B }")
+    bulk, taken, oracle = _both_ways(monkeypatch, text)
+    assert bulk == oracle and not isinstance(bulk[0], int)
+    assert taken == _bulk_lines(text)
+    bulk, _, oracle = _both_ways(monkeypatch, text, _parsed)
     assert bulk == oracle
+
+
+def test_oversized_fiber_is_refused_before_its_tables():
+    """A fiber of more elements than the cap is refused with its full
+    count, before its order is allocated."""
+    from doctrines.errors import ResourceCap
+    from doctrines.fincat import FIBER_ELEMENT_CAP
+    n = FIBER_ELEMENT_CAP + 1
+    els = [f"a{i}" for i in range(n)]
+    with pytest.raises(ResourceCap) as exc:
+        parse_doctrine(_one_fiber_file(els, els[-1], zip(els, els[1:])))
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("fiber elements of 'A'", n, 1024)
