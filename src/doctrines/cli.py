@@ -23,7 +23,7 @@ from .doctrine import DoctrineData, sub_doctrine
 from .errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
                      ParseError, ResourceCap, WindowClosure)
 from .fileformat import emit_doctrine, parse_doctrine
-from .fincat import DEFAULT_ENUM_CAP, DEFAULT_FIBER_CAP, ValidationReport, check_exact, iso_classes
+from .fincat import DEFAULT_ENUM_CAP, ValidationReport, check_exact, iso_classes
 from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
 
 EXIT_OK = 0
@@ -124,7 +124,7 @@ def cmd_check(args) -> int:
 def cmd_complete(args) -> int:
     P = load_doctrine(args.path)
     verdict, ok = check_report(P)
-    an = analysis(P, Caps(args.cap_fibers, args.cap_enum))
+    an = analysis(P, Caps(args.cap_enum))
     out = Report(f"complete --kind {args.kind}")
     _, E, X = an.eed()
     if E is None or X is None:
@@ -196,7 +196,7 @@ def cmd_compare(args) -> int:
     P = load_doctrine(args.path)
     if not _doctrine_laws_hold(P):
         return EXIT_VIOLATION
-    caps = Caps(args.cap_fibers, args.cap_enum)
+    caps = Caps(args.cap_enum)
     reports = [verify_cthn(P, caps), verify_fulc(P, caps),
                verify_axc(P, caps),
                verify_converse_axc(P, caps)]
@@ -269,7 +269,7 @@ def _compare_summary(reports) -> str:
 
 def cmd_universal(args) -> int:
     P = load_doctrine(args.path)
-    an = analysis(P, Caps(args.cap_fibers, args.cap_enum))
+    an = analysis(P, Caps(args.cap_enum))
     _, E, X = an.eed()
     if E is None or X is None:
         print("violation: structure discovery failed", file=sys.stderr)
@@ -345,7 +345,6 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("path")
-        p.add_argument("--cap-fibers", type=int, default=DEFAULT_FIBER_CAP)
         p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUM_CAP)
 
     p_check = sub.add_parser("check", help="verify the doctrine is elementary existential")

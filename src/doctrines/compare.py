@@ -90,8 +90,9 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
 class Analysis:
     """Law verdicts, structure, comprehensions and completions of one
     doctrine, each computed on its first read and kept in the doctrine's
-    `_analyses`, one memo per (caps.fibers, caps.enum).  Functional
-    relations are total on the source, the paper's condition (v).
+    `_analyses`, one memo per caps.enum, the one bound on the work of every
+    completion.  Functional relations are total on the source, the paper's
+    condition (v).
 
     An error raised while computing a part is kept as that part's outcome
     and raised again, as a copy, on every later read, so a reader sees what
@@ -102,7 +103,7 @@ class Analysis:
     def __init__(self, P: DoctrineData, caps: Caps):
         self.P = P
         self.caps = caps
-        self._memo = P._analyses.setdefault((caps.fibers, caps.enum), {})
+        self._memo = P._analyses.setdefault(caps.enum, {})
 
     def _once(self, part: str, compute):
         if part not in self._memo:
@@ -484,12 +485,11 @@ def _claims_only_on_hypotheses(harness):
     return run
 
 
-def _comparison(an: Analysis, rep: Report, check: str, data: dict | None = None
-                ) -> tuple[ERCompletion, QCompletion, LFunctorResult] | None:
-    """The reflexive and quotient completions with the comparison functor,
-    or None after adding the check that says why they cannot be had."""
+def _guarded(rep: Report, check: str, compute, data: dict | None = None):
+    """compute(), or None after adding the check that says why it cannot be
+    had: not applicable, with data, or capped."""
     try:
-        return an.er(), an.qp(), an.L()
+        return compute()
     except _NOT_COMPUTABLE as exc:
         rep.add(Check(check, NOT_APPLICABLE, str(exc), data or {}))
     except ResourceCap as exc:
@@ -510,13 +510,8 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     an = analysis(P, caps)
     base_eed, E_P, X_P = an.eed()
     rep.add(Check("base-is-eed", base_eed.status, data={"context": "hypothesis"}))
-    try:
-        gr = an.gr()
-    except _NOT_COMPUTABLE as exc:
-        rep.add(Check("build", NOT_APPLICABLE, str(exc)))
-        return rep
-    except ResourceCap as exc:
-        rep.add(Check("build", CAPPED, str(exc)))
+    gr = _guarded(rep, "build", an.gr)
+    if gr is None:
         return rep
     hat = gr.doctrine
     an_hat = analysis(hat, caps)
@@ -620,14 +615,10 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         return rep
-    try:
-        tp, er = an.tp(), an.er()
-    except _NOT_COMPUTABLE as exc:
-        rep.add(Check("inclusion-faithful", NOT_APPLICABLE, str(exc)))
+    got = _guarded(rep, "inclusion-faithful", lambda: (an.tp(), an.er()))
+    if got is None:
         return rep
-    except ResourceCap as exc:
-        rep.add(Check("inclusion-faithful", CAPPED, str(exc)))
-        return rep
+    tp, er = got
     rep.summary["relation-objects"] = len(tp.objects)
     rep.summary["reflexive-objects"] = len(er.objects)
     rep.summary["iso-classes"] = len(iso_classes(tp.cat))
@@ -681,8 +672,9 @@ def verify_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("hypothesis-rule-of-choice", _status(roc.ok),
                   roc.witness or None, {"totals-checked": roc.checked}))
     claimed = hyp1 and roc.ok and eed.status == PASS
-    got = _comparison(an, rep, "conclusion-comparison-equivalence",
-                      {"claimed": False, "measured": "not-computable"})
+    got = _guarded(rep, "conclusion-comparison-equivalence",
+                   lambda: (an.er(), an.qp(), an.L()),
+                   {"claimed": False, "measured": "not-computable"})
     if got is None:
         return rep
     er, q, lres = got
@@ -747,7 +739,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
                                tr.witness_antichain)))
                 return rep
     rep.add(Check("extensions-exist", PASS))
-    got = _comparison(an, rep, "comparison-is-equivalence")
+    got = _guarded(rep, "comparison-is-equivalence", lambda: (an.er(), an.qp(), an.L()))
     if got is None:
         return rep
     er, q, lres = got

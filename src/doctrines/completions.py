@@ -20,6 +20,7 @@ computed on demand and reported separately, never silently quotiented.
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +28,15 @@ import numpy as np
 from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
 from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
 from .errors import FormulaMismatch, MalformedPresentation, ResourceCap
-from .fincat import (DEFAULT_ENUM_CAP, DEFAULT_FIBER_CAP, FinCat, FunctorData,
-                     ProductChoice, WindowScope, full_subcategory, greedy_product_core,
-                     guard_table, is_mono, product_cone, terminal_object, validate_category)
+from .fincat import (DEFAULT_ENUM_CAP, FinCat, FunctorData, ProductChoice, WindowScope,
+                     full_subcategory, greedy_product_core, guard_table, is_mono,
+                     product_cone, terminal_object, validate_category)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
 
 
 @dataclass
 class Caps:
-    fibers: int = DEFAULT_FIBER_CAP
     enum: int = DEFAULT_ENUM_CAP
 
 
@@ -82,15 +82,16 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     since reindexing is a functorial meet homomorphism, so the base mediator
     <f, g> is an arrow of the points category and the only one over it; and
     every (Z, z) has the one arrow over Z -> T into (T, top).  The chosen
-    products are therefore not validated again."""
+    products are therefore not validated again.
+
+    The whole arrow count, the sum over base arrows f: A -> B and elements
+    b of P(B) of |↓P_f(b)|, is compared with caps.enum before any arrow is
+    built."""
     C = P.cat
-    est = 0
     down_count = [P.fibers[o].leq.sum(axis=0) for o in range(C.n_objects)]
-    for f in range(C.n_arrows):
-        a, b = int(C.src[f]), int(C.tgt[f])
-        est += int(down_count[a][P.r(f).table].sum())
-        if est > caps.enum:
-            raise ResourceCap("points category arrows", est, caps.enum)
+    need = sum(int(down_count[int(C.src[f])][P.r(f).table].sum()) for f in range(C.n_arrows))
+    if need > caps.enum:
+        raise ResourceCap("points category arrows", need, caps.enum)
     objs: list[tuple[int, int]] = []
     for o in range(C.n_objects):
         for el in range(P.fibers[o].n):
@@ -145,7 +146,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
         fib = P.fibers[o]
         fibers.append(sub_semilattice(fib, fib.downset(el)))
     reindex: list[MonotoneMap] = []
-    for (f, ea, eb), i in sorted(arr_of.items(), key=lambda kv: kv[1]):
+    for f, ea, eb in over:
         a, b = int(C.src[f]), int(C.tgt[f])
         fib_a, fib_b = P.fibers[a], P.fibers[b]
         dn_b = fib_b.downset(eb)
@@ -228,11 +229,17 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     ∃_pr1 ⊣ P_pr1, reindexed along the diagonal, gives P_diag(rho) <=
     ∃_pr1(rho), and likewise for pr2.  Composites are tested to be arrows,
     and the category laws are verified wholesale: neither follows from the
-    doctrine laws without stability and reciprocity."""
-    for o in range(P.cat.n_objects):
-        if P.fibers[o].n > caps.fibers:
-            raise ResourceCap("fiber size", P.fibers[o].n, caps.fibers)
+    doctrine laws without stability and reciprocity.
+
+    Every pair of relation objects over carriers A and B has the elements
+    of P(A×B) as its candidate arrows; their total over all pairs is
+    compared with caps.enum before any candidate is decided."""
     objs = per_objects(P)
+    per_carrier = Counter(a for a, _ in objs)
+    need = sum(m * n * P.fibers[P.window.prod(a, b)[0]].n
+               for a, m in per_carrier.items() for b, n in per_carrier.items())
+    if need > caps.enum:
+        raise ResourceCap("hom candidates", need, caps.enum)
     obj_of = {pair: i for i, pair in enumerate(objs)}
     C = P.cat
     obj_names = [f"({C.objects[a]}|{P.fibers[P.window.prod(a, a)[0]].elements[rel]})"
@@ -242,9 +249,6 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     names: list[str] = []
     for xi, x in enumerate(objs):
         for yi, y in enumerate(objs):
-            pairs = len(P.fibers[P.window.prod(x[0], y[0])[0]].elements)
-            if pairs > caps.enum:
-                raise ResourceCap("hom candidates", pairs, caps.enum)
             for el in functional_relations(P, W, x, y):
                 arr_of[(xi, yi, el)] = len(arrows)
                 arrows.append((xi, yi, el))

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import MalformedPresentation, ResourceCap, WindowClosure
 
-DEFAULT_FIBER_CAP = 512
 DEFAULT_ENUM_CAP = 1 << 20
 TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 192 MiB with the last-entry table
 FIBER_ELEMENT_CAP = 1 << 10  # elements of a parsed fiber, before its n x n order and meet tables

@@ -189,3 +189,15 @@ def nofrobenius() -> DoctrineData:
             table = np.full(fb.n, fa.top, dtype=np.int32)
         reindex.append(MonotoneMap(fb, fa, table))
     return DoctrineData(cat, pc, scope, fibers, reindex)
+
+
+def chain_file(n: int) -> str:
+    """A doctrine file of one object A with A×A = A and identity
+    reindexing, whose fiber is the chain e0 < ... < e(n-1)."""
+    els = [f"e{i}" for i in range(n)]
+    return "\n".join(
+        ["base {", "  objects A ;", "  arrow idA A A", "  identity A = idA",
+         "  compose idA idA = idA", "  terminal A", "  product A A = A idA idA", "}",
+         "fiber A {", "  elements " + " ".join(els) + " ;", f"  top {els[-1]}",
+         *(f"  leq {x} {y}" for x, y in zip(els, els[1:])), "}",
+         "reindex idA {", *(f"  {e} -> {e}" for e in els), "}", "core { A }"]) + "\n"

@@ -146,9 +146,9 @@ def test_errors_are_kept_and_raised_again(monkeypatch):
     builds = _count_calls(monkeypatch, "build_tp")
     P = fixtures.chain_fixture()
     with pytest.raises(ResourceCap) as first:
-        analysis(P, Caps(fibers=1)).tp()
+        analysis(P, Caps(enum=1)).tp()
     with pytest.raises(ResourceCap) as again:
-        analysis(P, Caps(fibers=1)).er()
+        analysis(P, Caps(enum=1)).er()
     assert again.value is not first.value
     assert (str(again.value), again.value.size, again.value.cap) == \
         (str(first.value), first.value.size, first.value.cap)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import crafted
 from doctrines import compare, fincat, fixtures
 from doctrines.cli import main
 from doctrines.errors import FormulaMismatch
@@ -100,7 +101,7 @@ def test_complete_emits_reingestible_file(tmp_path):
 
 
 def test_complete_resource_cap_exit_3():
-    r = run("complete", "chain", "--kind", "tp", "--cap-fibers", "1")
+    r = run("complete", "chain", "--kind", "tp", "--cap-enum", "1")
     assert r.returncode == 3
     assert "resource cap" in r.stderr
 
@@ -116,24 +117,24 @@ def test_compare_summaries():
 
 
 def test_compare_summary_names_a_capped_comparison(capsys):
-    """Under a fiber cap of 1 the comparison functor of chain is never built,
-    so the converse's derived choice never runs: its line says so."""
-    assert main(["compare", "chain", "--cap-fibers", "1"]) == 0
+    """Under an enumeration cap of 1 the comparison functor of chain is never
+    built, so the converse's derived choice never runs: its line says so."""
+    assert main(["compare", "chain", "--cap-enum", "1"]) == 0
     out = capsys.readouterr().out
     assert "[capped] comparison-is-equivalence" in out
     assert out.endswith(
         "  axc: hypothesis weak full comprehensions failed (witness u, u0, v, v0);"
         " conclusion unclaimed\n"
-        "  converse: capped (resource cap exceeded: fiber size needs 2 > cap 1)\n")
+        "  converse: capped (resource cap exceeded: hom candidates needs 59 > cap 1)\n")
 
 
 def test_compare_reports_a_capped_inclusion(capsys):
-    """Under a fiber cap of 100, fs2's relation completion is never built:
-    the inclusion harness reports the cap as a check, and every report and
-    the summary are printed."""
-    assert main(["compare", "fs2", "--cap-fibers", "100"]) == 0
+    """Under an enumeration cap of 100, fs2's relation completion is never
+    built: the inclusion harness reports the cap as a check, and every
+    report and the summary are printed."""
+    assert main(["compare", "fs2", "--cap-enum", "100"]) == 0
     out = capsys.readouterr().out
-    cap = "resource cap exceeded: fiber size needs 256 > cap 100"
+    cap = "resource cap exceeded: hom candidates needs 503 > cap 100"
     assert f"  [capped] inclusion-faithful  witness={cap}\n" in out
     assert [line for line in out.splitlines() if not line.startswith(" ")] == [
         "comprehension-completion", "reflexive-inclusion-equivalence",
@@ -196,6 +197,18 @@ def test_oversized_fiber_file_exits_3_under_a_memory_limit(tmp_path):
                                                " elements of 'A' needs 1025 > cap 1024\n")
 
 
+@pytest.mark.parametrize("n", [128, 512, 513])
+def test_relation_completion_is_refused_on_its_full_candidate_count(tmp_path, n):
+    """A one-object file whose fiber is an n-element chain has n relation
+    objects, and each of the n × n pairs has the n elements of P(A×A) as
+    candidate arrows: the completion is refused on all n³ of them."""
+    path = tmp_path / "chain.dtn"
+    path.write_text(crafted.chain_file(n))
+    r = run("complete", str(path), "--kind", "tp")
+    assert (r.returncode, r.stderr) == (3, "resource cap: resource cap exceeded: hom"
+                                           f" candidates needs {n ** 3} > cap 1048576\n")
+
+
 def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):
     """On a fresh fs2, every hypothesis of axc holds but the comparison
     functor cannot be built: the axc line gives the reason, not FAIL."""
@@ -212,7 +225,10 @@ def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [["compare", "chain", "--condition-v", "alt"],
                                   ["check", "chain", "--cap-enum", "5"],
-                                  ["universal", "chain", "--condition-v", "strict"]])
+                                  ["universal", "chain", "--condition-v", "strict"],
+                                  ["complete", "chain", "--kind", "tp", "--cap-fibers", "512"],
+                                  ["compare", "chain", "--cap-fibers", "512"],
+                                  ["universal", "chain", "--cap-fibers", "512"]])
 def test_options_a_command_does_not_read_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

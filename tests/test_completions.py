@@ -391,6 +391,24 @@ def test_oversized_points_category_is_refused_before_any_composite(monkeypatch):
     assert asked == []
 
 
+@pytest.mark.parametrize("n", [128, 512, 513])
+def test_relation_completion_is_refused_before_any_candidate(monkeypatch, n):
+    """One object whose fiber is an n-element chain: n relation objects, each
+    pair with n candidate relations, refused on the n³ total before a single
+    candidate is decided."""
+    from doctrines import completions
+    from doctrines.fileformat import parse_doctrine
+    P = parse_doctrine(crafted.chain_file(n))
+    E, X = discover_elementary(P), discover_existential(P)
+    decided, decide = [], completions.functional_relations
+    monkeypatch.setattr(completions, "functional_relations",
+                        lambda *args: decided.append(args) or decide(*args))
+    with pytest.raises(ResourceCap) as exc:
+        build_tp(P, E, X)
+    assert (exc.value.what, exc.value.size) == ("hom candidates", n ** 3)
+    assert decided == []
+
+
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])
 def test_gr_category_against_definition(witnesses, name):
     """Objects, arrows, ends, identities and every composite of the points
@@ -438,9 +456,10 @@ def test_descent_components_are_fiber_inclusions(completions):
 
 
 def test_hom_candidates_cap(witnesses):
-    """The first pair of relation objects is refused when its candidate
-    relations, the elements of P(T×T), outnumber the cap."""
+    """The completion is refused when its candidate relations, the elements
+    of P(T×T) for each of the 4 × 4 pairs of relation objects, outnumber
+    the cap."""
     P, E, X = witnesses["triv"]
     with pytest.raises(ResourceCap) as raised:
         build_tp(P, E, X, caps=Caps(enum=3))
-    assert (raised.value.what, raised.value.size, raised.value.cap) == ("hom candidates", 4, 3)
+    assert (raised.value.what, raised.value.size, raised.value.cap) == ("hom candidates", 64, 3)
