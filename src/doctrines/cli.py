@@ -1,7 +1,11 @@
 """Command-line surface.
 
 Exit codes are exhaustive and mutually exclusive: 0 all demanded checks
-pass, 1 a law or theorem violation, 2 malformed input, 3 a resource cap.
+pass, 1 a law or theorem violation, 2 malformed input, 3 a resource cap met
+while reading a file, while `complete` builds its completion or decides its
+exactness, or while `universal` builds the relation completion or decides
+its one verdict.  `compare` prints a harness that meets a cap as
+`[capped]` and exits 0 unless a claimed conclusion failed.
 `check` verifies the doctrine is elementary existential on its core;
 `complete` builds one of the completions and emits it; `compare` runs the
 theorem harnesses; `demo` runs every shipped fixture and prints the headline

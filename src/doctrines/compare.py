@@ -24,7 +24,7 @@ from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
                           transitive_extension)
 from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
 from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
-                     ResourceCap, WindowClosure)
+                     ResourceCap, WindowClosure, guard)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      WindowScope, check_equivalence, check_exact, inverse_of,
                      iso_classes, validate_category, validate_functor,
@@ -388,12 +388,9 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
     the guard charges every candidate object map with the cost of one full
     functoriality validation, so oversized instances abort up front."""
     est = T.n_objects ** S.n_objects
+    guard("functor object maps", est, cap)
+    guard("functor enumeration work", est * max(1, int((S.comp >= 0).sum())), cap)
     non_id = np.flatnonzero(np.arange(S.n_arrows) != S.id_arr[S.src])
-    if est > cap:
-        raise ResourceCap("functor object maps", est, cap)
-    work = est * max(1, int((S.comp >= 0).sum()))
-    if work > cap:
-        raise ResourceCap("functor enumeration work", work, cap)
     out = []
     for omap in itertools.product(range(T.n_objects), repeat=S.n_objects):
         cand_lists = []
@@ -401,8 +398,7 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
         for s, t in zip(S.src[non_id].tolist(), S.tgt[non_id].tolist()):
             cands = T.hom(omap[s], omap[t]).tolist()
             total *= len(cands)
-            if total > cap:
-                raise ResourceCap("functor arrow maps", total, cap)
+            guard("functor arrow maps", total, cap)
             cand_lists.append(cands)
             if not cands:
                 break
@@ -423,8 +419,7 @@ def enumerate_fiber_homs(L: FinInfSL, M: FinInfSL, cap: int) -> np.ndarray:
     range, each block decided by one `left_adjoints` call (between finite
     lattices a map preserves top and meets iff it has a left adjoint)."""
     est = M.n ** max(0, L.n - 1)
-    if est > cap:
-        raise ResourceCap("fiber homomorphisms", est, cap)
+    guard("fiber homomorphisms", est, cap)
     non_top = [i for i in range(L.n) if i != L.top]
     radix = M.n ** np.arange(len(non_top) - 1, -1, -1, dtype=np.int64)
     out = []
@@ -452,8 +447,7 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
         for o in range(P.cat.n_objects):
             homs = fiber_homs(o, ob[o])
             total *= max(1, len(homs))
-            if total > cap:
-                raise ResourceCap("morphism components", total, cap)
+            guard("morphism components", total, cap)
             hom_lists.append(homs)
         cond = eed_conditions(P, R, F, E_P, E_R)
         if cond is None:

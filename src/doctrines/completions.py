@@ -27,9 +27,9 @@ import numpy as np
 
 from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
 from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
-from .errors import FormulaMismatch, MalformedPresentation, ResourceCap
-from .fincat import (DEFAULT_ENUM_CAP, FinCat, FunctorData, ProductChoice, WindowScope,
-                     full_subcategory, greedy_product_core, guard_table, is_mono,
+from .errors import FormulaMismatch, MalformedPresentation, guard
+from .fincat import (DEFAULT_ENUM_CAP, TABLE_CELL_CAP, FinCat, FunctorData, ProductChoice,
+                     WindowScope, full_subcategory, greedy_product_core, is_mono,
                      product_cone, terminal_object, validate_category)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
@@ -46,7 +46,7 @@ def _assemble(objects: list[str], arrows: list[str], src: list[int], tgt: list[i
     composite g after f is compose(g, f), asked once per composable pair,
     by f and then by g in arrow order, before any identity is asked, once
     the table is sized."""
-    guard_table(len(arrows))
+    guard("composition table cells", len(arrows) ** 2, TABLE_CELL_CAP)
     out_of: dict[int, list[int]] = {}
     for j, s in enumerate(src):
         out_of.setdefault(s, []).append(j)
@@ -90,8 +90,7 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     C = P.cat
     down_count = [P.fibers[o].leq.sum(axis=0) for o in range(C.n_objects)]
     need = sum(int(down_count[int(C.src[f])][P.r(f).table].sum()) for f in range(C.n_arrows))
-    if need > caps.enum:
-        raise ResourceCap("points category arrows", need, caps.enum)
+    guard("points category arrows", need, caps.enum)
     objs: list[tuple[int, int]] = []
     for o in range(C.n_objects):
         for el in range(P.fibers[o].n):
@@ -238,8 +237,7 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     per_carrier = Counter(a for a, _ in objs)
     need = sum(m * n * P.fibers[P.window.prod(a, b)[0]].n
                for a, m in per_carrier.items() for b, n in per_carrier.items())
-    if need > caps.enum:
-        raise ResourceCap("hom candidates", need, caps.enum)
+    guard("hom candidates", need, caps.enum)
     obj_of = {pair: i for i, pair in enumerate(objs)}
     C = P.cat
     obj_names = [f"({C.objects[a]}|{P.fibers[P.window.prod(a, a)[0]].elements[rel]})"

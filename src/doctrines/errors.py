@@ -36,6 +36,13 @@ class ResourceCap(DoctrinesError):
         super().__init__(f"resource cap exceeded: {what} needs {size} > cap {cap}")
 
 
+def guard(what: str, size: int, cap: int | None) -> None:
+    """Refuse `size` units of `what` beyond `cap`; a cap of None is no bound.
+    Every resource cap of the package is checked here."""
+    if cap is not None and size > cap:
+        raise ResourceCap(what, size, cap)
+
+
 class FormulaMismatch(DoctrinesError):
     """Two published forms of the same formula disagreed on an instance."""
 

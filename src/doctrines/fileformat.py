@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .doctrine import DoctrineData
-from .errors import MalformedPresentation, ParseError, ResourceCap
+from .errors import MalformedPresentation, ParseError, guard
 from .fincat import FIBER_ELEMENT_CAP, FinCat, ProductChoice, WindowScope
 from .semilattice import FinInfSL, MonotoneMap, lattice_from_leq
 
@@ -428,8 +428,7 @@ def _fiber(name: str, block: _FiberBlock | None) -> FinInfSL:
     if block is None:
         raise ParseError(1, 1, f"object {name!r} has no fiber block")
     elements, lno = block.elements, block.line
-    if len(elements) > FIBER_ELEMENT_CAP:
-        raise ResourceCap(f"fiber elements of {name!r}", len(elements), FIBER_ELEMENT_CAP)
+    guard(f"fiber elements of {name!r}", len(elements), FIBER_ELEMENT_CAP)
     if len(set(elements)) != len(elements) or not elements:
         raise ParseError(lno, 1, f"fiber of {name!r} has duplicate or no elements")
     idx = {e: i for i, e in enumerate(elements)}

@@ -31,20 +31,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import MalformedPresentation, ResourceCap, WindowClosure
+from .errors import MalformedPresentation, WindowClosure, guard
 
 DEFAULT_ENUM_CAP = 1 << 20
 TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 192 MiB with the last-entry table
 FIBER_ELEMENT_CAP = 1 << 10  # elements of a parsed fiber, before its n x n order and meet tables
-
-
-def guard_table(n_arrows: int) -> None:
-    """Refuse a composition table of more than TABLE_CELL_CAP cells."""
-    if n_arrows * n_arrows > TABLE_CELL_CAP:
-        raise ResourceCap("composition table cells", n_arrows * n_arrows, TABLE_CELL_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +52,13 @@ class FinCat:
     """A finite category presentation with index-based internal tables.
 
     The tables are read-only once built, which keeps the data derived from
-    them and kept here (hom sets, generators, law, exactness and regular-epi
-    verdicts, product cones and pullbacks, the cone-counting tables) sound;
-    a changed table needs a new FinCat built from a copy."""
+    them sound; a changed table needs a new FinCat built from a copy.  Hom
+    sets and the arrows into and out of each object sit in their own
+    tables for the inner loops; everything else derived is kept in one
+    store, read through `kept`: the generators and the law verdict, the
+    hom-size and histogram tables of the cone counts (read-only), the
+    joint-monicity and regular-epi verdicts, product cones and pullbacks,
+    and the exactness verdicts.  Copies start with an empty store."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -88,15 +87,7 @@ class FinCat:
         self._hom: dict[tuple[int, int], np.ndarray] = {}
         self._into: list[np.ndarray] | None = None
         self._outof: list[np.ndarray] | None = None
-        self._generators: np.ndarray | None = None
-        self._is_category: bool | None = None
-        self._exactness: dict[tuple, ExactnessVerdict] = {}
-        self._product_cones: dict[tuple, Cone | None] = {}
-        self._pullbacks: dict[tuple, Cone | None] = {}
-        self._hom_sizes: np.ndarray | None = None
-        self._histograms: dict[int, np.ndarray] = {}
-        self._jointly_monic: dict[tuple[int, ...], bool] = {}
-        self._regular_epi: dict[tuple[int, int | None], bool] = {}
+        self._kept: dict[tuple, object] = {}
 
     def __setstate__(self, state: dict) -> None:
         # a copy's tables come back writeable: freeze them, derive afresh
@@ -129,6 +120,13 @@ class FinCat:
             self._outof = [np.flatnonzero(self.src == a) for a in range(self.n_objects)]
         return self._outof[a]
 
+    def kept(self, key: tuple, derive: Callable[[], Any]) -> Any:
+        """derive(), computed once per key and kept; an error is not kept.
+        A key starts with the name of what it keeps."""
+        if key not in self._kept:
+            self._kept[key] = derive()
+        return self._kept[key]
+
     def compose(self, g: int, f: int) -> int:
         """g after f; raises on non-composable input."""
         h = int(self.comp[g, f])
@@ -149,7 +147,7 @@ class FinCat:
             o = objects[int(np.flatnonzero(id_arr < 0)[0])]
             raise MalformedPresentation(f"object {o} has no identity arrow")
         n = len(arrows)
-        guard_table(n)
+        guard("composition table cells", n * n, TABLE_CELL_CAP)
         cell = compose[:, 0] * n + compose[:, 1]
         last = np.full(n * n, -1, dtype=np.intp)        # last entry per cell
         np.maximum.at(last, cell, np.arange(len(cell)))
@@ -164,7 +162,7 @@ class FinCat:
         arrow is a generator when the composites of the identities and the
         earlier generators do not reach it.  Meaningful on a typed, total
         table, which validate_category checks before it asks."""
-        if self._generators is None:
+        def derive() -> np.ndarray:
             n = self.n_arrows
             comp_t = self.comp.T.copy()
             reached = np.zeros(n, dtype=bool)
@@ -184,16 +182,14 @@ class FinCat:
                     both = np.concatenate([self.comp[batch], comp_t[batch]])
                     new[both[(both >= 0) & reached]] = True
                     new &= ~reached
-            self._generators = np.array(gens, dtype=np.intp)
-        return self._generators
+            return np.array(gens, dtype=np.intp)
+        return self.kept(("generators",), derive)
 
     def is_category(self) -> bool:
         """Typed, total, unital and associative, associativity by Light's
         test; decided once and kept, without naming a witness."""
-        if self._is_category is None:
-            self._is_category = (_typing_or_identity_violation(self) is None
-                                 and _associativity_scan(self, self.generators()).ok)
-        return self._is_category
+        return self.kept(("is_category",), lambda: _typing_or_identity_violation(self) is None
+                         and _associativity_scan(self, self.generators()).ok)
 
 
 @dataclass
@@ -344,12 +340,12 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
     t = pc.terminal
     if not 0 <= t < C.n_objects:
         return ValidationReport(False, "MissingEntry", (t,), "unknown terminal")
-    for z in range(C.n_objects):
-        k = len(C.hom(z, t))
-        if k != 1:
-            return ValidationReport(False, "Terminal", (C.objects[z],),
-                                    f"terminal has {k} arrows from {C.objects[z]}")
     sizes, n = _hom_sizes(C), C.n_arrows
+    bad = np.flatnonzero(sizes[:, t] != 1)
+    if len(bad):
+        z = int(bad[0])
+        return ValidationReport(False, "Terminal", (C.objects[z],),
+                                f"terminal has {sizes[z, t]} arrows from {C.objects[z]}")
     for (a, b), (p, p1, p2) in pc.binary.items():
         for i, pool in ((a, C.n_objects), (b, C.n_objects), (p, C.n_objects),
                         (p1, C.n_arrows), (p2, C.n_arrows)):
@@ -469,22 +465,24 @@ class Window:
 
 def _hom_sizes(C: FinCat) -> np.ndarray:
     """sizes[z, x] = |hom(z, x)|, kept on C."""
-    if C._hom_sizes is None:
+    def derive() -> np.ndarray:
         k = C.n_objects
-        C._hom_sizes = np.bincount(C.src.astype(np.intp) * k + C.tgt, minlength=k * k).reshape(k, k)
-        C._hom_sizes.flags.writeable = False
-    return C._hom_sizes
+        sizes = np.bincount(C.src.astype(np.intp) * k + C.tgt, minlength=k * k).reshape(k, k)
+        sizes.flags.writeable = False
+        return sizes
+    return C.kept(("hom_sizes",), derive)
 
 
 def _histograms(C: FinCat, t: int) -> np.ndarray:
     """The histogram block of t, kept on C: row i, column j counts the p with
     f_i∘p = f_j, for the i-th and j-th arrows into t.  Row i read at the
     arrows from z is n_{f_i}(z, ·)."""
-    if t not in C._histograms:
+    def derive() -> np.ndarray:
         into = C.into(t)
-        C._histograms[t] = np.stack([factor_counts(C, f)[into] for f in into.tolist()])
-        C._histograms[t].flags.writeable = False
-    return C._histograms[t]
+        block = np.stack([factor_counts(C, f)[into] for f in into.tolist()])
+        block.flags.writeable = False
+        return block
+    return C.kept(("histograms", t), derive)
 
 
 def _cospan_counts(C: FinCat, f: int, g: int) -> np.ndarray:
@@ -505,11 +503,10 @@ def _cospan_cones_at(C: FinCat, f: int, g: int, x: int) -> np.ndarray:
 def jointly_monic(C: FinCat, legs: tuple[int, ...]) -> bool:
     """No two arrows u into the common source of `legs` give the same l∘u
     for every leg l (which fix the source of u); kept on C per tuple."""
-    if legs not in C._jointly_monic:
+    def derive() -> bool:
         into = C.into(int(C.src[legs[0]]))
-        codes = zip(*C.comp[np.array(legs)[:, None], into].tolist())
-        C._jointly_monic[legs] = len(set(codes)) == len(into)
-    return C._jointly_monic[legs]
+        return len(set(zip(*C.comp[np.array(legs)[:, None], into].tolist()))) == len(into)
+    return C.kept(("jointly_monic", legs), derive)
 
 
 def is_mono(C: FinCat, f: int) -> bool:
@@ -582,8 +579,8 @@ def full_subcategory(C: FinCat, objs: list[int] | tuple[int, ...]) -> FunctorDat
 
 def terminal_object(C: FinCat) -> int | None:
     """The first object with exactly one arrow from every object, if any."""
-    return next((t for t in range(C.n_objects)
-                 if all(len(C.hom(z, t)) == 1 for z in range(C.n_objects))), None)
+    ones = (_hom_sizes(C) == 1).all(axis=0)
+    return int(ones.argmax()) if ones.any() else None
 
 
 @dataclass(frozen=True)
@@ -596,8 +593,7 @@ class Cone:
 def _first_limit(C: FinCat, counts: np.ndarray, cones_at, cap: int | None) -> Cone | None:
     """The first limit, by apex, then legs, of counts[z] <= cap cones at z, listed by
     `cones_at`: at an apex x with |hom(z, x)| = counts[z] at all z, its jointly monic cones."""
-    if cap is not None and counts.sum() > cap:
-        raise ResourceCap("cone enumeration", int(counts.sum()), cap)
+    guard("cone enumeration", int(counts.sum()), cap)
     for x in np.flatnonzero((_hom_sizes(C) == counts[:, None]).all(axis=0)).tolist():
         legs = next((legs for legs in cones_at(x) if jointly_monic(C, legs)), None)
         if legs is not None:
@@ -609,11 +605,9 @@ def pullback(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
     """Searched once per (f, g, cap) and kept on C."""
     if int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("pullback of arrows with different targets")
-    if (f, g, cap) not in C._pullbacks:
-        C._pullbacks[f, g, cap] = _first_limit(
-            C, _cospan_counts(C, f, g),
-            lambda x: map(tuple, _cospan_cones_at(C, f, g, x).tolist()), cap)
-    return C._pullbacks[f, g, cap]
+    return C.kept(("pullback", f, g, cap), lambda: _first_limit(
+        C, _cospan_counts(C, f, g),
+        lambda x: map(tuple, _cospan_cones_at(C, f, g, x).tolist()), cap))
 
 
 def kernel_pair(C: FinCat, f: int, cap: int | None = None) -> Cone | None:
@@ -633,13 +627,11 @@ def equalizer(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
 def product_cone(C: FinCat, a: int, b: int, cap: int | None = None) -> Cone | None:
     """A limiting span over (a, b), searched among all objects of C once
     and kept on C, one per (a, b, cap)."""
-    key = (a, b, cap)
-    if key not in C._product_cones:
+    def derive() -> Cone | None:
         sizes = _hom_sizes(C)
-        C._product_cones[key] = _first_limit(
-            C, sizes[:, a] * sizes[:, b],
-            lambda x: itertools.product(C.hom(x, a).tolist(), C.hom(x, b).tolist()), cap)
-    return C._product_cones[key]
+        return _first_limit(C, sizes[:, a] * sizes[:, b], lambda x: itertools.product(
+            C.hom(x, a).tolist(), C.hom(x, b).tolist()), cap)
+    return C.kept(("product_cone", a, b, cap), derive)
 
 
 def weak_pullback(C: FinCat, f: int, g: int) -> tuple[int, int, int] | None:
@@ -714,15 +706,13 @@ def is_regular_epi(C: FinCat, e: int, cap: int | None = None) -> bool:
     """e is regular epi iff it is a coequalizer of its kernel pair; when the
     window lacks the kernel pair, fall back to searching all parallel pairs.
     Kept on C per (e, cap)."""
-    if (e, cap) not in C._regular_epi:
+    def derive() -> bool:
         kp = kernel_pair(C, e, cap)
         if kp is not None:
-            C._regular_epi[e, cap] = is_coequalizer_of(C, e, kp.legs[0], kp.legs[1])
-        else:
-            C._regular_epi[e, cap] = any(
-                is_coequalizer_of(C, e, r, s) for z in range(C.n_objects)
-                for r, s in itertools.product(C.hom(z, int(C.src[e])).tolist(), repeat=2))
-    return C._regular_epi[e, cap]
+            return is_coequalizer_of(C, e, kp.legs[0], kp.legs[1])
+        return any(is_coequalizer_of(C, e, r, s) for z in range(C.n_objects)
+                   for r, s in itertools.product(C.hom(z, int(C.src[e])).tolist(), repeat=2))
+    return C.kept(("is_regular_epi", e, cap), derive)
 
 
 @dataclass
@@ -791,10 +781,7 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
     objects; exact: every internal equivalence relation on a core object is
     effective.  The verdict is kept on C, one per (core, cap)."""
     core = tuple(scope.core) if scope is not None else tuple(range(C.n_objects))
-    key = (core, cap)
-    if key not in C._exactness:
-        C._exactness[key] = _exactness_verdict(C, core, cap)
-    return C._exactness[key]
+    return C.kept(("check_exact", core, cap), lambda: _exactness_verdict(C, core, cap))
 
 
 def _exactness_verdict(C: FinCat, core: tuple[int, ...],

@@ -703,6 +703,12 @@ def forks(C, f: int, g: int) -> list:
             for e in C.hom(z, int(C.src[f])) if C.comp[f, e] == C.comp[g, e]]
 
 
+def terminal_object(C) -> int | None:
+    """The first object with exactly one arrow from every object, if any."""
+    return next((t for t in range(C.n_objects)
+                 if all(len(C.hom(z, t)) == 1 for z in range(C.n_objects))), None)
+
+
 def first_limiting_cone(C, cones: list[Cone], cap=None) -> Cone | None:
     """The first listed cone through which every listed cone factors
     uniquely, read off one mediator table per (candidate, apex); a

@@ -277,14 +277,16 @@ def test_json_reports_match_golden(capsys, command, path, code):
 
 
 @pytest.mark.parametrize("path, code, err", [
-    (str(DATA / "broken.dtn"), 1,
+    ("tests/data/broken.dtn", 1,
      "violation: composite has wrong source or target at ('g', 'f')\n"),
     ("no/such/file.dtn", 2,
      "parse error: line 0, col 0: no such file or fixture: no/such/file.dtn\n"),
 ])
-def test_load_refusals_in_process(capsys, path, code, err):
+def test_load_refusals_in_process(capsys, monkeypatch, path, code, err):
     """A file whose category is broken, and a path that is neither a file
-    nor a fixture, as the subprocess tests above see them."""
+    nor a fixture, as the subprocess tests above see them.  The paths are
+    read from the root of the checkout, so the test ids name no checkout."""
+    monkeypatch.chdir(ROOT)
     assert main(["check", path]) == code
     assert capsys.readouterr().err == err
 

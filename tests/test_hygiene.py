@@ -310,3 +310,65 @@ def test_categories_are_assembled_in_one_place(path):
     builders = TABLE_BUILDERS.get(path, set())
     assert [b for b in table_builds((SRC / path).read_text())
             if b.split(":")[0] not in builders] == []
+
+
+def callers(source: str, callee: str) -> list[str]:
+    """The dotted name of the function around each call of `callee`, by
+    name or as an attribute, in source order ("" at module level)."""
+    out = []
+
+    def walk(node, where: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == callee:
+            out.append(where)
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def test_scan_finds_callers():
+    source = ("x = Cap(1)\n\ndef guard(n):\n    raise Cap(n)\n\n"
+              "class K:\n    def f(self):\n        return errors.Cap(2), CapX(3)\n")
+    assert callers(source, "Cap") == ["", "guard", "K.f"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_resource_caps_raised_only_by_guard(path):
+    """Every size is compared with its cap by `errors.guard`, the one place
+    that builds a ResourceCap."""
+    assert callers((SRC / path).read_text(), "ResourceCap") == \
+        (["guard"] if path == "errors.py" else [])
+
+
+def attributes_set(source: str, cls: str, method: str) -> set[str]:
+    """The attributes of `self` that a method of a top-level class assigns."""
+    (fn,) = [d for node in ast.parse(source).body
+             if isinstance(node, ast.ClassDef) and node.name == cls
+             for d in node.body if isinstance(d, ast.FunctionDef) and d.name == method]
+    targets = [t for node in ast.walk(fn)
+               for t in (node.targets if isinstance(node, ast.Assign)
+                         else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                         else [])]
+    while any(isinstance(t, (ast.Tuple, ast.List)) for t in targets):
+        targets = [e for t in targets
+                   for e in (t.elts if isinstance(t, (ast.Tuple, ast.List)) else [t])]
+    return {t.attr for t in targets if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name) and t.value.id == "self"}
+
+
+def test_scan_finds_attributes_set():
+    source = ("class K:\n    def reset(self, t):\n        self.a = self.b = 0\n"
+              "        self.c: int = 1\n        self.d += 1\n        t.flags.w = False\n"
+              "        self.e[0] = 2\n        x, self.f = 1, 2\n"
+              "    def other(self):\n        self.g = 3\n")
+    assert attributes_set(source, "K", "reset") == {"a", "b", "c", "d", "f"}
+
+
+def test_category_keeps_derived_data_in_one_store():
+    """Besides the hom, into and out-of tables of the inner loops, a
+    category keeps what it derives only in the store read by `kept`."""
+    assert attributes_set((SRC / "fincat.py").read_text(), "FinCat", "_derive") == \
+        {"_hom", "_into", "_outof", "_kept"}

@@ -25,7 +25,7 @@ from doctrines.errors import ResourceCap
 from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, equalizer,
                               factor_counts, greedy_product_core, is_coequalizer_of, is_mono,
                               is_regular_epi, jointly_monic, mediating, product_cone, pullback,
-                              validate_products, weak_pullback)
+                              terminal_object, validate_products, weak_pullback)
 from doctrines.structure import verify_comprehension_arrow
 from test_laws import concrete_categories, corrupted_doctrines
 
@@ -351,16 +351,17 @@ def test_product_cones_searched_once_per_category(chain, monkeypatch):
     monkeypatch.setattr(fincat, "_first_limit", counted_first_limit)
     choose_products(C)
     check_exact(C, WindowScope(greedy_product_core(C)))
-    assert len(searches) == len(set(calls)) == len(C._product_cones) < len(calls)
+    kept = [key for key in C._kept if key[0] == "product_cone"]
+    assert len(searches) == len(set(calls)) == len(kept) < len(calls)
 
 
 def test_copies_start_with_an_empty_cone_memo(chain):
     C = analysis(chain).tp().cat
     assert product_cone(C, 0, 0) is product_cone(C, 0, 0)
-    assert C._product_cones
-    assert copy.copy(C)._product_cones == {}
-    assert copy.deepcopy(C)._product_cones == {}
-    assert pickle.loads(pickle.dumps(C))._product_cones == {}
+    assert ("product_cone", 0, 0, None) in C._kept
+    assert copy.copy(C)._kept == {}
+    assert copy.deepcopy(C)._kept == {}
+    assert pickle.loads(pickle.dumps(C))._kept == {}
 
 
 def test_copies_start_without_counting_tables(chain):
@@ -372,15 +373,15 @@ def test_copies_start_without_counting_tables(chain):
     f = int(C.into(0)[-1])
     assert pullback(C, f, f) is not None and pullback(C, f, f) is pullback(C, f, f)
     regular = is_regular_epi(C, f)
-    assert C._regular_epi[f, None] == regular
-    assert C._hom_sizes is not None and C._histograms and C._jointly_monic and C._pullbacks
-    for table in [C._hom_sizes, *C._histograms.values()]:
+    assert C._kept["is_regular_epi", f, None] == regular
+    kinds = {key[0] for key in C._kept}
+    assert {"hom_sizes", "histograms", "jointly_monic", "pullback"} <= kinds
+    for table in [value for key, value in C._kept.items() if key[0] in ("hom_sizes", "histograms")]:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0
     for D in (copy.copy(C), copy.deepcopy(C), pickle.loads(pickle.dumps(C))):
-        assert (D._hom_sizes, D._histograms, D._jointly_monic, D._pullbacks,
-                D._regular_epi) == (None, {}, {}, {}, {})
+        assert D._kept == {}
         assert pullback(D, f, f) == pullback(C, f, f)
         assert is_regular_epi(D, f) == regular
 
@@ -402,6 +403,31 @@ def test_equalizer_clause_names_first_failing_pair():
     assert not v.finitely_complete and not v.regular and not v.exact
     f, g = disjoint[0]
     assert v.witness == {"core": ("2",), "finitely_complete": (cat.arrows[f], cat.arrows[g])}
+
+
+def _two_points():
+    """Two objects and their identities: no object has an arrow from both."""
+    return crafted.build(["a", "b"], [("ida", "a", "a"), ("idb", "b", "b")],
+                         {"a": "ida", "b": "idb"}, {("ida", "ida"): "ida", ("idb", "idb"): "idb"})
+
+
+def _fs2_window():
+    return fixtures.fs2().cat
+
+
+@pytest.mark.parametrize("make", [crafted.v_poset, crafted.nofact_category,
+                                  crafted.meet_not_pullback, _fs2_window, _two_points])
+def test_terminal_object_matches_definition(make):
+    C = make()
+    assert terminal_object(C) == oracles.terminal_object(C)
+
+
+def test_exactness_names_a_missing_terminal():
+    C = _two_points()
+    assert terminal_object(C) is None
+    v = check_exact(C)
+    assert not v.finitely_complete and not v.regular and not v.exact
+    assert v.witness == {"core": ("a", "b"), "finitely_complete": "no terminal object"}
 
 
 @pytest.mark.parametrize("search, what", [(fincat.pullback, "cone enumeration")])

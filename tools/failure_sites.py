@@ -4,11 +4,13 @@ A failure site is a statement of `src/doctrines/*.py` that returns
 `ValidationReport(False, ...)`, `CheckVerdict(False, ...)` or
 `StructureFailure(...)`, that raises a subclass of `DoctrinesError`, or
 that builds a harness `Check(..., FAIL, ...)`; a call `_status(...)` is a
-site too, as it turns a harness verdict into PASS or FAIL.  The sites are
-found with `ast`; the suite then runs in this process under `sys.settrace`,
-with line events turned on only in the functions that hold a site.  A
-`_status` site counts as run when `_status` is called from its line with a
-false argument.  Tests that start the command line in a subprocess are not
+site too, as it turns a harness verdict into PASS or FAIL, and so is a
+call `guard(...)`, which refuses a size beyond its resource cap.  The sites
+are found with `ast`; the suite then runs in this process under
+`sys.settrace`, with line events turned on only in the functions that hold
+a site.  A `_status` site counts as run when `_status` is called from its
+line with a false argument, and a `guard` site when `guard` raises from
+its line.  Tests that start the command line in a subprocess are not
 traced, so a site reached only that way is listed as never run.
 
     PYTHONPATH=src python tools/failure_sites.py [PYTEST ARGS...]
@@ -29,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "doctrines"
 VERDICTS = ("ValidationReport", "CheckVerdict")
 STATUS = "_status"
+GUARD = "guard"
 
 
 def error_classes() -> set[str]:
@@ -55,7 +58,7 @@ def _called(node) -> str | None:
 def _kind(node, errors: set[str]) -> str | None:
     if isinstance(node, ast.Call):
         name = _called(node)
-        if name == STATUS:
+        if name in (STATUS, GUARD):
             return name
         if (name == "Check" and len(node.args) > 1
                 and isinstance(node.args[1], ast.Name) and node.args[1].id == "FAIL"):
@@ -98,10 +101,12 @@ def run_suite(sites, pytest_args: list[str]) -> set[tuple[str, int]]:
     """Run pytest in this process; return the (file, line) sites executed."""
     import pytest
 
-    lines = [(str(p), line, first) for p, line, first, kind in sites if kind != STATUS]
+    lines = [(str(p), line, first) for p, line, first, kind in sites
+             if kind not in (STATUS, GUARD)]
     wanted = {(p, line) for p, line, _ in lines}
     holders = {(p, first) for p, _, first in lines}
-    statuses = {(str(p), line) for p, line, _, kind in sites if kind == STATUS}
+    calls = {kind: {(str(p), line) for p, line, _, k in sites if k == kind}
+             for kind in (STATUS, GUARD)}
     hit: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
@@ -109,12 +114,23 @@ def run_suite(sites, pytest_args: list[str]) -> set[tuple[str, int]]:
             hit.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
+    def raised_at(site):
+        """Line events as `local`, and the call site once `guard` raises."""
+        def trace(frame, event, arg):
+            local(frame, event, arg)
+            if event == "exception":
+                hit.add(site)
+            return trace
+        return trace
+
     def global_(frame, event, arg):
         code = frame.f_code
-        if code.co_name == STATUS and code.co_filename.startswith(str(SRC)):
+        if code.co_name in calls and code.co_filename.startswith(str(SRC)):
             caller = frame.f_back
             site = (caller.f_code.co_filename, caller.f_lineno)
-            if site in statuses and not frame.f_locals[code.co_varnames[0]]:
+            if code.co_name == GUARD:
+                return raised_at(site) if site in calls[GUARD] else local
+            if site in calls[STATUS] and not frame.f_locals[code.co_varnames[0]]:
                 hit.add(site)
             return None
         return local if (code.co_filename, code.co_firstlineno) in holders else None
