@@ -109,8 +109,7 @@ def check_report(P: DoctrineData) -> tuple[Report, bool]:
 
 def _doctrine_laws_hold(P: DoctrineData) -> bool:
     """The completions and harnesses assume the doctrine laws; say so on
-    stderr when they fail.  The verdict does not depend on the caps, so it
-    is read from the default analysis, where `check_report` keeps it."""
+    stderr when they fail."""
     vd = analysis(P).doctrine_laws()
     if not vd.ok:
         print(f"violation: doctrine laws fail at {vd.witness}: {vd.message}",

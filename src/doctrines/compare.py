@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrin
 from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
                      ResourceCap, WindowClosure, guard)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
-                     WindowScope, check_equivalence, check_exact, inverse_of,
+                     WindowScope, check_equivalence, check_exact, hom_sizes, inverse_of,
                      iso_classes, validate_category, validate_functor,
                      validate_products)
 from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
@@ -90,9 +91,9 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
 class Analysis:
     """Law verdicts, structure, comprehensions and completions of one
     doctrine, each computed on its first read and kept in the doctrine's
-    `_analyses`, one memo per caps.enum, the one bound on the work of every
-    completion.  Functional relations are total on the source, the paper's
-    condition (v).
+    `_analyses`: the parts no cap reaches once per doctrine, the completions
+    and the comparison functor once per caps.enum, the bound on their work.
+    Functional relations are total on the source, the paper's condition (v).
 
     An error raised while computing a part is kept as that part's outcome
     and raised again, as a copy, on every later read, so a reader sees what
@@ -103,9 +104,9 @@ class Analysis:
     def __init__(self, P: DoctrineData, caps: Caps):
         self.P = P
         self.caps = caps
-        self._memo = P._analyses.setdefault(caps.enum, {})
+        self._memo = P._analyses
 
-    def _once(self, part: str, compute):
+    def _once(self, part: str | tuple[str, int], compute):
         if part not in self._memo:
             try:
                 self._memo[part] = (compute(), None)
@@ -154,17 +155,19 @@ class Analysis:
             self.P, self._structure("the rule of choice")[1]))
 
     def gr(self) -> GrCompletion:
-        return self._once("gr", lambda: build_gr(self.P, self.caps))
+        return self._once(("gr", self.caps.enum), lambda: build_gr(self.P, self.caps))
 
     def tp(self) -> TCompletion:
-        return self._once("tp", lambda: build_tp(self.P, *self._structure("tp"), self.caps))
+        return self._once(("tp", self.caps.enum),
+                          lambda: build_tp(self.P, *self._structure("tp"), self.caps))
 
     def er(self) -> ERCompletion:
-        return self._once("er", lambda: build_erp(self.P, self._structure("er")[0], self.tp(),
-                                                  self.caps))
+        return self._once(("er", self.caps.enum), lambda: build_erp(
+            self.P, self._structure("er")[0], self.tp(), self.caps))
 
     def qp(self) -> QCompletion:
-        return self._once("qp", lambda: build_qp(self.P, *self._structure("qp"), self.caps))
+        return self._once(("qp", self.caps.enum),
+                          lambda: build_qp(self.P, *self._structure("qp"), self.caps))
 
     def L(self) -> LFunctorResult:
         """The comparison functor; a failure to build er comes before one of qp."""
@@ -172,7 +175,7 @@ class Analysis:
             E, X = self._structure("L")
             er = self.er()
             return functor_L(self.P, E, X, self.qp(), er)
-        return self._once("L", compute)
+        return self._once(("L", self.caps.enum), compute)
 
 
 def analysis(P: DoctrineData, caps: Caps = Caps()) -> Analysis:
@@ -386,26 +389,21 @@ def enumerate_functors(S: FinCat, Spc: ProductChoice, T: FinCat, Tpc: ProductCho
                        cap: int) -> list[FunctorData]:
     """All product-preserving functors S -> T, exhaustively (cap-guarded);
     the guard charges every candidate object map with the cost of one full
-    functoriality validation, so oversized instances abort up front."""
-    est = T.n_objects ** S.n_objects
-    guard("functor object maps", est, cap)
-    guard("functor enumeration work", est * max(1, int((S.comp >= 0).sum())), cap)
+    functoriality validation, so oversized instances abort up front.  The
+    arrow maps of an object map (identities go to identities, each other
+    arrow to a candidate) are counted from the hom sizes before any is listed."""
+    guard("functor enumeration work",
+          T.n_objects ** S.n_objects * max(1, int((S.comp >= 0).sum())), cap)
     non_id = np.flatnonzero(np.arange(S.n_arrows) != S.id_arr[S.src])
+    ends, sizes = list(zip(S.src[non_id].tolist(), S.tgt[non_id].tolist())), hom_sizes(T).tolist()
     out = []
     for omap in itertools.product(range(T.n_objects), repeat=S.n_objects):
-        cand_lists = []
-        total = 1
-        for s, t in zip(S.src[non_id].tolist(), S.tgt[non_id].tolist()):
-            cands = T.hom(omap[s], omap[t]).tolist()
-            total *= len(cands)
-            guard("functor arrow maps", total, cap)
-            cand_lists.append(cands)
-            if not cands:
-                break
-        # an identity goes to the identity of its image, the others to a
-        # combination of candidates; an empty candidate list leaves none
+        maps = math.prod(sizes[omap[s]][omap[t]] for s, t in ends)
+        guard("functor arrow maps", maps, cap)
+        if not maps:
+            continue
         amap = T.id_arr[np.array(omap, dtype=np.intp)[S.src]].astype(np.intp)
-        for combo in itertools.product(*cand_lists):
+        for combo in itertools.product(*(T.hom(omap[s], omap[t]).tolist() for s, t in ends)):
             amap[non_id] = combo
             F = FunctorData(S, T, omap, amap)
             if validate_functor(F, (Spc, Tpc)).ok:
@@ -441,14 +439,9 @@ def enumerate_morphisms(P: DoctrineData, R: DoctrineData,
     out = []
     fiber_homs = functools.cache(lambda o, fo: enumerate_fiber_homs(P.fibers[o], R.fibers[fo], cap))
     for F in enumerate_functors(P.cat, P.products, R.cat, R.products, cap):
-        hom_lists = []
-        total = 1
         ob = F.obj_map.tolist()
-        for o in range(P.cat.n_objects):
-            homs = fiber_homs(o, ob[o])
-            total *= max(1, len(homs))
-            guard("morphism components", total, cap)
-            hom_lists.append(homs)
+        hom_lists = [fiber_homs(o, ob[o]) for o in range(P.cat.n_objects)]
+        guard("morphism components", math.prod(map(len, hom_lists)), cap)
         cond = eed_conditions(P, R, F, E_P, E_R)
         if cond is None:
             continue
@@ -981,7 +974,8 @@ def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
     the canonical fiber comparison).
 
     An exact target is finitely complete, so it has a terminal object and
-    its product choice Xpc is not None (lemma)."""
+    its product choice Xpc is not None (lemma).  As in `_guarded`, a cap is
+    reported capped, with its size, and a structural restriction not applicable."""
     rep = Report("universal-property")
     try:
         ex = check_exact(X, Xscope, caps.enum)
@@ -1004,7 +998,7 @@ def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
             return rep
         mor_p = enumerate_morphisms(P, sub_x, E_P, E_SX, caps.enum)
         if P.scope.core != tuple(range(P.cat.n_objects)):
-            rep.add(Check("base-window", CAPPED,
+            rep.add(Check("base-window", NOT_APPLICABLE,
                           "base has non-core objects; enumeration restricted"))
             return rep
         tp, er = an.tp(), an.er()
@@ -1026,7 +1020,7 @@ def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
     except ResourceCap as exc:
         rep.add(Check("enumeration", CAPPED, str(exc),
                       {"what": exc.what, "size": exc.size, "cap": exc.cap}))
-    except WindowClosure as exc:
-        rep.add(Check("enumeration", CAPPED, str(exc),
-                      {"missing": exc.missing}))
+    except _NOT_COMPUTABLE as exc:
+        rep.add(Check("enumeration", NOT_APPLICABLE, str(exc),
+                      {"missing": exc.missing} if isinstance(exc, WindowClosure) else {}))
     return rep

@@ -29,7 +29,7 @@ from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
 from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
 from .errors import FormulaMismatch, MalformedPresentation, guard
 from .fincat import (DEFAULT_ENUM_CAP, TABLE_CELL_CAP, FinCat, FunctorData, ProductChoice,
-                     WindowScope, full_subcategory, greedy_product_core, is_mono,
+                     WindowScope, full_subcategory, greedy_product_core, hom_sizes, is_mono,
                      product_cone, terminal_object, validate_category)
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, sub_semilattice
 from .structure import ElementaryWitness, ExistentialWitness
@@ -37,6 +37,10 @@ from .structure import ElementaryWitness, ExistentialWitness
 
 @dataclass
 class Caps:
+    """`enum` bounds each enumeration sized against it before it starts:
+    points arrows; hom, arrow-class and equivalence-relation candidates;
+    functor work and arrow maps; fiber homomorphisms; morphism components."""
+
     enum: int = DEFAULT_ENUM_CAP
 
 
@@ -269,12 +273,12 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     if not rep.ok:
         raise MalformedPresentation(
             f"relation completion is not a category: {rep.message} at {rep.witness}")
-    pc = choose_products(cat, caps)
-    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    pc = choose_products(cat)
+    scope = WindowScope(greedy_product_core(cat))
     return TCompletion(cat, pc, scope, objs, obj_of, arrows, arr_of)
 
 
-def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
+def choose_products(cat: FinCat) -> ProductChoice | None:
     """Search a terminal and one product per object pair (where they exist);
     None when the category has no terminal.  `terminal_object` and
     `product_cone` test exactly what `validate_products` tests, so the
@@ -285,7 +289,7 @@ def choose_products(cat: FinCat, caps: Caps = Caps()) -> ProductChoice | None:
     pc = ProductChoice(terminal, {})
     for a in range(cat.n_objects):
         for b in range(cat.n_objects):
-            cone = product_cone(cat, a, b, caps.enum)
+            cone = product_cone(cat, a, b)
             if cone is not None:
                 pc.binary[(a, b)] = (cone.apex, *cone.legs)
     return pc
@@ -318,13 +322,14 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
     """Full subcategory of the relation completion on reflexive relations,
     those with delta <= rho.  That is top <= P_diag(rho) (lemma): the
     discovered delta is ∃_diag(top), for the left adjoint P_pr1(-) ∧ delta
-    of P_diag, so delta <= rho iff top <= P_diag(rho)."""
+    of P_diag, so delta <= rho iff top <= P_diag(rho).  `caps` is not read:
+    the category is full in tp.cat, whose candidates `build_tp` bounded."""
     keep = [oi for oi, (a, rel) in enumerate(tp.objects) if is_reflexive(P, E, a, rel)]
     objects = [tp.objects[oi] for oi in keep]
     inclusion = full_subcategory(tp.cat, keep)
     cat = inclusion.source
-    pc = choose_products(cat, caps)
-    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    pc = choose_products(cat)
+    scope = WindowScope(greedy_product_core(cat))
     obj_of = {pair: i for i, pair in enumerate(objects)}
     arr_of = {tp.arrows[t]: i for i, t in enumerate(inclusion.arr_map.tolist())}
     return ERCompletion(cat, pc, scope, tp, objects, obj_of, inclusion, arr_of)
@@ -384,10 +389,17 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     * P_f maps des(sigma) into des(rho) (reindex the descent of al along
       f×f), and P_f = P_g on des(sigma) when f ~ g (reindex it along f×g,
       then along the diagonal, where rho is top by reflexivity), so the
-      first representative gives the reindexing of its class."""
+      first representative gives the reindexing of its class.
+
+    A pair of objects over carriers A and B compares up to |hom(A, B)|²
+    pairs of base arrows: their total is bounded before any class is decided."""
     C = P.cat
     win = P.window
     objs = [(a, rel) for (a, rel) in per_objects(P) if is_reflexive(P, E, a, rel)]
+    per_carrier, sizes = Counter(a for a, _ in objs), hom_sizes(C)
+    guard("arrow class candidates", sum(m * n * int(sizes[a, b]) ** 2
+                                        for a, m in per_carrier.items()
+                                        for b, n in per_carrier.items()), caps.enum)
     obj_of = {pair: i for i, pair in enumerate(objs)}
     obj_names = [f"({C.objects[a]}|{P.fibers[win.prod(a, a)[0]].elements[rel]})"
                  for a, rel in objs]
@@ -429,8 +441,8 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
     reindex = [MonotoneMap(fibers[yi], fibers[xi],
                            positions[xi][P.r(members[0]).table[des_elements[yi]]])
                for xi, yi, members in classes]
-    pc = choose_products(cat, caps)
-    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    pc = choose_products(cat)
+    scope = WindowScope(greedy_product_core(cat))
     doct = DoctrineData(cat, pc if pc is not None else ProductChoice(0, {}),
                         scope, fibers, reindex)
     return QCompletion(cat, pc, scope, objs, obj_of, classes, doct, des_elements)

@@ -35,7 +35,7 @@ class DoctrineData:
     reindex: list[MonotoneMap]
     _window: Window | None = field(default=None, repr=False)
     _adjoints: dict[int, MonotoneMap | NoAdjoint] = field(default_factory=dict, repr=False)
-    # the memos of compare.Analysis, one per caps.enum
+    # the memo of compare.Analysis
     _analyses: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

@@ -340,7 +340,7 @@ def validate_products(C: FinCat, pc: ProductChoice) -> ValidationReport:
     t = pc.terminal
     if not 0 <= t < C.n_objects:
         return ValidationReport(False, "MissingEntry", (t,), "unknown terminal")
-    sizes, n = _hom_sizes(C), C.n_arrows
+    sizes, n = hom_sizes(C), C.n_arrows
     bad = np.flatnonzero(sizes[:, t] != 1)
     if len(bad):
         z = int(bad[0])
@@ -463,7 +463,7 @@ class Window:
 # ---------------------------------------------------------------------------
 
 
-def _hom_sizes(C: FinCat) -> np.ndarray:
+def hom_sizes(C: FinCat) -> np.ndarray:
     """sizes[z, x] = |hom(z, x)|, kept on C."""
     def derive() -> np.ndarray:
         k = C.n_objects
@@ -579,7 +579,7 @@ def full_subcategory(C: FinCat, objs: list[int] | tuple[int, ...]) -> FunctorDat
 
 def terminal_object(C: FinCat) -> int | None:
     """The first object with exactly one arrow from every object, if any."""
-    ones = (_hom_sizes(C) == 1).all(axis=0)
+    ones = (hom_sizes(C) == 1).all(axis=0)
     return int(ones.argmax()) if ones.any() else None
 
 
@@ -590,48 +590,49 @@ class Cone:
     legs: tuple[int, ...]
 
 
-def _first_limit(C: FinCat, counts: np.ndarray, cones_at, cap: int | None) -> Cone | None:
-    """The first limit, by apex, then legs, of counts[z] <= cap cones at z, listed by
-    `cones_at`: at an apex x with |hom(z, x)| = counts[z] at all z, its jointly monic cones."""
-    guard("cone enumeration", int(counts.sum()), cap)
-    for x in np.flatnonzero((_hom_sizes(C) == counts[:, None]).all(axis=0)).tolist():
+def _first_limit(C: FinCat, counts: np.ndarray, cones_at) -> Cone | None:
+    """The first limit, by apex, then legs, of counts[z] cones at z, listed by
+    `cones_at`: at an apex x with |hom(z, x)| = counts[z] at all z, its jointly monic cones.
+    No cap is needed (lemma): such an x has counts[x] = |hom(x, x)| cones, and
+    distinct objects have disjoint endomorphism sets, so a search lists at most
+    Σ_x |hom(x, x)| <= n_arrows cones, which the table cap bounds."""
+    for x in np.flatnonzero((hom_sizes(C) == counts[:, None]).all(axis=0)).tolist():
         legs = next((legs for legs in cones_at(x) if jointly_monic(C, legs)), None)
         if legs is not None:
             return Cone(x, legs)
     return None
 
 
-def pullback(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
-    """Searched once per (f, g, cap) and kept on C."""
+def pullback(C: FinCat, f: int, g: int) -> Cone | None:
+    """Searched once per (f, g) and kept on C."""
     if int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("pullback of arrows with different targets")
-    return C.kept(("pullback", f, g, cap), lambda: _first_limit(
-        C, _cospan_counts(C, f, g),
-        lambda x: map(tuple, _cospan_cones_at(C, f, g, x).tolist()), cap))
+    return C.kept(("pullback", f, g), lambda: _first_limit(
+        C, _cospan_counts(C, f, g), lambda x: map(tuple, _cospan_cones_at(C, f, g, x).tolist())))
 
 
-def kernel_pair(C: FinCat, f: int, cap: int | None = None) -> Cone | None:
-    return pullback(C, f, f, cap)
+def kernel_pair(C: FinCat, f: int) -> Cone | None:
+    return pullback(C, f, f)
 
 
-def equalizer(C: FinCat, f: int, g: int, cap: int | None = None) -> Cone | None:
+def equalizer(C: FinCat, f: int, g: int) -> Cone | None:
     """The limiting fork over a parallel pair, if the window contains one."""
     if int(C.src[f]) != int(C.src[g]) or int(C.tgt[f]) != int(C.tgt[g]):
         raise MalformedPresentation("equalizer of a non-parallel pair")
     into = C.into(int(C.src[f]))
     forks = into[C.comp[f, into] == C.comp[g, into]]
     return _first_limit(C, np.bincount(C.src[forks], minlength=C.n_objects),
-                        lambda x: [(e,) for e in forks[C.src[forks] == x].tolist()], cap)
+                        lambda x: [(e,) for e in forks[C.src[forks] == x].tolist()])
 
 
-def product_cone(C: FinCat, a: int, b: int, cap: int | None = None) -> Cone | None:
+def product_cone(C: FinCat, a: int, b: int) -> Cone | None:
     """A limiting span over (a, b), searched among all objects of C once
-    and kept on C, one per (a, b, cap)."""
+    and kept on C, one per (a, b)."""
     def derive() -> Cone | None:
-        sizes = _hom_sizes(C)
+        sizes = hom_sizes(C)
         return _first_limit(C, sizes[:, a] * sizes[:, b], lambda x: itertools.product(
-            C.hom(x, a).tolist(), C.hom(x, b).tolist()), cap)
-    return C.kept(("product_cone", a, b, cap), derive)
+            C.hom(x, a).tolist(), C.hom(x, b).tolist()))
+    return C.kept(("product_cone", a, b), derive)
 
 
 def weak_pullback(C: FinCat, f: int, g: int) -> tuple[int, int, int] | None:
@@ -641,7 +642,7 @@ def weak_pullback(C: FinCat, f: int, g: int) -> tuple[int, int, int] | None:
     if int(C.tgt[f]) != int(C.tgt[g]):
         return None                     # no cone at all
     counts = _cospan_counts(C, f, g)
-    for x in np.flatnonzero((_hom_sizes(C) >= counts[:, None]).all(axis=0)).tolist():
+    for x in np.flatnonzero((hom_sizes(C) >= counts[:, None]).all(axis=0)).tolist():
         spans = _cospan_cones_at(C, f, g, x)
         onto = _distinct_codes(C, x, spans) == counts.sum()
         if onto.any():
@@ -702,17 +703,17 @@ def is_coequalizer_of(C: FinCat, e: int, r: int, s: int) -> bool:
     return bool((after_e[forks] == 1).all())
 
 
-def is_regular_epi(C: FinCat, e: int, cap: int | None = None) -> bool:
+def is_regular_epi(C: FinCat, e: int) -> bool:
     """e is regular epi iff it is a coequalizer of its kernel pair; when the
     window lacks the kernel pair, fall back to searching all parallel pairs.
-    Kept on C per (e, cap)."""
+    Kept on C per e."""
     def derive() -> bool:
-        kp = kernel_pair(C, e, cap)
+        kp = kernel_pair(C, e)
         if kp is not None:
             return is_coequalizer_of(C, e, kp.legs[0], kp.legs[1])
         return any(is_coequalizer_of(C, e, r, s) for z in range(C.n_objects)
                    for r, s in itertools.product(C.hom(z, int(C.src[e])).tolist(), repeat=2))
-    return C.kept(("is_regular_epi", e, cap), derive)
+    return C.kept(("is_regular_epi", e), derive)
 
 
 @dataclass
@@ -722,17 +723,12 @@ class Factorization:
     image: int
 
 
-def image_factorization(C: FinCat, f: int, cap: int | None = None) -> Factorization | None:
+def image_factorization(C: FinCat, f: int) -> Factorization | None:
     """f = mono ∘ regular-epi, searched exhaustively; None when unavailable."""
     a, b = int(C.src[f]), int(C.tgt[f])
-    for i in range(C.n_objects):
-        for e in C.hom(a, i):
-            e = int(e)
-            for m in C.hom(i, b):
-                m = int(m)
-                if int(C.comp[m, e]) == f and is_mono(C, m) and is_regular_epi(C, e, cap):
-                    return Factorization(e, m, i)
-    return None
+    return next((Factorization(e, m, i) for i in range(C.n_objects)
+                 for e in C.hom(a, i).tolist() for m in C.hom(i, b).tolist()
+                 if int(C.comp[m, e]) == f and is_mono(C, m) and is_regular_epi(C, e)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +748,7 @@ class ExactnessVerdict:
         return self.exact
 
 
-def _internal_equivalence_relations(C: FinCat, x: int, cap: int | None):
+def _internal_equivalence_relations(C: FinCat, x: int):
     """Jointly monic reflexive symmetric transitive spans over x."""
     idx = int(C.id_arr[x])
     out = []
@@ -762,7 +758,7 @@ def _internal_equivalence_relations(C: FinCat, x: int, cap: int | None):
                     and len(mediating(C, (idx, idx), (r1, r2)))         # reflexive
                     and len(mediating(C, (r2, r1), (r1, r2)))):         # symmetric
                 continue
-            pb = pullback(C, r1, r2, cap)
+            pb = pullback(C, r1, r2)
             if pb is None:
                 continue  # transitivity not expressible inside the window
             q1, q2 = pb.legs
@@ -779,13 +775,16 @@ def check_exact(C: FinCat, scope: WindowScope | None = None,
     parallel pairs between core objects; regular: kernel pairs, image
     factorizations and pullback-stable regular epis for arrows between core
     objects; exact: every internal equivalence relation on a core object is
-    effective.  The verdict is kept on C, one per (core, cap)."""
+    effective.  The verdict is kept on C, one per core.  The cap bounds the
+    candidate equivalence relations, the Σ_z |hom(z, x)|² spans into each
+    core object x, counted before the verdict is read."""
     core = tuple(scope.core) if scope is not None else tuple(range(C.n_objects))
-    return C.kept(("check_exact", core, cap), lambda: _exactness_verdict(C, core, cap))
+    guard("equivalence relation candidates",
+          int((hom_sizes(C)[:, list(core)].astype(np.int64) ** 2).sum()), cap)
+    return C.kept(("check_exact", core), lambda: _exactness_verdict(C, core))
 
 
-def _exactness_verdict(C: FinCat, core: tuple[int, ...],
-                       cap: int | None) -> ExactnessVerdict:
+def _exactness_verdict(C: FinCat, core: tuple[int, ...]) -> ExactnessVerdict:
     """Each clause is decided only when the ones before it hold; a failing
     clause records its first witness."""
     witness: dict = {"core": tuple(C.objects[o] for o in core)}
@@ -793,59 +792,59 @@ def _exactness_verdict(C: FinCat, core: tuple[int, ...],
     for clause, first_failure in (("finitely_complete", _finite_limit_failure),
                                   ("regular", _regularity_failure),
                                   ("exact", _effectiveness_failure)):
-        bad = first_failure(C, core, cap) if all(holds) else None
+        bad = first_failure(C, core) if all(holds) else None
         if bad is not None:
             witness[clause] = bad
         holds.append(all(holds) and bad is None)
     return ExactnessVerdict(*holds, core, witness)
 
 
-def _finite_limit_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
+def _finite_limit_failure(C: FinCat, core: tuple[int, ...]):
     """A terminal, products of core pairs, equalizers of parallel pairs
     between core objects: the first that is missing, or None."""
     if terminal_object(C) is None:
         return "no terminal object"
     for a, b in itertools.product(core, repeat=2):
-        if product_cone(C, a, b, cap) is None:
+        if product_cone(C, a, b) is None:
             return (C.objects[a], C.objects[b])
     for a, b in itertools.product(core, repeat=2):
         for f, g in itertools.combinations(C.hom(a, b).tolist(), 2):
-            if equalizer(C, f, g, cap) is None:
+            if equalizer(C, f, g) is None:
                 return (C.arrows[f], C.arrows[g])
     return None
 
 
-def _regularity_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
+def _regularity_failure(C: FinCat, core: tuple[int, ...]):
     """Kernel pairs, image factorizations and pullback-stable regular epis
     for arrows between core objects: the first that fails, or None."""
     core_set = set(core)
     core_arrows = [f for f in range(C.n_arrows)
                    if int(C.src[f]) in core_set and int(C.tgt[f]) in core_set]
     for f in core_arrows:
-        if kernel_pair(C, f, cap) is None:
+        if kernel_pair(C, f) is None:
             return ("kernel pair", C.arrows[f])
-        if image_factorization(C, f, cap) is None:
+        if image_factorization(C, f) is None:
             return ("factorization", C.arrows[f])
-    for e in [f for f in core_arrows if is_regular_epi(C, f, cap)]:
+    for e in [f for f in core_arrows if is_regular_epi(C, f)]:
         for c in core:
             for g in C.hom(c, int(C.tgt[e])).tolist():
-                pb = pullback(C, e, g, cap)
+                pb = pullback(C, e, g)
                 if pb is None:
                     return ("stability pullback", C.arrows[e], C.arrows[g])
-                if not is_regular_epi(C, pb.legs[1], cap):
+                if not is_regular_epi(C, pb.legs[1]):
                     return ("stability", C.arrows[e], C.arrows[g])
     return None
 
 
-def _effectiveness_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
+def _effectiveness_failure(C: FinCat, core: tuple[int, ...]):
     """Every internal equivalence relation on a core object is the kernel
     pair of its coequalizer: the first that is not, or None."""
     for x in core:
-        for rob, r1, r2 in _internal_equivalence_relations(C, x, cap):
+        for rob, r1, r2 in _internal_equivalence_relations(C, x):
             q = next((q for q in C.outof(x).tolist() if is_coequalizer_of(C, q, r1, r2)), None)
             if q is None:
                 return ("no coequalizer", C.arrows[r1], C.arrows[r2])
-            kp = kernel_pair(C, q, cap)
+            kp = kernel_pair(C, q)
             if kp is None:
                 return ("no kernel pair of quotient", C.arrows[q])
             med = mediating(C, (r1, r2), kp.legs)
@@ -854,17 +853,13 @@ def _effectiveness_failure(C: FinCat, core: tuple[int, ...], cap: int | None):
     return None
 
 
-def greedy_product_core(C: FinCat, cap: int | None = DEFAULT_ENUM_CAP) -> tuple[int, ...]:
+def greedy_product_core(C: FinCat) -> tuple[int, ...]:
     """Largest product-closed core in identifier order: an object joins iff
     its products with every member (both ways) exist in C."""
     core: list[int] = []
     for x in range(C.n_objects):
-        ok = True
-        for y in core + [x]:
-            if product_cone(C, x, y, cap) is None or product_cone(C, y, x, cap) is None:
-                ok = False
-                break
-        if ok:
+        if all(product_cone(C, x, y) is not None and product_cone(C, y, x) is not None
+               for y in core + [x]):
             core.append(x)
     return tuple(core)
 

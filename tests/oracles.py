@@ -51,7 +51,7 @@ import numpy as np
 
 import crafted
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite, triple_product
-from doctrines.completions import (Caps, ERCompletion, LFunctorResult, NoExtension,
+from doctrines.completions import (ERCompletion, LFunctorResult, NoExtension,
                                    QCompletion, TCompletion, choose_products,
                                    is_reflexive)
 from doctrines.doctrine import DoctrineData, exists_along
@@ -661,10 +661,8 @@ def fs2_reindex(cat: FinCat, lookup: dict) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def limiting_cones(C, cones, cap=None):
+def limiting_cones(C, cones):
     """Cones through which every listed cone factors uniquely."""
-    if cap is not None and len(cones) > cap:
-        raise ResourceCap("cone enumeration", len(cones), cap)
     out = []
     for cand in cones:
         good = True
@@ -686,9 +684,9 @@ def limiting_cones(C, cones, cap=None):
     return out
 
 
-def enumerate_pullbacks(C, f: int, g: int, cap=None) -> list:
+def enumerate_pullbacks(C, f: int, g: int) -> list:
     """All limiting cones over the cospan (f: A->T, g: B->T); empty if none."""
-    return limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)], cap)
+    return limiting_cones(C, [Cone(z, (p, q)) for z, p, q in cospan_cones(C, f, g)])
 
 
 def product_cones(C, a: int, b: int) -> list:
@@ -709,12 +707,10 @@ def terminal_object(C) -> int | None:
                  if all(len(C.hom(z, t)) == 1 for z in range(C.n_objects))), None)
 
 
-def first_limiting_cone(C, cones: list[Cone], cap=None) -> Cone | None:
+def first_limiting_cone(C, cones: list[Cone]) -> Cone | None:
     """The first listed cone through which every listed cone factors
     uniquely, read off one mediator table per (candidate, apex); a
     candidate is dropped at the first cone that does not."""
-    if cap is not None and len(cones) > cap:
-        raise ResourceCap("cone enumeration", len(cones), cap)
     by_apex: dict[int, list[tuple[int, ...]]] = {}
     for cone in sorted(cones, key=lambda cone: cone.apex):
         by_apex.setdefault(cone.apex, []).append(cone.legs)
@@ -1024,8 +1020,7 @@ def l_value(P: DoctrineData, a: int, b: int, rho: int, sig: int, f: int) -> int:
     return int(e13.table[lifted])
 
 
-def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
-              caps: Caps = Caps()) -> ERCompletion:
+def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion) -> ERCompletion:
     """Full subcategory of the relation completion on reflexive relations.
 
     Membership by delta <= rho is asserted equivalent to top <= P_diag(rho)
@@ -1044,8 +1039,8 @@ def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
             keep.append(oi)
     objects = [tp.objects[oi] for oi in keep]
     cat = full_subcategory(tp.cat, keep).source
-    pc = choose_products(cat, caps)
-    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    pc = choose_products(cat)
+    scope = WindowScope(greedy_product_core(cat))
     inclusion = crafted.functor(cat, tp.cat, {nm: nm for nm in cat.objects},
                                 {nm: nm for nm in cat.arrows})
     obj_of = {pair: i for i, pair in enumerate(objects)}
@@ -1086,8 +1081,7 @@ def functor_D(P: DoctrineData, E: ElementaryWitness, er: ERCompletion) -> Functo
     return crafted.functor(base, er.cat, obj_map, arr_map)
 
 
-def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
-             caps: Caps = Caps()) -> QCompletion:
+def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness) -> QCompletion:
     """Objects are reflexive relations over core carriers; arrows are classes
     of base arrows respecting the relations, identified when related as a
     pair.  The identification is verified to be an equivalence relation, and
@@ -1197,8 +1191,8 @@ def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                 f"descent reindexing differs across representatives of {names[ci]}")
         reindex.append(MonotoneMap(fibers[yi], fibers[xi],
                                    np.array(tables[0], dtype=np.int32)))
-    pc = choose_products(cat, caps)
-    scope = WindowScope(greedy_product_core(cat, caps.enum))
+    pc = choose_products(cat)
+    scope = WindowScope(greedy_product_core(cat))
     doct = DoctrineData(cat, pc if pc is not None else ProductChoice(0, {}),
                         scope, fibers, reindex)
     return QCompletion(cat, pc, scope, objs, obj_of, classes, doct, des_elements)

@@ -103,16 +103,27 @@ def test_demo_decides_exactness_once_per_completion(monkeypatch, capsys):
     kept = []
     original = fincat._exactness_verdict
 
-    def counted(C, core, cap):
+    def counted(C, core):
         kept.append(C)
-        decided[(id(C), core, cap)] += 1
-        return original(C, core, cap)
+        decided[(id(C), core)] += 1
+        return original(C, core)
     monkeypatch.setattr(fincat, "_exactness_verdict", counted)
     asked = _count_calls(monkeypatch, "check_exact")
     assert main(["demo"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "demo.txt").read_text()
     assert decided and max(decided.values()) == 1
     assert sum(asked.values()) > sum(decided.values())
+
+
+def test_caps_share_the_parts_no_cap_reaches(monkeypatch, capsys):
+    """Under a cap other than the default, `complete` reads the eed verdict
+    that `check_report` kept: the doctrine laws and structure are decided
+    once per doctrine, only the completions once per cap."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    decided = _count_calls(monkeypatch, "eed_checks")
+    assert main(["complete", "fs2", "--kind", "tp", "--cap-enum", "2000000"]) == 0
+    assert capsys.readouterr().out.startswith("complete --kind tp\n")
+    assert list(decided.values()) == [1]
 
 
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])

@@ -106,6 +106,17 @@ def test_complete_resource_cap_exit_3():
     assert "resource cap" in r.stderr
 
 
+def test_universal_reports_a_restricted_base_not_applicable(tmp_path, capsys):
+    """chain with u left out of its core: the enumeration from the base is
+    restricted, which is not a cap, so `universal` exits 0 and says why."""
+    path = tmp_path / "chain_v.dtn"
+    path.write_text((ROOT / "fixtures" / "chain.dtn").read_text()
+                    .replace("core { u v }", "core { v }"))
+    assert main(["universal", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "  [n/a] base-window  witness=base has non-core objects; enumeration restricted\n")
+
+
 def test_compare_summaries():
     r = run("compare", "chain")
     assert r.returncode == 0

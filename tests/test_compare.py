@@ -8,13 +8,14 @@ import pytest
 
 import crafted
 import oracles
-from doctrines import compare, fixtures
+from doctrines import compare, fincat, fixtures
 from doctrines.compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
-from doctrines.completions import Caps, build_gr, build_tp, tp_sub_restriction
+from doctrines.completions import Caps, build_gr, build_qp, build_tp, tp_sub_restriction
 from doctrines.doctrine import sub_doctrine
 from doctrines.errors import ResourceCap
-from doctrines.fincat import FunctorData, inverse_of, is_iso, validate_functor
+from doctrines.fincat import (FunctorData, ProductChoice, WindowScope, check_exact, inverse_of,
+                              is_iso, validate_functor)
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
 from doctrines.structure import (ElementaryWitness, discover_elementary,
@@ -308,6 +309,45 @@ def test_universal_fs2_caps(fs2):
     assert not rep.any_failed()
     capped = [c for c in rep.walk() if c.status == CAPPED]
     assert capped and "cap" in capped[0].data
+
+
+def test_universal_reports_an_unsubobjectable_target_not_applicable(triv):
+    """The V poset is exact on its terminal core {t}, but its subobjects
+    over every object have no meets: the harness says so instead of
+    raising."""
+    X = crafted.v_poset()
+    pc = crafted.choice(X, "t", {("t", "t"): ("t", "idt", "idt")})
+    rep = verify_universal(triv, X, pc, WindowScope((X.obj_index["t"],)))
+    assert [(c.name, c.status, c.witness, c.data) for c in rep.checks] == [
+        ("target-exact", PASS, None, {"core": ["t"]}),
+        ("enumeration", NOT_APPLICABLE, "elements [at], [bt] have no lower bound", {})]
+    assert not rep.any_capped()
+
+
+def test_universal_reports_a_window_closure_not_applicable(triv):
+    """A meet of subobjects that is not their pullback is a structural
+    restriction of the target, reported with the product it misses, not a
+    cap."""
+    X = crafted.meet_not_pullback()
+    pc = crafted.choice(X, "A", {("A", "A"): ("A", "idA", "idA")})
+    rep = verify_universal(triv, X, pc, WindowScope((X.obj_index["A"],)))
+    assert [(c.name, c.status, c.witness, c.data) for c in rep.checks] == [
+        ("target-exact", PASS, None, {"core": ["A"]}),
+        ("enumeration", NOT_APPLICABLE, "window closure violated: missing product A"
+         " (subobject meet of [m1], [m2] is not their pullback)", {"missing": ("A",)})]
+    assert not rep.any_capped()
+
+
+def test_universal_reports_a_base_window_not_applicable(chain):
+    """A base with objects outside its core restricts the enumeration: the
+    harness says so after enumerating from the base."""
+    P = dataclasses.replace(chain, scope=WindowScope(chain.scope.core[:1]), _window=None,
+                            _adjoints={}, _analyses={})
+    tp = analysis(chain).tp()
+    rep = verify_universal(P, tp.cat, tp.pc, tp.scope)
+    assert (rep.checks[-1].name, rep.checks[-1].status, rep.checks[-1].witness) == \
+        ("base-window", NOT_APPLICABLE, "base has non-core objects; enumeration restricted")
+    assert not rep.any_capped()
 
 
 def _universal_sides(P):
@@ -700,10 +740,12 @@ def _capped(call) -> tuple[str, int, int]:
     return raised.value.what, raised.value.size, raised.value.cap
 
 
-def test_functor_object_maps_cap(chain):
+def test_functor_enumeration_work_cap(chain):
+    """Chain's 4 object maps into itself, each charged with one check of
+    every composable pair, refused before any is listed."""
     C, pc = chain.cat, chain.products
     assert _capped(lambda: compare.enumerate_functors(C, pc, C, pc, 3)) == \
-        ("functor object maps", 4, 3)
+        ("functor enumeration work", 4 * int((C.comp >= 0).sum()), 3)
 
 
 def test_functor_arrow_maps_cap(chain, fs2):
@@ -716,6 +758,42 @@ def test_functor_arrow_maps_cap(chain, fs2):
                 if (n := len(T.hom(x, y))) > cap)
     assert _capped(lambda: compare.enumerate_functors(S, chain.products, T, fs2.products, cap)) \
         == ("functor arrow maps", size, cap)
+
+
+def test_functor_arrow_maps_are_sized_in_full(fs2):
+    """The V poset into fs2's sets 2 and 8, under the cap of its work
+    estimate, 2^3 object maps by 7 composable pairs: the first object map
+    with more arrow maps sends a and b to 2 and t to 8, and is refused with
+    all 64 · 64 of them, not with the 64 of its first arrow."""
+    S = crafted.v_poset()
+    T = fincat.full_subcategory(fs2.cat, [fs2.cat.obj_index["2"], fs2.cat.obj_index["8"]]).source
+    pc = crafted.choice(S, "t", {("t", "t"): ("t", "idt", "idt")})
+    assert _capped(lambda: compare.enumerate_functors(S, pc, T, ProductChoice(0, {}), 56)) == \
+        ("functor arrow maps", 64 * 64, 56)
+
+
+def test_equivalence_relation_candidates_cap(chain):
+    """check_exact counts the spans (r1, r2) into each core object before
+    it reads its verdict, kept or not: Σ_z |hom(z, x)|² over core x."""
+    tp = analysis(chain).tp()
+    C, core = tp.cat, tp.scope.core
+    size = sum(len(C.hom(z, x)) ** 2 for x in core for z in range(C.n_objects))
+    assert size == 17
+    assert check_exact(C, tp.scope, size).exact
+    assert _capped(lambda: check_exact(C, tp.scope, size - 1)) == \
+        ("equivalence relation candidates", size, size - 1)
+
+
+@pytest.mark.parametrize("name, size", [("chain", 3), ("fs2", 79)])
+def test_arrow_class_candidates_cap(request, name, size):
+    """build_qp counts the pairs of base arrows it may compare, |hom(A, B)|²
+    for each pair of its objects over carriers A and B, before it decides
+    any class."""
+    P, E, X = request.getfixturevalue("witnesses")[name]
+    q = build_qp(P, E, X, Caps(size))
+    assert sum(len(P.cat.hom(a, b)) ** 2 for a, _ in q.objects for b, _ in q.objects) == size
+    assert _capped(lambda: build_qp(P, E, X, Caps(size - 1))) == \
+        ("arrow class candidates", size, size - 1)
 
 
 def test_fiber_homomorphisms_cap(triv):

@@ -372,3 +372,34 @@ def test_category_keeps_derived_data_in_one_store():
     category keeps what it derives only in the store read by `kept`."""
     assert attributes_set((SRC / "fincat.py").read_text(), "FinCat", "_derive") == \
         {"_hom", "_into", "_outof", "_kept"}
+
+
+def running_totals(source: str) -> list[str]:
+    """Each `guard(...)` call whose size is a name that an augmented
+    assignment changes in the same function, as `function:name`."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        changed = {node.target.id for node in ast.walk(fn)
+                   if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        out += [f"{fn.name}:{node.args[1].id}" for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "guard"
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Name)
+                and node.args[1].id in changed]
+    return out
+
+
+def test_scan_finds_running_totals():
+    source = ("def f(xs, cap):\n    total = 1\n    for x in xs:\n        total *= x\n"
+              "        guard('a', total, cap)\n    n = len(xs)\n    guard('b', n, cap)\n\n"
+              "def g(xs, cap):\n    size = sum(xs)\n    errors.guard('c', size, cap)\n"
+              "    size += 1\n")
+    assert running_totals(source) == ["f:total", "g:size"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_caps_compare_full_sizes(path):
+    """A cap carries the full size of the work it stops: no guard is
+    handed a total that grows as the work goes."""
+    assert running_totals((SRC / path).read_text()) == []

@@ -5,7 +5,8 @@ decided by counting cones (`fincat` module docstring), and comprehensions
 by counting factorizations.  On random small categories of finite maps, on
 the fixtures and their tp completions, and on corrupted product choices,
 each must give the results of the former loops in `oracles.py`, in order.
-Product cones are searched once per category, pair and cap."""
+Product cones are searched once per category and pair, and a search lists
+at most one cone per endomorphism."""
 
 import copy
 import itertools
@@ -21,7 +22,6 @@ import oracles
 from doctrines import completions, fincat, fixtures
 from doctrines.compare import analysis
 from doctrines.completions import choose_products
-from doctrines.errors import ResourceCap
 from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, equalizer,
                               factor_counts, greedy_product_core, is_coequalizer_of, is_mono,
                               is_regular_epi, jointly_monic, mediating, product_cone, pullback,
@@ -328,23 +328,23 @@ def test_comprehension_arrows_match_oracle(P):
 
 def test_product_cones_searched_once_per_category(chain, monkeypatch):
     """choose_products, greedy_product_core and check_exact share one cone
-    search per (a, b, cap) on a copy of a completion category."""
+    search per (a, b) on a copy of a completion category."""
     C = copy.deepcopy(analysis(chain).tp().cat)
     calls, searches, inside = [], [], []
     search, first_limit = fincat.product_cone, fincat._first_limit
 
-    def counted_product_cone(C, a, b, cap=None):
-        calls.append((a, b, cap))
+    def counted_product_cone(C, a, b):
+        calls.append((a, b))
         inside.append(True)
         try:
-            return search(C, a, b, cap)
+            return search(C, a, b)
         finally:
             inside.pop()
 
-    def counted_first_limit(C, counts, cones_at, cap):
+    def counted_first_limit(C, counts, cones_at):
         if inside:
             searches.append(counts)
-        return first_limit(C, counts, cones_at, cap)
+        return first_limit(C, counts, cones_at)
 
     for module in (fincat, completions):
         monkeypatch.setattr(module, "product_cone", counted_product_cone)
@@ -358,7 +358,7 @@ def test_product_cones_searched_once_per_category(chain, monkeypatch):
 def test_copies_start_with_an_empty_cone_memo(chain):
     C = analysis(chain).tp().cat
     assert product_cone(C, 0, 0) is product_cone(C, 0, 0)
-    assert ("product_cone", 0, 0, None) in C._kept
+    assert ("product_cone", 0, 0) in C._kept
     assert copy.copy(C)._kept == {}
     assert copy.deepcopy(C)._kept == {}
     assert pickle.loads(pickle.dumps(C))._kept == {}
@@ -373,7 +373,7 @@ def test_copies_start_without_counting_tables(chain):
     f = int(C.into(0)[-1])
     assert pullback(C, f, f) is not None and pullback(C, f, f) is pullback(C, f, f)
     regular = is_regular_epi(C, f)
-    assert C._kept["is_regular_epi", f, None] == regular
+    assert C._kept["is_regular_epi", f] == regular
     kinds = {key[0] for key in C._kept}
     assert {"hom_sizes", "histograms", "jointly_monic", "pullback"} <= kinds
     for table in [value for key, value in C._kept.items() if key[0] in ("hom_sizes", "histograms")]:
@@ -430,13 +430,65 @@ def test_exactness_names_a_missing_terminal():
     assert v.witness == {"core": ("a", "b"), "finitely_complete": "no terminal object"}
 
 
-@pytest.mark.parametrize("search, what", [(fincat.pullback, "cone enumeration")])
-def test_cone_enumeration_caps(chain, search, what):
-    """The cospan (idv, idv) of chain has the cones (u, m, m) and
-    (v, idv, idv); a cap of one refuses them before any search."""
-    C = chain.cat
-    idv = C.arr_index["idv"]
-    assert fincat._cospan_counts(C, idv, idv).sum() == len(oracles.cospan_cones(C, idv, idv)) == 2
-    with pytest.raises(ResourceCap) as raised:
-        search(C, idv, idv, cap=1)
-    assert (raised.value.what, raised.value.size, raised.value.cap) == (what, 2, 1)
+def _listed_cones(monkeypatch) -> list[tuple[fincat.FinCat, list[tuple[int, int]]]]:
+    """Per limit search, its category and the apexes at which it listed
+    cones, each with the number of cones listed there."""
+    searches = []
+    first_limit = fincat._first_limit
+
+    def counted(C, counts, cones_at):
+        apexes = []
+        searches.append((C, apexes))
+
+        def listing(x):
+            cones = list(cones_at(x))
+            apexes.append((x, len(cones)))
+            return cones
+        return first_limit(C, counts, listing)
+    monkeypatch.setattr(fincat, "_first_limit", counted)
+    return searches
+
+
+def _assert_endomorphisms_bound(searches):
+    """The lemma in `_first_limit`: at an apex x that can hold a limit the
+    cones number |hom(x, x)|, so a search lists at most Σ_x |hom(x, x)|
+    <= n_arrows of them."""
+    assert searches
+    for C, apexes in searches:
+        assert all(n == len(C.hom(x, x)) for x, n in apexes)
+        assert sum(n for _, n in apexes) <= \
+            sum(len(C.hom(x, x)) for x in range(C.n_objects)) <= C.n_arrows
+
+
+@settings(max_examples=30)
+@given(concrete_categories())
+def test_limit_searches_list_at_most_the_endomorphisms(sample):
+    """Every pullback, equalizer and product cone of a random category,
+    and its exactness."""
+    C = copy.deepcopy(sample[0])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        searches = _listed_cones(monkeypatch)
+        for f, g in _pairs(C, False):
+            pullback(C, f, g)
+        for f, g in _pairs(C, True):
+            equalizer(C, f, g)
+        for a, b in itertools.product(range(C.n_objects), repeat=2):
+            product_cone(C, a, b)
+        check_exact(C)
+    _assert_endomorphisms_bound(searches)
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "fs2"])
+def test_completion_searches_list_at_most_the_endomorphisms(monkeypatch, name):
+    """Every limit search made while a fresh fixture's completions are
+    built and their exactness decided (fs2's points category is over the
+    arrow cap)."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    searches = _listed_cones(monkeypatch)
+    P = fixtures.BUILTIN_FIXTURES[name]()
+    an = analysis(P)
+    cats = [an.tp().cat, an.er().cat, an.qp().cat] + ([an.gr().cat] if name != "fs2" else [])
+    for C in cats:
+        check_exact(C)
+    assert {id(C) for C, _ in searches} == {id(C) for C in cats}
+    _assert_endomorphisms_bound(searches)
