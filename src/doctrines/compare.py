@@ -8,7 +8,6 @@ still reported, labeled unclaimed.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -24,7 +23,7 @@ from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
                           functor_L, iota_iso, tp_sub_restriction,
                           transitive_extension)
 from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
-from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
+from .errors import (FormulaMismatch, MalformedPresentation,
                      ResourceCap, WindowClosure, guard)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      WindowScope, check_equivalence, check_exact, hom_sizes, inverse_of,
@@ -51,7 +50,13 @@ def _status(ok: bool) -> str:
 def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
                                          ExistentialWitness | None]:
     """Discovery plus stability, reciprocity and the equality-tensor law,
-    bundled as one verdict that fails when any of them fails."""
+    bundled as one verdict that fails when any of them fails: kept on P,
+    and the tree handed out is a copy a report may change."""
+    root, E, X = P.kept(("eed",), lambda: _eed_checks(P))
+    return root.copy(), E, X
+
+
+def _eed_checks(P: DoctrineData) -> tuple:
     root = Check("eed", PASS)
     E = discover_elementary(P)
     if isinstance(E, StructureFailure):
@@ -84,66 +89,41 @@ def eed_checks(P: DoctrineData) -> tuple[Check, ElementaryWitness | None,
 
 
 # ---------------------------------------------------------------------------
-# one memoized analysis per doctrine
+# one view of a doctrine's store
 # ---------------------------------------------------------------------------
 
 
 class Analysis:
     """Law verdicts, structure, comprehensions and completions of one
-    doctrine, each computed on its first read and kept in the doctrine's
-    `_analyses`: the parts no cap reaches once per doctrine, the completions
-    and the comparison functor once per caps.enum, the bound on their work.
-    Functional relations are total on the source, the paper's condition (v).
-
-    An error raised while computing a part is kept as that part's outcome
-    and raised again, as a copy, on every later read, so a reader sees what
-    a fresh computation would show.  Nothing kept refers back to the
-    doctrine, so it is freed with it.  A doctrine must not be mutated once
-    its analysis exists: fault-injection code builds a fresh doctrine."""
+    doctrine under caps: each is read from the doctrine's store through its
+    public function, so it is computed once per doctrine whoever asks, the
+    completions once per caps.enum.  The analysis itself holds nothing.
+    Functional relations are total on the source, the paper's condition (v)."""
 
     def __init__(self, P: DoctrineData, caps: Caps):
-        self.P = P
-        self.caps = caps
-        self._memo = P._analyses
-
-    def _once(self, part: str | tuple[str, int], compute):
-        if part not in self._memo:
-            try:
-                self._memo[part] = (compute(), None)
-            except DoctrinesError as exc:
-                self._memo[part] = (None, _copy_error(exc))
-                raise
-        value, exc = self._memo[part]
-        if exc is not None:
-            raise _copy_error(exc)
-        return value
+        self.P, self.caps = P, caps
 
     def category(self) -> ValidationReport:
-        return self._once("category", lambda: validate_category(self.P.cat))
+        return self.P.kept(("category",), lambda: validate_category(self.P.cat))
 
     def products(self) -> ValidationReport:
-        return self._once("products",
-                          lambda: validate_products(self.P.cat, self.P.products))
+        return self.P.kept(("products",),
+                           lambda: validate_products(self.P.cat, self.P.products))
 
     def doctrine_laws(self) -> ValidationReport:
-        return self._once("doctrine", lambda: validate_doctrine(self.P))
-
-    def _eed(self) -> tuple[Check, ElementaryWitness | None, ExistentialWitness | None]:
-        return self._once("eed", lambda: eed_checks(self.P))
+        return validate_doctrine(self.P)
 
     def eed(self) -> tuple[Check, ElementaryWitness | None, ExistentialWitness | None]:
-        """The `eed_checks` verdict; the tree is a copy a report may change."""
-        root, E, X = self._eed()
-        return copy.deepcopy(root), E, X
+        return eed_checks(self.P)
 
     def comprehensions(self) -> ComprehensionTable:
-        return self._once("comprehensions", lambda: comprehension_table(self.P))
+        return comprehension_table(self.P)
 
     # the parts below need the discovered structure
 
     def _structure(self, part: str) -> tuple[ElementaryWitness, ExistentialWitness]:
         """E and X, or an error naming the discovery that failed."""
-        _, E, X = self._eed()
+        _, E, X = self.eed()
         if E is None or X is None:
             failed = "elementary" if E is None else "existential"
             raise MalformedPresentation(f"{part} needs the {failed} structure, "
@@ -151,44 +131,30 @@ class Analysis:
         return E, X
 
     def rule_of_choice(self) -> CheckVerdict:
-        return self._once("choice", lambda: check_rule_of_choice(
-            self.P, self._structure("the rule of choice")[1]))
+        return check_rule_of_choice(self.P, self._structure("the rule of choice")[1])
 
     def gr(self) -> GrCompletion:
-        return self._once(("gr", self.caps.enum), lambda: build_gr(self.P, self.caps))
+        return build_gr(self.P, self.caps)
 
     def tp(self) -> TCompletion:
-        return self._once(("tp", self.caps.enum),
-                          lambda: build_tp(self.P, *self._structure("tp"), self.caps))
+        return build_tp(self.P, *self._structure("tp"), self.caps)
 
     def er(self) -> ERCompletion:
-        return self._once(("er", self.caps.enum), lambda: build_erp(
-            self.P, self._structure("er")[0], self.tp(), self.caps))
+        return build_erp(self.P, self._structure("er")[0], self.tp(), self.caps)
 
     def qp(self) -> QCompletion:
-        return self._once(("qp", self.caps.enum),
-                          lambda: build_qp(self.P, *self._structure("qp"), self.caps))
+        return build_qp(self.P, *self._structure("qp"), self.caps)
 
     def L(self) -> LFunctorResult:
         """The comparison functor; a failure to build er comes before one of qp."""
-        def compute():
-            E, X = self._structure("L")
-            er = self.er()
-            return functor_L(self.P, E, X, self.qp(), er)
-        return self._once(("L", self.caps.enum), compute)
+        E, X = self._structure("L")
+        er = self.er()
+        return functor_L(self.P, E, X, self.qp(), er)
 
 
 def analysis(P: DoctrineData, caps: Caps = Caps()) -> Analysis:
     """The analysis of P under these caps."""
     return Analysis(P, caps)
-
-
-def _copy_error(exc: DoctrinesError) -> DoctrinesError:
-    """The error without its traceback, whose frames hold the doctrine.
-    `copy.copy` would call the error's own __init__ with its message."""
-    out = type(exc).__new__(type(exc), *exc.args)
-    out.__dict__.update(exc.__dict__)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ from __future__ import annotations
 import contextlib
 from collections import Counter
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .allegory import RelArrow, rel_compose, transitive_mask, triple_product
-from .doctrine import DoctrineData, exists_along, sub_doctrine, subobject_poset
+from .doctrine import DoctrineData, exists_along, kept_as, sub_doctrine, subobject_poset
 from .errors import FormulaMismatch, MalformedPresentation, guard
 from .fincat import (DEFAULT_ENUM_CAP, TABLE_CELL_CAP, FinCat, FunctorData, ProductChoice,
                      WindowScope, full_subcategory, greedy_product_core, hom_sizes, is_mono,
@@ -76,6 +77,7 @@ class GrCompletion:
     arr_of: dict[tuple[int, int, int], int]   # (base arrow, source el, target el) -> arrow
 
 
+@kept_as(lambda P, caps=Caps(): ("gr", caps.enum))
 def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     """Objects are pairs (A, a) with a in P(A); an arrow over f: A -> B exists
     iff a <= P_f(b).  Products are carried by base products with meets of the
@@ -89,12 +91,13 @@ def build_gr(P: DoctrineData, caps: Caps = Caps()) -> GrCompletion:
     products are therefore not validated again.
 
     The whole arrow count, the sum over base arrows f: A -> B and elements
-    b of P(B) of |↓P_f(b)|, is compared with caps.enum before any arrow is
-    built."""
+    b of P(B) of |↓P_f(b)|, is compared with caps.enum, then with the arrows
+    whose table the table cap admits, before any arrow is built."""
     C = P.cat
     down_count = [P.fibers[o].leq.sum(axis=0) for o in range(C.n_objects)]
     need = sum(int(down_count[int(C.src[f])][P.r(f).table].sum()) for f in range(C.n_arrows))
     guard("points category arrows", need, caps.enum)
+    guard("points category arrows", need, isqrt(TABLE_CELL_CAP))
     objs: list[tuple[int, int]] = []
     for o in range(C.n_objects):
         for el in range(P.fibers[o].n):
@@ -219,6 +222,7 @@ def functional_relations(P: DoctrineData, W: ExistentialWitness,
     return [int(i) for i in np.flatnonzero(ok)]
 
 
+@kept_as(lambda P, E, W, caps=Caps(): ("tp", caps.enum, *P.keys_of(E, W)))
 def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
              caps: Caps = Caps()) -> TCompletion:
     """The category of symmetric-transitive relations and functional
@@ -236,7 +240,8 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
 
     Every pair of relation objects over carriers A and B has the elements
     of P(A×B) as its candidate arrows; their total over all pairs is
-    compared with caps.enum before any candidate is decided."""
+    compared with caps.enum before any candidate is decided, and after each
+    pair the arrows so far with those whose table the table cap admits."""
     objs = per_objects(P)
     per_carrier = Counter(a for a, _ in objs)
     need = sum(m * n * P.fibers[P.window.prod(a, b)[0]].n
@@ -256,6 +261,7 @@ def build_tp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
                 arrows.append((xi, yi, el))
                 fib = P.fibers[P.window.prod(x[0], y[0])[0]]
                 names.append(f"({obj_names[xi]}~{obj_names[yi]}|{fib.elements[el]})")
+            guard("relation completion arrows", len(arrows), isqrt(TABLE_CELL_CAP), at_least=True)
 
     def compose(j: int, i: int) -> int:
         (xi, yi, el1), (_, zi, el2) = arrows[i], arrows[j]
@@ -317,6 +323,7 @@ def is_reflexive(P: DoctrineData, E: ElementaryWitness, a: int, rel: int) -> boo
     return P.fibers[aa].le(E.delta[a], rel)
 
 
+@kept_as(lambda P, E, tp, caps=Caps(): ("er", *P.keys_of(E, tp)))
 def build_erp(P: DoctrineData, E: ElementaryWitness, tp: TCompletion,
               caps: Caps = Caps()) -> ERCompletion:
     """Full subcategory of the relation completion on reflexive relations,
@@ -372,6 +379,7 @@ class QCompletion:
     des_elements: list[list[int]]                     # fiber indices into P(A)
 
 
+@kept_as(lambda P, E, W, caps=Caps(): ("qp", caps.enum, *P.keys_of(E, W)))
 def build_qp(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
              caps: Caps = Caps()) -> QCompletion:
     """Objects are reflexive relations over core carriers; arrows are classes
@@ -460,6 +468,7 @@ class LFunctorResult:
     skipped: list[str]       # arrows where the first form's existential is missing
 
 
+@kept_as(lambda P, *structure: ("L", *P.keys_of(*structure)))
 def functor_L(P: DoctrineData, E: ElementaryWitness, W: ExistentialWitness,
               q: QCompletion, er: ERCompletion) -> LFunctorResult:
     """Identity on objects; a class [f]: (A,rho) -> (B,sigma) goes to the

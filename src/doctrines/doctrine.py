@@ -11,11 +11,12 @@ and on a failure over every arrow, where it names the canonical witness.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedPresentation, NoWeakPullback, WindowClosure
+from .errors import MalformedPresentation, NoWeakPullback, Store, WindowClosure
 from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, is_mono,
                      _typing_violation, first_without_weak_pullback, weak_pullback)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint,
@@ -23,10 +24,12 @@ from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, le
 
 
 @dataclass
-class DoctrineData:
+class DoctrineData(Store):
     """Base window plus fiber and reindexing tables.
 
-    reindex[f] maps the fiber of target(f) to the fiber of source(f)."""
+    reindex[f] maps the fiber of target(f) to the fiber of source(f).  The
+    store keeps what is derived from the tables, which must not change once
+    it holds anything: fault injection uses a fresh doctrine or a copy."""
 
     cat: FinCat
     products: ProductChoice
@@ -34,9 +37,7 @@ class DoctrineData:
     fibers: list[FinInfSL]
     reindex: list[MonotoneMap]
     _window: Window | None = field(default=None, repr=False)
-    _adjoints: dict[int, MonotoneMap | NoAdjoint] = field(default_factory=dict, repr=False)
-    # the memo of compare.Analysis
-    _analyses: dict = field(default_factory=dict, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def window(self) -> Window:
@@ -47,12 +48,29 @@ class DoctrineData:
     def r(self, f: int) -> MonotoneMap:
         return self.reindex[f]
 
+    def keys_of(self, *values) -> tuple:
+        """The key of each value in the store, by identity; None if not kept."""
+        where = {id(value): key for key, value in self._kept.items()}
+        return tuple(where.get(id(value)) for value in values)
+
+
+def kept_as(key):
+    """Read what the decorated function derives from its first argument, a
+    doctrine or a category, through its store under key(*args): a name,
+    then caps.enum and the keys of structure arguments (`keys_of`) as read.
+    A key holding None, for an argument not kept there, keeps nothing."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def read(owner, *args, **kwargs):
+            derive, k = functools.partial(fn, owner, *args, **kwargs), key(owner, *args, **kwargs)
+            return derive() if None in k else owner.kept(k, derive)
+        return read
+    return wrap
+
 
 def exists_along(P: DoctrineData, f: int) -> MonotoneMap | NoAdjoint:
-    """Left adjoint of reindexing along f, memoized per doctrine."""
-    if f not in P._adjoints:
-        P._adjoints[f] = left_adjoint(P.r(f))
-    return P._adjoints[f]
+    """Left adjoint of reindexing along f, kept on the doctrine."""
+    return P.kept(("exists_along", f), lambda: left_adjoint(P.r(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +78,7 @@ def exists_along(P: DoctrineData, f: int) -> MonotoneMap | NoAdjoint:
 # ---------------------------------------------------------------------------
 
 
+@kept_as(lambda P: ("doctrine",))
 def validate_doctrine(P: DoctrineData) -> ValidationReport:
     """Fibers are inf-semilattices, reindexing is typed, identity-preserving,
     functorial on every composable pair, and a homomorphism on every arrow.
@@ -305,11 +324,14 @@ def _greatest_classes(C: FinCat, reps_by_obj: list[list[int]],
     return tables
 
 
+@kept_as(lambda C, pc, scope: ("sub_doctrine", id(pc), scope.core))
 def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineData:
     """Fibers are subobject posets (canonical representative = least arrow id),
     reindexing is pullback of monos, computed by `_greatest_classes` as the
     largest subobject whose image lands in the given one; missing pullbacks
-    are window-closure errors."""
+    are window-closure errors.  Kept on C by the identity of pc, which the
+    doctrine holds, and by the core; it refers to C, the one reference
+    cycle of a store, freed with C by the cycle collector."""
     fibers, reps_by_obj, masks_by_obj = [], [], []
     for a in range(C.n_objects):
         fib, reps, masks, _ = subobject_poset(C, a)

@@ -1,10 +1,25 @@
-"""Structured errors shared across the workbench.
+"""Structured errors, and the store of derived data, shared across the workbench.
 
 Hard errors are exceptions; check-style verdicts live in `report`.  Every
 exception carries enough payload to reconstruct what was demanded and where.
 """
 
 from __future__ import annotations
+
+
+class Store:
+    """What an object derives from its read-only tables, kept in one dict,
+    `_kept`, read through `kept`; copies start with an empty store."""
+
+    def kept(self, key: tuple, derive):
+        """derive(), computed once per key and kept; an error is not kept, so
+        a read that meets one derives again.  A key starts with a name."""
+        if key not in self._kept:
+            self._kept[key] = derive()
+        return self._kept[key]
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _kept={})
 
 
 class DoctrinesError(Exception):
@@ -29,18 +44,19 @@ class WindowClosure(DoctrinesError):
 class ResourceCap(DoctrinesError):
     """An enumeration exceeded a configured bound; no partial answer is given."""
 
-    def __init__(self, what: str, size: int, cap: int):
+    def __init__(self, what: str, size: int, cap: int, at_least: bool = False):
         self.what = what
         self.size = size
         self.cap = cap
-        super().__init__(f"resource cap exceeded: {what} needs {size} > cap {cap}")
+        super().__init__(f"resource cap exceeded: {what} needs {'at least ' if at_least else ''}"
+                         f"{size} > cap {cap}")
 
 
-def guard(what: str, size: int, cap: int | None) -> None:
-    """Refuse `size` units of `what` beyond `cap`; a cap of None is no bound.
-    Every resource cap of the package is checked here."""
+def guard(what: str, size: int, cap: int | None, at_least: bool = False) -> None:
+    """Refuse `size` units of `what`, or at least that many, beyond `cap`; a
+    cap of None is no bound.  Every resource cap of the package is checked here."""
     if cap is not None and size > cap:
-        raise ResourceCap(what, size, cap)
+        raise ResourceCap(what, size, cap, at_least)
 
 
 class FormulaMismatch(DoctrinesError):

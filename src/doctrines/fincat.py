@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
-from .errors import MalformedPresentation, WindowClosure, guard
+from .errors import MalformedPresentation, Store, WindowClosure, guard
 
 DEFAULT_ENUM_CAP = 1 << 20
 TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 192 MiB with the last-entry table
@@ -48,17 +47,17 @@ FIBER_ELEMENT_CAP = 1 << 10  # elements of a parsed fiber, before its n x n orde
 
 
 @dataclass
-class FinCat:
+class FinCat(Store):
     """A finite category presentation with index-based internal tables.
 
     The tables are read-only once built, which keeps the data derived from
     them sound; a changed table needs a new FinCat built from a copy.  Hom
     sets and the arrows into and out of each object sit in their own
-    tables for the inner loops; everything else derived is kept in one
-    store, read through `kept`: the generators and the law verdict, the
-    hom-size and histogram tables of the cone counts (read-only), the
-    joint-monicity and regular-epi verdicts, product cones and pullbacks,
-    and the exactness verdicts.  Copies start with an empty store."""
+    tables for the inner loops; everything else derived is kept in its
+    `Store`: the generators and the law verdict, the hom-size and histogram
+    tables of the cone counts (read-only), the joint-monicity and
+    regular-epi verdicts, product cones and pullbacks, the exactness
+    verdicts and the subobject doctrines (`doctrine.sub_doctrine`)."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -119,13 +118,6 @@ class FinCat:
         if self._outof is None:
             self._outof = [np.flatnonzero(self.src == a) for a in range(self.n_objects)]
         return self._outof[a]
-
-    def kept(self, key: tuple, derive: Callable[[], Any]) -> Any:
-        """derive(), computed once per key and kept; an error is not kept.
-        A key starts with the name of what it keeps."""
-        if key not in self._kept:
-            self._kept[key] = derive()
-        return self._kept[key]
 
     def compose(self, g: int, f: int) -> int:
         """g after f; raises on non-composable input."""

@@ -33,6 +33,11 @@ class Check:
         for c in self.children:
             yield from c.walk()
 
+    def copy(self) -> "Check":
+        """A copy a report may change: every node and its data are new."""
+        return Check(self.name, self.status, self.witness, dict(self.data),
+                     [c.copy() for c in self.children])
+
 
 @dataclass
 class Report:

@@ -12,19 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedPresentation
+from .errors import MalformedPresentation, Store
 
 
 @dataclass
-class FinInfSL:
+class FinInfSL(Store):
     """A finite inf-semilattice: elements, order, top and meet tables;
-    the tables are read-only once built."""
+    the tables are read-only once built.  Its store keeps the order that
+    `left_adjoints` reads."""
 
     elements: tuple[str, ...]
     leq: np.ndarray          # bool, shape (n, n); leq[i, j] iff i <= j
     top: int                 # index of the greatest element
     meet: np.ndarray         # int, shape (n, n); meet[i, j] = index of glb
     index: dict[str, int] = field(default_factory=dict, repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not self.index:
@@ -252,9 +254,9 @@ def left_adjoints(L: FinInfSL, M: FinInfSL, tables: np.ndarray) -> np.ndarray:
     That biconditional says U = {b : a <= h(b)} is ↑e(a); then e(a) is the
     member of U with the largest up-set, as every other member lies above
     it.  So that member is the candidate, and comparing its up-set with U
-    decides it: |M|·|L| entries per map, in blocks of about 8 MB."""
-    by_up = np.argsort(-L.leq.sum(axis=1), kind="stable")   # largest up-set first
-    up = L.leq[:, by_up]
+    decides it: |M|·|L| entries per map, in blocks of about 8 MB.  L keeps
+    that order of its elements (`_by_up`) for every later call."""
+    by_up, up = L.kept(("by_up",), lambda: _by_up(L))
     out = np.empty((len(tables), M.n), dtype=np.int32)
     step = max(1, (1 << 23) // max(1, M.n * L.n))
     for lo in range(0, len(tables), step):
@@ -262,6 +264,12 @@ def left_adjoints(L: FinInfSL, M: FinInfSL, tables: np.ndarray) -> np.ndarray:
         cand = by_up[upper.argmax(axis=2)]
         out[lo:lo + step] = np.where((up[cand] == upper).all(axis=2), cand, -1)
     return out
+
+
+def _by_up(L: FinInfSL) -> tuple[np.ndarray, np.ndarray]:
+    """L's elements, largest up-set first, and its order table's columns in that order."""
+    by_up = np.argsort(-L.leq.sum(axis=1), kind="stable")
+    return by_up, L.leq[:, by_up]
 
 
 def left_adjoint(h: MonotoneMap) -> MonotoneMap | NoAdjoint:

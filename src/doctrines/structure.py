@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allegory import triple_product
-from .doctrine import DoctrineData, box_product, exists_along
+from .doctrine import DoctrineData, box_product, exists_along, kept_as
 from .errors import WindowClosure
 from .fincat import factor_counts
 from .semilattice import MonotoneMap, NoAdjoint, left_adjoints
@@ -98,6 +98,7 @@ def elementary_candidates(P: DoctrineData, a: int) -> list[int]:
     return np.flatnonzero(ok).tolist()
 
 
+@kept_as(lambda P: ("elementary",))
 def discover_elementary(P: DoctrineData) -> ElementaryWitness | StructureFailure:
     delta: dict[int, int] = {}
     for a in P.scope.core:
@@ -110,13 +111,12 @@ def discover_elementary(P: DoctrineData) -> ElementaryWitness | StructureFailure
     return ElementaryWitness(delta)
 
 
+@kept_as(lambda P: ("existential",))
 def discover_existential(P: DoctrineData) -> ExistentialWitness | StructureFailure:
     adjoints: dict[int, MonotoneMap] = {}
     instances = core_projections(P)
     for inst in instances:
         for pr in (inst.pr1, inst.pr2):
-            if pr in adjoints:
-                continue
             adj = exists_along(P, pr)
             if isinstance(adj, NoAdjoint):
                 return StructureFailure(
@@ -258,6 +258,7 @@ def verify_comprehension_arrow(P: DoctrineData, a: int, el: int, c: int,
     return bool((factors >= 1).all() and (not strict or (factors == 1).all()))
 
 
+@kept_as(lambda P: ("comprehensions",))
 def comprehension_table(P: DoctrineData) -> ComprehensionTable:
     """Comprehensions of every core fiber element, plus the fullness verdict:
     whenever the comprehension of a factors through that of b, a <= b."""
@@ -286,6 +287,7 @@ def comprehension_table(P: DoctrineData) -> ComprehensionTable:
 # ---------------------------------------------------------------------------
 
 
+@kept_as(lambda P, W: ("choice", *P.keys_of(W)))
 def check_rule_of_choice(P: DoctrineData, W: ExistentialWitness) -> CheckVerdict:
     """Every total element of P(A×B) must contain the graph of a base arrow:
     top <= P_<id,w>(alpha) for some w: A -> B, searched exhaustively."""

@@ -1,23 +1,33 @@
-"""The memoized analysis: every reader gets the same verdicts, each part is
-computed once per doctrine, and no report can change what is kept."""
+"""The store of a doctrine: every reader, the analysis, the harnesses and a
+direct call of a public construction, gets the same verdicts, each part is
+derived once per doctrine, and no report can change what is kept."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 import sys
 import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from doctrines import cli, compare, fincat, fixtures
+from doctrines import cli, compare, completions, fincat, fixtures
 from doctrines.cli import check_report, main
-from doctrines.compare import (analysis, verify_axc, verify_converse_axc,
-                               verify_cthn, verify_fulc)
-from doctrines.completions import Caps, build_erp, build_gr, build_qp, build_tp
-from doctrines.doctrine import sub_doctrine
+from doctrines.compare import (analysis, eed_checks, verify_axc, verify_converse_axc,
+                               verify_cthn, verify_fulc, verify_universal)
+from doctrines.completions import Caps, build_erp, build_gr, build_qp, build_tp, functor_L
+from doctrines.doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
 from doctrines.errors import MalformedPresentation, ResourceCap
 from doctrines.fileformat import emit_doctrine
 from doctrines.fincat import WindowScope
+from doctrines.report import FAIL, PASS, Check
+from doctrines.semilattice import MonotoneMap, left_adjoints
+from doctrines.structure import (ElementaryWitness, ExistentialWitness, check_rule_of_choice,
+                                 comprehension_table, discover_elementary,
+                                 discover_existential)
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 HARNESSES = (verify_cthn, verify_fulc, verify_axc, verify_converse_axc)
@@ -37,6 +47,23 @@ def _count_calls(monkeypatch, name):
             return _original(first, *args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def _count_derived(monkeypatch):
+    """Count what each doctrine derives into its store and keeps, by (id of
+    the doctrine, key); a derivation that raises keeps nothing and is not
+    counted."""
+    derived = Counter()
+    kept = DoctrineData.kept
+
+    def counted(self, key, derive):
+        def counting():
+            value = derive()
+            derived[id(self), key] += 1
+            return value
+        return kept(self, key, counting)
+    monkeypatch.setattr(DoctrineData, "kept", counted)
+    return derived
 
 
 def test_check_file_validates_each_law_once(tmp_path, monkeypatch, capsys):
@@ -89,10 +116,16 @@ def test_completions_do_not_validate_products(name):
 
 
 def test_demo_builds_each_relation_completion_once(monkeypatch, capsys):
-    builds = _count_calls(monkeypatch, "build_tp")
+    """`demo` asks for each relation completion more than once (its line,
+    the harnesses, the universal property), and builds each once."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    asked = _count_calls(monkeypatch, "build_tp")
+    derived = _count_derived(monkeypatch)
     assert main(["demo"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "demo.txt").read_text()
-    assert builds and max(builds.values()) == 1
+    builds = [n for (_, key), n in derived.items() if key[0] == "tp"]
+    assert len(builds) == 3 and max(builds) == 1
+    assert sum(asked.values()) > sum(builds)
 
 
 def test_demo_decides_exactness_once_per_completion(monkeypatch, capsys):
@@ -120,10 +153,11 @@ def test_caps_share_the_parts_no_cap_reaches(monkeypatch, capsys):
     that `check_report` kept: the doctrine laws and structure are decided
     once per doctrine, only the completions once per cap."""
     monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
-    decided = _count_calls(monkeypatch, "eed_checks")
+    derived = _count_derived(monkeypatch)
     assert main(["complete", "fs2", "--kind", "tp", "--cap-enum", "2000000"]) == 0
     assert capsys.readouterr().out.startswith("complete --kind tp\n")
-    assert list(decided.values()) == [1]
+    assert [n for (_, key), n in derived.items() if key == ("eed",)] == [1]
+    assert [key[:2] for (_, key) in derived if key[0] == "tp"] == [("tp", 2000000)]
 
 
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])
@@ -153,8 +187,11 @@ def test_reports_never_change_kept_checks():
     assert check_report(P)[0].to_json() == before
 
 
-def test_errors_are_kept_and_raised_again(monkeypatch):
-    builds = _count_calls(monkeypatch, "build_tp")
+def test_errors_are_not_kept(monkeypatch):
+    """A part whose derivation raises is derived again on the next read,
+    which raises the same error; the store keeps nothing under its key."""
+    tried, per_objects = [], completions.per_objects
+    monkeypatch.setattr(completions, "per_objects", lambda P: tried.append(P) or per_objects(P))
     P = fixtures.chain_fixture()
     with pytest.raises(ResourceCap) as first:
         analysis(P, Caps(enum=1)).tp()
@@ -163,15 +200,15 @@ def test_errors_are_kept_and_raised_again(monkeypatch):
     assert again.value is not first.value
     assert (str(again.value), again.value.size, again.value.cap) == \
         (str(first.value), first.value.size, first.value.cap)
-    assert builds[id(P)] == 1
+    assert len(tried) == 2 and not [key for key in P._kept if key[0] in ("tp", "er")]
     analysis(P).tp()
-    assert builds[id(P)] == 2
+    assert [key[:2] for key in P._kept if key[0] == "tp"] == [("tp", Caps().enum)]
 
 
 @pytest.mark.parametrize("part", ["tp", "er", "L", "rule_of_choice", "qp"])
 def test_parts_need_the_discovered_structure(part):
     """mixedfail has no elementary structure: every part built on it raises
-    an error that names the failed discovery, kept and raised again."""
+    an error that names the failed discovery, on every read."""
     an = analysis(fixtures.mixedfail())
     assert an.eed()[1] is None
     with pytest.raises(MalformedPresentation) as first:
@@ -184,9 +221,8 @@ def test_parts_need_the_discovered_structure(part):
 
 @pytest.mark.parametrize("name", ["chain", "nochoice"])
 def test_analysis_is_freed_with_its_doctrine(name):
-    """Nothing an analysis keeps, a kept error included, refers back to the
-    doctrine, so dropping the doctrine frees it without waiting for the
-    cycle collector."""
+    """Nothing the store keeps refers back to the doctrine, so dropping the
+    doctrine frees it without waiting for the cycle collector."""
     P = fixtures.BUILTIN_FIXTURES[name]()
     for h in HARNESSES:
         h(P)
@@ -197,3 +233,159 @@ def test_analysis_is_freed_with_its_doctrine(name):
         assert gone() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# the store: shared by every caller, never masking a fault, copied empty
+# ---------------------------------------------------------------------------
+
+# the kept constructions of a doctrine, the public functions that read them
+KEPT = (compare._eed_checks, *(fn.__wrapped__ for fn in (
+    validate_doctrine, discover_elementary, discover_existential, comprehension_table,
+    check_rule_of_choice, build_tp, build_erp, build_qp, functor_L)))
+
+
+def _bodies_run(fns, run) -> Counter:
+    """How often the body of each of `fns` runs while `run()` does, by
+    (name, id of the first argument); `sub_doctrine`'s by its core too."""
+    names = {fn.__code__: fn.__name__ for fn in fns}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            first = frame.f_locals[frame.f_code.co_varnames[0]]
+            scope = frame.f_locals.get("scope")
+            calls[names[frame.f_code], id(first), scope and scope.core] += 1
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "fs2"])
+def test_every_caller_shares_each_construction(name, monkeypatch):
+    """Direct calls of the constructions, as the benchmark makes them, then
+    the four harnesses and the universal property, which ask for the same
+    constructions again: each body runs once per doctrine (and per core for
+    the subobject doctrine of a category)."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    P, caps = fixtures.BUILTIN_FIXTURES[name](), Caps()
+
+    def run():
+        _, E, X = eed_checks(P)
+        comprehension_table(P)
+        check_rule_of_choice(P, X)
+        tp = build_tp(P, E, X, caps=caps)
+        er, q = build_erp(P, E, tp, caps), build_qp(P, E, X, caps)
+        functor_L(P, E, X, q, er)
+        sub = sub_doctrine(tp.cat, tp.pc, WindowScope(tp.scope.core))
+        for h in HARNESSES:
+            h(P, caps=caps)
+        verify_universal(P, tp.cat, tp.pc, tp.scope, caps)
+        assert sub_doctrine(tp.cat, tp.pc, tp.scope) is sub
+
+    bodies = _bodies_run([*KEPT, sub_doctrine.__wrapped__], run)
+    ran = {fn for fn, first, _ in bodies if first == id(P)}
+    assert ran == {fn.__name__ for fn in KEPT} - {"validate_doctrine"}
+    assert max(bodies.values()) == 1
+
+
+def test_structure_not_kept_gets_a_fresh_answer():
+    """An altered equality, made as the benchmark makes it, or a crafted
+    existential witness with the kept one's adjoints, is not the structure
+    the doctrine keeps: every construction on it is derived afresh, and
+    nothing new is kept."""
+    P = fixtures.chain_fixture()
+    _, E, X = eed_checks(P)
+    tp, q = build_tp(P, E, X), build_qp(P, E, X)
+    er = build_erp(P, E, tp)
+    L, choice = functor_L(P, E, X, q, er), check_rule_of_choice(P, X)
+    one = next(iter(E.delta))
+    altered = ElementaryWitness({**E.delta, one: 1 - E.delta[one]})
+    crafted_X = ExistentialWitness(dict(X.adjoints), X.instances)
+    before = dict(P._kept)
+    for derive, kept in ((lambda: build_tp(P, E, crafted_X), tp),
+                         (lambda: build_qp(P, altered, X), q),
+                         (lambda: build_erp(P, altered, tp), er),
+                         (lambda: functor_L(P, E, crafted_X, q, er), L),
+                         (lambda: check_rule_of_choice(P, crafted_X), choice)):
+        fresh = derive()
+        assert fresh is not kept and derive() is not fresh
+    assert P._kept == before
+
+
+def test_a_changed_verdict_tree_leaves_the_next_read_unchanged():
+    P = fixtures.chain_fixture()
+    root, _, _ = eed_checks(P)
+    want = _tree(root)
+    for tree in (root, analysis(P).eed()[0]):
+        tree.status = FAIL
+        tree.children[0].data["claimed"] = False
+        tree.children[0].children.append(Check("added", PASS))
+        tree.children.append(Check("added", PASS))
+    for tree in (eed_checks(P)[0], analysis(P).eed()[0]):
+        assert _tree(tree) == want
+
+
+def _tree(c: Check):
+    return (c.name, c.status, c.witness, dict(c.data), [_tree(x) for x in c.children])
+
+
+def test_a_dropped_doctrine_is_freed_and_its_sub_doctrine_after_one_collection():
+    """The subobject doctrine kept on a completion's category refers to
+    that category, the one cycle a store makes: it lives until the cycle
+    collector runs once."""
+    P = fixtures.chain_fixture()
+    tp = analysis(P).tp()
+    sub = sub_doctrine(tp.cat, tp.pc, tp.scope)
+    verify_universal(P, tp.cat, tp.pc, tp.scope)
+    doctrine, kept = weakref.ref(P), weakref.ref(sub)
+    gc.disable()
+    try:
+        del P
+        assert doctrine() is None
+        del tp, sub
+        assert kept() is not None
+        gc.collect()
+        assert kept() is None
+    finally:
+        gc.enable()
+
+
+def _constant_top_along_m(P: DoctrineData) -> list[MonotoneMap]:
+    m = P.reindex[P.cat.arr_index["m"]]
+    reindex = list(P.reindex)
+    reindex[P.cat.arr_index["m"]] = MonotoneMap(m.dom, m.cod,
+                                                np.full(m.dom.n, m.cod.top, dtype=np.int32))
+    return reindex
+
+
+def test_a_copy_starts_with_an_empty_store():
+    """chain with the reindexing along m replaced by the constant-top map:
+    a copy made by `dataclasses.replace` derives its own adjoint along m
+    and its own verdict, where it once read chain's."""
+    P = fixtures.chain_fixture()
+    m = P.cat.arr_index["m"]
+    assert exists_along(P, m).table.tolist() == [0, 1]
+    assert eed_checks(P)[0].status == PASS
+    Q = dataclasses.replace(P, reindex=_constant_top_along_m(P))
+    assert Q._kept == {}
+    assert exists_along(Q, m).table.tolist() == [0, 0]
+    assert analysis(Q).eed()[0].status == FAIL
+    for R in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        assert R._kept == {} and P._kept
+        assert exists_along(R, m).table.tolist() == [0, 1]
+
+
+def test_a_lattice_keeps_its_adjoint_order_and_copies_start_without_it():
+    P = fixtures.chain_fixture()
+    L, M = P.fibers
+    table = P.reindex[P.cat.arr_index["m"]].table
+    assert left_adjoints(M, L, table[None]).tolist() == [[0, 1]]
+    assert list(M._kept) == [("by_up",)]
+    for R in (copy.copy(M), copy.deepcopy(M), pickle.loads(pickle.dumps(M)),
+              dataclasses.replace(M)):
+        assert R._kept == {}
+        assert left_adjoints(R, L, table[None]).tolist() == [[0, 1]]

@@ -220,6 +220,20 @@ def test_relation_completion_is_refused_on_its_full_candidate_count(tmp_path, n)
                                            f" candidates needs {n ** 3} > cap 1048576\n")
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("tp", "relation completion arrows needs at least 4097 > cap 4096"),
+    ("gr", "points category arrows needs 5151 > cap 4096")])
+def test_completions_past_the_table_arrows_are_refused_in_arrows(tmp_path, kind, message):
+    """The 101-element chain file's relation and points completions both
+    have 5,151 arrows: each is refused in arrows against the 4,096 whose
+    table the table cap admits, the relation completion on the arrows it
+    decided before it stopped."""
+    path = tmp_path / "chain101.dtn"
+    path.write_text(crafted.chain_file(101))
+    r = run("complete", str(path), "--kind", kind)
+    assert (r.returncode, r.stderr) == (3, f"resource cap: resource cap exceeded: {message}\n")
+
+
 def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):
     """On a fresh fs2, every hypothesis of axc holds but the comparison
     functor cannot be built: the axc line gives the reason, not FAIL."""

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 from collections import Counter
@@ -112,12 +113,13 @@ def test_cthn_reports_a_points_category_the_laws_do_not_give(make, arrow):
 def test_eed_fails_on_broken_equality_tensor_law(fs2, monkeypatch):
     """A discovered equality that breaks the equality-tensor law (fs2's at 1
     moved to the other element of P(1×1)) fails the eed verdict, though
-    stability and reciprocity, which read only the existentials, pass."""
+    stability and reciprocity, which read only the existentials, pass.  The
+    verdict is derived on a copy of fs2, whose store is empty."""
     one = fs2.cat.obj_index["1"]
     delta = dict(discover_elementary(fs2).delta)
     delta[one] = 1 - delta[one]
     monkeypatch.setattr(compare, "discover_elementary", lambda P: ElementaryWitness(delta))
-    root, _, _ = compare.eed_checks(fs2)
+    root, _, _ = compare.eed_checks(copy.copy(fs2))
     law = next(c for c in root.children if c.name == "equality-tensor-law")
     assert law.status == FAIL and law.witness == ("1", "2", "s9", "s0")
     assert all(c.status == PASS for c in root.children if c is not law)
@@ -341,8 +343,7 @@ def test_universal_reports_a_window_closure_not_applicable(triv):
 def test_universal_reports_a_base_window_not_applicable(chain):
     """A base with objects outside its core restricts the enumeration: the
     harness says so after enumerating from the base."""
-    P = dataclasses.replace(chain, scope=WindowScope(chain.scope.core[:1]), _window=None,
-                            _adjoints={}, _analyses={})
+    P = dataclasses.replace(chain, scope=WindowScope(chain.scope.core[:1]), _window=None)
     tp = analysis(chain).tp()
     rep = verify_universal(P, tp.cat, tp.pc, tp.scope)
     assert (rep.checks[-1].name, rep.checks[-1].status, rep.checks[-1].witness) == \

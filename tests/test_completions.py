@@ -367,8 +367,9 @@ def test_gr_counts(witnesses):
 
 def test_oversized_points_category_is_refused_before_any_composite(monkeypatch):
     """One object whose fiber is a 100-element chain: its points category has
-    5,050 arrows, so 25,502,500 table cells, and is refused before the
-    assembler asks for a single composite."""
+    5,050 arrows, more than the 4,096 whose table the table cap admits, and
+    is refused on that count, in arrows, before the assembler asks for a
+    single composite."""
     from doctrines import completions
     from doctrines.fileformat import parse_doctrine
     els = [f"e{i}" for i in range(100)]
@@ -387,7 +388,7 @@ def test_oversized_points_category_is_refused_before_any_composite(monkeypatch):
     monkeypatch.setattr(completions, "_assemble", counted)
     with pytest.raises(ResourceCap) as exc:
         build_gr(P)
-    assert (exc.value.what, exc.value.size) == ("composition table cells", 5050 * 5050)
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("points category arrows", 5050, 4096)
     assert asked == []
 
 
@@ -407,6 +408,49 @@ def test_relation_completion_is_refused_before_any_candidate(monkeypatch, n):
         build_tp(P, E, X)
     assert (exc.value.what, exc.value.size) == ("hom candidates", n ** 3)
     assert decided == []
+
+
+def test_relation_completion_stops_deciding_past_the_table_arrows(monkeypatch):
+    """One object whose fiber is a 101-element chain: 1,030,301 candidates,
+    under the enumeration cap, for a completion of 5,151 arrows, more than
+    the 4,096 whose table the table cap admits.  The build stops after the
+    pair whose arrows pass that bound, and names the arrows it has decided
+    as a lower bound."""
+    from doctrines import completions
+    from doctrines.fileformat import parse_doctrine
+    P = parse_doctrine(crafted.chain_file(101))
+    E, X = discover_elementary(P), discover_existential(P)
+    decided, decide = [], completions.functional_relations
+    monkeypatch.setattr(completions, "functional_relations",
+                        lambda *args: decided.append(args) or decide(*args))
+    with pytest.raises(ResourceCap) as exc:
+        build_tp(P, E, X)
+    assert (exc.value.what, exc.value.size, exc.value.cap) == \
+        ("relation completion arrows", 4097, 4096)
+    assert str(exc.value) == ("resource cap exceeded: relation completion arrows"
+                              " needs at least 4097 > cap 4096")
+    assert len(decided) == 5637 < 101 * 101
+
+
+def test_quotient_completion_is_refused_on_its_table_cells(monkeypatch):
+    """The quotient completion's arrow classes are known only once decided,
+    so its table is sized in cells by the assembler, before a composite is
+    asked for: here chain's 3 classes under a table cap of 8 cells."""
+    from doctrines import completions
+    P = fixtures.chain_fixture()
+    E, X = discover_elementary(P), discover_existential(P)
+    asked, assemble = [], completions._assemble
+
+    def counted(objects, arrows, src, tgt, identity, compose):
+        return assemble(objects, arrows, src, tgt, identity,
+                        lambda g, f: asked.append((g, f)) or compose(g, f))
+
+    monkeypatch.setattr(completions, "_assemble", counted)
+    monkeypatch.setattr(completions, "TABLE_CELL_CAP", 8)
+    with pytest.raises(ResourceCap) as exc:
+        build_qp(P, E, X)
+    assert (exc.value.what, exc.value.size, exc.value.cap) == ("composition table cells", 9, 8)
+    assert asked == []
 
 
 @pytest.mark.parametrize("name", ["triv", "chain", "nochoice"])

@@ -403,3 +403,120 @@ def test_caps_compare_full_sizes(path):
     """A cap carries the full size of the work it stops: no guard is
     handed a total that grows as the work goes."""
     assert running_totals((SRC / path).read_text()) == []
+
+
+def module_memos(source: str) -> list[str]:
+    """Module-level memos: `functools.cache` or `lru_cache` applied at
+    module scope (as a decorator of a top-level function or method, or in
+    a module-level assignment), and each module-global dict written inside
+    a function, by item assignment or by a method that changes it."""
+    tree = ast.parse(source)
+
+    def is_cache(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        return ast.unparse(node).split(".")[-1] in ("cache", "lru_cache")
+
+    top = [d for node in tree.body
+           for d in (node.body if isinstance(node, ast.ClassDef) else [node])
+           if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    out = [f"@{ast.unparse(dec)} {d.name}" for d in top for dec in d.decorator_list
+           if is_cache(dec)]
+    dicts = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            names = [t.id for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                     if isinstance(t, ast.Name)]
+            if isinstance(node.value, ast.Call) and is_cache(node.value):
+                out += [f"{name} = {ast.unparse(node.value.func)}(...)" for name in names]
+            elif isinstance(node.value, (ast.Dict, ast.DictComp)) or \
+                    isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "dict":
+                dicts.update(names)
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AugAssign) else []
+            written = [t.value.id for t in targets if isinstance(t, ast.Subscript)
+                       and isinstance(t.value, ast.Name)]
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.attr in ("setdefault", "update", "__setitem__"):
+                written.append(node.func.value.id)
+            out += [f"{fn.name}: {name}" for name in written if name in dicts]
+    return sorted(set(out))
+
+
+def test_scan_finds_module_memos():
+    source = ("import functools\nfrom functools import lru_cache\n\n"
+              "TABLE = {'a': 1}\n_MEMO: dict = {}\nSEEN = dict()\n"
+              "squares = functools.cache(lambda n: n * n)\n\n"
+              "@functools.cache\ndef f(n):\n    return n\n\n"
+              "class K:\n    @lru_cache(maxsize=None)\n    def g(self):\n"
+              "        local = {}\n        local['x'] = 1\n        return TABLE['a']\n\n"
+              "def h(n):\n    inner = functools.cache(abs)\n    _MEMO[n] = inner(n)\n"
+              "    SEEN.setdefault(n, 0)\n    return _MEMO\n")
+    assert module_memos(source) == ["@functools.cache f", "@lru_cache(maxsize=None) g",
+                                    "h: SEEN", "h: _MEMO", "squares = functools.cache(...)"]
+
+
+# The one module-level memo: the built-in fs2 fixture, which the commands,
+# the tests and the benchmark read many times, is built once per process;
+# the benchmark clears it by name to time a fresh build.
+MODULE_MEMOS = {"fixtures.py": ["fs2: _FS2_CACHE", "fs2_base: _FS2_CACHE"]}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_level_memos(path):
+    """What the package derives is kept on the object it is derived from,
+    and freed with it, not in a module-level table."""
+    assert module_memos((SRC / path).read_text()) == MODULE_MEMOS.get(path, [])
+
+
+# the functions that may write a store: its reader and the code that starts one
+STORE_WRITERS = {"kept", "_derive", "__post_init__", "__setstate__"}
+
+
+def store_writes(source: str) -> list[str]:
+    """Each write of a `_kept` store outside the functions that may write
+    one, as "function: statement": an assignment to the attribute or to an
+    item of it, or a call of a method that changes it."""
+    def is_store(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "_kept"
+
+    out = []
+
+    def walk(node, where: str):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+        written = any(is_store(t) or isinstance(t, ast.Subscript) and is_store(t.value)
+                      for t in targets) or \
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and is_store(node.func.value) and node.func.attr in (
+                "setdefault", "update", "pop", "popitem", "clear", "__setitem__")
+        if written and where not in STORE_WRITERS:
+            out.append(f"{where}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def test_scan_finds_store_writes():
+    source = ("class K:\n    def _derive(self):\n        self._kept = {}\n"
+              "    def kept(self, key, derive):\n        self._kept[key] = derive()\n"
+              "    def other(self, P):\n        P._kept[1] = 2\n        P._kept.clear()\n"
+              "        return P._kept.get(1)\n\n"
+              "def inject(P):\n    P._kept.update({})\n    P._kept: dict = {}\n")
+    assert store_writes(source) == ["other: P._kept[1] = 2", "other: P._kept.clear()",
+                                    "inject: P._kept.update({})", "inject: P._kept: dict = {}"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_stores_are_written_only_by_their_reader(path):
+    """A store is written only by `kept` and by the code that starts it, so
+    nothing outside a derivation can put a value in it."""
+    assert store_writes((SRC / path).read_text()) == []

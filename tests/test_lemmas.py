@@ -9,6 +9,7 @@ reached here by broken witnesses, each checked for its message.  The
 lemmas need the laws, so `complete`, `compare` and `universal` stop with
 the law witness when they fail."""
 
+import copy
 import dataclasses
 import itertools
 import re
@@ -132,9 +133,11 @@ def test_points_products_are_products(name, witnesses):
 def test_relation_completion_not_a_category(witnesses, monkeypatch):
     """The composite of an arrow phi with the identity of its source, one
     of the relational compositions `build_tp` makes in its loop order,
-    replaced by another arrow of phi's type."""
+    replaced by another arrow of phi's type.  The build runs on a copy of
+    fs2, whose store is empty, so the patched composition is reached."""
     P, E, X = witnesses["fs2"]
     tp = build_tp(P, E, X)
+    P = copy.copy(P)
     phi = next(i for i, (xi, yi, _) in enumerate(tp.arrows)
                if xi != yi and len(tp.cat.hom(xi, yi)) > 1)
     xi, yi, _ = tp.arrows[phi]
@@ -190,18 +193,22 @@ def test_published_forms_disagree():
     the identity class of the equality on 2: the second form, which reads
     it, then gives the full relation instead of the equality."""
     P0 = fixtures.fs2()
-    P = DoctrineData(P0.cat, P0.products, P0.scope, P0.fibers, P0.reindex)
-    an = analysis(P)
+    an = analysis(P0)
     _, E, X = an.eed()
     q, er = an.qp(), an.er()
-    win = P.window
-    a = P.cat.obj_index["2"]
+    win = P0.window
+    a = P0.cat.obj_index["2"]
     ci = int(q.cat.id_arr[q.obj_of[(a, E.delta[a])]])
     members = q.classes[ci][2]
     _, a1, a2 = win.prod(a, a)
-    graph = win.pair(a1, P.cat.compose(members[0], a2))
-    m = P.reindex[graph]
-    P._adjoints[graph] = MonotoneMap(m.cod, m.dom, np.full(m.cod.n, m.dom.top, dtype=np.int32))
+    graph = win.pair(a1, P0.cat.compose(members[0], a2))
+    m = P0.reindex[graph]
+    # a copy starts with an empty store: the wrong adjoint is kept there
+    # first, and the structure of P0 is not the copy's, so the comparison
+    # functor is derived afresh on the copy
+    P = copy.copy(P0)
+    P.kept(("exists_along", graph),
+           lambda: MonotoneMap(m.cod, m.dom, np.full(m.cod.n, m.dom.top, dtype=np.int32)))
     with pytest.raises(FormulaMismatch,
                        match=re.escape(f"published forms disagree on {q.cat.arrows[ci]}")):
         functor_L(P, E, X, q, er)
