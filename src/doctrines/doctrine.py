@@ -28,8 +28,8 @@ class DoctrineData(Store):
     """Base window plus fiber and reindexing tables.
 
     reindex[f] maps the fiber of target(f) to the fiber of source(f).  The
-    store keeps what is derived from the tables, which must not change once
-    it holds anything: fault injection uses a fresh doctrine or a copy."""
+    store keeps what is derived from the tables (an error is not kept), so
+    they must not change; fault injection uses a fresh doctrine or a copy."""
 
     cat: FinCat
     products: ProductChoice

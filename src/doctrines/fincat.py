@@ -57,7 +57,7 @@ class FinCat(Store):
     `Store`: the generators and the law verdict, the hom-size and histogram
     tables of the cone counts (read-only), the joint-monicity and
     regular-epi verdicts, product cones and pullbacks, the exactness
-    verdicts and the subobject doctrines (`doctrine.sub_doctrine`)."""
+    verdicts and the subobject doctrines; an error is not kept."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
