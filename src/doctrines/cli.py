@@ -4,8 +4,9 @@ Exit codes are exhaustive and mutually exclusive: 0 all demanded checks
 pass, 1 a law or theorem violation, 2 malformed input, 3 a resource cap met
 while reading a file, while `complete` builds its completion or decides its
 exactness, or while `universal` builds the relation completion or decides
-its one verdict.  `compare` prints a harness that meets a cap as
-`[capped]` and exits 0 unless a claimed conclusion failed.
+its one verdict.  `compare` and `universal` exit as `Report.state` says:
+1 when a claimed check failed, so `compare` exits 0 on a harness it prints
+`[capped]` or `[n/a]`, and `universal` exits 0 when its one verdict is `[n/a]`.
 `check` verifies the doctrine is elementary existential on its core;
 `complete` builds one of the completions and emits it; `compare` runs the
 theorem harnesses; `demo` runs every shipped fixture and prints the headline
@@ -28,12 +29,13 @@ from .errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
                      ParseError, ResourceCap, WindowClosure)
 from .fileformat import emit_doctrine, parse_doctrine
 from .fincat import DEFAULT_ENUM_CAP, ValidationReport, check_exact, iso_classes
-from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
+from .report import CAPPED, FAIL, HYPOTHESIS, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+HARNESSES = (verify_cthn, verify_fulc, verify_axc, verify_converse_axc)
 
 
 def load_doctrine(path: str) -> DoctrineData:
@@ -178,21 +180,11 @@ def cmd_complete(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _claimed_failures(rep: Report):
-    for c in rep.walk():
-        if (c.status == FAIL and not c.name.startswith("hypothesis-")
-                and c.data.get("context") != "hypothesis"
-                and c.data.get("claimed", True)):
-            yield c
-
-
 def _harness_exit(reports: list[Report], cap_is_exit: bool = False) -> int:
-    if cap_is_exit and any(rep.any_capped() for rep in reports):
+    states = [rep.state()[0] for rep in reports]
+    if cap_is_exit and CAPPED in states:
         return EXIT_CAP
-    for rep in reports:
-        if any(True for _ in _claimed_failures(rep)):
-            return EXIT_VIOLATION
-    return EXIT_OK
+    return EXIT_VIOLATION if FAIL in states else EXIT_OK
 
 
 def cmd_compare(args) -> int:
@@ -200,9 +192,7 @@ def cmd_compare(args) -> int:
     if not _doctrine_laws_hold(P):
         return EXIT_VIOLATION
     caps = Caps(args.cap_enum)
-    reports = [verify_cthn(P, caps), verify_fulc(P, caps),
-               verify_axc(P, caps),
-               verify_converse_axc(P, caps)]
+    reports = [verify(P, caps) for verify in HARNESSES]
     for rep in reports:
         _print_report(rep, args)
     if not args.json:
@@ -216,57 +206,43 @@ def _fmt_witness(w) -> str:
     return str(w)
 
 
+def _failed(hypotheses: list[Check]) -> str:
+    """Each failed hypothesis and its witness; one without a witness (the
+    base's eed check) only if no other failed."""
+    shown = [h for h in hypotheses if h.witness is not None] or hypotheses
+    return "; ".join(h.label() + " failed" + ("" if h.witness is None else
+                     f" (witness {_fmt_witness(h.witness)})") for h in shown)
+
+
+# each harness's summary line by report title: its short name and its
+# phrase for each state (`Report.state`) where it differs from PHRASES
+PHRASES = {FAIL: "FAIL", PASS: "pass", CAPPED: "capped ({witness})",
+           NOT_APPLICABLE: "not applicable ({reason})",
+           HYPOTHESIS: "unclaimed (base is not elementary existential)"}
+SUMMARY = {
+    "comprehension-completion": (
+        "cthn", {CAPPED: "capped (points category exceeds the configured bound)"}),
+    "reflexive-inclusion-equivalence": ("fulc", {PASS: "equivalence"}),
+    "quotient-comparison-equivalence": ("axc", {
+        PASS: "hypotheses ok, L equivalence", NOT_APPLICABLE: "not computable ({witness})",
+        HYPOTHESIS: "hypothesis {failed}; conclusion unclaimed"}),
+    "choice-from-equivalence": ("converse", {
+        NOT_APPLICABLE: "not applicable (witness {witness})",
+        HYPOTHESIS: "pass (hypotheses incomplete, unclaimed)"}),
+}
+
+
 def _compare_summary(reports) -> str:
-    cthn, fulc, axc, conv = reports
+    """One line per harness, filled from the first check that makes its
+    state (`witness`, `reason`) or from every one (`failed`)."""
     lines = ["summary:"]
-    if cthn.any_capped():
-        lines.append("  cthn: capped (points category exceeds the configured bound)")
-    elif any(c.status == FAIL and c.data.get("context") == "hypothesis"
-             for c in cthn.walk()):
-        lines.append("  cthn: unclaimed (base is not elementary existential)")
-    else:
-        lines.append("  cthn: " + ("pass" if not cthn.any_failed() else "FAIL"))
-    na = [c for c in fulc.walk() if c.status == NOT_APPLICABLE]
-    cap = [c for c in fulc.walk() if c.status == CAPPED]
-    if na:
-        lines.append(f"  fulc: not applicable ({na[0].data.get('reason', na[0].witness)})")
-    elif cap:
-        lines.append(f"  fulc: capped ({cap[0].witness})")
-    else:
-        lines.append("  fulc: " + ("equivalence" if not fulc.any_failed() else "FAIL"))
-    hyp_fail = [c for c in axc.walk()
-                if c.status == FAIL and c.name.startswith("hypothesis-")]
-    not_run = [c for c in axc.walk() if c.status in (CAPPED, NOT_APPLICABLE)]
-    concl = [c for c in axc.walk() if c.name == "conclusion-comparison-equivalence"]
-    if hyp_fail:
-        parts = "; ".join(
-            f"{h.name.removeprefix('hypothesis-').replace('-', ' ')}"
-            f" failed (witness {_fmt_witness(h.witness)})" for h in hyp_fail)
-        lines.append(f"  axc: hypothesis {parts}; conclusion unclaimed")
-    elif not_run:
-        state = "capped" if not_run[0].status == CAPPED else "not computable"
-        lines.append(f"  axc: {state} ({not_run[0].witness})")
-    elif concl and concl[0].data.get("measured") == "pass":
-        lines.append("  axc: hypotheses ok, L equivalence")
-    else:
-        lines.append("  axc: FAIL")
-    na2 = [c for c in conv.walk() if c.status == NOT_APPLICABLE]
-    capped = [c for c in conv.walk() if c.status == CAPPED]
-    conv_hyp = [c for c in conv.walk()
-                if c.status == FAIL and c.name.startswith("hypothesis-")]
-    conv_real = [c for c in conv.walk()
-                 if c.status == FAIL and not c.name.startswith("hypothesis-")
-                 and c.data.get("context") != "hypothesis"]
-    if na2:
-        lines.append(f"  converse: not applicable (witness {na2[0].witness})")
-    elif capped:
-        lines.append(f"  converse: capped ({capped[0].witness})")
-    elif conv_real:
-        lines.append("  converse: FAIL")
-    elif conv_hyp:
-        lines.append("  converse: pass (hypotheses incomplete, unclaimed)")
-    else:
-        lines.append("  converse: pass")
+    for rep in reports:
+        name, phrases = SUMMARY[rep.title]
+        state, checks = rep.state()
+        first = checks[0] if checks else Check("", state)
+        lines.append(f"  {name}: " + {**PHRASES, **phrases}[state].format(
+            witness=first.witness, reason=first.data.get("reason", first.witness),
+            failed=_failed(checks)))
     return "\n".join(lines)
 
 
@@ -311,31 +287,29 @@ def cmd_demo(args) -> int:
             out.append(f"  reflexive objects: {len(er.objects)};"
                        f" quotient objects: {len(q.objects)},"
                        f" arrow classes: {q.cat.n_arrows}")
-        reports = [verify_cthn(P, caps), verify_fulc(P, caps),
-                   verify_axc(P, caps=caps), verify_converse_axc(P, caps)]
-        out.append("  " + _compare_summary(reports).replace("\n", "\n  "))
+        out.append("  " + _compare_summary([verify(P, caps) for verify in HARNESSES])
+                   .replace("\n", "\n  "))
     # headline: the universal property confirmed small, capped large
     P = shown["triv"]
     tp = analysis(P, caps).tp()
     u = verify_universal(P, tp.cat, tp.pc, tp.scope)
     out.append("== universal property ==")
     out.append(f"  triv against its completion: "
-               f"{'confirmed' if not u.any_failed() and not u.any_capped() else 'FAIL'}"
+               f"{'confirmed' if u.state()[0] == PASS else 'FAIL'}"
                f" (morphisms {u.summary.get('morphisms-from-base')}"
                f" = {u.summary.get('morphisms-from-completion')})")
     P2 = shown["fs2"]
     tp2 = analysis(P2, caps).tp()
     u2 = verify_universal(P2, tp2.cat, tp2.pc, tp2.scope)
     out.append(f"  fs2 against its completion: "
-               f"{'capped (resource cap, reported not failed)' if u2.any_capped() else 'unexpected'}")
+               f"{'capped (resource cap, reported not failed)' if u2.state()[0] == CAPPED else 'unexpected'}")
     # transitive extension headline on the 2-carrier
     o2 = P2.cat.obj_index["2"]
     fib = P2.fibers[P2.window.prod(o2, o2)[0]]
     tr = transitive_extension(P2, o2, fib.index["s15"], analysis(P2, caps).eed()[1].delta[o2])
     out.append(f"  smallest transitive extension of the full relation on the"
                f" 2-carrier: {fib.elements[tr]}")
-    text = "\n".join(out) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 
 

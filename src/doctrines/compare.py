@@ -29,7 +29,7 @@ from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      WindowScope, check_equivalence, check_exact, hom_sizes, inverse_of,
                      iso_classes, validate_category, validate_functor,
                      validate_products)
-from .report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
+from .report import CAPPED, FAIL, HYPOTHESIS, INFO, NOT_APPLICABLE, PASS, Check, Report
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, left_adjoints
 from .structure import (CheckVerdict, ComprehensionEntry, ComprehensionTable,
                         ElementaryWitness, ExistentialWitness, StructureFailure,
@@ -428,25 +428,23 @@ def _claims_only_on_hypotheses(harness):
     @functools.wraps(harness)
     def run(*args, **kwargs) -> Report:
         rep = harness(*args, **kwargs)
-        if any(c.status == FAIL and c.data.get("context") == "hypothesis"
-               for c in rep.walk()):
-            for c in rep.walk():
-                if not (c.data.get("context") == "hypothesis"
-                        or c.name.startswith("hypothesis-")):
-                    c.data.setdefault("claimed", False)
+        kinds = list(rep.classified())
+        if any(kind == HYPOTHESIS and c.status == FAIL for kind, c in kinds):
+            for c in [c for kind, c in kinds if kind != HYPOTHESIS]:
+                c.data.setdefault("claimed", False)
         return rep
     return run
 
 
 def _guarded(rep: Report, check: str, compute, data: dict | None = None):
-    """compute(), or None after adding the check that says why it cannot be
-    had: not applicable, with data, or capped."""
+    """compute(), or None after adding the check, with data, that says why
+    it cannot be had: not applicable or capped."""
     try:
         return compute()
     except _NOT_COMPUTABLE as exc:
         rep.add(Check(check, NOT_APPLICABLE, str(exc), data or {}))
     except ResourceCap as exc:
-        rep.add(Check(check, CAPPED, str(exc)))
+        rep.add(Check(check, CAPPED, str(exc), data or {}))
     return None
 
 
@@ -627,7 +625,7 @@ def verify_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     claimed = hyp1 and roc.ok and eed.status == PASS
     got = _guarded(rep, "conclusion-comparison-equivalence",
                    lambda: (an.er(), an.qp(), an.L()),
-                   {"claimed": False, "measured": "not-computable"})
+                   {"claimed": claimed, "measured": "not-computable"})
     if got is None:
         return rep
     er, q, lres = got
@@ -698,7 +696,8 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     er, q, lres = got
     eq = check_equivalence(lres.functor)
     l_equiv = eq.is_equivalence
-    rep.add(Check("comparison-is-equivalence", _status(l_equiv)))
+    rep.add(Check("comparison-is-equivalence", _status(l_equiv),
+                  data={"context": "hypothesis"}))
     win = P.window
     C = P.cat
     derived_all, witness = True, None

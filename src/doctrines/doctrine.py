@@ -36,14 +36,11 @@ class DoctrineData(Store):
     scope: WindowScope
     fibers: list[FinInfSL]
     reindex: list[MonotoneMap]
-    _window: Window | None = field(default=None, repr=False)
     _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def window(self) -> Window:
-        if self._window is None:
-            self._window = Window(self.cat, self.products, self.scope)
-        return self._window
+        return self.kept(("window",), lambda: Window(self.cat, self.products, self.scope))
 
     def r(self, f: int) -> MonotoneMap:
         return self.reindex[f]

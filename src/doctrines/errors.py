@@ -9,7 +9,8 @@ from __future__ import annotations
 
 class Store:
     """What an object derives from its read-only tables, kept in one dict,
-    `_kept`, read through `kept`; copies start with an empty store."""
+    `_kept`, read through `kept`; a copy or a pickle leaves the store out
+    and starts with an empty one."""
 
     def kept(self, key: tuple, derive):
         """derive(), computed once per key and kept; an error is not kept, so
@@ -17,6 +18,9 @@ class Store:
         if key not in self._kept:
             self._kept[key] = derive()
         return self._kept[key]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_kept"}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _kept={})

@@ -15,6 +15,9 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 CAPPED = "capped"
 INFO = "info"
+HYPOTHESIS = "hypothesis"
+CLAIMED = "claimed"
+UNCLAIMED = "unclaimed"
 
 
 @dataclass
@@ -25,8 +28,9 @@ class Check:
     data: dict = field(default_factory=dict)
     children: list["Check"] = field(default_factory=list)
 
-    def ok(self) -> bool:
-        return self.status == PASS
+    def label(self) -> str:
+        """The name as prose: no hypothesis prefix, spaces for hyphens."""
+        return self.name.removeprefix("hypothesis-").replace("-", " ")
 
     def walk(self):
         yield self
@@ -53,11 +57,31 @@ class Report:
         for c in self.checks:
             yield from c.walk()
 
-    def any_failed(self) -> bool:
-        return any(c.status == FAIL for c in self.walk())
+    # -- what a harness claims ----------------------------------------------
 
-    def any_capped(self) -> bool:
-        return any(c.status == CAPPED for c in self.walk())
+    def classified(self):
+        """Each check with its kind: HYPOTHESIS (named `hypothesis-...` or
+        with context=hypothesis), UNCLAIMED (claimed=False, or info), CAPPED,
+        NOT_APPLICABLE, or else CLAIMED."""
+        for c in self.walk():
+            if c.name.startswith("hypothesis-") or c.data.get("context") == HYPOTHESIS:
+                yield HYPOTHESIS, c
+            elif not c.data.get("claimed", True) or c.status == INFO:
+                yield UNCLAIMED, c
+            else:
+                yield (c.status if c.status in (CAPPED, NOT_APPLICABLE) else CLAIMED), c
+
+    def state(self) -> tuple[str, list[Check]]:
+        """The first of FAIL (a claimed check failed), CAPPED, NOT_APPLICABLE
+        (a claimed check or a hypothesis was not decided), HYPOTHESIS (one
+        failed) and PASS, with the checks that make it."""
+        kinds = list(self.classified())
+        for state, status, of in ((FAIL, FAIL, (CLAIMED,)), (CAPPED, CAPPED, (CAPPED, HYPOTHESIS)),
+                                  (NOT_APPLICABLE, NOT_APPLICABLE, (NOT_APPLICABLE, HYPOTHESIS)),
+                                  (HYPOTHESIS, FAIL, (HYPOTHESIS,))):
+            if checks := [c for kind, c in kinds if kind in of and c.status == status]:
+                return state, checks
+        return PASS, []
 
     # -- renderings ---------------------------------------------------------
 

@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import pickle
 import sys
+import threading
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -377,6 +378,27 @@ def test_a_copy_starts_with_an_empty_store():
     for R in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
         assert R._kept == {} and P._kept
         assert exists_along(R, m).table.tolist() == [0, 1]
+
+
+def test_a_replaced_scope_gets_its_own_window():
+    """The window is kept in the store, so a copy with another scope builds
+    its window over that scope, not over the one it was copied from."""
+    P = fixtures.chain_fixture()
+    assert P.window.scope.core == (0, 1)
+    Q = dataclasses.replace(P, scope=WindowScope((0,)))
+    assert Q.window.scope.core == (0,)
+    assert P.window.scope.core == (0, 1) and Q.window is not P.window
+
+
+@pytest.mark.parametrize("owner", [lambda P: P, lambda P: P.cat, lambda P: P.fibers[0]],
+                         ids=["doctrine", "category", "lattice"])
+def test_a_copy_leaves_out_a_kept_value_it_cannot_copy(owner):
+    """A lock cannot be deep-copied or pickled; kept in a store, it is left
+    out of the copy, which starts with an empty store."""
+    O = owner(fixtures.chain_fixture())
+    O.kept(("lock",), threading.Lock)
+    for R in (copy.deepcopy(O), pickle.loads(pickle.dumps(O))):
+        assert R._kept == {} and ("lock",) in O._kept
 
 
 def test_a_lattice_keeps_its_adjoint_order_and_copies_start_without_it():

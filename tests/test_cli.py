@@ -9,8 +9,11 @@ import pytest
 
 import crafted
 from doctrines import compare, fincat, fixtures
-from doctrines.cli import main
-from doctrines.errors import FormulaMismatch
+from doctrines.cli import SUMMARY, main
+from doctrines.cli import _compare_summary as compare_summary, _harness_exit as harness_exit
+from doctrines.errors import FormulaMismatch, WindowClosure
+from doctrines.fileformat import emit_doctrine
+from doctrines.report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -246,6 +249,85 @@ def test_compare_summary_names_a_comparison_not_computable(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "  axc: not computable (formula mismatch in comparison: injected)\n" in out
     assert "  converse: not applicable (witness formula mismatch in comparison: injected)\n" in out
+
+
+def _completed(name: str, tmp_path) -> str:
+    """The comprehension completion of a shipped fixture, written as a file."""
+    path = tmp_path / f"{name}_c.dtn"
+    P = fixtures.BUILTIN_FIXTURES[name]()
+    path.write_text(emit_doctrine(compare.analysis(P).gr().doctrine))
+    return str(path)
+
+
+def _claimed_failure(checks: list[dict]) -> bool:
+    """A failed check, in a JSON rendering, that is no hypothesis (by name or
+    by context) and whose claim is not withdrawn: the rule README states."""
+    return any(c["status"] == FAIL and not c["name"].startswith("hypothesis-")
+               and c.get("data", {}).get("context") != "hypothesis"
+               and c.get("data", {}).get("claimed", True)
+               or _claimed_failure(c.get("children", [])) for c in checks)
+
+
+@pytest.mark.parametrize("name", ["triv", "chain", "nochoice", "fs2", "triv_c", "chain_c"])
+def test_compare_summary_says_fail_exactly_as_the_exit_code(capsys, tmp_path, name):
+    """Each harness's summary line says FAIL exactly when its report holds a
+    claimed failure, and `compare` exits 1 exactly when one does."""
+    path = _completed(name.removesuffix("_c"), tmp_path) if name.endswith("_c") else name
+    code = main(["compare", path])
+    lines = capsys.readouterr().out.split("summary:\n")[1].splitlines()
+    assert main(["--json", "compare", path]) == code
+    failed = [_claimed_failure(json.loads(line)["checks"])
+              for line in capsys.readouterr().out.splitlines()]
+    assert ["FAIL" in line for line in lines] == failed
+    assert code == (1 if any(failed) else 0)
+
+
+def test_compare_on_the_completion_of_chain_claims_no_converse(tmp_path, capsys):
+    """chain's comprehension completion fails the rule of choice, so its
+    comparison functor is no equivalence: the converse's hypothesis fails
+    and its derived choice is unclaimed, which is no violation."""
+    assert main(["compare", _completed("chain", tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "  [FAIL] comparison-is-equivalence  context=hypothesis\n" in out
+    assert out.endswith("  converse: pass (hypotheses incomplete, unclaimed)\n")
+
+
+def test_compare_summary_names_a_completion_not_applicable(monkeypatch, capsys):
+    """A points category that cannot be built is not applicable, and its
+    line says so, as the exit code 0 does."""
+    def no_points(self):
+        raise WindowClosure(("u", "v"), "injected")
+
+    monkeypatch.setattr(compare.Analysis, "gr", no_points)
+    assert main(["compare", "chain"]) == 0
+    out = capsys.readouterr().out
+    assert "comprehension-completion\n  [ok] base-is-eed  context=hypothesis\n  [n/a] build" in out
+    assert "  cthn: not applicable (window closure violated: missing product uxv (injected))\n" in out
+
+
+@pytest.mark.parametrize("checks, line", [
+    ([Check("base-is-eed", FAIL, data={"context": "hypothesis"}),
+      Check("inclusion-faithful", FAIL, data={"claimed": False})],
+     "fulc: unclaimed (base is not elementary existential)"),
+    ([Check("base-is-eed", PASS, data={"context": "hypothesis"}),
+      Check("inclusion-faithful", FAIL)], "fulc: FAIL"),
+    ([Check("full-comprehensions", NOT_APPLICABLE, (("u", "u0"),),
+            {"reason": "base lacks full comprehensions"})],
+     "fulc: not applicable (base lacks full comprehensions)"),
+    ([Check("base-is-eed", FAIL, data={"context": "hypothesis"}),
+      Check("inclusion-faithful", CAPPED, "cap")], "fulc: capped (cap)"),
+    ([Check("base-is-eed", PASS, data={"context": "hypothesis"}),
+      Check("inclusion-faithful", PASS), Check("image-of-top-identity", INFO)],
+     "fulc: equivalence"),
+])
+def test_one_state_decides_the_summary_and_the_exit(checks, line):
+    """A claimed failure reads FAIL and exits 1; a cap or a check not
+    applicable comes before a failed hypothesis, which withdraws the claims
+    that rest on it."""
+    reports = [Report(title, [Check("x", PASS)]) for title in SUMMARY]
+    reports[1].checks = checks
+    assert compare_summary(reports).splitlines()[2] == f"  {line}"
+    assert harness_exit(reports) == (1 if line.endswith("FAIL") else 0)
 
 
 @pytest.mark.parametrize("argv", [["compare", "chain", "--condition-v", "alt"],

@@ -27,6 +27,10 @@ def _check(rep, name):
     return next(c for c in rep.walk() if c.name == name)
 
 
+def _statuses(rep) -> set[str]:
+    return {c.status for c in rep.walk()}
+
+
 # ---------------------------------------------------------------------------
 # comprehension completion
 # ---------------------------------------------------------------------------
@@ -34,7 +38,7 @@ def _check(rep, name):
 
 def test_cthn_chain(chain):
     rep = verify_cthn(chain)
-    assert not rep.any_failed()
+    assert FAIL not in _statuses(rep)
     assert rep.summary["objects"] == 5
     assert _check(rep, "comprehensions-full").status == PASS
     assert _check(rep, "comprehension-carried-by-identity").status == PASS
@@ -48,7 +52,7 @@ def test_cthn_chain(chain):
 
 def test_cthn_triv(triv):
     rep = verify_cthn(triv)
-    assert not rep.any_failed()
+    assert FAIL not in _statuses(rep)
     assert rep.summary["objects"] == 4
 
 
@@ -133,7 +137,7 @@ def test_eed_fails_on_broken_equality_tensor_law(fs2, monkeypatch):
 
 def test_fulc_fs2(fs2):
     rep = verify_fulc(fs2)
-    assert not rep.any_failed()
+    assert FAIL not in _statuses(rep)
     assert rep.summary["relation-objects"] == 8
     assert rep.summary["reflexive-objects"] == 4
     assert rep.summary["iso-classes"] == 3
@@ -156,7 +160,7 @@ def test_fulc_applies_to_the_points_doctrine(chain):
     gr = build_gr(chain)
     rep = verify_fulc(gr.doctrine)
     assert _check(rep, "full-comprehensions").status == PASS
-    assert not rep.any_failed()
+    assert FAIL not in _statuses(rep)
     assert _check(rep, "inclusion-essentially-surjective").status == PASS
 
 
@@ -181,7 +185,7 @@ def test_fulc_names_an_element_its_comprehension_does_not_give():
 
 def test_axc_fs2(fs2):
     rep = verify_axc(fs2)
-    assert not rep.any_failed()
+    assert FAIL not in _statuses(rep)
     assert _check(rep, "hypothesis-weak-full-comprehensions").status == PASS
     assert _check(rep, "hypothesis-rule-of-choice").status == PASS
     concl = _check(rep, "conclusion-comparison-equivalence")
@@ -221,7 +225,7 @@ def test_axc_triv_hypothesis_reporting(triv):
 
 def test_converse_fs2(fs2):
     rep = verify_converse_axc(fs2)
-    assert not rep.any_failed()
+    assert FAIL not in _statuses(rep)
     assert _check(rep, "extensions-exist").status == PASS
     dc = _check(rep, "derived-choice")
     assert dc.status == PASS
@@ -282,7 +286,7 @@ def test_universal_triv_confirmed(triv):
     X = discover_existential(triv)
     tp = build_tp(triv, E, X)
     rep = verify_universal(triv, tp.cat, tp.pc, tp.scope)
-    assert not rep.any_failed() and not rep.any_capped()
+    assert not _statuses(rep) & {FAIL, CAPPED}
     assert rep.summary["morphisms-from-base"] == 25
     assert rep.summary["morphisms-from-completion"] == 25
     for reading in ("existential", "comprehension-preserving"):
@@ -298,7 +302,7 @@ def test_universal_terminal_target(triv):
     pc = crafted.choice(one, "X", {("X", "X"): ("X", "idX", "idX")})
     assert validate_products(one, pc).ok
     rep = verify_universal(triv, one, pc)
-    assert not rep.any_failed() and not rep.any_capped()
+    assert not _statuses(rep) & {FAIL, CAPPED}
     assert rep.summary["morphisms-from-base"] == rep.summary["morphisms-from-completion"]
 
 
@@ -307,8 +311,8 @@ def test_universal_fs2_caps(fs2):
     X = discover_existential(fs2)
     tp = build_tp(fs2, E, X)
     rep = verify_universal(fs2, tp.cat, tp.pc, tp.scope)
-    assert rep.any_capped()
-    assert not rep.any_failed()
+    assert CAPPED in _statuses(rep)
+    assert FAIL not in _statuses(rep)
     capped = [c for c in rep.walk() if c.status == CAPPED]
     assert capped and "cap" in capped[0].data
 
@@ -323,7 +327,7 @@ def test_universal_reports_an_unsubobjectable_target_not_applicable(triv):
     assert [(c.name, c.status, c.witness, c.data) for c in rep.checks] == [
         ("target-exact", PASS, None, {"core": ["t"]}),
         ("enumeration", NOT_APPLICABLE, "elements [at], [bt] have no lower bound", {})]
-    assert not rep.any_capped()
+    assert CAPPED not in _statuses(rep)
 
 
 def test_universal_reports_a_window_closure_not_applicable(triv):
@@ -337,18 +341,18 @@ def test_universal_reports_a_window_closure_not_applicable(triv):
         ("target-exact", PASS, None, {"core": ["A"]}),
         ("enumeration", NOT_APPLICABLE, "window closure violated: missing product A"
          " (subobject meet of [m1], [m2] is not their pullback)", {"missing": ("A",)})]
-    assert not rep.any_capped()
+    assert CAPPED not in _statuses(rep)
 
 
 def test_universal_reports_a_base_window_not_applicable(chain):
     """A base with objects outside its core restricts the enumeration: the
     harness says so after enumerating from the base."""
-    P = dataclasses.replace(chain, scope=WindowScope(chain.scope.core[:1]), _window=None)
+    P = dataclasses.replace(chain, scope=WindowScope(chain.scope.core[:1]))
     tp = analysis(chain).tp()
     rep = verify_universal(P, tp.cat, tp.pc, tp.scope)
     assert (rep.checks[-1].name, rep.checks[-1].status, rep.checks[-1].witness) == \
         ("base-window", NOT_APPLICABLE, "base has non-core objects; enumeration restricted")
-    assert not rep.any_capped()
+    assert CAPPED not in _statuses(rep)
 
 
 def _universal_sides(P):
@@ -594,7 +598,7 @@ def test_universal_computes_2cells_once_per_pair(chain, monkeypatch):
     monkeypatch.setattr(compare, "TwoCellTable", Counted)
     tp = analysis(chain).tp()
     rep = verify_universal(chain, tp.cat, tp.pc, tp.scope)
-    assert not rep.any_failed() and not rep.any_capped()
+    assert not _statuses(rep) & {FAIL, CAPPED}
     assert [t.n for t in tables] == [50, 25]
     assert len(decided) == sum(int(t.sizes.sum()) for t in tables)
     assert max(decided.values()) == 1
@@ -717,9 +721,9 @@ def test_harnesses_agree_with_direct_equivalence(completions):
     direct_incl = check_equivalence(er.inclusion)
     rep = verify_fulc(P)
     by = {c.name: c for c in rep.walk()}
-    assert by["inclusion-faithful"].ok() == direct_incl.faithful
-    assert by["inclusion-full"].ok() == direct_incl.full
-    assert by["inclusion-essentially-surjective"].ok() == \
+    assert (by["inclusion-faithful"].status == PASS) == direct_incl.faithful
+    assert (by["inclusion-full"].status == PASS) == direct_incl.full
+    assert (by["inclusion-essentially-surjective"].status == PASS) == \
         direct_incl.essentially_surjective
     lres = functor_L(P, E, X, q, er)
     direct_l = check_equivalence(lres.functor)

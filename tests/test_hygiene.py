@@ -520,3 +520,43 @@ def test_stores_are_written_only_by_their_reader(path):
     """A store is written only by `kept` and by the code that starts it, so
     nothing outside a derivation can put a value in it."""
     assert store_writes((SRC / path).read_text()) == []
+
+
+# the strings that mark a check a hypothesis or withdraw its claim
+CLAIM_MARKERS = {"hypothesis-", "context", "claimed"}
+
+
+def claim_marker_reads(source: str) -> list[str]:
+    """Each read of a claim marker, as its source text: a comparison with
+    it, a string method or a `.get` called with it, or a subscript by it.
+    Writing one (a dict literal, `setdefault`) is no read."""
+    def marker(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value in CLAIM_MARKERS
+
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and any(map(marker, [node.left, *node.comparators]))
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "pop", "startswith", "endswith", "removeprefix")
+            and any(map(marker, node.args))
+            or isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and marker(node.slice)]
+
+
+def test_scan_finds_claim_marker_reads():
+    source = ("def f(c, rep):\n"
+              "    c.data.setdefault('claimed', False)\n"
+              "    rep.add(Check('x', 'pass', data={'context': 'hypothesis'}))\n"
+              "    a = c.name.startswith('hypothesis-') or c.data.get('context') == 'hypothesis'\n"
+              "    b = 'claimed' in c.data and c.data['claimed']\n"
+              "    return c.name.removeprefix('hypothesis-'), c.data.get('reason')\n")
+    assert sorted(claim_marker_reads(source)) == [
+        "'claimed' in c.data", "c.data.get('context')", "c.data['claimed']",
+        "c.name.removeprefix('hypothesis-')", "c.name.startswith('hypothesis-')"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "report.py"))
+def test_claims_are_read_only_by_the_report(path):
+    """Which checks are hypotheses and which are claimed is decided in one
+    place, `Report.classified`; every other module reads its kinds or the
+    state `Report.state` makes of them."""
+    assert claim_marker_reads((SRC / path).read_text()) == []
