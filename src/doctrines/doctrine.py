@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedPresentation, NoWeakPullback, Store, WindowClosure
-from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, is_mono,
-                     _typing_violation, first_without_weak_pullback, weak_pullback)
+from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, block_rows,
+                     is_mono, _typing_violation, first_without_weak_pullback, weak_pullback)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint,
                           left_adjoints)
 
@@ -169,7 +169,7 @@ def _laws_scan(P: DoctrineData, stacks: list[np.ndarray], pos: np.ndarray,
                middle: np.ndarray | None = None) -> ValidationReport:
     """The homomorphism clause on every g in `middle` (default: every
     arrow), then P(g∘f) = P(f)∘P(g) for every f into its source, blockwise
-    over (src g, tgt g), then src f, in canonical order.
+    over (src g, tgt g), then src f, then rows of g, in canonical order.
 
     The clause is decided as adjoint existence, by the lemma: between finite
     inf-semilattices, h: L -> M preserves top and binary meets exactly when
@@ -210,15 +210,15 @@ def _laws_scan(P: DoctrineData, stacks: list[np.ndarray], pos: np.ndarray,
                                 (C.arrows[int(G[k])], fib_c.elements[i], fib_c.elements[j]),
                                 "meet not preserved")
     for b, c, G, R in blocks:
-        Rp, nc = R.astype(np.intp), P.fibers[c].n
+        nc = P.fibers[c].n
         for a in range(C.n_objects):
             F = C.hom(a, b)
             if len(F) == 0:
                 continue
-            step = max(1, (1 << 22) // max(1, nc * len(F)))
+            step, PF = block_rows(stacks[c].itemsize * nc * len(F)), stacks[b][pos[F]]
             for lo in range(0, len(G), step):
-                lhs = stacks[c][pos[C.comp[G[lo:lo + step]][:, F]]]         # P(g∘f)
-                rhs = np.swapaxes(stacks[b][pos[F]][:, Rp[lo:lo + step]], 0, 1)
+                lhs = stacks[c][pos[C.comp[G[lo:lo + step, None], F]]]      # P(g∘f)
+                rhs = np.swapaxes(PF[:, R[lo:lo + step].astype(np.intp)], 0, 1)
                 if not np.array_equal(lhs, rhs):
                     k, i, x = map(int, np.argwhere(lhs != rhs)[0])
                     return ValidationReport(

@@ -37,8 +37,15 @@ import numpy as np
 from .errors import MalformedPresentation, Store, WindowClosure, guard
 
 DEFAULT_ENUM_CAP = 1 << 20
-TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 192 MiB with the last-entry table
+TABLE_CELL_CAP = 1 << 24     # composition cells: 4,096 arrows, 128 MiB with the last-entry table
 FIBER_ELEMENT_CAP = 1 << 10  # elements of a parsed fiber, before its n x n order and meet tables
+BLOCK_BYTES = 1 << 19        # one temporary of a blocked kernel; no verdict depends on it
+
+
+def block_rows(row_bytes: int) -> int:
+    """The block step of every kernel whose temporaries grow with n² arrows or
+    fiber × fiber × maps: the rows of `row_bytes` that BLOCK_BYTES holds, or one."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +63,8 @@ class FinCat(Store):
     tables for the inner loops; everything else derived is kept in its
     `Store`: the generators and the law verdict, the hom-size and histogram
     tables of the cone counts (read-only), the joint-monicity and
-    regular-epi verdicts, product cones and pullbacks, the exactness
-    verdicts and the subobject doctrines; an error is not kept."""
+    regular-epi verdicts, product cones, pullbacks and pairing tables, the
+    exactness verdicts and the subobject doctrines; an error is not kept."""
 
     objects: tuple[str, ...]
     arrows: tuple[str, ...]            # arrow names, index order is id order
@@ -141,8 +148,8 @@ class FinCat(Store):
         n = len(arrows)
         guard("composition table cells", n * n, TABLE_CELL_CAP)
         cell = compose[:, 0] * n + compose[:, 1]
-        last = np.full(n * n, -1, dtype=np.intp)        # last entry per cell
-        np.maximum.at(last, cell, np.arange(len(cell)))
+        last = np.full(n * n, -1, dtype=np.int32)       # last entry per cell
+        np.maximum.at(last, cell, np.arange(len(cell), dtype=np.int32))
         comp = np.full(n * n, -1, dtype=np.int32)
         filled = last >= 0
         comp[filled] = compose[last[filled], 2]
@@ -155,8 +162,8 @@ class FinCat(Store):
         earlier generators do not reach it.  Meaningful on a typed, total
         table, which validate_category checks before it asks."""
         def derive() -> np.ndarray:
-            n = self.n_arrows
-            comp_t = self.comp.T.copy()
+            n, comp = self.n_arrows, self.comp
+            step = block_rows(2 * comp.itemsize * n)         # a row of each side per arrow
             reached = np.zeros(n, dtype=bool)
             reached[self.id_arr] = True
             gens = []
@@ -164,15 +171,19 @@ class FinCat(Store):
                 if reached[a]:
                     continue
                 gens.append(a)
-                # close under composition: each batch of new arrows meets
-                # every reached arrow, the batch included, on both sides once
+                G = np.array(gens)
+                # close under composition: a batch of new arrows meets every reached
+                # arrow on its right and every generator on its left, once (u∘y is y
+                # behind u's generators; only reached arrows meet, all Light's test needs)
                 new = np.zeros(n, dtype=bool)
                 new[a] = True
                 while new.any():
                     reached |= new
                     batch = np.flatnonzero(new)
-                    both = np.concatenate([self.comp[batch], comp_t[batch]])
-                    new[both[(both >= 0) & reached]] = True
+                    for b in (batch[lo:lo + step] for lo in range(0, len(batch), step)):
+                        right, left = comp[b], comp[G[:, None], b]     # b∘reached, G∘b
+                        new[right[(right >= 0) & reached]] = True
+                        new[left[left >= 0]] = True
                     new &= ~reached
             return np.array(gens, dtype=np.intp)
         return self.kept(("generators",), derive)
@@ -189,13 +200,11 @@ class ProductChoice:
     """Chosen terminal and binary products by index into one category:
     binary maps the objects (a, b) to the product object and its two
     projections (p, pr1, pr2).  Names live only at the parser, the emitter
-    and the witnesses.  The pairing table is derived from the chosen
-    projections by the first Window built over the choice (mediators into
-    a product are unique, so it is derived data, kept for O(1) lookups)."""
+    and the witnesses.  It holds no derived data: the category keeps the
+    pairing table that each Window over the choice reads."""
 
     terminal: int
     binary: dict[tuple[int, int], tuple[int, int, int]]  # (a, b) -> (p, pr1, pr2)
-    pairing: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -233,26 +242,38 @@ def validate_category(C: FinCat) -> ValidationReport:
     return bad if bad is not None else _associativity_scan(C)
 
 
+_TYPING_LAWS = (("AssociativityOrTyping", "composition defined on a non-composable pair"),
+                ("MissingEntry", "composable pair has no composite"),
+                ("AssociativityOrTyping", "composite has wrong source or target"))
+
+
 def _typing_violation(C: FinCat) -> ValidationReport | None:
     """Composites defined on exactly the composable pairs, each typed
-    (src f, tgt g): what a reader of composites needs."""
-    composable = C.src[:, None] == C.tgt[None, :]
-    defined = C.comp >= 0
-    if (defined & ~composable).any():
-        g, f = map(int, np.argwhere(defined & ~composable)[0])
-        return ValidationReport(False, "AssociativityOrTyping", (C.arrows[g], C.arrows[f]),
-                                "composition defined on a non-composable pair")
-    if (composable & ~defined).any():
-        g, f = map(int, np.argwhere(composable & ~defined)[0])
-        return ValidationReport(False, "MissingEntry", (C.arrows[g], C.arrows[f]),
-                                "composable pair has no composite")
-    # g∘f must have the type (src f, tgt g); a type is coded src * |objects| + tgt
-    typ = C.src * C.n_objects + C.tgt
-    bad = composable & (np.take(typ, C.comp) != C.src[None, :] * C.n_objects + C.tgt[:, None])
-    if bad.any():
-        g, f = map(int, np.argwhere(bad)[0])
-        return ValidationReport(False, "AssociativityOrTyping", (C.arrows[g], C.arrows[f]),
-                                "composite has wrong source or target")
+    (src f, tgt g): what a reader of composites needs.  The first pair
+    (g, f) that breaks the first of `_TYPING_LAWS` anywhere is named, by
+    rows of g in blocks, with each type coded src * |objects| + tgt, in
+    int16 when the codes fit."""
+    k = C.n_objects
+    code = np.int16 if k * k <= np.iinfo(np.int16).max else np.int64
+    typ, src, tgt = (C.src * k + C.tgt).astype(code), (C.src * k).astype(code), C.tgt.astype(code)
+    first: list[tuple[int, int] | None] = [None] * len(_TYPING_LAWS)
+    step = block_rows(np.dtype(code).itemsize * C.n_arrows)
+
+    def broken(lo: int):                    # rows lo.. of g, a mask at a time
+        comp, composable = C.comp[lo:lo + step], C.src[lo:lo + step, None] == C.tgt[None, :]
+        yield (comp >= 0) & ~composable
+        yield composable & (comp < 0)
+        yield composable & (np.take(typ, comp) != src[None, :] + tgt[lo:lo + step, None])
+
+    for lo in range(0, C.n_arrows, step):
+        for i, bad in enumerate(broken(lo)):
+            if first[i] is None and bad.any():
+                first[i] = tuple(np.argwhere(bad)[0] + (lo, 0))
+        if first[0] is not None:
+            break
+    for (law, message), at in zip(_TYPING_LAWS, first):
+        if at is not None:
+            return ValidationReport(False, law, (C.arrows[at[0]], C.arrows[at[1]]), message)
     return None
 
 
@@ -281,8 +302,8 @@ def _typing_or_identity_violation(C: FinCat) -> ValidationReport | None:
 
 def _associativity_scan(C: FinCat, middle: np.ndarray | None = None) -> ValidationReport:
     """Every composable triple (h, g, f) with g in `middle` (default: every
-    arrow), blockwise over (src g, tgt g), in canonical order; int16 values
-    and hoisted index conversions keep the big fixture fast.
+    arrow), blockwise over (src g, tgt g) and rows of h, in canonical order;
+    int16 values and hoisted index conversions keep the big fixture fast.
 
     With the generators as `middle` this is Light's test, which decides
     associativity of a typed, unital table exactly.  The arrows m with
@@ -296,17 +317,17 @@ def _associativity_scan(C: FinCat, middle: np.ndarray | None = None) -> Validati
     comp16 = C.comp.astype(np.int16) if C.n_arrows < (1 << 15) else C.comp
     middle = np.arange(C.n_arrows) if middle is None else np.asarray(middle)
     src, tgt = C.src[middle], C.tgt[middle]
-    comp_F: dict[int, np.ndarray] = {}
+    held = None                                             # comp_F: the columns of one src g
     for b, c in sorted(set(zip(src.tolist(), tgt.tolist()))):
         G = middle[(src == b) & (tgt == c)]
         F, H = C.into(b), C.outof(c)
-        if b not in comp_F:
-            comp_F[b] = comp16[:, F]
-        GF_ip = C.comp[G][:, F].astype(np.intp)
-        HG_ip = C.comp[:, G][H].astype(np.intp)
-        chunk = max(1, (1 << 22) // max(1, len(G) * len(F)))
+        if b != held:
+            held, comp_F = b, comp16[:, F]
+        GF_ip = C.comp[G[:, None], F].astype(np.intp)
+        HG_ip = C.comp[H[:, None], G].astype(np.intp)
+        chunk = block_rows(comp16.itemsize * len(G) * len(F))
         for lo in range(0, len(H), chunk):
-            lhs = comp_F[b][HG_ip[lo:lo + chunk]]           # (ch, nG, nF): (h∘g)∘f
+            lhs = comp_F[HG_ip[lo:lo + chunk]]              # (ch, nG, nF): (h∘g)∘f
             rhs = comp16[H[lo:lo + chunk]][:, GF_ip]        # h∘(g∘f)
             if not np.array_equal(lhs, rhs):
                 k, i, j = map(int, np.argwhere(lhs != rhs)[0])
@@ -383,20 +404,24 @@ class Window:
     lives."""
 
     def __init__(self, C: FinCat, pc: ProductChoice, scope: WindowScope):
-        """The first Window over `pc` fills its pairing table: each cone
-        (pr1∘u, pr2∘u) of an arrow u into a chosen product, least u first."""
+        """The pairing table maps each cone (pr1∘u, pr2∘u) of an arrow u into a
+        chosen product to the least such u; C keeps it per chosen (p, pr1, pr2)."""
         self.C = C
         self.pc = pc
         self.scope = scope
         for o in scope.core:
             if not 0 <= o < C.n_objects:
                 raise MalformedPresentation(f"core object {o} not in category")
-        if not pc.pairing:
+
+        def derive() -> dict[tuple[int, int], int]:
+            pairing: dict[tuple[int, int], int] = {}
             for p, p1, p2 in pc.binary.values():
                 meds = C.into(p)
                 for cone, u in zip(zip(C.comp[p1, meds].tolist(), C.comp[p2, meds].tolist()),
                                    meds.tolist()):
-                    pc.pairing.setdefault(cone, u)
+                    pairing.setdefault(cone, u)
+            return pairing
+        self.pairing = C.kept(("pairing", tuple(pc.binary.values())), derive)
 
     def prod(self, a: int, b: int) -> tuple[int, int, int]:
         if (a, b) not in self.pc.binary:
@@ -406,11 +431,11 @@ class Window:
     def pair(self, f: int, g: int) -> int:
         """<f, g> for a cone (f: Z->A, g: Z->B) over the chosen product A×B."""
         key = (f, g)
-        if key not in self.pc.pairing:
+        if key not in self.pairing:
             a, b = int(self.C.tgt[f]), int(self.C.tgt[g])
             raise WindowClosure((self.C.objects[a], self.C.objects[b]),
                                 f"no mediator for cone ({self.C.arrows[f]}, {self.C.arrows[g]})")
-        return self.pc.pairing[key]
+        return self.pairing[key]
 
     def diag(self, a: int) -> int:
         e = int(self.C.id_arr[a])
@@ -672,10 +697,10 @@ def first_without_weak_pullback(C: FinCat, cospans: np.ndarray, hints: np.ndarra
 def _distinct_codes(C: FinCat, x: int, spans: np.ndarray) -> np.ndarray:
     """Per span (p, q) from x, the distinct codes (p∘u, q∘u) over the u into
     x.  They never outnumber the cones, and p∘u fixes the source of u: they
-    number them iff (p, q) is a weak pullback.  Sorted in blocks of 2M."""
+    number them iff (p, q) is a weak pullback.  Sorted in blocks of spans."""
     into = C.into(x)
     out = np.zeros(len(spans), dtype=np.int64)
-    step = max(1, (1 << 21) // len(into))
+    step = block_rows(8 * len(into))
     for lo in range(0, len(spans), step):
         p, q = spans[lo:lo + step, 0], spans[lo:lo + step, 1]
         codes = C.comp[np.ix_(p, into)].astype(np.int64) * C.n_arrows + C.comp[np.ix_(q, into)]

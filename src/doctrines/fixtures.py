@@ -218,7 +218,7 @@ def fs2_base() -> tuple[FinCat, ProductChoice, WindowScope, dict]:
 def fs2() -> DoctrineData:
     """Full powerset fibers with preimage reindexing over the finite-set base:
     along f: a -> b the subset mask s goes to the mask of {x : f(x) in s},
-    the tables of a (src, tgt) block of arrows computed at once."""
+    the tables of a (src, tgt) block computed at once, an input bit at a time."""
     if "doctrine" in _FS2_CACHE:
         return _FS2_CACHE["doctrine"]
     cat, pc, scope, _ = fs2_base()
@@ -226,8 +226,9 @@ def fs2() -> DoctrineData:
     fibers = [powerset(s) for s in sizes]
     reindex: list[MonotoneMap] = []
     for (a, b), vals in _finset_arrows(sizes).items():      # in arrow id order
-        bit_x = (np.arange(1 << b, dtype=np.int32) >> vals[:, :, None].astype(np.int32)) & 1
-        pre = (bit_x << np.arange(a, dtype=np.int32)[:, None]).sum(axis=1, dtype=np.int32)
+        pre = np.zeros((len(vals), 1 << b), dtype=np.int32)
+        for x, fx in enumerate(vals.T.astype(np.int32)):
+            pre |= ((np.arange(1 << b, dtype=np.int32) >> fx[:, None]) & 1) << x
         reindex.extend(MonotoneMap(fibers[sizes.index(b)], fibers[sizes.index(a)], table)
                        for table in pre)
     P = DoctrineData(cat, pc, scope, fibers, reindex)

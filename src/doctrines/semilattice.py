@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MalformedPresentation, Store
+from .fincat import block_rows
 
 
 @dataclass
@@ -110,11 +111,11 @@ def _pair_downsets(leq: np.ndarray):
     m is the greatest lower bound of i and j exactly when ↓m = ↓i ∩ ↓j, with
     ↓x = {k : k <= x}.  Returns ↓x for every x and the blocks (lo, ↓i ∩ ↓j
     for the rows i from lo on and every j), each down-set packed into one
-    byte string; a block is about 8 MB at most."""
+    byte string, in blocks of rows i."""
     n = len(leq)
     down = np.ascontiguousarray(np.packbits(leq.T, axis=1))   # row x packs ↓x
     key = np.dtype((np.void, down.shape[1]))
-    step = max(1, (1 << 23) // max(1, n * down.shape[1]))
+    step = block_rows(n * down.shape[1])
     blocks = ((lo, (down[lo:lo + step, None, :] & down[None, :, :]).view(key).reshape(-1, n))
               for lo in range(0, n, step))
     return down.view(key).ravel(), blocks
@@ -254,11 +255,11 @@ def left_adjoints(L: FinInfSL, M: FinInfSL, tables: np.ndarray) -> np.ndarray:
     That biconditional says U = {b : a <= h(b)} is ↑e(a); then e(a) is the
     member of U with the largest up-set, as every other member lies above
     it.  So that member is the candidate, and comparing its up-set with U
-    decides it: |M|·|L| entries per map, in blocks of about 8 MB.  L keeps
-    that order of its elements (`_by_up`) for every later call."""
+    decides it: |M|·|L| entries per map, in blocks of maps.  L keeps that
+    order of its elements (`_by_up`) for every later call."""
     by_up, up = L.kept(("by_up",), lambda: _by_up(L))
     out = np.empty((len(tables), M.n), dtype=np.int32)
-    step = max(1, (1 << 23) // max(1, M.n * L.n))
+    step = block_rows(M.n * L.n)
     for lo in range(0, len(tables), step):
         upper = M.leq[:, tables[lo:lo + step, by_up]].transpose(1, 0, 2)   # a <= h(b)
         cand = by_up[upper.argmax(axis=2)]

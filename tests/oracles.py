@@ -281,6 +281,27 @@ def typing_laws(arrows, src, tgt, comp):
     return None
 
 
+def typing_formula(C: FinCat) -> ValidationReport | None:
+    """The former whole-table typing check, each type coded in int64 as
+    src * |objects| + tgt: the first composite defined on a non-composable
+    pair, then the first composable pair without one, then the first
+    composite of the wrong type, row-major over (g, f)."""
+    composable = C.src[:, None] == C.tgt[None, :]
+    defined = C.comp >= 0
+    typ = C.src.astype(np.int64) * C.n_objects + C.tgt
+    want = C.src[None, :].astype(np.int64) * C.n_objects + C.tgt[:, None]
+    for law, bad, message in (
+            ("AssociativityOrTyping", defined & ~composable,
+             "composition defined on a non-composable pair"),
+            ("MissingEntry", composable & ~defined, "composable pair has no composite"),
+            ("AssociativityOrTyping", composable & (np.take(typ, C.comp) != want),
+             "composite has wrong source or target")):
+        if bad.any():
+            g, f = map(int, np.argwhere(bad)[0])
+            return ValidationReport(False, law, (C.arrows[g], C.arrows[f]), message)
+    return None
+
+
 def category_laws(objects, arrows, src, tgt, ident, comp):
     n = len(arrows)
     bad = typing_laws(arrows, src, tgt, comp)
@@ -733,8 +754,8 @@ def mediators(C, z: int, legs: tuple[int, ...]) -> dict[tuple[int, ...], list[in
 
 
 def validate_products(C, pc) -> ValidationReport:
-    """The terminal and every chosen product checked, and the pairing table
-    filled, with one table of cone codes per apex."""
+    """The terminal and every chosen product checked, with one table of
+    cone codes per apex and a pairing table that <pr1, pr2> is read from."""
     t = pc.terminal
     if t not in range(C.n_objects):
         return ValidationReport(False, "MissingEntry", (t,), "unknown terminal")
@@ -743,7 +764,7 @@ def validate_products(C, pc) -> ValidationReport:
         if k != 1:
             return ValidationReport(False, "Terminal", (C.objects[z],),
                                     f"terminal has {k} arrows from {C.objects[z]}")
-    pc.pairing.clear()
+    pairing: dict[tuple[int, int], int] = {}
     n = C.n_arrows
     for (a, b), (p, p1, p2) in pc.binary.items():
         for i, pool in ((a, C.objects), (b, C.objects), (p, C.objects),
@@ -774,8 +795,8 @@ def validate_products(C, pc) -> ValidationReport:
                                 f"cone has no mediating arrow into {pn}")
             for k in np.argsort(codes, kind="stable"):
                 m = int(meds[k])
-                pc.pairing[(int(C.comp[p1, m]), int(C.comp[p2, m]))] = m
-        if pc.pairing.get((p1, p2)) != int(C.id_arr[p]):
+                pairing[(int(C.comp[p1, m]), int(C.comp[p2, m]))] = m
+        if pairing.get((p1, p2)) != int(C.id_arr[p]):
             return ValidationReport(False, "Product", (C.arrows[p1], C.arrows[p2]),
                                     "<pr1, pr2> is not the identity of the product")
     return ValidationReport(True)

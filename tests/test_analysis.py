@@ -401,6 +401,18 @@ def test_a_copy_leaves_out_a_kept_value_it_cannot_copy(owner):
         assert R._kept == {} and ("lock",) in O._kept
 
 
+def test_a_product_choice_copies_alike_before_and_after_its_window(monkeypatch):
+    """The pairing table lives in the category's store, read by each
+    Window: reading fs2's window leaves its product choice, and so the cost
+    of a deep copy of it, byte for byte as it was."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    P = fixtures.fs2()
+    before = pickle.dumps(copy.deepcopy(P.products))
+    assert len(P.window.pairing) == 3623
+    assert pickle.dumps(copy.deepcopy(P.products)) == before
+    assert [f.name for f in dataclasses.fields(P.products)] == ["terminal", "binary"]
+
+
 def test_a_lattice_keeps_its_adjoint_order_and_copies_start_without_it():
     P = fixtures.chain_fixture()
     L, M = P.fibers

@@ -436,7 +436,8 @@ def test_2cells_reject_lax_unnatural_combinations(chain, completions, monkeypatc
         rejected += int(table.sizes[i * len(mors) + j]) - len(former)
         multiple += len(former) > 1
     assert (rejected, multiple) == (384, 297)
-    monkeypatch.setattr(compare, "COMBINATION_BLOCK", 7)      # blocks that split pairs
+    # blocks of 7 combinations, which split pairs
+    monkeypatch.setattr(fincat, "BLOCK_BYTES", 7 * np.dtype(np.intp).itemsize * chain.cat.n_arrows)
     assert compare.TwoCellTable(chain, R, mors).cells == table.cells
     T = R.cat
     through_isos = 0

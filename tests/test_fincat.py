@@ -50,7 +50,7 @@ def test_products_triv_chain(triv, chain):
 
 def test_products_fs2_against_set_oracle(fs2):
     """Chosen mediators are the set-theoretic tuple maps."""
-    pairing = fs2.window.pc.pairing
+    pairing = fs2.window.pairing
     assert len(pairing) > 0
     C = fs2.cat
     # the mediator of the cone (pr1, pr2) is the identity of the product
@@ -278,8 +278,8 @@ def test_pairing_postcomposition(chain, fs2):
     """Every mediator postcomposes with the projections back to its cone."""
     for P in (chain, fs2):
         C = P.cat
-        assert P.window.pc.pairing
-        for (f, g), m in P.window.pc.pairing.items():
+        assert P.window.pairing
+        for (f, g), m in P.window.pairing.items():
             _, p1, p2 = P.products.binary[int(C.tgt[f]), int(C.tgt[g])]
             assert int(C.comp[p1, m]) == f
             assert int(C.comp[p2, m]) == g
@@ -292,7 +292,7 @@ def test_fs2_mediators_are_tuple_maps(fs2):
     lk = fixtures.fs2_base()[3]
     vals = {C.arr_index[nm]: v for (a, b, v), nm in lk.items()}
     checked = 0
-    for (f, g), m in list(fs2.window.pc.pairing.items())[::7]:
+    for (f, g), m in list(fs2.window.pairing.items())[::7]:
         a, b = int(C.tgt[f]), int(C.tgt[g])
         _, p1, p2 = fs2.products.binary[a, b]
         sb = int(C.objects[b])
@@ -368,6 +368,17 @@ def _v_pair(f: str, g: str) -> int:
     return W.pair(W.C.arr_index[f], W.C.arr_index[g])
 
 
+def _comparison_without_mediator():
+    """The one-object category, with its product (X, X), sent onto t of
+    v_poset, whose chosen (t, t) product, the apex a with at twice,
+    mediates no cone out of t: the functor and both product choices."""
+    S = crafted.build(["X"], [("idX", "X", "X")], {"X": "idX"}, {("idX", "idX"): "idX"})
+    T = crafted.v_poset()
+    return crafted.functor(S, T, {"X": "t"}, {"idX": "idt"}), (
+        crafted.choice(S, "X", {("X", "X"): ("X", "idX", "idX")}),
+        crafted.choice(T, "t", {("t", "t"): ("a", "at", "at")}))
+
+
 @pytest.mark.parametrize("build, outcome", [
     pytest.param(lambda: FinCat(("A", "A"), ("idA", "idB"), np.array([0, 1]), np.array([0, 1]),
                                 np.array([0, 1]), np.full((2, 2), -1)),
@@ -408,6 +419,9 @@ def _v_pair(f: str, g: str) -> int:
     pytest.param(lambda: validate_functor(_nofact_functor(_nofact_with("s", "s", "s"))),
                  (False, "Functor", ("s", "s"), "composition not preserved"),
                  id="functor-composition"),
+    pytest.param(lambda: validate_functor(*_comparison_without_mediator()),
+                 ("WindowClosure", "window closure violated: missing product txt "
+                                   "(no mediator for cone (idt, idt))"), id="functor-comparison"),
 ])
 def test_input_guards(build, outcome):
     assert _outcome(build) == outcome

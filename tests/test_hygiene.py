@@ -1,10 +1,15 @@
-"""Source hygiene checked with the standard library alone."""
+"""Source hygiene checked with the standard library alone, and the traced
+memory of a check of fs2."""
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from doctrines import fixtures
+from doctrines.cli import check_report
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "doctrines"
@@ -560,3 +565,72 @@ def test_claims_are_read_only_by_the_report(path):
     place, `Report.classified`; every other module reads its kinds or the
     state `Report.state` makes of them."""
     assert claim_marker_reads((SRC / path).read_text()) == []
+
+
+def literal_block_sizes(source: str) -> list[str]:
+    """Each block step written with a literal size of 2^10 or more (`1 << k`
+    or a number): the step of a `range` call, or the value of a name that
+    says step, chunk or block, as `function:range`, `function:name` or, at
+    module level, `name`."""
+    def literal(node) -> bool:
+        return any((isinstance(n, ast.BinOp) and isinstance(n.op, ast.LShift)
+                    and isinstance(n.left, ast.Constant) and n.left.value == 1
+                    and isinstance(n.right, ast.Constant) and 10 <= n.right.value < 30)
+                   or (isinstance(n, ast.Constant) and type(n.value) is int and n.value >= 1 << 10)
+                   for n in ast.walk(node))
+
+    out = []
+
+    def walk(node, where: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, f"{child.name}:")
+                continue
+            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "range"
+                    and len(child.args) == 3 and literal(child.args[2])):
+                out.append(f"{where}range")
+            if isinstance(child, ast.Assign) and literal(child.value):
+                out.extend(f"{where}{n.id}" for t in child.targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name) and re.search("step|chunk|block", n.id, re.I))
+            walk(child, where)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def test_scan_finds_literal_block_sizes():
+    source = ("STEP = 1 << 16\nBLOCK_BYTES = 1 << 19\nCAP = 1 << 20\n\n"
+              "def f(n):\n    chunk = max(1, (1 << 22) // n)\n    step = block_rows(n)\n"
+              "    for lo in range(0, n, 1 << 14):\n        pass\n"
+              "    for lo in range(0, n, 4096):\n        pass\n"
+              "    width, blocks = 1 << 12, [1 << 8]\n"
+              "    def g(m):\n        out, step = [], 65536 // m\n        return out, step\n"
+              "    return range(0, n, step), g\n")
+    assert literal_block_sizes(source) == ["STEP", "BLOCK_BYTES", "f:chunk", "f:range",
+                                           "f:range", "f:blocks", "g:step"]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_blocks_are_sized_by_the_one_budget(path):
+    """Every blocked kernel takes its step from `fincat.block_rows`; the
+    budget constant is the one literal block size."""
+    assert literal_block_sizes((SRC / path).read_text()) == \
+        (["BLOCK_BYTES"] if path == "fincat.py" else [])
+
+
+# tracemalloc's peak for a fresh fs2 built and checked: 10.0 MB in blocks of
+# BLOCK_BYTES, 17.1 MB with the former whole-table temporaries
+CHECK_FS2_TRACED_PEAK = 10.0 * 2**20
+
+
+def test_checking_a_fresh_fs2_keeps_its_traced_peak(monkeypatch):
+    """An n² temporary that comes back into the law checks, or into building
+    fs2, fails here: the traced peak stays within 25% of its pinned value."""
+    monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
+    tracemalloc.start()
+    try:
+        _, ok = check_report(fixtures.fs2())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak <= 1.25 * CHECK_FS2_TRACED_PEAK

@@ -6,21 +6,29 @@ functoriality over the same set; both fall back to the exhaustive scan for
 the witness.  Random small categories of finite maps, some with corrupted
 table entries, and their powerset doctrines must get the same report as the
 oracles in `oracles.py`; faults injected into fs2 must be caught by the
-reduced checks and named by the exhaustive scan."""
+reduced checks and named by the exhaustive scan.  The blocked kernels give
+the same reports in blocks of one row (`fincat.BLOCK_BYTES` patched down)
+as at the default budget."""
 
 import copy
+import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as strat
 
+import crafted
 import oracles
-from doctrines import fixtures
+from doctrines import fincat, fixtures
+from doctrines.compare import enumerate_fiber_homs
 from doctrines.doctrine import DoctrineData, _laws_scan, _reindex_stacks, validate_doctrine
 from doctrines.fincat import (FinCat, ProductChoice, WindowScope, _associativity_scan,
-                              validate_category)
-from doctrines.semilattice import FinInfSL, MonotoneMap, left_adjoints, powerset
+                              _typing_violation, first_without_weak_pullback, validate_category,
+                              weak_pullback)
+from doctrines.semilattice import (FinInfSL, MonotoneMap, diamond, left_adjoints, meets_from_leq,
+                                   powerset)
 
 MAX_ARROWS = 40
 
@@ -135,6 +143,28 @@ def _with_comp(C: FinCat, comp, id_arr=None) -> FinCat:
                   C.id_arr if id_arr is None else id_arr, comp)
 
 
+def _one_row_blocks():
+    """Every blocked kernel in blocks of one row: a budget below any row."""
+    return mock.patch.object(fincat, "BLOCK_BYTES", 1)
+
+
+def _at_both_budgets(report):
+    """report() at the default budget, asserted equal in blocks of one row.
+    `report` builds what it checks afresh, so that no store holds a verdict."""
+    default = report()
+    with _one_row_blocks():
+        assert report() == default
+    return default
+
+
+def _fresh(P):
+    """A fresh copy of a category, or of a doctrine over a fresh copy of
+    its base: its stores start empty."""
+    if isinstance(P, FinCat):
+        return _with_comp(P, P.comp)
+    return dataclasses.replace(P, cat=_fresh(P.cat))
+
+
 def _non_identity(C: FinCat) -> list[int]:
     ids = set(C.id_arr.tolist())
     return [f for f in range(C.n_arrows) if f not in ids]
@@ -182,7 +212,11 @@ def corrupted_categories(draw):
 @settings(max_examples=150)
 @given(corrupted_categories())
 def test_validate_category_matches_oracle(C):
-    assert _report(validate_category(C)) == oracles.category_laws(*_plain_category(C))
+    """At the default budget and in blocks of one row."""
+    want = oracles.category_laws(*_plain_category(C))
+    assert _report(validate_category(C)) == want
+    with _one_row_blocks():
+        assert _report(validate_category(_fresh(C))) == want
 
 
 def _powerset_doctrine(C: FinCat, arrows, sizes) -> DoctrineData:
@@ -251,7 +285,11 @@ def corrupted_doctrines(draw, base_faults=("repoint",)):
 @settings(max_examples=150)
 @given(corrupted_doctrines(base_faults=("repoint", "remove", "mistype")))
 def test_validate_doctrine_matches_oracle(P):
-    assert _report(validate_doctrine(P)) == oracles.doctrine_laws(*_plain_doctrine(P))
+    """At the default budget and in blocks of one row."""
+    want = oracles.doctrine_laws(*_plain_doctrine(P))
+    assert _report(validate_doctrine(P)) == want
+    with _one_row_blocks():
+        assert _report(validate_doctrine(_fresh(P))) == want
 
 
 @settings(max_examples=150)
@@ -368,11 +406,9 @@ def window_doctrines(draw, corrupt: bool = False):
 POSITIONS = (0.0, 0.37, 0.71, 0.98)
 
 
-@pytest.mark.parametrize("position", POSITIONS)
-def test_fs2_comp_fault_caught_with_scan_witness(position):
-    """A composite of two non-identity arrows re-pointed at another arrow of
-    its type, at several places in the table."""
-    C = fixtures.fs2().cat
+def _fs2_comp_fault(C: FinCat, position) -> np.ndarray:
+    """A copy of fs2's table with a composite of two non-identity arrows
+    re-pointed at another arrow of its type, at a place in the table."""
     ids = set(C.id_arr.tolist())
     gi, fi = np.nonzero(C.comp >= 0)
     pairs = [(g, f) for g, f in zip(gi.tolist(), fi.tolist())
@@ -382,6 +418,15 @@ def test_fs2_comp_fault_caught_with_scan_witness(position):
     h = int(C.comp[g, f])
     comp = C.comp.copy()
     comp[g, f] = next(int(k) for k in C.hom(int(C.src[h]), int(C.tgt[h])) if k != h)
+    return comp
+
+
+@pytest.mark.parametrize("position", POSITIONS)
+def test_fs2_comp_fault_caught_with_scan_witness(position):
+    """A composite of two non-identity arrows re-pointed at another arrow of
+    its type, at several places in the table."""
+    C = fixtures.fs2().cat
+    comp = _fs2_comp_fault(C, position)
     bad = _with_comp(C, comp)
     assert not bad.is_category()
     rep = validate_category(bad)
@@ -566,3 +611,110 @@ def test_fs2_tables_are_read_only():
     copied = copy.deepcopy(C)
     assert not copied.comp.flags.writeable
     assert copied.generators() is not C.generators()
+
+
+# ---------------------------------------------------------------------------
+# blocked kernels: blocks of one row give the reports of the default budget
+# ---------------------------------------------------------------------------
+
+
+# the reports of the former whole-table kernels
+FS2_FAULT_REPORTS = {
+    ("comp", 0.37): ("AssociativityOrTyping", ("a8_8_13314665", "a2_8_53", "a4_2_3")),
+    ("comp", 0.98): ("AssociativityOrTyping", ("a8_8_12057471", "a4_8_3409", "a8_4_47889")),
+    **{("reindex", p): REINDEX_FAULT_REPORTS[p][:2] for p in (0.37, "top", "last")},
+}
+
+
+@pytest.mark.parametrize("fault", list(FS2_FAULT_REPORTS))
+def test_fs2_faults_named_alike_in_blocks_of_one_row(fault):
+    """fs2 with one re-pointed composite, or one altered reindex entry: the
+    witness the former kernels named, in blocks of one row as well."""
+    P = fixtures.fs2()
+    kind, position = fault
+    if kind == "comp":
+        bad = _with_comp(P.cat, _fs2_comp_fault(P.cat, position))
+        check = validate_category
+    else:
+        bad = _with_reindex(P, *_fs2_reindex_fault(P, position))
+        check = validate_doctrine
+    assert _at_both_budgets(lambda: _report(check(_fresh(bad))))[1:3] == FS2_FAULT_REPORTS[fault]
+
+
+CRAFTED_REPORTS = {
+    "v_poset": (True, "", (), ""),
+    "nofact_category": (True, "", (), ""),
+    "meet_not_pullback": (True, "", (), ""),
+    "noext": (False, "Homomorphism", ("a8_4_60996", "t1", "t2"), MEET),
+    "nofrobenius": (False, "Functoriality", ("a2_2_1", "a2_2_1", "lo"), FUNCTOR),
+    "mixedfail": (False, "Homomorphism", ("m",), "top not preserved"),
+}
+
+
+@pytest.mark.parametrize("name", list(CRAFTED_REPORTS))
+def test_crafted_reports_alike_in_blocks_of_one_row(name):
+    """The crafted categories and doctrines, and mixedfail, whose reindexing
+    into the diamond fiber is monotone but no homomorphism: the reports of
+    the former kernels, in blocks of one row as well."""
+    doctrines = {"noext": lambda: crafted.noext()[0], "nofrobenius": crafted.nofrobenius,
+                 "mixedfail": fixtures.mixedfail}
+    if name in doctrines:
+        build, check = doctrines[name], validate_doctrine
+    else:
+        build, check = getattr(crafted, name), validate_category
+    assert _at_both_budgets(lambda: _report(check(build()))) == CRAFTED_REPORTS[name]
+
+
+def test_lattice_and_limit_kernels_alike_in_blocks_of_one_row():
+    """The fiber check, meets from an order, left adjoints, fiber
+    homomorphisms, weak pullbacks and generators on fs2's tables."""
+    P = fixtures.fs2()
+    C, big = P.cat, P.fibers[P.cat.obj_index["8"]]
+    meet = big.meet.copy()
+    meet[77, 200] = 64
+    tables = np.stack([P.reindex[f].table for f in C.hom(C.obj_index["4"], C.obj_index["8"])])
+    cospans = np.array([(f, g) for f in C.into(C.obj_index["2"])[:6].tolist()
+                        for g in C.into(C.obj_index["2"])[-6:].tolist()], dtype=np.intp)
+    assert _at_both_budgets(lambda: (
+        FinInfSL(big.elements, big.leq, big.top, meet).validate(),
+        [x.tolist() for x in meets_from_leq(big.elements, big.leq)[1:]],
+        left_adjoints(big, P.fibers[C.obj_index["4"]], tables).tolist(),
+        enumerate_fiber_homs(diamond(), powerset(2), 1 << 10).tolist(),
+        [weak_pullback(C, f, g) for f, g in cospans.tolist()],
+        first_without_weak_pullback(C, cospans, np.full(len(cospans), -1)),
+        _fresh(C).generators().tolist()))[0] == "meet(s77, s200) is not above lower bound s8"
+
+
+def _typing_faults(C: FinCat, kinds) -> np.ndarray:
+    """A copy of C's table with a fault of each kind in `kinds`, each in its
+    own row of g: "mistyped" (a composable pair re-pointed at an arrow of
+    another type) near the top, "missing" (a composable pair without
+    composite) in the middle, "defined" (a composite on a pair that is not
+    composable) near the end."""
+    comp = C.comp.copy()
+    for kind in kinds:
+        g = {"mistyped": C.n_arrows // 50, "missing": C.n_arrows // 2,
+             "defined": C.n_arrows - 2}[kind]
+        f = int(np.flatnonzero((C.tgt == C.src[g]) != (kind == "defined"))[-1])
+        comp[g, f] = {"missing": -1, "defined": 0}.get(kind) or next(
+            k for k in range(C.n_arrows) if (C.src[k], C.tgt[k]) != (C.src[f], C.tgt[g]))
+    return comp
+
+
+@pytest.mark.parametrize("kinds, message", [
+    (("mistyped",), "composite has wrong source or target"),
+    (("missing",), "composable pair has no composite"),
+    (("defined",), "composition defined on a non-composable pair"),
+    (("mistyped", "missing"), "composable pair has no composite"),
+    (("mistyped", "missing", "defined"), "composition defined on a non-composable pair"),
+])
+def test_typing_witness_is_the_int64_formulas(kinds, message):
+    """Each of the three typing witnesses, alone and behind a fault in an
+    earlier row that it comes before: the report of the former int64
+    formula, in blocks of one row as well."""
+    C = fixtures.fs2().cat
+    bad = _with_comp(C, _typing_faults(C, kinds))
+    want = oracles.typing_formula(bad)
+    assert want.message == message
+    assert _at_both_budgets(lambda: _report(_typing_violation(bad))) == _report(want)
+    assert _report(validate_category(bad)) == _report(want)

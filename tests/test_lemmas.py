@@ -64,7 +64,7 @@ def _chain(chain, P, E, X, tp):
 
 def _products_are_valid(*pcs_of):
     """Each choice is one of products, which neither `choose_products` nor
-    `build_gr` validates: `validate_products` only fills its pairing."""
+    `build_gr` validates."""
     for cat, pc in pcs_of:
         assert pc is None or validate_products(cat, pc).ok
 
