@@ -14,15 +14,14 @@ _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .errors import (DoctrinesError, FormulaMismatch, MalformedPresentation,
-                     NoWeakPullback, ParseError, ResourceCap, WindowClosure)
+                     ParseError, ResourceCap, WindowClosure)
 from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
                      Window, WindowScope, check_equivalence, check_exact,
                      image_factorization, iso_classes, validate_category,
                      validate_products)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, chain, diamond,
                           lattice_from_leq, left_adjoint, powerset)
-from .doctrine import (DoctrineData, box_product, sub_doctrine, validate_doctrine,
-                       weak_sub_doctrine)
+from .doctrine import DoctrineData, box_product, sub_doctrine, validate_doctrine
 from .structure import (ComprehensionTable, ElementaryWitness,
                         ExistentialWitness, check_beck_chevalley,
                         check_delta_product_law, check_frobenius,

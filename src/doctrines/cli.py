@@ -25,8 +25,7 @@ from .completions import Caps, transitive_extension
 from .compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
                       verify_fulc, verify_universal)
 from .doctrine import DoctrineData, sub_doctrine
-from .errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
-                     ParseError, ResourceCap, WindowClosure)
+from .errors import FormulaMismatch, MalformedPresentation, ParseError, ResourceCap, WindowClosure
 from .fileformat import emit_doctrine, parse_doctrine
 from .fincat import DEFAULT_ENUM_CAP, ValidationReport, check_exact, iso_classes
 from .report import CAPPED, FAIL, HYPOTHESIS, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
@@ -351,8 +350,7 @@ def main(argv=None) -> int:
     except ResourceCap as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (MalformedPresentation, WindowClosure, FormulaMismatch,
-            NoWeakPullback) as exc:
+    except (MalformedPresentation, WindowClosure, FormulaMismatch) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedPresentation, NoWeakPullback, Store, WindowClosure
+from .errors import Store, WindowClosure
 from .fincat import (FinCat, ProductChoice, ValidationReport, Window, WindowScope, block_rows,
-                     is_mono, _typing_violation, first_without_weak_pullback, weak_pullback)
+                     is_mono, _typing_violation)
 from .semilattice import (FinInfSL, MonotoneMap, NoAdjoint, lattice_from_leq, left_adjoint,
                           left_adjoints)
 
@@ -274,18 +274,15 @@ def _factor_classes(C: FinCat, arrows) -> tuple[list[int], np.ndarray, np.ndarra
     return arrows[firsts].tolist(), masks[firsts], cls
 
 
-def _class_lattice(C: FinCat, reps: list[int], masks: np.ndarray) -> FinInfSL:
-    """The classes ordered by factorization, named by their representatives."""
-    return lattice_from_leq(tuple(f"[{C.arrows[r]}]" for r in reps), masks[:, reps].T)
-
-
 def subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], np.ndarray, np.ndarray]:
     """Subobjects of `a` in the window: mono classes under mutual factorization.
 
-    Returns the fiber and `_factor_classes` of the monos into `a`.  Raises
-    when the classes are not meet-closed."""
+    Returns the fiber, the classes ordered by factorization and named by
+    their representatives, and `_factor_classes` of the monos into `a`.
+    Raises when the classes are not meet-closed."""
     reps, masks, cls = _factor_classes(C, [f for f in C.into(a).tolist() if is_mono(C, f)])
-    return _class_lattice(C, reps, masks), reps, masks, cls
+    fiber = lattice_from_leq(tuple(f"[{C.arrows[r]}]" for r in reps), masks[:, reps].T)
+    return fiber, reps, masks, cls
 
 
 def _greatest_classes(C: FinCat, reps_by_obj: list[list[int]],
@@ -296,10 +293,7 @@ def _greatest_classes(C: FinCat, reps_by_obj: list[list[int]],
 
     Entry j of f's table is the position of the greatest class [g] of a such
     that f∘g factors through the j-th representative m of b, or -1 when there
-    is none.  For subobjects this class is the pullback of m along f.  For
-    weak subobjects it is the class of the first leg of any weak pullback
-    (X, p, q) of (f, m): f∘p = m∘q, and when f∘g = m∘u the cone (g, u)
-    factors through (p, q), so g factors through p.
+    is none.  For subobjects this class is the pullback of m along f.
 
     One matmul per arrow: H[j, k] says that f∘g_k factors through m_j, for
     the arrows g_k into a, and bad[j, i] counts the g_k with H[j, k] set that
@@ -328,7 +322,16 @@ def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineDa
     largest subobject whose image lands in the given one; missing pullbacks
     are window-closure errors.  Kept on C by the identity of pc, which the
     doctrine holds, and by the core; it refers to C, the one reference
-    cycle of a store, freed with C by the cycle collector."""
+    cycle of a store, freed with C by the cycle collector.
+
+    It is also the weak-subobject doctrine, the poset reflection of the
+    slices with reindexing by weak pullback (Carboni–Vitale), wherever that
+    one exists.  A finite category with all finite products is a preorder:
+    |hom(X, A)|^n = |hom(X, A^n)| stays bounded for every n, so
+    |hom(X, A)| <= 1.  So every arrow is monic, a weak pullback is a
+    pullback, and the slice reflection is the poset of subobjects.  A window
+    need not have all products; the tests check the agreement there against
+    the former constructor of the weak-subobject doctrine."""
     fibers, reps_by_obj, masks_by_obj = [], [], []
     for a in range(C.n_objects):
         fib, reps, masks, _ = subobject_poset(C, a)
@@ -353,64 +356,3 @@ def sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineDa
         reindex_maps.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex_maps)
 
-
-# ---------------------------------------------------------------------------
-# weak subobjects
-# ---------------------------------------------------------------------------
-
-
-def weak_subobject_poset(C: FinCat, a: int) -> tuple[FinInfSL, list[int], np.ndarray, np.ndarray]:
-    """Poset reflection of the slice over `a`: the fiber and `_factor_classes`
-    of all arrows into `a`."""
-    reps, masks, cls = _factor_classes(C, C.into(a))
-    return _class_lattice(C, reps, masks), reps, masks, cls
-
-
-def weak_sub_doctrine(C: FinCat, pc: ProductChoice, scope: WindowScope) -> DoctrineData:
-    """Weak-subobject doctrine of a window with weak pullbacks.
-
-    Reindexing along f sends the class of m to the class of the first leg of
-    a weak pullback of (f, m), which `_greatest_classes` computes without a
-    cone search.  The weak pullback chosen does not matter: two weak
-    pullbacks of one cospan factor through each other, so their first legs
-    lie in one class.  The greatest class can exist while no weak pullback
-    does, so existence is decided: for all cospans (f, m) at once with the
-    class representative as first leg (no lemma makes it one), then by the
-    full search, in order, up to the first cospan that has none.
-    The existential structure along projections is post-composition
-    (verified against the adjoint characterization by the structure checks)."""
-    fibers, reps_by_obj, masks_by_obj = [], [], []
-    for a in range(C.n_objects):
-        reps, masks, _ = _factor_classes(C, C.into(a))
-        try:
-            fibers.append(_class_lattice(C, reps, masks))
-        except MalformedPresentation:
-            # a missing meet is a missing weak pullback of two representatives
-            for r1 in reps:
-                for r2 in reps:
-                    if weak_pullback(C, r1, r2) is None:
-                        raise NoWeakPullback((C.arrows[r1], C.arrows[r2]))
-            raise
-        reps_by_obj.append(reps)
-        masks_by_obj.append(masks)
-    tables = _greatest_classes(C, reps_by_obj, masks_by_obj)
-    cospans = np.array([(f, m) for f in range(C.n_arrows) for m in reps_by_obj[int(C.tgt[f])]],
-                       dtype=np.intp).reshape(-1, 2)
-    hints = np.array([reps_by_obj[int(C.src[f])][i] if i >= 0 else -1
-                      for f, table in enumerate(tables) for i in table.tolist()], dtype=np.intp)
-    missing = first_without_weak_pullback(C, cospans, hints)
-    if missing is not None:
-        f, m = cospans[missing].tolist()
-        raise NoWeakPullback((C.arrows[f], C.arrows[m]))
-    return DoctrineData(C, pc, scope, fibers,
-                        [MonotoneMap(fibers[int(C.tgt[f])], fibers[int(C.src[f])], table)
-                         for f, table in enumerate(tables)])
-
-
-def psi_postcompose_exists(P: DoctrineData, pr: int) -> MonotoneMap:
-    """The post-composition map on weak-subobject fibers along a projection."""
-    C = P.cat
-    a, b = int(C.src[pr]), int(C.tgt[pr])
-    reps_a = _factor_classes(C, C.into(a))[0]
-    cls_b = _factor_classes(C, C.into(b))[2]
-    return MonotoneMap(P.fibers[a], P.fibers[b], cls_b[C.comp[pr, reps_a]])

@@ -72,14 +72,6 @@ class FormulaMismatch(DoctrinesError):
         super().__init__(f"formula mismatch in {where}: {detail}")
 
 
-class NoWeakPullback(DoctrinesError):
-    """A cospan has no weak pullback inside the window."""
-
-    def __init__(self, cospan):
-        self.cospan = cospan
-        super().__init__(f"no weak pullback for cospan {cospan}")
-
-
 class ParseError(DoctrinesError):
     """Doctrine file rejected, with position information."""
 

@@ -12,8 +12,7 @@ vectorize on large fixtures.
 Limits are decided by counting cones; cones are listed only at an apex that
 can hold a limit.  A cone (X, legs) sends each u: z -> X to the cone legs∘u
 at z: a limit iff that map is a bijection at every apex z (jointly monic
-legs, |hom(z, X)| cones at z), a weak limit iff it is onto (the distinct
-legs∘u number the cones).  Over a cospan (f, g) the cones at z number
+legs, |hom(z, X)| cones at z).  Over a cospan (f, g) the cones at z number
 Σ_t n_f(z, t)·n_g(z, t), n_f(z, t) = #{p : f∘p = t}.
 
 Rich fixtures are windows of an ambient category: chosen product structure is
@@ -650,63 +649,6 @@ def product_cone(C: FinCat, a: int, b: int) -> Cone | None:
         return _first_limit(C, sizes[:, a] * sizes[:, b], lambda x: itertools.product(
             C.hom(x, a).tolist(), C.hom(x, b).tolist()))
     return C.kept(("product_cone", a, b), derive)
-
-
-def weak_pullback(C: FinCat, f: int, g: int) -> tuple[int, int, int] | None:
-    """The first cone (z, p, q) over the cospan (f, g) through which every
-    cone factors, not necessarily uniquely; None when the window has none.
-    Only an apex x with |hom(z, x)| >= counts[z] at every z can hold one."""
-    if int(C.tgt[f]) != int(C.tgt[g]):
-        return None                     # no cone at all
-    counts = _cospan_counts(C, f, g)
-    for x in np.flatnonzero((hom_sizes(C) >= counts[:, None]).all(axis=0)).tolist():
-        spans = _cospan_cones_at(C, f, g, x)
-        onto = _distinct_codes(C, x, spans) == counts.sum()
-        if onto.any():
-            return (x, *spans[int(onto.argmax())].tolist())
-    return None
-
-
-def first_without_weak_pullback(C: FinCat, cospans: np.ndarray, hints: np.ndarray) -> int | None:
-    """The first row (f, g) of `cospans` that has no weak pullback, or None.
-    First the cones (h, q) with h the row's hint are tried, for all rows at
-    once (cone counts by a matmul of histogram rows, distinct codes per
-    apex); then `weak_pullback`, in row order, on the rows none of them
-    serve or without a hint (-1), up to the first that has none."""
-    f, g = cospans.T
-    totals = np.zeros(len(cospans))
-    for t in np.flatnonzero(np.bincount(C.tgt[f], minlength=C.n_objects)).tolist():
-        at = np.flatnonzero(C.tgt[f] == t)
-        H = _histograms(C, t).astype(np.float64)      # the counts are exact below 2^53
-        fs, f_at = np.unique(np.searchsorted(C.into(t), f[at]), return_inverse=True)
-        gs, g_at = np.unique(np.searchsorted(C.into(t), g[at]), return_inverse=True)
-        totals[at] = (H[fs] @ H[gs].T)[f_at, g_at]
-    ok = np.zeros(len(cospans), dtype=bool)
-    hinted = np.flatnonzero(hints >= 0)
-    for x, b in set(zip(C.src[hints[hinted]].tolist(), C.src[g[hinted]].tolist())):
-        at = hinted[(C.src[hints[hinted]] == x) & (C.src[g[hinted]] == b)]
-        Q = C.hom(x, b)
-        k, j = np.nonzero(C.comp[np.ix_(g[at], Q)] == C.comp[f[at], hints[at]][:, None])
-        spans, span_at = np.unique(np.stack([hints[at[k]], Q[j]], axis=1), axis=0,
-                                   return_inverse=True)
-        ok[at[k[_distinct_codes(C, x, spans)[span_at] == totals[at[k]]]]] = True
-    return next((r for r in np.flatnonzero(~ok).tolist()
-                 if weak_pullback(C, int(f[r]), int(g[r])) is None), None)
-
-
-def _distinct_codes(C: FinCat, x: int, spans: np.ndarray) -> np.ndarray:
-    """Per span (p, q) from x, the distinct codes (p∘u, q∘u) over the u into
-    x.  They never outnumber the cones, and p∘u fixes the source of u: they
-    number them iff (p, q) is a weak pullback.  Sorted in blocks of spans."""
-    into = C.into(x)
-    out = np.zeros(len(spans), dtype=np.int64)
-    step = block_rows(8 * len(into))
-    for lo in range(0, len(spans), step):
-        p, q = spans[lo:lo + step, 0], spans[lo:lo + step, 1]
-        codes = C.comp[np.ix_(p, into)].astype(np.int64) * C.n_arrows + C.comp[np.ix_(q, into)]
-        codes.sort(axis=1)
-        out[lo:lo + step] = 1 + (codes[:, 1:] != codes[:, :-1]).sum(axis=1)
-    return out
 
 
 def is_coequalizer_of(C: FinCat, e: int, r: int, s: int) -> bool:

@@ -13,9 +13,11 @@ kept to check the blockwise code that replaced them; and the universal-property
 searches at the end, product validation and the mediator table among them,
 are the package's former plain loops, kept to check the cone counting that
 replaced them,
-and so are the subobject and weak-subobject constructors after them, kept
-to check the one reindexing formula that replaced their per-representative
-loop and per-cospan weak pullback search.  Their classes of arrows are
+and so is the subobject constructor after them, kept to check the one
+reindexing formula that replaced its per-representative loop.  The
+weak-subobject constructor after it, with its per-cospan weak pullback
+search, is the package's former one, kept to check that the subobject
+doctrine is the weak-subobject doctrine.  Their classes of arrows are
 plain factor sets, not the package's mask table.  The relation objects,
 smallest transitive extensions and the comparison functor's value after
 them are the former per-element loops over the triple product, kept to
@@ -55,8 +57,7 @@ from doctrines.completions import (ERCompletion, LFunctorResult, NoExtension,
                                    QCompletion, TCompletion, choose_products,
                                    is_reflexive)
 from doctrines.doctrine import DoctrineData, exists_along
-from doctrines.errors import (FormulaMismatch, MalformedPresentation, NoWeakPullback,
-                              ResourceCap, WindowClosure)
+from doctrines.errors import FormulaMismatch, MalformedPresentation, ResourceCap, WindowClosure
 from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport,
                               WindowScope, full_subcategory, greedy_product_core,
                               validate_category, validate_functor)
@@ -951,6 +952,14 @@ def sub_doctrine(C, pc, scope):
             table[j] = best
         reindex.append(MonotoneMap(fibers[b], fibers[a], table))
     return DoctrineData(C, pc, scope, fibers, reindex)
+
+
+class NoWeakPullback(Exception):
+    """A cospan with no weak pullback inside the window."""
+
+    def __init__(self, cospan):
+        self.cospan = cospan
+        super().__init__(f"no weak pullback for cospan {cospan}")
 
 
 def weak_sub_doctrine(C, pc, scope):

@@ -418,9 +418,7 @@ def _numpy_ma_after(statement: str) -> str:
     """What a fresh process prints for `'numpy.ma' in sys.modules` after
     running the statement with its standard output captured."""
     child = ("import contextlib, io, sys\n"
-             "from doctrines import fixtures\n"
              "from doctrines.cli import main\n"
-             "from doctrines.doctrine import weak_sub_doctrine\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              f"    {statement}\n"
              "print('numpy.ma' in sys.modules)\n")
@@ -453,10 +451,3 @@ def test_import_asks_for_one_blas_thread(preset):
                        capture_output=True, text=True, cwd=ROOT, env=env, timeout=240)
     assert r.returncode == 0, r.stderr
     assert r.stdout == f"{preset or 1} {preset or 1}\n"
-
-
-def test_weak_route_does_not_import_numpy_ma():
-    """The weak-subobject doctrine of chain, which no command builds, runs
-    without `numpy.ma` too."""
-    assert _numpy_ma_after("P = fixtures.chain_fixture(); "
-                           "weak_sub_doctrine(P.cat, P.products, P.scope)") == "False\n"

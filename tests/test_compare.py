@@ -178,6 +178,30 @@ def test_fulc_names_an_element_its_comprehension_does_not_give():
     assert ident.data["instances"] == 9
 
 
+def _constant(F: FunctorData) -> FunctorData:
+    """The functor with F's source and target that sends every object to
+    the target's first object and every arrow to its identity: a functor,
+    and no equivalence."""
+    return FunctorData(F.source, F.target, np.zeros(F.source.n_objects, dtype=np.intp),
+                       np.full(F.source.n_arrows, F.target.id_arr[0]))
+
+
+def test_fulc_names_an_inclusion_that_is_no_equivalence(fs2, monkeypatch):
+    """fs2's reflexive completion with its inclusion made constant at
+    (0|s0): it identifies the two arrows (1|s1) -> (2|s9), misses the
+    identity of (0|s0) from the empty hom (1|s1) -> (0|s0), and (1|s1) is
+    isomorphic to no image.  On a copy of fs2, whose store is empty."""
+    real = compare.Analysis.er
+    monkeypatch.setattr(compare.Analysis, "er", lambda an: dataclasses.replace(
+        real(an), inclusion=_constant(real(an).inclusion)))
+    rep = verify_fulc(copy.copy(fs2))
+    assert {c.name: (c.status, c.witness) for c in rep.checks if c.status == FAIL} == {
+        "inclusion-faithful": (FAIL, ("(1|s1)", "(2|s9)", ("((1|s1)~(2|s9)|s1)",
+                                                           "((1|s1)~(2|s9)|s2)"))),
+        "inclusion-full": (FAIL, ("(1|s1)", "(0|s0)", "((0|s0)~(0|s0)|s0)")),
+        "inclusion-essentially-surjective": (FAIL, "(1|s1)")}
+
+
 # ---------------------------------------------------------------------------
 # quotient comparison
 # ---------------------------------------------------------------------------
@@ -216,6 +240,20 @@ def test_axc_triv_hypothesis_reporting(triv):
     concl = _check(rep, "conclusion-comparison-equivalence")
     assert concl.data["claimed"] is False
     assert concl.data["measured"] == "pass"
+
+
+def test_axc_fails_a_claimed_comparison_that_is_not_full(fs2, monkeypatch):
+    """Every hypothesis holds on fs2, so the conclusion is claimed; with the
+    comparison functor made constant at (0|s0) it is not full, and the
+    claimed conclusion fails with the first missed arrow.  On a copy of
+    fs2, whose store is empty."""
+    real = compare.Analysis.L
+    monkeypatch.setattr(compare.Analysis, "L", lambda an: dataclasses.replace(
+        real(an), functor=_constant(real(an).functor)))
+    concl = _check(verify_axc(copy.copy(fs2)), "conclusion-comparison-equivalence")
+    assert (concl.status, concl.witness) == (FAIL, ("(1|s1)", "(0|s0)", "((0|s0)~(0|s0)|s0)"))
+    assert {k: concl.data[k] for k in ("claimed", "measured", "faithful", "full")} == \
+        {"claimed": True, "measured": "fail", "faithful": False, "full": False}
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +391,14 @@ def test_universal_reports_a_base_window_not_applicable(chain):
     assert (rep.checks[-1].name, rep.checks[-1].status, rep.checks[-1].witness) == \
         ("base-window", NOT_APPLICABLE, "base has non-core objects; enumeration restricted")
     assert CAPPED not in _statuses(rep)
+
+
+def test_universal_fails_a_target_that_is_not_exact(triv):
+    """The V poset over its whole window: a and b have no product, so the
+    target is not finitely complete, and the harness stops there."""
+    rep = verify_universal(triv, crafted.v_poset(), None)
+    assert [(c.name, c.status, c.witness, c.data) for c in rep.checks] == [
+        ("target-exact", FAIL, ("a", "b"), {"core": ["a", "b", "t"]})]
 
 
 def _universal_sides(P):

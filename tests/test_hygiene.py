@@ -105,29 +105,31 @@ def test_names_resolved_only_by_the_parser(path):
 
 
 def definitions(source: str) -> list[tuple[str, int, bool]]:
-    """Top-level functions and the methods of top-level classes, dunder
-    methods left out, with their lines and whether each is a method."""
+    """Top-level classes and functions and the methods of top-level
+    classes, dunder methods left out, with their lines and whether each is
+    a method."""
     out = []
     for node in ast.parse(source).body:
-        method = isinstance(node, ast.ClassDef)
-        body = node.body if method else [node]
-        out += [(d.name, d.lineno, method) for d in body
-                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not (d.name.startswith("__") and d.name.endswith("__"))]
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, node.lineno, False))
+        if isinstance(node, ast.ClassDef):
+            out += [(d.name, d.lineno, True) for d in node.body
+                    if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (d.name.startswith("__") and d.name.endswith("__"))]
     return out
 
 
 def names_used(source: str) -> tuple[set[str], set[str]]:
     """The names a module reads or imports, and the names it reads as an
     attribute or spells in a dotted string such as "fincat.product_cone",
-    each outside the body of the function or method it names.  Plain
+    each outside the body of the class, function or method it names.  Plain
     strings do not count: a file-format keyword such as "fiber" is not a
     use of a method of that name."""
     names: set[str] = set()
     attributes: set[str] = set()
 
     def walk(node, inside: frozenset):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inside = inside | {node.name}
         if isinstance(node, ast.Name):
             names.update({node.id} - inside)
@@ -160,26 +162,41 @@ def test_scan_finds_unused_definition():
               "    def method(self):\n        return used()\n"
               "    def key(self):\n        return 0\n")
     assert unused_definitions(source, *names_used(source)) == \
-        [("recursive", 5), ("method", 11), ("key", 13)]
+        [("recursive", 5), ("K", 8), ("method", 11), ("key", 13)]
+
+
+def uses_in(paths) -> tuple[set[str], set[str]]:
+    """The union of the files' `names_used` sets.  A package's
+    `__init__.py` is left out: a re-export names what it exports, and does
+    not use it."""
+    found = [names_used(p.read_text()) for p in paths if p.name != "__init__.py"]
+    return set().union(*(n for n, _ in found)), set().union(*(a for _, a in found))
+
+
+def test_scan_reports_a_definition_only_reexported(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .a import exported, used\n")
+    (tmp_path / "a.py").write_text("def exported():\n    return 0\n\n"
+                                   "def used():\n    return 1\n")
+    (tmp_path / "b.py").write_text("from .a import used\n")
+    assert unused_definitions((tmp_path / "a.py").read_text(),
+                              *uses_in(sorted(tmp_path.glob("*.py")))) == [("exported", 1)]
 
 
 # Definitions of the package that only the tests name, each with the reason
 # it stays in the package.  A new one fails the scan until it is listed here.
 TEST_ONLY = {
-    "weak_subobject_poset": "the weak-subobject fiber of one object, compared "
-                            "with the subobject fiber on exact bases",
-    "psi_postcompose_exists": "the weak-subobject existential in closed form, "
-                              "checked against the computed left adjoint",
+    "rel_opposite": "the opposite relation, an operation of the allegory whose "
+                    "laws the tests check against the oracles",
 }
 
 
 def test_no_unused_definitions():
-    """Every function and method of the package is used somewhere in the
-    package or the benchmark, outside its own definition, or else used by
-    the tests and listed in TEST_ONLY."""
+    """Every class, function and method of the package is used somewhere in
+    the package or the benchmark, outside its own definition and the
+    package's re-exports, or else used by the tests and listed in
+    TEST_ONLY."""
     def used_in(*dirs):
-        found = [names_used(p.read_text()) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))]
-        return set().union(*(n for n, _ in found)), set().union(*(a for _, a in found))
+        return uses_in(p for d in dirs for p in sorted((ROOT / d).rglob("*.py")))
 
     package, tests = used_in("src", "benchmark"), used_in("tests")
     test_only, unused = [], []
