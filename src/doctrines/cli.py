@@ -21,14 +21,16 @@ import sys
 from pathlib import Path
 
 from . import fixtures
-from .completions import Caps, transitive_extension
-from .compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
+from .completions import Caps, build_erp, build_gr, build_qp, build_tp, transitive_extension
+from .compare import (eed_checks, verify_axc, verify_cthn, verify_converse_axc,
                       verify_fulc, verify_universal)
-from .doctrine import DoctrineData, sub_doctrine
+from .doctrine import DoctrineData, sub_doctrine, validate_doctrine
 from .errors import FormulaMismatch, MalformedPresentation, ParseError, ResourceCap, WindowClosure
 from .fileformat import emit_doctrine, parse_doctrine
-from .fincat import DEFAULT_ENUM_CAP, ValidationReport, check_exact, iso_classes
+from .fincat import (DEFAULT_ENUM_CAP, ValidationReport, check_exact, iso_classes,
+                     validate_category, validate_products)
 from .report import CAPPED, FAIL, HYPOTHESIS, INFO, NOT_APPLICABLE, PASS, Check, Report, _fmt
+from .structure import check_rule_of_choice, comprehension_table
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -43,9 +45,7 @@ def load_doctrine(path: str) -> DoctrineData:
     p = Path(path)
     if p.is_file():
         P = parse_doctrine(p.read_text())
-        an = analysis(P)
-        for verdict in (an.category, an.products):
-            v = verdict()
+        for _, v in _base_laws(P):
             if not v.ok:
                 raise MalformedPresentation(f"{v.message} at {v.witness}")
         return P
@@ -57,6 +57,15 @@ def load_doctrine(path: str) -> DoctrineData:
     raise ParseError(0, 0, f"no such file or fixture: {path}")
 
 
+def _base_laws(P: DoctrineData):
+    """The category laws, then the chosen products, by check name, each
+    kept on P: `load_doctrine` reads them on a parsed file and
+    `check_report` reads them again."""
+    yield "category-laws", P.kept(("category",), lambda: validate_category(P.cat))
+    yield "chosen-products", P.kept(("products",),
+                                    lambda: validate_products(P.cat, P.products))
+
+
 def _law(rep: Report, name: str, v: ValidationReport) -> bool:
     rep.add(Check(name, PASS if v.ok else FAIL,
                   (v.witness + (v.message,)) if not v.ok else None))
@@ -66,16 +75,14 @@ def _law(rep: Report, name: str, v: ValidationReport) -> bool:
 def check_report(P: DoctrineData) -> tuple[Report, bool]:
     """The full verification pipeline; the boolean is the gate for exit 0."""
     rep = Report("check")
-    an = analysis(P)
-    if not (_law(rep, "category-laws", an.category())
-            and _law(rep, "chosen-products", an.products())):
+    if not all(_law(rep, name, v) for name, v in _base_laws(P)):
         return rep, False
     missing = P.window.check_closure()
     rep.add(Check("window-closure", PASS if not missing else FAIL,
                   missing or None))
-    if missing or not _law(rep, "doctrine-laws", an.doctrine_laws()):
+    if missing or not _law(rep, "doctrine-laws", validate_doctrine(P)):
         return rep, False
-    eed, E, X = an.eed()
+    eed, E, X = eed_checks(P)
     rep.add(eed)
     is_eed = eed.status == PASS
     rep.summary["EED"] = "yes" if is_eed else "no"
@@ -83,7 +90,7 @@ def check_report(P: DoctrineData) -> tuple[Report, bool]:
         rep.summary["equality"] = {
             P.cat.objects[a]: P.fibers[P.window.prod(a, a)[0]].elements[d]
             for a, d in E.delta.items()}
-    ct = an.comprehensions()
+    ct = comprehension_table(P)
     if ct.strict_complete and ct.full:
         rep.summary["comprehensions"] = "full"
     elif ct.complete and ct.full:
@@ -99,7 +106,7 @@ def check_report(P: DoctrineData) -> tuple[Report, bool]:
                                   for e in ct.entries],
                         "full": ct.full}))
     if X is not None:
-        roc = an.rule_of_choice()
+        roc = check_rule_of_choice(P, X)
         rep.summary["rule of choice"] = "holds" if roc.ok else \
             f"fails (witness {', '.join(map(str, roc.witness))})"
         rep.add(Check("rule-of-choice", INFO,
@@ -111,7 +118,7 @@ def check_report(P: DoctrineData) -> tuple[Report, bool]:
 def _doctrine_laws_hold(P: DoctrineData) -> bool:
     """The completions and harnesses assume the doctrine laws; say so on
     stderr when they fail."""
-    vd = analysis(P).doctrine_laws()
+    vd = validate_doctrine(P)
     if not vd.ok:
         print(f"violation: doctrine laws fail at {vd.witness}: {vd.message}",
               file=sys.stderr)
@@ -128,9 +135,9 @@ def cmd_check(args) -> int:
 def cmd_complete(args) -> int:
     P = load_doctrine(args.path)
     verdict, ok = check_report(P)
-    an = analysis(P, Caps(args.cap_enum))
+    caps = Caps(args.cap_enum)
     out = Report(f"complete --kind {args.kind}")
-    _, E, X = an.eed()
+    _, E, X = eed_checks(P)
     if E is None or X is None:
         _print_report(out, args)
         print("cannot complete: structure discovery failed", file=sys.stderr)
@@ -139,15 +146,16 @@ def cmd_complete(args) -> int:
         return EXIT_VIOLATION
     emitted: DoctrineData | None = None
     if args.kind == "gr":
-        gr = an.gr()
-        hct = analysis(gr.doctrine).comprehensions()
+        gr = build_gr(P, caps)
+        hct = comprehension_table(gr.doctrine)
         out.summary["objects"] = gr.cat.n_objects
         out.summary["arrows"] = gr.cat.n_arrows
         out.summary["full comprehensions"] = \
             "yes" if hct.strict_complete and hct.full else "no"
         emitted = gr.doctrine
     elif args.kind in ("tp", "er"):
-        comp = an.tp() if args.kind == "tp" else an.er()
+        tp = build_tp(P, E, X, caps)
+        comp = tp if args.kind == "tp" else build_erp(P, E, tp, caps)
         cat = comp.cat
         out.summary["objects"] = cat.n_objects
         out.summary["arrows"] = cat.n_arrows
@@ -156,7 +164,7 @@ def cmd_complete(args) -> int:
                     for a in range(cat.n_objects) for b in range(cat.n_objects))
         out.summary["poset"] = "yes" if poset else "no"
         if args.kind == "tp":
-            ex = check_exact(cat, comp.scope, an.caps.enum)
+            ex = check_exact(cat, comp.scope, caps.enum)
             out.summary["exact"] = "yes" if ex.exact else "no"
             out.summary["exactness core"] = len(ex.core)
         if comp.pc is None:
@@ -164,7 +172,7 @@ def cmd_complete(args) -> int:
             return EXIT_VIOLATION
         emitted = sub_doctrine(cat, comp.pc, comp.scope)
     elif args.kind == "qp":
-        q = an.qp()
+        q = build_qp(P, E, X, caps)
         out.summary["objects"] = q.cat.n_objects
         out.summary["arrow classes"] = q.cat.n_arrows
         emitted = q.doctrine
@@ -247,15 +255,15 @@ def _compare_summary(reports) -> str:
 
 def cmd_universal(args) -> int:
     P = load_doctrine(args.path)
-    an = analysis(P, Caps(args.cap_enum))
-    _, E, X = an.eed()
+    caps = Caps(args.cap_enum)
+    _, E, X = eed_checks(P)
     if E is None or X is None:
         print("violation: structure discovery failed", file=sys.stderr)
         return EXIT_VIOLATION
     if not _doctrine_laws_hold(P):
         return EXIT_VIOLATION
-    tp = an.tp()
-    rep = verify_universal(P, tp.cat, tp.pc, tp.scope, an.caps)
+    tp = build_tp(P, E, X, caps)
+    rep = verify_universal(P, tp.cat, tp.pc, tp.scope, caps)
     _print_report(rep, args)
     return _harness_exit([rep], cap_is_exit=True)
 
@@ -266,17 +274,17 @@ def cmd_demo(args) -> int:
     shown: dict[str, DoctrineData] = {}
     for name in ("triv", "chain", "fs2", "nochoice"):
         P = shown[name] = fixtures.BUILTIN_FIXTURES[name]()
-        an = analysis(P, caps)
         out.append(f"== {name} ==")
         rep, ok = check_report(P)
         for k, v in rep.summary.items():
             out.append(f"  {k}: {_fmt(v)}")
         out.append(f"  check exit: {0 if ok else 1}")
-        _, E, X = an.eed()
+        _, E, X = eed_checks(P)
         if E is None or X is None:
             continue
         if ok:
-            tp, er, q = an.tp(), an.er(), an.qp()
+            tp = build_tp(P, E, X, caps)
+            er, q = build_erp(P, E, tp, caps), build_qp(P, E, X, caps)
             ex = check_exact(tp.cat, tp.scope, caps.enum)
             out.append(f"  relation completion: objects={tp.cat.n_objects}"
                        f" arrows={tp.cat.n_arrows}"
@@ -290,7 +298,8 @@ def cmd_demo(args) -> int:
                    .replace("\n", "\n  "))
     # headline: the universal property confirmed small, capped large
     P = shown["triv"]
-    tp = analysis(P, caps).tp()
+    _, E, X = eed_checks(P)
+    tp = build_tp(P, E, X, caps)
     u = verify_universal(P, tp.cat, tp.pc, tp.scope)
     out.append("== universal property ==")
     out.append(f"  triv against its completion: "
@@ -298,14 +307,15 @@ def cmd_demo(args) -> int:
                f" (morphisms {u.summary.get('morphisms-from-base')}"
                f" = {u.summary.get('morphisms-from-completion')})")
     P2 = shown["fs2"]
-    tp2 = analysis(P2, caps).tp()
+    _, E2, X2 = eed_checks(P2)
+    tp2 = build_tp(P2, E2, X2, caps)
     u2 = verify_universal(P2, tp2.cat, tp2.pc, tp2.scope)
     out.append(f"  fs2 against its completion: "
                f"{'capped (resource cap, reported not failed)' if u2.state()[0] == CAPPED else 'unexpected'}")
     # transitive extension headline on the 2-carrier
     o2 = P2.cat.obj_index["2"]
     fib = P2.fibers[P2.window.prod(o2, o2)[0]]
-    tr = transitive_extension(P2, o2, fib.index["s15"], analysis(P2, caps).eed()[1].delta[o2])
+    tr = transitive_extension(P2, o2, fib.index["s15"], E2.delta[o2])
     out.append(f"  smallest transitive extension of the full relation on the"
                f" 2-carrier: {fib.elements[tr]}")
     sys.stdout.write("\n".join(out) + "\n")

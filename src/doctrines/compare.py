@@ -17,24 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allegory import RelArrow, rel_compose, triple_product
-from .completions import (Caps, ERCompletion, GrCompletion, LFunctorResult,
-                          NoExtension, QCompletion, TCompletion, _l_value,
-                          build_erp, build_gr, build_qp, build_tp, functor_D,
-                          functor_L, iota_iso, tp_sub_restriction,
+from .completions import (Caps, ERCompletion, LFunctorResult, NoExtension, QCompletion,
+                          TCompletion, _l_value, build_erp, build_gr, build_qp, build_tp,
+                          functor_D, functor_L, iota_iso, tp_sub_restriction,
                           transitive_extension)
 from .doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
 from .errors import (FormulaMismatch, MalformedPresentation,
                      ResourceCap, WindowClosure, guard)
-from .fincat import (FinCat, FunctorData, ProductChoice, ValidationReport,
-                     WindowScope, block_rows, check_equivalence, check_exact, hom_sizes,
-                     inverse_of, iso_classes, validate_category, validate_functor,
-                     validate_products)
+from .fincat import (FinCat, FunctorData, ProductChoice, WindowScope, block_rows,
+                     check_equivalence, check_exact, hom_sizes, inverse_of, iso_classes,
+                     validate_category, validate_functor)
 from .report import CAPPED, FAIL, HYPOTHESIS, INFO, NOT_APPLICABLE, PASS, Check, Report
 from .semilattice import FinInfSL, MonotoneMap, NoAdjoint, left_adjoints
-from .structure import (CheckVerdict, ComprehensionEntry, ComprehensionTable,
-                        ElementaryWitness, ExistentialWitness, StructureFailure,
-                        check_beck_chevalley, check_delta_product_law, check_frobenius,
-                        check_rule_of_choice, comprehension_table,
+from .structure import (ComprehensionEntry, ElementaryWitness, ExistentialWitness,
+                        StructureFailure, check_beck_chevalley, check_delta_product_law,
+                        check_frobenius, check_rule_of_choice, comprehension_table,
                         discover_elementary, discover_existential,
                         verify_comprehension_arrow)
 
@@ -86,75 +83,6 @@ def _eed_checks(P: DoctrineData) -> tuple:
     if not (bc.ok and fr.ok and dl):
         root.status = FAIL
     return root, E, X
-
-
-# ---------------------------------------------------------------------------
-# one view of a doctrine's store
-# ---------------------------------------------------------------------------
-
-
-class Analysis:
-    """Law verdicts, structure, comprehensions and completions of one
-    doctrine under caps: each is read from the doctrine's store through its
-    public function, so it is computed once per doctrine whoever asks, the
-    completions once per caps.enum.  The analysis itself holds nothing.
-    Functional relations are total on the source, the paper's condition (v)."""
-
-    def __init__(self, P: DoctrineData, caps: Caps):
-        self.P, self.caps = P, caps
-
-    def category(self) -> ValidationReport:
-        return self.P.kept(("category",), lambda: validate_category(self.P.cat))
-
-    def products(self) -> ValidationReport:
-        return self.P.kept(("products",),
-                           lambda: validate_products(self.P.cat, self.P.products))
-
-    def doctrine_laws(self) -> ValidationReport:
-        return validate_doctrine(self.P)
-
-    def eed(self) -> tuple[Check, ElementaryWitness | None, ExistentialWitness | None]:
-        return eed_checks(self.P)
-
-    def comprehensions(self) -> ComprehensionTable:
-        return comprehension_table(self.P)
-
-    # the parts below need the discovered structure
-
-    def _structure(self, part: str) -> tuple[ElementaryWitness, ExistentialWitness]:
-        """E and X, or an error naming the discovery that failed."""
-        _, E, X = self.eed()
-        if E is None or X is None:
-            failed = "elementary" if E is None else "existential"
-            raise MalformedPresentation(f"{part} needs the {failed} structure, "
-                                        "whose discovery failed")
-        return E, X
-
-    def rule_of_choice(self) -> CheckVerdict:
-        return check_rule_of_choice(self.P, self._structure("the rule of choice")[1])
-
-    def gr(self) -> GrCompletion:
-        return build_gr(self.P, self.caps)
-
-    def tp(self) -> TCompletion:
-        return build_tp(self.P, *self._structure("tp"), self.caps)
-
-    def er(self) -> ERCompletion:
-        return build_erp(self.P, self._structure("er")[0], self.tp(), self.caps)
-
-    def qp(self) -> QCompletion:
-        return build_qp(self.P, *self._structure("qp"), self.caps)
-
-    def L(self) -> LFunctorResult:
-        """The comparison functor; a failure to build er comes before one of qp."""
-        E, X = self._structure("L")
-        er = self.er()
-        return functor_L(self.P, E, X, self.qp(), er)
-
-
-def analysis(P: DoctrineData, caps: Caps = Caps()) -> Analysis:
-    """The analysis of P under these caps."""
-    return Analysis(P, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +179,7 @@ def preserve_comprehensions(P: DoctrineData, R: DoctrineData,
     element.  Each (object, element, arrow, strictness) of R is verified
     once."""
     entries = [(e.obj, e.element, e.arrow, e.kind == "strict")
-               for e in analysis(P).comprehensions().entries if e.kind != "none"]
+               for e in comprehension_table(P).entries if e.kind != "none"]
     verified = functools.cache(functools.partial(verify_comprehension_arrow, R))
     return [all(verified(int(m.F.obj_map[a]), int(m.components[a].table[el]),
                          int(m.F.arr_map[c]), strict)
@@ -445,6 +373,22 @@ def _guarded(rep: Report, check: str, compute, data: dict | None = None):
     return None
 
 
+def _relations(P: DoctrineData, E: ElementaryWitness, X: ExistentialWitness,
+               caps: Caps) -> tuple[TCompletion, ERCompletion]:
+    """The relation completion and its reflexive part."""
+    tp = build_tp(P, E, X, caps)
+    return tp, build_erp(P, E, tp, caps)
+
+
+def _comparison(P: DoctrineData, E: ElementaryWitness, X: ExistentialWitness,
+                caps: Caps) -> tuple[ERCompletion, QCompletion, LFunctorResult]:
+    """er, qp and the comparison functor L between them, built in that
+    order: a failure to build er is reported before one of qp."""
+    er = _relations(P, E, X, caps)[1]
+    q = build_qp(P, E, X, caps)
+    return er, q, functor_L(P, E, X, q, er)
+
+
 @_claims_only_on_hypotheses
 def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     """The category of points carries a full-comprehension existential
@@ -455,28 +399,26 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     finite inf-semilattices, hence all meets, and has a left adjoint (lemma):
     the existentials along the embedded projections exist."""
     rep = Report("comprehension-completion")
-    an = analysis(P, caps)
-    base_eed, E_P, X_P = an.eed()
+    base_eed, E_P, X_P = eed_checks(P)
     rep.add(Check("base-is-eed", base_eed.status, data={"context": "hypothesis"}))
-    gr = _guarded(rep, "build", an.gr)
+    gr = _guarded(rep, "build", lambda: build_gr(P, caps))
     if gr is None:
         return rep
     hat = gr.doctrine
-    an_hat = analysis(hat, caps)
     rep.summary["objects"] = gr.cat.n_objects
     rep.summary["arrows"] = gr.cat.n_arrows
-    v = an_hat.category()
+    v = validate_category(hat.cat)
     rep.add(Check("category-laws", _status(v.ok), v.witness or None))
-    v2 = an_hat.doctrine_laws()
+    v2 = validate_doctrine(hat)
     rep.add(Check("doctrine-laws", _status(v2.ok),
                   (v2.witness + (v2.message,)) if not v2.ok else None))
     if not (v.ok and v2.ok):
         return rep
-    eed, E_hat, X_hat = an_hat.eed()
+    eed, E_hat, X_hat = eed_checks(hat)
     rep.add(eed)
     if E_hat is None or X_hat is None:
         return rep
-    ct = an_hat.comprehensions()
+    ct = comprehension_table(hat)
     rep.add(Check("comprehensions-full", _status(ct.strict_complete and ct.full),
                   ct.full_witness or (ct.missing(hat) or None),
                   {"entries": len(ct.entries)}))
@@ -498,7 +440,7 @@ def verify_cthn(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("comprehension-carried-by-identity", _status(carried_ok),
                   carried_witness))
     # comprehensions the base lacked
-    base_ct = an.comprehensions()
+    base_ct = comprehension_table(P)
     gained = [f"{o}:{e}" for (o, e) in base_ct.missing(P)]
     rep.add(Check("comprehensions-gained", INFO, data={"previously-missing": gained}))
     # the embedding is a product-preserving functor whose fiber components
@@ -551,19 +493,18 @@ def verify_fulc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     (every element is the existential image of top along its comprehension)
     is verified elementwise."""
     rep = Report("reflexive-inclusion-equivalence")
-    an = analysis(P, caps)
-    ct = an.comprehensions()
+    ct = comprehension_table(P)
     if not (ct.strict_complete and ct.full):
         rep.add(Check("full-comprehensions", NOT_APPLICABLE,
                       ct.missing(P) or ct.full_witness,
                       {"reason": "base lacks full comprehensions"}))
         return rep
     rep.add(Check("full-comprehensions", PASS, data={"entries": len(ct.entries)}))
-    eed, E, X = an.eed()
+    eed, E, X = eed_checks(P)
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         return rep
-    got = _guarded(rep, "inclusion-faithful", lambda: (an.tp(), an.er()))
+    got = _guarded(rep, "inclusion-faithful", lambda: _relations(P, E, X, caps))
     if got is None:
         return rep
     tp, er = got
@@ -603,8 +544,7 @@ def verify_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     reported; the conclusion (the comparison functor is full and faithful) is
     measured regardless but claimed only when every hypothesis holds."""
     rep = Report("quotient-comparison-equivalence")
-    an = analysis(P, caps)
-    eed, E, X = an.eed()
+    eed, E, X = eed_checks(P)
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         rep.add(Check("hypothesis-weak-full-comprehensions", NOT_APPLICABLE,
@@ -612,16 +552,16 @@ def verify_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
         rep.add(Check("hypothesis-rule-of-choice", NOT_APPLICABLE,
                       "structure discovery failed"))
         return rep
-    ct = an.comprehensions()
+    ct = comprehension_table(P)
     hyp1 = ct.complete and ct.full
     rep.add(Check("hypothesis-weak-full-comprehensions", _status(hyp1),
                   None if hyp1 else (ct.missing(P) or ct.full_witness)))
-    roc = an.rule_of_choice()
+    roc = check_rule_of_choice(P, X)
     rep.add(Check("hypothesis-rule-of-choice", _status(roc.ok),
                   roc.witness or None, {"totals-checked": roc.checked}))
     claimed = hyp1 and roc.ok and eed.status == PASS
     got = _guarded(rep, "conclusion-comparison-equivalence",
-                   lambda: (an.er(), an.qp(), an.L()),
+                   lambda: _comparison(P, E, X, caps),
                    {"claimed": claimed, "measured": "not-computable"})
     if got is None:
         return rep
@@ -662,13 +602,12 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     the comparison functor is an equivalence, a choice arrow is derived for
     every total relation and cross-checked against the direct verdict."""
     rep = Report("choice-from-equivalence")
-    an = analysis(P, caps)
-    eed, E, X = an.eed()
+    eed, E, X = eed_checks(P)
     rep.add(Check("base-is-eed", eed.status, data={"context": "hypothesis"}))
     if E is None or X is None:
         rep.add(Check("extensions-exist", NOT_APPLICABLE, "structure discovery failed"))
         return rep
-    ct = an.comprehensions()
+    ct = comprehension_table(P)
     hyp_comp = ct.strict_complete and ct.full
     rep.add(Check("hypothesis-full-comprehensions", _status(hyp_comp),
                   None if hyp_comp else (ct.missing(P) or ct.full_witness)))
@@ -687,7 +626,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
                                tr.witness_antichain)))
                 return rep
     rep.add(Check("extensions-exist", PASS))
-    got = _guarded(rep, "comparison-is-equivalence", lambda: (an.er(), an.qp(), an.L()))
+    got = _guarded(rep, "comparison-is-equivalence", lambda: _comparison(P, E, X, caps))
     if got is None:
         return rep
     er, q, lres = got
@@ -720,7 +659,7 @@ def verify_converse_axc(P: DoctrineData, caps: Caps = Caps()) -> Report:
     rep.add(Check("derived-choice", _status(derived_all), witness,
                   {"totals": instances, "skipped": skipped,
                    "claimed": hyp_comp and l_equiv}))
-    roc = an.rule_of_choice()
+    roc = check_rule_of_choice(P, X)
     agree = (derived_all and not skipped) == roc.ok if instances else True
     rep.add(Check("agreement-with-direct-verdict", _status(agree),
                   None if agree else roc.witness,
@@ -743,7 +682,7 @@ def _derive_choice(P, E, X, q, er, a: int, b: int, al: int,
 
     A and B are core objects, so the existential along pr2 is the one the
     discovery kept in X (lemma), and the comprehension of the image is the
-    entry of the analysis' table, `entries`.  The product A×W is in the window: it is
+    entry of the comprehension table, `entries`.  The product A×W is in the window: it is
     A×B when W = B, and `win.times` has read it when W is the source of the
     comprehension."""
     C = P.cat
@@ -956,8 +895,7 @@ def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
         if isinstance(E_SX, StructureFailure):
             rep.add(Check("target-equality", FAIL, E_SX.where))
             return rep
-        an = analysis(P, caps)
-        eed_p, E_P, X_P = an.eed()
+        eed_p, E_P, X_P = eed_checks(P)
         rep.add(Check("base-is-eed", eed_p.status, data={"context": "hypothesis"}))
         if E_P is None or X_P is None:
             return rep
@@ -966,7 +904,7 @@ def verify_universal(P: DoctrineData, X: FinCat, Xpc: ProductChoice | None,
             rep.add(Check("base-window", NOT_APPLICABLE,
                           "base has non-core objects; enumeration restricted"))
             return rep
-        tp, er = an.tp(), an.er()
+        tp, er = _relations(P, E_P, X_P, caps)
         sub_er = tp_sub_restriction(tp, er)
         v_er = validate_doctrine(sub_er)
         rep.add(Check("completion-subobjects", _status(v_er.ok), v_er.witness or None))

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import settings
 
 from doctrines import fixtures
-from doctrines.compare import analysis
+from doctrines.compare import eed_checks
+from doctrines.completions import build_erp, build_qp, build_tp
 
 # the same examples on every run: no example database, no wall-clock deadline
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
@@ -31,21 +32,21 @@ def nochoice():
 
 @pytest.fixture(scope="session")
 def witnesses(triv, chain, fs2, nochoice):
-    """The equality and existential witnesses of each fixture's analysis."""
+    """The equality and existential witnesses each fixture keeps."""
     out = {}
     for name, P in (("triv", triv), ("chain", chain), ("fs2", fs2),
                     ("nochoice", nochoice)):
-        _, E, X = analysis(P).eed()
+        _, E, X = eed_checks(P)
         out[name] = (P, E, X)
     return out
 
 
 @pytest.fixture(scope="session")
 def completions(witnesses):
-    """The relation, reflexive and quotient completions of each analysis."""
+    """The relation, reflexive and quotient completions each fixture keeps."""
     out = {}
     for name in ("triv", "chain", "fs2"):
         P, E, X = witnesses[name]
-        an = analysis(P)
-        out[name] = (P, E, X, an.tp(), an.er(), an.qp())
+        tp = build_tp(P, E, X)
+        out[name] = (P, E, X, tp, build_erp(P, E, tp), build_qp(P, E, X))
     return out

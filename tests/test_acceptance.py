@@ -12,26 +12,20 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from doctrines import fixtures
 from doctrines.allegory import RelArrow, rel_compose
 from doctrines.compare import (verify_axc, verify_cthn, verify_fulc,
                                verify_universal)
-from doctrines.completions import (NoExtension, build_erp, build_qp, build_tp,
-                                   functor_D, transitive_extension)
+from doctrines.completions import NoExtension, build_tp, functor_D, transitive_extension
 from doctrines.doctrine import exists_along
-from doctrines.fincat import (WindowScope, check_equivalence, check_exact,
-                              iso_classes, validate_category)
+from doctrines.fincat import WindowScope, check_exact, iso_classes
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import NoAdjoint
 from doctrines.structure import (check_beck_chevalley, check_frobenius,
                                  discover_elementary, discover_existential)
 
-from oracles import (bool_matmul, bool_matrix, direct_image,
-                     functional_relation_oracle, mask_from_rel, pers_on,
-                     preimage, rel_from_mask, rel_from_matrix, set_from_mask,
-                     transitive_closure)
+from oracles import (bool_matmul, bool_matrix, direct_image, mask_from_rel, rel_from_mask,
+                     rel_from_matrix, set_from_mask, transitive_closure)
 
 ROOT = Path(__file__).parent.parent
 

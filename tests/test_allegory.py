@@ -5,9 +5,8 @@ import pytest
 from doctrines.allegory import RelArrow, rel_compose, rel_opposite
 from doctrines.errors import MalformedPresentation
 
-from oracles import (bool_matmul, bool_matrix, classify, compose_rel, identity_rel,
-                     is_per, mask_from_rel, rel_from_mask, rel_from_matrix,
-                     transpose_rel)
+from oracles import (bool_matmul, bool_matrix, classify, compose_rel, is_per, mask_from_rel,
+                     rel_from_mask, rel_from_matrix, transpose_rel)
 
 
 def _rel2(P, mask):

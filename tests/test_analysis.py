@@ -1,6 +1,6 @@
-"""The store of a doctrine: every reader, the analysis, the harnesses and a
-direct call of a public construction, gets the same verdicts, each part is
-derived once per doctrine, and no report can change what is kept."""
+"""The store of a doctrine: every reader, the commands, the harnesses and
+a direct call of a public construction, gets the same verdicts, each part
+is derived once per doctrine, and no report can change what is kept."""
 
 import copy
 import dataclasses
@@ -17,11 +17,11 @@ import pytest
 
 from doctrines import cli, compare, completions, fincat, fixtures
 from doctrines.cli import check_report, main
-from doctrines.compare import (analysis, eed_checks, verify_axc, verify_converse_axc,
-                               verify_cthn, verify_fulc, verify_universal)
+from doctrines.compare import (eed_checks, verify_axc, verify_converse_axc, verify_cthn,
+                               verify_fulc, verify_universal)
 from doctrines.completions import Caps, build_erp, build_gr, build_qp, build_tp, functor_L
 from doctrines.doctrine import DoctrineData, exists_along, sub_doctrine, validate_doctrine
-from doctrines.errors import MalformedPresentation, ResourceCap
+from doctrines.errors import ResourceCap
 from doctrines.fileformat import emit_doctrine
 from doctrines.fincat import WindowScope
 from doctrines.report import FAIL, PASS, Check
@@ -68,7 +68,9 @@ def _count_derived(monkeypatch):
 
 
 def test_check_file_validates_each_law_once(tmp_path, monkeypatch, capsys):
-    tp = analysis(fixtures.fs2()).tp()
+    P = fixtures.fs2()
+    _, E, X = eed_checks(P)
+    tp = build_tp(P, E, X)
     path = tmp_path / "fs2-tp.dtn"
     path.write_text(emit_doctrine(sub_doctrine(tp.cat, tp.pc, WindowScope(tp.scope.core))))
     category = _count_calls(monkeypatch, "validate_category")
@@ -95,7 +97,7 @@ def _calls_of(fn, run) -> int:
 
 
 def test_building_and_checking_fs2_validates_its_products_once(monkeypatch, capsys):
-    """The fixture builder leaves the verdict to the analysis, and the
+    """The fixture builder leaves the verdict to `check`, and the
     Window derives the pairing table without validating."""
     monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
     assert _calls_of(fincat.validate_products, lambda: main(["check", "fs2"])) == 1
@@ -107,7 +109,7 @@ def test_completions_do_not_validate_products(name):
     """The completions' chosen products are searched (tp, er, qp) or carried
     by a lemma (gr), and their pairing tables come from the Window."""
     P = fixtures.BUILTIN_FIXTURES[name]()
-    _, E, X = analysis(P).eed()
+    _, E, X = eed_checks(P)
     builds = [lambda: build_tp(P, E, X), lambda: build_erp(P, E, build_tp(P, E, X)),
               lambda: build_qp(P, E, X)]
     if name != "fs2":                 # fs2's points category is over the arrow cap
@@ -175,15 +177,15 @@ def test_reports_same_cold_and_warm(name):
 def test_reports_never_change_kept_checks():
     """nochoice is not elementary existential, so verify_cthn marks every
     check it reports unclaimed, the points doctrine's eed tree included;
-    the trees the analyses keep stay unmarked."""
+    the trees the stores keep stay unmarked."""
     P = fixtures.nochoice()
     before = check_report(P)[0].to_json()
     rep = verify_cthn(P)
     eed = next(c for c in rep.checks if c.name == "eed")
     assert all(c.data.get("claimed") is False for c in eed.walk())
-    hat = analysis(P).gr().doctrine
+    hat = build_gr(P).doctrine
     for doctrine in (P, hat):
-        tree, _, _ = analysis(doctrine).eed()
+        tree, _, _ = eed_checks(doctrine)
         assert all("claimed" not in c.data for c in tree.walk())
     assert check_report(P)[0].to_json() == before
 
@@ -194,30 +196,17 @@ def test_errors_are_not_kept(monkeypatch):
     tried, per_objects = [], completions.per_objects
     monkeypatch.setattr(completions, "per_objects", lambda P: tried.append(P) or per_objects(P))
     P = fixtures.chain_fixture()
+    _, E, X = eed_checks(P)
     with pytest.raises(ResourceCap) as first:
-        analysis(P, Caps(enum=1)).tp()
+        build_tp(P, E, X, Caps(enum=1))
     with pytest.raises(ResourceCap) as again:
-        analysis(P, Caps(enum=1)).er()
+        build_erp(P, E, build_tp(P, E, X, Caps(enum=1)), Caps(enum=1))
     assert again.value is not first.value
     assert (str(again.value), again.value.size, again.value.cap) == \
         (str(first.value), first.value.size, first.value.cap)
     assert len(tried) == 2 and not [key for key in P._kept if key[0] in ("tp", "er")]
-    analysis(P).tp()
+    build_tp(P, E, X)
     assert [key[:2] for key in P._kept if key[0] == "tp"] == [("tp", Caps().enum)]
-
-
-@pytest.mark.parametrize("part", ["tp", "er", "L", "rule_of_choice", "qp"])
-def test_parts_need_the_discovered_structure(part):
-    """mixedfail has no elementary structure: every part built on it raises
-    an error that names the failed discovery, on every read."""
-    an = analysis(fixtures.mixedfail())
-    assert an.eed()[1] is None
-    with pytest.raises(MalformedPresentation) as first:
-        getattr(an, part)()
-    with pytest.raises(MalformedPresentation) as again:
-        getattr(an, part)()
-    assert "needs the elementary structure, whose discovery failed" in str(first.value)
-    assert again.value is not first.value and str(again.value) == str(first.value)
 
 
 @pytest.mark.parametrize("name", ["chain", "nochoice"])
@@ -321,13 +310,12 @@ def test_a_changed_verdict_tree_leaves_the_next_read_unchanged():
     P = fixtures.chain_fixture()
     root, _, _ = eed_checks(P)
     want = _tree(root)
-    for tree in (root, analysis(P).eed()[0]):
+    for tree in (root, eed_checks(P)[0]):
         tree.status = FAIL
         tree.children[0].data["claimed"] = False
         tree.children[0].children.append(Check("added", PASS))
         tree.children.append(Check("added", PASS))
-    for tree in (eed_checks(P)[0], analysis(P).eed()[0]):
-        assert _tree(tree) == want
+    assert _tree(eed_checks(P)[0]) == want
 
 
 def _tree(c: Check):
@@ -339,7 +327,8 @@ def test_a_dropped_doctrine_is_freed_and_its_sub_doctrine_after_one_collection()
     that category, the one cycle a store makes: it lives until the cycle
     collector runs once."""
     P = fixtures.chain_fixture()
-    tp = analysis(P).tp()
+    _, E, X = eed_checks(P)
+    tp = build_tp(P, E, X)
     sub = sub_doctrine(tp.cat, tp.pc, tp.scope)
     verify_universal(P, tp.cat, tp.pc, tp.scope)
     doctrine, kept = weakref.ref(P), weakref.ref(sub)
@@ -374,7 +363,7 @@ def test_a_copy_starts_with_an_empty_store():
     Q = dataclasses.replace(P, reindex=_constant_top_along_m(P))
     assert Q._kept == {}
     assert exists_along(Q, m).table.tolist() == [0, 0]
-    assert analysis(Q).eed()[0].status == FAIL
+    assert eed_checks(Q)[0].status == FAIL
     for R in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
         assert R._kept == {} and P._kept
         assert exists_along(R, m).table.tolist() == [0, 1]

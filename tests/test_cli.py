@@ -11,6 +11,7 @@ import crafted
 from doctrines import compare, fincat, fixtures
 from doctrines.cli import SUMMARY, main
 from doctrines.cli import _compare_summary as compare_summary, _harness_exit as harness_exit
+from doctrines.completions import build_gr
 from doctrines.errors import FormulaMismatch, WindowClosure
 from doctrines.fileformat import emit_doctrine
 from doctrines.report import CAPPED, FAIL, INFO, NOT_APPLICABLE, PASS, Check, Report
@@ -255,7 +256,7 @@ def _completed(name: str, tmp_path) -> str:
     """The comprehension completion of a shipped fixture, written as a file."""
     path = tmp_path / f"{name}_c.dtn"
     P = fixtures.BUILTIN_FIXTURES[name]()
-    path.write_text(emit_doctrine(compare.analysis(P).gr().doctrine))
+    path.write_text(emit_doctrine(build_gr(P).doctrine))
     return str(path)
 
 
@@ -295,10 +296,10 @@ def test_compare_on_the_completion_of_chain_claims_no_converse(tmp_path, capsys)
 def test_compare_summary_names_a_completion_not_applicable(monkeypatch, capsys):
     """A points category that cannot be built is not applicable, and its
     line says so, as the exit code 0 does."""
-    def no_points(self):
+    def no_points(*args):
         raise WindowClosure(("u", "v"), "injected")
 
-    monkeypatch.setattr(compare.Analysis, "gr", no_points)
+    monkeypatch.setattr(compare, "build_gr", no_points)
     assert main(["compare", "chain"]) == 0
     out = capsys.readouterr().out
     assert "comprehension-completion\n  [ok] base-is-eed  context=hypothesis\n  [n/a] build" in out
@@ -377,7 +378,7 @@ def test_demo_byte_identical():
     ("universal", "triv", 0), ("universal", "chain", 0),
 ])
 def test_json_reports_match_golden(capsys, command, path, code):
-    """In-process, so a doctrine's analysis may already be filled by other
+    """In-process, so a doctrine's store may already be filled by other
     tests; the bytes must still be those of the golden file."""
     assert main(["--json", command, path]) == code
     assert capsys.readouterr().out == (GOLDEN / f"{command}_{path}.json").read_text()

@@ -10,17 +10,17 @@ import pytest
 import crafted
 import oracles
 from doctrines import compare, fincat, fixtures
-from doctrines.compare import (analysis, verify_axc, verify_cthn, verify_converse_axc,
+from doctrines.compare import (eed_checks, verify_axc, verify_cthn, verify_converse_axc,
                                verify_fulc, verify_universal)
-from doctrines.completions import Caps, build_gr, build_qp, build_tp, tp_sub_restriction
+from doctrines.completions import Caps, build_erp, build_gr, build_qp, build_tp, tp_sub_restriction
 from doctrines.doctrine import sub_doctrine
 from doctrines.errors import ResourceCap
-from doctrines.fincat import (FunctorData, ProductChoice, WindowScope, check_exact, inverse_of,
-                              is_iso, validate_functor)
+from doctrines.fincat import (FinCat, FunctorData, ProductChoice, WindowScope, check_exact,
+                              inverse_of, is_iso, validate_functor)
 from doctrines.report import CAPPED, FAIL, NOT_APPLICABLE, PASS
 from doctrines.semilattice import MonotoneMap, chain as chain_lattice
-from doctrines.structure import (ElementaryWitness, discover_elementary,
-                                 discover_existential)
+from doctrines.structure import (ComprehensionTable, ElementaryWitness, comprehension_table,
+                                 discover_elementary, discover_existential)
 
 
 def _check(rep, name):
@@ -29,6 +29,12 @@ def _check(rep, name):
 
 def _statuses(rep) -> set[str]:
     return {c.status for c in rep.walk()}
+
+
+def _tp(P):
+    """P's relation completion, as the harnesses read it."""
+    _, E, X = eed_checks(P)
+    return build_tp(P, E, X)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +104,83 @@ def test_cthn_names_the_embedding_faults(monkeypatch):
     failed = {c.name: c.witness for c in rep.walk() if c.status == FAIL}
     assert failed == {"embedding-functor": ("m", "arrow map badly typed"),
                       "embedding-preserves-existentials": "m"}
+
+
+def _moved_composite(P, gr):
+    """(m|u1|v2)∘(idu|u1|u1) moved to (m|u0|v2), out of another object, in
+    a new points category that the points doctrine reads."""
+    C = gr.cat
+    comp = C.comp.copy()
+    comp[C.arr_index["(m|u1|v2)"], C.arr_index["(idu|u1|u1)"]] = C.arr_index["(m|u0|v2)"]
+    cat = FinCat(C.objects, C.arrows, C.src, C.tgt, C.id_arr, comp)
+    return dataclasses.replace(gr, cat=cat, doctrine=dataclasses.replace(gr.doctrine, cat=cat))
+
+
+def _top_moved(P, gr):
+    """The reindexing along the identity of (u|u1) sends top u1 to u0."""
+    hat = gr.doctrine
+    ident = int(hat.cat.id_arr[hat.cat.obj_index["(u|u1)"]])
+    r = hat.reindex[ident]
+    table = r.table.copy()
+    table[r.cod.top] = r.cod.index["u0"]
+    reindex = [MonotoneMap(r.dom, r.cod, table) if f == ident else g
+               for f, g in enumerate(hat.reindex)]
+    return dataclasses.replace(gr, doctrine=dataclasses.replace(hat, reindex=reindex))
+
+
+def _identity_arrow_dropped(P, gr):
+    """No arrow of the points category is recorded over idu from u0 to u1."""
+    dropped = (P.cat.arr_index["idu"], P.fibers[0].index["u0"], P.fibers[0].index["u1"])
+    return dataclasses.replace(gr, arr_of={k: c for k, c in gr.arr_of.items() if k != dropped})
+
+
+@pytest.mark.parametrize("fault, failed", [
+    (_moved_composite, {"category-laws": ("(m|u1|v2)", "(idu|u1|u1)"),
+                        "doctrine-laws": ("(m|u1|v2)", "(idu|u1|u1)",
+                                          "composite has wrong source or target")}),
+    (_top_moved, {"doctrine-laws": ("(u|u1)", "identity reindex moves u1")}),
+    (_identity_arrow_dropped, {"comprehension-carried-by-identity": ("(u|u1)", "u0")}),
+], ids=["category", "doctrine", "carried"])
+def test_cthn_names_a_faulted_points_completion(fault, failed, monkeypatch):
+    """The points completion of a fresh chain with one fault: each check of
+    the points doctrine that the fault breaks fails with its witness."""
+    build = compare.build_gr
+    monkeypatch.setattr(compare, "build_gr", lambda P, caps: fault(P, build(P, caps)))
+    rep = verify_cthn(fixtures.chain_fixture())
+    assert {c.name: c.witness for c in rep.walk() if c.status == FAIL} == failed
+
+
+def _not_full(hat, ct):
+    """u1 over (u|u1) comprehended by u0's arrow (idu|u0|u1): u1's
+    comprehension factors through u0's, and u1 is not below u0."""
+    u0, u1 = (e for e in ct.entries if hat.cat.objects[e.obj] == "(u|u1)")
+    entries = [dataclasses.replace(e, arrow=u0.arrow) if e is u1 else e for e in ct.entries]
+    return ComprehensionTable(entries, False, ("(u|u1)", "u1", "u0"))
+
+
+def _not_comprehended(hat, ct):
+    """u0 over (u|u1) has no comprehension."""
+    return dataclasses.replace(ct, entries=[
+        dataclasses.replace(e, kind="none", arrow=None)
+        if (hat.cat.objects[e.obj], hat.fibers[e.obj].elements[e.element]) == ("(u|u1)", "u0")
+        else e for e in ct.entries])
+
+
+@pytest.mark.parametrize("fault, witness", [
+    (_not_full, ("(u|u1)", "u1", "u0")),
+    (_not_comprehended, [("(u|u1)", "u0")]),
+], ids=["not-full", "missing"])
+def test_cthn_names_comprehensions_the_points_doctrine_lacks(fault, witness, monkeypatch):
+    """The comprehension table of a fresh chain's points doctrine, not full
+    or missing an element: `comprehensions-full` fails with the pair the
+    fullness scan names or the element left out, and nothing else fails."""
+    P = fixtures.chain_fixture()
+    real = compare.comprehension_table
+    monkeypatch.setattr(compare, "comprehension_table",
+                        lambda Q: real(Q) if Q is P else fault(Q, real(Q)))
+    rep = verify_cthn(P)
+    assert {c.name: c.witness for c in rep.walk() if c.status == FAIL} == \
+        {"comprehensions-full": witness}
 
 
 @pytest.mark.parametrize("make, arrow", [
@@ -170,7 +253,7 @@ def test_fulc_names_an_element_its_comprehension_does_not_give():
     (u|u1): the image of top along it is u1, so the proof identity fails
     there."""
     P = build_gr(fixtures.chain_fixture()).doctrine
-    ent = next(e for e in analysis(P).comprehensions().entries
+    ent = next(e for e in comprehension_table(P).entries
                if e.element != P.fibers[e.obj].top)
     ent.arrow = int(P.cat.id_arr[ent.obj])
     ident = _check(verify_fulc(P), "image-of-top-identity")
@@ -191,9 +274,9 @@ def test_fulc_names_an_inclusion_that_is_no_equivalence(fs2, monkeypatch):
     (0|s0): it identifies the two arrows (1|s1) -> (2|s9), misses the
     identity of (0|s0) from the empty hom (1|s1) -> (0|s0), and (1|s1) is
     isomorphic to no image.  On a copy of fs2, whose store is empty."""
-    real = compare.Analysis.er
-    monkeypatch.setattr(compare.Analysis, "er", lambda an: dataclasses.replace(
-        real(an), inclusion=_constant(real(an).inclusion)))
+    real = compare.build_erp
+    monkeypatch.setattr(compare, "build_erp", lambda *args: dataclasses.replace(
+        real(*args), inclusion=_constant(real(*args).inclusion)))
     rep = verify_fulc(copy.copy(fs2))
     assert {c.name: (c.status, c.witness) for c in rep.checks if c.status == FAIL} == {
         "inclusion-faithful": (FAIL, ("(1|s1)", "(2|s9)", ("((1|s1)~(2|s9)|s1)",
@@ -247,9 +330,9 @@ def test_axc_fails_a_claimed_comparison_that_is_not_full(fs2, monkeypatch):
     comparison functor made constant at (0|s0) it is not full, and the
     claimed conclusion fails with the first missed arrow.  On a copy of
     fs2, whose store is empty."""
-    real = compare.Analysis.L
-    monkeypatch.setattr(compare.Analysis, "L", lambda an: dataclasses.replace(
-        real(an), functor=_constant(real(an).functor)))
+    real = compare.functor_L
+    monkeypatch.setattr(compare, "functor_L", lambda *args: dataclasses.replace(
+        real(*args), functor=_constant(real(*args).functor)))
     concl = _check(verify_axc(copy.copy(fs2)), "conclusion-comparison-equivalence")
     assert (concl.status, concl.witness) == (FAIL, ("(1|s1)", "(0|s0)", "((0|s0)~(0|s0)|s0)"))
     assert {k: concl.data[k] for k in ("claimed", "measured", "faithful", "full")} == \
@@ -299,7 +382,7 @@ def test_converse_skips_a_relation_whose_image_has_no_comprehension():
     agreement with the direct verdict."""
     P = fixtures.chain_fixture()
     v, v1 = 1, 1
-    ent = next(e for e in analysis(P).comprehensions().entries if (e.obj, e.element) == (v, v1))
+    ent = next(e for e in comprehension_table(P).entries if (e.obj, e.element) == (v, v1))
     ent.kind = "none"
     rep = verify_converse_axc(P)
     assert _check(rep, "derived-choice").data["skipped"] == ["uxv:u1: image has no comprehension"]
@@ -386,7 +469,7 @@ def test_universal_reports_a_base_window_not_applicable(chain):
     """A base with objects outside its core restricts the enumeration: the
     harness says so after enumerating from the base."""
     P = dataclasses.replace(chain, scope=WindowScope(chain.scope.core[:1]))
-    tp = analysis(chain).tp()
+    tp = _tp(chain)
     rep = verify_universal(P, tp.cat, tp.pc, tp.scope)
     assert (rep.checks[-1].name, rep.checks[-1].status, rep.checks[-1].witness) == \
         ("base-window", NOT_APPLICABLE, "base has non-core objects; enumeration restricted")
@@ -405,9 +488,8 @@ def _universal_sides(P):
     """The subobject doctrine of P's relation completion, and the doctrine
     morphisms into it from P and from the completion's reflexive part, as
     `verify_universal` enumerates them."""
-    an = analysis(P)
-    E_P = an.eed()[1]
-    tp, er = an.tp(), an.er()
+    E_P, tp = discover_elementary(P), _tp(P)
+    er = build_erp(P, E_P, tp)
     sub_x = sub_doctrine(tp.cat, tp.pc, tp.scope)
     sub_er = tp_sub_restriction(tp, er)
     E_SX = discover_elementary(sub_x)
@@ -549,7 +631,7 @@ def test_morphism_checks_match_former_checks(request, name):
     equality and existential conditions, and some break comprehensions."""
     P = request.getfixturevalue(name)
     sub_x, ((_, mors), _) = _universal_sides(P)
-    E_P, E_SX = analysis(P).eed()[1], discover_elementary(sub_x)
+    E_P, E_SX = discover_elementary(P), discover_elementary(sub_x)
     cases = []
     for m in mors:
         for o, comp in enumerate(m.components):
@@ -602,11 +684,11 @@ def test_eed_conditions_match_former_test(request, name):
     E_SX = discover_elementary(sub_x)
     short = ElementaryWitness({o: d for o, d in E_SX.delta.items() if o != max(E_SX.delta)})
     moved = _moved_equality(sub_x, E_SX)
-    an = analysis(P)
-    sub_er = tp_sub_restriction(an.tp(), an.er())
+    E_P, tp = discover_elementary(P), _tp(P)
+    sub_er = tp_sub_restriction(tp, build_erp(P, E_P, tp))
     verdicts = Counter()
     for (S, E), E_R in itertools.product(
-            ((P, an.eed()[1]), (sub_er, discover_elementary(sub_er))), (E_SX, short, moved)):
+            ((P, E_P), (sub_er, discover_elementary(sub_er))), (E_SX, short, moved)):
         for F in compare.enumerate_functors(S.cat, S.products, sub_x.cat, sub_x.products,
                                             Caps().enum):
             cond = compare.eed_conditions(S, sub_x, F, E, E_R)
@@ -643,7 +725,7 @@ def test_universal_computes_2cells_once_per_pair(chain, monkeypatch):
             return super()._natural(ranks)
 
     monkeypatch.setattr(compare, "TwoCellTable", Counted)
-    tp = analysis(chain).tp()
+    tp = _tp(chain)
     rep = verify_universal(chain, tp.cat, tp.pc, tp.scope)
     assert not _statuses(rep) & {FAIL, CAPPED}
     assert [t.n for t in tables] == [50, 25]
@@ -657,7 +739,7 @@ def test_morphisms_validate_each_functor_once(chain, monkeypatch):
     functoriality or for being homomorphisms again; chain has more morphisms
     into its completion's subobjects than functors."""
     sub_x, _ = _universal_sides(chain)
-    E_P, E_SX = analysis(chain).eed()[1], discover_elementary(sub_x)
+    E_P, E_SX = discover_elementary(chain), discover_elementary(sub_x)
     calls, kept = Counter(), []
     real = compare.validate_functor
 
@@ -737,7 +819,7 @@ def test_universal_faults_fail_with_witness(request, monkeypatch, name, target, 
     real = getattr(compare, target)
     monkeypatch.setattr(compare, target,
                         fault(real, P) if fault is _completion_side_short else fault(real))
-    tp = analysis(P).tp()
+    tp = _tp(P)
     rep = verify_universal(P, tp.cat, tp.pc, tp.scope)
     for reading in ("existential", "comprehension-preserving"):
         assert {clause: (_check(rep, f"{reading}:{clause}").status,
@@ -827,7 +909,7 @@ def test_functor_arrow_maps_are_sized_in_full(fs2):
 def test_equivalence_relation_candidates_cap(chain):
     """check_exact counts the spans (r1, r2) into each core object before
     it reads its verdict, kept or not: Σ_z |hom(z, x)|² over core x."""
-    tp = analysis(chain).tp()
+    tp = _tp(chain)
     C, core = tp.cat, tp.scope.core
     size = sum(len(C.hom(z, x)) ** 2 for x in core for z in range(C.n_objects))
     assert size == 17

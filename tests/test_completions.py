@@ -14,9 +14,8 @@ from doctrines.fincat import (WindowScope, check_equivalence, check_exact,
 from doctrines.structure import discover_elementary, discover_existential
 
 import oracles
-from oracles import (compose_rel, functional_relation_oracle, identity_rel,
-                     is_per, mask_from_rel, pers_on, rel_from_mask,
-                     transitive_closure)
+from oracles import (compose_rel, functional_relation_oracle, mask_from_rel, pers_on,
+                     rel_from_mask, transitive_closure)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 import crafted
 import oracles
 from doctrines import fixtures
-from doctrines.compare import analysis
+from doctrines.compare import eed_checks
+from doctrines.completions import build_tp
 from doctrines.doctrine import DoctrineData, box_product, sub_doctrine, validate_doctrine
 from doctrines.errors import DoctrinesError
 from doctrines.fincat import ProductChoice, WindowScope
-from doctrines.semilattice import MonotoneMap, chain as chain_lattice
+from doctrines.semilattice import MonotoneMap
 
 from oracles import preimage, set_from_mask
 from test_laws import concrete_categories
@@ -132,7 +133,8 @@ def test_sub_doctrine_matches_oracle(sample):
 def test_constructors_match_oracles_on_fixtures(name, request):
     """The subobject constructor on the fixture and on its tp completion."""
     P = request.getfixturevalue(name)
-    for C in (P.cat, analysis(P).tp().cat):
+    _, E, X = eed_checks(P)
+    for C in (P.cat, build_tp(P, E, X).cat):
         assert _constructed(sub_doctrine, C) == _constructed(oracles.sub_doctrine, C)
 
 
@@ -147,7 +149,7 @@ def test_sub_doctrine_is_the_weak_subobject_doctrine(name, window, request):
     constructor gives the same element names, orders and reindex tables.
     fs2's base is left out: the former search takes most of a minute."""
     P = fixtures.mixedfail() if name == "mixedfail" else request.getfixturevalue(name)
-    C = analysis(P).tp().cat if window == "tp" else P.cat
+    C = build_tp(P, *eed_checks(P)[1:]).cat if window == "tp" else P.cat
     assert _constructed(sub_doctrine, C) == _constructed(oracles.weak_sub_doctrine, C)
 
 

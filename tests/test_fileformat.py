@@ -435,9 +435,12 @@ _NOISE = [" ", "\t", "\n", "\r", "\r\n", "\x0c", "\x1f", "\x85", "\u2028", "#", 
 def _small_canonical_text() -> str:
     """The canonical text of the subobject doctrine of chain's relation
     completion: 49 compose lines and 17 reindex blocks."""
-    from doctrines.compare import analysis
+    from doctrines.compare import eed_checks
+    from doctrines.completions import build_tp
     from doctrines.doctrine import sub_doctrine
-    tp = analysis(fixtures.chain_fixture()).tp()
+    P = fixtures.chain_fixture()
+    _, E, X = eed_checks(P)
+    tp = build_tp(P, E, X)
     return emit_doctrine(sub_doctrine(tp.cat, tp.pc, tp.scope))
 
 

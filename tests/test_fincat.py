@@ -7,7 +7,7 @@ import crafted
 from doctrines import compare, fixtures
 from doctrines.doctrine import sub_doctrine
 from doctrines.errors import DoctrinesError
-from doctrines.fincat import (Cone, FinCat, FunctorData, ProductChoice, ValidationReport, Window,
+from doctrines.fincat import (FinCat, FunctorData, ProductChoice, ValidationReport, Window,
                               WindowScope, check_equivalence, check_exact, equalizer,
                               full_subcategory, image_factorization, is_iso, is_mono,
                               is_regular_epi, iso_classes, pullback, validate_category,

@@ -36,11 +36,15 @@ def test_scan_finds_unused_import():
         ["a (line 2)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
-                                        if p.name != "__init__.py"))
+# the package's modules by name, the tests' and tools' by their directory
+IMPORTING = {**{p.name: p for p in SRC.glob("*.py") if p.name != "__init__.py"},
+             **{f"{d}/{p.name}": p for d in ("tests", "tools") for p in (ROOT / d).glob("*.py")}}
+
+
+@pytest.mark.parametrize("path", sorted(IMPORTING))
 def test_no_unused_imports(path):
     """`__init__.py` is left out: its imports are the package's re-exports."""
-    assert unused_imports((SRC / path).read_text()) == []
+    assert unused_imports(IMPORTING[path].read_text()) == []
 
 
 def local_reimports(source: str) -> list[tuple[str, int]]:

@@ -23,7 +23,7 @@ import oracles
 from doctrines import completions as builders
 from doctrines import fixtures
 from doctrines.cli import _doctrine_laws_hold, main
-from doctrines.compare import analysis
+from doctrines.compare import eed_checks
 from doctrines.completions import (build_erp, build_gr, build_qp, build_tp, functor_D,
                                    functor_L, iota_iso, tp_sub_restriction,
                                    transitive_extension)
@@ -98,7 +98,7 @@ def test_nofrobenius_breaks_the_laws_the_lemmas_assume(capsys):
     builder finds a composite of representatives in no class.  The law
     gate stops every command that builds before it gets there."""
     P = crafted.nofrobenius()
-    _, E, X = analysis(P).eed()
+    _, E, X = eed_checks(P)
     assert E is not None and X is not None
     assert not _doctrine_laws_hold(P)
     assert capsys.readouterr().err == (
@@ -112,7 +112,7 @@ def test_nofrobenius_breaks_the_laws_the_lemmas_assume(capsys):
 @given(window_doctrines())
 def test_chain_matches_checked_builders(Q):
     """On the sub-doctrines whose structure is discovered."""
-    _, E, X = analysis(Q).eed()
+    _, E, X = eed_checks(Q)
     assume(E is not None and X is not None)
     tp = build_tp(Q, E, X)
     assert _chain(builders, Q, E, X, tp) == _chain(oracles, Q, E, X, tp)
@@ -193,9 +193,8 @@ def test_published_forms_disagree():
     the identity class of the equality on 2: the second form, which reads
     it, then gives the full relation instead of the equality."""
     P0 = fixtures.fs2()
-    an = analysis(P0)
-    _, E, X = an.eed()
-    q, er = an.qp(), an.er()
+    _, E, X = eed_checks(P0)
+    q, er = build_qp(P0, E, X), build_erp(P0, E, build_tp(P0, E, X))
     win = P0.window
     a = P0.cat.obj_index["2"]
     ci = int(q.cat.id_arr[q.obj_of[(a, E.delta[a])]])
@@ -308,7 +307,7 @@ def lawless_file(tmp_path_factory):
     reindex = list(P.reindex)
     reindex[f] = MonotoneMap(m.dom, m.cod, table)
     bad = DoctrineData(C, P.products, P.scope, P.fibers, reindex)
-    _, E, X = analysis(bad).eed()
+    _, E, X = eed_checks(bad)
     assert E is not None and X is not None
     path = tmp_path_factory.mktemp("lawless") / "fs2-lawless.dtn"
     path.write_text(emit_doctrine(bad))

@@ -15,8 +15,9 @@ import crafted
 import oracles
 from doctrines import fixtures
 from doctrines.allegory import triple_product
-from doctrines.compare import analysis
-from doctrines.completions import _l_value, build_qp, functor_L, per_objects, transitive_extension
+from doctrines.compare import eed_checks
+from doctrines.completions import (_l_value, build_erp, build_qp, build_tp, functor_L, per_objects,
+                                   transitive_extension)
 from doctrines.doctrine import DoctrineData
 from doctrines.errors import MalformedPresentation
 from doctrines.semilattice import NoAdjoint
@@ -102,15 +103,21 @@ def test_l_value_matches_oracle(Q):
 FORMS_BEFORE = {"triv": (1, []), "chain": (3, []), "fs2": (18, [])}
 
 
+def _functor_L(P, E, X):
+    """The comparison functor of P, its reflexive relations built first."""
+    er = build_erp(P, E, build_tp(P, E, X))
+    return functor_L(P, E, X, build_qp(P, E, X), er)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_functor_L_form_comparisons_unchanged(name, witnesses):
-    P = witnesses[name][0]
+    P, E, X = witnesses[name]
     if name == "nochoice":
         with pytest.raises(MalformedPresentation, match=r"composite of \(\(u\|a\)~\(v\|v1\)\|a\) "
                            r"and \(\(v\|v1\)~\(u\|b\)\|b\) is not a functional relation"):
-            analysis(P).L()
+            _functor_L(P, E, X)
         return
-    res = analysis(P).L()
+    res = _functor_L(P, E, X)
     assert (res.form_comparisons, res.skipped) == FORMS_BEFORE[name]
 
 
@@ -120,9 +127,8 @@ def test_functor_L_skips_missing_second_form_existential(missing):
     (one the first form does not use), skips the second form for exactly
     the classes that need it and raises nothing."""
     P0 = fixtures.fs2()
-    an = analysis(P0)
-    _, E, X = an.eed()
-    q, er = an.qp(), an.er()
+    _, E, X = eed_checks(P0)
+    q, er = build_qp(P0, E, X), build_erp(P0, E, build_tp(P0, E, X))
     win = P0.window
     # the missing adjoint is kept first in the store of a fresh doctrine on
     # fs2's tables, which derives the comparison functor afresh

@@ -20,14 +20,28 @@ from hypothesis import strategies as strat
 import crafted
 import oracles
 from doctrines import completions, fincat, fixtures
-from doctrines.compare import analysis
-from doctrines.completions import choose_products
+from doctrines.compare import eed_checks
+from doctrines.completions import build_erp, build_gr, build_qp, build_tp, choose_products
 from doctrines.fincat import (Cone, ProductChoice, WindowScope, check_exact, equalizer,
                               factor_counts, greedy_product_core, is_coequalizer_of, is_mono,
                               is_regular_epi, jointly_monic, mediating, product_cone, pullback,
                               terminal_object, validate_products)
 from doctrines.structure import verify_comprehension_arrow
 from test_laws import concrete_categories, corrupted_doctrines
+
+
+def _tp(P):
+    """P's relation completion."""
+    _, E, X = eed_checks(P)
+    return build_tp(P, E, X)
+
+
+def _completions(P, gr: bool):
+    """P's relation, reflexive and quotient completions, and its points
+    category when asked."""
+    _, E, X = eed_checks(P)
+    tp = build_tp(P, E, X)
+    return [tp, build_erp(P, E, tp), build_qp(P, E, X)] + ([build_gr(P)] if gr else [])
 
 
 def _arrows(C, objects=None):
@@ -95,7 +109,7 @@ def test_limits_match_oracle_on_fixtures(name, request):
     up to 1.4 s for one cospan into 8, and try every one of the 300,000
     spans over (8, 8), which has no product."""
     P = request.getfixturevalue(name)
-    for C, objects in ((analysis(P).tp().cat, None),
+    for C, objects in ((_tp(P).cat, None),
                        (P.cat, P.scope.core if name == "fs2" else None)):
         assert_limits_match(C, 1, objects)
         assert_monos_match(C, objects)
@@ -142,7 +156,7 @@ def product_bases(triv, chain, fs2):
     """Each fixture's base and tp completion with its chosen products."""
     out = []
     for P in (triv, chain, fs2):
-        tp = analysis(P).tp()
+        tp = _tp(P)
         out += [(P.cat, P.products), (tp.cat, tp.pc)]
     return out
 
@@ -261,11 +275,10 @@ def test_pairing_matches_oracle_on_fixtures(triv, chain, fs2):
     """The fixture bases and their tp, er, qp and gr categories; fs2's
     points category is over the default arrow cap."""
     for P in (triv, chain, fs2):
-        an = analysis(P)
         _pairing_matches_oracle(P.cat, P.products)
-        for part in (an.tp, an.er, an.qp) + ((an.gr,) if P is not fs2 else ()):
-            assert part().pc is not None
-            _pairing_matches_oracle(part().cat, part().pc)
+        for part in _completions(P, gr=P is not fs2):
+            assert part.pc is not None
+            _pairing_matches_oracle(part.cat, part.pc)
 
 
 @settings(max_examples=60)
@@ -293,7 +306,7 @@ def test_comprehension_arrows_match_oracle(P):
 def test_product_cones_searched_once_per_category(chain, monkeypatch):
     """choose_products, greedy_product_core and check_exact share one cone
     search per (a, b) on a copy of a completion category."""
-    C = copy.deepcopy(analysis(chain).tp().cat)
+    C = copy.deepcopy(_tp(chain).cat)
     calls, searches, inside = [], [], []
     search, first_limit = fincat.product_cone, fincat._first_limit
 
@@ -320,7 +333,7 @@ def test_product_cones_searched_once_per_category(chain, monkeypatch):
 
 
 def test_copies_start_with_an_empty_cone_memo(chain):
-    C = analysis(chain).tp().cat
+    C = _tp(chain).cat
     assert product_cone(C, 0, 0) is product_cone(C, 0, 0)
     assert ("product_cone", 0, 0) in C._kept
     assert copy.copy(C)._kept == {}
@@ -333,7 +346,7 @@ def test_copies_start_without_counting_tables(chain):
     joint-monicity verdicts), the pullback memo and the regular-epi
     verdicts are dropped by every copy, and the tables the kernel hands out
     are read-only."""
-    C = analysis(chain).tp().cat
+    C = _tp(chain).cat
     f = int(C.into(0)[-1])
     assert pullback(C, f, f) is not None and pullback(C, f, f) is pullback(C, f, f)
     regular = is_regular_epi(C, f)
@@ -450,8 +463,7 @@ def test_completion_searches_list_at_most_the_endomorphisms(monkeypatch, name):
     monkeypatch.setattr(fixtures, "_FS2_CACHE", {})
     searches = _listed_cones(monkeypatch)
     P = fixtures.BUILTIN_FIXTURES[name]()
-    an = analysis(P)
-    cats = [an.tp().cat, an.er().cat, an.qp().cat] + ([an.gr().cat] if name != "fs2" else [])
+    cats = [part.cat for part in _completions(P, gr=name != "fs2")]
     for C in cats:
         check_exact(C)
     assert {id(C) for C, _ in searches} == {id(C) for C in cats}

@@ -6,9 +6,8 @@ from doctrines import fixtures
 from doctrines.structure import (StructureFailure, check_beck_chevalley,
                                  check_delta_product_law, check_frobenius,
                                  check_rule_of_choice, comprehension_of,
-                                 comprehension_table, discover_elementary,
-                                 discover_existential, elementary_candidates,
-                                 verify_comprehension_arrow)
+                                 comprehension_table, discover_existential,
+                                 elementary_candidates, verify_comprehension_arrow)
 
 from oracles import direct_image, preimage, set_from_mask, mask_from_set
 
